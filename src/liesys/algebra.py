@@ -29,6 +29,9 @@ class LieAlgebra:
     basis_labels: tuple = ()
     name: str = ""
     nilpotency_index: int | None = field(default=None, compare=False)
+    # exp(ad) power stacks per basis index, filled by _ad_power_stack; held on
+    # the instance so no other algebra can ever read them
+    _ad_stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -125,6 +128,24 @@ def _nilpotency_index(alg: LieAlgebra) -> int | None:
     return None
 
 
+def lower_central_class(alg: LieAlgebra) -> int | None:
+    """Nilpotency class: the smallest c with every (c+1)-fold bracket zero.
+
+    Follows the lower central series g^{k+1} = [g, g^k]; None when it stalls
+    above zero (the algebra is not nilpotent)."""
+    S = np.eye(alg.dim)                       # rows span g^k
+    for k in range(1, alg.dim + 1):
+        W = np.einsum("sb,abg->sag", S, alg.structure).reshape(-1, alg.dim)
+        sv, basis = np.linalg.svd(W)[1:]
+        rank = int(np.sum(sv > _SPAN_SVD_RATIO * max(1.0, sv[0])))
+        if rank == 0:
+            return k
+        if rank == len(S):
+            return None
+        S = basis[:rank]
+    return None
+
+
 def _expm_taylor(M: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with a 13-term Taylor series at the scaled argument."""
     norm = np.max(np.abs(M))
@@ -143,13 +164,11 @@ def _expm_taylor(M: np.ndarray) -> np.ndarray:
 
 
 _AD_STACK_TERMS = 14
-_ad_power_cache: dict = {}
 
 
 def _ad_power_stack(alg: LieAlgebra, index: int):
-    """Powers (ad a_index)^k / k! for k = 0..K, cached per algebra basis."""
-    key = (id(alg), index)
-    hit = _ad_power_cache.get(key)
+    """Powers (ad a_index)^k / k! for k = 0..K, cached on the algebra."""
+    hit = alg._ad_stacks.get(index)
     if hit is not None:
         return hit
     M = ad_matrix(alg, alg.basis_vector(index))
@@ -163,7 +182,7 @@ def _ad_power_stack(alg: LieAlgebra, index: int):
         stack.append(term)
     norm = float(np.max(np.abs(M)))
     out = (np.stack(stack), norm, alg.nilpotency_index is not None)
-    _ad_power_cache[key] = out
+    alg._ad_stacks[index] = out
     return out
 
 

@@ -6,6 +6,13 @@ composition = matrix product) or a canonical chart of first/second kind
 in which exp(s a_i) is the coordinate line s e_i.  Second-kind charts
 carry their ordering as part of the chart identity; mixing orderings is
 a chart mismatch.
+
+The canonical charts of the nilpotent groups G4, G5, G7, G8, Gbar4 and
+Gbar5 are derived from the structure constants: first-kind composition is
+the Baker-Campbell-Hausdorff series (`bch`, exact for nilpotency class at
+most 4), and every second-kind law goes through the conversions to and from
+the first kind.  H3, SE2, the signature family and the affine group keep
+closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import LieAlgebra, _expm_taylor, catalog_algebra, exp_ad
+from .algebra import LieAlgebra, _expm_taylor, catalog_algebra, exp_ad, lower_central_class
 from .errors import ChartError, UnknownNameError
 
 DEFAULT_FD_STEP = 1e-5
@@ -115,17 +122,6 @@ def exp_chart(chart: GroupChart, index: int, s: float = 1.0) -> GroupElement:
     else:
         coords[index] += s
     return GroupElement(chart, coords)
-
-
-def exp_chart_vector(chart: GroupChart, vec, s: float = 1.0) -> GroupElement:
-    """exp(s * sum_i vec_i a_i); exact for matrix and first-kind charts."""
-    vec = np.asarray(vec, dtype=float)
-    if chart.chart_kind == "matrix":
-        A = sum(v * M for v, M in zip(vec, chart.algebra_rep))
-        return GroupElement(chart, _expm_taylor(s * A).reshape(-1))
-    if chart.chart_kind == "canonical_first":
-        return GroupElement(chart, chart.identity_coords + s * vec)
-    raise ChartError("general exponentials need a matrix or first-kind chart")
 
 
 def group_adjoint(g: GroupElement) -> np.ndarray:
@@ -378,277 +374,74 @@ def _build_h3():
     )
 
 
-# --- rigid body with two oscillators: G4 ------------------------------------
+# --- nilpotent groups: laws derived from the structure constants -------------
 
-def _build_g4():
-    alg = catalog_algebra("g4")
-
-    def compose1(g, h):
-        a, b, c, d = g
-        ap, bp, cp, dp = h
-        w = a * bp - b * ap
-        return np.array([
-            a + ap, b + bp,
-            c + cp + 0.5 * w,
-            d + dp + 0.5 * (a * cp - c * ap) + 0.5 * (b * cp - c * bp)
-            + w * (a - ap + b - bp) / 12.0,
-        ])
-
-    chart1 = GroupChart(
-        "G4", "canonical_first", 4, alg,
-        compose_fn=compose1, inverse_fn=lambda g: -g,
-        identity_coords=np.zeros(4),
-    )
-    register_chart(("G4", "canonical_first", None), chart1)
-
-    def compose2(g, h):
-        a, b, c, d = g
-        ap, bp, cp, dp = h
-        return np.array([
-            a + ap, b + bp,
-            c + cp - b * ap,
-            d + dp - c * (ap + bp) + 0.5 * b * ap * (b + 2.0 * bp + ap),
-        ])
-
-    def conv21(g):
-        a, b, c, d = g
-        return np.array([
-            a, b, c + 0.5 * a * b,
-            d + 0.5 * (a + b) * c + a * b * (a - b) / 12.0,
-        ])
-
-    def conv12(g):
-        a, b, c1, d1 = g
-        c2 = c1 - 0.5 * a * b
-        d2 = d1 - 0.5 * (a + b) * c2 - a * b * (a - b) / 12.0
-        return np.array([a, b, c2, d2])
-
-    def inverse2(g):
-        return conv12(-conv21(g))
-
-    chart2 = GroupChart(
-        "G4", "canonical_second", 4, alg, ordering=(1, 2, 3, 4),
-        compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(4),
-    )
-    register_chart(("G4", "canonical_second", (1, 2, 3, 4)), chart2)
-    k2, k1 = ("G4", "canonical_second", (1, 2, 3, 4)), ("G4", "canonical_first", None)
-    register_conversion(k2, k1, conv21)
-    register_conversion(k1, k2, conv12)
+_BCH_MAX_CLASS = 4
 
 
-# --- second-degree Brockett extension: G5 -----------------------------------
+def bch(alg: LieAlgebra, x, y) -> np.ndarray:
+    """log(exp(x) exp(y)) by Dynkin's Baker-Campbell-Hausdorff series,
+    x + y + [x,y]/2 + ([x,[x,y]] - [y,[x,y]])/12 - [y,[x,[x,y]]]/24.
 
-def _build_g5():
-    alg = catalog_algebra("g5")
+    Exact when the algebra's nilpotency class is at most 4 (every longer
+    bracket vanishes); see Bonfiglioli & Fulci, Topics in Noncommutative
+    Algebra, Springer LNM 2034 (2012).
+    """
+    r = alg.dim
+    c = alg.structure.reshape(r, r * r)
+    ad_x = (x @ c).reshape(r, r)              # v @ ad_x = [x, v]
+    ad_y = (y @ c).reshape(r, r)
+    xy = y @ ad_x
+    x_xy = xy @ ad_x
+    return x + y + 0.5 * xy + (x_xy - xy @ ad_y) / 12.0 - (x_xy @ ad_y) / 24.0
 
-    def compose1(g, h):
-        a, b, c, d, e = g
-        ap, bp, cp, dp, ep = h
-        w = a * bp - b * ap
-        return np.array([
-            a + ap, b + bp,
-            c + cp + 0.5 * w,
-            d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
-            e + ep + 0.5 * (b * cp - c * bp) + (b - bp) * w / 12.0,
-        ])
 
-    chart1 = GroupChart(
-        "G5", "canonical_first", 5, alg,
-        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(5),
-    )
-    register_chart(("G5", "canonical_first", None), chart1)
+def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
+    """Register the first- and second-kind charts of a nilpotent group and
+    the conversions between them, every law derived by `bch`.
 
-    def compose2(g, h):
-        a, b, c, d, e = g
-        ap, bp, cp, dp, ep = h
-        return np.array([
-            a + ap, b + bp,
-            c + cp - b * ap,
-            d + dp - c * ap + 0.5 * b * ap**2,
-            e + ep - c * bp + b * ap * bp + 0.5 * b**2 * ap,
-        ])
+    The ordering must be triangular: for each i the span of a_{s_j}, j > i,
+    contains every bracket of a_{s_j}, j >= i.  Then the a_{s_i} component of
+    a first-kind vector is the i-th second-kind coordinate, which the
+    conversion to the second kind peels off one factor at a time.
+    """
+    cls = lower_central_class(alg)
+    if cls is None or cls > _BCH_MAX_CLASS:
+        raise ChartError(f"{group}: algebra {alg.name} has nilpotency class {cls}; "
+                         f"BCH charts need class <= {_BCH_MAX_CLASS}")
+    r = alg.dim
+    perm = [idx - 1 for idx in ordering]
+    c = alg.structure[np.ix_(perm, perm, perm)]
+    j, k, m = np.ogrid[:r, :r, :r]
+    if np.any(c[m <= np.minimum(j, k)] != 0.0):
+        raise ChartError(f"{group}: ordering {ordering} is not triangular")
+    basis = np.eye(r)[perm]                   # basis[pos] = a_{s_pos}
 
     def conv21(g):
-        a, b, c, d, e = g
-        return np.array([
-            a, b, c + 0.5 * a * b,
-            d + 0.5 * a * c + a * a * b / 12.0,
-            e + 0.5 * b * c - a * b * b / 12.0,
-        ])
+        x = g[0] * basis[0]
+        for pos in range(1, r):
+            x = bch(alg, x, g[pos] * basis[pos])
+        return x
 
-    def conv12(g):
-        a, b, c1, d1, e1 = g
-        c2 = c1 - 0.5 * a * b
-        d2 = d1 - 0.5 * a * c2 - a * a * b / 12.0
-        e2 = e1 - 0.5 * b * c2 + a * b * b / 12.0
-        return np.array([a, b, c2, d2, e2])
+    def conv12(x):
+        g = np.empty(r)
+        for pos in range(r):
+            g[pos] = x[perm[pos]]
+            if pos < r - 1:
+                x = bch(alg, -g[pos] * basis[pos], x)
+        return g
 
-    chart2 = GroupChart(
-        "G5", "canonical_second", 5, alg, ordering=(1, 2, 3, 4, 5),
-        compose_fn=compose2, inverse_fn=lambda g: conv12(-conv21(g)),
-        identity_coords=np.zeros(5),
-    )
-    register_chart(("G5", "canonical_second", (1, 2, 3, 4, 5)), chart2)
-    k2, k1 = ("G5", "canonical_second", (1, 2, 3, 4, 5)), ("G5", "canonical_first", None)
+    k1, k2 = (group, "canonical_first", None), (group, "canonical_second", tuple(ordering))
+    register_chart(k1, GroupChart(
+        group, "canonical_first", r, alg,
+        compose_fn=lambda g, h: bch(alg, g, h), inverse_fn=lambda g: -g,
+        identity_coords=np.zeros(r)))
+    register_chart(k2, GroupChart(
+        group, "canonical_second", r, alg, ordering=tuple(ordering),
+        compose_fn=lambda g, h: conv12(bch(alg, conv21(g), conv21(h))),
+        inverse_fn=lambda g: conv12(-conv21(g)), identity_coords=np.zeros(r)))
     register_conversion(k2, k1, conv21)
     register_conversion(k1, k2, conv12)
-
-
-# --- third-degree Brockett extension: G7 ------------------------------------
-
-def _build_g7():
-    alg = catalog_algebra("g7")
-
-    def compose1(g, h):
-        a, b, c, d, e, f, k = g
-        ap, bp, cp, dp, ep, fp, kp = h
-        w = a * bp - b * ap
-        return np.array([
-            a + ap, b + bp,
-            c + cp + 0.5 * w,
-            d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
-            e + ep + 0.5 * (b * cp - c * bp) + (b - bp) * w / 12.0,
-            f + fp + 0.5 * (a * dp - d * ap) + (a - ap) * (a * cp - c * ap) / 12.0
-            + a * ap * (b * ap - a * bp) / 24.0,
-            k + kp + 0.5 * (b * ep - e * bp) + (b - bp) * (b * cp - c * bp) / 12.0
-            + b * bp * (b * ap - a * bp) / 24.0,
-        ])
-
-    chart1 = GroupChart(
-        "G7", "canonical_first", 7, alg,
-        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(7),
-    )
-    register_chart(("G7", "canonical_first", None), chart1)
-
-
-# --- non-sinusoid-steerable system: G8 --------------------------------------
-
-def _build_g8():
-    alg = catalog_algebra("g8")
-
-    def compose1(g, h):
-        a, b, c, d, e, f, k, l = g
-        ap, bp, cp, dp, ep, fp, kp, lp = h
-        w = a * bp - b * ap
-        return np.array([
-            a + ap, b + bp,
-            c + cp + 0.5 * w,
-            d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
-            e + ep + 0.5 * (b * cp - c * bp) + (b - bp) * w / 12.0,
-            f + fp + 0.5 * (a * dp - d * ap) + (a - ap) * (a * cp - c * ap) / 12.0
-            + a * ap * (b * ap - a * bp) / 24.0,
-            k + kp + 0.5 * (a * ep - e * ap) + 0.5 * (b * dp - d * bp)
-            + (a * b * cp + ap * bp * c) / 6.0
-            - (c + cp) * (a * bp + b * ap) / 12.0
-            + (a * bp + b * ap) * (b * ap - a * bp) / 24.0,
-            l + lp + 0.5 * (b * ep - e * bp) + (b - bp) * (b * cp - c * bp) / 12.0
-            + b * bp * (b * ap - a * bp) / 24.0,
-        ])
-
-    chart1 = GroupChart(
-        "G8", "canonical_first", 8, alg,
-        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(8),
-    )
-    register_chart(("G8", "canonical_first", None), chart1)
-
-
-# --- chained-form groups Gbar_n (n = 4, 5 with closed laws) ------------------
-
-def _build_gbar4():
-    alg = catalog_algebra("gbar", n=4)
-
-    def compose1(g, h):
-        a, b, c, d = g
-        ap, bp, cp, dp = h
-        w = a * bp - b * ap
-        return np.array([
-            a + ap, b + bp,
-            c + cp + 0.5 * w,
-            d + dp + 0.5 * (a * cp - c * ap) + w * (a - ap) / 12.0,
-        ])
-
-    chart1 = GroupChart(
-        "Gbar4", "canonical_first", 4, alg,
-        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(4),
-    )
-    register_chart(("Gbar4", "canonical_first", None), chart1)
-
-    def compose2(g, h):
-        a, b, c, d = g
-        ap, bp, cp, dp = h
-        return np.array([
-            a + ap, b + bp,
-            c + cp - b * ap,
-            d + dp - c * ap + 0.5 * b * ap**2,
-        ])
-
-    def conv21(g):
-        a, b, c, d = g
-        return np.array([a, b, c + 0.5 * a * b, d + 0.5 * a * c + a * a * b / 12.0])
-
-    def conv12(g):
-        a, b, c1, d1 = g
-        c2 = c1 - 0.5 * a * b
-        d2 = d1 - 0.5 * a * c2 - a * a * b / 12.0
-        return np.array([a, b, c2, d2])
-
-    chart2 = GroupChart(
-        "Gbar4", "canonical_second", 4, alg, ordering=(1, 2, 3, 4),
-        compose_fn=compose2, inverse_fn=lambda g: conv12(-conv21(g)),
-        identity_coords=np.zeros(4),
-    )
-    register_chart(("Gbar4", "canonical_second", (1, 2, 3, 4)), chart2)
-    k2, k1 = ("Gbar4", "canonical_second", (1, 2, 3, 4)), ("Gbar4", "canonical_first", None)
-    register_conversion(k2, k1, conv21)
-    register_conversion(k1, k2, conv12)
-
-
-def _build_gbar5():
-    alg = catalog_algebra("gbar", n=5)
-
-    def compose1(g, h):
-        a, b, c, d, e = g
-        ap, bp, cp, dp, ep = h
-        w = a * bp - b * ap
-        return np.array([
-            a + ap, b + bp,
-            c + cp + 0.5 * w,
-            d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
-            e + ep + 0.5 * (a * dp - d * ap) + (a - ap) * (a * cp - c * ap) / 12.0
-            - a * ap * w / 24.0,
-        ])
-
-    chart1 = GroupChart(
-        "Gbar5", "canonical_first", 5, alg,
-        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(5),
-    )
-    register_chart(("Gbar5", "canonical_first", None), chart1)
-
-    def compose2(g, h):
-        a, b, c, d, e = g
-        ap, bp, cp, dp, ep = h
-        return np.array([
-            a + ap, b + bp,
-            c + cp - b * ap,
-            d + dp - c * ap + 0.5 * b * ap**2,
-            e + ep - d * ap + 0.5 * c * ap**2 - b * ap**3 / 6.0,
-        ])
-
-    def compose2_inv(g):
-        # solve (g)(x) = e sequentially; the law is triangular in x
-        a, b, c, d, e = g
-        ap = -a
-        bp = -b
-        cp = -c + b * ap
-        dp = -d + c * ap - 0.5 * b * ap**2
-        ep = -e + d * ap - 0.5 * c * ap**2 + b * ap**3 / 6.0
-        return np.array([ap, bp, cp, dp, ep])
-
-    chart2 = GroupChart(
-        "Gbar5", "canonical_second", 5, alg, ordering=(1, 2, 3, 4, 5),
-        compose_fn=compose2, inverse_fn=compose2_inv, identity_coords=np.zeros(5),
-    )
-    register_chart(("Gbar5", "canonical_second", (1, 2, 3, 4, 5)), chart2)
 
 
 # --- Euclidean group SE(2) ---------------------------------------------------
@@ -947,12 +740,11 @@ def _build_affine():
 
 
 _build_h3()
-_build_g4()
-_build_g5()
-_build_g7()
-_build_g8()
-_build_gbar4()
-_build_gbar5()
+for _group, _alg in (("G4", catalog_algebra("g4")), ("G5", catalog_algebra("g5")),
+                     ("G7", catalog_algebra("g7")), ("G8", catalog_algebra("g8")),
+                     ("Gbar4", catalog_algebra("gbar", n=4)),
+                     ("Gbar5", catalog_algebra("gbar", n=5))):
+    _build_nilpotent(_group, _alg, tuple(range(1, _alg.dim + 1)))
 _build_se2()
 for _e in (-1, 0, 1):
     _build_geps(_e)

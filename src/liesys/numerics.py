@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import NumericsError, SingularMatrixError
 
@@ -206,11 +205,26 @@ def quadrature(f, grid: TimeGrid) -> np.ndarray:
     return cumulative_quadrature_samples(samples, grid)
 
 
+def _cumulative_simpson(y, dx):
+    # scipy.integrate.cumulative_simpson's scheme along axis 0: each
+    # sub-interval integral comes from the parabola through three samples,
+    # taken forwards (h1) for even and backwards (h2) for odd intervals
+    h1 = dx / 3 * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
+    h2 = dx / 3 * (5 * y[2:] / 4 + 2 * y[1:-1] - y[:-2] / 4)
+    sub = np.empty_like(y[1:])
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(sub, axis=0)
+    return out
+
+
 def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     dt = grid.uniform_dt
-    if dt is not None:
-        return cumulative_simpson(samples, dx=dt, axis=0, initial=0.0)
+    if dt is not None and len(samples) >= 3:
+        return _cumulative_simpson(samples, dt)
     nodes = grid.nodes
     out = np.zeros_like(samples)
     acc = np.zeros(samples.shape[1:] if samples.ndim > 1 else ())

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, bracket_coords, exp_ad_basis
-from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
+from .errors import LieSysError, NumericsError, WNBreakdownError
 from .groups import GroupChart, GroupElement, compose, exp_chart
 from .numerics import (
     TimeGrid,
@@ -122,15 +122,6 @@ def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
         if i < r - 1:
             P = P @ exp_ad_basis(alg, idx - 1, -v[i])
     return M
-
-
-def wn_rhs(alg: LieAlgebra, ordering, v, b) -> np.ndarray:
-    """dv/dt = M(v)^{-1} b; raises on chart breakdown."""
-    M = wn_matrix(alg, ordering, v)
-    try:
-        return np.linalg.solve(M, np.asarray(b, dtype=float))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(np.inf)
 
 
 def _is_unit_triangular(alg, ordering, rng=None):
@@ -254,7 +245,13 @@ class GroupCurve:
 
 
 def wn_reconstruct(v: Trajectory, ordering, chart: GroupChart) -> GroupCurve:
-    """g(t) = prod_i exp(-v_i(t) a_{s_i}) in the given chart; g(t0) = identity."""
+    """g(t) = prod_i exp(-v_i(t) a_{s_i}) in the given chart; g(t0) = identity.
+
+    A second-kind chart with the same ordering has those exponents as its
+    coordinates by definition, so each node is -v(t) with no composition.
+    """
+    if chart.chart_kind == "canonical_second" and chart.ordering == tuple(ordering):
+        return GroupCurve.from_elements(v.grid, [GroupElement(chart, -s) for s in v.states])
     elements = []
     for k in range(len(v.grid.nodes)):
         g = chart.identity()
@@ -262,10 +259,6 @@ def wn_reconstruct(v: Trajectory, ordering, chart: GroupChart) -> GroupCurve:
             g = compose(g, exp_chart(chart, idx - 1, -v.states[k, i]))
         elements.append(g)
     return GroupCurve.from_elements(v.grid, elements)
-
-
-def wn_solve_reconstruct(problem: WNProblem, chart: GroupChart, method="auto") -> GroupCurve:
-    return wn_reconstruct(wn_solve(problem, method), problem.ordering, chart)
 
 
 def flatness_residual(bfields, alg: LieAlgebra, x1_range, x2_range, n=21, h=1e-3):

@@ -1,0 +1,208 @@
+"""Hand-expanded group laws of the nilpotent towers, kept as reference
+fixtures for the charts that `liesys.groups` derives by BCH.
+
+Coordinates are (a, b, c, ...) in the algebra basis order; second-kind
+coordinates use the ordering (1, ..., r).  LAWS maps a group name to the
+laws known for it: 'compose1' (first kind), 'compose2', 'inverse2' (second
+kind) and the conversions 'conv21' (second -> first), 'conv12'.
+"""
+
+import numpy as np
+
+
+def _g4_compose1(g, h):
+    a, b, c, d = g
+    ap, bp, cp, dp = h
+    w = a * bp - b * ap
+    return np.array([
+        a + ap, b + bp,
+        c + cp + 0.5 * w,
+        d + dp + 0.5 * (a * cp - c * ap) + 0.5 * (b * cp - c * bp)
+        + w * (a - ap + b - bp) / 12.0,
+    ])
+
+
+def _g4_compose2(g, h):
+    a, b, c, d = g
+    ap, bp, cp, dp = h
+    return np.array([
+        a + ap, b + bp,
+        c + cp - b * ap,
+        d + dp - c * (ap + bp) + 0.5 * b * ap * (b + 2.0 * bp + ap),
+    ])
+
+
+def _g4_conv21(g):
+    a, b, c, d = g
+    return np.array([
+        a, b, c + 0.5 * a * b,
+        d + 0.5 * (a + b) * c + a * b * (a - b) / 12.0,
+    ])
+
+
+def _g4_conv12(g):
+    a, b, c1, d1 = g
+    c2 = c1 - 0.5 * a * b
+    d2 = d1 - 0.5 * (a + b) * c2 - a * b * (a - b) / 12.0
+    return np.array([a, b, c2, d2])
+
+
+def _g5_compose1(g, h):
+    a, b, c, d, e = g
+    ap, bp, cp, dp, ep = h
+    w = a * bp - b * ap
+    return np.array([
+        a + ap, b + bp,
+        c + cp + 0.5 * w,
+        d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
+        e + ep + 0.5 * (b * cp - c * bp) + (b - bp) * w / 12.0,
+    ])
+
+
+def _g5_compose2(g, h):
+    a, b, c, d, e = g
+    ap, bp, cp, dp, ep = h
+    return np.array([
+        a + ap, b + bp,
+        c + cp - b * ap,
+        d + dp - c * ap + 0.5 * b * ap**2,
+        e + ep - c * bp + b * ap * bp + 0.5 * b**2 * ap,
+    ])
+
+
+def _g5_conv21(g):
+    a, b, c, d, e = g
+    return np.array([
+        a, b, c + 0.5 * a * b,
+        d + 0.5 * a * c + a * a * b / 12.0,
+        e + 0.5 * b * c - a * b * b / 12.0,
+    ])
+
+
+def _g5_conv12(g):
+    a, b, c1, d1, e1 = g
+    c2 = c1 - 0.5 * a * b
+    d2 = d1 - 0.5 * a * c2 - a * a * b / 12.0
+    e2 = e1 - 0.5 * b * c2 + a * b * b / 12.0
+    return np.array([a, b, c2, d2, e2])
+
+
+def _g7_compose1(g, h):
+    a, b, c, d, e, f, k = g
+    ap, bp, cp, dp, ep, fp, kp = h
+    w = a * bp - b * ap
+    return np.array([
+        a + ap, b + bp,
+        c + cp + 0.5 * w,
+        d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
+        e + ep + 0.5 * (b * cp - c * bp) + (b - bp) * w / 12.0,
+        f + fp + 0.5 * (a * dp - d * ap) + (a - ap) * (a * cp - c * ap) / 12.0
+        + a * ap * (b * ap - a * bp) / 24.0,
+        k + kp + 0.5 * (b * ep - e * bp) + (b - bp) * (b * cp - c * bp) / 12.0
+        + b * bp * (b * ap - a * bp) / 24.0,
+    ])
+
+
+def _g8_compose1(g, h):
+    a, b, c, d, e, f, k, l = g
+    ap, bp, cp, dp, ep, fp, kp, lp = h
+    w = a * bp - b * ap
+    return np.array([
+        a + ap, b + bp,
+        c + cp + 0.5 * w,
+        d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
+        e + ep + 0.5 * (b * cp - c * bp) + (b - bp) * w / 12.0,
+        f + fp + 0.5 * (a * dp - d * ap) + (a - ap) * (a * cp - c * ap) / 12.0
+        + a * ap * (b * ap - a * bp) / 24.0,
+        k + kp + 0.5 * (a * ep - e * ap) + 0.5 * (b * dp - d * bp)
+        + (a * b * cp + ap * bp * c) / 6.0
+        - (c + cp) * (a * bp + b * ap) / 12.0
+        + (a * bp + b * ap) * (b * ap - a * bp) / 24.0,
+        l + lp + 0.5 * (b * ep - e * bp) + (b - bp) * (b * cp - c * bp) / 12.0
+        + b * bp * (b * ap - a * bp) / 24.0,
+    ])
+
+
+def _gbar4_compose1(g, h):
+    a, b, c, d = g
+    ap, bp, cp, dp = h
+    w = a * bp - b * ap
+    return np.array([
+        a + ap, b + bp,
+        c + cp + 0.5 * w,
+        d + dp + 0.5 * (a * cp - c * ap) + w * (a - ap) / 12.0,
+    ])
+
+
+def _gbar4_compose2(g, h):
+    a, b, c, d = g
+    ap, bp, cp, dp = h
+    return np.array([
+        a + ap, b + bp,
+        c + cp - b * ap,
+        d + dp - c * ap + 0.5 * b * ap**2,
+    ])
+
+
+def _gbar4_conv21(g):
+    a, b, c, d = g
+    return np.array([a, b, c + 0.5 * a * b, d + 0.5 * a * c + a * a * b / 12.0])
+
+
+def _gbar4_conv12(g):
+    a, b, c1, d1 = g
+    c2 = c1 - 0.5 * a * b
+    d2 = d1 - 0.5 * a * c2 - a * a * b / 12.0
+    return np.array([a, b, c2, d2])
+
+
+def _gbar5_compose1(g, h):
+    a, b, c, d, e = g
+    ap, bp, cp, dp, ep = h
+    w = a * bp - b * ap
+    return np.array([
+        a + ap, b + bp,
+        c + cp + 0.5 * w,
+        d + dp + 0.5 * (a * cp - c * ap) + (a - ap) * w / 12.0,
+        e + ep + 0.5 * (a * dp - d * ap) + (a - ap) * (a * cp - c * ap) / 12.0
+        - a * ap * w / 24.0,
+    ])
+
+
+def _gbar5_compose2(g, h):
+    a, b, c, d, e = g
+    ap, bp, cp, dp, ep = h
+    return np.array([
+        a + ap, b + bp,
+        c + cp - b * ap,
+        d + dp - c * ap + 0.5 * b * ap**2,
+        e + ep - d * ap + 0.5 * c * ap**2 - b * ap**3 / 6.0,
+    ])
+
+
+def _gbar5_inverse2(g):
+    # solve (g)(x) = e sequentially; the law is triangular in x
+    a, b, c, d, e = g
+    ap = -a
+    bp = -b
+    cp = -c + b * ap
+    dp = -d + c * ap - 0.5 * b * ap**2
+    ep = -e + d * ap - 0.5 * c * ap**2 + b * ap**3 / 6.0
+    return np.array([ap, bp, cp, dp, ep])
+
+
+LAWS = {
+    "G4": {"compose1": _g4_compose1, "compose2": _g4_compose2,
+           "inverse2": lambda g: _g4_conv12(-_g4_conv21(g)),
+           "conv21": _g4_conv21, "conv12": _g4_conv12},
+    "G5": {"compose1": _g5_compose1, "compose2": _g5_compose2,
+           "inverse2": lambda g: _g5_conv12(-_g5_conv21(g)),
+           "conv21": _g5_conv21, "conv12": _g5_conv12},
+    "G7": {"compose1": _g7_compose1},
+    "G8": {"compose1": _g8_compose1},
+    "Gbar4": {"compose1": _gbar4_compose1, "compose2": _gbar4_compose2,
+              "inverse2": lambda g: _gbar4_conv12(-_gbar4_conv21(g)),
+              "conv21": _gbar4_conv21, "conv12": _gbar4_conv12},
+    "Gbar5": {"compose1": _gbar5_compose1, "compose2": _gbar5_compose2,
+              "inverse2": _gbar5_inverse2},
+}

@@ -5,6 +5,8 @@ Everything runs at the default resolution (2000 uniform steps per unit
 time) with fixed seeds.
 """
 
+import zlib
+
 import numpy as np
 
 import liesys.groups as G
@@ -50,7 +52,7 @@ def test_criterion_1_lie_theorem_oracle():
     for name, kw, nch, amp in cases:
         entry = get_system(name, **kw)
         for draw in range(3):
-            b = smooth_controls(nch, amp=amp, seed=1000 * draw + abs(hash(name)) % 997)
+            b = smooth_controls(nch, amp=amp, seed=1000 * draw + zlib.crc32(name.encode()) % 997)
             x0 = np.full(entry.realization.state_dim, 0.1)
             direct = solve_direct(entry.realization, entry.pad_controls(b), x0, GRID)
             via = solve_via_group(entry.realization, entry.wn_group_curve(b, GRID), x0)
@@ -196,7 +198,7 @@ def test_criterion_6_reduction_round_trips():
         case = catalog_reduction(name, **kw)
         amp = 0.6 if name.startswith("sl2") else 1.0
         b = smooth_controls(len(case.used_channels), amp=amp,
-                            seed=abs(hash(name)) % 991)
+                            seed=zlib.crc32(name.encode()) % 991)
         out = run_catalog_reduction(case, b, GRID)
         fix = case.fixture_coeffs(b, out["homogeneous"])
         worst_fix = max(worst_fix, float(np.max(np.abs(out["coefficients"] - fix))))

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from liesys.algebra import (
     catalog_algebra,
     catalog_names,
     exp_ad,
+    exp_ad_basis,
     jacobi_residual,
     load_algebra_file,
+    lower_central_class,
     span_is_subalgebra,
 )
 from liesys.errors import LieSysError, UnknownNameError
@@ -137,6 +141,29 @@ def test_nilpotent_truncation_matches_long_taylor(rng):
         a = rng.standard_normal(alg.dim)
         ref = _taylor_exp(ad_matrix(alg, a), 40)
         assert np.max(np.abs(exp_ad(alg, a, 1.0) - ref)) < 1e-13
+
+
+def test_ad_power_cache_never_serves_another_algebra():
+    # collected algebras free addresses that new ones reuse; the cached
+    # exp(ad) stack must still belong to the algebra asked about
+    so3_like = [(1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0)]
+    old = [algebra_from_triples(3, [(1, 2, 3, 1.0)]) for _ in range(100)]
+    for alg in old:
+        exp_ad_basis(alg, 0, 0.9)
+    del old, alg
+    gc.collect()
+    for alg in [algebra_from_triples(3, so3_like) for _ in range(100)]:
+        ref = _taylor_exp(0.9 * ad_matrix(alg, alg.basis_vector(0)), 30)
+        assert np.max(np.abs(exp_ad_basis(alg, 0, 0.9) - ref)) < 1e-12
+
+
+def test_lower_central_class():
+    assert lower_central_class(catalog_algebra("h3")) == 2
+    assert lower_central_class(catalog_algebra("g8")) == 4
+    for n in (2, 3, 6):
+        assert lower_central_class(catalog_algebra("gbar", n=n)) == n - 1
+    for name in ("so3", "se2", "aff"):
+        assert lower_central_class(catalog_algebra(name)) is None
 
 
 def test_ad_is_homomorphism(rng):

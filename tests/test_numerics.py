@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from liesys.errors import NumericsError, SingularMatrixError
 from liesys.numerics import (
     TimeGrid,
     Trajectory,
+    cumulative_quadrature_samples,
     diff_samples,
     integrate_rk4,
     integrate_rk45,
@@ -78,6 +82,27 @@ def test_quadrature_cubic_exact():
     B = quadrature(lambda t: t**3 - 2 * t**2 + t, grid)
     exact = 2**4 / 4 - 2 * 2**3 / 3 + 2**2 / 2
     assert abs(B[-1] - exact) < 1e-13
+
+
+def test_cumulative_simpson_matches_scipy():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(11)
+    for n_steps in (2, 3, 6, 2000):
+        grid = TimeGrid.uniform(0.0, 1.3, n_steps)
+        for shape in ((n_steps + 1,), (n_steps + 1, 3)):
+            y = rng.standard_normal(shape)
+            ref = scipy_integrate.cumulative_simpson(y, dx=grid.uniform_dt, axis=0, initial=0.0)
+            assert np.max(np.abs(cumulative_quadrature_samples(y, grid) - ref)) <= 1e-13
+
+
+def test_import_leaves_scipy_unloaded():
+    import liesys
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liesys.__file__)))
+    code = "import sys, liesys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_linsolve_identity():

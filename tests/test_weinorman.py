@@ -6,7 +6,7 @@ import pytest
 import liesys.groups as G
 from liesys.algebra import catalog_algebra
 from liesys.errors import WNBreakdownError
-from liesys.numerics import TimeGrid
+from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import (
     ControlSignal,
     WNProblem,
@@ -90,6 +90,34 @@ def test_reconstruct_h3_fixture(unit_grid):
     sol = wn_solve(WNProblem(h3, ControlSignal.constant([1, 1, 0]), unit_grid))
     curve = wn_reconstruct(sol, (1, 2, 3), chart)
     assert np.allclose(curve.coords[-1], [-1, -1, -0.5], atol=1e-12)
+
+
+def _reconstruct_by_composition(v, ordering, chart):
+    rows = []
+    for row in v.states:
+        g = chart.identity()
+        for i, idx in enumerate(ordering):
+            g = G.compose(g, G.exp_chart(chart, idx - 1, -row[i]))
+        rows.append(g.coords)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("key", [
+    ("SE2", "canonical_second", (1, 2, 3)), ("H3", "canonical_second", (1, 2, 3)),
+    ("G4", "canonical_second", (1, 2, 3, 4)), ("Gbar5", "canonical_second", (1, 2, 3, 4, 5)),
+], ids=lambda key: key[0])
+def test_second_kind_reconstruct_matches_composition(key, rng):
+    # v_1 runs past pi, so the SE2 angle must wrap as the composition does
+    chart = G._CHARTS[key]
+    grid = TimeGrid.uniform(0.0, 1.0, 8)
+    v = Trajectory(grid, rng.uniform(-1.5, 1.5, (9, chart.coord_dim)))
+    v.states[:, 0] = np.linspace(0.0, 9.0, 9)
+    curve = wn_reconstruct(v, key[2], chart)
+    ref = _reconstruct_by_composition(v, key[2], chart)
+    assert np.max(np.abs(curve.coords - ref)) < 1e-12
+    if key[0] == "SE2":
+        assert np.all(np.abs(curve.coords[:, 0]) <= math.pi)
+        assert np.any(np.abs(curve.coords[:, 0] + v.states[:, 0]) > 1.0)
 
 
 @pytest.mark.parametrize("case", [
