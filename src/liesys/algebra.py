@@ -224,6 +224,19 @@ def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
     return _expm_taylor(M)
 
 
+def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
+    """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i}."""
+    r = alg.dim
+    v = np.asarray(v, dtype=float)
+    M = np.empty((r, r))
+    P = np.eye(r)
+    for i, idx in enumerate(ordering):
+        M[:, i] = P[:, idx - 1]
+        if i < r - 1:
+            P = P @ exp_ad_basis(alg, idx - 1, -v[i])
+    return M
+
+
 def span_is_subalgebra(alg: LieAlgebra, span) -> dict:
     """Flags {'subalgebra': bool, 'ideal': bool} for the given span.
 

@@ -12,7 +12,12 @@ Gbar5 are derived from the structure constants: first-kind composition is
 the Baker-Campbell-Hausdorff series (`bch`, exact for nilpotency class at
 most 4), and every second-kind law goes through the conversions to and from
 the first kind.  H3, SE2, the signature family and the affine group keep
-closed forms.
+closed-form composition laws.
+
+Log-derivatives follow from the chart kind alone (`_trivialize`): the
+Wei-Norman matrix for second-kind charts, the dexp series for first-kind
+charts, and a projector onto the algebra representation for matrix and
+quaternion charts, whose coordinates map to matrices linearly.
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import LieAlgebra, _expm_taylor, catalog_algebra, exp_ad, lower_central_class
+from .algebra import (
+    LieAlgebra,
+    _expm_taylor,
+    ad_matrix,
+    catalog_algebra,
+    exp_ad,
+    lower_central_class,
+    wn_matrix,
+)
 from .errors import ChartError, UnknownNameError
 
 DEFAULT_FD_STEP = 1e-5
@@ -45,18 +58,23 @@ class GroupChart:
     coord_dim: int
     algebra: LieAlgebra
     ordering: tuple | None = None         # for canonical_second, 1-based
-    matrix_shape: tuple | None = None
     algebra_rep: tuple | None = field(default=None, repr=False)   # matrices per basis element
     compose_fn: Callable = field(default=None, repr=False)
     inverse_fn: Callable = field(default=None, repr=False)
     identity_coords: np.ndarray = field(default=None, repr=False)
     adjoint_fn: Callable | None = field(default=None, repr=False)
     constraint_fn: Callable | None = field(default=None, repr=False)
-    right_log_fn: Callable | None = field(default=None, repr=False)  # closed form, coords,dcoords -> vec
-    left_log_fn: Callable | None = field(default=None, repr=False)
     wrap_fn: Callable | None = field(default=None, repr=False)
     exp_fn: Callable | None = field(default=None, repr=False)      # (index, s) -> coords
-    to_matrix_fn: Callable | None = field(default=None, repr=False)
+    to_matrix_fn: Callable | None = field(default=None, repr=False)  # linear coords -> matrix
+    # pseudo-inverse of the stacked algebra_rep: reads algebra coordinates off
+    # a matrix in the span of the representation (matrix and quaternion charts)
+    rep_projector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.chart_kind in ("matrix", "quaternion"):
+            B = np.stack([M.reshape(-1) for M in self.algebra_rep], axis=1)
+            object.__setattr__(self, "rep_projector", np.linalg.pinv(B))
 
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, np.asarray(coords, dtype=float))
@@ -87,8 +105,6 @@ class GroupElement:
                 )
 
     def matrix(self) -> np.ndarray:
-        if self.chart.chart_kind == "matrix":
-            return self.coords.reshape(self.chart.matrix_shape)
         if self.chart.to_matrix_fn is not None:
             return self.chart.to_matrix_fn(self.coords)
         return matrix_rep(self)
@@ -136,12 +152,8 @@ def group_adjoint(g: GroupElement) -> np.ndarray:
     if chart.chart_kind == "matrix":
         G = g.matrix()
         Gi = inverse(g).matrix()
-        cols = []
-        B = np.stack([M.reshape(-1) for M in chart.algebra_rep], axis=1)
-        Bpinv = np.linalg.pinv(B)
-        for M in chart.algebra_rep:
-            cols.append(Bpinv @ (G @ M @ Gi).reshape(-1))
-        return np.column_stack(cols)
+        return chart.rep_projector @ np.stack(
+            [(G @ M @ Gi).reshape(-1) for M in chart.algebra_rep], axis=1)
     alg = chart.algebra
     if chart.chart_kind == "canonical_first":
         return exp_ad(alg, g.coords, 1.0)
@@ -152,15 +164,6 @@ def group_adjoint(g: GroupElement) -> np.ndarray:
     return out
 
 
-def _coords_of_displacement(chart, base, moved, invert_left):
-    """coords of moved * base^{-1} (right) or base^{-1} * moved (left)."""
-    b = GroupElement(chart, base)
-    m = GroupElement(chart, moved)
-    if invert_left:
-        return compose(inverse(b), m).coords
-    return compose(m, inverse(b)).coords
-
-
 def _stencil_derivative(sample, t, h, order):
     """Derivative of a vector-valued callable; order 2 or 4 central stencil."""
     if order == 4:
@@ -169,53 +172,57 @@ def _stencil_derivative(sample, t, h, order):
     return (sample(t + h) - sample(t - h)) / (2.0 * h)
 
 
+def _trivialize(chart: GroupChart, g, dg, left: bool) -> np.ndarray:
+    """The algebra vector dg g^{-1} (right) or g^{-1} dg (left) of the chart
+    point g moving with coordinate velocity dg.
+
+    canonical_second: g = prod_i exp(g_i a_{s_i}), so the right form is the
+    Wei-Norman matrix M_s(-g) dg and the left form is the Wei-Norman matrix
+    of the reversed product (Wei & Norman, J. Math. Phys. 4 (1963) 575).
+    canonical_first: g = exp(x), so the forms are phi(+-ad_x) dx with
+    phi(z) = sum_k z^k / (k+1)!, a finite sum because every first-kind chart
+    lives on a nilpotent algebra (Iserles, Munthe-Kaas, Norsett & Zanna,
+    Acta Numerica 9 (2000)).
+    matrix, quaternion: coordinates map to matrices linearly, so dg maps to
+    the matrix velocity, and the chart's projector reads off its algebra
+    coordinates.
+    """
+    alg = chart.algebra
+    if chart.chart_kind == "canonical_second":
+        if left:
+            return wn_matrix(alg, chart.ordering[::-1], g[::-1]) @ dg[::-1]
+        return wn_matrix(alg, chart.ordering, -g) @ dg
+    if chart.chart_kind == "canonical_first":
+        ad = ad_matrix(alg, -g if left else g)
+        out = term = dg
+        for k in range(1, alg.nilpotency_index):
+            term = ad @ term / (k + 1)
+            out = out + term
+        return out
+    dG = chart.to_matrix_fn(dg)
+    Gi = chart.to_matrix_fn(chart.inverse_fn(g))
+    return chart.rep_projector @ (Gi @ dG if left else dG @ Gi).reshape(-1)
+
+
 def right_log_derivative(curve, t: float, h: float = DEFAULT_FD_STEP,
                          order: int = 2) -> np.ndarray:
-    """The algebra vector R_{g^{-1}*g}(dg/dt) at time t.
+    """The algebra vector R_{g^{-1}*g}(dg/dt) = (dg/dt) g^{-1} at time t.
 
-    Uses the chart closed form when cataloged, else a central difference of
-    s -> g(t+s) g(t)^{-1} pulled back to the identity (canonical charts have
-    identity-centred coordinates, so the pullback is just the coordinates).
-    order=4 switches to the five-point stencil.
+    dg/dt is a central difference of the curve's chart coordinates (order=4
+    switches to the five-point stencil), mapped to the algebra by the
+    chart kind's exact rule (`_trivialize`).
     """
     g0 = curve(t)
-    chart = g0.chart
-    if chart.right_log_fn is not None:
-        dcoords = _stencil_derivative(lambda s: curve(s).coords, t, h, order)
-        return chart.right_log_fn(g0.coords, dcoords)
-    if chart.chart_kind == "matrix":
-        Gdot = _stencil_derivative(lambda s: curve(s).matrix(), t, h, order)
-        xi = Gdot @ np.linalg.inv(g0.matrix())
-        B = np.stack([M.reshape(-1) for M in chart.algebra_rep], axis=1)
-        sol, *_ = np.linalg.lstsq(B, xi.reshape(-1), rcond=None)
-        return sol
-    base = g0.coords
-    return _stencil_derivative(
-        lambda s: _coords_of_displacement(chart, base, curve(s).coords, False),
-        t, h, order)
+    dg = _stencil_derivative(lambda s: curve(s).coords, t, h, order)
+    return _trivialize(g0.chart, g0.coords, dg, left=False)
 
 
 def left_log_derivative(curve, t: float, h: float = DEFAULT_FD_STEP,
                         order: int = 2) -> np.ndarray:
-    """The algebra vector L_{g^{-1}*g}(dg/dt) at time t."""
+    """The algebra vector L_{g^{-1}*g}(dg/dt) = g^{-1} (dg/dt) at time t."""
     g0 = curve(t)
-    chart = g0.chart
-    if chart.left_log_fn is not None:
-        dcoords = _stencil_derivative(lambda s: curve(s).coords, t, h, order)
-        return chart.left_log_fn(g0.coords, dcoords)
-    if chart.chart_kind == "matrix":
-        Gdot = _stencil_derivative(lambda s: curve(s).matrix(), t, h, order)
-        xi = np.linalg.inv(g0.matrix()) @ Gdot
-        B = np.stack([M.reshape(-1) for M in chart.algebra_rep], axis=1)
-        sol, *_ = np.linalg.lstsq(B, xi.reshape(-1), rcond=None)
-        return sol
-    if chart.chart_kind == "quaternion":
-        # L = Ad(g^{-1}) R, both sides exact given the closed right form
-        return group_adjoint(inverse(g0)) @ right_log_derivative(curve, t, h, order)
-    base = g0.coords
-    return _stencil_derivative(
-        lambda s: _coords_of_displacement(chart, base, curve(s).coords, True),
-        t, h, order)
+    dg = _stencil_derivative(lambda s: curve(s).coords, t, h, order)
+    return _trivialize(g0.chart, g0.coords, dg, left=True)
 
 
 def element_to_dict(g: GroupElement) -> dict:
@@ -305,12 +312,12 @@ def _mk_matrix_chart(group, alg, rep, constraint=None):
         chart_kind="matrix",
         coord_dim=n * n,
         algebra=alg,
-        matrix_shape=(n, n),
         algebra_rep=tuple(np.asarray(M, dtype=float) for M in rep),
         compose_fn=lambda a, b: (a.reshape(n, n) @ b.reshape(n, n)).reshape(-1),
         inverse_fn=lambda a: np.linalg.inv(a.reshape(n, n)).reshape(-1),
         identity_coords=ident,
         constraint_fn=constraint,
+        to_matrix_fn=lambda a: a.reshape(n, n),
     )
     register_chart((group, "matrix", None), chart)
     return chart
@@ -343,8 +350,6 @@ def _build_h3():
         "H3", "canonical_second", 3, alg, ordering=(1, 2, 3),
         algebra_rep=rep, compose_fn=compose2, inverse_fn=inverse2,
         identity_coords=np.zeros(3), adjoint_fn=adjoint12,
-        right_log_fn=lambda g, dg: np.array([dg[0], dg[1], dg[2] + g[0] * dg[1]]),
-        left_log_fn=lambda g, dg: np.array([dg[0], dg[1], dg[2] + g[1] * dg[0]]),
     )
     register_chart(("H3", "canonical_second", (1, 2, 3)), chart2)
 
@@ -357,10 +362,6 @@ def _build_h3():
         "H3", "canonical_first", 3, alg, algebra_rep=rep,
         compose_fn=compose1, inverse_fn=lambda g: -g,
         identity_coords=np.zeros(3), adjoint_fn=adjoint12,
-        right_log_fn=lambda g, dg: np.array(
-            [dg[0], dg[1], dg[2] - 0.5 * (g[1] * dg[0] - g[0] * dg[1])]),
-        left_log_fn=lambda g, dg: np.array(
-            [dg[0], dg[1], dg[2] + 0.5 * (g[1] * dg[0] - g[0] * dg[1])]),
     )
     register_chart(("H3", "canonical_first", None), chart1)
 
@@ -473,15 +474,6 @@ def _build_se2():
             [-a * ct + b * st, st, ct],
         ])
 
-    def right_log(g, dg):
-        th, a, b = g
-        ct, st = math.cos(th), math.sin(th)
-        return np.array([dg[0], dg[1] * ct - dg[2] * st, dg[1] * st + dg[2] * ct])
-
-    def left_log(g, dg):
-        th, a, b = g
-        return np.array([dg[0], dg[1] - b * dg[0], dg[2] + a * dg[0]])
-
     def wrap(c):
         out = c.copy()
         out[0] = _wrap_angle(out[0])
@@ -490,8 +482,7 @@ def _build_se2():
     chart2 = GroupChart(
         "SE2", "canonical_second", 3, alg, ordering=(1, 2, 3), algebra_rep=rep,
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(3),
-        adjoint_fn=adjoint, right_log_fn=right_log, left_log_fn=left_log,
-        wrap_fn=wrap,
+        adjoint_fn=adjoint, wrap_fn=wrap,
     )
     register_chart(("SE2", "canonical_second", (1, 2, 3)), chart2)
 
@@ -583,15 +574,6 @@ def _build_geps(eps):
             [2 * (b * d - a * c), 2 * (a * b + eps * c * d), a * a - b * b - eps * (c * c - d * d)],
         ])
 
-    def right_log_q(g, dg):
-        a, b, c, d = g
-        da, db, dc, dd = dg
-        return 2.0 * np.array([
-            a * db - b * da + eps * (c * dd - d * dc),
-            a * dc - c * da + d * db - b * dd,
-            a * dd - d * da + b * dc - c * db,
-        ])
-
     def exp_q(index, s):
         half = 0.5 * s
         if index == 0:
@@ -615,8 +597,7 @@ def _build_geps(eps):
         compose_fn=compose_q, inverse_fn=inverse_q,
         identity_coords=np.array([1.0, 0.0, 0.0, 0.0]),
         adjoint_fn=adjoint_q, constraint_fn=constraint_q,
-        right_log_fn=right_log_q, exp_fn=exp_q,
-        to_matrix_fn=q_to_mat4,
+        exp_fn=exp_q, to_matrix_fn=q_to_mat4,
     )
     register_chart((name, "quaternion", None), chart_q)
 
@@ -732,8 +713,6 @@ def _build_affine():
         "Aff", "canonical_second", 2, alg, ordering=(1, 2), algebra_rep=(A1, A2),
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(2),
         adjoint_fn=lambda g: np.array([[math.exp(-g[1]), g[0]], [0.0, 1.0]]),
-        right_log_fn=lambda g, dg: np.array([dg[0] + g[0] * dg[1], dg[1]]),
-        left_log_fn=lambda g, dg: np.array([dg[0] * math.exp(g[1]), dg[1]]),
     )
     register_chart(("Aff", "canonical_second", (1, 2)), chart)
     _mk_matrix_chart("Aff", alg, (A1, A2))

@@ -69,7 +69,7 @@ def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
     worst_t = nodes[0]
     bmax = 1.0
     for k, t in enumerate(nodes):
-        g1 = setup.lift(t)
+        g1 = setup.lift.at_node(k)
         bvec = setup.controls(t)
         bmax = max(bmax, float(np.max(np.abs(bvec))))
         xi = -group_adjoint(inverse(g1)) @ bvec - left_log_derivative(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, bracket_coords, exp_ad_basis
+from .algebra import LieAlgebra, bracket_coords, wn_matrix
 from .errors import LieSysError, NumericsError, WNBreakdownError
 from .groups import GroupChart, GroupElement, compose, exp_chart
 from .numerics import (
@@ -109,19 +109,6 @@ class WNProblem:
             raise LieSysError("ordering must be a permutation of 1..r")
         if self.controls.dim != r:
             raise LieSysError("controls must provide one channel per basis element")
-
-
-def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
-    """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i}."""
-    r = alg.dim
-    v = np.asarray(v, dtype=float)
-    M = np.empty((r, r))
-    P = np.eye(r)
-    for i, idx in enumerate(ordering):
-        M[:, i] = P[:, idx - 1]
-        if i < r - 1:
-            P = P @ exp_ad_basis(alg, idx - 1, -v[i])
-    return M
 
 
 def _is_unit_triangular(alg, ordering, rng=None):

@@ -1,11 +1,17 @@
 """Hand-expanded group laws of the nilpotent towers, kept as reference
-fixtures for the charts that `liesys.groups` derives by BCH.
+fixtures for the charts that `liesys.groups` derives by BCH, and the
+closed-form log-derivatives of the H3, SE2, Aff and Geps charts, kept as
+reference fixtures for the log-derivatives it derives per chart kind.
 
 Coordinates are (a, b, c, ...) in the algebra basis order; second-kind
 coordinates use the ordering (1, ..., r).  LAWS maps a group name to the
 laws known for it: 'compose1' (first kind), 'compose2', 'inverse2' (second
 kind) and the conversions 'conv21' (second -> first), 'conv12'.
+LOG_DERIVATIVES maps a chart key to its closed forms (g, dg) -> algebra
+vector: 'right' = dg g^{-1} and 'left' = g^{-1} dg.
 """
+
+import math
 
 import numpy as np
 
@@ -205,4 +211,48 @@ LAWS = {
               "conv21": _gbar4_conv21, "conv12": _gbar4_conv12},
     "Gbar5": {"compose1": _gbar5_compose1, "compose2": _gbar5_compose2,
               "inverse2": _gbar5_inverse2},
+}
+
+
+def _se2_right(g, dg):
+    ct, st = math.cos(g[0]), math.sin(g[0])
+    return np.array([dg[0], dg[1] * ct - dg[2] * st, dg[1] * st + dg[2] * ct])
+
+
+def _se2_left(g, dg):
+    th, a, b = g
+    return np.array([dg[0], dg[1] - b * dg[0], dg[2] + a * dg[0]])
+
+
+def _geps_right(eps):
+    # quaternion chart (a, b, c, d) of Geps(eps); valid for tangent dg only
+    def right(g, dg):
+        a, b, c, d = g
+        da, db, dc, dd = dg
+        return 2.0 * np.array([
+            a * db - b * da + eps * (c * dd - d * dc),
+            a * dc - c * da + d * db - b * dd,
+            a * dd - d * da + b * dc - c * db,
+        ])
+    return right
+
+
+LOG_DERIVATIVES = {
+    ("H3", "canonical_second", (1, 2, 3)): {
+        "right": lambda g, dg: np.array([dg[0], dg[1], dg[2] + g[0] * dg[1]]),
+        "left": lambda g, dg: np.array([dg[0], dg[1], dg[2] + g[1] * dg[0]]),
+    },
+    ("H3", "canonical_first", None): {
+        "right": lambda g, dg: np.array(
+            [dg[0], dg[1], dg[2] - 0.5 * (g[1] * dg[0] - g[0] * dg[1])]),
+        "left": lambda g, dg: np.array(
+            [dg[0], dg[1], dg[2] + 0.5 * (g[1] * dg[0] - g[0] * dg[1])]),
+    },
+    ("SE2", "canonical_second", (1, 2, 3)): {"right": _se2_right, "left": _se2_left},
+    ("Aff", "canonical_second", (1, 2)): {
+        "right": lambda g, dg: np.array([dg[0] + g[0] * dg[1], dg[1]]),
+        "left": lambda g, dg: np.array([dg[0] * math.exp(g[1]), dg[1]]),
+    },
+    **{(f"Geps({eps:+d})", "quaternion", None): {"right": _geps_right(eps)}
+       for eps in (-1, 0, 1)},
 }

@@ -208,20 +208,6 @@ def test_h3_first_kind_log_derivative_closed_form():
     assert np.max(np.abs(G.left_log_derivative(curve, t0) - expected_l)) < 1e-9
 
 
-def test_generic_log_derivative_matches_closed_form():
-    import dataclasses
-
-    ch = G.get_chart("SE2", "canonical_second", (1, 2, 3))
-    plain = dataclasses.replace(ch, right_log_fn=None, left_log_fn=None)
-    curve_c = lambda t: ch.element([0.5 * t, np.sin(t), t**2])
-    curve_p = lambda t: plain.element([0.5 * t, np.sin(t), t**2])
-    for t0 in (0.2, 0.8):
-        assert np.max(np.abs(G.right_log_derivative(curve_c, t0)
-                             - G.right_log_derivative(curve_p, t0))) < 1e-9
-        assert np.max(np.abs(G.left_log_derivative(curve_c, t0)
-                             - G.left_log_derivative(curve_p, t0))) < 1e-9
-
-
 # --- chart conversions ----------------------------------------------------------
 
 
