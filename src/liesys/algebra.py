@@ -104,9 +104,11 @@ def jacobi_residual(alg: LieAlgebra) -> float:
 
 
 def ad_matrix(alg: LieAlgebra, a) -> np.ndarray:
-    """Matrix of ad(a): (ad a)_{g,b} = sum_a' a_{a'} c[a', b, g]; ad(x) y = [x, y]."""
+    """Matrix of ad(a): (ad a)_{g,b} = sum_a' a_{a'} c[a', b, g]; ad(x) y = [x, y].
+
+    A (..., r) coefficient array gives one matrix per vector."""
     coeffs = a.coeffs if isinstance(a, AlgebraVector) else np.asarray(a, dtype=float)
-    return np.einsum("a,abg->gb", coeffs, alg.structure)
+    return np.einsum("...a,abg->...gb", coeffs, alg.structure)
 
 
 def _nilpotency_index(alg: LieAlgebra) -> int | None:
@@ -164,10 +166,15 @@ def _expm_taylor(M: np.ndarray) -> np.ndarray:
 
 
 _AD_STACK_TERMS = 14
+# |s| * norm in (0.5 * 2**(k-1), 0.5 * 2**k] takes k squarings of exp(2**-k s ad)
+_SQUARING_BOUNDS = 0.5 * 2.0 ** np.arange(64)
+_SQUARING_SCALES = 2.0 ** -np.arange(65.0)
 
 
 def _ad_power_stack(alg: LieAlgebra, index: int):
-    """Powers (ad a_index)^k / k! for k = 0..K, cached on the algebra."""
+    """Powers (ad a_index)^k / k! for k = 0..K as a (K+1, r*r) array, with
+    the exponents 0..K, the norm of ad a_index and whether the algebra is
+    nilpotent; cached on the algebra."""
     hit = alg._ad_stacks.get(index)
     if hit is not None:
         return hit
@@ -181,26 +188,39 @@ def _ad_power_stack(alg: LieAlgebra, index: int):
             break
         stack.append(term)
     norm = float(np.max(np.abs(M)))
-    out = (np.stack(stack), norm, alg.nilpotency_index is not None)
+    out = (np.stack(stack).reshape(len(stack), -1), np.arange(float(len(stack))), norm,
+           alg.nilpotency_index is not None)
     alg._ad_stacks[index] = out
     return out
 
 
-def exp_ad_basis(alg: LieAlgebra, index: int, s: float) -> np.ndarray:
-    """exp(s ad(a_index)) via the cached power stack (scaling and squaring)."""
-    stack, norm, nilpotent = _ad_power_stack(alg, index)
-    if nilpotent:
-        powers = s ** np.arange(len(stack))
-        return np.einsum("k,kij->ij", powers, stack)
-    squarings = 0
-    scaled = s
-    if abs(s) * norm > 0.5:
-        squarings = int(np.ceil(np.log2(abs(s) * norm / 0.5)))
-        scaled = s / (2.0**squarings)
-    powers = scaled ** np.arange(len(stack))
-    out = np.einsum("k,kij->ij", powers, stack)
-    for _ in range(squarings):
-        out = out @ out
+def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
+    """exp(s ad(a_index)) via the cached power stack (scaling and squaring).
+
+    An array of s gives one matrix per entry, each scaled and squared by
+    its own count."""
+    stack, exponents, norm, nilpotent = _ad_power_stack(alg, index)
+    s = np.asarray(s, dtype=float)
+    shape = s.shape + (alg.dim, alg.dim)
+
+    def series(x):
+        # each entry's powers are a (1, K) row, so a batch runs the same
+        # row-times-matrix product as a single s
+        return (x[..., None, None] ** exponents @ stack).reshape(shape)
+
+    size = abs(s) * norm
+    if nilpotent or not np.count_nonzero(size > _SQUARING_BOUNDS[0]):
+        return series(s)
+    # scale each entry into the series' radius, then square it back as often
+    squarings = _SQUARING_BOUNDS.searchsorted(size)
+    out = series(np.asarray(s * _SQUARING_SCALES[squarings]))
+    for i in range(len(_SQUARING_SCALES)):
+        need = squarings > i
+        count = np.count_nonzero(need)
+        if not count:
+            break
+        # a squaring every entry needs takes no selection
+        out = out @ out if count == need.size else np.where(need[..., None, None], out @ out, out)
     return out
 
 
@@ -225,15 +245,17 @@ def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
 
 
 def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
-    """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i}."""
+    """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i};
+    a (..., r) array of v gives one matrix per vector."""
     r = alg.dim
-    v = np.asarray(v, dtype=float)
-    M = np.empty((r, r))
+    minus_v = -np.asarray(v, dtype=float)
+    M = np.empty(minus_v.shape[:-1] + (r, r))
     P = np.eye(r)
     for i, idx in enumerate(ordering):
-        M[:, i] = P[:, idx - 1]
+        M[..., i] = P[..., idx - 1]
         if i < r - 1:
-            P = P @ exp_ad_basis(alg, idx - 1, -v[i])
+            F = exp_ad_basis(alg, idx - 1, minus_v[..., i])
+            P = F if i == 0 else P @ F
     return M
 
 

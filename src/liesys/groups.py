@@ -18,6 +18,12 @@ Log-derivatives follow from the chart kind alone (`_trivialize`): the
 Wei-Norman matrix for second-kind charts, the dexp series for first-kind
 charts, and a projector onto the algebra representation for matrix and
 quaternion charts, whose coordinates map to matrices linearly.
+
+Every chart law (compose, inverse, adjoint, constraint, wrap, to-matrix)
+and `_adjoint`, `_trivialize` and `bch` take coordinates with leading batch
+axes, (..., d), so a whole grid of nodes goes through one call; a single
+point is the batch with no leading axis.  Chart conversions and `exp_fn`
+take single points.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .algebra import (
     _expm_taylor,
     ad_matrix,
     catalog_algebra,
-    exp_ad,
+    exp_ad_basis,
     lower_central_class,
     wn_matrix,
 )
@@ -45,10 +51,44 @@ _CONSTRAINT_TOL = 1e-8
 
 def _wrap_angle(t):
     # wrap to (-pi, pi]
-    w = math.fmod(t + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
+    w = np.fmod(t + math.pi, 2.0 * math.pi)
+    return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+
+
+def _mat(rows):
+    """(m, n) nested components of batch shape (...) as one (..., m, n) array;
+    the components come from `g.T`, whose batch axes are reversed."""
+    return np.array(rows).T.swapaxes(-1, -2)
+
+
+def _matvec(M, v):
+    """M v over matching leading batch axes, as a matrix product with one
+    column so that a batch and a single vector round alike."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _vecmat(v, M):
+    """v M over matching leading batch axes, as a one-row matrix product."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def _on_chart(chart, coords, stage=None, times=None, first=0):
+    """Wrap (..., d) chart coordinates and check them against the chart
+    constraint.  For a block of grid nodes, `stage` names what they are,
+    `times` their times and `first` the index of the first one; a violation
+    reports the first offending node, its time and its error."""
+    if chart.wrap_fn is not None:
+        coords = chart.wrap_fn(coords)
+    if chart.constraint_fn is not None:
+        err = chart.constraint_fn(coords)
+        if np.count_nonzero(err > _CONSTRAINT_TOL):
+            if stage is None:
+                raise ChartError(f"{chart.group_name}: chart constraint violated ({err:.3g})")
+            k = int(np.argmax(err > _CONSTRAINT_TOL))
+            raise ChartError(
+                f"{chart.group_name}: {stage} violates the chart constraint at node "
+                f"{first + k} (t={times[k]:.6g}): error {err[k]:.3g} > {_CONSTRAINT_TOL:g}")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -94,15 +134,7 @@ class GroupElement:
             raise ChartError(
                 f"{self.chart.group_name}: expected {self.chart.coord_dim} coords, got {c.shape}"
             )
-        if self.chart.wrap_fn is not None:
-            c = self.chart.wrap_fn(c)
-        object.__setattr__(self, "coords", c)
-        if self.chart.constraint_fn is not None:
-            err = self.chart.constraint_fn(c)
-            if err > _CONSTRAINT_TOL:
-                raise ChartError(
-                    f"{self.chart.group_name}: chart constraint violated ({err:.3g})"
-                )
+        object.__setattr__(self, "coords", _on_chart(self.chart, c))
 
     def matrix(self) -> np.ndarray:
         if self.chart.to_matrix_fn is not None:
@@ -141,26 +173,42 @@ def exp_chart(chart: GroupChart, index: int, s: float = 1.0) -> GroupElement:
 
 
 def group_adjoint(g: GroupElement) -> np.ndarray:
-    """Matrix of Ad(g) in the algebra basis.
+    """Matrix of Ad(g) in the algebra basis."""
+    return _adjoint(g.chart, g.coords)
+
+
+def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:
+    """sum_k ad_x^k / (k + shift)! over k below the nilpotency index, for
+    (..., r) vectors x: exp(ad_x) for shift 0, and for shift 1 the dexp map
+    phi(ad_x) with phi(z) = (e^z - 1) / z.  Exact on a nilpotent algebra."""
+    ad = ad_matrix(alg, x)
+    out = term = np.eye(alg.dim)
+    for k in range(1, alg.nilpotency_index):
+        term = term @ ad / (k + shift)
+        out = out + term
+    return out
+
+
+def _adjoint(chart: GroupChart, g) -> np.ndarray:
+    """Ad of (..., d) chart points, as (..., r, r) matrices.
 
     Matrix charts expand g a g^{-1} on the basis; canonical charts use the
     exact product of exp(ad) factors, which only needs structure constants.
     """
-    chart = g.chart
     if chart.adjoint_fn is not None:
-        return chart.adjoint_fn(g.coords)
-    if chart.chart_kind == "matrix":
-        G = g.matrix()
-        Gi = inverse(g).matrix()
-        return chart.rep_projector @ np.stack(
-            [(G @ M @ Gi).reshape(-1) for M in chart.algebra_rep], axis=1)
+        return chart.adjoint_fn(g)
     alg = chart.algebra
+    if chart.chart_kind == "matrix":
+        G = chart.to_matrix_fn(g)[..., None, :, :]
+        Gi = chart.to_matrix_fn(chart.inverse_fn(g))[..., None, :, :]
+        GAGi = G @ np.stack(chart.algebra_rep) @ Gi
+        return chart.rep_projector @ np.swapaxes(GAGi.reshape(GAGi.shape[:-2] + (-1,)), -1, -2)
     if chart.chart_kind == "canonical_first":
-        return exp_ad(alg, g.coords, 1.0)
+        return _ad_series(alg, g, 0)
     # second kind: Ad(prod exp(v_i a_{s_i})) = prod exp(v_i ad a_{s_i))
     out = np.eye(alg.dim)
     for pos, idx in enumerate(chart.ordering):
-        out = out @ exp_ad(alg, alg.basis_vector(idx - 1), g.coords[pos])
+        out = out @ exp_ad_basis(alg, idx - 1, g[..., pos])
     return out
 
 
@@ -174,7 +222,8 @@ def _stencil_derivative(sample, t, h, order):
 
 def _trivialize(chart: GroupChart, g, dg, left: bool) -> np.ndarray:
     """The algebra vector dg g^{-1} (right) or g^{-1} dg (left) of the chart
-    point g moving with coordinate velocity dg.
+    point g moving with coordinate velocity dg; both may carry leading batch
+    axes.
 
     canonical_second: g = prod_i exp(g_i a_{s_i}), so the right form is the
     Wei-Norman matrix M_s(-g) dg and the left form is the Wei-Norman matrix
@@ -190,18 +239,14 @@ def _trivialize(chart: GroupChart, g, dg, left: bool) -> np.ndarray:
     alg = chart.algebra
     if chart.chart_kind == "canonical_second":
         if left:
-            return wn_matrix(alg, chart.ordering[::-1], g[::-1]) @ dg[::-1]
-        return wn_matrix(alg, chart.ordering, -g) @ dg
+            return _matvec(wn_matrix(alg, chart.ordering[::-1], g[..., ::-1]), dg[..., ::-1])
+        return _matvec(wn_matrix(alg, chart.ordering, -g), dg)
     if chart.chart_kind == "canonical_first":
-        ad = ad_matrix(alg, -g if left else g)
-        out = term = dg
-        for k in range(1, alg.nilpotency_index):
-            term = ad @ term / (k + 1)
-            out = out + term
-        return out
+        return _matvec(_ad_series(alg, -g if left else g, 1), dg)
     dG = chart.to_matrix_fn(dg)
     Gi = chart.to_matrix_fn(chart.inverse_fn(g))
-    return chart.rep_projector @ (Gi @ dG if left else dG @ Gi).reshape(-1)
+    X = Gi @ dG if left else dG @ Gi
+    return _matvec(chart.rep_projector, X.reshape(X.shape[:-2] + (-1,)))
 
 
 def right_log_derivative(curve, t: float, h: float = DEFAULT_FD_STEP,
@@ -307,17 +352,26 @@ def chart_convert(g: GroupElement, target: GroupChart) -> GroupElement:
 def _mk_matrix_chart(group, alg, rep, constraint=None):
     n = rep[0].shape[0]
     ident = np.eye(n).reshape(-1)
+    square, flat = (n, n), (n * n,)
+
+    def to_matrix(a):
+        return a.reshape(a.shape[:-1] + square)
+
+    def compose(a, b):
+        out = a.reshape(a.shape[:-1] + square) @ b.reshape(b.shape[:-1] + square)
+        return out.reshape(out.shape[:-2] + flat)
+
     chart = GroupChart(
         group_name=group,
         chart_kind="matrix",
         coord_dim=n * n,
         algebra=alg,
         algebra_rep=tuple(np.asarray(M, dtype=float) for M in rep),
-        compose_fn=lambda a, b: (a.reshape(n, n) @ b.reshape(n, n)).reshape(-1),
-        inverse_fn=lambda a: np.linalg.inv(a.reshape(n, n)).reshape(-1),
+        compose_fn=compose,
+        inverse_fn=lambda a: np.linalg.inv(to_matrix(a)).reshape(a.shape),
         identity_coords=ident,
         constraint_fn=constraint,
-        to_matrix_fn=lambda a: a.reshape(n, n),
+        to_matrix_fn=to_matrix,
     )
     register_chart((group, "matrix", None), chart)
     return chart
@@ -334,17 +388,18 @@ def _build_h3():
     rep = (A1, A2, A3)
 
     def compose2(g, h):
-        a, b, c = g
-        ap, bp, cp = h
-        return np.array([a + ap, b + bp, c + cp - b * ap])
+        a, b, c = g.T
+        ap, bp, cp = h.T
+        return np.array([a + ap, b + bp, c + cp - b * ap]).T
 
     def inverse2(g):
-        a, b, c = g
-        return np.array([-a, -b, -c - a * b])
+        a, b, c = g.T
+        return np.array([-a, -b, -c - a * b]).T
 
     def adjoint12(g):
-        a, b = g[0], g[1]
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-b, a, 1.0]])
+        a, b, _ = g.T
+        one, zero = np.ones_like(a), np.zeros_like(a)
+        return _mat([[one, zero, zero], [zero, one, zero], [-b, a, one]])
 
     chart2 = GroupChart(
         "H3", "canonical_second", 3, alg, ordering=(1, 2, 3),
@@ -354,9 +409,9 @@ def _build_h3():
     register_chart(("H3", "canonical_second", (1, 2, 3)), chart2)
 
     def compose1(g, h):
-        a, b, c = g
-        ap, bp, cp = h
-        return np.array([a + ap, b + bp, c + cp + 0.5 * (a * bp - b * ap)])
+        a, b, c = g.T
+        ap, bp, cp = h.T
+        return np.array([a + ap, b + bp, c + cp + 0.5 * (a * bp - b * ap)]).T
 
     chart1 = GroupChart(
         "H3", "canonical_first", 3, alg, algebra_rep=rep,
@@ -386,15 +441,15 @@ def bch(alg: LieAlgebra, x, y) -> np.ndarray:
 
     Exact when the algebra's nilpotency class is at most 4 (every longer
     bracket vanishes); see Bonfiglioli & Fulci, Topics in Noncommutative
-    Algebra, Springer LNM 2034 (2012).
+    Algebra, Springer LNM 2034 (2012).  x and y are (..., r) arrays.
     """
     r = alg.dim
     c = alg.structure.reshape(r, r * r)
-    ad_x = (x @ c).reshape(r, r)              # v @ ad_x = [x, v]
-    ad_y = (y @ c).reshape(r, r)
-    xy = y @ ad_x
-    x_xy = xy @ ad_x
-    return x + y + 0.5 * xy + (x_xy - xy @ ad_y) / 12.0 - (x_xy @ ad_y) / 24.0
+    ad_x = _vecmat(x, c).reshape(x.shape[:-1] + (r, r))   # v @ ad_x = [x, v]
+    ad_y = _vecmat(y, c).reshape(y.shape[:-1] + (r, r))
+    xy = _vecmat(y, ad_x)
+    x_xy = _vecmat(xy, ad_x)
+    return x + y + 0.5 * xy + (x_xy - _vecmat(xy, ad_y)) / 12.0 - _vecmat(x_xy, ad_y) / 24.0
 
 
 def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
@@ -419,17 +474,17 @@ def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
     basis = np.eye(r)[perm]                   # basis[pos] = a_{s_pos}
 
     def conv21(g):
-        x = g[0] * basis[0]
+        x = g[..., :1] * basis[0]
         for pos in range(1, r):
-            x = bch(alg, x, g[pos] * basis[pos])
+            x = bch(alg, x, g[..., pos:pos + 1] * basis[pos])
         return x
 
     def conv12(x):
-        g = np.empty(r)
+        g = np.empty(x.shape)
         for pos in range(r):
-            g[pos] = x[perm[pos]]
+            g[..., pos] = x[..., perm[pos]]
             if pos < r - 1:
-                x = bch(alg, -g[pos] * basis[pos], x)
+                x = bch(alg, -g[..., pos:pos + 1] * basis[pos], x)
         return g
 
     k1, k2 = (group, "canonical_first", None), (group, "canonical_second", tuple(ordering))
@@ -455,28 +510,29 @@ def _build_se2():
     rep = (A1, A2, A3)
 
     def compose2(g, h):
-        th, a, b = g
-        thp, ap, bp = h
-        ct, st = math.cos(thp), math.sin(thp)
-        return np.array([th + thp, ap + a * ct + b * st, bp - a * st + b * ct])
+        th, a, b = g.T
+        thp, ap, bp = h.T
+        ct, st = np.cos(thp), np.sin(thp)
+        return np.array([th + thp, ap + a * ct + b * st, bp - a * st + b * ct]).T
 
     def inverse2(g):
-        th, a, b = g
-        ct, st = math.cos(th), math.sin(th)
-        return np.array([-th, -(a * ct - b * st), -(a * st + b * ct)])
+        th, a, b = g.T
+        ct, st = np.cos(th), np.sin(th)
+        return np.array([-th, -(a * ct - b * st), -(a * st + b * ct)]).T
 
     def adjoint(g):
-        th, a, b = g
-        ct, st = math.cos(th), math.sin(th)
-        return np.array([
-            [1.0, 0.0, 0.0],
+        th, a, b = g.T
+        ct, st = np.cos(th), np.sin(th)
+        one, zero = np.ones_like(th), np.zeros_like(th)
+        return _mat([
+            [one, zero, zero],
             [b * ct + a * st, ct, -st],
             [-a * ct + b * st, st, ct],
         ])
 
     def wrap(c):
         out = c.copy()
-        out[0] = _wrap_angle(out[0])
+        out[..., 0] = _wrap_angle(out[..., 0])
         return out
 
     chart2 = GroupChart(
@@ -487,11 +543,10 @@ def _build_se2():
     register_chart(("SE2", "canonical_second", (1, 2, 3)), chart2)
 
     def se2_constraint(c):
-        M = c.reshape(3, 3)
-        R = M[:2, :2]
-        err = np.max(np.abs(R.T @ R - np.eye(2)))
-        err = max(err, np.max(np.abs(M[2] - np.array([0.0, 0.0, 1.0]))))
-        return err
+        M = c.reshape(c.shape[:-1] + (3, 3))
+        R = M[..., :2, :2]
+        return np.maximum(np.abs(R.swapaxes(-1, -2) @ R - np.eye(2)).max(axis=(-2, -1)),
+                          np.abs(M[..., 2, :] - np.array([0.0, 0.0, 1.0])).max(axis=-1))
 
     _mk_matrix_chart("SE2", alg, rep, constraint=se2_constraint)
 
@@ -550,25 +605,25 @@ def _build_geps(eps):
     name = f"Geps({eps:+d})"
 
     def compose_q(g, h):
-        a, b, c, d = g
-        ap, bp, cp, dp = h
+        a, b, c, d = g.T
+        ap, bp, cp, dp = h.T
         return np.array([
             a * ap - b * bp - eps * (c * cp + d * dp),
             b * ap + a * bp - eps * (d * cp - c * dp),
             c * ap + d * bp + a * cp - b * dp,
             d * ap - c * bp + b * cp + a * dp,
-        ])
+        ]).T
 
     def inverse_q(g):
-        return np.array([g[0], -g[1], -g[2], -g[3]])
+        return g * np.array([1.0, -1.0, -1.0, -1.0])
 
     def constraint_q(g):
-        a, b, c, d = g
+        a, b, c, d = g.T
         return abs(a * a + b * b + eps * (c * c + d * d) - 1.0)
 
     def adjoint_q(g):
-        a, b, c, d = g
-        return np.array([
+        a, b, c, d = g.T
+        return _mat([
             [a * a + b * b - eps * (c * c + d * d), 2 * eps * (b * c - a * d), 2 * eps * (a * c + b * d)],
             [2 * (b * c + a * d), a * a - b * b + eps * (c * c - d * d), 2 * (eps * c * d - a * b)],
             [2 * (b * d - a * c), 2 * (a * b + eps * c * d), a * a - b * b - eps * (c * c - d * d)],
@@ -583,8 +638,8 @@ def _build_geps(eps):
         return np.array([float(Ceps(eps, half)), 0.0, 0.0, float(Seps(eps, half))])
 
     def q_to_mat4(g):
-        a, b, c, d = g
-        return np.array([
+        a, b, c, d = g.T
+        return _mat([
             [a, -b, -eps * c, -eps * d],
             [b, a, -eps * d, eps * c],
             [c, d, a, -b],
@@ -625,8 +680,8 @@ def _build_so3():
     alg = catalog_algebra("so3")
 
     def constraint(c):
-        M = c.reshape(3, 3)
-        return float(np.max(np.abs(M.T @ M - np.eye(3))))
+        M = c.reshape(c.shape[:-1] + (3, 3))
+        return np.abs(M.swapaxes(-1, -2) @ M - np.eye(3)).max(axis=(-2, -1))
 
     _mk_matrix_chart("SO3", alg, _so3_rep(), constraint=constraint)
 
@@ -646,10 +701,10 @@ def _build_se3():
     alg = catalog_algebra("se3")
 
     def constraint(c):
-        M = c.reshape(4, 4)
-        A = M[:3, :3]
-        err = float(np.max(np.abs(A.T @ A - np.eye(3))))
-        return max(err, float(np.max(np.abs(M[3] - np.array([0, 0, 0, 1.0])))))
+        M = c.reshape(c.shape[:-1] + (4, 4))
+        A = M[..., :3, :3]
+        return np.maximum(np.abs(A.swapaxes(-1, -2) @ A - np.eye(3)).max(axis=(-2, -1)),
+                          np.abs(M[..., 3, :] - np.array([0, 0, 0, 1.0])).max(axis=-1))
 
     _mk_matrix_chart("SE3", alg, _se3_rep(), constraint=constraint)
 
@@ -679,7 +734,7 @@ def _build_sl2():
     alg = catalog_algebra("sl2")
 
     def constraint(c):
-        return abs(float(np.linalg.det(c.reshape(2, 2))) - 1.0)
+        return np.abs(np.linalg.det(c.reshape(c.shape[:-1] + (2, 2))) - 1.0)
 
     _mk_matrix_chart("SL2", alg, sl2_basis(), constraint=constraint)
 
@@ -688,7 +743,7 @@ def _build_sl3():
     alg = catalog_algebra("sl3")
 
     def constraint(c):
-        return abs(float(np.linalg.det(c.reshape(3, 3))) - 1.0)
+        return np.abs(np.linalg.det(c.reshape(c.shape[:-1] + (3, 3))) - 1.0)
 
     _mk_matrix_chart("SL3", alg, sl3_basis(), constraint=constraint)
 
@@ -701,18 +756,22 @@ def _build_affine():
     A2 = np.array([[-1.0, 0.0], [0.0, 0.0]])
 
     def compose2(g, h):
-        a, b = g
-        ap, bp = h
-        return np.array([a + ap * math.exp(-b), b + bp])
+        a, b = g.T
+        ap, bp = h.T
+        return np.array([a + ap * np.exp(-b), b + bp]).T
 
     def inverse2(g):
-        a, b = g
-        return np.array([-a * math.exp(b), -b])
+        a, b = g.T
+        return np.array([-a * np.exp(b), -b]).T
+
+    def adjoint(g):
+        a, b = g.T
+        return _mat([[np.exp(-b), a], [np.zeros_like(a), np.ones_like(a)]])
 
     chart = GroupChart(
         "Aff", "canonical_second", 2, alg, ordering=(1, 2), algebra_rep=(A1, A2),
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(2),
-        adjoint_fn=lambda g: np.array([[math.exp(-g[1]), g[0]], [0.0, 1.0]]),
+        adjoint_fn=adjoint,
     )
     register_chart(("Aff", "canonical_second", (1, 2)), chart)
     _mk_matrix_chart("Aff", alg, (A1, A2))

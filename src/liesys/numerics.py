@@ -27,10 +27,12 @@ class TimeGrid:
     t1: float
     n_steps: int | None = None
     nodes_: np.ndarray | None = field(default=None, repr=False)
+    # the node array, built once and read-only so no caller can change it
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nodes_ is not None:
-            nodes = np.asarray(self.nodes_, dtype=float)
+            nodes = np.array(self.nodes_, dtype=float)
             if nodes.ndim != 1 or len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
                 raise NumericsError("grid nodes must be strictly increasing")
             object.__setattr__(self, "nodes_", nodes)
@@ -39,6 +41,9 @@ class TimeGrid:
                 raise NumericsError("need t0 < t1")
             if self.n_steps is None or self.n_steps < 1:
                 raise NumericsError("n_steps must be a positive integer")
+            nodes = np.linspace(self.t0, self.t1, self.n_steps + 1)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "_nodes", nodes)
 
     @classmethod
     def uniform(cls, t0, t1, n_steps=None):
@@ -53,9 +58,7 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        if self.nodes_ is not None:
-            return self.nodes_
-        return np.linspace(self.t0, self.t1, self.n_steps + 1)
+        return self._nodes
 
     @property
     def uniform_dt(self) -> float | None:
@@ -89,11 +92,7 @@ class Trajectory:
 
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation between nodes."""
-        nodes = self.grid.nodes
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            out[i] = np.interp(t, nodes, self.states[:, i])
-        return out
+        return interp_columns(t, self.grid.nodes, self.states)
 
     def to_csv(self, path):
         header = "t," + ",".join(f"x{i+1}" for i in range(self.dim))
@@ -114,6 +113,20 @@ class Trajectory:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         grid = TimeGrid.from_nodes(data[:, 0])
         return cls(grid, data[:, 1:])
+
+
+def interp_columns(t, nodes, samples) -> np.ndarray:
+    """np.interp(t, nodes, samples[:, j]) for every column of an (n, m)
+    sample array, with one search: the value at a node is that node's row,
+    t beyond either end takes the end row, and between nodes
+    slope * (t - nodes[j]) + samples[j] as np.interp computes it."""
+    j = int(np.searchsorted(nodes, t, side="right")) - 1
+    if j < 0:
+        return samples[0].copy()
+    if j == len(nodes) - 1 or nodes[j] == t:
+        return samples[j].copy()
+    slope = (samples[j + 1] - samples[j]) / (nodes[j + 1] - nodes[j])
+    return slope * (t - nodes[j]) + samples[j]
 
 
 def _check_finite(dx, t, x):
@@ -268,8 +281,13 @@ def diff_samples(values, dt):
 
 
 def diff_samples4(values, dt):
-    """Fourth-order differentiation of samples (five-point stencils)."""
+    """Fourth-order differentiation of samples (five-point stencils).
+
+    Interior nodes take the central stencil; the two nodes at each end take
+    the one-sided five-point stencil, so at least six samples are needed."""
     values = np.asarray(values, dtype=float)
+    if len(values) < 6:
+        raise NumericsError(f"fourth-order differentiation needs 6 samples, got {len(values)}")
     out = np.empty_like(values)
     out[2:-2] = (8.0 * (values[3:-1] - values[1:-3])
                  - (values[4:] - values[:-4])) / (12.0 * dt)

@@ -25,6 +25,7 @@ from .numerics import (
     TimeGrid,
     Trajectory,
     cumulative_quadrature_samples,
+    interp_columns,
     rk4_step,
 )
 
@@ -59,8 +60,8 @@ class ControlSignal:
         nodes = grid.nodes
 
         def make(i):
-            col = values[:, i]
-            return lambda t: float(np.interp(t, nodes, col))
+            col = values[:, i:i + 1]
+            return lambda t: float(interp_columns(t, nodes, col)[0])
 
         return cls([make(i) for i in range(values.shape[1])])
 
@@ -218,9 +219,7 @@ class GroupCurve:
             for i in range(self.coords.shape[1]):
                 c[i] = np.polyval(np.polyfit(tt, self.coords[sl, i], 3), t)
             return GroupElement(self.chart, c)
-        c = np.array([np.interp(t, nodes, self.coords[:, i])
-                      for i in range(self.coords.shape[1])])
-        return GroupElement(self.chart, c)
+        return GroupElement(self.chart, interp_columns(t, nodes, self.coords))
 
     def at_node(self, k: int) -> GroupElement:
         return GroupElement(self.chart, self.coords[k])

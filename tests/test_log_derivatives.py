@@ -68,3 +68,16 @@ def test_left_is_adjoint_of_right(key, s, xi):
     right = G._trivialize(chart, g.coords, dg, left=False)
     left = G._trivialize(chart, g.coords, dg, left=True)
     assert np.max(np.abs(left - G.group_adjoint(G.inverse(g)) @ right)) <= 1e-12
+
+
+@pytest.mark.parametrize("key", [k for k in ALL_KEYS if k[1].startswith("canonical")], ids=str)
+@examples
+@given(s=exponents, xi=exponents)
+def test_right_invariant_derivative_is_exact(key, s, xi):
+    # the tangent of exp(t xi) h at t = 0 solves the trivialization map, so
+    # mapping it back gives xi to roundoff, with no difference-step error
+    chart = G._CHARTS[key]
+    h = product_of_exponentials(chart, s).coords
+    xi = xi[:chart.algebra.dim]
+    dh = right_invariant_derivative(chart, xi, h)
+    assert np.max(np.abs(G._trivialize(chart, h, dh, left=False) - xi)) <= 1e-12

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesys.errors import NumericsError, SingularMatrixError
 from liesys.numerics import (
@@ -12,8 +14,10 @@ from liesys.numerics import (
     Trajectory,
     cumulative_quadrature_samples,
     diff_samples,
+    diff_samples4,
     integrate_rk4,
     integrate_rk45,
+    interp_columns,
     linsolve,
     quadrature,
 )
@@ -158,3 +162,49 @@ def test_trajectory_json_roundtrip(tmp_path):
     assert payload["meta"] == "demo"
     assert np.allclose(payload["t"], grid.nodes)
     assert np.allclose(payload["states"], traj.states)
+
+
+@pytest.mark.parametrize("t0,t1,n", [(0.0, 1.0, 2000), (0.0, 1.0, 4000), (-0.3, 2.7, 7)])
+def test_grid_nodes_are_linspace_and_read_only(t0, t1, n):
+    grid = TimeGrid.uniform(t0, t1, n)
+    expected = np.linspace(t0, t1, n + 1)
+    assert grid.nodes.tobytes() == expected.tobytes()
+    assert grid.nodes is grid.nodes
+    with pytest.raises(ValueError):
+        grid.nodes[1] = 5.0
+
+
+def test_explicit_grid_nodes_are_a_read_only_copy():
+    given_nodes = np.array([0.0, 0.1, 0.5, 1.0])
+    grid = TimeGrid.from_nodes(given_nodes)
+    given_nodes[1] = 0.2
+    assert grid.nodes[1] == 0.1
+    with pytest.raises(ValueError):
+        grid.nodes[1] = 0.3
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.0, 1.0), k=st.integers(0, 12))
+def test_interp_columns_is_np_interp_per_column(n, m, seed, frac, k):
+    rng = np.random.default_rng(seed)
+    nodes = np.cumsum(rng.uniform(0.1, 1.0, n + 1))
+    samples = rng.uniform(-5.0, 5.0, (n + 1, m))
+
+    def per_column(t):
+        return np.array([np.interp(t, nodes, samples[:, j]) for j in range(m)])
+
+    k = min(k, n)
+    # nodes and both ends (and beyond them): bitwise
+    for t in (nodes[k], nodes[0], nodes[-1], nodes[0] - 1.0, nodes[-1] + 1.0):
+        assert interp_columns(t, nodes, samples).tobytes() == per_column(t).tobytes()
+    # between nodes: at most one ulp apart
+    j = min(k, n - 1)
+    t = nodes[j] + frac * (nodes[j + 1] - nodes[j])
+    got, want = interp_columns(t, nodes, samples), per_column(t)
+    assert np.all(np.abs(got - want) <= np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
+
+def test_diff_samples4_needs_six_samples():
+    with pytest.raises(NumericsError, match="6 samples"):
+        diff_samples4(np.zeros((5, 2)), 0.1)

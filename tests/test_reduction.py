@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import liesys.groups as G
-from liesys.errors import LieSysError
+from liesys.errors import ChartError, LieSysError
 from liesys.numerics import TimeGrid
 from liesys.reduction import (
     ReductionSetup,
@@ -186,3 +186,86 @@ def test_list_reductions_contains_catalog():
     names = list_reductions()
     for expected in ("h3/a1", "se2/a2a3", "sl2/a2a3", "g5/center", "se3/so3", "su2/a1"):
         assert expected in names
+
+
+@pytest.mark.parametrize("name", ["h3/a3", "se2/a2a3", "su2/a1", "se3/r3", "g5/center"])
+def test_reduction_matches_per_node_scalar_laws(name):
+    # reference: the nodewise formula through the single-point API, with the
+    # lift's log-derivative from the curve's order-4 stencil; interior nodes
+    # only, where both use the same central stencil
+    case = catalog_reduction(name)
+    grid = TimeGrid.uniform(0.0, 1.0, 400)
+    setup, _ = case.setup(controls_for(case, name, {}), grid)
+    coeffs, _ = reduce_to_subgroup(setup)
+    Spinv = np.linalg.pinv(setup.span_matrix)
+    for k in range(2, len(grid.nodes) - 2, 37):
+        t = grid.nodes[k]
+        g1 = setup.lift.at_node(k)
+        xi = (-G.group_adjoint(G.inverse(g1)) @ setup.controls(t)
+              - G.left_log_derivative(setup.lift, t, h=grid.uniform_dt, order=4))
+        assert np.max(np.abs(coeffs[k] + Spinv @ xi)) <= 1e-9, k
+
+
+def test_reconstruction_matches_per_node_compose():
+    case = catalog_reduction("se2/a2a3")
+    setup, _ = case.setup(controls_for(case, "se2/a2a3", {}), GRID)
+    h = solve_on_subgroup(setup, reduce_to_subgroup(setup)[0])
+    g = reconstruct_full(setup.lift, h)
+    for k in range(0, len(GRID.nodes), 97):
+        expected = G.compose(setup.lift.at_node(k), h.at_node(k)).coords
+        assert np.max(np.abs(g.coords[k] - expected)) <= 1e-14
+
+
+def _se3_setup(n_steps=1000):
+    case = catalog_reduction("se3/r3")
+    grid = TimeGrid.uniform(0.0, 1.0, n_steps)
+    setup, _ = case.setup(controls_for(case, "se3/r3", {}), grid)
+    return setup, grid
+
+
+def test_corrupt_lift_node_is_named():
+    setup, grid = _se3_setup()
+    k = 700                                   # inside the second block of nodes
+    setup.lift.coords[k, 0] += 1e-3           # the rotation leaves SO(3)
+    with pytest.raises(ChartError) as err:
+        reduce_to_subgroup(setup)
+    msg = str(err.value)
+    assert f"lift violates the chart constraint at node {k} " in msg
+    assert f"(t={grid.nodes[k]:.6g})" in msg
+    assert f"error {setup.chart.constraint_fn(setup.lift.coords[k]):.3g} " in msg
+
+
+def test_corrupt_reconstruction_node_is_named():
+    # each factor stays within the constraint tolerance, their product does not
+    setup, grid = _se3_setup()
+    identity = np.tile(np.eye(4).reshape(-1), (len(grid.nodes), 1))
+    k = 613
+    scaled = identity.copy()
+    scaled[k, [0, 5, 10]] = 1.0 + 4e-9        # error 8e-9 per factor, 1.6e-8 for the product
+    g1 = GroupCurve(setup.chart, grid, scaled)
+    with pytest.raises(ChartError, match=rf"reconstruction violates the chart constraint "
+                                         rf"at node {k} \(t=0\.613\)"):
+        reconstruct_full(g1, g1)
+    off = identity.copy()
+    off[k, 0] = 1.1
+    with pytest.raises(ChartError, match=rf"subgroup curve violates .* at node {k} "):
+        reconstruct_full(GroupCurve(setup.chart, grid, identity),
+                         GroupCurve(setup.chart, grid, off))
+
+
+def test_off_span_failure_names_node_and_time():
+    case = catalog_reduction("h3/a1")
+    b = ControlSignal.constant([1.0, 0.5])
+    grid = TimeGrid.uniform(0, 1, 500)
+    hom = case.solve_homogeneous(b, grid)
+    hom.states[:, 0] += 0.3 * grid.nodes**2
+    setup = ReductionSetup(case.chart, case.span_vectors(), case.make_lift(hom),
+                           case.pad_controls(b), grid)
+    with pytest.raises(LieSysError) as err:
+        reduce_to_subgroup(setup)
+    msg = str(err.value)
+    assert "does not project" in msg
+    k = int(msg.split("at node ")[1].split()[0])
+    assert f"(t={grid.nodes[k]:.6g})" in msg
+    # the residual grows with t, so the worst node is the last
+    assert k == len(grid.nodes) - 1
