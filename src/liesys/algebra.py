@@ -171,6 +171,21 @@ _SQUARING_BOUNDS = 0.5 * 2.0 ** np.arange(64)
 _SQUARING_SCALES = 2.0 ** -np.arange(65.0)
 
 
+def _power_stack(M: np.ndarray, kmax: int, stop_at_zero: bool):
+    """Powers M^k / k! for k = 0..kmax-1 as a (K, n*n) array, with the
+    exponents 0..K-1 and the largest entry of M; with `stop_at_zero` the
+    stack ends before the first power that is exactly zero."""
+    stack = [np.eye(len(M))]
+    term = stack[0]
+    for j in range(1, kmax):
+        term = term @ M / j
+        if stop_at_zero and np.max(np.abs(term)) == 0.0:
+            break
+        stack.append(term)
+    return (np.stack(stack).reshape(len(stack), -1), np.arange(float(len(stack))),
+            float(np.max(np.abs(M))))
+
+
 def _ad_power_stack(alg: LieAlgebra, index: int):
     """Powers (ad a_index)^k / k! for k = 0..K as a (K+1, r*r) array, with
     the exponents 0..K, the norm of ad a_index and whether the algebra is
@@ -178,30 +193,20 @@ def _ad_power_stack(alg: LieAlgebra, index: int):
     hit = alg._ad_stacks.get(index)
     if hit is not None:
         return hit
+    nilpotent = alg.nilpotency_index is not None
     M = ad_matrix(alg, alg.basis_vector(index))
-    kmax = alg.nilpotency_index or _AD_STACK_TERMS
-    stack = [np.eye(alg.dim)]
-    term = np.eye(alg.dim)
-    for j in range(1, kmax):
-        term = term @ M / j
-        if alg.nilpotency_index is None and np.max(np.abs(term)) == 0.0:
-            break
-        stack.append(term)
-    norm = float(np.max(np.abs(M)))
-    out = (np.stack(stack).reshape(len(stack), -1), np.arange(float(len(stack))), norm,
-           alg.nilpotency_index is not None)
+    out = _power_stack(M, alg.nilpotency_index or _AD_STACK_TERMS, not nilpotent) + (nilpotent,)
     alg._ad_stacks[index] = out
     return out
 
 
-def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
-    """exp(s ad(a_index)) via the cached power stack (scaling and squaring).
-
-    An array of s gives one matrix per entry, each scaled and squared by
-    its own count."""
-    stack, exponents, norm, nilpotent = _ad_power_stack(alg, index)
+def _exp_from_stack(stack, exponents, norm, exact, s, n) -> np.ndarray:
+    """exp(s M) for an array of s, (..., n, n), from the power stack of M
+    (`_power_stack`).  When `exact` the stack is the whole series (M is
+    nilpotent); otherwise each entry is scaled by 2^-k into |s| norm <= 0.5,
+    summed, and squared k times, k counted per entry."""
     s = np.asarray(s, dtype=float)
-    shape = s.shape + (alg.dim, alg.dim)
+    shape = s.shape + (n, n)
 
     def series(x):
         # each entry's powers are a (1, K) row, so a batch runs the same
@@ -209,9 +214,8 @@ def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
         return (x[..., None, None] ** exponents @ stack).reshape(shape)
 
     size = abs(s) * norm
-    if nilpotent or not np.count_nonzero(size > _SQUARING_BOUNDS[0]):
+    if exact or not np.count_nonzero(size > _SQUARING_BOUNDS[0]):
         return series(s)
-    # scale each entry into the series' radius, then square it back as often
     squarings = _SQUARING_BOUNDS.searchsorted(size)
     out = series(np.asarray(s * _SQUARING_SCALES[squarings]))
     for i in range(len(_SQUARING_SCALES)):
@@ -222,6 +226,14 @@ def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
         # a squaring every entry needs takes no selection
         out = out @ out if count == need.size else np.where(need[..., None, None], out @ out, out)
     return out
+
+
+def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
+    """exp(s ad(a_index)) via the cached power stack (scaling and squaring).
+
+    An array of s gives one matrix per entry, each scaled and squared by
+    its own count."""
+    return _exp_from_stack(*_ad_power_stack(alg, index), s, alg.dim)
 
 
 def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:

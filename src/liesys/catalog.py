@@ -88,7 +88,7 @@ def _cum(samples, grid):
 
 
 def _bsamp(b, grid, i):
-    return np.array([b(t)[i] for t in grid.nodes])
+    return b(grid.nodes)[:, i]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -42,31 +41,6 @@ def _parse_grid(spec: str) -> TimeGrid:
     if len(parts) != 3:
         raise ValueError("grid must be t0,t1,n")
     return TimeGrid.uniform(float(parts[0]), float(parts[1]), int(parts[2]))
-
-
-def _parse_controls(spec: str, grid: TimeGrid) -> ControlSignal:
-    """Control grammar: per-channel specs separated by ';', each one of
-    const:v | sin:amp,freq[,phase] | a flat const:v1,v2,... vector,
-    or file:<path> with columns t,b1,...,bn."""
-    if spec.startswith("file:"):
-        data = np.loadtxt(spec[5:], delimiter=",", skiprows=1, ndmin=2)
-        return ControlSignal.sampled(TimeGrid.from_nodes(data[:, 0]), data[:, 1:])
-    channels = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if part.startswith("const:"):
-            vals = [float(v) for v in part[6:].split(",")]
-            for v in vals:
-                channels.append(lambda t, v=v: v)
-        elif part.startswith("sin:"):
-            nums = [float(v) for v in part[4:].split(",")]
-            amp, freq = nums[0], nums[1]
-            phase = nums[2] if len(nums) > 2 else 0.0
-            channels.append(
-                lambda t, a=amp, f=freq, p=phase: a * math.sin(2 * math.pi * f * t + p))
-        else:
-            raise ValueError(f"cannot parse control spec {part!r}")
-    return ControlSignal(channels)
 
 
 def _write_meta(path, config):
@@ -122,7 +96,7 @@ def cmd_list_systems(args):
 def cmd_simulate(args):
     entry = get_system(args.system, **_entry_params(args))
     grid = _parse_grid(args.grid)
-    b = _parse_controls(args.controls, grid)
+    b = ControlSignal.from_spec(args.controls)
     x0 = np.array([float(v) for v in args.x0.split(",")])
     traj = solve_direct(entry.realization, entry.pad_controls(b), x0, grid)
     report = {"system": args.system, "final_state": traj.states[-1].tolist()}
@@ -140,7 +114,7 @@ def cmd_simulate(args):
 def cmd_wei_norman(args):
     entry = get_system(args.system, **_entry_params(args))
     grid = _parse_grid(args.grid)
-    b = _parse_controls(args.controls, grid)
+    b = ControlSignal.from_spec(args.controls)
     ordering = (tuple(int(i) for i in args.ordering.split(","))
                 if args.ordering else entry.ordering())
     prob = WNProblem(entry.algebra, entry.pad_controls(b), grid, ordering)
@@ -157,7 +131,7 @@ def cmd_reduce(args):
     params = _entry_params(args)
     case = catalog_reduction(args.reduction, **params)
     grid = _parse_grid(args.grid)
-    b = _parse_controls(args.controls, grid)
+    b = ControlSignal.from_spec(args.controls)
     out = run_catalog_reduction(case, b, grid)
     fix = case.fixture_coeffs(b, out["homogeneous"])
     report = {

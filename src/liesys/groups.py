@@ -22,8 +22,9 @@ quaternion charts, whose coordinates map to matrices linearly.
 Every chart law (compose, inverse, adjoint, constraint, wrap, to-matrix)
 and `_adjoint`, `_trivialize` and `bch` take coordinates with leading batch
 axes, (..., d), so a whole grid of nodes goes through one call; a single
-point is the batch with no leading axis.  Chart conversions and `exp_fn`
-take single points.
+point is the batch with no leading axis.  `exp_coords` (and a chart's
+`exp_fn`) takes an array of parameters; chart conversions take single
+points.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    _AD_STACK_TERMS,
     LieAlgebra,
+    _exp_from_stack,
     _expm_taylor,
+    _power_stack,
     ad_matrix,
     catalog_algebra,
     exp_ad_basis,
@@ -74,20 +78,27 @@ def _vecmat(v, M):
 
 def _on_chart(chart, coords, stage=None, times=None, first=0):
     """Wrap (..., d) chart coordinates and check them against the chart
-    constraint.  For a block of grid nodes, `stage` names what they are,
-    `times` their times and `first` the index of the first one; a violation
-    reports the first offending node, its time and its error."""
+    constraint; non-finite coordinates always fail.  For a block of grid
+    nodes, `stage` names what they are, `times` their times and `first` the
+    index of the first one; a violation reports the first offending node,
+    its time and its error."""
     if chart.wrap_fn is not None:
         coords = chart.wrap_fn(coords)
-    if chart.constraint_fn is not None:
-        err = chart.constraint_fn(coords)
-        if np.count_nonzero(err > _CONSTRAINT_TOL):
-            if stage is None:
-                raise ChartError(f"{chart.group_name}: chart constraint violated ({err:.3g})")
-            k = int(np.argmax(err > _CONSTRAINT_TOL))
-            raise ChartError(
-                f"{chart.group_name}: {stage} violates the chart constraint at node "
-                f"{first + k} (t={times[k]:.6g}): error {err[k]:.3g} > {_CONSTRAINT_TOL:g}")
+    finite = np.isfinite(coords).all()
+    if chart.constraint_fn is None and finite:
+        return coords
+    err = 0.0 if chart.constraint_fn is None else chart.constraint_fn(coords)
+    if not finite:
+        # a node with a non-finite coordinate fails whatever its constraint error
+        err = np.where(np.isfinite(coords).all(axis=-1), err, np.nan)
+    bad = ~(err <= _CONSTRAINT_TOL)
+    if np.count_nonzero(bad):
+        if stage is None:
+            raise ChartError(f"{chart.group_name}: chart constraint violated ({err:.3g})")
+        k = int(np.argmax(bad))
+        raise ChartError(
+            f"{chart.group_name}: {stage} violates the chart constraint at node "
+            f"{first + k} (t={times[k]:.6g}): error {err[k]:.3g} > {_CONSTRAINT_TOL:g}")
     return coords
 
 
@@ -105,11 +116,13 @@ class GroupChart:
     adjoint_fn: Callable | None = field(default=None, repr=False)
     constraint_fn: Callable | None = field(default=None, repr=False)
     wrap_fn: Callable | None = field(default=None, repr=False)
-    exp_fn: Callable | None = field(default=None, repr=False)      # (index, s) -> coords
+    exp_fn: Callable | None = field(default=None, repr=False)      # (index, s) -> coords, s any shape
     to_matrix_fn: Callable | None = field(default=None, repr=False)  # linear coords -> matrix
     # pseudo-inverse of the stacked algebra_rep: reads algebra coordinates off
     # a matrix in the span of the representation (matrix and quaternion charts)
     rep_projector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # matrix charts: power stacks of the algebra_rep matrices, built on first use
+    _rep_stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.chart_kind in ("matrix", "quaternion"):
@@ -157,19 +170,34 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.chart, g.chart.inverse_fn(g.coords))
 
 
+def exp_coords(chart: GroupChart, index: int, s) -> np.ndarray:
+    """Chart coordinates of exp(s a_index) (index 0-based into the algebra
+    basis); an array of s gives (..., d) coordinates, one point per entry.
+
+    Matrix charts sum the exponential series of algebra_rep[index] from its
+    cached power stack, each entry scaled and squared by its own count as in
+    `exp_ad_basis`; canonical charts move along the coordinate line of a_index.
+    """
+    s = np.asarray(s, dtype=float)
+    if chart.exp_fn is not None:
+        return chart.exp_fn(index, s)
+    if chart.chart_kind == "matrix":
+        stack = chart._rep_stacks.get(index)
+        if stack is None:
+            stack = _power_stack(chart.algebra_rep[index], _AD_STACK_TERMS, True)
+            # a power that vanished ended the stack: the series is exact
+            stack = chart._rep_stacks[index] = stack + (len(stack[0]) < _AD_STACK_TERMS,)
+        n = chart.algebra_rep[index].shape[0]
+        return _exp_from_stack(*stack, s, n).reshape(s.shape + (n * n,))
+    coords = np.zeros(s.shape + (chart.coord_dim,)) + chart.identity_coords
+    pos = chart.ordering.index(index + 1) if chart.chart_kind == "canonical_second" else index
+    coords[..., pos] += s
+    return coords
+
+
 def exp_chart(chart: GroupChart, index: int, s: float = 1.0) -> GroupElement:
     """exp(s a_index) in the chart (index is 0-based into the algebra basis)."""
-    if chart.exp_fn is not None:
-        return GroupElement(chart, chart.exp_fn(index, s))
-    if chart.chart_kind == "matrix":
-        A = chart.algebra_rep[index]
-        return GroupElement(chart, _expm_taylor(s * A).reshape(-1))
-    coords = chart.identity_coords.copy()
-    if chart.chart_kind == "canonical_second":
-        coords[chart.ordering.index(index + 1)] += s
-    else:
-        coords[index] += s
-    return GroupElement(chart, coords)
+    return GroupElement(chart, exp_coords(chart, index, s))
 
 
 def group_adjoint(g: GroupElement) -> np.ndarray:
@@ -631,11 +659,13 @@ def _build_geps(eps):
 
     def exp_q(index, s):
         half = 0.5 * s
+        zero = np.zeros_like(half)
         if index == 0:
-            return np.array([math.cos(half), math.sin(half), 0.0, 0.0])
+            return np.array([np.cos(half), np.sin(half), zero, zero]).T
+        c, sn = Ceps(eps, half) + zero, Seps(eps, half) + zero
         if index == 1:
-            return np.array([float(Ceps(eps, half)), 0.0, float(Seps(eps, half)), 0.0])
-        return np.array([float(Ceps(eps, half)), 0.0, 0.0, float(Seps(eps, half))])
+            return np.array([c, zero, sn, zero]).T
+        return np.array([c, zero, zero, sn]).T
 
     def q_to_mat4(g):
         a, b, c, d = g.T

@@ -3,6 +3,12 @@ central differences and a dense small linear solve.
 
 Everything here is deliberately plain: uniform grids keep trajectory
 comparisons node-exact, which is what the test suite relies on.
+
+Time-dependent inputs of an RK4 solve are sampled once, as a stage table:
+rows at `rk4_stage_times(grid)`, the nodes interleaved with the step
+midpoints.  `integrate_rk4` hands step k the rows 2k, 2k+1 and 2k+2 (the
+stage times t_k, t_k + dt_k/2 and t_{k+1}), so the right-hand side never
+evaluates its inputs itself.
 """
 
 from __future__ import annotations
@@ -119,39 +125,65 @@ def interp_columns(t, nodes, samples) -> np.ndarray:
     """np.interp(t, nodes, samples[:, j]) for every column of an (n, m)
     sample array, with one search: the value at a node is that node's row,
     t beyond either end takes the end row, and between nodes
-    slope * (t - nodes[j]) + samples[j] as np.interp computes it."""
-    j = int(np.searchsorted(nodes, t, side="right")) - 1
-    if j < 0:
-        return samples[0].copy()
-    if j == len(nodes) - 1 or nodes[j] == t:
-        return samples[j].copy()
-    slope = (samples[j + 1] - samples[j]) / (nodes[j + 1] - nodes[j])
-    return slope * (t - nodes[j]) + samples[j]
+    slope * (t - nodes[j]) + samples[j] as np.interp computes it.  An array
+    of times gives one row per time, (..., m)."""
+    t = np.asarray(t, dtype=float)
+    last = len(nodes) - 1
+    j = np.searchsorted(nodes, t, side="right") - 1
+    lo = np.clip(j, 0, last - 1)
+    slope = (samples[lo + 1] - samples[lo]) / (nodes[lo + 1] - nodes[lo])[..., None]
+    between = slope * (t - nodes[lo])[..., None] + samples[lo]
+    on_row = (j < 0) | (j == last) | (nodes[np.clip(j, 0, last)] == t)
+    return np.where(on_row[..., None], samples[np.clip(j, 0, last)], between)
 
 
 def _check_finite(dx, t, x):
-    if not np.all(np.isfinite(dx)):
+    if not np.isfinite(dx).all():
         raise NumericsError("non-finite derivative", t=t, state=np.array(x))
 
 
-def rk4_step(f, t, x, dt):
-    k1 = np.asarray(f(t, x), dtype=float)
+def rk4_stage_times(grid: TimeGrid) -> np.ndarray:
+    """The times at which RK4 on the grid evaluates its right-hand side:
+    the n + 1 nodes interleaved with the n midpoints t_k + dt_k / 2."""
+    nodes = grid.nodes
+    out = np.empty(2 * len(nodes) - 1)
+    out[::2] = nodes
+    out[1::2] = nodes[:-1] + 0.5 * np.diff(nodes)
+    return out
+
+
+def rk4_step(f, t, x, dt, rows=None):
+    """One classical RK4 step from t to t + dt.
+
+    Without `rows`, f is called as f(t, x).  With rows = (u_0, u_half, u_1),
+    the stage-table rows at t, t + dt/2 and t + dt, each stage passes its row
+    as f(t, x, u)."""
+    u0, uh, u1 = ((), (), ()) if rows is None else ((rows[0],), (rows[1],), (rows[2],))
+    k1 = np.asarray(f(t, x, *u0), dtype=float)
     _check_finite(k1, t, x)
-    k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(f(t + dt, x + dt * k3), dtype=float)
+    k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1, *uh), dtype=float)
+    k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2, *uh), dtype=float)
+    k4 = np.asarray(f(t + dt, x + dt * k3, *u1), dtype=float)
     _check_finite(k4, t + dt, x)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_rk4(f, x0, grid: TimeGrid, meta="") -> Trajectory:
-    """Classical fixed-step RK4 sampled at the grid nodes."""
+def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
+    """Classical fixed-step RK4 sampled at the grid nodes.
+
+    f(t, x) gives the derivative.  When the right-hand side depends on
+    time-dependent inputs, sample them once at `rk4_stage_times(grid)` and
+    pass that (2n + 1, ...) array as `table`; f is then called as
+    f(t, x, u) with u the table row at the stage time."""
     nodes = grid.nodes
+    if table is not None and len(table) != 2 * len(nodes) - 1:
+        raise NumericsError(f"stage table needs {2 * len(nodes) - 1} rows, got {len(table)}")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     states = np.empty((len(nodes), len(x)))
     states[0] = x
     for k in range(len(nodes) - 1):
-        x = rk4_step(f, nodes[k], x, nodes[k + 1] - nodes[k])
+        rows = None if table is None else table[2 * k:2 * k + 3]
+        x = rk4_step(f, nodes[k], x, nodes[k + 1] - nodes[k], rows)
         _check_finite(x, nodes[k + 1], x)
         states[k + 1] = x
     return Trajectory(grid, states, meta)
@@ -247,22 +279,30 @@ def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def linsolve(M, b, cond_limit=1e12):
-    """Solve Mx = b by partial-pivot elimination with a condition guard.
+def _norm1(M):
+    # largest absolute column sum; the ufunc reductions skip ndarray.sum's
+    # Python wrapper, which is most of the cost on a 3x3 matrix
+    return np.maximum.reduce(np.add.reduce(np.abs(M), 0))
 
-    A singular or ill-conditioned matrix raises SingularMatrixError
-    carrying the condition estimate; the Wei-Norman solver interprets
-    that as a chart breakdown.
+
+def linsolve(M, b, cond_limit=1e12):
+    """Solve Mx = b with a condition guard taken from the same factorization.
+
+    The inverse comes from one LU factorization; the 1-norm condition
+    number ||M||_1 ||M^-1||_1 follows from it at the cost of two column
+    sums.  A singular matrix, or a condition above `cond_limit` or not
+    finite, raises SingularMatrixError carrying the condition; the
+    Wei-Norman solver interprets that as a chart breakdown.
     """
     M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
     try:
-        cond = np.linalg.cond(M)
-    except np.linalg.LinAlgError:  # pragma: no cover - cond rarely fails
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
         raise SingularMatrixError(np.inf)
-    if not np.isfinite(cond) or cond > cond_limit:
+    cond = _norm1(M) * _norm1(Minv)
+    if not cond <= cond_limit:
         raise SingularMatrixError(cond)
-    return np.linalg.solve(M, b)
+    return Minv @ np.asarray(b, dtype=float)
 
 
 def central_diff(f, t, h=1e-5):

@@ -38,7 +38,7 @@ from .numerics import (
     diff_samples4,
     integrate_rk4,
     interp_columns,
-    rk4_step,
+    rk4_stage_times,
 )
 from .weinorman import ControlSignal, GroupCurve
 
@@ -86,7 +86,7 @@ def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
         raise NumericsError("reduction: the lift's log-derivative needs a uniform grid")
     S = setup.span_matrix
     Spinv = np.linalg.pinv(S)
-    b = np.array([setup.controls(t) for t in nodes])
+    b = setup.controls(nodes)
     dg1 = diff_samples4(setup.lift.coords, dt)
     coeffs = np.empty((len(nodes), S.shape[1]))
     resid = np.empty(len(nodes))
@@ -139,24 +139,11 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     The reduced coefficients are given at the grid nodes; RK4 midpoint
     stages interpolate them linearly.
     """
-    chart = setup.chart
-    nodes = setup.grid.nodes
-    S = setup.span_matrix
-
-    def xi_of(t):
-        return -(S @ interp_columns(t, nodes, coeffs))
-
-    out = np.empty((len(nodes), chart.coord_dim))
-    h = chart.identity_coords.copy()
-    out[0] = h
-
-    def f(t, hc):
-        return right_invariant_derivative(chart, xi_of(t), hc)
-
-    for k in range(len(nodes) - 1):
-        h = rk4_step(f, nodes[k], h, nodes[k + 1] - nodes[k])
-        out[k + 1] = h
-    return GroupCurve(chart, setup.grid, out)
+    chart, grid = setup.chart, setup.grid
+    xi = -(interp_columns(rk4_stage_times(grid), grid.nodes, coeffs) @ setup.span_matrix.T)
+    h = integrate_rk4(lambda t, hc, x: right_invariant_derivative(chart, x, hc),
+                      chart.identity_coords, grid, table=xi)
+    return GroupCurve(chart, grid, h.states)
 
 
 def reconstruct_full(g1: GroupCurve, h: GroupCurve) -> GroupCurve:
@@ -220,7 +207,7 @@ class ReductionCase:
     span_indices: tuple              # 1-based algebra indices spanning h
     used_channels: tuple
     hom_dim: int
-    hom_rhs: object                  # (b) -> f(t, y)
+    hom_rhs: object                  # (t, y, padded controls at t) -> dy/dt
     hom_x0: object
     lift_coords: object              # (y) -> chart coords
     expected_coeffs: object          # (b, t, y) -> c values (len s)
@@ -241,9 +228,9 @@ class ReductionCase:
         return b.pad(r, [i - 1 for i in self.used_channels])
 
     def solve_homogeneous(self, b: ControlSignal, grid: TimeGrid) -> Trajectory:
-        bp = self.pad_controls(b)
-        return integrate_rk4(self.hom_rhs(bp), self.hom_x0, grid,
-                             meta=f"{self.name} homogeneous")
+        table = self.pad_controls(b)(rk4_stage_times(grid))
+        return integrate_rk4(self.hom_rhs, self.hom_x0, grid,
+                             meta=f"{self.name} homogeneous", table=table)
 
     def make_lift(self, hom: Trajectory) -> GroupCurve:
         coords = np.stack([self.lift_coords(y) for y in hom.states])
@@ -255,9 +242,9 @@ class ReductionCase:
                               self.make_lift(hom), self.pad_controls(b), grid), hom
 
     def fixture_coeffs(self, b: ControlSignal, hom: Trajectory) -> np.ndarray:
-        bp = self.pad_controls(b)
-        rows = [self.expected_coeffs(bp(t), t, y)
-                for t, y in zip(hom.grid.nodes, hom.states)]
+        nodes = hom.grid.nodes
+        rows = [self.expected_coeffs(bv, t, y)
+                for bv, t, y in zip(self.pad_controls(b)(nodes), nodes, hom.states)]
         return np.asarray(rows)
 
 
@@ -286,7 +273,7 @@ def _h3_case(which):
     if which == 1:
         return ReductionCase(
             "h3/a1", chart, (1,), (1, 2), 2,
-            hom_rhs=lambda b: (lambda t, y: np.array([-b(t)[1], -b(t)[0] * y[0]])),
+            hom_rhs=lambda t, y, b: np.array([-b[1], -b[0] * y[0]]),
             hom_x0=np.zeros(2),
             lift_coords=lambda y: np.array([0.0, y[0], y[1]]),
             expected_coeffs=lambda bv, t, y: np.array([bv[0]]),
@@ -294,14 +281,14 @@ def _h3_case(which):
     if which == 2:
         return ReductionCase(
             "h3/a2", chart, (2,), (1, 2), 2,
-            hom_rhs=lambda b: (lambda t, y: np.array([-b(t)[0], b(t)[1] * y[0]])),
+            hom_rhs=lambda t, y, b: np.array([-b[0], b[1] * y[0]]),
             hom_x0=np.zeros(2),
             lift_coords=lambda y: np.array([y[0], 0.0, y[1]]),
             expected_coeffs=lambda bv, t, y: np.array([bv[1]]),
         )
     return ReductionCase(
         "h3/a3", chart, (3,), (1, 2), 2,
-        hom_rhs=lambda b: (lambda t, y: np.array([-b(t)[0], -b(t)[1]])),
+        hom_rhs=lambda t, y, b: np.array([-b[0], -b[1]]),
         hom_x0=np.zeros(2),
         lift_coords=lambda y: np.array([y[0], y[1], 0.0]),
         expected_coeffs=lambda bv, t, y: np.array(
@@ -321,8 +308,7 @@ def _se2_case(which):
     if which == "a1":
         return ReductionCase(
             "se2/a1", chart, (1,), (1, 2), 2,
-            hom_rhs=lambda b: (lambda t, z: np.array(
-                [-b(t)[1] + b(t)[0] * z[1], -b(t)[0] * z[0]])),
+            hom_rhs=lambda t, z, b: np.array([-b[1] + b[0] * z[1], -b[0] * z[0]]),
             hom_x0=np.zeros(2),
             lift_coords=lambda z: np.array([0.0, z[0], z[1]]),
             expected_coeffs=lambda bv, t, z: np.array([bv[0]]),
@@ -330,8 +316,7 @@ def _se2_case(which):
     if which == "a2":
         return ReductionCase(
             "se2/a2", chart, (2,), (1, 2), 2,
-            hom_rhs=lambda b: (lambda t, z: np.array(
-                [-b(t)[0], b(t)[1] * np.sin(z[0])])),
+            hom_rhs=lambda t, z, b: np.array([-b[0], b[1] * np.sin(z[0])]),
             hom_x0=np.zeros(2),
             lift_coords=lambda z: np.array([z[0], 0.0, z[1]]),
             expected_coeffs=lambda bv, t, z: np.array([bv[1] * np.cos(z[0])]),
@@ -339,15 +324,14 @@ def _se2_case(which):
     if which == "a3":
         return ReductionCase(
             "se2/a3", chart, (3,), (1, 2), 2,
-            hom_rhs=lambda b: (lambda t, z: np.array(
-                [-b(t)[0], -b(t)[1] * np.cos(z[0])])),
+            hom_rhs=lambda t, z, b: np.array([-b[0], -b[1] * np.cos(z[0])]),
             hom_x0=np.zeros(2),
             lift_coords=lambda z: np.array([z[0], z[1], 0.0]),
             expected_coeffs=lambda bv, t, z: np.array([-bv[1] * np.sin(z[0])]),
         )
     return ReductionCase(
         "se2/a2a3", chart, (2, 3), (1, 2), 1,
-        hom_rhs=lambda b: (lambda t, z: np.array([-b(t)[0]])),
+        hom_rhs=lambda t, z, b: np.array([-b[0]]),
         hom_x0=np.zeros(1),
         lift_coords=lambda z: np.array([z[0], 0.0, 0.0]),
         expected_coeffs=lambda bv, t, z: np.array(
@@ -367,8 +351,7 @@ def _sl2_case(which):
     if which == "a2a3":
         return ReductionCase(
             "sl2/a2a3", chart, (2, 3), (1, 2, 3), 1,
-            hom_rhs=lambda b: (lambda t, y: np.array(
-                [b(t)[0] + b(t)[1] * y[0] + b(t)[2] * y[0] ** 2])),
+            hom_rhs=lambda t, y, b: np.array([b[0] + b[1] * y[0] + b[2] * y[0] ** 2]),
             hom_x0=np.zeros(1),
             lift_coords=lambda y: np.array([1.0, y[0], 0.0, 1.0]),
             expected_coeffs=lambda bv, t, y: np.array(
@@ -377,8 +360,7 @@ def _sl2_case(which):
     # which == "a1a2": homogeneous coordinate w = 1/y with w(0) = 0
     return ReductionCase(
         "sl2/a1a2", chart, (1, 2), (1, 2, 3), 1,
-        hom_rhs=lambda b: (lambda t, w: np.array(
-            [-b(t)[2] - b(t)[1] * w[0] - b(t)[0] * w[0] ** 2])),
+        hom_rhs=lambda t, w, b: np.array([-b[2] - b[1] * w[0] - b[0] * w[0] ** 2]),
         hom_x0=np.zeros(1),
         lift_coords=lambda w: np.array([1.0, 0.0, w[0], 1.0]),
         expected_coeffs=lambda bv, t, w: np.array(
@@ -393,9 +375,8 @@ _register("sl2/a1a2", lambda: _sl2_case("a1a2"))
 # --- nilpotent towers: quotient by the center / Abelian ideals ---------------
 
 
-def _h3_hom_rhs(b):
-    return lambda t, y: np.array([
-        -b(t)[0], -b(t)[1], 0.5 * (b(t)[1] * y[0] - b(t)[0] * y[1])])
+def _h3_hom_rhs(t, y, b):
+    return np.array([-b[0], -b[1], 0.5 * (b[1] * y[0] - b[0] * y[1])])
 
 
 def _g5_center():
@@ -492,15 +473,13 @@ _register("gbar5/ideal", _gbar5_ideal)
 def _geps_case(eps):
     chart = get_chart("Geps", "quaternion", eps=eps)
 
-    def hom_rhs(b):
-        def f(t, z):
-            b1, b2, b3 = b(t)[:3]
-            z1, z2 = z
-            return np.array([
-                b1 * z2 - 0.5 * b2 * (1.0 + eps * (z1**2 - z2**2)) - b3 * eps * z1 * z2,
-                -b1 * z1 - b2 * eps * z1 * z2 - 0.5 * b3 * (1.0 - eps * (z1**2 - z2**2)),
-            ])
-        return f
+    def hom_rhs(t, z, b):
+        b1, b2, b3 = b[:3]
+        z1, z2 = z
+        return np.array([
+            b1 * z2 - 0.5 * b2 * (1.0 + eps * (z1**2 - z2**2)) - b3 * eps * z1 * z2,
+            -b1 * z1 - b2 * eps * z1 * z2 - 0.5 * b3 * (1.0 - eps * (z1**2 - z2**2)),
+        ])
 
     def lift(z):
         z1, z2 = z
@@ -526,15 +505,13 @@ def _se3_so3():
     # H = SO(3); homogeneous space R^3 with the affine action
     chart = get_chart("SE3", "matrix")
 
-    def hom_rhs(b):
-        def f(t, x):
-            b1, b2, b3, b4, b5, b6 = b(t)
-            return np.array([
-                b4 + b2 * x[2] - b1 * x[1],
-                b5 + b1 * x[0] - b3 * x[2],
-                b6 + b3 * x[1] - b2 * x[0],
-            ])
-        return f
+    def hom_rhs(t, x, b):
+        b1, b2, b3, b4, b5, b6 = b
+        return np.array([
+            b4 + b2 * x[2] - b1 * x[1],
+            b5 + b1 * x[0] - b3 * x[2],
+            b6 + b3 * x[1] - b2 * x[0],
+        ])
 
     def lift(x):
         M = np.eye(4)
@@ -557,12 +534,9 @@ def _se3_r3():
     chart = get_chart("SE3", "matrix")
     so3rep = get_chart("SO3", "matrix").algebra_rep
 
-    def hom_rhs(b):
-        def f(t, a_flat):
-            A = a_flat.reshape(3, 3)
-            xi = -sum(bb * M for bb, M in zip(b(t)[:3], so3rep))
-            return (xi @ A).reshape(-1)
-        return f
+    def hom_rhs(t, a_flat, b):
+        xi = -sum(bb * M for bb, M in zip(b[:3], so3rep))
+        return (xi @ a_flat.reshape(3, 3)).reshape(-1)
 
     def lift(a_flat):
         M = np.eye(4)

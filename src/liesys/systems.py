@@ -11,7 +11,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .errors import CoincidenceError, DomainExitError, LieSysError
 from .groups import GroupChart
-from .numerics import TimeGrid, Trajectory, integrate_rk4
+from .numerics import TimeGrid, Trajectory, integrate_rk4, rk4_stage_times
 from .weinorman import ControlSignal, GroupCurve
 
 INFINITY = float("inf")
@@ -40,10 +40,11 @@ class LieSystemRealization:
             raise DomainExitError(t, x, f"{self.name}: left the validity domain at t={t}")
 
 
-def field_eval(sys: LieSystemRealization, b: ControlSignal, t: float, x) -> np.ndarray:
+def field_eval(sys: LieSystemRealization, b, t: float, x) -> np.ndarray:
+    """sum_a b_a(t) X_a(x); b is the ControlSignal or its values at t."""
     x = np.asarray(x, dtype=float)
     sys.check_domain(t, x)
-    coeffs = b(t)
+    coeffs = b(t) if callable(b) else b
     out = np.zeros(sys.state_dim)
     for ba, X in zip(coeffs, sys.generators):
         if ba != 0.0:
@@ -52,7 +53,10 @@ def field_eval(sys: LieSystemRealization, b: ControlSignal, t: float, x) -> np.n
 
 
 def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid) -> Trajectory:
-    return integrate_rk4(lambda t, x: field_eval(sys, b, t, x), x0, grid, meta=sys.name)
+    """RK4 on the realization's vector field, with the controls sampled once
+    at the RK4 stage times."""
+    return integrate_rk4(lambda t, x, u: field_eval(sys, u, t, x), x0, grid, meta=sys.name,
+                         table=b(rk4_stage_times(grid)))
 
 
 def solve_via_group(sys: LieSystemRealization, gcurve: GroupCurve, x0) -> Trajectory:

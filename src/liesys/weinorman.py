@@ -19,17 +19,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, bracket_coords, wn_matrix
-from .errors import LieSysError, NumericsError, WNBreakdownError
-from .groups import GroupChart, GroupElement, compose, exp_chart
-from .numerics import (
+from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
+from .groups import GroupChart, GroupElement, _on_chart, exp_coords
+from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
     TimeGrid,
     Trajectory,
     cumulative_quadrature_samples,
+    integrate_rk4,
     interp_columns,
+    linsolve,
+    rk4_stage_times,
     rk4_step,
 )
 
 _BREAKDOWN_COND = 1e10
+# an array result must agree with the scalar calls to this relative error
+_MATCH_RTOL = 1e-12
+
+
+def _channel_on_times(ch, t):
+    """One channel on a 1-D array of times, as an array of t's shape.
+
+    The channel is called on the whole array first.  The result counts only
+    if its shape is t.shape or () and it matches scalar calls at the first
+    and last time; otherwise (a scalar-only callable such as math.sin, or
+    one whose array result means something else) the channel is called once
+    per time."""
+    try:
+        out = np.asarray(ch(t), dtype=float)
+    except (TypeError, ValueError):   # math.sin(array), `if t < 0.5` on an array
+        out = None
+    if out is not None and out.shape in (t.shape, ()) and t.size:
+        out = np.broadcast_to(out, t.shape)
+        ends = np.array([ch(t[0]), ch(t[-1])], dtype=float)
+        if ends.shape == (2,) and np.all(
+                np.abs(out[[0, -1]] - ends) <= _MATCH_RTOL * np.max(np.abs(ends))):
+            return out
+    return np.array([ch(s) for s in t], dtype=float)
+
+
+def _spec_channels(part):
+    """The channels of one ';'-separated control spec part; each takes a
+    scalar or an array of times."""
+    if part.startswith("const:"):
+        return [(lambda t, v=float(v): v) for v in part[6:].split(",")]
+    if part.startswith("sin:"):
+        nums = [float(v) for v in part[4:].split(",")]
+        amp, freq = nums[0], nums[1]
+        phase = nums[2] if len(nums) > 2 else 0.0
+        return [lambda t, a=amp, f=freq, p=phase: a * np.sin(2 * np.pi * f * t + p)]
+    raise ValueError(f"cannot parse control spec {part!r}")
 
 
 class ControlSignal:
@@ -37,6 +76,15 @@ class ControlSignal:
 
     Channels may be closed-form callables, constants, or samples on a
     grid with linear interpolation; unused channels are zero.
+
+    Called on a scalar time it returns the (r,) vector b(t).  Called on a
+    1-D array of m times it returns the (m, r) array whose row j is b(t[j]),
+    calling each channel once on the whole array; the channels the
+    constructors here build (constant, sampled, piecewise constant, parsed
+    specs, padding zeros) all take arrays.  Each array result is checked
+    against scalar calls at the first and last time (`_channel_on_times`),
+    and a channel whose array result is not the per-time one, such as a
+    scalar-only callable, is called once per time instead.
     """
 
     def __init__(self, channels):
@@ -44,13 +92,12 @@ class ControlSignal:
 
     @classmethod
     def constant(cls, values):
-        vals = [float(v) for v in values]
-        return cls([(lambda t, v=v: v) for v in vals])
+        return cls([(lambda t, v=float(v): v) for v in values])
 
     @classmethod
     def from_callable(cls, fn, r):
         """Wrap a single callable t -> vector of length r."""
-        return cls([(lambda t, i=i: float(np.asarray(fn(t))[i])) for i in range(r)])
+        return cls([(lambda t, i=i: np.asarray(fn(t), dtype=float)[i]) for i in range(r)])
 
     @classmethod
     def sampled(cls, grid: TimeGrid, values):
@@ -61,7 +108,7 @@ class ControlSignal:
 
         def make(i):
             col = values[:, i:i + 1]
-            return lambda t: float(interp_columns(t, nodes, col)[0])
+            return lambda t: interp_columns(t, nodes, col)[..., 0]
 
         return cls([make(i) for i in range(values.shape[1])])
 
@@ -72,16 +119,30 @@ class ControlSignal:
 
         def make(i):
             col = values[:, i]
-            return lambda t: float(col[min(np.searchsorted(bp, t, side="right"), len(col) - 1)])
+            return lambda t: col[np.minimum(np.searchsorted(bp, t, side="right"), len(col) - 1)]
 
         return cls([make(i) for i in range(values.shape[1])])
+
+    @classmethod
+    def from_spec(cls, spec: str):
+        """Parse the control grammar: per-channel specs separated by ';',
+        each one of const:v | sin:amp,freq[,phase] | a flat const:v1,v2,...
+        vector, or file:<path> with columns t,b1,...,bn (sampled, linear
+        between rows)."""
+        if spec.startswith("file:"):
+            data = np.loadtxt(spec[5:], delimiter=",", skiprows=1, ndmin=2)
+            return cls.sampled(TimeGrid.from_nodes(data[:, 0]), data[:, 1:])
+        return cls([ch for part in spec.split(";") for ch in _spec_channels(part.strip())])
 
     @property
     def dim(self):
         return len(self.channels)
 
     def __call__(self, t):
-        return np.array([ch(t) for ch in self.channels])
+        if np.ndim(t) == 0:
+            return np.array([ch(t) for ch in self.channels], dtype=float)
+        t = np.asarray(t, dtype=float)
+        return np.stack([_channel_on_times(ch, t) for ch in self.channels], axis=-1)
 
     def pad(self, r, used=None):
         """Embed into r channels; `used` gives the target index per channel."""
@@ -129,21 +190,21 @@ def _is_unit_triangular(alg, ordering, rng=None):
 
 
 def _wn_solve_quadrature(problem: WNProblem) -> Trajectory:
-    # iterated cumulative Simpson; valid only for unit-triangular structure
+    # iterated cumulative Simpson; valid only for unit-triangular structure.
+    # Row perm[i] of PM(v) depends only on v_<i, so once those exponents are
+    # known, exponent i's correction comes from one M(v) over all nodes.
     alg, ordering = problem.algebra, problem.ordering
-    nodes = problem.grid.nodes
     r = alg.dim
     perm = [idx - 1 for idx in ordering]
-    b_samples = np.array([problem.controls(t) for t in nodes])
-    v = np.zeros((len(nodes), r))
-    vdot = np.zeros((len(nodes), r))
+    b_samples = problem.controls(problem.grid.nodes)
+    v = np.zeros(b_samples.shape)
+    vdot = np.zeros(b_samples.shape)
     for i in range(r):
         rhs = b_samples[:, perm[i]].copy()
         if i > 0:
-            # subtract sum_{j<i} PM[i, j] vdot_j, entries depend on v_{<j}
-            for k, t in enumerate(nodes):
-                M = wn_matrix(alg, ordering, v[k])
-                rhs[k] -= float(M[perm[i], :i] @ vdot[k, :i])
+            # subtract sum_{j<i} PM[i, j] vdot_j
+            M = wn_matrix(alg, ordering, v)
+            rhs -= np.einsum("kj,kj->k", M[:, perm[i], :i], vdot[:, :i])
         vdot[:, i] = rhs
         v[:, i] = cumulative_quadrature_samples(rhs, problem.grid)
     return Trajectory(problem.grid, v, meta="wei-norman")
@@ -154,9 +215,11 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
 
     method: 'auto' picks the quadrature fast path for nilpotent algebras
     with triangular orderings, else RK4; 'rk4' and 'quadrature' force one.
-    A singular Wei-Norman matrix along the path raises WNBreakdownError
-    carrying the breakdown time; the caller may re-order the factorization
-    and restart.
+    The controls are sampled once: at the nodes for quadrature, at the RK4
+    stage times otherwise.  Every RK4 stage solves M(v) dv/dt = b through
+    `linsolve`, whose condition guard raises WNBreakdownError carrying the
+    stage time and the condition number when M(v) nears singularity; the
+    caller may re-order the factorization and restart.
     """
     alg = problem.algebra
     if method == "auto":
@@ -167,32 +230,16 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
             raise LieSysError("quadrature path requires a triangular ordering")
         return _wn_solve_quadrature(problem)
 
-    nodes = problem.grid.nodes
-    r = alg.dim
-    v = np.zeros(r)
-    out = np.empty((len(nodes), r))
-    out[0] = v
-    check_every = 20  # condition estimate is costly; sample it periodically
-    counter = [0]
-
-    def f(t, vv):
-        if not np.all(np.isfinite(vv)) or np.max(np.abs(vv)) > 1e8:
+    def f(t, v, b):
+        if not np.abs(v).max() <= 1e8:   # also catches NaN
             raise WNBreakdownError(t, np.inf)
-        M = wn_matrix(alg, problem.ordering, vv)
-        if counter[0] % check_every == 0:
-            cond = np.linalg.cond(M)
-            if not np.isfinite(cond) or cond > _BREAKDOWN_COND:
-                raise WNBreakdownError(t, cond)
-        counter[0] += 1
         try:
-            return np.linalg.solve(M, problem.controls(t))
-        except np.linalg.LinAlgError:
-            raise WNBreakdownError(t, np.inf)
+            return linsolve(wn_matrix(alg, problem.ordering, v), b, _BREAKDOWN_COND)
+        except SingularMatrixError as exc:
+            raise WNBreakdownError(t, exc.cond)
 
-    for k in range(len(nodes) - 1):
-        v = rk4_step(f, nodes[k], v, nodes[k + 1] - nodes[k])
-        out[k + 1] = v
-    return Trajectory(problem.grid, out, meta="wei-norman")
+    table = problem.controls(rk4_stage_times(problem.grid))
+    return integrate_rk4(f, np.zeros(alg.dim), problem.grid, "wei-norman", table)
 
 
 class GroupCurve:
@@ -224,27 +271,25 @@ class GroupCurve:
     def at_node(self, k: int) -> GroupElement:
         return GroupElement(self.chart, self.coords[k])
 
-    @classmethod
-    def from_elements(cls, grid, elements):
-        chart = elements[0].chart
-        return cls(chart, grid, np.stack([e.coords for e in elements]))
-
 
 def wn_reconstruct(v: Trajectory, ordering, chart: GroupChart) -> GroupCurve:
     """g(t) = prod_i exp(-v_i(t) a_{s_i}) in the given chart; g(t0) = identity.
 
-    A second-kind chart with the same ordering has those exponents as its
-    coordinates by definition, so each node is -v(t) with no composition.
+    Each factor's one-parameter subgroup is built over the whole grid in one
+    call, the factors are multiplied with batched chart laws, and the nodes
+    are checked against the chart once; a failure names the node and its
+    time.  A second-kind chart with the same ordering has those exponents as
+    its coordinates by definition, so each node is -v(t) with no composition.
     """
     if chart.chart_kind == "canonical_second" and chart.ordering == tuple(ordering):
-        return GroupCurve.from_elements(v.grid, [GroupElement(chart, -s) for s in v.states])
-    elements = []
-    for k in range(len(v.grid.nodes)):
-        g = chart.identity()
+        coords = -v.states
+    else:
+        coords = None
         for i, idx in enumerate(ordering):
-            g = compose(g, exp_chart(chart, idx - 1, -v.states[k, i]))
-        elements.append(g)
-    return GroupCurve.from_elements(v.grid, elements)
+            factor = exp_coords(chart, idx - 1, -v.states[:, i])
+            coords = factor if coords is None else chart.compose_fn(coords, factor)
+    coords = _on_chart(chart, coords, "reconstruction", v.grid.nodes)
+    return GroupCurve(chart, v.grid, coords)
 
 
 def flatness_residual(bfields, alg: LieAlgebra, x1_range, x2_range, n=21, h=1e-3):

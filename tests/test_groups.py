@@ -292,3 +292,17 @@ def test_composition_matches_matrix_representation(rng):
             g, h = random_element(ch, rng), random_element(ch, rng)
             gap = G.compose(g, h).matrix() - g.matrix() @ h.matrix()
             assert np.max(np.abs(gap)) < 1e-10, key
+
+
+def test_non_finite_coordinates_are_rejected():
+    with pytest.raises(ChartError):
+        G.get_chart("SO3", "matrix").element(np.full(9, np.nan))
+    with pytest.raises(ChartError):
+        G.get_chart("Geps", "quaternion", eps=1).element(np.array([1.0, 0.0, np.nan, 0.0]))
+    # entries the constraint does not read, and charts with no constraint
+    se3 = np.eye(4)
+    se3[1, 3] = np.inf
+    with pytest.raises(ChartError):
+        G.get_chart("SE3", "matrix").element(se3.reshape(-1))
+    with pytest.raises(ChartError):
+        G.get_chart("H3", "canonical_first").element(np.array([0.0, np.nan, 0.0]))

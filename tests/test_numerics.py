@@ -20,7 +20,23 @@ from liesys.numerics import (
     interp_columns,
     linsolve,
     quadrature,
+    rk4_stage_times,
 )
+
+
+def test_stage_times_interleave_nodes_and_midpoints():
+    grid = TimeGrid.from_nodes([0.0, 0.1, 0.4, 1.0])
+    assert np.all(rk4_stage_times(grid) == [0.0, 0.05, 0.1, 0.25, 0.4, 0.7, 1.0])
+    # a table drives the same steps as the callable it samples
+    u = lambda t: np.cos(3 * t)  # noqa: E731
+    table = u(rk4_stage_times(grid))[:, None]
+    fine = TimeGrid.uniform(0.0, 1.0, 50)
+    got = integrate_rk4(lambda t, x, ut: ut * x, [1.0], fine,
+                        table=u(rk4_stage_times(fine))[:, None]).states
+    ref = integrate_rk4(lambda t, x: u(t) * x, [1.0], fine).states
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    with pytest.raises(NumericsError, match="stage table needs 7 rows"):
+        integrate_rk4(lambda t, x, ut: ut, [0.0], grid, table=table[:-1])
 
 
 def test_rk4_constant_derivative():

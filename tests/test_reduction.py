@@ -253,6 +253,23 @@ def test_corrupt_reconstruction_node_is_named():
                          GroupCurve(setup.chart, grid, off))
 
 
+def test_non_finite_reconstruction_node_is_named():
+    setup, grid = _se3_setup()
+    identity = np.tile(np.eye(4).reshape(-1), (len(grid.nodes), 1))
+    k = 613
+    h = identity.copy()
+    h[k, 7] = np.nan                          # a translation entry: no constraint reads it
+    with pytest.raises(ChartError, match=rf"subgroup curve violates the chart constraint "
+                                         rf"at node {k} \(t=0\.613\): error nan"):
+        reconstruct_full(GroupCurve(setup.chart, grid, identity),
+                         GroupCurve(setup.chart, grid, h))
+    h[k, 7] = 0.0
+    h[k, 0] = np.nan
+    with pytest.raises(ChartError, match=rf"at node {k} \(t=0\.613\)"):
+        reconstruct_full(GroupCurve(setup.chart, grid, identity),
+                         GroupCurve(setup.chart, grid, h))
+
+
 def test_off_span_failure_names_node_and_time():
     case = catalog_reduction("h3/a1")
     b = ControlSignal.constant([1.0, 0.5])

@@ -193,6 +193,39 @@ def test_breakdown_is_loud():
     assert 0 < exc.value.t <= 6.0
 
 
+def test_breakdown_is_caught_at_the_stage_where_it_happens():
+    # reference scan: the unchecked per-call RK4 loop, recording the 1-norm
+    # condition number of M(v) at every stage until it first exceeds 1e10
+    sl2 = catalog_algebra("sl2")
+    grid = TimeGrid.uniform(0, 6.0, 2000)
+    b = np.array([4.0, 0.0, 4.0])
+    with pytest.raises(WNBreakdownError) as exc:
+        wn_solve(WNProblem(sl2, ControlSignal.constant(b), grid), method="rk4")
+    first = []
+
+    def f(t, v):
+        M = wn_matrix(sl2, (1, 2, 3), v)
+        if not first and not np.linalg.cond(M, 1) <= 1e10:
+            first.append(t)
+        return np.linalg.solve(M, b)
+
+    nodes, v = grid.nodes, np.zeros(3)
+    with np.errstate(all="ignore"):
+        for k in range(len(nodes) - 1):
+            t, dt = nodes[k], nodes[k + 1] - nodes[k]
+            k1 = f(t, v)
+            k2 = f(t + 0.5 * dt, v + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, v + 0.5 * dt * k2)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + f(t + dt, v + dt * k3))
+            if first:
+                break
+    assert first, "the reference scan never crossed the bound"
+    assert abs(exc.value.t - first[0]) <= grid.uniform_dt
+    # the guard reports the condition it measured, not a stand-in
+    assert np.isfinite(exc.value.cond) and exc.value.cond > 1e10
+    assert f"t={exc.value.t}" in str(exc.value)
+
+
 # --- the closed-form Wei-Norman tables --------------------------------------------
 
 
