@@ -22,6 +22,7 @@ from .groups import (
     compose,
     element_from_dict,
     element_to_dict,
+    exp_algebra,
     exp_chart,
     get_chart,
     group_adjoint,
@@ -29,7 +30,7 @@ from .groups import (
     left_log_derivative,
     right_log_derivative,
 )
-from .numerics import TimeGrid, Trajectory, integrate_rk4, integrate_rk45, linsolve, quadrature
+from .numerics import TimeGrid, Trajectory, integrate_rk4, linsolve, quadrature
 from .reduction import (
     ReductionSetup,
     catalog_reduction,

@@ -91,7 +91,9 @@ def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
 
 
 def bracket_coords(alg: LieAlgebra, x, y) -> np.ndarray:
-    return np.einsum("a,b,abg->g", np.asarray(x, float), np.asarray(y, float), alg.structure)
+    """[x, y] for (..., r) coefficient arrays, one bracket per vector pair."""
+    return np.einsum("...a,...b,abg->...g", np.asarray(x, float), np.asarray(y, float),
+                     alg.structure)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:
@@ -148,23 +150,6 @@ def lower_central_class(alg: LieAlgebra) -> int | None:
     return None
 
 
-def _expm_taylor(M: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a 13-term Taylor series at the scaled argument."""
-    norm = np.max(np.abs(M))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        M = M / (2.0**squarings)
-    out = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
-    for k in range(1, 14):
-        term = term @ M / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 _AD_STACK_TERMS = 14
 # |s| * norm in (0.5 * 2**(k-1), 0.5 * 2**k] takes k squarings of exp(2**-k s ad)
 _SQUARING_BOUNDS = 0.5 * 2.0 ** np.arange(64)
@@ -200,6 +185,35 @@ def _ad_power_stack(alg: LieAlgebra, index: int):
     return out
 
 
+def _square(out, squarings) -> np.ndarray:
+    """Square each (n, n) matrix of `out` as many times as its entry of
+    `squarings` says."""
+    for i in range(len(_SQUARING_SCALES)):
+        need = squarings > i
+        count = np.count_nonzero(need)
+        if not count:
+            break
+        # a squaring every entry needs takes no selection
+        out = out @ out if count == need.size else np.where(need[..., None, None], out @ out, out)
+    return out
+
+
+def expm(A) -> np.ndarray:
+    """exp of (..., n, n) matrices: each one is scaled by 2^-k into
+    max |entry| <= 0.5, its Taylor series summed to degree 13, and the sum
+    squared k times, k counted per matrix."""
+    A = np.asarray(A, dtype=float)
+    squarings = _SQUARING_BOUNDS.searchsorted(np.abs(A).max(axis=(-2, -1)))
+    A = A * _SQUARING_SCALES[squarings][..., None, None]
+    out = A + np.eye(A.shape[-1])
+    term = A
+    for k in range(2, _AD_STACK_TERMS):
+        term = term @ A
+        term /= k
+        out += term
+    return _square(out, squarings)
+
+
 def _exp_from_stack(stack, exponents, norm, exact, s, n) -> np.ndarray:
     """exp(s M) for an array of s, (..., n, n), from the power stack of M
     (`_power_stack`).  When `exact` the stack is the whole series (M is
@@ -217,15 +231,7 @@ def _exp_from_stack(stack, exponents, norm, exact, s, n) -> np.ndarray:
     if exact or not np.count_nonzero(size > _SQUARING_BOUNDS[0]):
         return series(s)
     squarings = _SQUARING_BOUNDS.searchsorted(size)
-    out = series(np.asarray(s * _SQUARING_SCALES[squarings]))
-    for i in range(len(_SQUARING_SCALES)):
-        need = squarings > i
-        count = np.count_nonzero(need)
-        if not count:
-            break
-        # a squaring every entry needs takes no selection
-        out = out @ out if count == need.size else np.where(need[..., None, None], out @ out, out)
-    return out
+    return _square(series(np.asarray(s * _SQUARING_SCALES[squarings])), squarings)
 
 
 def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
@@ -236,24 +242,27 @@ def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
     return _exp_from_stack(*_ad_power_stack(alg, index), s, alg.dim)
 
 
+def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:
+    """sum_k ad_x^k / (k + shift)! over k below the nilpotency index, for
+    (..., r) vectors x: exp(ad_x) for shift 0, and for shift 1 the dexp map
+    phi(ad_x) with phi(z) = (e^z - 1) / z.  Exact on a nilpotent algebra."""
+    ad = ad_matrix(alg, x)
+    out = term = np.eye(alg.dim)
+    for k in range(1, alg.nilpotency_index):
+        term = term @ ad / (k + shift)
+        out = out + term
+    return out
+
+
 def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
     """exp(s ad(a)); exact truncation for nilpotent algebras."""
     coeffs = a.coeffs if isinstance(a, AlgebraVector) else np.asarray(a, dtype=float)
-    nz = np.nonzero(coeffs)[0]
+    nz = np.flatnonzero(coeffs)
     if len(nz) == 1:
         return exp_ad_basis(alg, int(nz[0]), s * float(coeffs[nz[0]]))
-    if len(nz) == 0:
-        return np.eye(alg.dim)
-    M = s * ad_matrix(alg, coeffs)
-    k = alg.nilpotency_index
-    if k is not None:
-        out = np.eye(alg.dim)
-        term = np.eye(alg.dim)
-        for j in range(1, k):
-            term = term @ M / j
-            out = out + term
-        return out
-    return _expm_taylor(M)
+    if alg.nilpotency_index is not None:
+        return _ad_series(alg, s * coeffs, 0)
+    return expm(s * ad_matrix(alg, coeffs))
 
 
 def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:

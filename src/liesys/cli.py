@@ -24,7 +24,7 @@ from .errors import (
     UnknownNameError,
     WNBreakdownError,
 )
-from .numerics import TimeGrid, Trajectory
+from .numerics import TimeGrid, Trajectory, interp_columns
 from .reduction import catalog_reduction, list_reductions, run_catalog_reduction
 from .systems import (
     INFINITY,
@@ -181,7 +181,7 @@ def cmd_riccati(args):
         cg = TimeGrid.from_nodes(data[:, 0])
 
         def interp(col):
-            return lambda t: float(np.interp(t, data[:, 0], data[:, col]))
+            return lambda t: interp_columns(t, data[:, 0], data[:, col:col + 1])[..., 0]
 
         A = riccati.SL2Curve(interp(1), interp(2), interp(3), interp(4))
         out = riccati.transform_coeffs(A, c)

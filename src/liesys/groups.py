@@ -19,12 +19,16 @@ Wei-Norman matrix for second-kind charts, the dexp series for first-kind
 charts, and a projector onto the algebra representation for matrix and
 quaternion charts, whose coordinates map to matrices linearly.
 
+One exponential map, `exp_algebra`, takes algebra vectors to chart
+coordinates, with one rule per chart kind; the one-parameter subgroups
+(`exp_chart`), the Wei-Norman reconstruction, the Magnus steps of the
+subgroup solve and off-node curve evaluation all go through it.
+
 Every chart law (compose, inverse, adjoint, constraint, wrap, to-matrix)
-and `_adjoint`, `_trivialize` and `bch` take coordinates with leading batch
-axes, (..., d), so a whole grid of nodes goes through one call; a single
-point is the batch with no leading axis.  `exp_coords` (and a chart's
-`exp_fn`) takes an array of parameters; chart conversions take single
-points.
+and `exp_algebra`, `_adjoint`, `_trivialize` and `bch` take coordinates
+with leading batch axes, (..., d), so a whole grid of nodes goes through one
+call; a single point is the batch with no leading axis.  Chart conversions
+take single points.
 """
 
 from __future__ import annotations
@@ -36,14 +40,11 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
-    _AD_STACK_TERMS,
     LieAlgebra,
-    _exp_from_stack,
-    _expm_taylor,
-    _power_stack,
-    ad_matrix,
+    _ad_series,
     catalog_algebra,
     exp_ad_basis,
+    expm,
     lower_central_class,
     wn_matrix,
 )
@@ -116,13 +117,12 @@ class GroupChart:
     adjoint_fn: Callable | None = field(default=None, repr=False)
     constraint_fn: Callable | None = field(default=None, repr=False)
     wrap_fn: Callable | None = field(default=None, repr=False)
-    exp_fn: Callable | None = field(default=None, repr=False)      # (index, s) -> coords, s any shape
+    # closed-form exponential, (..., r) algebra vectors -> coords (second kind)
+    exp_closed_fn: Callable | None = field(default=None, repr=False)
     to_matrix_fn: Callable | None = field(default=None, repr=False)  # linear coords -> matrix
     # pseudo-inverse of the stacked algebra_rep: reads algebra coordinates off
     # a matrix in the span of the representation (matrix and quaternion charts)
     rep_projector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # matrix charts: power stacks of the algebra_rep matrices, built on first use
-    _rep_stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.chart_kind in ("matrix", "quaternion"):
@@ -170,51 +170,47 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.chart, g.chart.inverse_fn(g.coords))
 
 
-def exp_coords(chart: GroupChart, index: int, s) -> np.ndarray:
-    """Chart coordinates of exp(s a_index) (index 0-based into the algebra
-    basis); an array of s gives (..., d) coordinates, one point per entry.
+def exp_algebra(chart: GroupChart, xi) -> np.ndarray:
+    """Chart coordinates of exp(xi) for (..., r) algebra vectors xi, one
+    point per vector.
 
-    Matrix charts sum the exponential series of algebra_rep[index] from its
-    cached power stack, each entry scaled and squared by its own count as in
-    `exp_ad_basis`; canonical charts move along the coordinate line of a_index.
+    One rule per chart kind:
+    - first kind: the coordinates are xi itself;
+    - second kind: the chart's closed form (`exp_closed_fn`), which on the
+      nilpotent groups is the peel from first-kind coordinates;
+    - quaternion: X = sum xi_i a_i squares to -theta^2 with
+      theta^2 = (xi_1^2 + eps (xi_2^2 + xi_3^2)) / 4, so exp(X) has
+      coordinates (C(theta), S(theta)/theta xi / 2), cos/sin when theta^2 >= 0
+      and cosh/sinh of |theta| otherwise;
+    - matrix: `expm` of sum xi_i a_i in the chart's representation.
     """
-    s = np.asarray(s, dtype=float)
-    if chart.exp_fn is not None:
-        return chart.exp_fn(index, s)
-    if chart.chart_kind == "matrix":
-        stack = chart._rep_stacks.get(index)
-        if stack is None:
-            stack = _power_stack(chart.algebra_rep[index], _AD_STACK_TERMS, True)
-            # a power that vanished ended the stack: the series is exact
-            stack = chart._rep_stacks[index] = stack + (len(stack[0]) < _AD_STACK_TERMS,)
-        n = chart.algebra_rep[index].shape[0]
-        return _exp_from_stack(*stack, s, n).reshape(s.shape + (n * n,))
-    coords = np.zeros(s.shape + (chart.coord_dim,)) + chart.identity_coords
-    pos = chart.ordering.index(index + 1) if chart.chart_kind == "canonical_second" else index
-    coords[..., pos] += s
-    return coords
+    xi = np.asarray(xi, dtype=float)
+    if chart.exp_closed_fn is not None:
+        return chart.exp_closed_fn(xi)
+    if chart.chart_kind == "canonical_first":
+        return xi.copy()
+    if chart.chart_kind == "quaternion":
+        eps = chart.algebra.structure[1, 2, 0]          # [a2, a3] = eps a1
+        sq = 0.25 * (xi[..., 0] ** 2 + eps * (xi[..., 1] ** 2 + xi[..., 2] ** 2))
+        theta = np.sqrt(np.abs(sq))
+        c = np.where(sq >= 0.0, np.cos(theta), np.cosh(theta))
+        s = np.where(sq >= 0.0, np.sin(theta), np.sinh(theta))
+        ratio = np.where(theta > 0.0, s / np.where(theta > 0.0, theta, 1.0), 1.0)
+        return np.concatenate([c[..., None], 0.5 * ratio[..., None] * xi], axis=-1)
+    A = np.tensordot(xi, np.stack(chart.algebra_rep), axes=1)
+    return expm(A).reshape(xi.shape[:-1] + (chart.coord_dim,))
 
 
 def exp_chart(chart: GroupChart, index: int, s: float = 1.0) -> GroupElement:
     """exp(s a_index) in the chart (index is 0-based into the algebra basis)."""
-    return GroupElement(chart, exp_coords(chart, index, s))
+    xi = np.zeros(chart.algebra.dim)
+    xi[index] = s
+    return GroupElement(chart, exp_algebra(chart, xi))
 
 
 def group_adjoint(g: GroupElement) -> np.ndarray:
     """Matrix of Ad(g) in the algebra basis."""
     return _adjoint(g.chart, g.coords)
-
-
-def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:
-    """sum_k ad_x^k / (k + shift)! over k below the nilpotency index, for
-    (..., r) vectors x: exp(ad_x) for shift 0, and for shift 1 the dexp map
-    phi(ad_x) with phi(z) = (e^z - 1) / z.  Exact on a nilpotent algebra."""
-    ad = ad_matrix(alg, x)
-    out = term = np.eye(alg.dim)
-    for k in range(1, alg.nilpotency_index):
-        term = term @ ad / (k + shift)
-        out = out + term
-    return out
 
 
 def _adjoint(chart: GroupChart, g) -> np.ndarray:
@@ -323,13 +319,13 @@ def matrix_rep(g: GroupElement) -> np.ndarray:
     chart = g.chart
     if chart.algebra_rep is None:
         raise ChartError(f"{chart.group_name}: no matrix representation cataloged")
+    rep = np.stack(chart.algebra_rep)
     if chart.chart_kind == "canonical_first":
-        A = sum(v * M for v, M in zip(g.coords, chart.algebra_rep))
-        return _expm_taylor(A)
-    out = None
-    for pos, idx in enumerate(chart.ordering):
-        F = _expm_taylor(g.coords[pos] * chart.algebra_rep[idx - 1])
-        out = F if out is None else out @ F
+        return expm(np.tensordot(g.coords, rep, axes=1))
+    factors = expm(g.coords[:, None, None] * rep[[idx - 1 for idx in chart.ordering]])
+    out = factors[0]
+    for F in factors[1:]:
+        out = out @ F
     return out
 
 
@@ -429,10 +425,14 @@ def _build_h3():
         one, zero = np.ones_like(a), np.zeros_like(a)
         return _mat([[one, zero, zero], [zero, one, zero], [-b, a, one]])
 
+    def exp2(x):
+        a, b, c = x.T
+        return np.array([a, b, c - 0.5 * a * b]).T
+
     chart2 = GroupChart(
         "H3", "canonical_second", 3, alg, ordering=(1, 2, 3),
         algebra_rep=rep, compose_fn=compose2, inverse_fn=inverse2,
-        identity_coords=np.zeros(3), adjoint_fn=adjoint12,
+        identity_coords=np.zeros(3), adjoint_fn=adjoint12, exp_closed_fn=exp2,
     )
     register_chart(("H3", "canonical_second", (1, 2, 3)), chart2)
 
@@ -450,7 +450,7 @@ def _build_h3():
 
     k2, k1 = ("H3", "canonical_second", (1, 2, 3)), ("H3", "canonical_first", None)
     register_conversion(k2, k1, lambda g: np.array([g[0], g[1], g[2] + 0.5 * g[0] * g[1]]))
-    register_conversion(k1, k2, lambda g: np.array([g[0], g[1], g[2] - 0.5 * g[0] * g[1]]))
+    register_conversion(k1, k2, exp2)
     _mk_matrix_chart("H3", alg, rep)
     register_conversion(
         k2, ("H3", "matrix", None),
@@ -523,7 +523,8 @@ def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
     register_chart(k2, GroupChart(
         group, "canonical_second", r, alg, ordering=tuple(ordering),
         compose_fn=lambda g, h: conv12(bch(alg, conv21(g), conv21(h))),
-        inverse_fn=lambda g: conv12(-conv21(g)), identity_coords=np.zeros(r)))
+        inverse_fn=lambda g: conv12(-conv21(g)), identity_coords=np.zeros(r),
+        exp_closed_fn=conv12))
     register_conversion(k2, k1, conv21)
     register_conversion(k1, k2, conv12)
 
@@ -563,10 +564,18 @@ def _build_se2():
         out[..., 0] = _wrap_angle(out[..., 0])
         return out
 
+    def exp2(x):
+        # exp(w A1 + u A2 + v A3) = [[R(w), V(w) (u, v)]] and the chart point
+        # is [[R(th), R(th) (a, b)]], so (a, b) = R(-w) V(w) (u, v)
+        w, u, v = x.T
+        sinc = np.sinc(w / np.pi)                           # sin(w) / w
+        versc = 0.5 * w * np.sinc(w / (2.0 * np.pi)) ** 2   # (1 - cos w) / w
+        return np.array([w, sinc * u + versc * v, sinc * v - versc * u]).T
+
     chart2 = GroupChart(
         "SE2", "canonical_second", 3, alg, ordering=(1, 2, 3), algebra_rep=rep,
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(3),
-        adjoint_fn=adjoint, wrap_fn=wrap,
+        adjoint_fn=adjoint, wrap_fn=wrap, exp_closed_fn=exp2,
     )
     register_chart(("SE2", "canonical_second", (1, 2, 3)), chart2)
 
@@ -586,7 +595,7 @@ def _build_se2():
         M = c.reshape(3, 3)
         th = math.atan2(M[1, 0], M[0, 0])
         # undo M = expm(th A1) expm(a A2) expm(b A3) = R(th) @ T(a, b)
-        T = np.linalg.inv(_expm_taylor(th * A1)) @ M
+        T = expm(-th * A1) @ M
         return np.array([th, T[0, 2], T[1, 2]])
 
     register_conversion(("SE2", "canonical_second", (1, 2, 3)), ("SE2", "matrix", None), to_matrix)
@@ -594,22 +603,6 @@ def _build_se2():
 
 
 # --- the epsilon family: quaternion-like chart and linear 3x3 chart ----------
-
-def Ceps(eps, x):
-    if eps == 1:
-        return np.cos(x)
-    if eps == -1:
-        return np.cosh(x)
-    return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-
-
-def Seps(eps, x):
-    if eps == 1:
-        return np.sin(x)
-    if eps == -1:
-        return np.sinh(x)
-    return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-
 
 def _geps_rep4(eps):
     a1 = 0.5 * np.array([
@@ -657,16 +650,6 @@ def _build_geps(eps):
             [2 * (b * d - a * c), 2 * (a * b + eps * c * d), a * a - b * b - eps * (c * c - d * d)],
         ])
 
-    def exp_q(index, s):
-        half = 0.5 * s
-        zero = np.zeros_like(half)
-        if index == 0:
-            return np.array([np.cos(half), np.sin(half), zero, zero]).T
-        c, sn = Ceps(eps, half) + zero, Seps(eps, half) + zero
-        if index == 1:
-            return np.array([c, zero, sn, zero]).T
-        return np.array([c, zero, zero, sn]).T
-
     def q_to_mat4(g):
         a, b, c, d = g.T
         return _mat([
@@ -682,7 +665,7 @@ def _build_geps(eps):
         compose_fn=compose_q, inverse_fn=inverse_q,
         identity_coords=np.array([1.0, 0.0, 0.0, 0.0]),
         adjoint_fn=adjoint_q, constraint_fn=constraint_q,
-        exp_fn=exp_q, to_matrix_fn=q_to_mat4,
+        to_matrix_fn=q_to_mat4,
     )
     register_chart((name, "quaternion", None), chart_q)
 
@@ -798,10 +781,17 @@ def _build_affine():
         a, b = g.T
         return _mat([[np.exp(-b), a], [np.zeros_like(a), np.ones_like(a)]])
 
+    def exp2(x):
+        # exp(u A1 + v A2) = [[e^-v, u (1 - e^-v) / v], [0, 1]]
+        u, v = x.T
+        nonzero = v != 0.0
+        ratio = np.where(nonzero, -np.expm1(-v) / np.where(nonzero, v, 1.0), 1.0)
+        return np.array([u * ratio, v]).T
+
     chart = GroupChart(
         "Aff", "canonical_second", 2, alg, ordering=(1, 2), algebra_rep=(A1, A2),
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(2),
-        adjoint_fn=adjoint,
+        adjoint_fn=adjoint, exp_closed_fn=exp2,
     )
     register_chart(("Aff", "canonical_second", (1, 2)), chart)
     _mk_matrix_chart("Aff", alg, (A1, A2))

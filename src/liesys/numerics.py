@@ -1,5 +1,5 @@
-"""Shared numerics: fixed-step RK4, adaptive RK45, composite quadrature,
-central differences and a dense small linear solve.
+"""Shared numerics: fixed-step RK4, composite quadrature, central
+differences and a dense small linear solve.
 
 Everything here is deliberately plain: uniform grids keep trajectory
 comparisons node-exact, which is what the test suite relies on.
@@ -189,55 +189,6 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
     return Trajectory(grid, states, meta)
 
 
-# Fehlberg 4(5) coefficients.
-_RKF_A = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_RKF_B = (
-    (),
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_RKF_C5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
-_RKF_C4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
-
-
-def integrate_rk45(f, x0, t0, t1, rtol=1e-8, atol=1e-10, max_steps=200000):
-    """Adaptive RKF45; returns (nodes, states) at the accepted steps.
-
-    Provided for spot checks; the fixed-step RK4 is the default used
-    throughout because it keeps grids node-exact.
-    """
-    t = float(t0)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    dt = (t1 - t0) / 100.0
-    ts, xs = [t], [x.copy()]
-    n = 0
-    while t < t1:
-        n += 1
-        if n > max_steps:
-            raise NumericsError("rk45: too many steps", t=t, state=x)
-        dt = min(dt, t1 - t)
-        ks = []
-        for i in range(6):
-            xi = x.copy()
-            for j, b in enumerate(_RKF_B[i]):
-                xi = xi + dt * b * ks[j]
-            ks.append(np.asarray(f(t + _RKF_A[i] * dt, xi), dtype=float))
-        x5 = x + dt * sum(c * k for c, k in zip(_RKF_C5, ks))
-        x4 = x + dt * sum(c * k for c, k in zip(_RKF_C4, ks))
-        err = np.max(np.abs(x5 - x4))
-        scale = atol + rtol * max(1.0, float(np.max(np.abs(x5))))
-        if err <= scale or dt < 1e-14:
-            t += dt
-            x = x5
-            ts.append(t)
-            xs.append(x.copy())
-        dt = dt * min(4.0, max(0.1, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-    return np.array(ts), np.array(xs)
-
-
 def quadrature(f, grid: TimeGrid) -> np.ndarray:
     """Cumulative integral B(t) = int_{t0}^t f, sampled on the grid nodes.
 
@@ -313,6 +264,8 @@ def central_diff(f, t, h=1e-5):
 def diff_samples(values, dt):
     """Differentiate sampled values: central interior, one-sided 2nd order ends."""
     values = np.asarray(values, dtype=float)
+    if len(values) < 3:
+        raise NumericsError(f"second-order differentiation needs 3 samples, got {len(values)}")
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)

@@ -20,6 +20,7 @@ from .numerics import (
     central_diff,
     cumulative_quadrature_samples,
     diff_samples,
+    interp_columns,
     second_diff_samples,
 )
 from .systems import INFINITY, cross_ratio, riccati_superposition
@@ -59,8 +60,8 @@ class RiccatiCoeffs:
         nodes = grid.nodes
 
         def interp(vals):
-            vals = np.asarray(vals, dtype=float)
-            return lambda t: float(np.interp(t, nodes, vals))
+            col = np.asarray(vals, dtype=float)[:, None]
+            return lambda t: interp_columns(t, nodes, col)[..., 0]
 
         return cls(interp(a0), interp(a1), interp(a2))
 
@@ -227,7 +228,7 @@ def reduce_known(c: RiccatiCoeffs, known) -> ReducedRiccati:
     grid = known[0].grid
     nodes = grid.nodes
     x1v = known[0].states[:, 0]
-    x1 = lambda t: float(np.interp(t, nodes, x1v))
+    x1 = lambda t: interp_columns(t, nodes, x1v[:, None])[..., 0]
 
     if len(known) == 1:
         lin_coeff = lambda t: 2.0 * x1(t) * c.a2(t) + c.a1(t)

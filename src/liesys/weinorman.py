@@ -20,11 +20,12 @@ import numpy as np
 
 from .algebra import LieAlgebra, bracket_coords, wn_matrix
 from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
-from .groups import GroupChart, GroupElement, _on_chart, exp_coords
+from .groups import GroupChart, GroupElement, _on_chart, _trivialize, exp_algebra
 from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
     TimeGrid,
     Trajectory,
     cumulative_quadrature_samples,
+    diff_samples,
     integrate_rk4,
     interp_columns,
     linsolve,
@@ -225,9 +226,9 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     if method == "auto":
         fast = alg.nilpotency_index is not None and _is_unit_triangular(alg, problem.ordering)
         method = "quadrature" if fast else "rk4"
+    elif method == "quadrature" and not _is_unit_triangular(alg, problem.ordering):
+        raise LieSysError("quadrature path requires a triangular ordering")
     if method == "quadrature":
-        if not _is_unit_triangular(alg, problem.ordering):
-            raise LieSysError("quadrature path requires a triangular ordering")
         return _wn_solve_quadrature(problem)
 
     def f(t, v, b):
@@ -245,28 +246,45 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
 class GroupCurve:
     """A chart-tagged group-valued curve sampled on a grid.
 
-    Off-node evaluation interpolates the chart coordinates linearly, which
-    is consistent with the finite-difference log-derivative checks at the
-    grid resolution.
+    Off-node evaluation stays on the group: at time t the curve is
+    exp((t - t_j) xi_j) g_j, where t_j is the nearest node (the earlier one
+    at equal distance) and xi_j = (dg/dt) g^{-1} is the curve's right
+    log-derivative there.  The same rule extends the curve beyond either
+    end.  xi_j comes from second-order differences of the node coordinates
+    (`diff_samples`, each coordinate step taken through the chart's wrap),
+    mapped to the algebra by `_trivialize`; all nodes go through one pass on
+    the first off-node call, and the result is kept on the curve.  Between
+    nodes the curve is second-order accurate, like linear interpolation,
+    and the two neighbours' rules agree at the midpoint to third order.
     """
 
     def __init__(self, chart: GroupChart, grid: TimeGrid, coords: np.ndarray):
         self.chart = chart
         self.grid = grid
         self.coords = np.asarray(coords, dtype=float)
+        self._log_derivatives = None
 
     def __call__(self, t: float) -> GroupElement:
         nodes = self.grid.nodes
-        if t < nodes[0] or t > nodes[-1]:
-            # cubic extrapolation through the four nearest nodes, so
-            # stencil log-derivatives keep their order at the interval ends
-            sl = slice(0, 4) if t < nodes[0] else slice(-4, None)
-            tt = nodes[sl]
-            c = np.empty(self.coords.shape[1])
-            for i in range(self.coords.shape[1]):
-                c[i] = np.polyval(np.polyfit(tt, self.coords[sl, i], 3), t)
-            return GroupElement(self.chart, c)
-        return GroupElement(self.chart, interp_columns(t, nodes, self.coords))
+        j = int(np.clip(np.searchsorted(nodes, t), 1, len(nodes) - 1))
+        if t - nodes[j - 1] <= nodes[j] - t:
+            j -= 1
+        if t == nodes[j]:
+            return GroupElement(self.chart, self.coords[j])
+        if self._log_derivatives is None:
+            self._log_derivatives = self._node_log_derivatives()
+        step = exp_algebra(self.chart, (t - nodes[j]) * self._log_derivatives[j])
+        return GroupElement(self.chart, self.chart.compose_fn(step, self.coords[j]))
+
+    def _node_log_derivatives(self) -> np.ndarray:
+        dt = self.grid.uniform_dt
+        if dt is None:
+            raise NumericsError("off-node curve evaluation needs a uniform grid")
+        steps = np.diff(self.coords, axis=0)
+        if self.chart.wrap_fn is not None:
+            steps = self.chart.wrap_fn(steps)
+        unwrapped = np.concatenate([self.coords[:1], self.coords[0] + np.cumsum(steps, axis=0)])
+        return _trivialize(self.chart, self.coords, diff_samples(unwrapped, dt), left=False)
 
     def at_node(self, k: int) -> GroupElement:
         return GroupElement(self.chart, self.coords[k])
@@ -275,19 +293,23 @@ class GroupCurve:
 def wn_reconstruct(v: Trajectory, ordering, chart: GroupChart) -> GroupCurve:
     """g(t) = prod_i exp(-v_i(t) a_{s_i}) in the given chart; g(t0) = identity.
 
-    Each factor's one-parameter subgroup is built over the whole grid in one
-    call, the factors are multiplied with batched chart laws, and the nodes
-    are checked against the chart once; a failure names the node and its
-    time.  A second-kind chart with the same ordering has those exponents as
-    its coordinates by definition, so each node is -v(t) with no composition.
+    The factors exp(-v_i(t) a_{s_i}) of every node come from one
+    `exp_algebra` call, they are multiplied with batched chart laws, and the
+    nodes are checked against the chart once; a failure names the node and
+    its time.  A second-kind chart with the same ordering has those
+    exponents as its coordinates by definition, so each node is -v(t) with
+    no composition.
     """
     if chart.chart_kind == "canonical_second" and chart.ordering == tuple(ordering):
         coords = -v.states
     else:
-        coords = None
-        for i, idx in enumerate(ordering):
-            factor = exp_coords(chart, idx - 1, -v.states[:, i])
-            coords = factor if coords is None else chart.compose_fn(coords, factor)
+        r = len(ordering)
+        xi = np.zeros((r,) + v.states.shape)
+        xi[np.arange(r), :, np.asarray(ordering) - 1] = -v.states.T
+        factors = exp_algebra(chart, xi)
+        coords = factors[0]
+        for factor in factors[1:]:
+            coords = chart.compose_fn(coords, factor)
     coords = _on_chart(chart, coords, "reconstruction", v.grid.nodes)
     return GroupCurve(chart, v.grid, coords)
 

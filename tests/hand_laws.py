@@ -3,6 +3,12 @@ fixtures for the charts that `liesys.groups` derives by BCH, and the
 closed-form log-derivatives of the H3, SE2, Aff and Geps charts, kept as
 reference fixtures for the log-derivatives it derives per chart kind.
 
+Also kept here as independent references: the tangent map of a
+right-invariant system (`right_invariant_derivative`), which drives the RK4
+subgroup loop the Magnus solve is checked against, a single-matrix Taylor
+exponential (`_expm_taylor`), and the signature functions Ceps, Seps of the
+epsilon family.
+
 Coordinates are (a, b, c, ...) in the algebra basis order; second-kind
 coordinates use the ordering (1, ..., r).  LAWS maps a group name to the
 laws known for it: 'compose1' (first kind), 'compose2', 'inverse2' (second
@@ -14,6 +20,8 @@ vector: 'right' = dg g^{-1} and 'left' = g^{-1} dg.
 import math
 
 import numpy as np
+
+from liesys.algebra import _ad_series, wn_matrix
 
 
 def _g4_compose1(g, h):
@@ -256,3 +264,62 @@ LOG_DERIVATIVES = {
     **{(f"Geps({eps:+d})", "quaternion", None): {"right": _geps_right(eps)}
        for eps in (-1, 0, 1)},
 }
+
+
+def _expm_taylor(M):
+    """Scaling-and-squaring with a 13-term Taylor series at the scaled argument."""
+    norm = np.max(np.abs(M))
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(np.ceil(np.log2(norm / 0.5)))
+        M = M / (2.0**squarings)
+    out = np.eye(M.shape[0])
+    term = np.eye(M.shape[0])
+    for k in range(1, 14):
+        term = term @ M / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _tangent_coords(chart, xi):
+    """Matrix or quaternion coordinates of d/ds exp(s xi) at the identity."""
+    xi = np.asarray(xi, dtype=float)
+    if chart.chart_kind == "matrix":
+        A = sum(v * M for v, M in zip(xi, chart.algebra_rep))
+        return A.reshape(-1)
+    return np.concatenate([[0.0], 0.5 * xi])
+
+
+def right_invariant_derivative(chart, xi, hcoords):
+    """d/ds [exp(s xi) h] at s = 0, in chart coordinates: the tangent at h
+    whose right trivialization is xi.
+
+    Matrix and quaternion composition laws are bilinear, so the tangent is
+    the law applied to the tangent coordinates of xi.  Canonical charts
+    solve the chart kind's trivialization map for it: the Wei-Norman matrix
+    M_s(-h) on the second kind, phi(ad_h) on the first.
+    """
+    alg = chart.algebra
+    if chart.chart_kind == "canonical_second":
+        return np.linalg.solve(wn_matrix(alg, chart.ordering, -hcoords), xi)
+    if chart.chart_kind == "canonical_first":
+        return np.linalg.solve(_ad_series(alg, hcoords, 1), xi)
+    return chart.compose_fn(_tangent_coords(chart, xi), hcoords)
+
+
+def Ceps(eps, x):
+    if eps == 1:
+        return np.cos(x)
+    if eps == -1:
+        return np.cosh(x)
+    return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
+
+
+def Seps(eps, x):
+    if eps == 1:
+        return np.sin(x)
+    if eps == -1:
+        return np.sinh(x)
+    return np.asarray(x, dtype=float) if np.ndim(x) else float(x)

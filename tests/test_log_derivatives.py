@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesys.groups as G
-from liesys.reduction import right_invariant_derivative
-from hand_laws import LOG_DERIVATIVES
+from hand_laws import LOG_DERIVATIVES, right_invariant_derivative
 
 ALL_KEYS = sorted(G._CHARTS, key=str)
 

@@ -16,7 +16,6 @@ from liesys.numerics import (
     diff_samples,
     diff_samples4,
     integrate_rk4,
-    integrate_rk45,
     interp_columns,
     linsolve,
     quadrature,
@@ -71,11 +70,6 @@ def test_rk4_nonfinite_raises():
     with pytest.raises(NumericsError) as exc:
         integrate_rk4(lambda t, x: np.array([np.inf if t >= 0.5 else 1.0]), [0.0], grid)
     assert exc.value.t is not None
-
-
-def test_rk45_matches_exponential():
-    ts, xs = integrate_rk45(lambda t, x: x, [1.0], 0.0, 1.0, rtol=1e-10)
-    assert abs(xs[-1, 0] - math.e) < 1e-8
 
 
 def test_quadrature_zero():
@@ -224,3 +218,9 @@ def test_interp_columns_is_np_interp_per_column(n, m, seed, frac, k):
 def test_diff_samples4_needs_six_samples():
     with pytest.raises(NumericsError, match="6 samples"):
         diff_samples4(np.zeros((5, 2)), 0.1)
+
+
+def test_diff_samples_needs_three_samples():
+    assert diff_samples(np.zeros((3, 2)), 0.1).shape == (3, 2)
+    with pytest.raises(NumericsError, match="3 samples"):
+        diff_samples(np.zeros((2, 2)), 0.1)

@@ -1,10 +1,13 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 import liesys.groups as G
+import liesys.weinorman as W
 from liesys.algebra import catalog_algebra
+from liesys.catalog import get_system
 from liesys.errors import WNBreakdownError
 from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import (
@@ -73,6 +76,71 @@ def test_fast_path_matches_rk4(unit_grid):
         quad = wn_solve(prob, method="quadrature")
         rk4 = wn_solve(prob, method="rk4")
         assert np.max(np.abs(quad.states - rk4.states)) < 1e-10, (name, n)
+
+
+def test_auto_method_probes_triangularity_once(unit_grid, monkeypatch):
+    probes = []
+    probe = W._is_unit_triangular
+    monkeypatch.setattr(W, "_is_unit_triangular", lambda *a: probes.append(a) or probe(*a))
+    for name, expected in (("h3", 1), ("so3", 0)):
+        probes.clear()
+        alg = catalog_algebra(name)
+        wn_solve(WNProblem(alg, smooth_controls(alg.dim, seed=3), unit_grid))
+        assert len(probes) == expected, name
+
+
+def _lie_oracle_controls(seed, label, n_channels, amp):
+    """The benchmark's lie_oracle draw for one system (perfbench/workloads.py):
+    seeded by crc32 of 'seed/lie_oracle/label'."""
+    rng = np.random.default_rng(zlib.crc32(f"{seed}/lie_oracle/{label}".encode()))
+    co = rng.uniform(-amp, amp, (n_channels, 3))
+    fr = rng.uniform(0.5, 2.0, (n_channels, 2))
+    return ControlSignal([
+        (lambda t, c=co[i], f=fr[i]:
+         c[0] + c[1] * np.sin(2 * np.pi * f[0] * t) + c[2] * np.cos(2 * np.pi * f[1] * t))
+        for i in range(n_channels)])
+
+
+def _curves(name, b):
+    entry = get_system(name)
+    return [entry.wn_group_curve(b, TimeGrid.uniform(0.0, 1.0, n)) for n in (2000, 4000)]
+
+
+def test_curve_stays_on_so3_between_nodes():
+    # interpolating the matrix entries linearly left SO(3) here by 1.33e-7
+    coarse, fine = _curves("so3_kinematics", _lie_oracle_controls(1, "so3_kinematics", 3, 1.0))
+    g = coarse(0.5 * (coarse.grid.nodes[0] + coarse.grid.nodes[1])).coords
+    assert coarse.chart.constraint_fn(g) <= 1e-14
+    assert np.max(np.abs(g - fine.coords[1])) <= 3e-7
+
+
+def test_curve_follows_a_wrapped_angle_between_nodes():
+    # theta turns at rate 5 and wraps from -pi to pi between nodes k and k + 1
+    coarse, fine = _curves("unicycle", ControlSignal.constant([5.0, 1.0]))
+    k = int(np.argmax(np.abs(np.diff(coarse.coords[:, 0])) > math.pi))
+    assert abs(coarse.coords[k + 1, 0] - coarse.coords[k, 0]) > math.pi
+    g = coarse(0.5 * (coarse.grid.nodes[k] + coarse.grid.nodes[k + 1])).coords
+    assert np.max(np.abs(coarse.chart.wrap_fn(g - fine.coords[2 * k + 1]))) <= 1e-8
+
+
+@pytest.mark.parametrize("key", [("SE2", "canonical_second", (1, 2, 3)), ("SL2", "matrix", None),
+                                 ("Geps(-1)", "quaternion", None), ("G5", "canonical_first", None)],
+                         ids=lambda key: key[0])
+def test_curve_on_a_one_parameter_subgroup_off_nodes_and_beyond_the_ends(key):
+    # g(t) = exp(t xi) g0 has the constant right log-derivative xi; the node
+    # differences recover it to second order, and off-node points follow it
+    chart = G._CHARTS[key]
+    xi = np.array([7.0, 1.0, -0.5, 0.3, 0.2])[:chart.algebra.dim]
+    g0 = G.exp_algebra(chart, np.linspace(0.4, -0.3, chart.algebra.dim))
+    grid = TimeGrid.uniform(0.0, 1.0, 100)
+    exact = lambda t: chart.compose_fn(G.exp_algebra(chart, np.multiply.outer(t, xi)), g0)
+    curve = W.GroupCurve(chart, grid, G._on_chart(chart, exact(grid.nodes)))
+    for t in (-0.013, 0.0049, 0.5051, 0.99, 1.02):
+        got = curve(t).coords
+        gap = got - exact(t)
+        if chart.wrap_fn is not None:
+            gap = chart.wrap_fn(gap)
+        assert np.max(np.abs(gap)) <= 1e-4 * np.max(np.abs(got)), t
 
 
 def test_reconstruct_identity(unit_grid):
@@ -299,7 +367,7 @@ def test_so3_wei_norman_table(rng):
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
 def test_geps_wei_norman_table(eps, rng):
-    from liesys.groups import Ceps, Seps
+    from hand_laws import Ceps, Seps
 
     ge = catalog_algebra("g_eps", eps=eps)
     C = lambda x: Ceps(eps, x)
