@@ -267,8 +267,9 @@ LOG_DERIVATIVES = {
 
 
 def _expm_taylor(M):
-    """Scaling-and-squaring with a 13-term Taylor series at the scaled argument."""
-    norm = np.max(np.abs(M))
+    """Scaling-and-squaring with a 13-term Taylor series at the scaled
+    argument, scaled into 1-norm (largest column sum of |entries|) <= 0.5."""
+    norm = np.max(np.abs(M).sum(axis=0))
     squarings = 0
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
