@@ -32,6 +32,9 @@ class LieAlgebra:
     # exp(ad) power stacks per basis index, filled by _ad_power_stack; held on
     # the instance so no other algebra can ever read them
     _ad_stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Wei-Norman dependency levels per factor ordering, filled by
+    # weinorman._dependency_levels
+    _wn_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -370,9 +373,16 @@ def _gbar(n: int) -> LieAlgebra:
     return algebra_from_triples(n, triples, f"gbar{n}")
 
 
-def _geps(eps: float) -> LieAlgebra:
+def eps_parameter(eps) -> int:
+    """The g_eps family parameter as an int; an integral float such as 1.0
+    names the same member, and anything outside {-1, 0, 1} is rejected."""
     if eps not in (-1, 0, 1):
-        raise UnknownNameError("g_eps requires eps in {-1, 0, 1}")
+        raise UnknownNameError(f"g_eps requires eps in {{-1, 0, 1}}, got {eps!r}")
+    return int(eps)
+
+
+def _geps(eps: float) -> LieAlgebra:
+    eps = eps_parameter(eps)
     return algebra_from_triples(
         3, [(1, 2, 3, 1.0), (1, 3, 2, -1.0), (2, 3, 1, float(eps))], f"geps({eps:+d})"
     )

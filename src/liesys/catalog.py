@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import catalog_algebra
+from .algebra import catalog_algebra, eps_parameter
 from .errors import UnknownNameError
 from .groups import _mk_matrix_chart, get_chart
 from .numerics import TimeGrid, Trajectory, cumulative_quadrature_samples
@@ -570,6 +570,7 @@ def _power(n: int = 4):
 
 @register("elastic_euler")
 def _elastic(eps: int = 1):
+    eps = eps_parameter(eps)
     alg = catalog_algebra("g_eps", eps=eps)
     chart = get_chart("Geps", "matrix", eps=eps)
     gens = [

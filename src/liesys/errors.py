@@ -35,11 +35,14 @@ class NumericsError(LieSysError):
 
 
 class SingularMatrixError(NumericsError):
-    """Ill-conditioned or singular linear system; carries a condition estimate."""
+    """Ill-conditioned or singular linear system; carries a condition
+    estimate and, for a stack of systems, the index of the first failing one."""
 
-    def __init__(self, cond, msg=""):
+    def __init__(self, cond, msg="", index=None):
         self.cond = cond
-        super().__init__(msg or f"singular or ill-conditioned matrix (cond~{cond:.3g})")
+        self.index = index
+        where = "" if index is None else f" at index {index}"
+        super().__init__(msg or f"singular or ill-conditioned matrix{where} (cond~{cond:.3g})")
 
 
 class WNBreakdownError(LieSysError):
@@ -49,10 +52,12 @@ class WNBreakdownError(LieSysError):
     the caller may re-order the factorization and restart.
     """
 
-    def __init__(self, t, cond):
+    def __init__(self, t, cond, node=None):
         self.t = t
         self.cond = cond
-        super().__init__(f"Wei-Norman matrix singular near t={t} (cond~{cond:.3g})")
+        self.node = node
+        where = "" if node is None else f" at node {node}"
+        super().__init__(f"Wei-Norman matrix singular{where} near t={t} (cond~{cond:.3g})")
 
 
 class CoincidenceError(LieSysError):

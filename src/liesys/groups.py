@@ -43,6 +43,7 @@ from .algebra import (
     LieAlgebra,
     _ad_series,
     catalog_algebra,
+    eps_parameter,
     exp_ad_basis,
     expm,
     lower_central_class,
@@ -343,7 +344,7 @@ def register_chart(key, chart):
 
 def get_chart(group_name: str, chart_kind: str = "canonical_second",
               ordering=None, eps=None) -> GroupChart:
-    name = group_name if eps is None else f"{group_name}({eps:+d})"
+    name = group_name if eps is None else f"{group_name}({eps_parameter(eps):+d})"
     key = (name, chart_kind, tuple(ordering) if ordering else None)
     if key in _CHARTS:
         return _CHARTS[key]

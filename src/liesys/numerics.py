@@ -231,29 +231,44 @@ def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
 
 
 def _norm1(M):
-    # largest absolute column sum; the ufunc reductions skip ndarray.sum's
-    # Python wrapper, which is most of the cost on a 3x3 matrix
-    return np.maximum.reduce(np.add.reduce(np.abs(M), 0))
+    # largest absolute column sum of each matrix; the ufunc reductions skip
+    # ndarray.sum's Python wrapper, which is most of the cost on a 3x3 matrix
+    return np.maximum.reduce(np.add.reduce(np.abs(M), -2), -1)
+
+
+def _inverse_or_nan(M):
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full_like(M, np.nan)
 
 
 def linsolve(M, b, cond_limit=1e12):
     """Solve Mx = b with a condition guard taken from the same factorization.
 
-    The inverse comes from one LU factorization; the 1-norm condition
-    number ||M||_1 ||M^-1||_1 follows from it at the cost of two column
-    sums.  A singular matrix, or a condition above `cond_limit` or not
-    finite, raises SingularMatrixError carrying the condition; the
-    Wei-Norman solver interprets that as a chart breakdown.
+    M is one (r, r) matrix or a (..., r, r) stack, b broadcasts against
+    the stack as (..., r) right-hand sides.  Each inverse comes from one LU
+    factorization; the 1-norm condition number ||M||_1 ||M^-1||_1 follows
+    from it at the cost of two column sums.  A singular matrix, or a
+    condition above `cond_limit` or not finite, raises SingularMatrixError
+    carrying the condition and, for a stack, the index of the first failing
+    matrix; the Wei-Norman solver interprets that as a chart breakdown.
     """
     M = np.asarray(M, dtype=float)
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(np.inf)
+        # one singular matrix fails the whole stack: invert each on its own
+        Minv = np.reshape([_inverse_or_nan(m) for m in M.reshape((-1,) + M.shape[-2:])],
+                          M.shape)
     cond = _norm1(M) * _norm1(Minv)
-    if not cond <= cond_limit:
-        raise SingularMatrixError(cond)
-    return Minv @ np.asarray(b, dtype=float)
+    ok = cond <= cond_limit
+    # one matrix skips .all(), which costs a fifth of a 3x3 solve
+    if not (ok.all() if ok.ndim else ok):
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+        bad = float(cond[index])
+        raise SingularMatrixError(np.inf if np.isnan(bad) else bad, index=index or None)
+    return (Minv @ np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def central_diff(f, t, h=1e-5):

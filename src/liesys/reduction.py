@@ -10,8 +10,9 @@ the reduced coefficients c_mu(t), written so that the reduced equation is
 R(dh/dt) = -sum_mu c_mu(t) h_mu.
 
 The reduction and the reconstruction are nodewise formulas; both run over
-the node coordinate arrays in blocks of `_BLOCK` nodes, which bounds the
-memory their temporaries take.
+the node coordinate arrays in blocks of `_BLOCK` nodes, as do the step
+exponentials of the subgroup solve, which bounds the memory their
+temporaries take.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     at the step's ends and midpoint, step k is h_{k+1} = exp(Omega_k) h_k with
     Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
-    the structure constants.  Every exp(Omega_k) comes from one
-    `exp_algebra` call; only the products run in sequence.  The reduced
+    the structure constants.  The exp(Omega_k) come from one `exp_algebra`
+    call per `_BLOCK` steps, which bounds its temporaries; only the products
+    run in sequence.  The reduced
     coefficients are given at the grid nodes and the midpoint values
     interpolate them linearly, so the scheme is fourth order in those
     values, not in the c_mu(t) they sample.
@@ -128,8 +130,9 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
              + dt ** 2 / 12.0 * bracket_coords(chart.algebra, a1, a0))
     h = np.empty((len(nodes), chart.coord_dim))
     h[0] = chart.identity_coords
-    for k, step in enumerate(exp_algebra(chart, omega)):
-        h[k + 1] = chart.compose_fn(step, h[k])
+    for start in range(0, len(omega), _BLOCK):
+        for k, step in enumerate(exp_algebra(chart, omega[start:start + _BLOCK]), start):
+            h[k + 1] = chart.compose_fn(step, h[k])
     return GroupCurve(chart, setup.grid, h)
 
 

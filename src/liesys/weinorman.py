@@ -6,10 +6,16 @@ one-parameter exponentials g(t) = prod_i exp(-v_i(t) a_{s_i}), and the
 exponents satisfy  M(v) dv/dt = b(t)  with  v(0) = 0, where column i of
 M(v) is (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i}.
 
-For nilpotent algebras whose factor ordering makes M unit triangular in
-the permuted basis, the system integrates by iterated quadratures; that
-fast path is detected automatically and reproduces the closed forms of
-the cataloged systems.
+The rates dv/dt = f(v) = M(v)^-1 b often depend on few exponents.  When
+they fall into dependency levels, the first depending on no exponent and
+each later one only on earlier levels, the system integrates by
+quadratures (a solvable algebra with a suitable ordering: Wei & Norman,
+J. Math. Phys. 4 (1963) 575; Proc. AMS 15 (1964) 327).
+The levels are probed once per algebra and ordering; each level then takes
+one batched M(v) over the grid, one guarded solve and one cumulative
+Simpson.  This reproduces the closed forms of the cataloged systems: the
+nilpotent triangular orderings and SE(2), whose angle comes first.  An
+ordering with a dependency cycle integrates by RK4.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ from .numerics import (  # rk4_step stays bound here: the span tests in perfbenc
 )
 
 _BREAKDOWN_COND = 1e10
+# the dependency probe: random points, and the relative change of a rate
+# that counts as a dependency (rounding moves an independent rate ~1e-16)
+_PROBES = 3
+_PROBE_RTOL = 1e-8
 # an array result must agree with the scalar calls to this relative error
 _MATCH_RTOL = 1e-12
 
@@ -174,62 +184,100 @@ class WNProblem:
             raise LieSysError("controls must provide one channel per basis element")
 
 
-def _is_unit_triangular(alg, ordering, rng=None):
-    """True when PM(v) is unit lower triangular for the permuted basis,
-    probing random v (entries are polynomial in v, so probes suffice)."""
-    rng = rng or np.random.default_rng(12345)
-    perm = [idx - 1 for idx in ordering]
-    for _ in range(3):
-        v = rng.standard_normal(alg.dim)
-        M = wn_matrix(alg, ordering, v)
-        PM = M[perm, :]
-        if np.max(np.abs(np.triu(PM, k=1))) > 0.0:
-            return False
-        if np.max(np.abs(np.diag(PM) - 1.0)) > 0.0:
-            return False
-    return True
+def _dependency_levels(alg: LieAlgebra, ordering):
+    """Which exponents each rate f_i(v) = (M(v)^-1 b)_i depends on, as
+    levels of exponent positions (0-based): the first level depends on no
+    exponent, each later one only on earlier levels.  A self-dependency or
+    a cycle leaves no levels: the result is then None and the exponents on
+    a cycle.  Cached on the algebra per ordering.
 
-
-def _wn_solve_quadrature(problem: WNProblem) -> Trajectory:
-    # iterated cumulative Simpson; valid only for unit-triangular structure.
-    # Row perm[i] of PM(v) depends only on v_<i, so once those exponents are
-    # known, exponent i's correction comes from one M(v) over all nodes.
-    alg, ordering = problem.algebra, problem.ordering
+    The entries of M(v) are analytic in v, so three seeded random probes of
+    v and b, each moving every v_j to a fresh random value in turn, find
+    every dependency but on a set of measure zero; all the probe matrices
+    come from one `wn_matrix` call."""
+    ordering = tuple(int(i) for i in ordering)
+    hit = alg._wn_levels.get(ordering)
+    if hit is not None:
+        return hit
     r = alg.dim
-    perm = [idx - 1 for idx in ordering]
-    b_samples = problem.controls(problem.grid.nodes)
-    v = np.zeros(b_samples.shape)
-    vdot = np.zeros(b_samples.shape)
-    for i in range(r):
-        rhs = b_samples[:, perm[i]].copy()
-        if i > 0:
-            # subtract sum_{j<i} PM[i, j] vdot_j
-            M = wn_matrix(alg, ordering, v)
-            rhs -= np.einsum("kj,kj->k", M[:, perm[i], :i], vdot[:, :i])
-        vdot[:, i] = rhs
-        v[:, i] = cumulative_quadrature_samples(rhs, problem.grid)
-    return Trajectory(problem.grid, v, meta="wei-norman")
+    rng = np.random.default_rng(12345)
+    v = np.repeat(rng.standard_normal((_PROBES, 1, r)), r + 1, axis=1)
+    v[:, np.arange(1, r + 1), np.arange(r)] = rng.standard_normal((_PROBES, r))
+    b = rng.standard_normal((_PROBES, 1, r, 1))
+    f = np.linalg.solve(wn_matrix(alg, ordering, v), b)[..., 0]
+    moved = np.abs(f[:, 1:] - f[:, :1]) > _PROBE_RTOL * np.maximum(1.0, np.abs(f[:, :1]))
+    depends = moved.any(axis=0).T             # depends[i, j]: f_i moves with v_j
+    levels, placed = [], np.zeros(r, dtype=bool)
+    while not placed.all():
+        ready = ~placed & ~depends[:, ~placed].any(axis=1)
+        if not ready.any():
+            break
+        levels.append(tuple(np.flatnonzero(ready).tolist()))
+        placed |= ready
+    if placed.all():
+        hit = (tuple(levels), ())
+    else:
+        reach = depends.copy()                # transitive closure (Warshall)
+        for k in range(r):
+            reach |= np.outer(reach[:, k], reach[k])
+        hit = (None, tuple(np.flatnonzero(np.diag(reach)).tolist()))
+    alg._wn_levels[ordering] = hit
+    return hit
+
+
+def _reject_non_finite(x, what, nodes):
+    bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericsError(f"non-finite {what} at node {k} (t={nodes[k]:.6g})", t=nodes[k])
+
+
+def _wn_solve_levels(problem: WNProblem, levels) -> Trajectory:
+    # later levels' exponents are still 0 in M(v) and do not enter; the first
+    # level depends on no exponent, so M(0) serves every node
+    alg, ordering, grid = problem.algebra, problem.ordering, problem.grid
+    nodes = grid.nodes
+    b = problem.controls(nodes)
+    _reject_non_finite(b, "control sample", nodes)
+    v = np.zeros(b.shape)
+    for depth, level in enumerate(levels):
+        M = wn_matrix(alg, ordering, v if depth else np.zeros(alg.dim))
+        try:
+            f = linsolve(M, b, _BREAKDOWN_COND)
+        except SingularMatrixError as exc:
+            k = exc.index[0]
+            raise WNBreakdownError(nodes[k], exc.cond, node=k) from None
+        v[:, level] = cumulative_quadrature_samples(f[:, level], grid)
+        _reject_non_finite(v[:, level], "exponent", nodes)
+    return Trajectory(grid, v, meta="wei-norman")
 
 
 def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     """Integrate the Wei-Norman system with v(t0) = 0.
 
-    method: 'auto' picks the quadrature fast path for nilpotent algebras
-    with triangular orderings, else RK4; 'rk4' and 'quadrature' force one.
-    The controls are sampled once: at the nodes for quadrature, at the RK4
-    stage times otherwise.  Every RK4 stage solves M(v) dv/dt = b through
-    `linsolve`, whose condition guard raises WNBreakdownError carrying the
-    stage time and the condition number when M(v) nears singularity; the
-    caller may re-order the factorization and restart.
+    method: 'auto' integrates by quadrature, one dependency level after
+    another, when the rates of the ordering have levels (each level's rates
+    depend only on earlier levels' exponents; probed once per algebra and
+    ordering), else by RK4; 'rk4' and 'quadrature' force one, and
+    'quadrature' on an ordering with a dependency cycle raises LieSysError
+    naming the exponents on it.  The controls are sampled once: at the nodes
+    for quadrature, at the RK4 stage times otherwise.  Every M(v) solve goes
+    through `linsolve`, whose condition guard raises WNBreakdownError
+    carrying the time (and for quadrature the node) and the condition number
+    when M(v) nears singularity; the caller may re-order the factorization
+    and restart.  Non-finite control samples or exponents on the quadrature
+    path raise NumericsError naming the node.
     """
     alg = problem.algebra
-    if method == "auto":
-        fast = alg.nilpotency_index is not None and _is_unit_triangular(alg, problem.ordering)
-        method = "quadrature" if fast else "rk4"
-    elif method == "quadrature" and not _is_unit_triangular(alg, problem.ordering):
-        raise LieSysError("quadrature path requires a triangular ordering")
-    if method == "quadrature":
-        return _wn_solve_quadrature(problem)
+    if method in ("auto", "quadrature"):
+        levels, cycle = _dependency_levels(alg, problem.ordering)
+        if levels is not None:
+            return _wn_solve_levels(problem, levels)
+        if method == "quadrature":
+            names = ", ".join(f"v{i + 1} (a{problem.ordering[i]})" for i in cycle)
+            raise LieSysError(f"quadrature needs rates free of dependency cycles; exponents "
+                              f"{names} depend on themselves through the ordering "
+                              f"{problem.ordering}")
 
     def f(t, v, b):
         if not np.abs(v).max() <= 1e8:   # also catches NaN

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import liesys.groups as G
+from liesys.algebra import catalog_algebra
 from liesys.catalog import get_system, list_systems
 from liesys.errors import UnknownNameError
 from liesys.numerics import TimeGrid, integrate_rk4
@@ -338,3 +340,18 @@ def test_unknown_system():
 def test_family_parameter_cap():
     assert get_system("chained_n", n=10).algebra.dim == 10
     assert get_system("power_n", n=10).realization.state_dim == 10
+
+
+def test_geps_family_takes_integral_floats():
+    # f"{eps:+d}" rejected 1.0 with a ValueError from the format code
+    for eps in (-1.0, 0.0, 1.0):
+        assert G.get_chart("Geps", "matrix", eps=eps) is G.get_chart("Geps", "matrix", eps=int(eps))
+        entry = get_system("elastic_euler", eps=eps)
+        assert entry.algebra is get_system("elastic_euler", eps=int(eps)).algebra
+        assert entry.realization.name == f"elastic_euler(eps={int(eps):+d})"
+    for bad in (0.5, 2, "1", float("nan")):
+        for build in (lambda: G.get_chart("Geps", "matrix", eps=bad),
+                      lambda: get_system("elastic_euler", eps=bad),
+                      lambda: catalog_algebra("g_eps", eps=bad)):
+            with pytest.raises(UnknownNameError, match=r"eps in \{-1, 0, 1\}"):
+                build()

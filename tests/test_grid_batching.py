@@ -2,7 +2,7 @@
 
 Each reference below is the loop the library ran before it sampled the
 controls once per solve: RK4 calling the controls at every stage, the
-Wei-Norman quadrature building M(v) node by node, and the reconstruction
+Wei-Norman quadrature solving M(v) node by node, and the reconstruction
 composing one-parameter subgroups node by node.  The subgroup solve is now
 fourth-order Magnus, so its RK4 reference measures the agreement of two
 fourth-order schemes on the same stage values.
@@ -22,8 +22,8 @@ from liesys.reduction import catalog_reduction, reduce_to_subgroup, solve_on_sub
 from liesys.systems import field_eval, solve_direct
 from liesys.weinorman import (
     WNProblem,
-    _is_unit_triangular,
-    _wn_solve_quadrature,
+    _dependency_levels,
+    _wn_solve_levels,
     wn_reconstruct,
     wn_solve,
 )
@@ -126,38 +126,35 @@ def subgroup_gap(case, b, grid):
     return float(np.max(np.abs(h.coords - ref)))
 
 
-def quadrature_per_node(problem):
+def quadrature_per_node(problem, levels):
+    """Level by level, the rates of every node from their own M(v) solve."""
     alg, ordering = problem.algebra, problem.ordering
     nodes = problem.grid.nodes
-    perm = [idx - 1 for idx in ordering]
     b = np.array([problem.controls(t) for t in nodes])
     v = np.zeros((len(nodes), alg.dim))
-    vdot = np.zeros((len(nodes), alg.dim))
-    for i in range(alg.dim):
-        rhs = b[:, perm[i]].copy()
-        if i > 0:
-            for k in range(len(nodes)):
-                M = wn_matrix(alg, ordering, v[k])
-                rhs[k] -= float(M[perm[i], :i] @ vdot[k, :i])
-        vdot[:, i] = rhs
-        v[:, i] = cumulative_quadrature_samples(rhs, problem.grid)
+    for level in levels:
+        rates = np.array([np.linalg.solve(wn_matrix(alg, ordering, v[k]), b[k])
+                          for k in range(len(nodes))])
+        for i in level:
+            v[:, i] = cumulative_quadrature_samples(rates[:, i], problem.grid)
     return v
 
 
-def test_batched_quadrature_matches_per_node_loop_on_nilpotent_systems():
+def test_levelled_quadrature_matches_per_node_loop():
     grid = TimeGrid.uniform(0.0, 1.0, 400)
     checked = []
     for name, kw, nch, amp in LIE_SYSTEMS:
         entry = get_system(name, **kw)
         prob = WNProblem(entry.algebra, entry.pad_controls(controls(name, nch, amp)), grid,
                          entry.ordering())
-        if entry.algebra.nilpotency_index is None or not _is_unit_triangular(
-                prob.algebra, prob.ordering):
+        levels, _ = _dependency_levels(prob.algebra, prob.ordering)
+        if levels is None:
             continue
-        got = _wn_solve_quadrature(prob).states
-        assert np.max(np.abs(got - quadrature_per_node(prob))) <= 1e-14, name
+        got = _wn_solve_levels(prob, levels).states
+        assert np.max(np.abs(got - quadrature_per_node(prob, levels))) <= 1e-14, name
         checked.append(name)
-    assert len(checked) == 8
+    # the eight nilpotent systems, unicycle (SE(2)) and elastic_euler at eps = 0
+    assert len(checked) == 10
 
 
 def reference_exp(chart, index, s):

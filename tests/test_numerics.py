@@ -143,6 +143,26 @@ def test_linsolve_singular_raises():
     assert exc.value.cond > 1e12 or not np.isfinite(exc.value.cond)
 
 
+def test_linsolve_on_a_stack_guards_each_matrix(rng):
+    M = rng.standard_normal((2, 5, 3, 3)) + 4.0 * np.eye(3)
+    b = rng.standard_normal((2, 5, 3))
+    x = linsolve(M, b)
+    for i, j in np.ndindex(2, 5):
+        assert np.array_equal(x[i, j], linsolve(M[i, j], b[i, j]))
+    # one matrix for every right-hand side
+    assert np.array_equal(linsolve(M[0, 0], b)[1, 2], linsolve(M[0, 0], b[1, 2]))
+    # the first failing matrix is named, whether ill-conditioned or singular
+    M[1, 3] = np.diag([1.0, 1.0, 1e-13])
+    M[1, 4] = 0.0
+    with pytest.raises(SingularMatrixError, match=r"at index \(1, 3\) \(cond~1e\+13\)") as exc:
+        linsolve(M, b)
+    assert exc.value.index == (1, 3) and exc.value.cond == pytest.approx(1e13)
+    M[1, 3] = np.eye(3)
+    with pytest.raises(SingularMatrixError) as exc:
+        linsolve(M, b)
+    assert exc.value.index == (1, 4) and exc.value.cond == np.inf
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     grid = TimeGrid.uniform(0, 1, 10)
     traj = Trajectory(grid, np.column_stack([grid.nodes, grid.nodes**2]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import liesys.groups as G
+import liesys.reduction as R
 from liesys.errors import ChartError, LieSysError
 from liesys.numerics import TimeGrid
 from liesys.reduction import (
@@ -34,6 +35,17 @@ def controls_for(case, name, kw):
     amp = 0.6 if name.startswith("sl2") else 1.0
     return smooth_controls(len(case.used_channels), amp=amp,
                            seed=zlib.crc32((name + str(kw)).encode()) % 997)
+
+
+def test_blocked_subgroup_exponentials_equal_one_call(monkeypatch):
+    # expm scales each matrix by its own 1-norm, so a block gives each step
+    # the bits it gets in one call over all 4000 steps
+    case = catalog_reduction("se3/r3")
+    setup, _ = case.setup(controls_for(case, "se3/r3", {}), TimeGrid.uniform(0.0, 1.0, 4000))
+    coeffs, _ = reduce_to_subgroup(setup)
+    blocked = solve_on_subgroup(setup, coeffs).coords
+    monkeypatch.setattr(R, "_BLOCK", 10 ** 9)
+    assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
 
 
 @pytest.mark.parametrize("name,kw", ALL_CASES, ids=[f"{n}{k or ''}" for n, k in ALL_CASES])

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import liesys.groups as G
+import liesys.numerics as N
 import liesys.weinorman as W
-from liesys.algebra import catalog_algebra
-from liesys.catalog import get_system
-from liesys.errors import WNBreakdownError
+from liesys.algebra import LieAlgebra, catalog_algebra
+from liesys.catalog import _se2_wn_closed, get_system
+from liesys.errors import LieSysError, NumericsError, WNBreakdownError
 from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import (
     ControlSignal,
@@ -68,25 +69,71 @@ def test_wn_solve_se2_closed_form(unit_grid):
 
 
 def test_fast_path_matches_rk4(unit_grid):
-    for name, n in (("h3", None), ("g4", None), ("g5", None),
-                    ("gbar", 4), ("gbar", 5), ("gbar", 6)):
-        alg = catalog_algebra(name, n=n) if n else catalog_algebra(name)
+    for name, kw, ordering in (("h3", {}, None), ("g4", {}, None), ("g5", {}, None),
+                               ("gbar", {"n": 4}, None), ("gbar", {"n": 5}, None),
+                               ("gbar", {"n": 6}, None), ("se2", {}, None),
+                               ("g_eps", {"eps": 0}, None), ("aff", {}, (2, 1))):
+        alg = catalog_algebra(name, **kw)
         b = smooth_controls(alg.dim, seed=alg.dim)
-        prob = WNProblem(alg, b, unit_grid)
+        prob = WNProblem(alg, b, unit_grid, ordering)
         quad = wn_solve(prob, method="quadrature")
         rk4 = wn_solve(prob, method="rk4")
-        assert np.max(np.abs(quad.states - rk4.states)) < 1e-10, (name, n)
+        assert np.max(np.abs(quad.states - rk4.states)) < 1e-10, (name, kw)
 
 
-def test_auto_method_probes_triangularity_once(unit_grid, monkeypatch):
+def test_levelled_unicycle_matches_its_closed_form(unit_grid):
+    entry = get_system("unicycle")
+    b = entry.pad_controls(smooth_controls(2, seed=7))
+    v = wn_solve(WNProblem(entry.algebra, b, unit_grid, entry.ordering()))
+    assert np.max(np.abs(v.states - _se2_wn_closed(b, unit_grid))) <= 1e-15
+
+
+@pytest.mark.parametrize("name,kw,ordering,levels,cycle", [
+    ("se2", {}, (1, 2, 3), ((0,), (1, 2)), ()),
+    ("g_eps", {"eps": 0}, (1, 2, 3), ((0,), (1, 2)), ()),
+    ("aff", {}, (2, 1), ((0,), (1,)), ()),
+    ("h3", {}, (1, 2, 3), ((0, 1), (2,)), ()),
+    ("aff", {}, (1, 2), None, (0,)),
+    ("so3", {}, (1, 2, 3), None, (0, 1)),
+    ("g_eps", {"eps": 1}, (1, 2, 3), None, (0, 1)),
+    ("g_eps", {"eps": -1}, (1, 2, 3), None, (0, 1)),
+])
+def test_dependency_levels(name, kw, ordering, levels, cycle):
+    # exponent positions: the rate of the a2 exponent of aff ordered (2, 1)
+    # is b2 alone, that of the a1 exponent is e^{-v} b1
+    assert W._dependency_levels(catalog_algebra(name, **kw), ordering) == (levels, cycle)
+
+
+def test_quadrature_on_a_cycle_names_its_exponents(unit_grid):
+    so3 = catalog_algebra("so3")
+    with pytest.raises(LieSysError, match=r"v1 \(a1\), v2 \(a2\) depend on themselves"):
+        wn_solve(WNProblem(so3, smooth_controls(3, seed=3), unit_grid), method="quadrature")
+    aff = catalog_algebra("aff")
+    with pytest.raises(LieSysError, match=r"exponents v1 \(a1\) depend"):
+        wn_solve(WNProblem(aff, smooth_controls(2, seed=3), unit_grid, (1, 2)),
+                 method="quadrature")
+
+
+def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
+    # the probe is the only np.linalg.solve caller on these paths; fresh
+    # algebra instances start with an empty cache and share it with no other
+    grid = TimeGrid.uniform(0.0, 1.0, 40)
     probes = []
-    probe = W._is_unit_triangular
-    monkeypatch.setattr(W, "_is_unit_triangular", lambda *a: probes.append(a) or probe(*a))
-    for name, expected in (("h3", 1), ("so3", 0)):
-        probes.clear()
-        alg = catalog_algebra(name)
-        wn_solve(WNProblem(alg, smooth_controls(alg.dim, seed=3), unit_grid))
-        assert len(probes) == expected, name
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: probes.append(a) or solve(*a))
+    for name, orderings, expected in (("h3", [(1, 2, 3)], "quadrature"),
+                                      ("so3", [(1, 2, 3)], "rk4"),
+                                      ("se2", [(1, 2, 3), (2, 1, 3)], None)):
+        base = catalog_algebra(name)
+        for copy in range(2):
+            alg = LieAlgebra(base.dim, base.structure, base.basis_labels, base.name)
+            probes.clear()
+            for ordering in orderings * 3:
+                prob = WNProblem(alg, smooth_controls(alg.dim, seed=3), grid, ordering)
+                got = wn_solve(prob)
+                if expected is not None:
+                    assert np.array_equal(got.states, wn_solve(prob, method=expected).states)
+            assert len(probes) == len(orderings), (name, copy)
 
 
 def _lie_oracle_controls(seed, label, n_channels, amp):
@@ -292,6 +339,34 @@ def test_breakdown_is_caught_at_the_stage_where_it_happens():
     # the guard reports the condition it measured, not a stand-in
     assert np.isfinite(exc.value.cond) and exc.value.cond > 1e10
     assert f"t={exc.value.t}" in str(exc.value)
+
+
+def test_breakdown_on_the_levelled_path_names_the_node(monkeypatch):
+    # aff ordered (2, 1): v1 = 25 t, and M(v) has 1-norm condition e^{v1},
+    # which first exceeds 1e10 at the node after t = ln(1e10) / 25 = 0.92103
+    steps = []
+    monkeypatch.setattr(N, "rk4_step", lambda *a: steps.append(a) or pytest.fail("rk4_step ran"))
+    grid = TimeGrid.uniform(0.0, 1.0, 2000)
+    prob = WNProblem(catalog_algebra("aff"), ControlSignal.constant([1.0, 25.0]), grid, (2, 1))
+    with pytest.raises(WNBreakdownError) as exc:
+        wn_solve(prob)
+    assert exc.value.node == 1843 and exc.value.t == grid.nodes[1843] == 0.9215
+    assert exc.value.cond == pytest.approx(math.exp(25 * 0.9215), rel=1e-9)
+    assert exc.value.cond == pytest.approx(1.01e10, rel=3e-3)
+    assert "at node 1843 near t=0.9215 (cond~1.01e+10)" in str(exc.value)
+    assert not steps
+
+
+def test_levelled_path_names_a_non_finite_node():
+    grid = TimeGrid.uniform(0.0, 1.0, 20)
+    samples = np.ones((21, 3))
+    samples[13, 1] = np.nan
+    se2 = catalog_algebra("se2")
+    with pytest.raises(NumericsError, match=r"non-finite control sample at node 13 \(t=0\.65\)"):
+        wn_solve(WNProblem(se2, ControlSignal.sampled(grid, samples), grid))
+    # a finite rate whose integral overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match=r"non-finite exponent at node 1 \(t=0\.05\)"):
+        wn_solve(WNProblem(se2, ControlSignal.constant([1e308, 0.0, 0.0]), grid))
 
 
 # --- the closed-form Wei-Norman tables --------------------------------------------
