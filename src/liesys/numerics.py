@@ -137,11 +137,6 @@ def interp_columns(t, nodes, samples) -> np.ndarray:
     return np.where(on_row[..., None], samples[np.clip(j, 0, last)], between)
 
 
-def _check_finite(dx, t, x):
-    if not np.isfinite(dx).all():
-        raise NumericsError("non-finite derivative", t=t, state=np.array(x))
-
-
 def rk4_stage_times(grid: TimeGrid) -> np.ndarray:
     """The times at which RK4 on the grid evaluates its right-hand side:
     the n + 1 nodes interleaved with the n midpoints t_k + dt_k / 2."""
@@ -160,11 +155,9 @@ def rk4_step(f, t, x, dt, rows=None):
     as f(t, x, u)."""
     u0, uh, u1 = ((), (), ()) if rows is None else ((rows[0],), (rows[1],), (rows[2],))
     k1 = np.asarray(f(t, x, *u0), dtype=float)
-    _check_finite(k1, t, x)
     k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1, *uh), dtype=float)
     k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2, *uh), dtype=float)
     k4 = np.asarray(f(t + dt, x + dt * k3, *u1), dtype=float)
-    _check_finite(k4, t + dt, x)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -174,7 +167,11 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
     f(t, x) gives the derivative.  When the right-hand side depends on
     time-dependent inputs, sample them once at `rk4_stage_times(grid)` and
     pass that (2n + 1, ...) array as `table`; f is then called as
-    f(t, x, u) with u the table row at the stage time."""
+    f(t, x, u) with u the table row at the stage time.
+
+    Each step's result is checked once: a non-finite value in any stage
+    makes it non-finite, and NumericsError then names the step's start time
+    and state."""
     nodes = grid.nodes
     if table is not None and len(table) != 2 * len(nodes) - 1:
         raise NumericsError(f"stage table needs {2 * len(nodes) - 1} rows, got {len(table)}")
@@ -183,9 +180,11 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
     states[0] = x
     for k in range(len(nodes) - 1):
         rows = None if table is None else table[2 * k:2 * k + 3]
-        x = rk4_step(f, nodes[k], x, nodes[k + 1] - nodes[k], rows)
-        _check_finite(x, nodes[k + 1], x)
-        states[k + 1] = x
+        step = rk4_step(f, nodes[k], x, nodes[k + 1] - nodes[k], rows)
+        if not np.isfinite(step).all():
+            raise NumericsError(f"non-finite RK4 step from t={nodes[k]:.6g}", t=nodes[k],
+                                state=x)
+        states[k + 1] = x = step
     return Trajectory(grid, states, meta)
 
 

@@ -6,16 +6,26 @@ one-parameter exponentials g(t) = prod_i exp(-v_i(t) a_{s_i}), and the
 exponents satisfy  M(v) dv/dt = b(t)  with  v(0) = 0, where column i of
 M(v) is (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i}.
 
-The rates dv/dt = f(v) = M(v)^-1 b often depend on few exponents.  When
-they fall into dependency levels, the first depending on no exponent and
-each later one only on earlier levels, the system integrates by
-quadratures (a solvable algebra with a suitable ordering: Wei & Norman,
-J. Math. Phys. 4 (1963) 575; Proc. AMS 15 (1964) 327).
-The levels are probed once per algebra and ordering; each level then takes
-one batched M(v) over the grid, one guarded solve and one cumulative
-Simpson.  This reproduces the closed forms of the cataloged systems: the
-nilpotent triangular orderings and SE(2), whose angle comes first.  An
-ordering with a dependency cycle integrates by RK4.
+The exponents integrate by quadrature sweeps.  A sweep takes the integral
+of the rates dv/dt = f(v) = M(v)^-1 b at given exponents: one batched M(v)
+over the nodes, one guarded solve and one cumulative Simpson.  The rates
+often depend on few exponents.  When they fall into dependency levels, the
+first depending on no exponent and each later one only on earlier levels,
+one sweep per level solves the system (a solvable algebra with a suitable
+ordering: Wei & Norman, J. Math. Phys. 4 (1963) 575; Proc. AMS 15 (1964)
+327).  The levels are probed once per algebra and ordering.  This
+reproduces the closed forms of the cataloged systems: the nilpotent
+triangular orderings and SE(2), whose angle comes first.
+
+An ordering with a dependency cycle takes Picard sweeps over windows of
+nodes, v <- v(t_a) + int_{t_a}^t f(v) (waveform relaxation: Lelarasmee,
+Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  A window is
+accepted once a sweep's update falls to roundoff.  Windows start at 128
+steps; one halves when its sweeps stop contracting or when the condition
+guard fails on an iterate that has not converged, and the next window
+doubles back toward 128 steps.  A two-step window that still fails is a
+chart breakdown.  The sweeps need Simpson's rule, so on a non-uniform grid
+a cyclic ordering integrates by RK4.
 """
 
 from __future__ import annotations
@@ -46,6 +56,14 @@ _PROBES = 3
 _PROBE_RTOL = 1e-8
 # an array result must agree with the scalar calls to this relative error
 _MATCH_RTOL = 1e-12
+# Picard sweeps on cyclic orderings: window widths in steps (Simpson needs
+# two; halving from 128 reaches 2), the sweeps a window may take, and the
+# update, relative to max(1, |v|), that counts as roundoff
+_WINDOW = 128
+_MIN_WINDOW = 2
+_MAX_SWEEPS = 40
+_ROUNDOFF = 64 * np.finfo(float).eps
+_METHODS = ("auto", "quadrature", "rk4")
 
 
 def _channel_on_times(ch, t):
@@ -232,52 +250,118 @@ def _reject_non_finite(x, what, nodes):
         raise NumericsError(f"non-finite {what} at node {k} (t={nodes[k]:.6g})", t=nodes[k])
 
 
-def _wn_solve_levels(problem: WNProblem, levels) -> Trajectory:
+def _sweep(alg: LieAlgebra, ordering, v, b, grid: TimeGrid, cols):
+    """The integral over `grid` of the rates M(v)^-1 b of the exponents
+    `cols`, 0 at the first node: one batched M(v), one guarded solve and one
+    cumulative quadrature.  v is one exponent vector or one per node of the
+    grid; b has one row per node."""
+    f = linsolve(wn_matrix(alg, ordering, v), b, _BREAKDOWN_COND)
+    return cumulative_quadrature_samples(f[:, cols], grid)
+
+
+def _wn_solve_levels(problem: WNProblem, b, levels) -> Trajectory:
     # later levels' exponents are still 0 in M(v) and do not enter; the first
     # level depends on no exponent, so M(0) serves every node
     alg, ordering, grid = problem.algebra, problem.ordering, problem.grid
     nodes = grid.nodes
-    b = problem.controls(nodes)
-    _reject_non_finite(b, "control sample", nodes)
     v = np.zeros(b.shape)
     for depth, level in enumerate(levels):
-        M = wn_matrix(alg, ordering, v if depth else np.zeros(alg.dim))
         try:
-            f = linsolve(M, b, _BREAKDOWN_COND)
+            v[:, level] = _sweep(alg, ordering, v if depth else v[0], b, grid, level)
         except SingularMatrixError as exc:
             k = exc.index[0]
             raise WNBreakdownError(nodes[k], exc.cond, node=k) from None
-        v[:, level] = cumulative_quadrature_samples(f[:, level], grid)
         _reject_non_finite(v[:, level], "exponent", nodes)
+    return Trajectory(grid, v, meta="wei-norman")
+
+
+def _picard(alg: LieAlgebra, ordering, v0, b, window: TimeGrid):
+    """Picard sweeps v <- v0 + int f(v) over `window`, from the constant
+    iterate v0: the first iterate whose update falls to roundoff, or None
+    once the sweeps stop contracting, run past _MAX_SWEEPS or fail the
+    guard."""
+    w, last = v0, np.inf
+    for _ in range(_MAX_SWEEPS):
+        try:
+            new = v0 + _sweep(alg, ordering, w, b, window, slice(None))
+        except SingularMatrixError:
+            return None
+        update = np.max(np.abs(new - w))
+        if update <= _ROUNDOFF * max(1.0, np.max(np.abs(new))):
+            return new
+        if not update < last:      # also catches NaN
+            return None
+        w, last = new, update
+    return None
+
+
+def _wn_solve_sweeps(problem: WNProblem, b) -> Trajectory:
+    # windows of nodes a..e; fewer than _MIN_WINDOW steps left join the window
+    alg, ordering, grid = problem.algebra, problem.ordering, problem.grid
+    nodes, n = grid.nodes, len(grid.nodes) - 1
+    v = np.zeros(b.shape)
+    a, width = 0, _WINDOW
+    while a < n:
+        e = n if n - a - width < _MIN_WINDOW else a + width
+        w = _picard(alg, ordering, v[a], b[a:e + 1], TimeGrid.uniform(nodes[a], nodes[e], e - a))
+        if w is not None:
+            v[a + 1:e + 1] = w[1:]
+            a, width = e, min(2 * width, _WINDOW)
+        elif width > _MIN_WINDOW:
+            width //= 2
+        else:
+            cond = float(np.linalg.cond(wn_matrix(alg, ordering, v[a]), 1))
+            raise WNBreakdownError(nodes[a], cond, node=a,
+                                   what="Wei-Norman sweeps did not converge")
     return Trajectory(grid, v, meta="wei-norman")
 
 
 def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     """Integrate the Wei-Norman system with v(t0) = 0.
 
-    method: 'auto' integrates by quadrature, one dependency level after
-    another, when the rates of the ordering have levels (each level's rates
-    depend only on earlier levels' exponents; probed once per algebra and
-    ordering), else by RK4; 'rk4' and 'quadrature' force one, and
-    'quadrature' on an ordering with a dependency cycle raises LieSysError
-    naming the exponents on it.  The controls are sampled once: at the nodes
-    for quadrature, at the RK4 stage times otherwise.  Every M(v) solve goes
-    through `linsolve`, whose condition guard raises WNBreakdownError
-    carrying the time (and for quadrature the node) and the condition number
-    when M(v) nears singularity; the caller may re-order the factorization
-    and restart.  Non-finite control samples or exponents on the quadrature
-    path raise NumericsError naming the node.
+    method: 'auto' integrates by quadrature sweeps, each one batched M(v)
+    over the nodes, one guarded solve and one cumulative quadrature.  When
+    the rates of the ordering have dependency levels (probed once per
+    algebra and ordering), one sweep per level solves them.  An ordering
+    with a dependency cycle on a uniform grid of two steps or more takes
+    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b over windows of at
+    most 128 steps; a window is accepted once a sweep's update falls to
+    roundoff.  A window halves when its sweeps stop contracting (or run past
+    a cap) or when the guard fails on an unconverged iterate, and the next
+    window doubles back toward 128 steps.  On any other grid a cyclic
+    ordering runs RK4: the second-order trapezoid is the only quadrature
+    rule there.  'rk4' forces RK4; 'quadrature' forces levels, and on an
+    ordering with a dependency cycle raises LieSysError naming the
+    exponents on it.  Any other method raises LieSysError.
+
+    The controls are sampled once: at the nodes for quadrature, at the RK4
+    stage times otherwise; non-finite samples, and non-finite exponents on
+    the levelled path, raise NumericsError naming the node.  The condition
+    guard of `linsolve` checks every M(v) solve.  On levels and RK4 its
+    failure raises WNBreakdownError carrying the time (for levels also the
+    node) and the condition number; the caller may re-order the
+    factorization and restart.  On the cyclic sweeps, a two-step window
+    that still fails raises WNBreakdownError at its first node, the last
+    one solved, stating that the sweeps did not converge and carrying the
+    1-norm condition of M(v) there.
     """
-    alg = problem.algebra
-    if method in ("auto", "quadrature"):
+    if method not in _METHODS:
+        raise LieSysError(f"unknown Wei-Norman method {method!r}; use one of "
+                          f"{', '.join(map(repr, _METHODS))}")
+    alg, grid = problem.algebra, problem.grid
+    if method != "rk4":
         levels, cycle = _dependency_levels(alg, problem.ordering)
-        if levels is not None:
-            return _wn_solve_levels(problem, levels)
-        if method == "quadrature":
+        if levels is None and method == "quadrature":
             names = ", ".join(f"v{i + 1} (a{problem.ordering[i]})" for i in cycle)
             raise LieSysError(f"quadrature needs rates free of dependency cycles; exponents "
                               f"{names} depend on themselves through the ordering "
                               f"{problem.ordering}")
+        if levels is not None or (grid.uniform_dt is not None and len(grid.nodes) > _MIN_WINDOW):
+            b = problem.controls(grid.nodes)
+            _reject_non_finite(b, "control sample", grid.nodes)
+            if levels is not None:
+                return _wn_solve_levels(problem, b, levels)
+            return _wn_solve_sweeps(problem, b)
 
     def f(t, v, b):
         if not np.abs(v).max() <= 1e8:   # also catches NaN
@@ -287,8 +371,8 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
         except SingularMatrixError as exc:
             raise WNBreakdownError(t, exc.cond)
 
-    table = problem.controls(rk4_stage_times(problem.grid))
-    return integrate_rk4(f, np.zeros(alg.dim), problem.grid, "wei-norman", table)
+    table = problem.controls(rk4_stage_times(grid))
+    return integrate_rk4(f, np.zeros(alg.dim), grid, "wei-norman", table)
 
 
 class GroupCurve:

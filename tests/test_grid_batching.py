@@ -150,7 +150,7 @@ def test_levelled_quadrature_matches_per_node_loop():
         levels, _ = _dependency_levels(prob.algebra, prob.ordering)
         if levels is None:
             continue
-        got = _wn_solve_levels(prob, levels).states
+        got = _wn_solve_levels(prob, prob.controls(grid.nodes), levels).states
         assert np.max(np.abs(got - quadrature_per_node(prob, levels))) <= 1e-14, name
         checked.append(name)
     # the eight nilpotent systems, unicycle (SE(2)) and elastic_euler at eps = 0

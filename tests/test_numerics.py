@@ -66,10 +66,15 @@ def test_rk4_order():
 
 
 def test_rk4_nonfinite_raises():
+    # the first non-finite stage is the last one of the step from t = 0.49;
+    # the error names that step's start and its finite state
     grid = TimeGrid.uniform(0, 1, 100)
     with pytest.raises(NumericsError) as exc:
         integrate_rk4(lambda t, x: np.array([np.inf if t >= 0.5 else 1.0]), [0.0], grid)
-    assert exc.value.t is not None
+    assert 0.5 - grid.uniform_dt - 1e-12 <= exc.value.t < 0.5
+    assert exc.value.t == grid.nodes[49]
+    assert exc.value.state == pytest.approx([0.49], abs=1e-12)
+    assert "from t=0.49" in str(exc.value)
 
 
 def test_quadrature_zero():

@@ -122,7 +122,7 @@ def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a: probes.append(a) or solve(*a))
     for name, orderings, expected in (("h3", [(1, 2, 3)], "quadrature"),
-                                      ("so3", [(1, 2, 3)], "rk4"),
+                                      ("so3", [(1, 2, 3)], None),
                                       ("se2", [(1, 2, 3), (2, 1, 3)], None)):
         base = catalog_algebra(name)
         for copy in range(2):
@@ -134,6 +134,74 @@ def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
                 if expected is not None:
                     assert np.array_equal(got.states, wn_solve(prob, method=expected).states)
             assert len(probes) == len(orderings), (name, copy)
+
+
+def test_wn_solve_rejects_an_unknown_method():
+    grid = TimeGrid.uniform(0.0, 1.0, 20)
+    prob = WNProblem(catalog_algebra("h3"), smooth_controls(3, seed=3), grid)
+    with pytest.raises(LieSysError, match="'quadratur'.*'auto', 'quadrature', 'rk4'"):
+        wn_solve(prob, method="quadratur")
+
+
+def _widths(monkeypatch):
+    """Patch the sweep and the RK4 step: the widths, in steps, of the windows
+    swept, in order; an RK4 step fails the test."""
+    widths = []
+    sweep = W._sweep
+    monkeypatch.setattr(W, "_sweep", lambda *a: widths.append(len(a[3]) - 1) or sweep(*a))
+    monkeypatch.setattr(N, "rk4_step", lambda *a: pytest.fail("rk4_step ran"))
+    return widths
+
+
+def _sweeps_against_rk4(prob, monkeypatch):
+    rk4 = wn_solve(prob, method="rk4").states
+    with monkeypatch.context() as patch:
+        widths = _widths(patch)
+        got = wn_solve(prob).states
+    assert widths
+    return float(np.max(np.abs(got - rk4)))
+
+
+@pytest.mark.parametrize("name,kw,ordering", [
+    ("so3", {}, None), ("sl2", {}, None), ("g_eps", {"eps": 1}, None),
+    ("g_eps", {"eps": -1}, None), ("aff", {}, (1, 2))])
+def test_sweeps_match_rk4_on_cyclic_orderings(name, kw, ordering, unit_grid, monkeypatch):
+    alg = catalog_algebra(name, **kw)
+    prob = WNProblem(alg, smooth_controls(alg.dim, seed=alg.dim), unit_grid, ordering)
+    assert W._dependency_levels(alg, prob.ordering)[0] is None
+    assert _sweeps_against_rk4(prob, monkeypatch) < 1e-10
+
+
+@pytest.mark.parametrize("name,kw,amp", [("so3_kinematics", {}, 1.0),
+                                         ("elastic_euler", {"eps": 1}, 1.0),
+                                         ("elastic_euler", {"eps": -1}, 0.8)])
+def test_sweeps_match_rk4_on_cyclic_criterion_1_systems(name, kw, amp, unit_grid, monkeypatch):
+    entry = get_system(name, **kw)
+    label = name + "".join(f"[{k}={v}]" for k, v in kw.items())
+    b = entry.pad_controls(_lie_oracle_controls(1, label, 3, amp))
+    prob = WNProblem(entry.algebra, b, unit_grid, entry.ordering())
+    assert _sweeps_against_rk4(prob, monkeypatch) < 1e-10
+
+
+def test_sweep_windows_halve_and_grow_back(monkeypatch):
+    # v1' = 3 cos t (1 - v1^2) on [0, 6]: the first 128-step window does not
+    # contract, a 64-step one does, and the next window is 128 steps again.
+    # Both rules are fourth order at dt = 0.003; against RK4 on 16000 steps
+    # the sweeps are off by 1.3e-9 and RK4 on this grid by 1.5e-10
+    grid = TimeGrid.uniform(0.0, 6.0, 2000)
+    b = ControlSignal([lambda t: 3 * np.cos(t), lambda t: 0 * t, lambda t: -3 * np.cos(t)])
+    rk4 = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid), method="rk4").states
+    widths = _widths(monkeypatch)
+    got = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid)).states
+    assert widths[0] == 128 and 64 in widths
+    assert 128 in widths[widths.index(64):]
+    assert np.max(np.abs(got - rk4)) < 1e-8
+
+
+def test_cyclic_ordering_on_a_non_uniform_grid_runs_rk4():
+    nodes = np.linspace(0.0, 1.0, 201) ** 1.5
+    prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3), TimeGrid.from_nodes(nodes))
+    assert np.array_equal(wn_solve(prob).states, wn_solve(prob, method="rk4").states)
 
 
 def _lie_oracle_controls(seed, label, n_channels, amp):
@@ -339,6 +407,27 @@ def test_breakdown_is_caught_at_the_stage_where_it_happens():
     # the guard reports the condition it measured, not a stand-in
     assert np.isfinite(exc.value.cond) and exc.value.cond > 1e10
     assert f"t={exc.value.t}" in str(exc.value)
+
+
+def test_breakdown_on_the_sweep_path_names_the_node(monkeypatch):
+    # the sl2 problem above: v(t) = (tan 4t, -2 ln cos 4t, tan 4t) blows up
+    # at t = pi/8 = 0.3927, so the sweeps stop converging a few steps before
+    # the RK4 scan crosses the bound at t = 0.3945
+    sl2 = catalog_algebra("sl2")
+    grid = TimeGrid.uniform(0, 6.0, 2000)
+    widths = _widths(monkeypatch)
+    with pytest.raises(WNBreakdownError) as exc:
+        wn_solve(WNProblem(sl2, ControlSignal.constant([4.0, 0.0, 4.0]), grid))
+    k, t = exc.value.node, exc.value.t
+    assert t == grid.nodes[k] and 0.3795 <= t <= 0.3945
+    assert widths[-1] == 2
+    assert f"sweeps did not converge at node {k} near t={t}" in str(exc.value)
+    # the condition of M(v) at that node: the sweeps' v there differs from
+    # the closed form by their error near the blow-up (|v| ~ 29)
+    v = np.array([math.tan(4 * t), -2 * math.log(math.cos(4 * t)), math.tan(4 * t)])
+    assert math.isfinite(exc.value.cond)
+    assert exc.value.cond == pytest.approx(np.linalg.cond(wn_matrix(sl2, (1, 2, 3), v), 1),
+                                           rel=0.02)
 
 
 def test_breakdown_on_the_levelled_path_names_the_node(monkeypatch):
