@@ -14,7 +14,7 @@ from .algebra import (
     load_algebra_file,
     span_is_subalgebra,
 )
-from .catalog import CatalogEntry, catalog_realization, get_system, list_systems
+from .catalog import CatalogEntry, get_system, list_systems
 from .groups import (
     GroupChart,
     GroupElement,

@@ -22,13 +22,18 @@ _SPAN_SVD_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """dim, structure tensor and basis labels; immutable after construction."""
+    """dim, structure tensor and basis labels; immutable after construction.
+
+    `nilpotency_class` is the length of the lower central series
+    (`lower_central_class`), None when the algebra is not nilpotent; every
+    power (ad x)^k with k at or above it vanishes, so the exp(ad) and dexp
+    series stop there."""
 
     dim: int
     structure: np.ndarray
     basis_labels: tuple = ()
     name: str = ""
-    nilpotency_index: int | None = field(default=None, compare=False)
+    nilpotency_class: int | None = field(default=None, init=False, compare=False)
     # exp(ad) power stacks per basis index, filled by _ad_power_stack; held on
     # the instance so no other algebra can ever read them
     _ad_stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -50,7 +55,7 @@ class LieAlgebra:
         res = jacobi_residual(self)
         if res > _JACOBI_TOL:
             raise LieSysError(f"Jacobi identity violated (residual {res:.3g})")
-        object.__setattr__(self, "nilpotency_index", _nilpotency_index(self))
+        object.__setattr__(self, "nilpotency_class", lower_central_class(self))
 
     def basis_vector(self, i: int) -> "AlgebraVector":
         v = np.zeros(self.dim)
@@ -116,25 +121,6 @@ def ad_matrix(alg: LieAlgebra, a) -> np.ndarray:
     return np.einsum("...a,abg->...gb", coeffs, alg.structure)
 
 
-def _nilpotency_index(alg: LieAlgebra) -> int | None:
-    # Smallest k with (ad x)^k = 0 for generic x, capped at r+1; the probe
-    # uses a fixed generic coefficient vector so the result is reproducible.
-    r = alg.dim
-    probe = np.cos(np.arange(1, r + 1) * 1.7) + 0.5
-    M = ad_matrix(alg, probe)
-    P = np.eye(r)
-    for k in range(1, r + 2):
-        P = P @ M
-        if np.max(np.abs(P)) < 1e-13:
-            # verify on all basis directions (generic probe could be lucky)
-            for i in range(r):
-                Q = np.linalg.matrix_power(ad_matrix(alg, alg.basis_vector(i)), k)
-                if np.max(np.abs(Q)) > 1e-13:
-                    return None
-            return k
-    return None
-
-
 def lower_central_class(alg: LieAlgebra) -> int | None:
     """Nilpotency class: the smallest c with every (c+1)-fold bracket zero.
 
@@ -181,9 +167,9 @@ def _ad_power_stack(alg: LieAlgebra, index: int):
     hit = alg._ad_stacks.get(index)
     if hit is not None:
         return hit
-    nilpotent = alg.nilpotency_index is not None
+    nilpotent = alg.nilpotency_class is not None
     M = ad_matrix(alg, alg.basis_vector(index))
-    out = _power_stack(M, alg.nilpotency_index or _AD_STACK_TERMS, not nilpotent) + (nilpotent,)
+    out = _power_stack(M, alg.nilpotency_class or _AD_STACK_TERMS, not nilpotent) + (nilpotent,)
     alg._ad_stacks[index] = out
     return out
 
@@ -247,12 +233,12 @@ def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
 
 
 def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:
-    """sum_k ad_x^k / (k + shift)! over k below the nilpotency index, for
+    """sum_k ad_x^k / (k + shift)! over k below the nilpotency class, for
     (..., r) vectors x: exp(ad_x) for shift 0, and for shift 1 the dexp map
     phi(ad_x) with phi(z) = (e^z - 1) / z.  Exact on a nilpotent algebra."""
     ad = ad_matrix(alg, x)
     out = term = np.eye(alg.dim)
-    for k in range(1, alg.nilpotency_index):
+    for k in range(1, alg.nilpotency_class):
         term = term @ ad / (k + shift)
         out = out + term
     return out
@@ -264,7 +250,7 @@ def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
     nz = np.flatnonzero(coeffs)
     if len(nz) == 1:
         return exp_ad_basis(alg, int(nz[0]), s * float(coeffs[nz[0]]))
-    if alg.nilpotency_index is not None:
+    if alg.nilpotency_class is not None:
         return _ad_series(alg, s * coeffs, 0)
     return expm(s * ad_matrix(alg, coeffs))
 

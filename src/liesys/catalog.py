@@ -78,11 +78,6 @@ def list_systems():
     return sorted(_REGISTRY)
 
 
-def catalog_realization(name: str, **params) -> LieSystemRealization:
-    """Shared constructor: the realization of a registry entry."""
-    return get_system(name, **params).realization
-
-
 def _cum(samples, grid):
     return cumulative_quadrature_samples(np.asarray(samples), grid)
 

@@ -14,18 +14,19 @@ most 4), and every second-kind law goes through the conversions to and from
 the first kind.  H3, SE2, the signature family and the affine group keep
 closed-form composition laws.
 
-Log-derivatives follow from the chart kind alone (`_trivialize`): the
-Wei-Norman matrix for second-kind charts, the dexp series for first-kind
-charts, and a projector onto the algebra representation for matrix and
-quaternion charts, whose coordinates map to matrices linearly.
+Adjoints and log-derivatives follow from the chart kind alone (`_adjoint`,
+`_trivialize`): products of exp(ad) factors and the Wei-Norman matrix for
+second-kind charts, the exp(ad) and dexp series for first-kind charts, and
+a projector onto the algebra representation for matrix and quaternion
+charts, whose coordinates map to matrices linearly.
 
 One exponential map, `exp_algebra`, takes algebra vectors to chart
 coordinates, with one rule per chart kind; the one-parameter subgroups
 (`exp_chart`), the Wei-Norman reconstruction, the Magnus steps of the
 subgroup solve and off-node curve evaluation all go through it.
 
-Every chart law (compose, inverse, adjoint, constraint, wrap, to-matrix)
-and `exp_algebra`, `_adjoint`, `_trivialize` and `bch` take coordinates
+Every chart law (compose, inverse, constraint, wrap, to-matrix) and
+`exp_algebra`, `_adjoint`, `_trivialize` and `bch` take coordinates
 with leading batch axes, (..., d), so a whole grid of nodes goes through one
 call; a single point is the batch with no leading axis.  Chart conversions
 take single points.
@@ -46,7 +47,6 @@ from .algebra import (
     eps_parameter,
     exp_ad_basis,
     expm,
-    lower_central_class,
     wn_matrix,
 )
 from .errors import ChartError, UnknownNameError
@@ -115,7 +115,6 @@ class GroupChart:
     compose_fn: Callable = field(default=None, repr=False)
     inverse_fn: Callable = field(default=None, repr=False)
     identity_coords: np.ndarray = field(default=None, repr=False)
-    adjoint_fn: Callable | None = field(default=None, repr=False)
     constraint_fn: Callable | None = field(default=None, repr=False)
     wrap_fn: Callable | None = field(default=None, repr=False)
     # closed-form exponential, (..., r) algebra vectors -> coords (second kind)
@@ -215,26 +214,28 @@ def group_adjoint(g: GroupElement) -> np.ndarray:
 
 
 def _adjoint(chart: GroupChart, g) -> np.ndarray:
-    """Ad of (..., d) chart points, as (..., r, r) matrices.
+    """Ad of (..., d) chart points, as (..., r, r) matrices, with one rule
+    per chart kind, as `_trivialize` has.
 
-    Matrix charts expand g a g^{-1} on the basis; canonical charts use the
-    exact product of exp(ad) factors, which only needs structure constants.
+    canonical_second: g = prod_i exp(g_i a_{s_i}), so Ad(g) is the product
+    of the factors exp(g_i ad a_{s_i}).
+    canonical_first: g = exp(x), so Ad(g) = exp(ad_x), a finite sum on the
+    nilpotent algebras these charts live on.
+    matrix, quaternion: column i holds the algebra coordinates of
+    G a_i G^{-1} in the chart's representation, read off by its projector.
     """
-    if chart.adjoint_fn is not None:
-        return chart.adjoint_fn(g)
     alg = chart.algebra
-    if chart.chart_kind == "matrix":
-        G = chart.to_matrix_fn(g)[..., None, :, :]
-        Gi = chart.to_matrix_fn(chart.inverse_fn(g))[..., None, :, :]
-        GAGi = G @ np.stack(chart.algebra_rep) @ Gi
-        return chart.rep_projector @ np.swapaxes(GAGi.reshape(GAGi.shape[:-2] + (-1,)), -1, -2)
+    if chart.chart_kind == "canonical_second":
+        out = np.eye(alg.dim)
+        for pos, idx in enumerate(chart.ordering):
+            out = out @ exp_ad_basis(alg, idx - 1, g[..., pos])
+        return out
     if chart.chart_kind == "canonical_first":
         return _ad_series(alg, g, 0)
-    # second kind: Ad(prod exp(v_i a_{s_i})) = prod exp(v_i ad a_{s_i))
-    out = np.eye(alg.dim)
-    for pos, idx in enumerate(chart.ordering):
-        out = out @ exp_ad_basis(alg, idx - 1, g[..., pos])
-    return out
+    G = chart.to_matrix_fn(g)[..., None, :, :]
+    Gi = chart.to_matrix_fn(chart.inverse_fn(g))[..., None, :, :]
+    GAGi = G @ np.stack(chart.algebra_rep) @ Gi
+    return chart.rep_projector @ np.swapaxes(GAGi.reshape(GAGi.shape[:-2] + (-1,)), -1, -2)
 
 
 def _stencil_derivative(sample, t, h, order):
@@ -330,6 +331,12 @@ def matrix_rep(g: GroupElement) -> np.ndarray:
     return out
 
 
+def _to_matrix_coords(chart):
+    """The conversion from a canonical chart to its group's matrix chart,
+    through `matrix_rep`."""
+    return lambda g: matrix_rep(GroupElement(chart, g)).reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # chart registry
 # ---------------------------------------------------------------------------
@@ -421,11 +428,6 @@ def _build_h3():
         a, b, c = g.T
         return np.array([-a, -b, -c - a * b]).T
 
-    def adjoint12(g):
-        a, b, _ = g.T
-        one, zero = np.ones_like(a), np.zeros_like(a)
-        return _mat([[one, zero, zero], [zero, one, zero], [-b, a, one]])
-
     def exp2(x):
         a, b, c = x.T
         return np.array([a, b, c - 0.5 * a * b]).T
@@ -433,7 +435,7 @@ def _build_h3():
     chart2 = GroupChart(
         "H3", "canonical_second", 3, alg, ordering=(1, 2, 3),
         algebra_rep=rep, compose_fn=compose2, inverse_fn=inverse2,
-        identity_coords=np.zeros(3), adjoint_fn=adjoint12, exp_closed_fn=exp2,
+        identity_coords=np.zeros(3), exp_closed_fn=exp2,
     )
     register_chart(("H3", "canonical_second", (1, 2, 3)), chart2)
 
@@ -444,8 +446,7 @@ def _build_h3():
 
     chart1 = GroupChart(
         "H3", "canonical_first", 3, alg, algebra_rep=rep,
-        compose_fn=compose1, inverse_fn=lambda g: -g,
-        identity_coords=np.zeros(3), adjoint_fn=adjoint12,
+        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(3),
     )
     register_chart(("H3", "canonical_first", None), chart1)
 
@@ -453,10 +454,7 @@ def _build_h3():
     register_conversion(k2, k1, lambda g: np.array([g[0], g[1], g[2] + 0.5 * g[0] * g[1]]))
     register_conversion(k1, k2, exp2)
     _mk_matrix_chart("H3", alg, rep)
-    register_conversion(
-        k2, ("H3", "matrix", None),
-        lambda g: (np.eye(3) + g[0] * A1 + g[1] * A2 + (g[2] + g[0] * g[1]) * A3).reshape(-1),
-    )
+    register_conversion(k2, ("H3", "matrix", None), _to_matrix_coords(chart2))
 
 
 # --- nilpotent groups: laws derived from the structure constants -------------
@@ -490,7 +488,7 @@ def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
     a first-kind vector is the i-th second-kind coordinate, which the
     conversion to the second kind peels off one factor at a time.
     """
-    cls = lower_central_class(alg)
+    cls = alg.nilpotency_class
     if cls is None or cls > _BCH_MAX_CLASS:
         raise ChartError(f"{group}: algebra {alg.name} has nilpotency class {cls}; "
                          f"BCH charts need class <= {_BCH_MAX_CLASS}")
@@ -550,16 +548,6 @@ def _build_se2():
         ct, st = np.cos(th), np.sin(th)
         return np.array([-th, -(a * ct - b * st), -(a * st + b * ct)]).T
 
-    def adjoint(g):
-        th, a, b = g.T
-        ct, st = np.cos(th), np.sin(th)
-        one, zero = np.ones_like(th), np.zeros_like(th)
-        return _mat([
-            [one, zero, zero],
-            [b * ct + a * st, ct, -st],
-            [-a * ct + b * st, st, ct],
-        ])
-
     def wrap(c):
         out = c.copy()
         out[..., 0] = _wrap_angle(out[..., 0])
@@ -576,7 +564,7 @@ def _build_se2():
     chart2 = GroupChart(
         "SE2", "canonical_second", 3, alg, ordering=(1, 2, 3), algebra_rep=rep,
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(3),
-        adjoint_fn=adjoint, wrap_fn=wrap, exp_closed_fn=exp2,
+        wrap_fn=wrap, exp_closed_fn=exp2,
     )
     register_chart(("SE2", "canonical_second", (1, 2, 3)), chart2)
 
@@ -588,10 +576,6 @@ def _build_se2():
 
     _mk_matrix_chart("SE2", alg, rep, constraint=se2_constraint)
 
-    def to_matrix(g):
-        el = GroupElement(chart2, g)
-        return matrix_rep(el).reshape(-1)
-
     def from_matrix(c):
         M = c.reshape(3, 3)
         th = math.atan2(M[1, 0], M[0, 0])
@@ -599,7 +583,8 @@ def _build_se2():
         T = expm(-th * A1) @ M
         return np.array([th, T[0, 2], T[1, 2]])
 
-    register_conversion(("SE2", "canonical_second", (1, 2, 3)), ("SE2", "matrix", None), to_matrix)
+    register_conversion(("SE2", "canonical_second", (1, 2, 3)), ("SE2", "matrix", None),
+                        _to_matrix_coords(chart2))
     register_conversion(("SE2", "matrix", None), ("SE2", "canonical_second", (1, 2, 3)), from_matrix)
 
 
@@ -643,14 +628,6 @@ def _build_geps(eps):
         a, b, c, d = g.T
         return abs(a * a + b * b + eps * (c * c + d * d) - 1.0)
 
-    def adjoint_q(g):
-        a, b, c, d = g.T
-        return _mat([
-            [a * a + b * b - eps * (c * c + d * d), 2 * eps * (b * c - a * d), 2 * eps * (a * c + b * d)],
-            [2 * (b * c + a * d), a * a - b * b + eps * (c * c - d * d), 2 * (eps * c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (a * b + eps * c * d), a * a - b * b - eps * (c * c - d * d)],
-        ])
-
     def q_to_mat4(g):
         a, b, c, d = g.T
         return _mat([
@@ -665,7 +642,7 @@ def _build_geps(eps):
         algebra_rep=_geps_rep4(eps),
         compose_fn=compose_q, inverse_fn=inverse_q,
         identity_coords=np.array([1.0, 0.0, 0.0, 0.0]),
-        adjoint_fn=adjoint_q, constraint_fn=constraint_q,
+        constraint_fn=constraint_q,
         to_matrix_fn=q_to_mat4,
     )
     register_chart((name, "quaternion", None), chart_q)
@@ -778,10 +755,6 @@ def _build_affine():
         a, b = g.T
         return np.array([-a * np.exp(b), -b]).T
 
-    def adjoint(g):
-        a, b = g.T
-        return _mat([[np.exp(-b), a], [np.zeros_like(a), np.ones_like(a)]])
-
     def exp2(x):
         # exp(u A1 + v A2) = [[e^-v, u (1 - e^-v) / v], [0, 1]]
         u, v = x.T
@@ -792,7 +765,7 @@ def _build_affine():
     chart = GroupChart(
         "Aff", "canonical_second", 2, alg, ordering=(1, 2), algebra_rep=(A1, A2),
         compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(2),
-        adjoint_fn=adjoint, exp_closed_fn=exp2,
+        exp_closed_fn=exp2,
     )
     register_chart(("Aff", "canonical_second", (1, 2)), chart)
     _mk_matrix_chart("Aff", alg, (A1, A2))

@@ -216,16 +216,16 @@ def _cumulative_simpson(y, dx):
 
 
 def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
+    """Cumulative integral of (n, ...) node samples along axis 0, 0 at the
+    first node: composite Simpson on a uniform grid of three nodes or more,
+    the trapezoid otherwise."""
     samples = np.asarray(samples, dtype=float)
     dt = grid.uniform_dt
     if dt is not None and len(samples) >= 3:
         return _cumulative_simpson(samples, dt)
-    nodes = grid.nodes
+    steps = np.diff(grid.nodes).reshape((-1,) + (1,) * (samples.ndim - 1))
     out = np.zeros_like(samples)
-    acc = np.zeros(samples.shape[1:] if samples.ndim > 1 else ())
-    for k in range(1, len(nodes)):
-        acc = acc + 0.5 * (nodes[k] - nodes[k - 1]) * (samples[k] + samples[k - 1])
-        out[k] = acc
+    out[1:] = np.cumsum(0.5 * steps * (samples[1:] + samples[:-1]), axis=0)
     return out
 
 

@@ -193,9 +193,6 @@ class SuperpotentialFamily:
         x = np.asarray(x, dtype=float)
         f, h, fp, hp = _fh(self.sign, x, self.A, self.B, self.c)
         if self.kind == "linear_in_m":
-            if self.sign > 0:
-                coef = (self.b + m * self.a) / self.c
-                return coef * f + self.D * h, coef * fp + self.D * hp
             if self.sign == 0:
                 return (self.b * h + (m * self.B + self.D) * f,
                         self.b * hp + (m * self.B + self.D) * fp)
@@ -212,9 +209,6 @@ class SuperpotentialFamily:
         # nparam_linear
         msum, combo = self._msum(m)
         Dt = self.D  # combination D0 + sum_i D_i (m_i - m_1), fixed constant
-        if self.sign > 0:
-            C = self.c
-            return (combo / C) * f + Dt * h, (combo / C) * fp + Dt * hp
         if self.sign == 0:
             coef2 = Dt + self.B * msum / self.n
             return combo * h + coef2 * f, combo * hp + coef2 * fp
@@ -227,11 +221,6 @@ class SuperpotentialFamily:
             return -self.a * m * m - 2.0 * self.b * m
         if self.kind == "inverse_m":
             return -self.a * m * m - self.q**2 / m**2
-        msum, combo = self._msum(m)
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        # R(m) = 2(c0 + sum m_i c_i) + sum c_i  <=>  L quadratic; a symmetric
-        # choice is L = -sum_i c_i m_i^2 - 2 c0 m_1 ... we only ever use R,
-        # so return via the closed difference route below.
         raise LieSysError("L(m) is only defined up to a constant for n-param families")
 
     def R(self, m):
@@ -335,8 +324,6 @@ def eigenfunction_fixture(family: str, k: int, l: float, coupling: float,
         b = coupling
         if not (b > 0 and l > -1.5):
             raise LieSysError("radial oscillator needs b > 0 and l > -3/2")
-        if k > 0 and l <= -1.0 and family.endswith("shifted") is False:
-            pass  # k > 0 states exist for all l > -3/2 in this family
         psi = x ** (l + 1.0) * np.exp(-b * x**2 / 4.0) * laguerre(k, l + 0.5, b * x**2 / 2.0)
         V = b * b * x**2 / 4.0 + l * (l + 1.0) / x**2
         E = b * (2.0 * k + l + 1.5)

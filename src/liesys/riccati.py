@@ -109,12 +109,6 @@ class SL2Curve:
         a, b, c, d = self.entries(t)
         return np.array([[a, b], [c, d]])
 
-    def check_det(self, grid: TimeGrid):
-        for t in grid.nodes:
-            a, b, c, d = self.entries(t)
-            if abs(a * d - b * c - 1.0) > _DET_TOL:
-                raise LieSysError(f"determinant-one constraint violated at t={t}")
-
     def __matmul__(self, other: "SL2Curve") -> "SL2Curve":
         def entry(i, j):
             def f(t):

@@ -63,7 +63,7 @@ _WINDOW = 128
 _MIN_WINDOW = 2
 _MAX_SWEEPS = 40
 _ROUNDOFF = 64 * np.finfo(float).eps
-_METHODS = ("auto", "quadrature", "rk4")
+_METHODS = ("auto", "rk4")
 
 
 def _channel_on_times(ch, t):
@@ -206,17 +206,16 @@ def _dependency_levels(alg: LieAlgebra, ordering):
     """Which exponents each rate f_i(v) = (M(v)^-1 b)_i depends on, as
     levels of exponent positions (0-based): the first level depends on no
     exponent, each later one only on earlier levels.  A self-dependency or
-    a cycle leaves no levels: the result is then None and the exponents on
-    a cycle.  Cached on the algebra per ordering.
+    a cycle leaves no levels, and the result is None.  Cached on the algebra
+    per ordering.
 
     The entries of M(v) are analytic in v, so three seeded random probes of
     v and b, each moving every v_j to a fresh random value in turn, find
     every dependency but on a set of measure zero; all the probe matrices
     come from one `wn_matrix` call."""
     ordering = tuple(int(i) for i in ordering)
-    hit = alg._wn_levels.get(ordering)
-    if hit is not None:
-        return hit
+    if ordering in alg._wn_levels:
+        return alg._wn_levels[ordering]
     r = alg.dim
     rng = np.random.default_rng(12345)
     v = np.repeat(rng.standard_normal((_PROBES, 1, r)), r + 1, axis=1)
@@ -232,15 +231,8 @@ def _dependency_levels(alg: LieAlgebra, ordering):
             break
         levels.append(tuple(np.flatnonzero(ready).tolist()))
         placed |= ready
-    if placed.all():
-        hit = (tuple(levels), ())
-    else:
-        reach = depends.copy()                # transitive closure (Warshall)
-        for k in range(r):
-            reach |= np.outer(reach[:, k], reach[k])
-        hit = (None, tuple(np.flatnonzero(np.diag(reach)).tolist()))
-    alg._wn_levels[ordering] = hit
-    return hit
+    alg._wn_levels[ordering] = tuple(levels) if placed.all() else None
+    return alg._wn_levels[ordering]
 
 
 def _reject_non_finite(x, what, nodes):
@@ -330,9 +322,7 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     a cap) or when the guard fails on an unconverged iterate, and the next
     window doubles back toward 128 steps.  On any other grid a cyclic
     ordering runs RK4: the second-order trapezoid is the only quadrature
-    rule there.  'rk4' forces RK4; 'quadrature' forces levels, and on an
-    ordering with a dependency cycle raises LieSysError naming the
-    exponents on it.  Any other method raises LieSysError.
+    rule there.  'rk4' forces RK4.  Any other method raises LieSysError.
 
     The controls are sampled once: at the nodes for quadrature, at the RK4
     stage times otherwise; non-finite samples, and non-finite exponents on
@@ -349,13 +339,8 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
         raise LieSysError(f"unknown Wei-Norman method {method!r}; use one of "
                           f"{', '.join(map(repr, _METHODS))}")
     alg, grid = problem.algebra, problem.grid
-    if method != "rk4":
-        levels, cycle = _dependency_levels(alg, problem.ordering)
-        if levels is None and method == "quadrature":
-            names = ", ".join(f"v{i + 1} (a{problem.ordering[i]})" for i in cycle)
-            raise LieSysError(f"quadrature needs rates free of dependency cycles; exponents "
-                              f"{names} depend on themselves through the ordering "
-                              f"{problem.ordering}")
+    if method == "auto":
+        levels = _dependency_levels(alg, problem.ordering)
         if levels is not None or (grid.uniform_dt is not None and len(grid.nodes) > _MIN_WINDOW):
             b = problem.controls(grid.nodes)
             _reject_non_finite(b, "control sample", grid.nodes)

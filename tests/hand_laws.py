@@ -1,7 +1,7 @@
 """Hand-expanded group laws of the nilpotent towers, kept as reference
 fixtures for the charts that `liesys.groups` derives by BCH, and the
-closed-form log-derivatives of the H3, SE2, Aff and Geps charts, kept as
-reference fixtures for the log-derivatives it derives per chart kind.
+closed-form log-derivatives and adjoints of the H3, SE2, Aff and Geps
+charts, kept as reference fixtures for the ones it derives per chart kind.
 
 Also kept here as independent references: the tangent map of a
 right-invariant system (`right_invariant_derivative`), which drives the RK4
@@ -14,7 +14,8 @@ coordinates use the ordering (1, ..., r).  LAWS maps a group name to the
 laws known for it: 'compose1' (first kind), 'compose2', 'inverse2' (second
 kind) and the conversions 'conv21' (second -> first), 'conv12'.
 LOG_DERIVATIVES maps a chart key to its closed forms (g, dg) -> algebra
-vector: 'right' = dg g^{-1} and 'left' = g^{-1} dg.
+vector: 'right' = dg g^{-1} and 'left' = g^{-1} dg.  ADJOINTS maps a chart
+key to its closed-form Ad(g), (..., d) coordinates -> (..., r, r) matrices.
 """
 
 import math
@@ -263,6 +264,55 @@ LOG_DERIVATIVES = {
     },
     **{(f"Geps({eps:+d})", "quaternion", None): {"right": _geps_right(eps)}
        for eps in (-1, 0, 1)},
+}
+
+
+def _stack(rows):
+    """Nested components of batch shape (...) as one (..., m, n) array."""
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def _h3_adjoint(g):
+    # the same matrix on the first- and second-kind charts
+    a, b = g[..., 0], g[..., 1]
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    return _stack([[one, zero, zero], [zero, one, zero], [-b, a, one]])
+
+
+def _se2_adjoint(g):
+    th, a, b = g[..., 0], g[..., 1], g[..., 2]
+    ct, st = np.cos(th), np.sin(th)
+    one, zero = np.ones_like(th), np.zeros_like(th)
+    return _stack([[one, zero, zero],
+                   [b * ct + a * st, ct, -st],
+                   [-a * ct + b * st, st, ct]])
+
+
+def _aff_adjoint(g):
+    a, b = g[..., 0], g[..., 1]
+    return _stack([[np.exp(-b), a], [np.zeros_like(a), np.ones_like(a)]])
+
+
+def _geps_adjoint(eps):
+    def adjoint(g):
+        a, b, c, d = (g[..., i] for i in range(4))
+        return _stack([
+            [a * a + b * b - eps * (c * c + d * d), 2 * eps * (b * c - a * d),
+             2 * eps * (a * c + b * d)],
+            [2 * (b * c + a * d), a * a - b * b + eps * (c * c - d * d),
+             2 * (eps * c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (a * b + eps * c * d),
+             a * a - b * b - eps * (c * c - d * d)],
+        ])
+    return adjoint
+
+
+ADJOINTS = {
+    ("H3", "canonical_second", (1, 2, 3)): _h3_adjoint,
+    ("H3", "canonical_first", None): _h3_adjoint,
+    ("SE2", "canonical_second", (1, 2, 3)): _se2_adjoint,
+    ("Aff", "canonical_second", (1, 2)): _aff_adjoint,
+    **{(f"Geps({eps:+d})", "quaternion", None): _geps_adjoint(eps) for eps in (-1, 0, 1)},
 }
 
 

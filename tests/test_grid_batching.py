@@ -147,7 +147,7 @@ def test_levelled_quadrature_matches_per_node_loop():
         entry = get_system(name, **kw)
         prob = WNProblem(entry.algebra, entry.pad_controls(controls(name, nch, amp)), grid,
                          entry.ordering())
-        levels, _ = _dependency_levels(prob.algebra, prob.ordering)
+        levels = _dependency_levels(prob.algebra, prob.ordering)
         if levels is None:
             continue
         got = _wn_solve_levels(prob, prob.controls(grid.nodes), levels).states

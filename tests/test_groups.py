@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import liesys.groups as G
 from liesys.algebra import exp_ad
 from liesys.errors import ChartError
+from hand_laws import ADJOINTS
 
 ALL_KEYS = sorted(G._CHARTS)
 
@@ -89,13 +91,6 @@ def test_adjoint_identity_every_chart():
                            atol=1e-12)
 
 
-def test_h3_adjoint_fixture():
-    ch = G.get_chart("H3", "canonical_first")
-    a, b, c = 0.7, -1.3, 0.4
-    Ad = G.group_adjoint(ch.element([a, b, c]))
-    assert np.allclose(Ad, [[1, 0, 0], [0, 1, 0], [-b, a, 1]])
-
-
 def test_adjoint_homomorphism(rng):
     for key in ALL_KEYS:
         ch = G._CHARTS[key]
@@ -115,15 +110,16 @@ def test_adjoint_of_exponential_matches_exp_ad():
                 assert np.max(np.abs(gap)) < 1e-9, key
 
 
-def test_se2_adjoint_paper_form():
-    ch = G.get_chart("SE2", "canonical_second", (1, 2, 3))
-    th, a, b = 0.6, 0.3, -0.8
-    expected = np.array([
-        [1, 0, 0],
-        [b * math.cos(th) + a * math.sin(th), math.cos(th), -math.sin(th)],
-        [-a * math.cos(th) + b * math.sin(th), math.sin(th), math.cos(th)],
-    ])
-    assert np.allclose(G.group_adjoint(ch.element([th, a, b])), expected)
+@pytest.mark.parametrize("key", sorted(ADJOINTS), ids=str)
+def test_adjoint_matches_closed_form_fixture(key):
+    # H3's unipotent form, SE2's paper form, Aff and the Geps quaternion
+    # form, on a batch of 400 points exp(xi) with |xi_i| <= 3
+    ch = G._CHARTS[key]
+    rng = np.random.default_rng(zlib.crc32(str(key).encode()))
+    g = G.exp_algebra(ch, rng.uniform(-3, 3, (400, ch.algebra.dim)))
+    expected = ADJOINTS[key](g)
+    gap = np.abs(G._adjoint(ch, g) - expected).max(axis=(-2, -1))
+    assert np.max(gap / np.abs(expected).max(axis=(-2, -1))) <= 1e-11
 
 
 # --- exponentials ---------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Property tests over every nilpotent canonical chart (first and second
-kind): group axioms, the Ad homomorphism, conversion round trips, and
-agreement of the BCH-derived laws with the hand-expanded fixtures."""
+"""Property tests of the group charts: the group axioms and the Ad
+homomorphism on every chart, and, on the nilpotent canonical charts (first
+and second kind), conversion round trips and agreement of the BCH-derived
+laws with the hand-expanded fixtures."""
 
 import numpy as np
 import pytest
@@ -13,17 +14,19 @@ from liesys.errors import ChartError
 from hand_laws import LAWS
 
 NILPOTENT = ("H3", "G4", "G5", "G7", "G8", "Gbar4", "Gbar5")
-KEYS = [key for key in sorted(G._CHARTS)
-        if key[0] in NILPOTENT and key[1].startswith("canonical")]
-GROUPS = sorted({key[0] for key in KEYS})
+ALL_KEYS = sorted(G._CHARTS)
+NILPOTENT_KEYS = [key for key in ALL_KEYS
+                  if key[0] in NILPOTENT and key[1].startswith("canonical")]
+GROUPS = sorted({key[0] for key in NILPOTENT_KEYS})
 
 coords = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).map(np.array)
 examples = settings(max_examples=30, deadline=None)
 
 
-def element(key, c):
+def on_group(key, xi):
+    """The point exp(xi) of the chart, xi cut to the algebra's dimension."""
     chart = G._CHARTS[key]
-    return chart.element(c[:chart.coord_dim])
+    return chart.element(G.exp_algebra(chart, xi[:chart.algebra.dim]))
 
 
 def charts_of(group):
@@ -32,35 +35,41 @@ def charts_of(group):
 
 def test_every_nilpotent_group_has_both_kinds():
     assert GROUPS == sorted(NILPOTENT)
-    assert len(KEYS) == 2 * len(NILPOTENT)
+    assert len(NILPOTENT_KEYS) == 2 * len(NILPOTENT)
 
 
-@pytest.mark.parametrize("key", KEYS, ids=str)
+@pytest.mark.parametrize("key", ALL_KEYS, ids=str)
 @examples
 @given(g=coords, h=coords, k=coords)
 def test_associativity(key, g, h, k):
-    g, h, k = (element(key, c) for c in (g, h, k))
+    g, h, k = (on_group(key, xi) for xi in (g, h, k))
     gap = G.compose(G.compose(g, h), k).coords - G.compose(g, G.compose(h, k)).coords
     assert np.max(np.abs(gap)) < 1e-9
 
 
-@pytest.mark.parametrize("key", KEYS, ids=str)
+@pytest.mark.parametrize("key", ALL_KEYS, ids=str)
 @examples
 @given(g=coords)
 def test_inverse(key, g):
-    g = element(key, g)
+    g = on_group(key, g)
     e = G._CHARTS[key].identity_coords
     assert np.max(np.abs(G.compose(g, G.inverse(g)).coords - e)) < 1e-10
     assert np.max(np.abs(G.compose(G.inverse(g), g).coords - e)) < 1e-10
 
 
-@pytest.mark.parametrize("key", KEYS, ids=str)
+@pytest.mark.parametrize("key", ALL_KEYS, ids=str)
 @examples
 @given(g=coords, h=coords)
 def test_adjoint_homomorphism(key, g, h):
-    g, h = element(key, g), element(key, h)
-    gap = G.group_adjoint(G.compose(g, h)) - G.group_adjoint(g) @ G.group_adjoint(h)
-    assert np.max(np.abs(gap)) < 1e-9
+    # The nilpotent canonical charts keep an absolute bound. Ad grows
+    # exponentially on the other charts (entries up to about 600 on SL3
+    # here), so there the gap is measured against the size of the product
+    g, h = on_group(key, g), on_group(key, h)
+    Ad_g, Ad_h = G.group_adjoint(g), G.group_adjoint(h)
+    gap = G.group_adjoint(G.compose(g, h)) - Ad_g @ Ad_h
+    scale = 1.0 if key in NILPOTENT_KEYS else max(
+        1.0, np.max(np.abs(Ad_g)) * np.max(np.abs(Ad_h)))
+    assert np.max(np.abs(gap)) < 1e-9 * scale
 
 
 @pytest.mark.parametrize("group", GROUPS)

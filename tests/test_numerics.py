@@ -114,6 +114,22 @@ def test_cumulative_simpson_matches_scipy():
             assert np.max(np.abs(cumulative_quadrature_samples(y, grid) - ref)) <= 1e-13
 
 
+def test_cumulative_trapezoid_on_a_non_uniform_grid():
+    rng = np.random.default_rng(12)
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 60)), [2.0]])
+    grid = TimeGrid.from_nodes(nodes)
+    assert grid.uniform_dt is None
+    # exact on a linear integrand
+    got = cumulative_quadrature_samples(3.0 * nodes - 1.0, grid)
+    assert np.max(np.abs(got - (1.5 * nodes**2 - nodes))) <= 1e-13
+    # equal to the per-node sum on (n, 4) samples
+    y = rng.standard_normal((len(nodes), 4))
+    ref = np.zeros_like(y)
+    for k in range(1, len(nodes)):
+        ref[k] = ref[k - 1] + 0.5 * (nodes[k] - nodes[k - 1]) * (y[k] + y[k - 1])
+    assert np.max(np.abs(cumulative_quadrature_samples(y, grid) - ref)) <= 1e-14
+
+
 def test_import_leaves_scipy_unloaded():
     import liesys
 
