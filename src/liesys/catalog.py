@@ -2,10 +2,17 @@
 algebra, group action (when available), closed-form Wei-Norman solutions
 (when available), and domain notes.
 
+Each realization gives its fields stacked: `fields(x)` is the
+(r, state_dim) array whose row a is X_a(x).  Each action takes
+(..., coord_dim) chart coordinates g and one state x: canonical charts
+unpack g with `g.T`, as the chart laws do, and matrix charts reshape it into
+matrices, so a whole curve moves x in one call.
+
 Actions are written in the same convention as the group charts: the
 curve through the identity reconstructed from Wei-Norman exponents v
 acts with coordinates -v; for a realization with action this makes
-solve_via_group(wn_reconstruct(wn_solve(...))) reproduce solve_direct.
+solve_via_group(wn_reconstruct(wn_solve(...))) reproduce solve_direct,
+and a closed flow is the action of the closed-form exponents, -v, on x0.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ class CatalogEntry:
         return self.realization.algebra
 
     def pad_controls(self, b: ControlSignal) -> ControlSignal:
-        if b.dim == self.algebra.dim:
-            return b
         return b.pad(self.algebra.dim, [i - 1 for i in self.used_channels])
 
     def ordering(self):
@@ -86,6 +91,23 @@ def _bsamp(b, grid, i):
     return b(grid.nodes)[:, i]
 
 
+def _square(g):
+    """(..., m*m) matrix-chart coordinates as (..., m, m) matrices."""
+    m = math.isqrt(g.shape[-1])
+    return g.reshape(g.shape[:-1] + (m, m))
+
+
+def _linear_action(g, x):
+    """x -> G x: a matrix group on its defining space."""
+    return _square(g) @ np.asarray(x, dtype=float)
+
+
+def _affine_action(g, x):
+    """x -> A x + c for g = [[A, c], [0, 1]]."""
+    M = _square(g)
+    return M[..., :-1, :-1] @ np.asarray(x, dtype=float) + M[..., :-1, -1]
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg family
 # ---------------------------------------------------------------------------
@@ -103,26 +125,18 @@ def _brockett():
     alg = catalog_algebra("h3")
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
 
-    gens = [
-        lambda x: np.array([1.0, 0.0, -x[1]]),
-        lambda x: np.array([0.0, 1.0, x[0]]),
-        lambda x: np.array([0.0, 0.0, 2.0]),
-    ]
+    def fields(x):
+        return np.array([[1.0, 0.0, -x[1]], [0.0, 1.0, x[0]], [0.0, 0.0, 2.0]])
 
     def action(g, x):
-        a, b, c = g.coords
+        a, b, c = g.T
         return np.array([x[0] - a, x[1] - b,
-                         x[2] + a * x[1] - b * x[0] - a * b - 2.0 * c])
+                         x[2] + a * x[1] - b * x[0] - a * b - 2.0 * c]).T
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="brockett")
+    sys = LieSystemRealization(alg, 3, fields, action, chart, name="brockett")
 
     def closed_form(b, grid, x0):
-        v = _h3_wn_closed(b, grid)
-        x0 = np.asarray(x0, dtype=float)
-        out = np.column_stack([
-            x0[0] + v[:, 0], x0[1] + v[:, 1],
-            x0[2] + x0[0] * v[:, 1] - x0[1] * v[:, 0] - v[:, 0] * v[:, 1] + 2.0 * v[:, 2]])
-        return Trajectory(grid, out, meta="brockett closed form")
+        return Trajectory(grid, action(-_h3_wn_closed(b, grid), x0), meta="brockett closed form")
 
     return CatalogEntry("brockett", sys, (1, 2), wn_closed_form=_h3_wn_closed,
                         closed_form=closed_form)
@@ -132,17 +146,15 @@ def _brockett():
 def _brockett_variant():
     alg = catalog_algebra("h3")
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
-    gens = [
-        lambda x: np.array([1.0, 0.0, -x[1]]),
-        lambda x: np.array([0.0, 1.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, 1.0]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0, -x[1]], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def action(g, x):
-        a, b, c = g.coords
-        return np.array([x[0] - a, x[1] - b, x[2] + a * x[1] - a * b - c])
+        a, b, c = g.T
+        return np.array([x[0] - a, x[1] - b, x[2] + a * x[1] - a * b - c]).T
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="brockett_variant")
+    sys = LieSystemRealization(alg, 3, fields, action, chart, name="brockett_variant")
     return CatalogEntry("brockett_variant", sys, (1, 2), wn_closed_form=_h3_wn_closed)
 
 
@@ -152,18 +164,16 @@ def _hopping(m_l: float = 1.0):
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
     k1 = m_l / (1.0 + m_l)
     k2 = 2.0 * m_l / (1.0 + m_l) ** 2
-    gens = [
-        lambda x: np.array([1.0, 0.0, -(k1 + k2 * x[1])]),
-        lambda x: np.array([0.0, 1.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, k2]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0, -(k1 + k2 * x[1])], [0.0, 1.0, 0.0], [0.0, 0.0, k2]])
 
     def action(g, x):
-        a, b, c = g.coords
+        a, b, c = g.T
         return np.array([x[0] - a, x[1] - b,
-                         x[2] + k2 * (a * x[1] - c - a * b) + a * k1])
+                         x[2] + k2 * (a * x[1] - c - a * b) + a * k1]).T
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="hopping_robot_lin")
+    sys = LieSystemRealization(alg, 3, fields, action, chart, name="hopping_robot_lin")
     return CatalogEntry("hopping_robot_lin", sys, (1, 2), wn_closed_form=_h3_wn_closed,
                         notes="Taylor approximation linear in the leg extension")
 
@@ -172,19 +182,18 @@ def _hopping(m_l: float = 1.0):
 def _unicycle_feedback():
     alg = catalog_algebra("h3")
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
-    gens = [
-        lambda x: np.array([0.0, 0.0, math.cos(x[2]) ** 2]),
-        lambda x: np.array([math.tan(x[2]), 1.0, 0.0]),
-        lambda x: np.array([1.0, 0.0, 0.0]),
-    ]
+
+    def fields(x):
+        return np.array([[0.0, 0.0, math.cos(x[2]) ** 2], [math.tan(x[2]), 1.0, 0.0],
+                         [1.0, 0.0, 0.0]])
 
     def action(g, x):
-        a, b, c = g.coords
-        return np.array([x[0] - c - b * math.tan(x[2]), x[1] - b,
-                         math.atan(math.tan(x[2]) - a)])
+        a, b, c = g.T
+        tan = math.tan(x[2])
+        return np.array([x[0] - c - b * tan, x[1] - b, np.arctan(tan - a)]).T
 
     sys = LieSystemRealization(
-        alg, 3, gens, action, chart,
+        alg, 3, fields, action, chart,
         domain=lambda x: abs(x[2]) < math.pi / 2 - 1e-9,
         name="unicycle_feedback",
         domain_note="steering angle restricted to (-pi/2, pi/2)")
@@ -200,21 +209,19 @@ def _unicycle_feedback():
 def _rb_two():
     alg = catalog_algebra("g4")
     chart = get_chart("G4", "canonical_second", (1, 2, 3, 4))
-    gens = [
-        lambda x: np.array([1.0, 0.0, -x[1] ** 2]),
-        lambda x: np.array([0.0, 1.0, x[0] ** 2]),
-        lambda x: np.array([0.0, 0.0, 2.0 * (x[0] + x[1])]),
-        lambda x: np.array([0.0, 0.0, 2.0]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0, -x[1] ** 2], [0.0, 1.0, x[0] ** 2],
+                         [0.0, 0.0, 2.0 * (x[0] + x[1])], [0.0, 0.0, 2.0]])
 
     def action(g, x):
-        a, b, c, d = g.coords
+        a, b, c, d = g.T
         return np.array([
             x[0] - a, x[1] - b,
             x[2] + a * x[1] ** 2 - b * x[0] ** 2 - 2.0 * (a * b + c) * x[1]
-            - 2.0 * c * x[0] + a * b * b - 2.0 * d])
+            - 2.0 * c * x[0] + a * b * b - 2.0 * d]).T
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="rb_two_oscillators")
+    sys = LieSystemRealization(alg, 3, fields, action, chart, name="rb_two_oscillators")
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -235,23 +242,25 @@ def _rb_two():
 def _brockett_deg2():
     alg = catalog_algebra("g5")
     chart = get_chart("G5", "canonical_second", (1, 2, 3, 4, 5))
-    gens = [
-        lambda x: np.array([1.0, 0.0, -x[1], 0.0, x[1] ** 2]),
-        lambda x: np.array([0.0, 1.0, x[0], x[0] ** 2, 0.0]),
-        lambda x: np.array([0.0, 0.0, 2.0, 2.0 * x[0], -2.0 * x[1]]),
-        lambda x: np.array([0.0, 0.0, 0.0, 2.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, 0.0, 0.0, -2.0]),
-    ]
+
+    def fields(x):
+        return np.array([
+            [1.0, 0.0, -x[1], 0.0, x[1] ** 2],
+            [0.0, 1.0, x[0], x[0] ** 2, 0.0],
+            [0.0, 0.0, 2.0, 2.0 * x[0], -2.0 * x[1]],
+            [0.0, 0.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, -2.0],
+        ])
 
     def action(g, x):
-        a, b, c, d, e = g.coords
+        a, b, c, d, e = g.T
         return np.array([
             x[0] - a, x[1] - b,
             x[2] + a * x[1] - b * x[0] - 2.0 * c - a * b,
             x[3] - b * x[0] ** 2 - 2.0 * c * x[0] - 2.0 * d,
-            x[4] - a * x[1] ** 2 + 2.0 * (a * b + c) * x[1] + 2.0 * e - a * b * b])
+            x[4] - a * x[1] ** 2 + 2.0 * (a * b + c) * x[1] + 2.0 * e - a * b * b]).T
 
-    sys = LieSystemRealization(alg, 5, gens, action, chart, name="brockett_deg2")
+    sys = LieSystemRealization(alg, 5, fields, action, chart, name="brockett_deg2")
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -267,31 +276,37 @@ def _brockett_deg2():
 @register("nikolaev_deg2")
 def _nikolaev2():
     alg = catalog_algebra("g5")
-    gens = [
-        lambda x: np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
-        lambda x: np.array([0.0, 1.0, x[0], x[0] ** 2, 2.0 * x[0] * x[1]]),
-        lambda x: np.array([0.0, 0.0, 1.0, 2.0 * x[0], 2.0 * x[1]]),
-        lambda x: np.array([0.0, 0.0, 0.0, 2.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, 0.0, 0.0, 2.0]),
-    ]
-    sys = LieSystemRealization(alg, 5, gens, name="nikolaev_deg2")
+
+    def fields(x):
+        return np.array([
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, x[0], x[0] ** 2, 2.0 * x[0] * x[1]],
+            [0.0, 0.0, 1.0, 2.0 * x[0], 2.0 * x[1]],
+            [0.0, 0.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 2.0],
+        ])
+
+    sys = LieSystemRealization(alg, 5, fields, name="nikolaev_deg2")
     return CatalogEntry("nikolaev_deg2", sys, (1, 2))
 
 
 @register("brockett_deg3")
 def _brockett_deg3():
     alg = catalog_algebra("g7")
-    gens = [
-        lambda x: np.array([1, 0, -x[1], 0, x[1] ** 2, 0, x[1] ** 3, x[0] ** 2 * x[1]], float),
-        lambda x: np.array([0, 1, x[0], x[0] ** 2, 0, x[0] ** 3, 0, x[0] * x[1] ** 2], float),
-        lambda x: np.array([0, 0, 2, 2 * x[0], -2 * x[1], 3 * x[0] ** 2, -3 * x[1] ** 2,
-                            x[1] ** 2 - x[0] ** 2], float),
-        lambda x: np.array([0, 0, 0, 2, 0, 6 * x[0], 0, -2 * x[0]], float),
-        lambda x: np.array([0, 0, 0, 0, -2, 0, -6 * x[1], 2 * x[1]], float),
-        lambda x: np.array([0, 0, 0, 0, 0, 6, 0, -2], float),
-        lambda x: np.array([0, 0, 0, 0, 0, 0, -6, 2], float),
-    ]
-    sys = LieSystemRealization(alg, 8, gens, name="brockett_deg3")
+
+    def fields(x):
+        return np.array([
+            [1, 0, -x[1], 0, x[1] ** 2, 0, x[1] ** 3, x[0] ** 2 * x[1]],
+            [0, 1, x[0], x[0] ** 2, 0, x[0] ** 3, 0, x[0] * x[1] ** 2],
+            [0, 0, 2, 2 * x[0], -2 * x[1], 3 * x[0] ** 2, -3 * x[1] ** 2,
+             x[1] ** 2 - x[0] ** 2],
+            [0, 0, 0, 2, 0, 6 * x[0], 0, -2 * x[0]],
+            [0, 0, 0, 0, -2, 0, -6 * x[1], 2 * x[1]],
+            [0, 0, 0, 0, 0, 6, 0, -2],
+            [0, 0, 0, 0, 0, 0, -6, 2],
+        ], dtype=float)
+
+    sys = LieSystemRealization(alg, 8, fields, name="brockett_deg3")
     return CatalogEntry("brockett_deg3", sys, (1, 2),
                         notes="controllable orbit-wise only; no cataloged action")
 
@@ -299,17 +314,20 @@ def _brockett_deg3():
 @register("murray_nonsinusoid")
 def _murray():
     alg = catalog_algebra("g8")
-    gens = [
-        lambda x: np.array([1, 0, 0, x[2], 0, x[3], 0, 0], float),
-        lambda x: np.array([0, 1, x[0], 0, x[2], 0, x[3], x[4]], float),
-        lambda x: np.array([0, 0, 1, -x[0], 0, 0, x[2], 0], float),
-        lambda x: np.array([0, 0, 0, -2, 0, x[0], 0, 0], float),
-        lambda x: np.array([0, 0, 0, 0, -1, 0, 2 * x[0], 0], float),
-        lambda x: np.array([0, 0, 0, 0, 0, 3, 0, 0], float),
-        lambda x: np.array([0, 0, 0, 0, 0, 0, 2, 0], float),
-        lambda x: np.array([0, 0, 0, 0, 0, 0, 0, 1], float),
-    ]
-    sys = LieSystemRealization(alg, 8, gens, name="murray_nonsinusoid")
+
+    def fields(x):
+        return np.array([
+            [1, 0, 0, x[2], 0, x[3], 0, 0],
+            [0, 1, x[0], 0, x[2], 0, x[3], x[4]],
+            [0, 0, 1, -x[0], 0, 0, x[2], 0],
+            [0, 0, 0, -2, 0, x[0], 0, 0],
+            [0, 0, 0, 0, -1, 0, 2 * x[0], 0],
+            [0, 0, 0, 0, 0, 3, 0, 0],
+            [0, 0, 0, 0, 0, 0, 2, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+        ], dtype=float)
+
+    sys = LieSystemRealization(alg, 8, fields, name="murray_nonsinusoid")
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -326,32 +344,21 @@ def _murray():
 @register("nikolaev_deg8")
 def _nikolaev8():
     alg = catalog_algebra("gbar", n=10)
+    # X_1 = d/dx1; X_2 = d/dx2 + sum_{p=4..8} x1^p d/dx_{p-1};
+    # X_k = [X_1, X_{k-1}] differentiates the powers in x1 k - 2 times,
+    # so the coefficient of x1^(p-k+2) is the falling factorial p!/(p-k+2)!
+    powers = np.arange(4, 9)
+    coef = np.array([[float(math.perm(p, k)) for p in powers] for k in range(9)])
+    expo = np.maximum(powers - np.arange(9)[:, None], 0)
+    base = np.zeros((10, 7))
+    base[0, 0] = base[1, 1] = 1.0
 
-    def gen(i):
-        # X_1 = d/dx1; X_2 = d/dx2 + sum_j x1^(j+3) d/dx_{j+2};
-        # X_k = [X_1, X_{k-1}] differentiates the powers in x1
-        def f(x):
-            out = np.zeros(7)
-            if i == 0:
-                out[0] = 1.0
-                return out
-            if i == 1:
-                out[1] = 1.0
-                for j in range(5):
-                    out[2 + j] = x[0] ** (4 + j)
-                return out
-            order = i - 1
-            for j in range(5):
-                p = 4 + j
-                if p - order >= 0:
-                    coef = 1.0
-                    for q in range(order):
-                        coef *= (p - q)
-                    out[2 + j] = coef * x[0] ** (p - order)
-            return out
-        return f
+    def fields(x):
+        out = base.copy()
+        out[1:, 2:] = coef * x[0] ** expo
+        return out
 
-    sys = LieSystemRealization(alg, 7, [gen(i) for i in range(10)], name="nikolaev_deg8")
+    sys = LieSystemRealization(alg, 7, fields, name="nikolaev_deg8")
     return CatalogEntry("nikolaev_deg8", sys, (1, 2))
 
 
@@ -371,29 +378,20 @@ def _se2_wn_closed(b, grid):
 def _unicycle():
     alg = catalog_algebra("se2")
     chart = get_chart("SE2", "canonical_second", (1, 2, 3))
-    gens = [
-        lambda x: np.array([0.0, 0.0, 1.0]),
-        lambda x: np.array([math.sin(x[2]), math.cos(x[2]), 0.0]),
-        lambda x: np.array([math.cos(x[2]), -math.sin(x[2]), 0.0]),
-    ]
+
+    def fields(x):
+        s, c = math.sin(x[2]), math.cos(x[2])
+        return np.array([[0.0, 0.0, 1.0], [s, c, 0.0], [c, -s, 0.0]])
 
     def action(g, x):
-        th, a, b = g.coords
-        return np.array([
-            x[0] - b * math.cos(x[2]) - a * math.sin(x[2]),
-            x[1] + b * math.sin(x[2]) - a * math.cos(x[2]),
-            x[2] - th])
+        th, a, b = g.T
+        s, c = math.sin(x[2]), math.cos(x[2])
+        return np.array([x[0] - b * c - a * s, x[1] + b * s - a * c, x[2] - th]).T
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="unicycle")
+    sys = LieSystemRealization(alg, 3, fields, action, chart, name="unicycle")
 
     def closed_form(b, grid, x0):
-        v = _se2_wn_closed(b, grid)
-        x0 = np.asarray(x0, dtype=float)
-        out = np.column_stack([
-            x0[0] + v[:, 2] * np.cos(x0[2]) + v[:, 1] * np.sin(x0[2]),
-            x0[1] + v[:, 1] * np.cos(x0[2]) - v[:, 2] * np.sin(x0[2]),
-            x0[2] + v[:, 0]])
-        return Trajectory(grid, out, meta="unicycle closed form")
+        return Trajectory(grid, action(-_se2_wn_closed(b, grid), x0), meta="unicycle closed form")
 
     return CatalogEntry("unicycle", sys, (1, 2), wn_closed_form=_se2_wn_closed,
                         closed_form=closed_form)
@@ -403,21 +401,19 @@ def _unicycle():
 def _unicycle_y():
     alg = catalog_algebra("se2")
     chart = get_chart("SE2", "canonical_second", (1, 2, 3))
-    gens = [
-        lambda x: np.array([1.0, x[2], -x[1]]),
-        lambda x: np.array([0.0, 1.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, 1.0]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, x[2], -x[1]], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def action(g, x):
-        th, a, b = g.coords
-        ct, st = math.cos(th), math.sin(th)
+        th, a, b = g.T
+        ct, st = np.cos(th), np.sin(th)
         return np.array([
             x[0] - th,
             x[1] * ct - x[2] * st - a * ct + b * st,
-            x[1] * st + x[2] * ct - a * st - b * ct])
+            x[1] * st + x[2] * ct - a * st - b * ct]).T
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="unicycle_y")
+    sys = LieSystemRealization(alg, 3, fields, action, chart, name="unicycle_y")
     return CatalogEntry("unicycle_y", sys, (1, 2), wn_closed_form=_se2_wn_closed)
 
 
@@ -430,21 +426,19 @@ def _unicycle_y():
 def _kinematic_car():
     alg = catalog_algebra("gbar", n=4)
     chart = get_chart("Gbar4", "canonical_second", (1, 2, 3, 4))
-    gens = [
-        lambda x: np.array([1.0, 0.0, x[1], x[2]]),
-        lambda x: np.array([0.0, 1.0, 0.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, -1.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, 0.0, 1.0]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0, x[1], x[2]], [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
     def action(g, x):
-        a, b, c, d = g.coords
+        a, b, c, d = g.T
         return np.array([
             x[0] - a, x[1] - b,
             x[2] - a * x[1] + a * b + c,
-            x[3] - a * x[2] + 0.5 * a * a * x[1] - 0.5 * a * a * b - a * c - d])
+            x[3] - a * x[2] + 0.5 * a * a * x[1] - 0.5 * a * a * b - a * c - d]).T
 
-    sys = LieSystemRealization(alg, 4, gens, action, chart, name="kinematic_car_chained")
+    sys = LieSystemRealization(alg, 4, fields, action, chart, name="kinematic_car_chained")
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -460,58 +454,50 @@ def _kinematic_car():
 def _martinet():
     alg = catalog_algebra("gbar", n=4)
     chart = get_chart("Gbar4", "canonical_second", (1, 2, 3, 4))
-    gens = [
-        lambda x: np.array([0.0, 1.0, 0.0, 0.0]),
-        lambda x: np.array([1.0, 0.0, x[1], 0.5 * x[1] ** 2]),
-        lambda x: np.array([0.0, 0.0, 1.0, x[1]]),
-        lambda x: np.array([0.0, 0.0, 0.0, 1.0]),
-    ]
+
+    def fields(x):
+        return np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, x[1], 0.5 * x[1] ** 2],
+                         [0.0, 0.0, 1.0, x[1]], [0.0, 0.0, 0.0, 1.0]])
 
     def action(g, x):
-        a, b, c, d = g.coords
+        a, b, c, d = g.T
         return np.array([
             x[0] - b, x[1] - a,
             x[2] - c - b * x[1],
-            x[3] - d - c * x[1] - 0.5 * b * x[1] ** 2])
+            x[3] - d - c * x[1] - 0.5 * b * x[1] ** 2]).T
 
-    sys = LieSystemRealization(alg, 4, gens, action, chart, name="martinet")
+    sys = LieSystemRealization(alg, 4, fields, action, chart, name="martinet")
     return CatalogEntry("martinet", sys, (1, 2), notes="abnormal-extremal test bed")
 
 
-def _power_generators(n, dim=None):
-    # X_{a_1} = d/dx1; X_{a_j} = d/dx_j + sum_{k>j} x1^(k-j)/(k-j)! d/dx_k
-    dim = dim or n
-    def gen(i):
-        def f(x):
-            out = np.zeros(dim)
-            if i == 0:
-                out[0] = 1.0
-                return out
-            out[i] = 1.0
-            fact = 1.0
-            for k in range(i + 2, dim + 1):
-                fact *= (k - i - 1)
-                out[k - 1] = x[0] ** (k - i - 1) / fact
-            return out
-        return f
-    return [gen(i) for i in range(n)]
+def _power_fields(n):
+    """The power form: X_{a_1} = d/dx1 and
+    X_{a_j} = d/dx_j + sum_{k>j} x1^(k-j)/(k-j)! d/dx_k."""
+    expo = np.arange(n) - np.arange(n)[:, None]       # k - j
+    rows = expo >= 0
+    rows[0, 1:] = False
+    expo = np.where(rows, expo, 0)
+    fact = np.array([math.factorial(k) for k in range(n)], dtype=float)[expo]
+
+    def fields(x):
+        return np.where(rows, x[0] ** expo / fact, 0.0)
+    return fields
 
 
 @register("trailer_power5")
 def _trailer():
     alg = catalog_algebra("gbar", n=5)
     chart = get_chart("Gbar5", "canonical_second", (1, 2, 3, 4, 5))
-    gens = _power_generators(5)
 
     def action(g, x):
-        a, b, c, d, e = g.coords
+        a, b, c, d, e = g.T
         return np.array([
             x[0] - a, x[1] - b,
             x[2] - b * x[0] - c,
             x[3] - 0.5 * b * x[0] ** 2 - c * x[0] - d,
-            x[4] - b * x[0] ** 3 / 6.0 - 0.5 * c * x[0] ** 2 - d * x[0] - e])
+            x[4] - b * x[0] ** 3 / 6.0 - 0.5 * c * x[0] ** 2 - d * x[0] - e]).T
 
-    sys = LieSystemRealization(alg, 5, gens, action, chart, name="trailer_power5")
+    sys = LieSystemRealization(alg, 5, _power_fields(5), action, chart, name="trailer_power5")
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -530,22 +516,15 @@ def _chained(n: int = 4):
     if not 3 <= n <= 10:
         raise UnknownNameError("chained_n supports 3 <= n <= 10")
     alg = catalog_algebra("gbar", n=n)
+    # X_1 = d/dx1 + sum_{k>=3} x_{k-1} d/dx_k, X_2 = d/dx2, X_k = (-1)^k d/dx_k
+    base = np.diag([1.0, 1.0] + [(-1.0) ** (i + 1) for i in range(2, n)])
 
-    def gen(i):
-        def f(x):
-            out = np.zeros(n)
-            if i == 0:
-                out[0] = 1.0
-                out[2:] = x[1:n - 1]
-                return out
-            if i == 1:
-                out[1] = 1.0
-            else:
-                out[i] = (-1.0) ** (i + 1)
-            return out
-        return f
+    def fields(x):
+        out = base.copy()
+        out[0, 2:] = x[1:n - 1]
+        return out
 
-    sys = LieSystemRealization(alg, n, [gen(i) for i in range(n)], name=f"chained_{n}")
+    sys = LieSystemRealization(alg, n, fields, name=f"chained_{n}")
     return CatalogEntry("chained_n", sys, (1, 2))
 
 
@@ -554,7 +533,7 @@ def _power(n: int = 4):
     if not 3 <= n <= 10:
         raise UnknownNameError("power_n supports 3 <= n <= 10")
     alg = catalog_algebra("gbar", n=n)
-    sys = LieSystemRealization(alg, n, _power_generators(n), name=f"power_{n}")
+    sys = LieSystemRealization(alg, n, _power_fields(n), name=f"power_{n}")
     return CatalogEntry("power_n", sys, (1, 2))
 
 
@@ -563,21 +542,18 @@ def _power(n: int = 4):
 # ---------------------------------------------------------------------------
 
 
+def _rotation_rows(x, eps=1):
+    """Rows X_1, X_2, X_3 of the rotations of g_eps acting linearly on R^3."""
+    return [[-x[1], x[0], 0.0], [x[2], 0.0, -eps * x[0]], [0.0, -x[2], eps * x[1]]]
+
+
 @register("elastic_euler")
 def _elastic(eps: int = 1):
     eps = eps_parameter(eps)
     alg = catalog_algebra("g_eps", eps=eps)
     chart = get_chart("Geps", "matrix", eps=eps)
-    gens = [
-        lambda x: np.array([-x[1], x[0], 0.0]),
-        lambda x: np.array([x[2], 0.0, -eps * x[0]]),
-        lambda x: np.array([0.0, -x[2], eps * x[1]]),
-    ]
-
-    def action(g, x):
-        return g.matrix() @ np.asarray(x, dtype=float)
-
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name=f"elastic_euler(eps={eps:+d})")
+    sys = LieSystemRealization(alg, 3, lambda x: np.array(_rotation_rows(x, eps)),
+                               _linear_action, chart, name=f"elastic_euler(eps={eps:+d})")
     return CatalogEntry("elastic_euler", sys, (1, 2, 3),
                         notes="generalized elastic problem; eps in {-1, 0, 1}")
 
@@ -586,16 +562,8 @@ def _elastic(eps: int = 1):
 def _so3_kin():
     alg = catalog_algebra("so3")
     chart = get_chart("SO3", "matrix")
-    gens = [
-        lambda x: np.array([-x[1], x[0], 0.0]),
-        lambda x: np.array([x[2], 0.0, -x[0]]),
-        lambda x: np.array([0.0, -x[2], x[1]]),
-    ]
-
-    def action(g, x):
-        return g.matrix() @ np.asarray(x, dtype=float)
-
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="so3_kinematics")
+    sys = LieSystemRealization(alg, 3, lambda x: np.array(_rotation_rows(x)),
+                               _linear_action, chart, name="so3_kinematics")
     return CatalogEntry("so3_kinematics", sys, (1, 2, 3))
 
 
@@ -603,20 +571,9 @@ def _so3_kin():
 def _se3_kin():
     alg = catalog_algebra("se3")
     chart = get_chart("SE3", "matrix")
-    gens = [
-        lambda x: np.array([-x[1], x[0], 0.0]),
-        lambda x: np.array([x[2], 0.0, -x[0]]),
-        lambda x: np.array([0.0, -x[2], x[1]]),
-        lambda x: np.array([1.0, 0.0, 0.0]),
-        lambda x: np.array([0.0, 1.0, 0.0]),
-        lambda x: np.array([0.0, 0.0, 1.0]),
-    ]
-
-    def action(g, x):
-        M = g.matrix()
-        return M[:3, :3] @ np.asarray(x, dtype=float) + M[:3, 3]
-
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="se3_kinematics")
+    translations = np.eye(3).tolist()
+    sys = LieSystemRealization(alg, 3, lambda x: np.array(_rotation_rows(x) + translations),
+                               _affine_action, chart, name="se3_kinematics")
     return CatalogEntry("se3_kinematics", sys, (1, 2, 3, 4, 5, 6))
 
 
@@ -656,20 +613,12 @@ def _get_quadh_chart():
 @register("quadratic_hamiltonian_classical")
 def _quadh():
     alg = catalog_algebra("r2sl2")
-    chart = _get_quadh_chart()
-    gens = [
-        lambda x: np.array([x[1], 0.0]),
-        lambda x: np.array([0.5 * x[0], -0.5 * x[1]]),
-        lambda x: np.array([0.0, -x[0]]),
-        lambda x: np.array([-1.0, 0.0]),
-        lambda x: np.array([0.0, -1.0]),
-    ]
 
-    def action(g, x):
-        M = g.matrix()
-        return M[:2, :2] @ np.asarray(x, dtype=float) + M[:2, 2]
+    def fields(x):
+        return np.array([[x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]],
+                         [-1.0, 0.0], [0.0, -1.0]])
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart,
+    sys = LieSystemRealization(alg, 2, fields, _affine_action, _get_quadh_chart(),
                                name="quadratic_hamiltonian_classical")
     return CatalogEntry("quadratic_hamiltonian_classical", sys, (1, 2, 3, 4, 5),
                         wn_ordering=(4, 5, 1, 2, 3),
@@ -693,18 +642,11 @@ def _get_tdlin_chart():
 @register("td_linear_potential_classical")
 def _tdlin(m: float = 1.0):
     alg = catalog_algebra("h3c")
-    chart = _get_tdlin_chart()
-    gens = [
-        lambda x: np.array([x[1], 0.0]),
-        lambda x: np.array([0.0, 1.0]),
-        lambda x: np.array([1.0, 0.0]),
-    ]
 
-    def action(g, x):
-        M = g.matrix()
-        return M[:2, :2] @ np.asarray(x, dtype=float) + M[:2, 2]
+    def fields(x):
+        return np.array([[x[1], 0.0], [0.0, 1.0], [1.0, 0.0]])
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart,
+    sys = LieSystemRealization(alg, 2, fields, _affine_action, _get_tdlin_chart(),
                                name="td_linear_potential_classical")
 
     def closed_form(b, grid, x0):
@@ -726,12 +668,9 @@ def _tdlin(m: float = 1.0):
 @register("driven_oscillator")
 def _driven_osc():
     alg = catalog_algebra("oscq")
-    gens = [
-        lambda x: np.array([x[1], -x[0]]),
-        lambda x: np.array([0.0, -1.0]),
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.array([0.0, 0.0]),
-    ]
+
+    def fields(x):
+        return np.array([[x[1], -x[0]], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -750,7 +689,7 @@ def _driven_osc():
         return Trajectory(grid, np.column_stack([qi * c + pi * s, -qi * s + pi * c]),
                           meta="driven oscillator flow")
 
-    sys = LieSystemRealization(alg, 2, gens, name="driven_oscillator")
+    sys = LieSystemRealization(alg, 2, fields, name="driven_oscillator")
     return CatalogEntry("driven_oscillator", sys, (1, 2), wn_closed_form=wn_closed,
                         closed_form=closed_form,
                         notes="controls (omega(t), f(t)); central channel acts trivially "
@@ -763,62 +702,51 @@ def _driven_osc():
 
 
 def _homography(M, y):
-    den = M[1, 0] * y + M[1, 1]
-    return (M[0, 0] * y + M[0, 1]) / den
+    """(M00 y + M01) / (M10 y + M11) over the leading axes of M."""
+    return (M[..., 0, 0] * y + M[..., 0, 1]) / (M[..., 1, 0] * y + M[..., 1, 1])
 
 
 @register("sl2_riccati_pair")
 def _sl2_pair():
     alg = catalog_algebra("sl2")
-    chart = get_chart("SL2", "matrix")
-    gens = [
-        lambda x: np.array([1.0, 1.0]),
-        lambda x: np.array([x[0], x[1]]),
-        lambda x: np.array([x[0] ** 2, x[1] ** 2]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 1.0], [x[0], x[1]], [x[0] ** 2, x[1] ** 2]])
 
     def action(g, x):
-        M = g.matrix()
-        return np.array([_homography(M, x[0]), _homography(M, x[1])])
+        M = _square(g)
+        return np.stack([_homography(M, x[0]), _homography(M, x[1])], axis=-1)
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart, name="sl2_riccati_pair")
+    sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL2", "matrix"),
+                               name="sl2_riccati_pair")
     return CatalogEntry("sl2_riccati_pair", sys, (1, 2, 3))
 
 
 @register("sl2_linear")
 def _sl2_linear():
     alg = catalog_algebra("sl2")
-    chart = get_chart("SL2", "matrix")
-    gens = [
-        lambda x: np.array([x[1], 0.0]),
-        lambda x: np.array([0.5 * x[0], -0.5 * x[1]]),
-        lambda x: np.array([0.0, -x[0]]),
-    ]
 
-    def action(g, x):
-        return g.matrix() @ np.asarray(x, dtype=float)
+    def fields(x):
+        return np.array([[x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]]])
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart, name="sl2_linear")
+    sys = LieSystemRealization(alg, 2, fields, _linear_action, get_chart("SL2", "matrix"),
+                               name="sl2_linear")
     return CatalogEntry("sl2_linear", sys, (1, 2, 3))
 
 
 @register("sl2_complex")
 def _sl2_complex():
     alg = catalog_algebra("sl2")
-    chart = get_chart("SL2", "matrix")
-    gens = [
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.array([x[0], x[1]]),
-        lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0], [x[0], x[1]], [x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]]])
 
     def action(g, x):
-        M = g.matrix()
-        u = complex(x[0], x[1])
-        w = (M[0, 0] * u + M[0, 1]) / (M[1, 0] * u + M[1, 1])
-        return np.array([w.real, w.imag])
+        w = _homography(_square(g), complex(x[0], x[1]))
+        return np.stack([w.real, w.imag], axis=-1)
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart, name="sl2_complex")
+    sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL2", "matrix"),
+                               name="sl2_complex")
     return CatalogEntry("sl2_complex", sys, (1, 2, 3),
                         notes="real/imaginary split of the complex Riccati equation")
 
@@ -826,66 +754,56 @@ def _sl2_complex():
 @register("sl2_mixed_1")
 def _sl2_mixed1():
     alg = catalog_algebra("sl2")
-    chart = get_chart("SL2", "matrix")
-    gens = [
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.array([x[0], 0.5 * x[1]]),
-        lambda x: np.array([x[0] ** 2, x[0] * x[1]]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0], [x[0], 0.5 * x[1]], [x[0] ** 2, x[0] * x[1]]])
 
     def action(g, x):
-        M = g.matrix()
-        den = M[1, 0] * x[0] + M[1, 1]
-        return np.array([_homography(M, x[0]), x[1] / den])
+        M = _square(g)
+        den = M[..., 1, 0] * x[0] + M[..., 1, 1]
+        return np.stack([_homography(M, x[0]), x[1] / den], axis=-1)
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart, name="sl2_mixed_1")
+    sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL2", "matrix"),
+                               name="sl2_mixed_1")
     return CatalogEntry("sl2_mixed_1", sys, (1, 2, 3))
 
 
 @register("sl2_mixed_2")
 def _sl2_mixed2():
     alg = catalog_algebra("sl2")
-    chart = get_chart("SL2", "matrix")
-    gens = [
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.array([x[0], -x[1]]),
-        lambda x: np.array([x[0] ** 2, -(2.0 * x[0] * x[1] + 1.0)]),
-    ]
+
+    def fields(x):
+        return np.array([[1.0, 0.0], [x[0], -x[1]], [x[0] ** 2, -(2.0 * x[0] * x[1] + 1.0)]])
 
     def action(g, x):
-        M = g.matrix()
-        al, be, ga, de = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+        M = _square(g)
+        ga, de = M[..., 1, 0], M[..., 1, 1]
         den = ga * x[0] + de
-        return np.array([
-            _homography(M, x[0]),
-            den * (ga * (1.0 + x[0] * x[1]) + de * x[1])])
+        return np.stack([_homography(M, x[0]), den * (ga * (1.0 + x[0] * x[1]) + de * x[1])],
+                        axis=-1)
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart, name="sl2_mixed_2")
+    sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL2", "matrix"),
+                               name="sl2_mixed_2")
     return CatalogEntry("sl2_mixed_2", sys, (1, 2, 3))
 
 
 @register("sl3_matrix_riccati")
 def _sl3_riccati():
     alg = catalog_algebra("sl3")
-    chart = get_chart("SL3", "matrix")
-    gens = [
-        lambda x: np.array([x[1], 0.0]),
-        lambda x: np.array([0.5 * x[0], -0.5 * x[1]]),
-        lambda x: np.array([0.0, -x[0]]),
-        lambda x: np.array([0.5 * x[0], 0.5 * x[1]]),
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.array([0.0, 1.0]),
-        lambda x: np.array([x[0] ** 2, x[0] * x[1]]),
-        lambda x: np.array([x[0] * x[1], x[1] ** 2]),
-    ]
+
+    def fields(x):
+        return np.array([
+            [x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]], [0.5 * x[0], 0.5 * x[1]],
+            [1.0, 0.0], [0.0, 1.0], [x[0] ** 2, x[0] * x[1]], [x[0] * x[1], x[1] ** 2]])
 
     def action(g, x):
-        M = g.matrix()
+        M = _square(g)
         Y = np.asarray(x, dtype=float)
-        den = M[2, :2] @ Y + M[2, 2]
-        return (M[:2, :2] @ Y + M[:2, 2]) / den
+        den = M[..., 2, :2] @ Y + M[..., 2, 2]
+        return (M[..., :2, :2] @ Y + M[..., :2, 2]) / den[..., None]
 
-    sys = LieSystemRealization(alg, 2, gens, action, chart, name="sl3_matrix_riccati")
+    sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL3", "matrix"),
+                               name="sl3_matrix_riccati")
     return CatalogEntry("sl3_matrix_riccati", sys, tuple(range(1, 9)),
                         notes="projective action on the plane; matrix Riccati equation")
 
@@ -893,22 +811,15 @@ def _sl3_riccati():
 @register("sl3_linear")
 def _sl3_linear():
     alg = catalog_algebra("sl3")
-    chart = get_chart("SL3", "matrix")
-    gens = [
-        lambda x: np.array([x[1], 0.0, 0.0]),
-        lambda x: np.array([0.5 * x[0], -0.5 * x[1], 0.0]),
-        lambda x: np.array([0.0, -x[0], 0.0]),
-        lambda x: np.array([x[0] / 6.0, x[1] / 6.0, -x[2] / 3.0]),
-        lambda x: np.array([x[2], 0.0, 0.0]),
-        lambda x: np.array([0.0, x[2], 0.0]),
-        lambda x: np.array([0.0, 0.0, -x[0]]),
-        lambda x: np.array([0.0, 0.0, -x[1]]),
-    ]
 
-    def action(g, x):
-        return g.matrix() @ np.asarray(x, dtype=float)
+    def fields(x):
+        return np.array([
+            [x[1], 0.0, 0.0], [0.5 * x[0], -0.5 * x[1], 0.0], [0.0, -x[0], 0.0],
+            [x[0] / 6.0, x[1] / 6.0, -x[2] / 3.0], [x[2], 0.0, 0.0], [0.0, x[2], 0.0],
+            [0.0, 0.0, -x[0]], [0.0, 0.0, -x[1]]])
 
-    sys = LieSystemRealization(alg, 3, gens, action, chart, name="sl3_linear")
+    sys = LieSystemRealization(alg, 3, fields, _linear_action, get_chart("SL3", "matrix"),
+                               name="sl3_linear")
     return CatalogEntry("sl3_linear", sys, tuple(range(1, 9)))
 
 
@@ -921,16 +832,13 @@ def _sl3_linear():
 def _affine_scalar():
     alg = catalog_algebra("aff")
     chart = get_chart("Aff", "canonical_second", (1, 2))
-    gens = [
-        lambda x: np.array([1.0]),
-        lambda x: np.array([x[0]]),
-    ]
 
     def action(g, x):
-        a, b = g.coords
-        return np.array([math.exp(-b) * x[0] - a])
+        a, b = g.T
+        return np.array([np.exp(-b) * x[0] - a]).T
 
-    sys = LieSystemRealization(alg, 1, gens, action, chart, name="affine_scalar")
+    sys = LieSystemRealization(alg, 1, lambda x: np.array([[1.0], [x[0]]]), action, chart,
+                               name="affine_scalar")
 
     def closed_form(b, grid, x0):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -946,13 +854,11 @@ def _affine_scalar():
 @register("yz_physics")
 def _yz():
     alg = catalog_algebra("r2sl2yz")
-    gens = [
-        lambda x: np.array([1.0, 0.0]),
-        lambda x: np.array([x[0], 0.5 * x[1]]),
-        lambda x: np.array([x[0] ** 2, x[0] * x[1]]),
-        lambda x: np.array([0.0, 1.0]),
-        lambda x: np.array([0.0, x[0]]),
-    ]
-    sys = LieSystemRealization(alg, 2, gens, name="yz_physics")
+
+    def fields(x):
+        return np.array([[1.0, 0.0], [x[0], 0.5 * x[1]], [x[0] ** 2, x[0] * x[1]],
+                         [0.0, 1.0], [0.0, x[0]]])
+
+    sys = LieSystemRealization(alg, 2, fields, name="yz_physics")
     return CatalogEntry("yz_physics", sys, (1, 2, 3, 4, 5),
                         notes="y' + y^2 = a, z' + yz = b is b = (a, 0, -1, b, 0)")

@@ -50,6 +50,7 @@ from .algebra import (
     wn_matrix,
 )
 from .errors import ChartError, UnknownNameError
+from .numerics import central_diff
 
 DEFAULT_FD_STEP = 1e-5
 _CONSTRAINT_TOL = 1e-8
@@ -155,14 +156,14 @@ class GroupElement:
         return matrix_rep(self)
 
 
-def _same_chart(g: GroupElement, h: GroupElement):
-    cg, ch = g.chart, h.chart
+def _same_chart(cg: GroupChart, ch: GroupChart):
+    """Charts are the same when group, kind and ordering agree."""
     if (cg.group_name, cg.chart_kind, cg.ordering) != (ch.group_name, ch.chart_kind, ch.ordering):
         raise ChartError(f"chart mismatch: {cg.group_name}/{cg.chart_kind} vs {ch.group_name}/{ch.chart_kind}")
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    _same_chart(g, h)
+    _same_chart(g.chart, h.chart)
     return GroupElement(g.chart, g.chart.compose_fn(g.coords, h.coords))
 
 
@@ -238,14 +239,6 @@ def _adjoint(chart: GroupChart, g) -> np.ndarray:
     return chart.rep_projector @ np.swapaxes(GAGi.reshape(GAGi.shape[:-2] + (-1,)), -1, -2)
 
 
-def _stencil_derivative(sample, t, h, order):
-    """Derivative of a vector-valued callable; order 2 or 4 central stencil."""
-    if order == 4:
-        return (8.0 * (sample(t + h) - sample(t - h))
-                - (sample(t + 2 * h) - sample(t - 2 * h))) / (12.0 * h)
-    return (sample(t + h) - sample(t - h)) / (2.0 * h)
-
-
 def _trivialize(chart: GroupChart, g, dg, left: bool) -> np.ndarray:
     """The algebra vector dg g^{-1} (right) or g^{-1} dg (left) of the chart
     point g moving with coordinate velocity dg; both may carry leading batch
@@ -284,7 +277,7 @@ def right_log_derivative(curve, t: float, h: float = DEFAULT_FD_STEP,
     chart kind's exact rule (`_trivialize`).
     """
     g0 = curve(t)
-    dg = _stencil_derivative(lambda s: curve(s).coords, t, h, order)
+    dg = central_diff(lambda s: curve(s).coords, t, h, order)
     return _trivialize(g0.chart, g0.coords, dg, left=False)
 
 
@@ -292,7 +285,7 @@ def left_log_derivative(curve, t: float, h: float = DEFAULT_FD_STEP,
                         order: int = 2) -> np.ndarray:
     """The algebra vector L_{g^{-1}*g}(dg/dt) = g^{-1} (dg/dt) at time t."""
     g0 = curve(t)
-    dg = _stencil_derivative(lambda s: curve(s).coords, t, h, order)
+    dg = central_diff(lambda s: curve(s).coords, t, h, order)
     return _trivialize(g0.chart, g0.coords, dg, left=True)
 
 

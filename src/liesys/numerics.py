@@ -270,9 +270,14 @@ def linsolve(M, b, cond_limit=1e12):
     return (Minv @ np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
-def central_diff(f, t, h=1e-5):
-    """Second-order central difference of a vector-valued callable."""
-    return (np.asarray(f(t + h), dtype=float) - np.asarray(f(t - h), dtype=float)) / (2.0 * h)
+def central_diff(f, t, h=1e-5, order=2):
+    """Central difference of a vector-valued callable at t: the three-point
+    stencil, or the five-point one for order=4."""
+    def at(s):
+        return np.asarray(f(s), dtype=float)
+    if order == 4:
+        return (8.0 * (at(t + h) - at(t - h)) - (at(t + 2 * h) - at(t - 2 * h))) / (12.0 * h)
+    return (at(t + h) - at(t - h)) / (2.0 * h)
 
 
 def diff_samples(values, dt):

@@ -212,10 +212,7 @@ class ReductionCase:
         return out
 
     def pad_controls(self, b: ControlSignal) -> ControlSignal:
-        r = self.chart.algebra.dim
-        if b.dim == r:
-            return b
-        return b.pad(r, [i - 1 for i in self.used_channels])
+        return b.pad(self.chart.algebra.dim, [i - 1 for i in self.used_channels])
 
     def solve_homogeneous(self, b: ControlSignal, grid: TimeGrid) -> Trajectory:
         table = self.pad_controls(b)(rk4_stage_times(grid))

@@ -10,8 +10,8 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import CoincidenceError, DomainExitError, LieSysError
-from .groups import GroupChart
-from .numerics import TimeGrid, Trajectory, integrate_rk4, rk4_stage_times
+from .groups import GroupChart, _on_chart, _same_chart
+from .numerics import TimeGrid, Trajectory, central_diff, integrate_rk4, rk4_stage_times
 from .weinorman import ControlSignal, GroupCurve
 
 INFINITY = float("inf")
@@ -19,21 +19,30 @@ INFINITY = float("inf")
 
 @dataclass
 class LieSystemRealization:
-    """Generator vector fields on a state manifold, plus an optional group
-    action that integrates the system by the one curve through the identity."""
+    """A Lie system X(t, x) = sum_a b_a(t) X_a(x) on a state manifold, plus
+    an optional group action that integrates it by the one curve through
+    the identity.
+
+    `fields(x)` returns the stacked field at one state x: the
+    (r, state_dim) array whose row a is X_a(x).  `action(g, x)` moves one
+    state x by (..., coord_dim) coordinates g of `action_chart` and returns
+    (..., state_dim) states, one per point of g, so a whole curve goes
+    through one call."""
 
     algebra: LieAlgebra
     state_dim: int
-    generators: list                          # r callables x -> dx
-    action: Callable | None = None            # (GroupElement, x) -> x
+    fields: Callable                          # x -> (r, state_dim)
+    action: Callable | None = None            # ((..., d) coords, x) -> (..., state_dim)
     action_chart: GroupChart | None = None
     domain: Callable | None = None            # x -> bool
     name: str = ""
     domain_note: str = ""
 
     def __post_init__(self):
-        if len(self.generators) != self.algebra.dim:
-            raise LieSysError("need one generator per basis element")
+        shape = np.shape(self.fields(np.zeros(self.state_dim)))
+        if shape != (self.algebra.dim, self.state_dim):
+            raise LieSysError(f"{self.name}: fields give {shape}, need one row per basis "
+                              f"element: {(self.algebra.dim, self.state_dim)}")
 
     def check_domain(self, t, x):
         if self.domain is not None and not self.domain(x):
@@ -45,11 +54,7 @@ def field_eval(sys: LieSystemRealization, b, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     sys.check_domain(t, x)
     coeffs = b(t) if callable(b) else b
-    out = np.zeros(sys.state_dim)
-    for ba, X in zip(coeffs, sys.generators):
-        if ba != 0.0:
-            out += ba * np.asarray(X(x), dtype=float)
-    return out
+    return coeffs @ sys.fields(x)
 
 
 def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid) -> Trajectory:
@@ -60,65 +65,51 @@ def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid
 
 
 def solve_via_group(sys: LieSystemRealization, gcurve: GroupCurve, x0) -> Trajectory:
-    """x(t) = action(g(t), x0) sampled at the curve's nodes."""
+    """x(t) = action(g(t), x0) at the curve's nodes, from one check of the
+    whole curve against its chart and one action call."""
     if sys.action is None:
         raise LieSysError(f"{sys.name}: no group action cataloged")
-    if sys.action_chart is not None and gcurve.chart is not sys.action_chart:
-        ch, ac = gcurve.chart, sys.action_chart
-        if (ch.group_name, ch.chart_kind, ch.ordering) != (ac.group_name, ac.chart_kind, ac.ordering):
-            raise LieSysError(f"{sys.name}: curve chart does not match the action chart")
-    x0 = np.asarray(x0, dtype=float)
-    nodes = gcurve.grid.nodes
-    states = np.empty((len(nodes), sys.state_dim))
-    for k in range(len(nodes)):
-        states[k] = sys.action(gcurve.at_node(k), x0)
+    if sys.action_chart is not None:
+        _same_chart(gcurve.chart, sys.action_chart)
+    coords = _on_chart(gcurve.chart, gcurve.coords, "group curve", gcurve.grid.nodes)
+    states = sys.action(coords, np.asarray(x0, dtype=float))
     return Trajectory(gcurve.grid, states, meta=f"{sys.name} (group action)")
 
 
 def generator_bracket_residual(sys: LieSystemRealization, points, h=1e-5) -> float:
     """Consistency of vector-field brackets with the structure constants.
 
-    [X_a, X_b](x) computed with central-difference Jacobians must equal
+    [X_a, X_b](x) = J_b X_a - J_a X_b, with the Jacobians J_a taken by one
+    central difference of the stacked field per state axis, must equal
     sum_g c[a,b,g] X_g(x).  Accuracy is finite-difference limited.
     """
-    r = sys.algebra.dim
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
-        vals = [np.asarray(X(x), dtype=float) for X in sys.generators]
-        jacs = []
-        for X in sys.generators:
-            J = np.empty((sys.state_dim, sys.state_dim))
-            for j in range(sys.state_dim):
-                e = np.zeros(sys.state_dim)
-                e[j] = h
-                J[:, j] = (np.asarray(X(x + e), float) - np.asarray(X(x - e), float)) / (2 * h)
-            jacs.append(J)
-        for a in range(r):
-            for bb in range(a + 1, r):
-                lb = jacs[bb] @ vals[a] - jacs[a] @ vals[bb]
-                expect = np.zeros(sys.state_dim)
-                for g in range(r):
-                    cval = sys.algebra.structure[a, bb, g]
-                    if cval != 0.0:
-                        expect += cval * vals[g]
-                worst = max(worst, float(np.max(np.abs(lb - expect))))
+        V = sys.fields(x)
+        # J[a, i, j] = d X_a^i / d x_j
+        J = np.stack([central_diff(lambda s: sys.fields(x + s * e), 0.0, h)
+                      for e in np.eye(sys.state_dim)], axis=-1)
+        lb = np.einsum("bij,aj->abi", J, V) - np.einsum("aij,bj->abi", J, V)
+        expect = np.einsum("abg,gi->abi", sys.algebra.structure, V)
+        worst = max(worst, float(np.max(np.abs(lb - expect))))
     return worst
 
 
 def action_property_residual(sys: LieSystemRealization, elements, points) -> float:
-    """Phi(e, x) = x and Phi(g, Phi(h, x)) = Phi(gh, x) at probe points."""
-    from .groups import compose
-
+    """Phi(e, x) = x and Phi(g, Phi(h, x)) = Phi(gh, x) at probe points, for
+    the pairs (g, h) of consecutive rows of the (m, coord_dim) chart
+    coordinates `elements`."""
+    chart = sys.action_chart
+    pairs = len(elements) // 2
+    g, h = elements[0:2 * pairs:2], elements[1:2 * pairs:2]
+    gh = chart.compose_fn(g, h)
     worst = 0.0
-    ident = sys.action_chart.identity()
     for x in points:
         x = np.asarray(x, dtype=float)
-        worst = max(worst, float(np.max(np.abs(sys.action(ident, x) - x))))
-        for g, hh in zip(elements[::2], elements[1::2]):
-            lhs = sys.action(g, sys.action(hh, x))
-            rhs = sys.action(compose(g, hh), x)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = np.array([sys.action(gk, sys.action(hk, x)) for gk, hk in zip(g, h)])
+        worst = max(worst, float(np.max(np.abs(sys.action(chart.identity_coords, x) - x))),
+                    float(np.max(np.abs(lhs - sys.action(gh, x)))))
     return worst
 
 
@@ -150,12 +141,16 @@ class SuperpositionRule:
         return cls("sl2_complex", 3, 2)
 
 
-def _as_states(parts):
-    return [np.asarray(p, dtype=float) for p in parts]
+def _first_node(mask):
+    """Index along the leading (node) axis of the first flagged entry; 0 for
+    a single state."""
+    mask = np.atleast_1d(mask)
+    return int(np.argmax(mask.reshape(len(mask), -1).any(axis=1)))
 
 
 def riccati_superposition(x1, x2, x3, k):
-    """General Riccati solution from three particulars and a projective k.
+    """General Riccati solution from three particulars and a projective k,
+    elementwise over states or stacked nodes.
 
     k = 0, infinity, 1 return x1, x2, x3 respectively.
     """
@@ -163,54 +158,58 @@ def riccati_superposition(x1, x2, x3, k):
     if k == INFINITY:
         return x2.copy()
     den = (x3 - x2) + k * (x1 - x3)
-    if np.any(np.abs(den) < 1e-14 * (1.0 + np.max(np.abs([x1, x2, x3])))):
-        bad = int(np.argmin(np.abs(den)))
-        raise CoincidenceError(bad, "Riccati superposition denominator vanished")
+    bad = np.abs(den) < 1e-14 * (1.0 + np.max(np.abs([x1, x2, x3]), axis=0))
+    if np.any(bad):
+        raise CoincidenceError(_first_node(bad), "Riccati superposition denominator vanished")
     return (x1 * (x3 - x2) + k * x2 * (x1 - x3)) / den
 
 
 def sl2_complex_superposition(p1, p2, p3, k1, k2):
-    """Superposition for the coupled real/imaginary Riccati system.
+    """Superposition for the coupled real/imaginary Riccati system, on
+    (..., 2) states or stacked nodes.
 
     Implemented as the complex Moebius superposition with u = y + iz and
     k = k1 + i k2; (k1, k2) = (0,0) gives p1, k -> infinity gives p2 and
     (1, 0) gives p3.
     """
-    u1, u2, u3 = (complex(p[0], p[1]) for p in (p1, p2, p3))
+    # (..., 1) complex arrays, so one state and stacked nodes take the same
+    # array arithmetic
+    u1, u2, u3 = (p[..., :1] + 1j * p[..., 1:2] for p in np.asarray([p1, p2, p3], dtype=float))
     if k1 == INFINITY or k2 == INFINITY:
-        return np.array([u2.real, u2.imag])
-    k = complex(k1, k2)
-    den = (u3 - u2) + k * (u1 - u3)
-    if abs(den) < 1e-14:
-        raise CoincidenceError(0, "coupled-Riccati superposition denominator vanished")
-    u = (u1 * (u3 - u2) + k * u2 * (u1 - u3)) / den
-    return np.array([u.real, u.imag])
+        u = u2
+    else:
+        k = complex(k1, k2)
+        den = (u3 - u2) + k * (u1 - u3)
+        bad = np.abs(den) < 1e-14
+        if np.any(bad):
+            raise CoincidenceError(_first_node(bad),
+                                   "coupled-Riccati superposition denominator vanished")
+        u = (u1 * (u3 - u2) + k * u2 * (u1 - u3)) / den
+    return np.concatenate([u.real, u.imag], axis=-1)
 
 
 def superpose(rule: SuperpositionRule, particulars, constants):
-    """Evaluate a superposition rule on states or whole trajectories."""
-    if particulars and isinstance(particulars[0], Trajectory):
-        grids = [p.grid for p in particulars]
-        states = [p.states for p in particulars]
-        out = np.empty_like(states[0])
-        for kk in range(states[0].shape[0]):
-            out[kk] = superpose(rule, [s[kk] for s in states], constants)
-        return Trajectory(grids[0], out, meta=f"superposition ({rule.kind})")
-    parts = _as_states(particulars)
+    """Evaluate a superposition rule on states, or once on the stacked node
+    arrays of whole trajectories."""
+    on_grid = bool(particulars) and isinstance(particulars[0], Trajectory)
+    parts = [np.asarray(p.states if on_grid else p, dtype=float) for p in particulars]
     if len(parts) != rule.arity:
         raise LieSysError(f"{rule.kind} rule needs {rule.arity} particular solutions")
     if rule.kind == "linear":
-        return sum(k * p for k, p in zip(constants, parts))
-    if rule.kind == "affine":
+        out = sum(k * p for k, p in zip(constants, parts))
+    elif rule.kind == "affine":
         out = parts[0].copy()
         for k, p in zip(constants, parts[1:]):
             out = out + k * (p - parts[0])
-        return out
-    if rule.kind == "riccati":
-        return riccati_superposition(parts[0], parts[1], parts[2], constants[0])
-    if rule.kind == "sl2_complex":
-        return sl2_complex_superposition(parts[0], parts[1], parts[2], constants[0], constants[1])
-    raise LieSysError(f"unknown superposition kind {rule.kind!r}")
+    elif rule.kind == "riccati":
+        out = riccati_superposition(parts[0], parts[1], parts[2], constants[0])
+    elif rule.kind == "sl2_complex":
+        out = sl2_complex_superposition(parts[0], parts[1], parts[2], constants[0], constants[1])
+    else:
+        raise LieSysError(f"unknown superposition kind {rule.kind!r}")
+    if on_grid:
+        return Trajectory(particulars[0].grid, out, meta=f"superposition ({rule.kind})")
+    return out
 
 
 def cross_ratio(x, x1, x2, x3):

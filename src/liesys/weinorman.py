@@ -174,7 +174,10 @@ class ControlSignal:
         return np.stack([_channel_on_times(ch, t) for ch in self.channels], axis=-1)
 
     def pad(self, r, used=None):
-        """Embed into r channels; `used` gives the target index per channel."""
+        """Embed into r channels; `used` gives the target index per channel.
+        A signal that already has r channels is returned as it is."""
+        if self.dim == r:
+            return self
         if used is None:
             used = list(range(self.dim))
         chans = [lambda t: 0.0] * r

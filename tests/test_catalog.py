@@ -42,16 +42,22 @@ def test_action_properties(name, kw, rng):
         g = chart.identity()
         for i in range(chart.algebra.dim):
             g = compose(g, exp_chart(chart, i, 0.3 * rng.standard_normal()))
-        els.append(g)
+        els.append(g.coords)
     pts = rng.uniform(-0.3, 0.3, (5, sysr.state_dim))
-    assert action_property_residual(sysr, els, pts) < 1e-8
+    assert action_property_residual(sysr, np.array(els), pts) < 1e-8
+    # (..., d) coordinates give (..., state_dim) states, point by point
+    coords = G.exp_algebra(chart, 0.4 * rng.standard_normal((3, 7, chart.algebra.dim)))
+    whole = sysr.action(coords, pts[0])
+    single = np.array([[sysr.action(c, pts[0]) for c in row] for row in coords])
+    assert whole.shape == (3, 7, sysr.state_dim)
+    assert np.max(np.abs(whole - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
 
 
 def test_brockett_bracket_is_two_dz(rng):
     entry = get_system("brockett")
     for _ in range(20):
         x = rng.uniform(-1, 1, 3)
-        assert np.allclose(entry.realization.generators[2](x), [0, 0, 2])
+        assert np.allclose(entry.realization.fields(x)[2], [0, 0, 2])
 
 
 def test_chained3_equals_brockett_variant_up_to_sign(rng):
@@ -62,8 +68,8 @@ def test_chained3_equals_brockett_variant_up_to_sign(rng):
     for _ in range(25):
         x = rng.uniform(-1, 1, 3)
         for i in range(3):
-            lhs = chained.generators[i](x) * flip
-            rhs = variant.generators[i](x * flip)
+            lhs = chained.fields(x)[i] * flip
+            rhs = variant.fields(x * flip)[i]
             assert np.allclose(lhs, rhs), i
 
 
@@ -85,8 +91,8 @@ def test_unicycle_feedback_equivalence(rng):
     for _ in range(20):
         x = rng.uniform(-0.5, 0.5, 3)
         c = np.cos(x[2])
-        assert np.max(np.abs(fb.generators[0](x) - c**2 * uni.generators[0](x))) < 1e-10
-        assert np.max(np.abs(fb.generators[1](x) - uni.generators[1](x) / c)) < 1e-10
+        assert np.max(np.abs(fb.fields(x)[0] - c**2 * uni.fields(x)[0])) < 1e-10
+        assert np.max(np.abs(fb.fields(x)[1] - uni.fields(x)[1] / c)) < 1e-10
 
 
 def test_wn_closed_forms_match_solver():
@@ -131,39 +137,6 @@ def test_td_linear_potential_fixture():
     assert np.max(np.abs(closed.states[:, 0] - (0.5 + 0.25 * t - t**2 / 2))) < 1e-10
 
 
-def _bracket_rank(sysr, x, h=1e-5):
-    vals = [np.asarray(X(x), float) for X in sysr.generators[:2]]
-    jacs = []
-    for X in sysr.generators[:2]:
-        J = np.empty((sysr.state_dim, sysr.state_dim))
-        for j in range(sysr.state_dim):
-            e = np.zeros(sysr.state_dim)
-            e[j] = h
-            J[:, j] = (np.asarray(X(x + e), float) - np.asarray(X(x - e), float)) / (2 * h)
-        jacs.append(J)
-    cols = list(vals)
-    frontier = list(range(len(cols)))
-    # grow with brackets against the inputs up to the state dimension
-    all_fields = [(vals[0], jacs[0]), (vals[1], jacs[1])]
-    current = list(all_fields)
-    for _ in range(sysr.state_dim):
-        nxt = []
-        for val, jac in current:
-            for v2, j2 in all_fields:
-                lb_val = j2 @ val - jac @ v2
-                # numerical Jacobian of the bracket via nested differencing is
-                # noisy; first-level brackets suffice for these systems, deeper
-                # ones are approximated by bracketing values only
-                nxt.append((lb_val, np.zeros_like(jac)))
-                cols.append(lb_val)
-        current = nxt[:4]
-        if len(cols) > 4 * sysr.state_dim:
-            break
-    M = np.column_stack(cols)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > 1e-8 * sv[0]))
-
-
 def test_controllability_smoke(rng):
     full_rank = ["brockett", "rb_two_oscillators", "brockett_deg2", "unicycle",
                  "kinematic_car_chained", "martinet", "murray_nonsinusoid"]
@@ -173,7 +146,7 @@ def test_controllability_smoke(rng):
         for _ in range(10):
             x = rng.uniform(-0.6, 0.6, sysr.state_dim)
             # use the catalog generators directly: they span the orbit
-            vals = np.column_stack([X(x) for X in sysr.generators])
+            vals = sysr.fields(x).T
             sv = np.linalg.svd(vals, compute_uv=False)
             rank = int(np.sum(sv > 1e-8 * sv[0]))
             assert rank == sysr.state_dim, (name, rank)
@@ -184,7 +157,7 @@ def test_brockett_deg3_orbit_rank(rng):
     sysr = entry.realization
     for _ in range(10):
         x = rng.uniform(-0.6, 0.6, 8)
-        vals = np.column_stack([X(x) for X in sysr.generators])
+        vals = sysr.fields(x).T
         sv = np.linalg.svd(vals, compute_uv=False)
         rank = int(np.sum(sv > 1e-8 * sv[0]))
         assert rank == 7        # orbit dimension, not the full space
@@ -242,7 +215,8 @@ def test_trailer_not_a_lie_system(rng):
 
     uni = get_system("unicycle").realization
     upts = rng.uniform(-0.5, 0.5, (12, 3))
-    ufields = _nested_brackets(uni.generators[0], uni.generators[1], 3, levels=3)
+    ufields = _nested_brackets(lambda x: uni.fields(x)[0], lambda x: uni.fields(x)[1], 3,
+                               levels=3)
     assert _function_space_rank(ufields, upts) == 3
 
 

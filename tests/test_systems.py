@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesys.catalog import get_system
-from liesys.errors import CoincidenceError, DomainExitError, LieSysError
-from liesys.numerics import TimeGrid, diff_samples, integrate_rk4
+from liesys.errors import ChartError, CoincidenceError, DomainExitError, LieSysError
+from liesys.numerics import TimeGrid, Trajectory, diff_samples, integrate_rk4
 from liesys.riccati import RiccatiCoeffs
 from liesys.systems import (
     INFINITY,
@@ -18,7 +18,7 @@ from liesys.systems import (
     solve_via_group,
     superpose,
 )
-from liesys.weinorman import ControlSignal
+from liesys.weinorman import ControlSignal, GroupCurve
 from conftest import smooth_controls
 
 
@@ -89,7 +89,7 @@ def test_h3_action_display():
     v1, v2, v3 = 0.4, -0.8, 0.3
     x0, y0, z0 = 0.5, 1.5, -2.0
     g = chart.element([-v1, -v2, -v3])
-    out = entry.realization.action(g, [x0, y0, z0])
+    out = entry.realization.action(g.coords, [x0, y0, z0])
     expected = [x0 + v1, y0 + v2, z0 + x0 * v2 - y0 * v1 - v1 * v2 + 2 * v3]
     assert np.allclose(out, expected)
 
@@ -102,6 +102,26 @@ def test_group_equals_direct_for_actions(unit_grid):
         direct = solve_direct(entry.realization, entry.pad_controls(b), x0, unit_grid)
         via = solve_via_group(entry.realization, entry.wn_group_curve(b, unit_grid), x0)
         assert np.max(np.abs(direct.states - via.states)) < 1e-6, name
+
+
+def test_solve_via_group_rejects_another_chart(unit_grid):
+    # an H(3) curve cannot drive the unicycle's SE(2) action
+    curve = get_system("brockett").wn_group_curve(smooth_controls(2, seed=5), unit_grid)
+    with pytest.raises(ChartError, match="chart mismatch: H3/canonical_second vs SE2"):
+        solve_via_group(get_system("unicycle").realization, curve, [0.1, 0.2, 0.3])
+
+
+def test_solve_via_group_names_an_off_group_node(unit_grid):
+    # one SO(3) node scaled by 1.01 leaves the group; the whole-curve check
+    # names that node and its time
+    entry = get_system("so3_kinematics")
+    b = smooth_controls(3, amp=0.7, seed=11)
+    curve = entry.wn_group_curve(b, unit_grid)
+    coords = curve.coords.copy()
+    coords[700] *= 1.01
+    bad = GroupCurve(curve.chart, unit_grid, coords)
+    with pytest.raises(ChartError, match=r"at node 700 \(t=0\.35\)"):
+        solve_via_group(entry.realization, bad, [0.1, 0.2, 0.3])
 
 
 def test_domain_exit_is_loud():
@@ -196,3 +216,35 @@ def test_cross_ratio_coincidence_raises():
     x = np.array([0.5, 0.5])
     with pytest.raises(CoincidenceError):
         cross_ratio(x, np.array([0.1, 0.1]), x, np.array([0.9, 0.9]))
+
+
+def _superposition_cases(unit_grid):
+    t = unit_grid.nodes[:, None]
+    wave = [np.hstack([np.sin(t + s), np.cos(2 * t - s)]) for s in (0.1, 0.9, 1.7)]
+    ric = [0.3 * np.sin(t + s) + c for s, c in ((0.2, -1.0), (0.5, 0.0), (1.1, 1.0))]
+    return [
+        (SuperpositionRule.linear(3), wave, [0.7, -1.3, 2.1]),
+        (SuperpositionRule.affine(2), wave, [0.4, -2.5]),
+        (SuperpositionRule.riccati(), ric, [0.6]),
+        (SuperpositionRule.sl2_complex(), wave, [0.7, -0.4]),
+    ]
+
+
+def test_superpose_on_trajectories_equals_per_node_calls(unit_grid):
+    for rule, states, consts in _superposition_cases(unit_grid):
+        trajs = [Trajectory(unit_grid, st) for st in states]
+        whole = superpose(rule, trajs, consts)
+        per_node = np.array([superpose(rule, [st[k] for st in states], consts)
+                             for k in range(len(unit_grid.nodes))])
+        assert whole.states.shape == per_node.shape, rule.kind
+        assert np.max(np.abs(whole.states - per_node)) <= 1e-15, rule.kind
+
+
+@pytest.mark.parametrize("kind", ["riccati", "sl2_complex"])
+def test_superpose_coincidence_names_its_node(unit_grid, kind):
+    rule, states, consts = next(c for c in _superposition_cases(unit_grid) if c[0].kind == kind)
+    states = [st.copy() for st in states]
+    states[0][1234] = states[1][1234] = states[2][1234]    # all three meet at node 1234
+    with pytest.raises(CoincidenceError) as exc:
+        superpose(rule, [Trajectory(unit_grid, st) for st in states], consts)
+    assert exc.value.node == 1234
