@@ -24,9 +24,9 @@ import numpy as np
 
 from .algebra import catalog_algebra, eps_parameter
 from .errors import UnknownNameError
-from .groups import _mk_matrix_chart, get_chart
+from .groups import _mk_matrix_chart, _square, get_chart
 from .numerics import TimeGrid, Trajectory, cumulative_quadrature_samples
-from .systems import LieSystemRealization
+from .systems import LieSystemRealization, _homography
 from .weinorman import ControlSignal, GroupCurve, WNProblem, wn_reconstruct, wn_solve
 
 
@@ -89,12 +89,6 @@ def _cum(samples, grid):
 
 def _bsamp(b, grid, i):
     return b(grid.nodes)[:, i]
-
-
-def _square(g):
-    """(..., m*m) matrix-chart coordinates as (..., m, m) matrices."""
-    m = math.isqrt(g.shape[-1])
-    return g.reshape(g.shape[:-1] + (m, m))
 
 
 def _linear_action(g, x):
@@ -699,11 +693,6 @@ def _driven_osc():
 # ---------------------------------------------------------------------------
 # SL(2) and SL(3) families
 # ---------------------------------------------------------------------------
-
-
-def _homography(M, y):
-    """(M00 y + M01) / (M10 y + M11) over the leading axes of M."""
-    return (M[..., 0, 0] * y + M[..., 0, 1]) / (M[..., 1, 0] * y + M[..., 1, 1])
 
 
 @register("sl2_riccati_pair")

@@ -24,7 +24,7 @@ from .errors import (
     UnknownNameError,
     WNBreakdownError,
 )
-from .numerics import TimeGrid, Trajectory, interp_columns
+from .numerics import TimeGrid, Trajectory
 from .reduction import catalog_reduction, list_reductions, run_catalog_reduction
 from .systems import (
     INFINITY,
@@ -178,17 +178,9 @@ def cmd_riccati(args):
     if args.ric_cmd == "transform":
         c, grid = _load_coeffs(args.coeffs)
         data = np.loadtxt(args.curve, delimiter=",", skiprows=1, ndmin=2)
-        cg = TimeGrid.from_nodes(data[:, 0])
-
-        def interp(col):
-            return lambda t: interp_columns(t, data[:, 0], data[:, col:col + 1])[..., 0]
-
-        A = riccati.SL2Curve(interp(1), interp(2), interp(3), interp(4))
-        out = riccati.transform_coeffs(A, c)
-        rows = np.column_stack([grid.nodes,
-                                [out.a0(t) for t in grid.nodes],
-                                [out.a1(t) for t in grid.nodes],
-                                [out.a2(t) for t in grid.nodes]])
+        entries = ControlSignal.sampled(TimeGrid.from_nodes(data[:, 0]), data[:, 1:5])
+        out = riccati.transform_coeffs(riccati.SL2Curve(*entries.channels), c)
+        rows = np.column_stack([grid.nodes, out(grid.nodes)])
         np.savetxt(args.out, rows, delimiter=",", header="t,a0,a1,a2", comments="")
         _write_meta(args.out, vars(args))
         print(json.dumps({"written": args.out}))

@@ -68,6 +68,12 @@ def _mat(rows):
     return np.array(rows).T.swapaxes(-1, -2)
 
 
+def _square(g):
+    """(..., m*m) matrix-chart coordinates as (..., m, m) matrices."""
+    m = math.isqrt(g.shape[-1])
+    return g.reshape(g.shape[:-1] + (m, m))
+
+
 def _matvec(M, v):
     """M v over matching leading batch axes, as a matrix product with one
     column so that a batch and a single vector round alike."""
@@ -550,8 +556,11 @@ def _build_se2():
         # exp(w A1 + u A2 + v A3) = [[R(w), V(w) (u, v)]] and the chart point
         # is [[R(th), R(th) (a, b)]], so (a, b) = R(-w) V(w) (u, v)
         w, u, v = x.T
+        # the square is a product: a numpy scalar's ** 2 can round 1 ulp
+        # away from the array square, and a batch must equal single calls
         sinc = np.sinc(w / np.pi)                           # sin(w) / w
-        versc = 0.5 * w * np.sinc(w / (2.0 * np.pi)) ** 2   # (1 - cos w) / w
+        half = np.sinc(w / (2.0 * np.pi))                   # sin(w/2) / (w/2)
+        versc = 0.5 * w * (half * half)                     # (1 - cos w) / w
         return np.array([w, sinc * u + versc * v, sinc * v - versc * u]).T
 
     chart2 = GroupChart(

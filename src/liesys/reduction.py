@@ -199,8 +199,8 @@ class ReductionCase:
     hom_dim: int
     hom_rhs: object                  # (t, y, padded controls at t) -> dy/dt
     hom_x0: object
-    lift_coords: object              # (y) -> chart coords
-    expected_coeffs: object          # (b, t, y) -> c values (len s)
+    lift_coords: object              # (..., hom_dim) states -> (..., d) chart coords
+    expected_coeffs: object          # (..., r) controls, (...) times, states -> (..., s)
 
     def span_vectors(self):
         r = self.chart.algebra.dim
@@ -220,8 +220,7 @@ class ReductionCase:
                              meta=f"{self.name} homogeneous", table=table)
 
     def make_lift(self, hom: Trajectory) -> GroupCurve:
-        coords = np.stack([self.lift_coords(y) for y in hom.states])
-        return GroupCurve(self.chart, hom.grid, coords)
+        return GroupCurve(self.chart, hom.grid, self.lift_coords(hom.states))
 
     def setup(self, b: ControlSignal, grid: TimeGrid) -> ReductionSetup:
         hom = self.solve_homogeneous(b, grid)
@@ -230,9 +229,26 @@ class ReductionCase:
 
     def fixture_coeffs(self, b: ControlSignal, hom: Trajectory) -> np.ndarray:
         nodes = hom.grid.nodes
-        rows = [self.expected_coeffs(bv, t, y)
-                for bv, t, y in zip(self.pad_controls(b)(nodes), nodes, hom.states)]
-        return np.asarray(rows)
+        return self.expected_coeffs(self.pad_controls(b)(nodes), nodes, hom.states)
+
+
+def _lift_into(base, slots):
+    """The lift of (..., hom_dim) states into the chart coordinates `base`,
+    with the state components in the coordinate slots `slots`."""
+    base = np.asarray(base, dtype=float)
+
+    def lift(y):
+        out = np.broadcast_to(base, np.shape(y)[:-1] + base.shape).copy()
+        out[..., slots] = y
+        return out
+
+    return lift
+
+
+def _componentwise(formula):
+    """expected_coeffs from a formula on the components b.T, y.T of (..., r)
+    controls and (..., hom_dim) states that lists the reduced coefficients."""
+    return lambda b, t, y: np.array(formula(b.T, t, y.T)).T
 
 
 _RED: dict = {}
@@ -262,24 +278,23 @@ def _h3_case(which):
             "h3/a1", chart, (1,), (1, 2), 2,
             hom_rhs=lambda t, y, b: np.array([-b[1], -b[0] * y[0]]),
             hom_x0=np.zeros(2),
-            lift_coords=lambda y: np.array([0.0, y[0], y[1]]),
-            expected_coeffs=lambda bv, t, y: np.array([bv[0]]),
+            lift_coords=_lift_into(np.zeros(3), [1, 2]),
+            expected_coeffs=_componentwise(lambda bv, t, y: [bv[0]]),
         )
     if which == 2:
         return ReductionCase(
             "h3/a2", chart, (2,), (1, 2), 2,
             hom_rhs=lambda t, y, b: np.array([-b[0], b[1] * y[0]]),
             hom_x0=np.zeros(2),
-            lift_coords=lambda y: np.array([y[0], 0.0, y[1]]),
-            expected_coeffs=lambda bv, t, y: np.array([bv[1]]),
+            lift_coords=_lift_into(np.zeros(3), [0, 2]),
+            expected_coeffs=_componentwise(lambda bv, t, y: [bv[1]]),
         )
     return ReductionCase(
         "h3/a3", chart, (3,), (1, 2), 2,
         hom_rhs=lambda t, y, b: np.array([-b[0], -b[1]]),
         hom_x0=np.zeros(2),
-        lift_coords=lambda y: np.array([y[0], y[1], 0.0]),
-        expected_coeffs=lambda bv, t, y: np.array(
-            [0.5 * (bv[0] * y[1] - bv[1] * y[0])]),
+        lift_coords=_lift_into(np.zeros(3), [0, 1]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [0.5 * (bv[0] * y[1] - bv[1] * y[0])]),
     )
 
 
@@ -297,32 +312,32 @@ def _se2_case(which):
             "se2/a1", chart, (1,), (1, 2), 2,
             hom_rhs=lambda t, z, b: np.array([-b[1] + b[0] * z[1], -b[0] * z[0]]),
             hom_x0=np.zeros(2),
-            lift_coords=lambda z: np.array([0.0, z[0], z[1]]),
-            expected_coeffs=lambda bv, t, z: np.array([bv[0]]),
+            lift_coords=_lift_into(np.zeros(3), [1, 2]),
+            expected_coeffs=_componentwise(lambda bv, t, z: [bv[0]]),
         )
     if which == "a2":
         return ReductionCase(
             "se2/a2", chart, (2,), (1, 2), 2,
             hom_rhs=lambda t, z, b: np.array([-b[0], b[1] * np.sin(z[0])]),
             hom_x0=np.zeros(2),
-            lift_coords=lambda z: np.array([z[0], 0.0, z[1]]),
-            expected_coeffs=lambda bv, t, z: np.array([bv[1] * np.cos(z[0])]),
+            lift_coords=_lift_into(np.zeros(3), [0, 2]),
+            expected_coeffs=_componentwise(lambda bv, t, z: [bv[1] * np.cos(z[0])]),
         )
     if which == "a3":
         return ReductionCase(
             "se2/a3", chart, (3,), (1, 2), 2,
             hom_rhs=lambda t, z, b: np.array([-b[0], -b[1] * np.cos(z[0])]),
             hom_x0=np.zeros(2),
-            lift_coords=lambda z: np.array([z[0], z[1], 0.0]),
-            expected_coeffs=lambda bv, t, z: np.array([-bv[1] * np.sin(z[0])]),
+            lift_coords=_lift_into(np.zeros(3), [0, 1]),
+            expected_coeffs=_componentwise(lambda bv, t, z: [-bv[1] * np.sin(z[0])]),
         )
     return ReductionCase(
         "se2/a2a3", chart, (2, 3), (1, 2), 1,
         hom_rhs=lambda t, z, b: np.array([-b[0]]),
         hom_x0=np.zeros(1),
-        lift_coords=lambda z: np.array([z[0], 0.0, 0.0]),
-        expected_coeffs=lambda bv, t, z: np.array(
-            [bv[1] * np.cos(z[0]), -bv[1] * np.sin(z[0])]),
+        lift_coords=_lift_into(np.zeros(3), [0]),
+        expected_coeffs=_componentwise(
+            lambda bv, t, z: [bv[1] * np.cos(z[0]), -bv[1] * np.sin(z[0])]),
     )
 
 
@@ -340,18 +355,16 @@ def _sl2_case(which):
             "sl2/a2a3", chart, (2, 3), (1, 2, 3), 1,
             hom_rhs=lambda t, y, b: np.array([b[0] + b[1] * y[0] + b[2] * y[0] ** 2]),
             hom_x0=np.zeros(1),
-            lift_coords=lambda y: np.array([1.0, y[0], 0.0, 1.0]),
-            expected_coeffs=lambda bv, t, y: np.array(
-                [bv[1] + 2.0 * bv[2] * y[0], bv[2]]),
+            lift_coords=_lift_into([1.0, 0.0, 0.0, 1.0], [1]),
+            expected_coeffs=_componentwise(lambda bv, t, y: [bv[1] + 2.0 * bv[2] * y[0], bv[2]]),
         )
     # which == "a1a2": homogeneous coordinate w = 1/y with w(0) = 0
     return ReductionCase(
         "sl2/a1a2", chart, (1, 2), (1, 2, 3), 1,
         hom_rhs=lambda t, w, b: np.array([-b[2] - b[1] * w[0] - b[0] * w[0] ** 2]),
         hom_x0=np.zeros(1),
-        lift_coords=lambda w: np.array([1.0, 0.0, w[0], 1.0]),
-        expected_coeffs=lambda bv, t, w: np.array(
-            [bv[0], bv[1] + 2.0 * bv[0] * w[0]]),
+        lift_coords=_lift_into([1.0, 0.0, 0.0, 1.0], [2]),
+        expected_coeffs=_componentwise(lambda bv, t, w: [bv[0], bv[1] + 2.0 * bv[0] * w[0]]),
     )
 
 
@@ -371,8 +384,8 @@ def _g5_center():
     return ReductionCase(
         "g5/center", chart, (4, 5), (1, 2), 3,
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=lambda y: np.array([y[0], y[1], y[2], 0.0, 0.0]),
-        expected_coeffs=lambda bv, t, y: np.array([
+        lift_coords=_lift_into(np.zeros(5), [0, 1, 2]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [
             -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
             -(bv[0] * y[1] ** 2 / 12.0
               - 0.5 * bv[1] * (y[0] * y[1] / 6.0 + y[2])),
@@ -388,8 +401,8 @@ def _g7_ideal():
     return ReductionCase(
         "g7/ideal", chart, (4, 5, 6, 7), (1, 2), 3,
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=lambda y: np.array([y[0], y[1], y[2], 0, 0, 0, 0], float),
-        expected_coeffs=lambda bv, t, y: np.array([
+        lift_coords=_lift_into(np.zeros(7), [0, 1, 2]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [
             -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
             -(bv[0] * y[1] ** 2 / 12.0
               - 0.5 * bv[1] * (y[0] * y[1] / 6.0 + y[2])),
@@ -407,8 +420,8 @@ def _g8_ideal():
     return ReductionCase(
         "g8/ideal", chart, (4, 5, 6, 7, 8), (1, 2), 3,
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=lambda y: np.array([y[0], y[1], y[2], 0, 0, 0, 0, 0], float),
-        expected_coeffs=lambda bv, t, y: np.array([
+        lift_coords=_lift_into(np.zeros(8), [0, 1, 2]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [
             -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
             -(bv[0] * y[1] ** 2 / 12.0
               - 0.5 * bv[1] * (y[0] * y[1] / 6.0 + y[2])),
@@ -428,8 +441,8 @@ def _gbar4_center():
     return ReductionCase(
         "gbar4/center", chart, (4,), (1, 2), 3,
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=lambda y: np.array([y[0], y[1], y[2], 0.0]),
-        expected_coeffs=lambda bv, t, y: np.array([
+        lift_coords=_lift_into(np.zeros(4), [0, 1, 2]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [
             -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0)]),
     )
 
@@ -442,8 +455,8 @@ def _gbar5_ideal():
     return ReductionCase(
         "gbar5/ideal", chart, (4, 5), (1, 2), 3,
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=lambda y: np.array([y[0], y[1], y[2], 0.0, 0.0]),
-        expected_coeffs=lambda bv, t, y: np.array([
+        lift_coords=_lift_into(np.zeros(5), [0, 1, 2]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [
             -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
             -(bv[0] * y[0] * (8.0 * y[2] - y[0] * y[1]) / 24.0
               + bv[1] * y[0] ** 3 / 24.0),
@@ -469,15 +482,15 @@ def _geps_case(eps):
         ])
 
     def lift(z):
-        z1, z2 = z
-        n = 1.0 / np.sqrt(1.0 + eps * (z1**2 + z2**2))
-        return np.array([n, 0.0, n * z1, n * z2])
+        z1, z2 = z.T
+        n = 1.0 / np.sqrt(1.0 + eps * (z1 * z1 + z2 * z2))
+        return np.array([n, 0.0 * n, n * z1, n * z2]).T
 
     return ReductionCase(
         f"geps/a1", chart, (1,), (1, 2, 3), 2,
         hom_rhs=hom_rhs, hom_x0=np.zeros(2), lift_coords=lift,
-        expected_coeffs=lambda bv, t, z: np.array(
-            [bv[0] - eps * (bv[2] * z[0] - bv[1] * z[1])]),
+        expected_coeffs=_componentwise(
+            lambda bv, t, z: [bv[0] - eps * (bv[2] * z[0] - bv[1] * z[1])]),
     )
 
 
@@ -500,15 +513,11 @@ def _se3_so3():
             b6 + b3 * x[1] - b2 * x[0],
         ])
 
-    def lift(x):
-        M = np.eye(4)
-        M[:3, 3] = x
-        return M.reshape(-1)
-
     return ReductionCase(
         "se3/so3", chart, (1, 2, 3), (1, 2, 3, 4, 5, 6), 3,
-        hom_rhs=hom_rhs, hom_x0=np.zeros(3), lift_coords=lift,
-        expected_coeffs=lambda bv, t, x: np.array([bv[0], bv[1], bv[2]]),
+        hom_rhs=hom_rhs, hom_x0=np.zeros(3),
+        lift_coords=_lift_into(np.eye(4).reshape(-1), [3, 7, 11]),  # the translation column
+        expected_coeffs=_componentwise(lambda bv, t, x: [bv[0], bv[1], bv[2]]),
     )
 
 
@@ -525,20 +534,16 @@ def _se3_r3():
         xi = -sum(bb * M for bb, M in zip(b[:3], so3rep))
         return (xi @ a_flat.reshape(3, 3)).reshape(-1)
 
-    def lift(a_flat):
-        M = np.eye(4)
-        M[:3, :3] = a_flat.reshape(3, 3)
-        return M.reshape(-1)
-
-    def expected(bv, t, a_flat):
+    def expected(b, t, a_flat):
         # the translation generators carry a sign in the matrix basis, so
         # the reduced coefficients are +A^T (b4, b5, b6)
-        A = a_flat.reshape(3, 3)
-        return A.T @ bv[3:]
+        A = np.reshape(a_flat, np.shape(a_flat)[:-1] + (3, 3))
+        return _matvec(np.swapaxes(A, -1, -2), b[..., 3:])
 
     return ReductionCase(
         "se3/r3", chart, (4, 5, 6), (1, 2, 3, 4, 5, 6), 9,
-        hom_rhs=hom_rhs, hom_x0=np.eye(3).reshape(-1), lift_coords=lift,
+        hom_rhs=hom_rhs, hom_x0=np.eye(3).reshape(-1),
+        lift_coords=_lift_into(np.eye(4).reshape(-1), [0, 1, 2, 4, 5, 6, 8, 9, 10]),
         expected_coeffs=expected,
     )
 

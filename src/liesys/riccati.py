@@ -1,10 +1,18 @@
-"""Everything Riccati: the affine action of determinant-one matrix curves
+"""Everything Riccati: the gauge action of determinant-one matrix curves
 on coefficient triples, reductions from known solutions, the
 finite-difference Backlund algorithm, generalized Darboux transforms and
 the general-solution-from-particular formula.
 
+Coefficients and curves evaluate on whole arrays of times: a coefficient
+triple and the entries of a curve are channels under ControlSignal's one
+rule, called on the array when they take one and once per time otherwise.
+The gauge law is the matrix product M -> A M A^-1 + dA/dt A^-1 on the
+sl(2) matrix of the coefficients, and every formula over the nodes is one
+array expression.
+
 All transformations act interval-wise and fail loudly at the first node
-where a denominator degenerates; there is no analytic continuation.
+where a denominator degenerates (`systems._pole_guard`); there is no
+analytic continuation.
 """
 
 from __future__ import annotations
@@ -14,16 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidenceError, LieSysError, NumericsError
+from .groups import _square
 from .numerics import (
     TimeGrid,
     Trajectory,
     central_diff,
     cumulative_quadrature_samples,
     diff_samples,
+    diff_samples4,
     interp_columns,
     second_diff_samples,
 )
-from .systems import INFINITY, cross_ratio, riccati_superposition
+from .systems import INFINITY, _homography, _pole_guard, cross_ratio, riccati_superposition
+from .weinorman import ControlSignal, _channel_on_times
 
 _DET_TOL = 1e-10
 _POLE_TOL = 1e-12
@@ -36,86 +47,87 @@ def _as_callable(f):
     return lambda t: val
 
 
+def _det(M):
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
 @dataclass
 class RiccatiCoeffs:
-    """Coefficient triple of dx/dt = a2 x^2 + a1 x + a0 (closed-form callables)."""
+    """Coefficient triple of dx/dt = a2 x^2 + a1 x + a0 (callables of time;
+    a number is a constant).
+
+    Called on a time it returns [a0, a1, a2]; on a 1-D array of m times the
+    (m, 3) array of those rows, each coefficient evaluated by ControlSignal's
+    channel rule."""
 
     a0: object
     a1: object
     a2: object
 
     def __post_init__(self):
-        self.a0 = _as_callable(self.a0)
-        self.a1 = _as_callable(self.a1)
-        self.a2 = _as_callable(self.a2)
+        self.a0, self.a1, self.a2 = (_as_callable(f) for f in (self.a0, self.a1, self.a2))
+
+    def __call__(self, t):
+        return ControlSignal([self.a0, self.a1, self.a2])(t)
 
     def rhs(self, t, x):
-        return self.a2(t) * x * x + self.a1(t) * x + self.a0(t)
+        """a2 x^2 + a1 x + a0 at a time, or elementwise over arrays of times and x."""
+        a0, a1, a2 = self(t).T
+        return a2 * x * x + a1 * x + a0
 
     def field(self):
         return lambda t, x: np.array([self.rhs(t, float(x[0]))])
 
     @classmethod
     def sampled(cls, grid: TimeGrid, a0, a1, a2):
-        nodes = grid.nodes
-
-        def interp(vals):
-            col = np.asarray(vals, dtype=float)[:, None]
-            return lambda t: interp_columns(t, nodes, col)[..., 0]
-
-        return cls(interp(a0), interp(a1), interp(a2))
+        return cls(*ControlSignal.sampled(grid, np.column_stack([a0, a1, a2])).channels)
 
 
 class SL2Curve:
     """A determinant-one 2x2 matrix curve with derivative access.
 
-    Entries are callables; derivatives are optional callables, defaulting
-    to central differences.  A GL(2) curve with positive determinant is
-    rescaled to determinant one; negative determinants are rejected.
+    Entries are callables of time (a number is a constant); derivatives are
+    optional callables, defaulting to central differences.  A GL(2) curve
+    with positive determinant is rescaled to determinant one; negative
+    determinants are rejected.  `matrix` and `dots` take a time or a 1-D
+    array of times and return (..., 2, 2) arrays.
     """
 
     def __init__(self, alpha, beta, gamma, delta, dots=None, normalize=True):
-        entries = [_as_callable(v) for v in (alpha, beta, gamma, delta)]
-        self._raw = entries
-        self._raw_dots = [(_as_callable(d) if d is not None else None)
-                          for d in (dots or (None,) * 4)]
-        det0 = entries[0](0.0) * entries[3](0.0) - entries[1](0.0) * entries[2](0.0)
-        if normalize and abs(det0 - 1.0) > _DET_TOL:
-            if det0 <= 0:
-                raise LieSysError("negative-determinant transformation curve rejected")
-            self._rescaled = True
-        else:
-            self._rescaled = False
+        entries = ControlSignal([_as_callable(v) for v in (alpha, beta, gamma, delta)])
+        self._raw = lambda t: _square(entries(t))
+        self._raw_dots = None
+        if dots is not None and all(d is not None for d in dots):
+            rates = ControlSignal([_as_callable(d) for d in dots])
+            self._raw_dots = lambda t: _square(rates(t))
+        det0 = _det(self._raw(0.0))
+        self._rescaled = normalize and abs(det0 - 1.0) > _DET_TOL
+        if self._rescaled and det0 <= 0:
+            raise LieSysError("negative-determinant transformation curve rejected")
 
-    def _det(self, t):
-        a, b, c, d = (f(t) for f in self._raw)
-        return a * d - b * c
-
-    def entries(self, t):
-        vals = np.array([f(t) for f in self._raw])
-        if self._rescaled:
-            det = self._det(t)
-            if det <= 0:
-                raise LieSysError("negative-determinant transformation curve rejected")
-            vals = vals / np.sqrt(det)
-        return vals
-
-    def dots(self, t, h=1e-6):
-        if not self._rescaled and all(d is not None for d in self._raw_dots):
-            return np.array([d(t) for d in self._raw_dots])
-        return central_diff(self.entries, t, h)
+    @classmethod
+    def _of(cls, raw):
+        """The curve t -> raw(t) of determinant-one (..., 2, 2) matrices."""
+        curve = cls.__new__(cls)
+        curve._raw, curve._raw_dots, curve._rescaled = raw, None, False
+        return curve
 
     def matrix(self, t):
-        a, b, c, d = self.entries(t)
-        return np.array([[a, b], [c, d]])
+        M = self._raw(t)
+        if self._rescaled:
+            det = _det(M)
+            if np.any(det <= 0):
+                raise LieSysError("negative-determinant transformation curve rejected")
+            M = M / np.sqrt(det)[..., None, None]
+        return M
+
+    def dots(self, t, h=1e-6):
+        if not self._rescaled and self._raw_dots is not None:
+            return self._raw_dots(t)
+        return central_diff(self.matrix, t, h)
 
     def __matmul__(self, other: "SL2Curve") -> "SL2Curve":
-        def entry(i, j):
-            def f(t):
-                return float(self.matrix(t)[i] @ other.matrix(t)[:, j])
-            return f
-
-        return SL2Curve(entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1))
+        return SL2Curve._of(lambda t: self.matrix(t) @ other.matrix(t))
 
     @classmethod
     def identity(cls):
@@ -129,34 +141,31 @@ class SL2Curve:
 
 
 def transform_coeffs(A: SL2Curve, c: RiccatiCoeffs) -> RiccatiCoeffs:
-    """The adjoint-plus-cocycle transformation of the coefficient triple."""
+    """The gauge law M -> A M A^-1 + dA/dt A^-1 on the sl(2) matrix
+    M = [[a1/2, a0], [-a2, -a1/2]] of the triple, read back as a0 = M'01,
+    a1 = M'00 - M'11 and a2 = -M'10 (Carinena & Ramos, Int. J. Mod. Phys. A
+    14 (1999) 1935).  A^-1 is the adjugate, as det A = 1."""
 
-    def parts(t):
-        al, be, ga, de = A.entries(t)
-        dal, dbe, dga, dde = A.dots(t)
-        a2, a1, a0 = c.a2(t), c.a1(t), c.a0(t)
-        na2 = de**2 * a2 - de * ga * a1 + ga**2 * a0 + ga * dde - de * dga
-        na1 = (-2 * be * de * a2 + (al * de + be * ga) * a1 - 2 * al * ga * a0
-               + de * dal - al * dde + be * dga - ga * dbe)
-        na0 = be**2 * a2 - al * be * a1 + al**2 * a0 + al * dbe - be * dal
-        return na0, na1, na2
+    def law(t):
+        a0, a1, a2 = c(t).T
+        M = _square(np.stack([0.5 * a1, a0, -a2, -0.5 * a1], axis=-1))
+        G = A.matrix(t)
+        inv = _square(np.stack([G[..., 1, 1], -G[..., 0, 1], -G[..., 1, 0], G[..., 0, 0]],
+                               axis=-1))
+        N = (G @ M + A.dots(t)) @ inv
+        return N[..., 0, 1], N[..., 0, 0] - N[..., 1, 1], -N[..., 1, 0]
 
-    return RiccatiCoeffs(lambda t: parts(t)[0], lambda t: parts(t)[1], lambda t: parts(t)[2])
+    return RiccatiCoeffs(lambda t: law(t)[0], lambda t: law(t)[1], lambda t: law(t)[2])
 
 
 def transform_solution(A: SL2Curve, x: Trajectory) -> Trajectory:
-    """Nodewise homography Theta(A, x)(t) = (alpha x + beta)/(gamma x + delta)."""
-    nodes = x.grid.nodes
+    """The homography Theta(A, x)(t) = (alpha x + beta)/(gamma x + delta) at
+    every node at once."""
+    M = A.matrix(x.grid.nodes)
     vals = x.states[:, 0]
-    out = np.empty_like(vals)
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    for k, t in enumerate(nodes):
-        al, be, ga, de = A.entries(t)
-        den = ga * vals[k] + de
-        if abs(den) < _POLE_TOL * scale:
-            raise CoincidenceError(k, f"homography pole crossed at node {k}")
-        out[k] = (al * vals[k] + be) / den
-    return Trajectory(x.grid, out[:, None], meta="transformed riccati solution")
+    _pole_guard(M[:, 1, 0] * vals + M[:, 1, 1], _POLE_TOL, 1.0 + np.max(np.abs(vals)),
+                "homography denominator")
+    return Trajectory(x.grid, _homography(M, vals)[:, None], meta="transformed riccati solution")
 
 
 def riccati_residual(x: Trajectory, c: RiccatiCoeffs, relative=False,
@@ -166,15 +175,12 @@ def riccati_residual(x: Trajectory, c: RiccatiCoeffs, relative=False,
     With relative=True the residual is scaled by 1 + max|dx/dt|, which is
     what the solution preconditions use (steep solutions otherwise trip
     the finite-difference floor); order=4 uses five-point stencils."""
-    from .numerics import diff_samples4
-
     dt = x.grid.uniform_dt
     if dt is None:
         raise NumericsError("residual check needs a uniform grid")
     vals = x.states[:, 0]
     dx = diff_samples4(vals, dt) if order == 4 else diff_samples(vals, dt)
-    res = [abs(dx[k] - c.rhs(t, vals[k])) for k, t in enumerate(x.grid.nodes)]
-    out = float(np.max(res[1:-1]))
+    out = float(np.max(np.abs(dx - c.rhs(x.grid.nodes, vals))[1:-1]))
     if relative:
         out /= 1.0 + float(np.max(np.abs(dx)))
     return out
@@ -200,12 +206,10 @@ def _check_solutions(c, known, tol=1e-4):
         res = riccati_residual(traj, c, relative=True)
         if res > tol:
             raise LieSysError(f"trajectory {i} is not a solution (residual {res:.3g})")
-    if len(known) >= 2:
-        for i in range(len(known)):
-            for j in range(i + 1, len(known)):
-                gap = np.min(np.abs(known[i].states[:, 0] - known[j].states[:, 0]))
-                if gap < 1e-10:
-                    raise CoincidenceError(i, "known solutions coincide at some node")
+    for i in range(len(known)):
+        for j in range(i + 1, len(known)):
+            _pole_guard(known[i].states[:, 0] - known[j].states[:, 0], 1e-10, 1.0,
+                        f"gap between known solutions {i} and {j}")
 
 
 def reduce_known(c: RiccatiCoeffs, known) -> ReducedRiccati:
@@ -224,37 +228,35 @@ def reduce_known(c: RiccatiCoeffs, known) -> ReducedRiccati:
     x1v = known[0].states[:, 0]
     x1 = lambda t: interp_columns(t, nodes, x1v[:, None])[..., 0]
 
+    def lin_coeff(t):
+        _, a1, a2 = c(t).T
+        return 2.0 * x1(t) * a2 + a1
+
     if len(known) == 1:
-        lin_coeff = lambda t: 2.0 * x1(t) * c.a2(t) + c.a1(t)
         reduced = RiccatiCoeffs(0.0, lin_coeff, c.a2)
 
         def general(x0):
             # x = x1 - 1/u with u' = -(2 x1 a2 + a1) u + a2
-            L = cumulative_quadrature_samples(np.array([lin_coeff(t) for t in nodes]) * -1.0, grid)
-            E = np.exp(L)  # exp(-int lin_coeff)
-            integ = cumulative_quadrature_samples(
-                np.array([c.a2(t) for t in nodes]) / E, grid)
+            E = np.exp(cumulative_quadrature_samples(-lin_coeff(nodes), grid))  # exp(-int lin)
+            integ = cumulative_quadrature_samples(c(nodes)[:, 2] / E, grid)
             u0 = 1.0 / (x1v[0] - float(x0))
             u = E * (u0 + integ)
-            if np.any(np.abs(u) < _POLE_TOL * (1 + np.max(np.abs(u)))):
-                raise CoincidenceError(int(np.argmin(np.abs(u))), "blow-up in recovery")
+            _pole_guard(u, _POLE_TOL, 1 + np.max(np.abs(u)), "recovery variable u = 1/(x1 - x)")
             return Trajectory(grid, (x1v - 1.0 / u)[:, None])
 
         return ReducedRiccati("bernoulli", reduced, general)
 
     x2v = known[1].states[:, 0]
     if len(known) == 2:
-        lin_coeff = lambda t: 2.0 * x1(t) * c.a2(t) + c.a1(t)
         reduced = RiccatiCoeffs(0.0, lin_coeff, 0.0)
 
         def general(x0):
             # x'' = (x1 - x2)(x - x1)/(x - x2) obeys dx''/dt = lin_coeff x''
-            L = cumulative_quadrature_samples(np.array([lin_coeff(t) for t in nodes]), grid)
+            L = cumulative_quadrature_samples(lin_coeff(nodes), grid)
             z0 = (x1v[0] - x2v[0]) * (float(x0) - x1v[0]) / (float(x0) - x2v[0])
             z = z0 * np.exp(L)
             den = z - (x1v - x2v)
-            if np.any(np.abs(den) < _POLE_TOL * (1 + np.max(np.abs(z)))):
-                raise CoincidenceError(int(np.argmin(np.abs(den))), "blow-up in recovery")
+            _pole_guard(den, _POLE_TOL, 1 + np.max(np.abs(z)), "recovery denominator z - x1 + x2")
             return Trajectory(grid, ((z * x2v - x1v * (x1v - x2v)) / den)[:, None])
 
         return ReducedRiccati("linear_homogeneous", reduced, general)
@@ -262,8 +264,7 @@ def reduce_known(c: RiccatiCoeffs, known) -> ReducedRiccati:
     x3v = known[2].states[:, 0]
 
     def constant_of(x):
-        vals = x.states[:, 0] if isinstance(x, Trajectory) else np.asarray(x, dtype=float)
-        return cross_ratio(vals, x1v, x2v, x3v)
+        return cross_ratio(x, x1v, x2v, x3v)
 
     def general(x0):
         den = (float(x0) - x2v[0]) * (x3v[0] - x1v[0])
@@ -296,9 +297,7 @@ def backlund_fd(w_k: Trajectory, w_l: Trajectory, eps_k: float, eps_l: float) ->
         raise LieSysError("backlund_fd requires eps_k < eps_l")
     wk, wl = _traj_vals(w_k), _traj_vals(w_l)
     diff = wk - wl
-    scale = 1.0 + float(np.max(np.abs(wk)))
-    if np.any(np.abs(diff) < _POLE_TOL * scale):
-        raise CoincidenceError(int(np.argmin(np.abs(diff))))
+    _pole_guard(diff, _POLE_TOL, 1.0 + np.max(np.abs(wk)), "w_k - w_l")
     out = -wk - (eps_k - eps_l) / diff
     return Trajectory(w_k.grid, out[:, None], meta="backlund")
 
@@ -317,17 +316,14 @@ def darboux_riccati(w: Trajectory, v: Trajectory, gamma, cconst: float = 1.0,
     wv, vv = _traj_vals(w), _traj_vals(v)
     nodes = w.grid.nodes
     gam = _as_callable(gamma)
-    gvals = np.array([gam(t) for t in nodes])
-    if np.any(np.abs(gvals) < _POLE_TOL):
-        raise CoincidenceError(int(np.argmin(np.abs(gvals))), "gamma vanishes")
+    gvals = _channel_on_times(gam, nodes)
+    _pole_guard(gvals, _POLE_TOL, 1.0, "gamma")
     if gamma_prime is not None:
-        gp = np.array([gamma_prime(t) for t in nodes])
+        gp = _channel_on_times(gamma_prime, nodes)
     else:
-        gp = np.array([float(central_diff(gam, t)) for t in nodes])
+        gp = central_diff(lambda s: _channel_on_times(gam, s), nodes)
     diff = wv - vv
-    scale = 1.0 + float(np.max(np.abs(wv)))
-    if np.any(np.abs(diff) < _POLE_TOL * scale):
-        raise CoincidenceError(int(np.argmin(np.abs(diff))))
+    _pole_guard(diff, _POLE_TOL, 1.0 + np.max(np.abs(wv)), "w - v")
     out = -vv - (cconst / gvals**2) / diff + gp / gvals
     return Trajectory(w.grid, out[:, None], meta="darboux-riccati")
 
@@ -344,13 +340,14 @@ def darboux_wavefunction(psi_w, psi_v, gamma, grid: TimeGrid) -> np.ndarray:
         raise NumericsError("darboux_wavefunction needs a uniform grid")
     # a node is a sign change or an exact zero; exponentially small tails
     # are legitimate
-    if np.any(pv[:-1] * pv[1:] < 0.0) or np.any(pv == 0.0):
-        raise CoincidenceError(int(np.argmin(np.abs(pv))), "psi_v has a node")
+    crossing = np.append(pv[:-1] * pv[1:] < 0.0, False) | (pv == 0.0)
+    if np.any(crossing):
+        k = int(np.argmax(crossing))
+        raise CoincidenceError(k, f"psi_v has a node at grid node {k}")
     nw, nv = pw / np.linalg.norm(pw), pv / np.linalg.norm(pv)
     if min(np.max(np.abs(nw - nv)), np.max(np.abs(nw + nv))) < 1e-12:
         raise LieSysError("psi_v must differ from psi_w")
-    gam = _as_callable(gamma)
-    gvals = np.array([gam(x) for x in grid.nodes])
+    gvals = _channel_on_times(_as_callable(gamma), grid.nodes)
     dpw = diff_samples(pw, dx)
     dpv = diff_samples(pv, dx)
     return gvals * (-dpw + (dpv / pv) * pw)
@@ -398,7 +395,6 @@ def general_from_particular(W_p: Trajectory, F) -> Trajectory:
     E = np.exp(2.0 * I1)
     I2 = cumulative_quadrature_samples(E, grid)
     den = I2 + float(F)
-    if np.any(np.abs(den) < _POLE_TOL * (1.0 + np.max(np.abs(I2)))):
-        raise CoincidenceError(int(np.argmin(np.abs(den))), "denominator vanished")
+    _pole_guard(den, _POLE_TOL, 1.0 + np.max(np.abs(I2)), "int exp(2 int W_p) + F")
     out = vals - E / den
     return Trajectory(grid, out[:, None], meta="general superpotential")

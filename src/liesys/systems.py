@@ -141,11 +141,23 @@ class SuperpositionRule:
         return cls("sl2_complex", 3, 2)
 
 
-def _first_node(mask):
-    """Index along the leading (node) axis of the first flagged entry; 0 for
-    a single state."""
-    mask = np.atleast_1d(mask)
-    return int(np.argmax(mask.reshape(len(mask), -1).any(axis=1)))
+def _pole_guard(den, tol, scale, what):
+    """Raise CoincidenceError at the first node (leading axis) where
+    |den| < tol * scale, naming `what` and its smallest flagged magnitude
+    there; a single state is node 0 and scale broadcasts against den."""
+    mag = np.abs(den)
+    bad = np.atleast_1d(mag < tol * scale)
+    if np.any(bad):
+        mag = np.broadcast_to(np.atleast_1d(mag), bad.shape).reshape(len(bad), -1)
+        bad = bad.reshape(len(bad), -1)
+        k = int(np.argmax(bad.any(axis=1)))
+        raise CoincidenceError(k, f"{what} vanished at node {k} "
+                                  f"(magnitude {np.min(mag[k][bad[k]]):.3g})")
+
+
+def _homography(M, y):
+    """(M00 y + M01) / (M10 y + M11) over the leading axes of M."""
+    return (M[..., 0, 0] * y + M[..., 0, 1]) / (M[..., 1, 0] * y + M[..., 1, 1])
 
 
 def riccati_superposition(x1, x2, x3, k):
@@ -158,9 +170,8 @@ def riccati_superposition(x1, x2, x3, k):
     if k == INFINITY:
         return x2.copy()
     den = (x3 - x2) + k * (x1 - x3)
-    bad = np.abs(den) < 1e-14 * (1.0 + np.max(np.abs([x1, x2, x3]), axis=0))
-    if np.any(bad):
-        raise CoincidenceError(_first_node(bad), "Riccati superposition denominator vanished")
+    _pole_guard(den, 1e-14, 1.0 + np.max(np.abs([x1, x2, x3]), axis=0),
+                "Riccati superposition denominator")
     return (x1 * (x3 - x2) + k * x2 * (x1 - x3)) / den
 
 
@@ -180,10 +191,7 @@ def sl2_complex_superposition(p1, p2, p3, k1, k2):
     else:
         k = complex(k1, k2)
         den = (u3 - u2) + k * (u1 - u3)
-        bad = np.abs(den) < 1e-14
-        if np.any(bad):
-            raise CoincidenceError(_first_node(bad),
-                                   "coupled-Riccati superposition denominator vanished")
+        _pole_guard(den, 1e-14, 1.0, "coupled-Riccati superposition denominator")
         u = (u1 * (u3 - u2) + k * u2 * (u1 - u3)) / den
     return np.concatenate([u.real, u.imag], axis=-1)
 
@@ -218,6 +226,5 @@ def cross_ratio(x, x1, x2, x3):
               for v in (x, x1, x2, x3)]
     x, x1, x2, x3 = arrays
     den = (x - x2) * (x3 - x1)
-    if np.any(np.abs(den) < 1e-14 * (1.0 + np.max(np.abs(x)))):
-        raise CoincidenceError(int(np.argmin(np.abs(den))))
+    _pole_guard(den, 1e-14, 1.0 + np.max(np.abs(x)), "cross-ratio denominator")
     return (x - x1) * (x3 - x2) / den

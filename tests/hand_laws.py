@@ -3,6 +3,10 @@ fixtures for the charts that `liesys.groups` derives by BCH, and the
 closed-form log-derivatives and adjoints of the H3, SE2, Aff and Geps
 charts, kept as reference fixtures for the ones it derives per chart kind.
 
+The hand-expanded Riccati gauge law (`riccati_gauge`) is kept as the
+reference for `liesys.riccati.transform_coeffs`, which derives it from the
+matrix product A M A^-1 + dA/dt A^-1.
+
 Also kept here as independent references: the tangent map of a
 right-invariant system (`right_invariant_derivative`), which drives the RK4
 subgroup loop the Magnus solve is checked against, a single-matrix Taylor
@@ -374,3 +378,18 @@ def Seps(eps, x):
     if eps == -1:
         return np.sinh(x)
     return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+
+
+def riccati_gauge(entries, dots, coeffs):
+    """The new (a0, a1, a2) of dx/dt = a2 x^2 + a1 x + a0 under the
+    determinant-one curve with entries (alpha, beta, gamma, delta) and
+    their time derivatives `dots`, expanded by hand; elementwise over
+    arrays."""
+    al, be, ga, de = entries
+    dal, dbe, dga, dde = dots
+    a0, a1, a2 = coeffs
+    na2 = de**2 * a2 - de * ga * a1 + ga**2 * a0 + ga * dde - de * dga
+    na1 = (-2 * be * de * a2 + (al * de + be * ga) * a1 - 2 * al * ga * a0
+           + de * dal - al * dde + be * dga - ga * dbe)
+    na0 = be**2 * a2 - al * be * a1 + al**2 * a0 + al * dbe - be * dal
+    return na0, na1, na2

@@ -98,6 +98,31 @@ def test_riccati_general_command(tmp_path, capsys):
     assert out.exists()
 
 
+def test_riccati_transform_command(tmp_path, capsys):
+    from liesys.riccati import RiccatiCoeffs, SL2Curve, transform_coeffs
+
+    t = np.linspace(0.0, 1.0, 401)
+    triple = np.column_stack([np.sin(t), np.cos(t), 1.0 + 0.3 * t])
+    p, q = 0.2 * np.sin(t), 0.3 * t
+    entries = np.column_stack([np.exp(p), q, 0.1 * np.cos(t), (1.0 + 0.1 * q * np.cos(t)) * np.exp(-p)])
+    coeffs, curve, out = tmp_path / "c.csv", tmp_path / "A.csv", tmp_path / "out.csv"
+    np.savetxt(coeffs, np.column_stack([t, triple]), delimiter=",", header="t,a0,a1,a2",
+               comments="")
+    np.savetxt(curve, np.column_stack([t, entries]), delimiter=",",
+               header="t,alpha,beta,gamma,delta", comments="")
+    code, stdout, _ = run_cli(capsys, "riccati", "transform", "--coeffs", str(coeffs),
+                              "--curve", str(curve), "--out", str(out))
+    assert code == 0
+    assert json.loads(stdout) == {"written": str(out)}
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    # reference: the same samples, linear between nodes, called one node at a time
+    lin = [lambda s, col=col: float(np.interp(s, t, col)) for col in np.hstack([triple, entries]).T]
+    ref = transform_coeffs(SL2Curve(*lin[3:]), RiccatiCoeffs(*lin[:3]))
+    expected = np.array([ref(s) for s in t])
+    assert np.array_equal(data[:, 0], t)
+    assert np.max(np.abs(data[:, 1:] - expected)) <= 1e-12
+
+
 def test_unknown_system_exit_2(capsys):
     code, _, stderr = run_cli(capsys, "simulate", "--system", "nope",
                               "--controls", "const:1", "--grid", "0,1,10",

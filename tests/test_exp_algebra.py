@@ -6,7 +6,7 @@ associativity and inverses at the points it draws."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liesys.groups as G
@@ -64,6 +64,9 @@ def test_adjoint_of_exp_is_exp_of_ad(key, xi):
 @pytest.mark.parametrize("key", ALL_KEYS, ids=str)
 @examples
 @given(rows=st.lists(vectors, min_size=6, max_size=6).map(np.array))
+# SE2's second-kind exponential once squared a scalar sinc with ** 2, which
+# rounds 1 ulp away from the array square at this point
+@example(rows=np.vstack([[0.3453636271498026, 0.0, 1.0] + [0.0] * 5, np.zeros((5, 8))]))
 def test_batch_equals_stacked_single_calls(key, rows):
     chart = G._CHARTS[key]
     xi = rows[:, :chart.algebra.dim].reshape(2, 3, -1)

@@ -218,6 +218,24 @@ def test_reduction_matches_per_node_scalar_laws(name):
         assert np.max(np.abs(coeffs[k] + Spinv @ xi)) <= 1e-9, k
 
 
+@pytest.mark.parametrize("name,kw", ALL_CASES, ids=[f"{n}{k or ''}" for n, k in ALL_CASES])
+def test_lift_and_fixture_take_the_whole_grid(name, kw):
+    # one call over the (n, hom_dim) states against the per-node calls: the
+    # lift bit for bit, the fixture to roundoff
+    case = catalog_reduction(name, **kw)
+    grid = TimeGrid.uniform(0.0, 1.0, 400)
+    b = controls_for(case, name, kw)
+    hom = case.solve_homogeneous(b, grid)
+    per_node = np.stack([case.lift_coords(y) for y in hom.states])
+    assert case.make_lift(hom).coords.tobytes() == per_node.tobytes()
+    nodes = grid.nodes
+    rows = np.stack([case.expected_coeffs(bv, t, y)
+                     for bv, t, y in zip(case.pad_controls(b)(nodes), nodes, hom.states)])
+    fix = case.fixture_coeffs(b, hom)
+    assert fix.shape == rows.shape == (len(nodes), len(case.span_indices))
+    assert np.max(np.abs(fix - rows)) <= 1e-15 * max(1.0, float(np.max(np.abs(rows))))
+
+
 def test_reconstruction_matches_per_node_compose():
     case = catalog_reduction("se2/a2a3")
     setup, _ = case.setup(controls_for(case, "se2/a2a3", {}), GRID)

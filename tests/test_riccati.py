@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from liesys.errors import CoincidenceError, LieSysError
-from liesys.numerics import TimeGrid, Trajectory, diff_samples, integrate_rk4
+from liesys.numerics import (
+    TimeGrid,
+    Trajectory,
+    cumulative_quadrature_samples,
+    diff_samples,
+    integrate_rk4,
+)
 from liesys.riccati import (
     RiccatiCoeffs,
     SL2Curve,
@@ -17,7 +23,8 @@ from liesys.riccati import (
     transform_coeffs,
     transform_solution,
 )
-from liesys.systems import INFINITY
+from liesys.systems import INFINITY, cross_ratio
+from hand_laws import riccati_gauge
 
 
 def sample_coeffs():
@@ -113,11 +120,83 @@ def test_negative_determinant_rejected():
         SL2Curve(-1.0, 0.0, 0.0, 1.0)
 
 
+def test_transform_coeffs_matches_hand_expanded_law():
+    c = sample_coeffs()
+    t = np.linspace(0.0, 1.0, 401)
+    for seed in range(5):
+        A = sl2_curve(seed)
+        M, dM = A.matrix(t), A.dots(t)
+        ref = np.array(riccati_gauge(M.reshape(-1, 4).T, dM.reshape(-1, 4).T, c(t).T)).T
+        assert np.max(np.abs(transform_coeffs(A, c)(t) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_arrays_of_times_equal_scalar_calls():
+    # the a0 callable takes scalars only, so it is called once per time
+    knots = np.linspace(0.0, 1.0, 11)
+    c = RiccatiCoeffs(lambda t: float(np.interp(t, knots, knots**2)), np.cos, 2.0)
+    A = sl2_curve(3)
+    out = transform_coeffs(A, c)
+    t = np.linspace(0.05, 0.95, 23)
+    for f, shape in ((c, (3,)), (A.matrix, (2, 2)), (A.dots, (2, 2)), (out, (3,))):
+        whole = f(t)
+        assert whole.shape == t.shape + shape
+        assert np.max(np.abs(whole - np.array([f(s) for s in t]))) <= 1e-15 * np.max(np.abs(whole))
+
+
+def test_product_curve_evaluates_each_factor_once():
+    A, B = sl2_curve(1), sl2_curve(2)
+    calls = []
+    for name, curve in (("A", A), ("B", B)):
+        def counted(t, name=name, matrix=curve.matrix):
+            calls.append(name)
+            return matrix(t)
+        curve.matrix = counted
+    t = np.linspace(0.0, 1.0, 9)
+    product = (A @ B).matrix(t)
+    assert sorted(calls) == ["A", "B"]
+    assert np.allclose(product, A.matrix(t) @ B.matrix(t), rtol=0.0, atol=1e-15)
+
+
 def test_pole_crossing_is_loud(unit_grid):
     x = Trajectory(unit_grid, np.linspace(-1, 1, 2001)[:, None])
     A = SL2Curve(1.0, 0.0, 1.0, 1.0)    # pole where x = -1 shifted: gamma x + delta = x + 1
     with pytest.raises(CoincidenceError):
         transform_solution(A, x)
+
+
+# every guarded denominator is tiny at node K and zero at node K + 2; the
+# error names node K.  Nodes K + 1 and K + 2 sit 1e-15 and 2e-15 past node K,
+# so the integral of exp(2 int W_p) with W_p = 0 is flat there and F = -I2 at
+# node K + 2 leaves general_from_particular's denominator tiny at node K.
+K = 60
+
+
+def _pole_inputs():
+    nodes = np.linspace(0.0, 1.0, 201)
+    nodes[K + 1:K + 3] = nodes[K] + np.array([1e-15, 2e-15])
+    grid = TimeGrid.from_nodes(nodes)
+    gap = np.full(len(nodes), 0.5)
+    gap[K], gap[K + 2] = 1e-15, 0.0
+    return grid, gap, lambda v: Trajectory(grid, np.asarray(v, dtype=float)[:, None])
+
+
+POLE_CASES = {
+    "cross_ratio": lambda grid, gap, traj: cross_ratio(
+        traj(0.2 + gap), traj(0.0 * gap), traj(0.2 + 0.0 * gap), traj(1.0 + 0.0 * gap)),
+    "backlund_fd": lambda grid, gap, traj: backlund_fd(
+        traj(0.3 + gap), traj(0.3 + 0.0 * gap), -1.0, 1.0),
+    "general_from_particular": lambda grid, gap, traj: general_from_particular(
+        traj(0.0 * gap), -cumulative_quadrature_samples(1.0 + 0.0 * gap, grid)[K + 2]),
+    "transform_solution": lambda grid, gap, traj: transform_solution(
+        SL2Curve(1.0, 0.0, 1.0, 1.0), traj(gap - 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POLE_CASES))
+def test_pole_guard_names_the_first_bad_node(kind):
+    with pytest.raises(CoincidenceError, match=f"at node {K} ") as exc:
+        POLE_CASES[kind](*_pole_inputs())
+    assert exc.value.node == K
 
 
 # --- reductions from known solutions ----------------------------------------------
@@ -184,6 +263,18 @@ def test_reduce_rejects_coincident(unit_grid):
     x1 = tan_solutions(unit_grid)[0]
     with pytest.raises(CoincidenceError):
         reduce_known(c, [x1, Trajectory(unit_grid, x1.states.copy())])
+
+
+def test_coincident_known_solutions_name_the_meeting_node(unit_grid):
+    # x2 - x1 = 1e-5 (t - t_1234) keeps x2 within the solution tolerance and
+    # makes the two meet at node 1234 only
+    c = RiccatiCoeffs(1.0, 0.0, 1.0)
+    t = unit_grid.nodes
+    x1 = tan_solutions(unit_grid)[0]
+    x2 = Trajectory(unit_grid, x1.states + 1e-5 * (t - t[1234])[:, None])
+    with pytest.raises(CoincidenceError, match="known solutions 0 and 1") as exc:
+        reduce_known(c, [x1, x2])
+    assert exc.value.node == 1234
 
 
 # --- Backlund and Darboux -----------------------------------------------------------
@@ -279,6 +370,15 @@ def test_darboux_wavefunction_classical_corollary():
     # image equation: V - 2 v' - eps = x^2 - 1 with v = psi_v'/psi_v
     res = schrodinger_residual(psi, x**2 + 2.0, 3.0, grid, interior=0.6)
     assert res < 1e-3
+
+
+def test_darboux_wavefunction_names_the_node_of_psi_v():
+    # psi_v changes sign between nodes 100 and 101; its tail is far smaller
+    x = np.linspace(0.0, 5.0, 501)
+    psi_v = np.exp(-x**2) * (x - 1.005)
+    with pytest.raises(CoincidenceError) as exc:
+        darboux_wavefunction(np.exp(-x**2), psi_v, 1.0, TimeGrid.from_nodes(x))
+    assert exc.value.node == 100
 
 
 def test_darboux_wavefunction_rejects_equal():
