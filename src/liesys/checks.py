@@ -111,12 +111,11 @@ def check_lie_theorem():
 
 
 def check_riccati():
-    from .numerics import integrate_rk4
     from .riccati import RiccatiCoeffs, SL2Curve, riccati_residual, transform_coeffs, transform_solution
 
     grid = TimeGrid.uniform(0, 1, 2000)
     c = RiccatiCoeffs(lambda t: np.sin(t), lambda t: np.cos(t), lambda t: 1.0)
-    x = integrate_rk4(c.field(), [0.1], grid)
+    x = c.solve(0.1, grid)
     A = SL2Curve(lambda t: np.exp(0.2 * np.sin(t)), lambda t: 0.3 * t,
                  lambda t: 0.1 * np.cos(t),
                  lambda t: (1 + 0.03 * t * np.cos(t)) * np.exp(-0.2 * np.sin(t)))

@@ -153,12 +153,19 @@ def rk4_step(f, t, x, dt, rows=None):
     Without `rows`, f is called as f(t, x).  With rows = (u_0, u_half, u_1),
     the stage-table rows at t, t + dt/2 and t + dt, each stage passes its row
     as f(t, x, u)."""
-    u0, uh, u1 = ((), (), ()) if rows is None else ((rows[0],), (rows[1],), (rows[2],))
-    k1 = np.asarray(f(t, x, *u0), dtype=float)
-    k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1, *uh), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2, *uh), dtype=float)
-    k4 = np.asarray(f(t + dt, x + dt * k3, *u1), dtype=float)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h = 0.5 * dt
+    if rows is None:
+        k1 = np.asarray(f(t, x), dtype=float)
+        k2 = np.asarray(f(t + h, x + h * k1), dtype=float)
+        k3 = np.asarray(f(t + h, x + h * k2), dtype=float)
+        k4 = np.asarray(f(t + dt, x + dt * k3), dtype=float)
+    else:
+        u0, uh, u1 = rows
+        k1 = np.asarray(f(t, x, u0), dtype=float)
+        k2 = np.asarray(f(t + h, x + h * k1, uh), dtype=float)
+        k3 = np.asarray(f(t + h, x + h * k2, uh), dtype=float)
+        k4 = np.asarray(f(t + dt, x + dt * k3, u1), dtype=float)
+    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
@@ -178,12 +185,18 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     states = np.empty((len(nodes), len(x)))
     states[0] = x
+    # a memoryview indexes to Python floats, whose arithmetic is several
+    # times faster than numpy scalars', and copies no node
+    times = memoryview(nodes)
+    rows = None
     for k in range(len(nodes) - 1):
-        rows = None if table is None else table[2 * k:2 * k + 3]
-        step = rk4_step(f, nodes[k], x, nodes[k + 1] - nodes[k], rows)
+        t = times[k]
+        dt = times[k + 1] - t
+        if table is not None:
+            rows = (table[2 * k], table[2 * k + 1], table[2 * k + 2])
+        step = rk4_step(f, t, x, dt, rows)
         if not np.isfinite(step).all():
-            raise NumericsError(f"non-finite RK4 step from t={nodes[k]:.6g}", t=nodes[k],
-                                state=x)
+            raise NumericsError(f"non-finite RK4 step from t={t:.6g}", t=t, state=x)
         states[k + 1] = x = step
     return Trajectory(grid, states, meta)
 

@@ -10,9 +10,11 @@ the reduced coefficients c_mu(t), written so that the reduced equation is
 R(dh/dt) = -sum_mu c_mu(t) h_mu.
 
 The reduction and the reconstruction are nodewise formulas; both run over
-the node coordinate arrays in blocks of `_BLOCK` nodes, as do the step
-exponentials of the subgroup solve, which bounds the memory their
-temporaries take.
+the node coordinate arrays in blocks of `_BLOCK` nodes, which bounds the
+memory their temporaries take.  The subgroup solve takes its step
+exponentials in the same blocks and multiplies them together as a
+log-depth prefix product, one batched composition per block and level,
+so no group product runs node by node.
 """
 
 from __future__ import annotations
@@ -116,11 +118,17 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
     the structure constants.  The exp(Omega_k) come from one `exp_algebra`
-    call per `_BLOCK` steps, which bounds its temporaries; only the products
-    run in sequence.  The reduced
+    call per `_BLOCK` steps, which bounds its temporaries.  The reduced
     coefficients are given at the grid nodes and the midpoint values
     interpolate them linearly, so the scheme is fourth order in those
     values, not in the c_mu(t) they sample.
+
+    The products h_{k+1} = exp(Omega_k) ... exp(Omega_0) are a prefix
+    product, taken in log depth (Hillis & Steele, Commun. ACM 29 (1986)
+    1170): at shift = 1, 2, 4, ... node k becomes h_k h_{k-shift}.  Each
+    level runs over `_BLOCK`-node slices from the top down, so every read
+    is still the previous level's value; the product tree depends on the
+    node index alone, so the result does not depend on `_BLOCK`.
     """
     chart, nodes = setup.chart, setup.grid.nodes
     A = -(interp_columns(rk4_stage_times(setup.grid), nodes, coeffs) @ setup.span_matrix.T)
@@ -128,11 +136,17 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     dt = np.diff(nodes)[:, None]
     omega = (dt / 6.0 * (a0 + 4.0 * half + a1)
              + dt ** 2 / 12.0 * bracket_coords(chart.algebra, a1, a0))
-    h = np.empty((len(nodes), chart.coord_dim))
+    n = len(nodes)
+    h = np.empty((n, chart.coord_dim))
     h[0] = chart.identity_coords
-    for start in range(0, len(omega), _BLOCK):
-        for k, step in enumerate(exp_algebra(chart, omega[start:start + _BLOCK]), start):
-            h[k + 1] = chart.compose_fn(step, h[k])
+    for start in range(0, n - 1, _BLOCK):
+        h[start + 1:start + 1 + _BLOCK] = exp_algebra(chart, omega[start:start + _BLOCK])
+    shift = 1
+    while shift < n:
+        for stop in range(n, shift, -_BLOCK):
+            start = max(shift, stop - _BLOCK)
+            h[start:stop] = chart.compose_fn(h[start:stop], h[start - shift:stop - shift])
+        shift *= 2
     return GroupCurve(chart, setup.grid, h)
 
 
@@ -528,10 +542,10 @@ def _se3_r3():
     # H = R^3 normal subgroup; homogeneous "solution" is the rotation curve,
     # integrated as a matrix ODE dA/dt = xi_hat A
     chart = get_chart("SE3", "matrix")
-    so3rep = get_chart("SO3", "matrix").algebra_rep
+    so3rep = np.stack(get_chart("SO3", "matrix").algebra_rep).reshape(3, 9)
 
     def hom_rhs(t, a_flat, b):
-        xi = -sum(bb * M for bb, M in zip(b[:3], so3rep))
+        xi = -(b[:3] @ so3rep).reshape(3, 3)
         return (xi @ a_flat.reshape(3, 3)).reshape(-1)
 
     def expected(b, t, a_flat):

@@ -5,7 +5,9 @@ the general-solution-from-particular formula.
 
 Coefficients and curves evaluate on whole arrays of times: a coefficient
 triple and the entries of a curve are channels under ControlSignal's one
-rule, called on the array when they take one and once per time otherwise.
+rule, called on the array when they take one and once per time otherwise;
+a transformed triple is one law evaluation per call, shared by its three
+coefficients, and an RK4 solve samples its triple once at the stage times.
 The gauge law is the matrix product M -> A M A^-1 + dA/dt A^-1 on the
 sl(2) matrix of the coefficients, and every formula over the nodes is one
 array expression.
@@ -30,7 +32,9 @@ from .numerics import (
     cumulative_quadrature_samples,
     diff_samples,
     diff_samples4,
+    integrate_rk4,
     interp_columns,
+    rk4_stage_times,
     second_diff_samples,
 )
 from .systems import INFINITY, _homography, _pole_guard, cross_ratio, riccati_superposition
@@ -66,17 +70,30 @@ class RiccatiCoeffs:
 
     def __post_init__(self):
         self.a0, self.a1, self.a2 = (_as_callable(f) for f in (self.a0, self.a1, self.a2))
+        self._rows = ControlSignal([self.a0, self.a1, self.a2])
+
+    @classmethod
+    def _of(cls, rows):
+        """The triple t -> rows(t), [a0, a1, a2] at a time and (m, 3) on m
+        times; an evaluation of the triple is one rows call, shared by the
+        three coefficients."""
+        c = cls(*(lambda t, i=i: rows(t).T[i] for i in range(3)))
+        c._rows = rows
+        return c
 
     def __call__(self, t):
-        return ControlSignal([self.a0, self.a1, self.a2])(t)
+        return self._rows(t)
 
     def rhs(self, t, x):
         """a2 x^2 + a1 x + a0 at a time, or elementwise over arrays of times and x."""
         a0, a1, a2 = self(t).T
         return a2 * x * x + a1 * x + a0
 
-    def field(self):
-        return lambda t, x: np.array([self.rhs(t, float(x[0]))])
+    def solve(self, x0, grid: TimeGrid) -> Trajectory:
+        """RK4 from x(t0) = x0, with the triple sampled once at the RK4 stage
+        times rather than evaluated at every stage."""
+        return integrate_rk4(lambda t, x, u: u[2] * x * x + u[1] * x + u[0], x0, grid,
+                             meta="riccati", table=self(rk4_stage_times(grid)))
 
     @classmethod
     def sampled(cls, grid: TimeGrid, a0, a1, a2):
@@ -144,7 +161,8 @@ def transform_coeffs(A: SL2Curve, c: RiccatiCoeffs) -> RiccatiCoeffs:
     """The gauge law M -> A M A^-1 + dA/dt A^-1 on the sl(2) matrix
     M = [[a1/2, a0], [-a2, -a1/2]] of the triple, read back as a0 = M'01,
     a1 = M'00 - M'11 and a2 = -M'10 (Carinena & Ramos, Int. J. Mod. Phys. A
-    14 (1999) 1935).  A^-1 is the adjugate, as det A = 1."""
+    14 (1999) 1935).  A^-1 is the adjugate, as det A = 1.  The transformed
+    triple runs the law once per evaluation, for all three coefficients."""
 
     def law(t):
         a0, a1, a2 = c(t).T
@@ -153,9 +171,9 @@ def transform_coeffs(A: SL2Curve, c: RiccatiCoeffs) -> RiccatiCoeffs:
         inv = _square(np.stack([G[..., 1, 1], -G[..., 0, 1], -G[..., 1, 0], G[..., 0, 0]],
                                axis=-1))
         N = (G @ M + A.dots(t)) @ inv
-        return N[..., 0, 1], N[..., 0, 0] - N[..., 1, 1], -N[..., 1, 0]
+        return np.stack([N[..., 0, 1], N[..., 0, 0] - N[..., 1, 1], -N[..., 1, 0]], axis=-1)
 
-    return RiccatiCoeffs(lambda t: law(t)[0], lambda t: law(t)[1], lambda t: law(t)[2])
+    return RiccatiCoeffs._of(law)
 
 
 def transform_solution(A: SL2Curve, x: Trajectory) -> Trajectory:

@@ -59,9 +59,15 @@ def field_eval(sys: LieSystemRealization, b, t: float, x) -> np.ndarray:
 
 def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid) -> Trajectory:
     """RK4 on the realization's vector field, with the controls sampled once
-    at the RK4 stage times."""
-    return integrate_rk4(lambda t, x, u: field_eval(sys, u, t, x), x0, grid, meta=sys.name,
-                         table=b(rk4_stage_times(grid)))
+    at the RK4 stage times.  Every stage state is checked against the
+    domain, as `field_eval` checks it."""
+    fields, check_domain = sys.fields, sys.check_domain
+
+    def stage(t, x, u):
+        check_domain(t, x)
+        return u @ fields(x)
+
+    return integrate_rk4(stage, x0, grid, meta=sys.name, table=b(rk4_stage_times(grid)))
 
 
 def solve_via_group(sys: LieSystemRealization, gcurve: GroupCurve, x0) -> Trajectory:

@@ -67,7 +67,7 @@ def test_criterion_2_riccati_cross_ratio():
         lambda t: co[0] + co[1] * np.sin(2 * t),
         lambda t: co[2] + co[3] * np.cos(3 * t),
         lambda t: co[4] + co[5] * np.sin(t))
-    sols = [integrate_rk4(c.field(), [x0], GRID).states[:, 0]
+    sols = [c.solve(x0, GRID).states[:, 0]
             for x0 in (0.0, -0.9, -0.4, -0.15)]
     k = cross_ratio(sols[3], sols[0], sols[1], sols[2])
     std = float(np.std(k))
@@ -92,7 +92,7 @@ def _random_sl2_curve(seed, amp=0.4):
 
 def test_criterion_3_affine_action_coherence():
     c = RiccatiCoeffs(lambda t: np.sin(t), lambda t: np.cos(t), lambda t: 1.0)
-    x = integrate_rk4(c.field(), [0.1], GRID)
+    x = c.solve(0.1, GRID)
     worst_joint, worst_comp = 0.0, 0.0
     for seed in range(20):
         A = _random_sl2_curve(seed)

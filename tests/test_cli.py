@@ -64,7 +64,7 @@ def test_reduce_command(tmp_path, capsys):
 
 
 def test_superpose_command(tmp_path, capsys):
-    from liesys.numerics import TimeGrid, Trajectory, integrate_rk4
+    from liesys.numerics import TimeGrid, Trajectory
     from liesys.riccati import RiccatiCoeffs
 
     grid = TimeGrid.uniform(0, 1, 500)
@@ -81,7 +81,7 @@ def test_superpose_command(tmp_path, capsys):
         "--constants", "2.0", "--out", str(out))
     assert code == 0
     recovered = Trajectory.from_csv(out)
-    ref = integrate_rk4(c.field(), recovered.states[0], grid)
+    ref = c.solve(recovered.states[0], grid)
     assert np.max(np.abs(recovered.states - ref.states)) < 1e-6
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liesys.numerics as N
 from liesys.errors import NumericsError, SingularMatrixError
 from liesys.numerics import (
     TimeGrid,
@@ -36,6 +37,55 @@ def test_stage_times_interleave_nodes_and_midpoints():
     assert np.max(np.abs(got - ref)) <= 1e-15
     with pytest.raises(NumericsError, match="stage table needs 7 rows"):
         integrate_rk4(lambda t, x, ut: ut, [0.0], grid, table=table[:-1])
+
+
+def textbook_rk4(f, x0, nodes):
+    """Classical RK4 as printed: k1..k4 at t, t + dt/2, t + dt/2, t + dt."""
+    x = np.array(x0, dtype=float)
+    out = [x]
+    for t, t_next in zip(nodes[:-1], nodes[1:]):
+        dt = t_next - t
+        k1 = f(t, x)
+        k2 = f(t + dt / 2, x + dt / 2 * k1)
+        k3 = f(t + dt / 2, x + dt / 2 * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
+def _driven_rotation(t, x, u):
+    return np.array([u[0] * x[1], -u[0] * x[0] + u[1]])
+
+
+def _drive(t):
+    return np.stack([1.0 + 0.5 * np.cos(3 * t), np.sin(2 * t)], axis=-1)
+
+
+def test_rk4_matches_textbook_on_a_nonuniform_grid():
+    nodes = np.cumsum(np.r_[0.0, np.random.default_rng(3).uniform(0.2, 1.8, 300)])
+    grid = TimeGrid.from_nodes(nodes / nodes[-1])
+    x0 = [1.0, -0.5]
+    ref = textbook_rk4(lambda t, x: _driven_rotation(t, x, _drive(t)), x0, grid.nodes)
+    plain = integrate_rk4(lambda t, x: _driven_rotation(t, x, _drive(t)), x0, grid).states
+    tabled = integrate_rk4(_driven_rotation, x0, grid, table=_drive(rk4_stage_times(grid))).states
+    assert np.max(np.abs(plain - ref)) <= 1e-15
+    assert np.max(np.abs(tabled - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("tabled", [False, True])
+def test_every_step_goes_through_the_module_rk4_step(tabled, monkeypatch):
+    # the step function is looked up on the module once per step, so a patch
+    # (and the benchmark's span around it) sees every step
+    starts = []
+    step = N.rk4_step
+    monkeypatch.setattr(N, "rk4_step", lambda f, t, *a: starts.append(t) or step(f, t, *a))
+    grid = TimeGrid.uniform(0.0, 1.0, 37)
+    if tabled:
+        integrate_rk4(_driven_rotation, [1.0, 0.0], grid, table=_drive(rk4_stage_times(grid)))
+    else:
+        integrate_rk4(lambda t, x: -x, [1.0], grid)
+    assert starts == grid.nodes[:-1].tolist()
 
 
 def test_rk4_constant_derivative():

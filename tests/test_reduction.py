@@ -48,6 +48,46 @@ def test_blocked_subgroup_exponentials_equal_one_call(monkeypatch):
     assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
 
 
+def _subgroup_solve(name, n_steps, monkeypatch):
+    """solve_on_subgroup on a catalog case, and the step exponentials it
+    took, recorded through the module's exp_algebra."""
+    case = catalog_reduction(name)
+    setup, _ = case.setup(controls_for(case, name, {}), TimeGrid.uniform(0.0, 1.0, n_steps))
+    coeffs, _ = reduce_to_subgroup(setup)
+    steps = []
+    monkeypatch.setattr(R, "exp_algebra",
+                        lambda chart, omega: steps.append(G.exp_algebra(chart, omega))
+                        or steps[-1])
+    return setup, coeffs, solve_on_subgroup(setup, coeffs).coords, steps
+
+
+@pytest.mark.parametrize("name", ["h3/a3", "se2/a2a3", "su2/a1", "se3/r3", "gbar5/ideal",
+                                  "se3/so3", "sl2/a1a2"])
+def test_subgroup_prefix_product_equals_sequential_product(name, monkeypatch):
+    # the reference multiplies the same step exponentials node by node,
+    # h_{k+1} = exp(Omega_k) h_k, as the solve did before it took the
+    # products as a log-depth scan; SO(3) and the affine subgroup of SL(2)
+    # are not abelian, so they also fix the order of each product
+    setup, _, got, steps = _subgroup_solve(name, 4000, monkeypatch)
+    chart = setup.chart
+    ref = [chart.identity_coords]
+    for step in np.concatenate(steps):
+        ref.append(chart.compose_fn(step, ref[-1]))
+    assert len(ref) == len(got)
+    assert np.max(np.abs(got - np.array(ref))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["su2/a1", "gbar5/ideal", "h3/a3"])
+@pytest.mark.parametrize("block", [7, 10 ** 9])
+def test_subgroup_product_does_not_depend_on_the_block(name, block, monkeypatch):
+    # the scan's product tree depends on the node index alone, so neither a
+    # block that is not a power of two nor one block for the whole grid
+    # moves a bit
+    setup, coeffs, blocked, _ = _subgroup_solve(name, 2000, monkeypatch)
+    monkeypatch.setattr(R, "_BLOCK", block)
+    assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
+
+
 @pytest.mark.parametrize("name,kw", ALL_CASES, ids=[f"{n}{k or ''}" for n, k in ALL_CASES])
 def test_catalog_reduction_roundtrip(name, kw):
     case = catalog_reduction(name, **kw)

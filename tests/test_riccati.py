@@ -67,6 +67,45 @@ def test_transform_constant_diagonal():
         assert abs(out.a0(t) - al**2 * c.a0(t)) < 1e-10
 
 
+def test_transformed_triple_runs_the_law_once_per_call(monkeypatch):
+    # one evaluation of the triple is one law: one dots call per curve,
+    # shared by a0, a1 and a2 (the channel rule ran it 9 times per curve)
+    calls = []
+    dots = SL2Curve.dots
+    monkeypatch.setattr(SL2Curve, "dots", lambda self, *a: calls.append(self) or dots(self, *a))
+    c, A, B = sample_coeffs(), sl2_curve(1), sl2_curve(2)
+    t = np.linspace(0.1, 0.9, 11)
+    once = transform_coeffs(A, c)
+    rows = once(t)
+    assert calls == [A]
+    calls.clear()
+    twice = transform_coeffs(B, once)
+    twice(t)
+    assert sorted(map(id, calls)) == sorted([id(A), id(B)])
+    calls.clear()
+    twice.a1(0.3)
+    assert len(calls) == 2
+    assert rows.shape == (11, 3)
+    assert np.array_equal(rows[:, 1], once.a1(t))
+    assert np.max(np.abs(rows - np.array([once(s) for s in t]))) <= 1e-14
+
+
+def test_solve_samples_the_triple_once(unit_grid):
+    # the stage table takes one array call per coefficient (checked against
+    # scalar calls at its two ends), not one call per RK4 stage
+    calls = []
+
+    def a0(t):
+        calls.append(np.ndim(t))
+        return np.sin(t)
+
+    c = RiccatiCoeffs(a0, np.cos, 1.0)
+    x = c.solve(0.1, unit_grid)
+    assert calls == [1, 0, 0]
+    per_stage = integrate_rk4(lambda t, x: c.rhs(t, x), [0.1], unit_grid)
+    assert np.max(np.abs(x.states - per_stage.states)) <= 1e-14
+
+
 def test_transform_group_property():
     c = sample_coeffs()
     worst = 0.0
@@ -83,14 +122,14 @@ def test_transform_group_property():
 
 def test_transform_solution_identity(unit_grid):
     c = sample_coeffs()
-    x = integrate_rk4(c.field(), [0.1], unit_grid)
+    x = c.solve(0.1, unit_grid)
     y = transform_solution(SL2Curve.identity(), x)
     assert np.allclose(y.states, x.states)
 
 
 def test_shift_by_solution_kills_a0(unit_grid):
     c = sample_coeffs()
-    x = integrate_rk4(c.field(), [0.1], unit_grid)
+    x = c.solve(0.1, unit_grid)
     nodes = unit_grid.nodes
     x1 = lambda t: float(np.interp(t, nodes, x.states[:, 0]))
     out = transform_coeffs(SL2Curve.shift_by_solution(x1), c)
@@ -102,7 +141,7 @@ def test_shift_by_solution_kills_a0(unit_grid):
 
 def test_transformed_solution_solves_transformed_equation(unit_grid):
     c = sample_coeffs()
-    x = integrate_rk4(c.field(), [0.1], unit_grid)
+    x = c.solve(0.1, unit_grid)
     A = sl2_curve(7)
     y = transform_solution(A, x)
     assert riccati_residual(y, transform_coeffs(A, c), order=4) < 1e-5
@@ -214,7 +253,7 @@ def test_reduce_one_solution(unit_grid):
     assert red.kind == "bernoulli"
     assert red.reduced.a0(0.5) == 0.0
     rec = red.general_solution(np.tan(0.1))
-    ref = integrate_rk4(c.field(), [np.tan(0.1)], unit_grid)
+    ref = c.solve(np.tan(0.1), unit_grid)
     assert np.max(np.abs(rec.states - ref.states)) < 1e-6
 
 
@@ -236,7 +275,7 @@ def test_reduce_two_solutions(unit_grid):
         x1t = np.tan(t)
         assert abs(red.reduced.a1(t) - (2 * x1t * c.a2(t) + c.a1(t))) < 1e-6
     rec = red.general_solution(np.tan(0.1))
-    ref = integrate_rk4(c.field(), [np.tan(0.1)], unit_grid)
+    ref = c.solve(np.tan(0.1), unit_grid)
     assert np.max(np.abs(rec.states - ref.states)) < 1e-6
 
 
@@ -245,7 +284,7 @@ def test_reduce_three_solutions(unit_grid):
     red = reduce_known(c, tan_solutions(unit_grid))
     assert red.kind == "constants"
     rec = red.general_solution(np.tan(0.1))
-    ref = integrate_rk4(c.field(), [np.tan(0.1)], unit_grid)
+    ref = c.solve(np.tan(0.1), unit_grid)
     assert np.max(np.abs(rec.states - ref.states)) < 1e-6
     k = red.constant_of(ref)
     assert np.std(k) < 1e-8

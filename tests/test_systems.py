@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liesys.algebra import LieAlgebra
 from liesys.catalog import get_system
 from liesys.errors import ChartError, CoincidenceError, DomainExitError, LieSysError
-from liesys.numerics import TimeGrid, Trajectory, diff_samples, integrate_rk4
+from liesys.numerics import TimeGrid, Trajectory, diff_samples
 from liesys.riccati import RiccatiCoeffs
 from liesys.systems import (
     INFINITY,
+    LieSystemRealization,
     SuperpositionRule,
     cross_ratio,
     field_eval,
@@ -134,6 +136,20 @@ def test_domain_exit_is_loud():
     assert 0 <= exc.value.t <= 1.0
 
 
+def test_domain_exit_at_an_intermediate_stage_is_loud():
+    # x' = 1 from x = 0 in steps of 0.1: no node lies in (0.54, 0.56), but
+    # the step from t = 0.5 evaluates its midpoint stages at x = 0.55
+    line = LieSystemRealization(LieAlgebra(1, np.zeros((1, 1, 1))), 1,
+                                lambda x: np.ones((1, 1)),
+                                domain=lambda x: not 0.54 < x[0] < 0.56, name="line")
+    grid = TimeGrid.uniform(0, 1, 10)
+    assert all(line.domain(x) for x in grid.nodes[:, None])
+    with pytest.raises(DomainExitError) as exc:
+        solve_direct(line, ControlSignal.constant([1.0]), [0.0], grid)
+    assert exc.value.t == pytest.approx(0.55)
+    assert exc.value.state == pytest.approx([0.55])
+
+
 # --- superposition rules ---------------------------------------------------------
 
 
@@ -183,7 +199,7 @@ def test_riccati_closure_random_constants(unit_grid, rng):
     # the interval: trajectories through the projective point at infinity
     # are out of scope by design
     c = RiccatiCoeffs(lambda t: np.sin(t), lambda t: np.cos(t), lambda t: 1.0)
-    sols = [integrate_rk4(c.field(), [x0], unit_grid) for x0 in (0.0, -1.0, -0.5)]
+    sols = [c.solve(x0, unit_grid) for x0 in (0.0, -1.0, -0.5)]
     dt = unit_grid.uniform_dt
     for _ in range(10):
         k = rng.uniform(0.05, 2.0)
@@ -206,7 +222,7 @@ def test_cross_ratio_normalization():
 def test_cross_ratio_constant_along_solutions():
     grid = TimeGrid.uniform(0, 1, 2000)
     c = RiccatiCoeffs(lambda t: np.sin(t), lambda t: np.cos(t), lambda t: 1.0)
-    sols = [integrate_rk4(c.field(), [x0], grid).states[:, 0]
+    sols = [c.solve(x0, grid).states[:, 0]
             for x0 in (0.0, -1.0, -0.5, -0.2)]
     k = cross_ratio(sols[3], sols[0], sols[1], sols[2])
     assert np.std(k) < 1e-8
