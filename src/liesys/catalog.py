@@ -3,7 +3,11 @@ algebra, group action (when available), closed-form Wei-Norman solutions
 (when available), and domain notes.
 
 Each realization gives its fields stacked: `fields(x)` is the
-(r, state_dim) array whose row a is X_a(x).  Each action takes
+(r, state_dim) array whose row a is X_a(x).  A matrix group acting linearly
+or by affine maps needs no hand-written rows: its fields are read off the
+chart's representation, X_a(x) = -A_a x (`_linear_system`) or
+X_a(x) = -(L_a x + c_a) for A_a = [[L_a, c_a], [0, 0]] (`_affine_system`).
+Each action takes
 (..., coord_dim) chart coordinates g and one state x: canonical charts
 unpack g with `g.T`, as the chart laws do, and matrix charts reshape it into
 matrices, so a whole curve moves x in one call.
@@ -100,6 +104,23 @@ def _affine_action(g, x):
     """x -> A x + c for g = [[A, c], [0, 1]]."""
     M = _square(g)
     return M[..., :-1, :-1] @ np.asarray(x, dtype=float) + M[..., :-1, -1]
+
+
+def _linear_system(chart, name):
+    """The matrix group of `chart` acting linearly on its defining space:
+    the fields X_a(x) = -A_a x of its representation A_a."""
+    rep = np.stack(chart.algebra_rep)
+    return LieSystemRealization(chart.algebra, rep.shape[-1], lambda x: -(rep @ x),
+                                _linear_action, chart, name=name)
+
+
+def _affine_system(chart, name):
+    """The matrix group of `chart`, with representation A_a = [[L_a, c_a],
+    [0, 0]], acting by affine maps: the fields X_a(x) = -(L_a x + c_a)."""
+    rep = np.stack(chart.algebra_rep)
+    L, c = rep[:, :-1, :-1], rep[:, :-1, -1]
+    return LieSystemRealization(chart.algebra, c.shape[-1], lambda x: -(L @ x + c),
+                                _affine_action, chart, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -536,38 +557,23 @@ def _power(n: int = 4):
 # ---------------------------------------------------------------------------
 
 
-def _rotation_rows(x, eps=1):
-    """Rows X_1, X_2, X_3 of the rotations of g_eps acting linearly on R^3."""
-    return [[-x[1], x[0], 0.0], [x[2], 0.0, -eps * x[0]], [0.0, -x[2], eps * x[1]]]
-
-
 @register("elastic_euler")
 def _elastic(eps: int = 1):
     eps = eps_parameter(eps)
-    alg = catalog_algebra("g_eps", eps=eps)
-    chart = get_chart("Geps", "matrix", eps=eps)
-    sys = LieSystemRealization(alg, 3, lambda x: np.array(_rotation_rows(x, eps)),
-                               _linear_action, chart, name=f"elastic_euler(eps={eps:+d})")
+    sys = _linear_system(get_chart("Geps", "matrix", eps=eps), f"elastic_euler(eps={eps:+d})")
     return CatalogEntry("elastic_euler", sys, (1, 2, 3),
                         notes="generalized elastic problem; eps in {-1, 0, 1}")
 
 
 @register("so3_kinematics")
 def _so3_kin():
-    alg = catalog_algebra("so3")
-    chart = get_chart("SO3", "matrix")
-    sys = LieSystemRealization(alg, 3, lambda x: np.array(_rotation_rows(x)),
-                               _linear_action, chart, name="so3_kinematics")
+    sys = _linear_system(get_chart("SO3", "matrix"), "so3_kinematics")
     return CatalogEntry("so3_kinematics", sys, (1, 2, 3))
 
 
 @register("se3_kinematics")
 def _se3_kin():
-    alg = catalog_algebra("se3")
-    chart = get_chart("SE3", "matrix")
-    translations = np.eye(3).tolist()
-    sys = LieSystemRealization(alg, 3, lambda x: np.array(_rotation_rows(x) + translations),
-                               _affine_action, chart, name="se3_kinematics")
+    sys = _affine_system(get_chart("SE3", "matrix"), "se3_kinematics")
     return CatalogEntry("se3_kinematics", sys, (1, 2, 3, 4, 5, 6))
 
 
@@ -606,14 +612,7 @@ def _get_quadh_chart():
 
 @register("quadratic_hamiltonian_classical")
 def _quadh():
-    alg = catalog_algebra("r2sl2")
-
-    def fields(x):
-        return np.array([[x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]],
-                         [-1.0, 0.0], [0.0, -1.0]])
-
-    sys = LieSystemRealization(alg, 2, fields, _affine_action, _get_quadh_chart(),
-                               name="quadratic_hamiltonian_classical")
+    sys = _affine_system(_get_quadh_chart(), "quadratic_hamiltonian_classical")
     return CatalogEntry("quadratic_hamiltonian_classical", sys, (1, 2, 3, 4, 5),
                         wn_ordering=(4, 5, 1, 2, 3),
                         notes="b = (alpha, beta, gamma, -delta, epsilon) from the "
@@ -635,13 +634,7 @@ def _get_tdlin_chart():
 
 @register("td_linear_potential_classical")
 def _tdlin(m: float = 1.0):
-    alg = catalog_algebra("h3c")
-
-    def fields(x):
-        return np.array([[x[1], 0.0], [0.0, 1.0], [1.0, 0.0]])
-
-    sys = LieSystemRealization(alg, 2, fields, _affine_action, _get_tdlin_chart(),
-                               name="td_linear_potential_classical")
+    sys = _affine_system(_get_tdlin_chart(), "td_linear_potential_classical")
 
     def closed_form(b, grid, x0):
         # controls are b = (1/m, -f, 0); closed flow by two quadratures
@@ -713,13 +706,7 @@ def _sl2_pair():
 
 @register("sl2_linear")
 def _sl2_linear():
-    alg = catalog_algebra("sl2")
-
-    def fields(x):
-        return np.array([[x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]]])
-
-    sys = LieSystemRealization(alg, 2, fields, _linear_action, get_chart("SL2", "matrix"),
-                               name="sl2_linear")
+    sys = _linear_system(get_chart("SL2", "matrix"), "sl2_linear")
     return CatalogEntry("sl2_linear", sys, (1, 2, 3))
 
 
@@ -799,16 +786,7 @@ def _sl3_riccati():
 
 @register("sl3_linear")
 def _sl3_linear():
-    alg = catalog_algebra("sl3")
-
-    def fields(x):
-        return np.array([
-            [x[1], 0.0, 0.0], [0.5 * x[0], -0.5 * x[1], 0.0], [0.0, -x[0], 0.0],
-            [x[0] / 6.0, x[1] / 6.0, -x[2] / 3.0], [x[2], 0.0, 0.0], [0.0, x[2], 0.0],
-            [0.0, 0.0, -x[0]], [0.0, 0.0, -x[1]]])
-
-    sys = LieSystemRealization(alg, 3, fields, _linear_action, get_chart("SL3", "matrix"),
-                               name="sl3_linear")
+    sys = _linear_system(get_chart("SL3", "matrix"), "sl3_linear")
     return CatalogEntry("sl3_linear", sys, tuple(range(1, 9)))
 
 

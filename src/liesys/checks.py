@@ -141,14 +141,16 @@ def check_quantum():
 
 def check_reduction():
     grid = TimeGrid.uniform(0, 1, 1000)
-    worst = 0.0
+    worst, worst_rec = 0.0, 0.0
     for name in ("h3/a1", "se2/a2a3", "se3/so3"):
         case = catalog_reduction(name)
         b = ControlSignal([lambda t: 0.7 + 0.3 * np.sin(3 * t)] * len(case.used_channels))
         out = run_catalog_reduction(case, b, grid)
         fix = case.fixture_coeffs(b, out["homogeneous"])
         worst = max(worst, float(np.max(np.abs(out["coefficients"] - fix))))
-    return {"reduction/fixtures": (worst <= 1e-6, worst)}
+        worst_rec = max(worst_rec, case.reconstruction_gap(b, out["reconstruction"]))
+    return {"reduction/fixtures": (worst <= 1e-6, worst),
+            "reduction/reconstruction": (worst_rec <= 1e-5, worst_rec)}
 
 
 _SUITES = {

@@ -138,6 +138,7 @@ def cmd_reduce(args):
         "reduction": args.reduction,
         "off_span_residual": out["off_span_residual"],
         "fixture_max_gap": float(np.max(np.abs(out["coefficients"] - fix))),
+        "reconstruction_log_derivative_gap": case.reconstruction_gap(b, out["reconstruction"]),
     }
     if args.out:
         out["homogeneous"].to_csv(args.out + ".homogeneous.csv")

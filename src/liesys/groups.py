@@ -7,12 +7,14 @@ in which exp(s a_i) is the coordinate line s e_i.  Second-kind charts
 carry their ordering as part of the chart identity; mixing orderings is
 a chart mismatch.
 
-The canonical charts of the nilpotent groups G4, G5, G7, G8, Gbar4 and
-Gbar5 are derived from the structure constants: first-kind composition is
-the Baker-Campbell-Hausdorff series (`bch`, exact for nilpotency class at
-most 4), and every second-kind law goes through the conversions to and from
-the first kind.  H3, SE2, the signature family and the affine group keep
-closed-form composition laws.
+The canonical charts of the nilpotent groups H3, G4, G5, G7, G8, Gbar4
+and Gbar5 are derived from the structure constants: first-kind composition
+is the Baker-Campbell-Hausdorff series (`bch`, exact for nilpotency class
+at most 4), and every second-kind law goes through the conversions to and
+from the first kind.  SE2, the signature family and the affine group keep
+closed-form composition laws.  Each matrix chart checks its coordinates
+against one constraint per kind of matrix group: orthogonal (SO3), rigid
+motion (SE2, SE3) or unimodular (SL2, SL3).
 
 Adjoints and log-derivatives follow from the chart kind alone (`_adjoint`,
 `_trivialize`): products of exp(ad) factors and the Wei-Norman matrix for
@@ -380,6 +382,27 @@ def chart_convert(g: GroupElement, target: GroupChart) -> GroupElement:
     return GroupElement(target, fn(g.coords))
 
 
+def _orthogonal(c):
+    """max |M^T M - I| of (..., n*n) matrix-chart coordinates."""
+    M = _square(c)
+    return np.abs(M.swapaxes(-1, -2) @ M - np.eye(M.shape[-1])).max(axis=(-2, -1))
+
+
+def _rigid(c):
+    """The error of M = [[R, t], [0, 1]] with R orthogonal, for (..., n*n)
+    matrix-chart coordinates: the larger of R's orthogonality error and the
+    last row's distance from e_n."""
+    M = _square(c)
+    R = M[..., :-1, :-1]
+    return np.maximum(_orthogonal(R.reshape(R.shape[:-2] + (-1,))),
+                      np.abs(M[..., -1, :] - np.eye(M.shape[-1])[-1]).max(axis=-1))
+
+
+def _unimodular(c):
+    """|det M - 1| of (..., n*n) matrix-chart coordinates."""
+    return np.abs(np.linalg.det(_square(c)) - 1.0)
+
+
 def _mk_matrix_chart(group, alg, rep, constraint=None):
     n = rep[0].shape[0]
     ident = np.eye(n).reshape(-1)
@@ -408,54 +431,6 @@ def _mk_matrix_chart(group, alg, rep, constraint=None):
     return chart
 
 
-# --- Heisenberg group H(3) --------------------------------------------------
-
-def _build_h3():
-    alg = catalog_algebra("h3")
-    # 3x3 unipotent representation with [A1, A2] = A3
-    A1 = np.zeros((3, 3)); A1[0, 1] = 1.0
-    A2 = np.zeros((3, 3)); A2[1, 2] = 1.0
-    A3 = np.zeros((3, 3)); A3[0, 2] = 1.0
-    rep = (A1, A2, A3)
-
-    def compose2(g, h):
-        a, b, c = g.T
-        ap, bp, cp = h.T
-        return np.array([a + ap, b + bp, c + cp - b * ap]).T
-
-    def inverse2(g):
-        a, b, c = g.T
-        return np.array([-a, -b, -c - a * b]).T
-
-    def exp2(x):
-        a, b, c = x.T
-        return np.array([a, b, c - 0.5 * a * b]).T
-
-    chart2 = GroupChart(
-        "H3", "canonical_second", 3, alg, ordering=(1, 2, 3),
-        algebra_rep=rep, compose_fn=compose2, inverse_fn=inverse2,
-        identity_coords=np.zeros(3), exp_closed_fn=exp2,
-    )
-    register_chart(("H3", "canonical_second", (1, 2, 3)), chart2)
-
-    def compose1(g, h):
-        a, b, c = g.T
-        ap, bp, cp = h.T
-        return np.array([a + ap, b + bp, c + cp + 0.5 * (a * bp - b * ap)]).T
-
-    chart1 = GroupChart(
-        "H3", "canonical_first", 3, alg, algebra_rep=rep,
-        compose_fn=compose1, inverse_fn=lambda g: -g, identity_coords=np.zeros(3),
-    )
-    register_chart(("H3", "canonical_first", None), chart1)
-
-    k2, k1 = ("H3", "canonical_second", (1, 2, 3)), ("H3", "canonical_first", None)
-    register_conversion(k2, k1, lambda g: np.array([g[0], g[1], g[2] + 0.5 * g[0] * g[1]]))
-    register_conversion(k1, k2, exp2)
-    _mk_matrix_chart("H3", alg, rep)
-    register_conversion(k2, ("H3", "matrix", None), _to_matrix_coords(chart2))
-
-
 # --- nilpotent groups: laws derived from the structure constants -------------
 
 _BCH_MAX_CLASS = 4
@@ -467,18 +442,30 @@ def bch(alg: LieAlgebra, x, y) -> np.ndarray:
 
     Exact when the algebra's nilpotency class is at most 4 (every longer
     bracket vanishes); see Bonfiglioli & Fulci, Topics in Noncommutative
-    Algebra, Springer LNM 2034 (2012).  x and y are (..., r) arrays.
+    Algebra, Springer LNM 2034 (2012).  The series stops at the class: the
+    brackets of that many or more factors are exact zeros, so the terms left
+    out would add nothing.  x and y are (..., r) arrays.
     """
+    cls = alg.nilpotency_class or _BCH_MAX_CLASS
+    out = x + y
+    if cls < 2:
+        return out
     r = alg.dim
     c = alg.structure.reshape(r, r * r)
     ad_x = _vecmat(x, c).reshape(x.shape[:-1] + (r, r))   # v @ ad_x = [x, v]
-    ad_y = _vecmat(y, c).reshape(y.shape[:-1] + (r, r))
     xy = _vecmat(y, ad_x)
+    out = out + 0.5 * xy
+    if cls < 3:
+        return out
+    ad_y = _vecmat(y, c).reshape(y.shape[:-1] + (r, r))
     x_xy = _vecmat(xy, ad_x)
-    return x + y + 0.5 * xy + (x_xy - _vecmat(xy, ad_y)) / 12.0 - _vecmat(x_xy, ad_y) / 24.0
+    out = out + (x_xy - _vecmat(xy, ad_y)) / 12.0
+    if cls < 4:
+        return out
+    return out - _vecmat(x_xy, ad_y) / 24.0
 
 
-def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
+def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple, rep=None):
     """Register the first- and second-kind charts of a nilpotent group and
     the conversions between them, every law derived by `bch`.
 
@@ -486,6 +473,10 @@ def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
     contains every bracket of a_{s_j}, j >= i.  Then the a_{s_i} component of
     a first-kind vector is the i-th second-kind coordinate, which the
     conversion to the second kind peels off one factor at a time.
+
+    A matrix representation `rep` (one matrix per basis element), when
+    given, is the `algebra_rep` of both charts; the group's matrix chart and
+    the second-kind -> matrix conversion are registered with it.
     """
     cls = alg.nilpotency_class
     if cls is None or cls > _BCH_MAX_CLASS:
@@ -515,16 +506,20 @@ def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple):
 
     k1, k2 = (group, "canonical_first", None), (group, "canonical_second", tuple(ordering))
     register_chart(k1, GroupChart(
-        group, "canonical_first", r, alg,
+        group, "canonical_first", r, alg, algebra_rep=rep,
         compose_fn=lambda g, h: bch(alg, g, h), inverse_fn=lambda g: -g,
         identity_coords=np.zeros(r)))
-    register_chart(k2, GroupChart(
-        group, "canonical_second", r, alg, ordering=tuple(ordering),
+    chart2 = GroupChart(
+        group, "canonical_second", r, alg, ordering=tuple(ordering), algebra_rep=rep,
         compose_fn=lambda g, h: conv12(bch(alg, conv21(g), conv21(h))),
         inverse_fn=lambda g: conv12(-conv21(g)), identity_coords=np.zeros(r),
-        exp_closed_fn=conv12))
+        exp_closed_fn=conv12)
+    register_chart(k2, chart2)
     register_conversion(k2, k1, conv21)
     register_conversion(k1, k2, conv12)
+    if rep is not None:
+        _mk_matrix_chart(group, alg, rep)
+        register_conversion(k2, (group, "matrix", None), _to_matrix_coords(chart2))
 
 
 # --- Euclidean group SE(2) ---------------------------------------------------
@@ -570,13 +565,7 @@ def _build_se2():
     )
     register_chart(("SE2", "canonical_second", (1, 2, 3)), chart2)
 
-    def se2_constraint(c):
-        M = c.reshape(c.shape[:-1] + (3, 3))
-        R = M[..., :2, :2]
-        return np.maximum(np.abs(R.swapaxes(-1, -2) @ R - np.eye(2)).max(axis=(-2, -1)),
-                          np.abs(M[..., 2, :] - np.array([0.0, 0.0, 1.0])).max(axis=-1))
-
-    _mk_matrix_chart("SE2", alg, rep, constraint=se2_constraint)
+    _mk_matrix_chart("SE2", alg, rep, _rigid)
 
     def from_matrix(c):
         M = c.reshape(3, 3)
@@ -660,24 +649,7 @@ def _build_geps(eps):
         lambda cds: cds.reshape(4, 4)[:, 0].copy())
 
 
-# --- SO(3), SU(2), SE(3) -----------------------------------------------------
-
-def _so3_rep():
-    a1 = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
-    a2 = np.array([[0, 0, -1], [0, 0, 0], [1, 0, 0]], dtype=float)
-    a3 = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=float)
-    return a1, a2, a3
-
-
-def _build_so3():
-    alg = catalog_algebra("so3")
-
-    def constraint(c):
-        M = c.reshape(c.shape[:-1] + (3, 3))
-        return np.abs(M.swapaxes(-1, -2) @ M - np.eye(3)).max(axis=(-2, -1))
-
-    _mk_matrix_chart("SO3", alg, _so3_rep(), constraint=constraint)
-
+# --- SE(3) -------------------------------------------------------------------
 
 def _se3_rep():
     z = np.zeros((4, 4))
@@ -688,18 +660,6 @@ def _se3_rep():
     a5 = z.copy(); a5[1, 3] = -1.0
     a6 = z.copy(); a6[2, 3] = -1.0
     return a1, a2, a3, a4, a5, a6
-
-
-def _build_se3():
-    alg = catalog_algebra("se3")
-
-    def constraint(c):
-        M = c.reshape(c.shape[:-1] + (4, 4))
-        A = M[..., :3, :3]
-        return np.maximum(np.abs(A.swapaxes(-1, -2) @ A - np.eye(3)).max(axis=(-2, -1)),
-                          np.abs(M[..., 3, :] - np.array([0, 0, 0, 1.0])).max(axis=-1))
-
-    _mk_matrix_chart("SE3", alg, _se3_rep(), constraint=constraint)
 
 
 # --- SL(2,R) and SL(3,R) ------------------------------------------------------
@@ -721,24 +681,6 @@ def sl3_basis():
     a7 = np.zeros((3, 3)); a7[2, 0] = 1.0
     a8 = np.zeros((3, 3)); a8[2, 1] = 1.0
     return a1, a2, a3, a4, a5, a6, a7, a8
-
-
-def _build_sl2():
-    alg = catalog_algebra("sl2")
-
-    def constraint(c):
-        return np.abs(np.linalg.det(c.reshape(c.shape[:-1] + (2, 2))) - 1.0)
-
-    _mk_matrix_chart("SL2", alg, sl2_basis(), constraint=constraint)
-
-
-def _build_sl3():
-    alg = catalog_algebra("sl3")
-
-    def constraint(c):
-        return np.abs(np.linalg.det(c.reshape(c.shape[:-1] + (3, 3))) - 1.0)
-
-    _mk_matrix_chart("SL3", alg, sl3_basis(), constraint=constraint)
 
 
 # --- affine group of the line -------------------------------------------------
@@ -773,7 +715,10 @@ def _build_affine():
     _mk_matrix_chart("Aff", alg, (A1, A2))
 
 
-_build_h3()
+# H(3) in its 3x3 unipotent representation A1 = E12, A2 = E23, A3 = E13
+_E = np.eye(3)
+_build_nilpotent("H3", catalog_algebra("h3"), (1, 2, 3),
+                 tuple(np.outer(_E[i], _E[j]) for i, j in ((0, 1), (1, 2), (0, 2))))
 for _group, _alg in (("G4", catalog_algebra("g4")), ("G5", catalog_algebra("g5")),
                      ("G7", catalog_algebra("g7")), ("G8", catalog_algebra("g8")),
                      ("Gbar4", catalog_algebra("gbar", n=4)),
@@ -782,8 +727,8 @@ for _group, _alg in (("G4", catalog_algebra("g4")), ("G5", catalog_algebra("g5")
 _build_se2()
 for _e in (-1, 0, 1):
     _build_geps(_e)
-_build_so3()
-_build_se3()
-_build_sl2()
-_build_sl3()
+_mk_matrix_chart("SO3", catalog_algebra("so3"), _geps_rep3(1), _orthogonal)
+_mk_matrix_chart("SE3", catalog_algebra("se3"), _se3_rep(), _rigid)
+_mk_matrix_chart("SL2", catalog_algebra("sl2"), sl2_basis(), _unimodular)
+_mk_matrix_chart("SL3", catalog_algebra("sl3"), sl3_basis(), _unimodular)
 _build_affine()

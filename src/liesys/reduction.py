@@ -245,6 +245,13 @@ class ReductionCase:
         nodes = hom.grid.nodes
         return self.expected_coeffs(self.pad_controls(b)(nodes), nodes, hom.states)
 
+    def reconstruction_gap(self, b: ControlSignal, g: GroupCurve) -> float:
+        """max over the nodes of |(dg/dt) g^{-1} + b|: how far the
+        reconstructed curve is from solving the right-invariant system,
+        dg/dt by the fourth-order differences of its node coordinates."""
+        xi = g.node_log_derivatives(diff_samples4)
+        return float(np.max(np.abs(xi + self.pad_controls(b)(g.grid.nodes))))
+
 
 def _lift_into(base, slots):
     """The lift of (..., hom_dim) states into the chart coordinates `base`,

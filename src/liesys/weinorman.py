@@ -173,13 +173,16 @@ class ControlSignal:
         t = np.asarray(t, dtype=float)
         return np.stack([_channel_on_times(ch, t) for ch in self.channels], axis=-1)
 
-    def pad(self, r, used=None):
+    def pad(self, r, used):
         """Embed into r channels; `used` gives the target index per channel.
-        A signal that already has r channels is returned as it is."""
+        A signal that already has r channels is returned as it is; any other
+        signal must have one channel per index of `used`, or ValueError
+        names both counts."""
         if self.dim == r:
             return self
-        if used is None:
-            used = list(range(self.dim))
+        if self.dim != len(used):
+            raise ValueError(f"controls give {self.dim} channels; need one per driven index "
+                             f"({len(used)}) or one per basis element ({r})")
         chans = [lambda t: 0.0] * r
         for i, target in enumerate(used):
             chans[target] = self.channels[i]
@@ -392,19 +395,25 @@ class GroupCurve:
         if t == nodes[j]:
             return GroupElement(self.chart, self.coords[j])
         if self._log_derivatives is None:
-            self._log_derivatives = self._node_log_derivatives()
+            self._log_derivatives = self.node_log_derivatives(diff_samples)
         step = exp_algebra(self.chart, (t - nodes[j]) * self._log_derivatives[j])
         return GroupElement(self.chart, self.chart.compose_fn(step, self.coords[j]))
 
-    def _node_log_derivatives(self) -> np.ndarray:
+    def node_log_derivatives(self, diff) -> np.ndarray:
+        """The right log-derivative (dg/dt) g^{-1} at every node, (n, r).
+
+        dg/dt is `diff` (`diff_samples` or `diff_samples4`) of the node
+        coordinates, each coordinate step taken through the chart's wrap so
+        that a wrapped angle moves continuously; `_trivialize` maps it to
+        the algebra, all nodes in one pass."""
         dt = self.grid.uniform_dt
         if dt is None:
-            raise NumericsError("off-node curve evaluation needs a uniform grid")
+            raise NumericsError("a curve's log-derivatives at its nodes need a uniform grid")
         steps = np.diff(self.coords, axis=0)
         if self.chart.wrap_fn is not None:
             steps = self.chart.wrap_fn(steps)
         unwrapped = np.concatenate([self.coords[:1], self.coords[0] + np.cumsum(steps, axis=0)])
-        return _trivialize(self.chart, self.coords, diff_samples(unwrapped, dt), left=False)
+        return _trivialize(self.chart, self.coords, diff(unwrapped, dt), left=False)
 
     def at_node(self, k: int) -> GroupElement:
         return GroupElement(self.chart, self.coords[k])

@@ -1,7 +1,11 @@
-"""Hand-expanded group laws of the nilpotent towers, kept as reference
-fixtures for the charts that `liesys.groups` derives by BCH, and the
-closed-form log-derivatives and adjoints of the H3, SE2, Aff and Geps
+"""Hand-expanded group laws of H3 and the nilpotent towers, kept as
+reference fixtures for the charts that `liesys.groups` derives by BCH, and
+the closed-form log-derivatives and adjoints of the H3, SE2, Aff and Geps
 charts, kept as reference fixtures for the ones it derives per chart kind.
+
+The hand-written field rows of the linear and affine catalog realizations
+(`FIELDS`, keyed by system name and eps) are kept as the reference for the
+fields `liesys.catalog` reads off each chart's representation.
 
 The hand-expanded Riccati gauge law (`riccati_gauge`) is kept as the
 reference for `liesys.riccati.transform_coeffs`, which derives it from the
@@ -27,6 +31,33 @@ import math
 import numpy as np
 
 from liesys.algebra import _ad_series, wn_matrix
+
+
+def _h3_compose1(g, h):
+    a, b, c = g
+    ap, bp, cp = h
+    return np.array([a + ap, b + bp, c + cp + 0.5 * (a * bp - b * ap)])
+
+
+def _h3_compose2(g, h):
+    a, b, c = g
+    ap, bp, cp = h
+    return np.array([a + ap, b + bp, c + cp - b * ap])
+
+
+def _h3_inverse2(g):
+    a, b, c = g
+    return np.array([-a, -b, -c - a * b])
+
+
+def _h3_conv21(g):
+    a, b, c = g
+    return np.array([a, b, c + 0.5 * a * b])
+
+
+def _h3_conv12(g):
+    a, b, c = g
+    return np.array([a, b, c - 0.5 * a * b])
 
 
 def _g4_compose1(g, h):
@@ -211,6 +242,8 @@ def _gbar5_inverse2(g):
 
 
 LAWS = {
+    "H3": {"compose1": _h3_compose1, "compose2": _h3_compose2, "inverse2": _h3_inverse2,
+           "conv21": _h3_conv21, "conv12": _h3_conv12},
     "G4": {"compose1": _g4_compose1, "compose2": _g4_compose2,
            "inverse2": lambda g: _g4_conv12(-_g4_conv21(g)),
            "conv21": _g4_conv21, "conv12": _g4_conv12},
@@ -362,6 +395,32 @@ def right_invariant_derivative(chart, xi, hcoords):
     if chart.chart_kind == "canonical_first":
         return np.linalg.solve(_ad_series(alg, hcoords, 1), xi)
     return chart.compose_fn(_tangent_coords(chart, xi), hcoords)
+
+
+def _rotation_rows(x, eps=1):
+    """Rows X_1, X_2, X_3 of the rotations of g_eps acting linearly on R^3."""
+    return [[-x[1], x[0], 0.0], [x[2], 0.0, -eps * x[0]], [0.0, -x[2], eps * x[1]]]
+
+
+def _sl3_linear_rows(x):
+    return [[x[1], 0.0, 0.0], [0.5 * x[0], -0.5 * x[1], 0.0], [0.0, -x[0], 0.0],
+            [x[0] / 6.0, x[1] / 6.0, -x[2] / 3.0], [x[2], 0.0, 0.0], [0.0, x[2], 0.0],
+            [0.0, 0.0, -x[0]], [0.0, 0.0, -x[1]]]
+
+
+FIELDS = {
+    **{("elastic_euler", eps): (lambda x, eps=eps: np.array(_rotation_rows(x, eps)))
+       for eps in (-1, 0, 1)},
+    ("so3_kinematics", None): lambda x: np.array(_rotation_rows(x)),
+    ("se3_kinematics", None): lambda x: np.array(_rotation_rows(x) + np.eye(3).tolist()),
+    ("quadratic_hamiltonian_classical", None): lambda x: np.array(
+        [[x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]], [-1.0, 0.0], [0.0, -1.0]]),
+    ("td_linear_potential_classical", None): lambda x: np.array(
+        [[x[1], 0.0], [0.0, 1.0], [1.0, 0.0]]),
+    ("sl2_linear", None): lambda x: np.array(
+        [[x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]]]),
+    ("sl3_linear", None): lambda x: np.array(_sl3_linear_rows(x)),
+}
 
 
 def Ceps(eps, x):

@@ -14,6 +14,7 @@ from liesys.systems import (
 )
 from liesys.weinorman import ControlSignal, WNProblem, wn_matrix, wn_solve
 from conftest import smooth_controls
+from hand_laws import FIELDS
 
 GRID = TimeGrid.uniform(0.0, 1.0, 2000)
 
@@ -51,6 +52,14 @@ def test_action_properties(name, kw, rng):
     single = np.array([[sysr.action(c, pts[0]) for c in row] for row in coords])
     assert whole.shape == (3, 7, sysr.state_dim)
     assert np.max(np.abs(whole - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
+
+
+@pytest.mark.parametrize("name,eps", sorted(FIELDS, key=str), ids=str)
+def test_representation_fields_match_hand_rows(name, eps, rng):
+    entry = get_system(name, **({} if eps is None else {"eps": eps}))
+    fields = entry.realization.fields
+    for x in rng.uniform(-3.0, 3.0, (50, entry.realization.state_dim)):
+        assert np.max(np.abs(fields(x) - FIELDS[name, eps](x))) <= 1e-15
 
 
 def test_brockett_bracket_is_two_dz(rng):

@@ -59,6 +59,7 @@ def test_reduce_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["fixture_max_gap"] < 1e-6
+    assert report["reconstruction_log_derivative_gap"] < 1e-5
     for suffix in (".homogeneous.csv", ".coefficients.csv", ".reconstruction.csv"):
         assert (tmp_path / ("red" + suffix)).exists()
 
@@ -130,6 +131,29 @@ def test_unknown_system_exit_2(capsys):
     assert code == 2
     body = json.loads(stderr)
     assert body["code"] == "parse"
+
+
+def test_wrong_channel_count_exit_2(capsys):
+    for argv, given, driven, r in (
+            (["reduce", "--reduction", "se3/so3"], 1, 6, 6),
+            (["simulate", "--system", "brockett", "--x0", "0,0,0"], 1, 2, 3),
+            (["simulate", "--system", "brockett", "--x0", "0,0,0"], 4, 2, 3)):
+        controls = ";".join(["const:1"] * given)
+        code, stdout, stderr = run_cli(capsys, *argv, "--controls", controls,
+                                       "--grid", "0,1,10")
+        assert code == 2 and stdout == ""
+        body = json.loads(stderr)
+        assert body["code"] == "parse"
+        assert f"give {given} channels" in body["message"]
+        assert f"({driven})" in body["message"] and f"({r})" in body["message"]
+
+
+def test_check_command_reduction(capsys):
+    code, stdout, _ = run_cli(capsys, "check", "--suite", "reduction")
+    assert code == 0
+    names = [line.split()[1] for line in stdout.splitlines()]
+    assert names == ["reduction/fixtures", "reduction/reconstruction"]
+    assert "FAIL" not in stdout
 
 
 def test_domain_error_exit_3(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -253,6 +254,15 @@ def test_conversion_commutes_with_composition(rng):
         lhs = G.chart_convert(G.compose(g, h), mat).matrix()
         rhs = G.chart_convert(g, mat).matrix() @ G.chart_convert(h, mat).matrix()
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("key", ALL_KEYS, ids=str)
+def test_element_dict_round_trip(key, rng):
+    g = random_element(G._CHARTS[key], rng)
+    d = json.loads(json.dumps(G.element_to_dict(g)))
+    back = G.element_from_dict(d)
+    assert back.chart is g.chart
+    assert np.array_equal(back.coords, g.coords)
 
 
 # --- constraints ----------------------------------------------------------------

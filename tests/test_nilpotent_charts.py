@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesys.groups as G
-from liesys.algebra import catalog_algebra
+from liesys.algebra import catalog_algebra, catalog_names
 from liesys.errors import ChartError
 from hand_laws import LAWS
 
@@ -111,6 +111,45 @@ def test_derived_laws_match_hand_fixtures(group, g, h):
     for law, fixture in LAWS[group].items():
         args = (g, h) if law.startswith("compose") else (g,)
         assert np.max(np.abs(derived[law]() - fixture(*args))) <= 1e-12, law
+
+
+def _bch_four_terms(alg, x, y):
+    """Dynkin's series through the four-fold bracket, no term left out, with
+    the brackets taken as `bch` takes them."""
+    r = alg.dim
+    c = alg.structure.reshape(r, r * r)
+    ad_x = (x[..., None, :] @ c).reshape(x.shape[:-1] + (r, r))   # v @ ad_x = [x, v]
+    ad_y = (y[..., None, :] @ c).reshape(y.shape[:-1] + (r, r))
+    xy = (y[..., None, :] @ ad_x)[..., 0, :]
+    x_xy = (xy[..., None, :] @ ad_x)[..., 0, :]
+    y_xy = (xy[..., None, :] @ ad_y)[..., 0, :]
+    yx_xy = (x_xy[..., None, :] @ ad_y)[..., 0, :]
+    return x + y + 0.5 * xy + (x_xy - y_xy) / 12.0 - yx_xy / 24.0
+
+
+NILPOTENT_ALGEBRAS = [
+    alg for name in catalog_names()
+    for alg in ([catalog_algebra(name, n=n) for n in range(2, 11)] if name == "gbar"
+                else [catalog_algebra(name, eps=e) for e in (-1, 0, 1)] if name == "g_eps"
+                else [catalog_algebra(name)])
+    if alg.nilpotency_class is not None]
+
+
+def test_nilpotent_algebras_cover_every_class():
+    assert {alg.nilpotency_class for alg in NILPOTENT_ALGEBRAS} >= {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("alg", NILPOTENT_ALGEBRAS,
+                         ids=[f"{a.name}-{a.dim}" for a in NILPOTENT_ALGEBRAS])
+def test_bch_stops_at_the_class_without_changing_a_bit(alg):
+    # the terms the class leaves out are exact zeros; single points, a batch,
+    # and a point against a batch
+    rng = np.random.default_rng(alg.dim)
+    x, y = rng.uniform(-2.0, 2.0, (2, 40, alg.dim))
+    assert np.array_equal(G.bch(alg, x, y), _bch_four_terms(alg, x, y))
+    for a, b in zip(x, y):
+        assert np.array_equal(G.bch(alg, a, b), _bch_four_terms(alg, a, b))
+    assert np.array_equal(G.bch(alg, x[0], y), _bch_four_terms(alg, x[0], y))
 
 
 def test_bch_chart_rejects_class_above_four():

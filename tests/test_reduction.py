@@ -105,6 +105,20 @@ def test_catalog_reduction_roundtrip(name, kw):
         r = G.right_log_derivative(g, t, h=GRID.uniform_dt, order=4)
         worst = max(worst, float(np.max(np.abs(r + bp(t)))))
     assert worst < 1e-5
+    # and at every node, from the node coordinates alone
+    assert case.reconstruction_gap(b, g) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["h3/a1", "se2/a2a3", "se3/so3", "g7/ideal"])
+def test_reconstruction_gap_sees_a_missing_subgroup_factor(name):
+    # the lift alone projects to the homogeneous solution but does not solve
+    # the full system; its gap is the size of the reduced coefficients
+    case = catalog_reduction(name)
+    b = controls_for(case, name, {})
+    out = run_catalog_reduction(case, b, GRID)
+    lift = case.make_lift(out["homogeneous"])
+    assert case.reconstruction_gap(b, out["reconstruction"]) < 1e-5
+    assert case.reconstruction_gap(b, lift) > 1e-2
 
 
 def test_spec_fixture_h3_a3():
