@@ -2,8 +2,12 @@
 algebra, group action (when available), closed-form Wei-Norman solutions
 (when available), and domain notes.
 
-Each realization gives its fields stacked: `fields(x)` is the
-(r, state_dim) array whose row a is X_a(x).  A matrix group acting linearly
+Each realization gives its fields stacked and batched: `fields(x)` takes
+(..., state_dim) states and returns the (..., r, state_dim) array whose row
+a is X_a(x) at each state.  The rows are written over the state components
+x[..., i] (`_coords`, `_stacked`), so one state and a batch run the same
+array arithmetic and give the same bits; a domain is a (...) bool array of
+the same components.  A matrix group acting linearly
 or by affine maps needs no hand-written rows: its fields are read off the
 chart's representation, X_a(x) = -A_a x (`_linear_system`) or
 X_a(x) = -(L_a x + c_a) for A_a = [[L_a, c_a], [0, 0]] (`_affine_system`).
@@ -95,6 +99,35 @@ def _bsamp(b, grid, i):
     return b(grid.nodes)[:, i]
 
 
+def _coords(x):
+    """The components x[..., i] of (..., d) states: (...) arrays, 0-d for
+    one state, so that one state takes array arithmetic as a batch does."""
+    x = np.asarray(x, dtype=float)
+    return [x[..., i] for i in range(x.shape[-1])]
+
+
+def _stacked(x, rows):
+    """The (..., r, d) stacked field at the (..., d) states x, from its r rows
+    of d entries, each a number or a (...) array over the states."""
+    out = np.empty(np.shape(x)[:-1] + (len(rows), len(rows[0])))
+    for a, row in enumerate(rows):
+        for i, entry in enumerate(row):
+            out[..., a, i] = entry
+    return out
+
+
+def _matrix_field(mats):
+    """x -> (..., r, d) rows A_a x of the (r, d, d) matrices `mats`: one
+    stack of matrix-vector products over the states."""
+    flat = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1])
+
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        return (flat @ x[..., None])[..., 0].reshape(x.shape[:-1] + mats.shape[:2])
+
+    return field
+
+
 def _linear_action(g, x):
     """x -> G x: a matrix group on its defining space."""
     return _square(g) @ np.asarray(x, dtype=float)
@@ -110,7 +143,7 @@ def _linear_system(chart, name):
     """The matrix group of `chart` acting linearly on its defining space:
     the fields X_a(x) = -A_a x of its representation A_a."""
     rep = np.stack(chart.algebra_rep)
-    return LieSystemRealization(chart.algebra, rep.shape[-1], lambda x: -(rep @ x),
+    return LieSystemRealization(chart.algebra, rep.shape[-1], _matrix_field(-rep),
                                 _linear_action, chart, name=name)
 
 
@@ -118,8 +151,8 @@ def _affine_system(chart, name):
     """The matrix group of `chart`, with representation A_a = [[L_a, c_a],
     [0, 0]], acting by affine maps: the fields X_a(x) = -(L_a x + c_a)."""
     rep = np.stack(chart.algebra_rep)
-    L, c = rep[:, :-1, :-1], rep[:, :-1, -1]
-    return LieSystemRealization(chart.algebra, c.shape[-1], lambda x: -(L @ x + c),
+    field, c = _matrix_field(-rep[:, :-1, :-1]), -rep[:, :-1, -1]
+    return LieSystemRealization(chart.algebra, c.shape[-1], lambda x: field(x) + c,
                                 _affine_action, chart, name=name)
 
 
@@ -141,7 +174,8 @@ def _brockett():
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
 
     def fields(x):
-        return np.array([[1.0, 0.0, -x[1]], [0.0, 1.0, x[0]], [0.0, 0.0, 2.0]])
+        x0, x1, _ = _coords(x)
+        return _stacked(x, [[1.0, 0.0, -x1], [0.0, 1.0, x0], [0.0, 0.0, 2.0]])
 
     def action(g, x):
         a, b, c = g.T
@@ -163,7 +197,8 @@ def _brockett_variant():
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
 
     def fields(x):
-        return np.array([[1.0, 0.0, -x[1]], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        _, x1, _ = _coords(x)
+        return _stacked(x, [[1.0, 0.0, -x1], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def action(g, x):
         a, b, c = g.T
@@ -181,7 +216,8 @@ def _hopping(m_l: float = 1.0):
     k2 = 2.0 * m_l / (1.0 + m_l) ** 2
 
     def fields(x):
-        return np.array([[1.0, 0.0, -(k1 + k2 * x[1])], [0.0, 1.0, 0.0], [0.0, 0.0, k2]])
+        _, x1, _ = _coords(x)
+        return _stacked(x, [[1.0, 0.0, -(k1 + k2 * x1)], [0.0, 1.0, 0.0], [0.0, 0.0, k2]])
 
     def action(g, x):
         a, b, c = g.T
@@ -199,8 +235,9 @@ def _unicycle_feedback():
     chart = get_chart("H3", "canonical_second", (1, 2, 3))
 
     def fields(x):
-        return np.array([[0.0, 0.0, math.cos(x[2]) ** 2], [math.tan(x[2]), 1.0, 0.0],
-                         [1.0, 0.0, 0.0]])
+        x2 = _coords(x)[2]
+        c = np.cos(x2)
+        return _stacked(x, [[0.0, 0.0, c * c], [np.tan(x2), 1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def action(g, x):
         a, b, c = g.T
@@ -209,7 +246,7 @@ def _unicycle_feedback():
 
     sys = LieSystemRealization(
         alg, 3, fields, action, chart,
-        domain=lambda x: abs(x[2]) < math.pi / 2 - 1e-9,
+        domain=lambda x: np.abs(_coords(x)[2]) < math.pi / 2 - 1e-9,
         name="unicycle_feedback",
         domain_note="steering angle restricted to (-pi/2, pi/2)")
     return CatalogEntry("unicycle_feedback", sys, (1, 2), wn_closed_form=_h3_wn_closed)
@@ -226,8 +263,9 @@ def _rb_two():
     chart = get_chart("G4", "canonical_second", (1, 2, 3, 4))
 
     def fields(x):
-        return np.array([[1.0, 0.0, -x[1] ** 2], [0.0, 1.0, x[0] ** 2],
-                         [0.0, 0.0, 2.0 * (x[0] + x[1])], [0.0, 0.0, 2.0]])
+        x0, x1, _ = _coords(x)
+        return _stacked(x, [[1.0, 0.0, -x1 ** 2], [0.0, 1.0, x0 ** 2],
+                            [0.0, 0.0, 2.0 * (x0 + x1)], [0.0, 0.0, 2.0]])
 
     def action(g, x):
         a, b, c, d = g.T
@@ -259,10 +297,11 @@ def _brockett_deg2():
     chart = get_chart("G5", "canonical_second", (1, 2, 3, 4, 5))
 
     def fields(x):
-        return np.array([
-            [1.0, 0.0, -x[1], 0.0, x[1] ** 2],
-            [0.0, 1.0, x[0], x[0] ** 2, 0.0],
-            [0.0, 0.0, 2.0, 2.0 * x[0], -2.0 * x[1]],
+        x0, x1 = _coords(x)[:2]
+        return _stacked(x, [
+            [1.0, 0.0, -x1, 0.0, x1 ** 2],
+            [0.0, 1.0, x0, x0 ** 2, 0.0],
+            [0.0, 0.0, 2.0, 2.0 * x0, -2.0 * x1],
             [0.0, 0.0, 0.0, 2.0, 0.0],
             [0.0, 0.0, 0.0, 0.0, -2.0],
         ])
@@ -293,10 +332,11 @@ def _nikolaev2():
     alg = catalog_algebra("g5")
 
     def fields(x):
-        return np.array([
+        x0, x1 = _coords(x)[:2]
+        return _stacked(x, [
             [1.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, x[0], x[0] ** 2, 2.0 * x[0] * x[1]],
-            [0.0, 0.0, 1.0, 2.0 * x[0], 2.0 * x[1]],
+            [0.0, 1.0, x0, x0 ** 2, 2.0 * x0 * x1],
+            [0.0, 0.0, 1.0, 2.0 * x0, 2.0 * x1],
             [0.0, 0.0, 0.0, 2.0, 0.0],
             [0.0, 0.0, 0.0, 0.0, 2.0],
         ])
@@ -310,16 +350,16 @@ def _brockett_deg3():
     alg = catalog_algebra("g7")
 
     def fields(x):
-        return np.array([
-            [1, 0, -x[1], 0, x[1] ** 2, 0, x[1] ** 3, x[0] ** 2 * x[1]],
-            [0, 1, x[0], x[0] ** 2, 0, x[0] ** 3, 0, x[0] * x[1] ** 2],
-            [0, 0, 2, 2 * x[0], -2 * x[1], 3 * x[0] ** 2, -3 * x[1] ** 2,
-             x[1] ** 2 - x[0] ** 2],
-            [0, 0, 0, 2, 0, 6 * x[0], 0, -2 * x[0]],
-            [0, 0, 0, 0, -2, 0, -6 * x[1], 2 * x[1]],
+        x0, x1 = _coords(x)[:2]
+        return _stacked(x, [
+            [1, 0, -x1, 0, x1 ** 2, 0, x1 ** 3, x0 ** 2 * x1],
+            [0, 1, x0, x0 ** 2, 0, x0 ** 3, 0, x0 * x1 ** 2],
+            [0, 0, 2, 2 * x0, -2 * x1, 3 * x0 ** 2, -3 * x1 ** 2, x1 ** 2 - x0 ** 2],
+            [0, 0, 0, 2, 0, 6 * x0, 0, -2 * x0],
+            [0, 0, 0, 0, -2, 0, -6 * x1, 2 * x1],
             [0, 0, 0, 0, 0, 6, 0, -2],
             [0, 0, 0, 0, 0, 0, -6, 2],
-        ], dtype=float)
+        ])
 
     sys = LieSystemRealization(alg, 8, fields, name="brockett_deg3")
     return CatalogEntry("brockett_deg3", sys, (1, 2),
@@ -331,16 +371,17 @@ def _murray():
     alg = catalog_algebra("g8")
 
     def fields(x):
-        return np.array([
-            [1, 0, 0, x[2], 0, x[3], 0, 0],
-            [0, 1, x[0], 0, x[2], 0, x[3], x[4]],
-            [0, 0, 1, -x[0], 0, 0, x[2], 0],
-            [0, 0, 0, -2, 0, x[0], 0, 0],
-            [0, 0, 0, 0, -1, 0, 2 * x[0], 0],
+        x0, _, x2, x3, x4 = _coords(x)[:5]
+        return _stacked(x, [
+            [1, 0, 0, x2, 0, x3, 0, 0],
+            [0, 1, x0, 0, x2, 0, x3, x4],
+            [0, 0, 1, -x0, 0, 0, x2, 0],
+            [0, 0, 0, -2, 0, x0, 0, 0],
+            [0, 0, 0, 0, -1, 0, 2 * x0, 0],
             [0, 0, 0, 0, 0, 3, 0, 0],
             [0, 0, 0, 0, 0, 0, 2, 0],
             [0, 0, 0, 0, 0, 0, 0, 1],
-        ], dtype=float)
+        ])
 
     sys = LieSystemRealization(alg, 8, fields, name="murray_nonsinusoid")
 
@@ -369,8 +410,9 @@ def _nikolaev8():
     base[0, 0] = base[1, 1] = 1.0
 
     def fields(x):
-        out = base.copy()
-        out[1:, 2:] = coef * x[0] ** expo
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(base, x.shape[:-1] + base.shape).copy()
+        out[..., 1:, 2:] = coef * x[..., 0, None, None] ** expo
         return out
 
     sys = LieSystemRealization(alg, 7, fields, name="nikolaev_deg8")
@@ -395,8 +437,9 @@ def _unicycle():
     chart = get_chart("SE2", "canonical_second", (1, 2, 3))
 
     def fields(x):
-        s, c = math.sin(x[2]), math.cos(x[2])
-        return np.array([[0.0, 0.0, 1.0], [s, c, 0.0], [c, -s, 0.0]])
+        x2 = _coords(x)[2]
+        s, c = np.sin(x2), np.cos(x2)
+        return _stacked(x, [[0.0, 0.0, 1.0], [s, c, 0.0], [c, -s, 0.0]])
 
     def action(g, x):
         th, a, b = g.T
@@ -418,7 +461,8 @@ def _unicycle_y():
     chart = get_chart("SE2", "canonical_second", (1, 2, 3))
 
     def fields(x):
-        return np.array([[1.0, x[2], -x[1]], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        _, x1, x2 = _coords(x)
+        return _stacked(x, [[1.0, x2, -x1], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def action(g, x):
         th, a, b = g.T
@@ -443,8 +487,9 @@ def _kinematic_car():
     chart = get_chart("Gbar4", "canonical_second", (1, 2, 3, 4))
 
     def fields(x):
-        return np.array([[1.0, 0.0, x[1], x[2]], [0.0, 1.0, 0.0, 0.0],
-                         [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        _, x1, x2, _ = _coords(x)
+        return _stacked(x, [[1.0, 0.0, x1, x2], [0.0, 1.0, 0.0, 0.0],
+                            [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
     def action(g, x):
         a, b, c, d = g.T
@@ -471,8 +516,9 @@ def _martinet():
     chart = get_chart("Gbar4", "canonical_second", (1, 2, 3, 4))
 
     def fields(x):
-        return np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, x[1], 0.5 * x[1] ** 2],
-                         [0.0, 0.0, 1.0, x[1]], [0.0, 0.0, 0.0, 1.0]])
+        x1 = _coords(x)[1]
+        return _stacked(x, [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, x1, 0.5 * x1 ** 2],
+                            [0.0, 0.0, 1.0, x1], [0.0, 0.0, 0.0, 1.0]])
 
     def action(g, x):
         a, b, c, d = g.T
@@ -495,7 +541,8 @@ def _power_fields(n):
     fact = np.array([math.factorial(k) for k in range(n)], dtype=float)[expo]
 
     def fields(x):
-        return np.where(rows, x[0] ** expo / fact, 0.0)
+        x = np.asarray(x, dtype=float)
+        return np.where(rows, x[..., 0, None, None] ** expo / fact, 0.0)
     return fields
 
 
@@ -535,8 +582,9 @@ def _chained(n: int = 4):
     base = np.diag([1.0, 1.0] + [(-1.0) ** (i + 1) for i in range(2, n)])
 
     def fields(x):
-        out = base.copy()
-        out[0, 2:] = x[1:n - 1]
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(base, x.shape[:-1] + base.shape).copy()
+        out[..., 0, 2:] = x[..., 1:n - 1]
         return out
 
     sys = LieSystemRealization(alg, n, fields, name=f"chained_{n}")
@@ -657,7 +705,8 @@ def _driven_osc():
     alg = catalog_algebra("oscq")
 
     def fields(x):
-        return np.array([[x[1], -x[0]], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [[x1, -x0], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
 
     def wn_closed(b, grid):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -693,7 +742,8 @@ def _sl2_pair():
     alg = catalog_algebra("sl2")
 
     def fields(x):
-        return np.array([[1.0, 1.0], [x[0], x[1]], [x[0] ** 2, x[1] ** 2]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [[1.0, 1.0], [x0, x1], [x0 ** 2, x1 ** 2]])
 
     def action(g, x):
         M = _square(g)
@@ -715,7 +765,8 @@ def _sl2_complex():
     alg = catalog_algebra("sl2")
 
     def fields(x):
-        return np.array([[1.0, 0.0], [x[0], x[1]], [x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [[1.0, 0.0], [x0, x1], [x0 ** 2 - x1 ** 2, 2.0 * x0 * x1]])
 
     def action(g, x):
         w = _homography(_square(g), complex(x[0], x[1]))
@@ -732,7 +783,8 @@ def _sl2_mixed1():
     alg = catalog_algebra("sl2")
 
     def fields(x):
-        return np.array([[1.0, 0.0], [x[0], 0.5 * x[1]], [x[0] ** 2, x[0] * x[1]]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [[1.0, 0.0], [x0, 0.5 * x1], [x0 ** 2, x0 * x1]])
 
     def action(g, x):
         M = _square(g)
@@ -749,7 +801,8 @@ def _sl2_mixed2():
     alg = catalog_algebra("sl2")
 
     def fields(x):
-        return np.array([[1.0, 0.0], [x[0], -x[1]], [x[0] ** 2, -(2.0 * x[0] * x[1] + 1.0)]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [[1.0, 0.0], [x0, -x1], [x0 ** 2, -(2.0 * x0 * x1 + 1.0)]])
 
     def action(g, x):
         M = _square(g)
@@ -768,9 +821,10 @@ def _sl3_riccati():
     alg = catalog_algebra("sl3")
 
     def fields(x):
-        return np.array([
-            [x[1], 0.0], [0.5 * x[0], -0.5 * x[1]], [0.0, -x[0]], [0.5 * x[0], 0.5 * x[1]],
-            [1.0, 0.0], [0.0, 1.0], [x[0] ** 2, x[0] * x[1]], [x[0] * x[1], x[1] ** 2]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [
+            [x1, 0.0], [0.5 * x0, -0.5 * x1], [0.0, -x0], [0.5 * x0, 0.5 * x1],
+            [1.0, 0.0], [0.0, 1.0], [x0 ** 2, x0 * x1], [x0 * x1, x1 ** 2]])
 
     def action(g, x):
         M = _square(g)
@@ -804,8 +858,8 @@ def _affine_scalar():
         a, b = g.T
         return np.array([np.exp(-b) * x[0] - a]).T
 
-    sys = LieSystemRealization(alg, 1, lambda x: np.array([[1.0], [x[0]]]), action, chart,
-                               name="affine_scalar")
+    sys = LieSystemRealization(alg, 1, lambda x: _stacked(x, [[1.0], _coords(x)]), action,
+                               chart, name="affine_scalar")
 
     def closed_form(b, grid, x0):
         b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
@@ -823,8 +877,9 @@ def _yz():
     alg = catalog_algebra("r2sl2yz")
 
     def fields(x):
-        return np.array([[1.0, 0.0], [x[0], 0.5 * x[1]], [x[0] ** 2, x[0] * x[1]],
-                         [0.0, 1.0], [0.0, x[0]]])
+        x0, x1 = _coords(x)
+        return _stacked(x, [[1.0, 0.0], [x0, 0.5 * x1], [x0 ** 2, x0 * x1],
+                            [0.0, 1.0], [0.0, x0]])
 
     sys = LieSystemRealization(alg, 2, fields, name="yz_physics")
     return CatalogEntry("yz_physics", sys, (1, 2, 3, 4, 5),

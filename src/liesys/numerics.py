@@ -9,6 +9,19 @@ rows at `rk4_stage_times(grid)`, the nodes interleaved with the step
 midpoints.  `integrate_rk4` hands step k the rows 2k, 2k+1 and 2k+2 (the
 stage times t_k, t_k + dt_k/2 and t_{k+1}), so the right-hand side never
 evaluates its inputs itself.
+
+`sweep_rk4` runs the library's RK4 solves by Picard sweeps over windows
+of at most `_WINDOW` steps (waveform relaxation: Lelarasmee, Ruehli &
+Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  A sweep evaluates the
+four stages once over the whole window and rebuilds it as one running sum
+of the step increments, the loop's float operations in its order; a window
+is accepted when a sweep leaves it bitwise unchanged.  After k sweeps the
+first k steps are exact, so one sweep more than the window's steps always
+suffices.  A window whose updates stop shrinking above roundoff, or one of
+whose stages raises, runs by `integrate_rk4` one state at a time, which
+names any failure as the loop does.  The right-hand side takes batches, so
+realizations give batched `fields` and `domain`, and reductions a batched
+`hom_rhs`; `batch_guard` checks them at construction.
 """
 
 from __future__ import annotations
@@ -18,11 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, SingularMatrixError
+from .errors import LieSysError, NumericsError, SingularMatrixError
 
 # Default resolution: 2000 uniform steps per unit time. All quoted
 # tolerances in the tests assume this.
 STEPS_PER_UNIT_TIME = 2000
+# Picard sweeps (here and in the Wei-Norman engine): the widest window in
+# steps, and the update, relative to max(1, |x|), that counts as roundoff
+_WINDOW = 128
+_ROUNDOFF = 64 * np.finfo(float).eps
+# a batched call must agree with the single-row calls to this relative error
+_BATCH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,6 +218,95 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
             raise NumericsError(f"non-finite RK4 step from t={t:.6g}", t=t, state=x)
         states[k + 1] = x = step
     return Trajectory(grid, states, meta)
+
+
+def _rk4_window(f, xa, t, dt, rows):
+    """Picard sweeps of the RK4 recurrence from state xa over the steps of
+    widths dt starting at times t, with stage-table rows `rows`: the window's
+    states once a sweep leaves them bitwise unchanged, or None when the
+    largest update stops shrinking above roundoff, a stage raises
+    LieSysError or the fixed point is not finite."""
+    h = 0.5 * dt
+    times = (t, t + h, t + dt)
+    u0, uh, u1 = rows[:-1:2], rows[1::2], rows[2::2]
+    hc, dtc, sixth = h[:, None], dt[:, None], (dt / 6.0)[:, None]
+    X, last = np.broadcast_to(xa, (len(dt) + 1, len(xa))), np.inf
+    # unconverged iterates may overflow or leave a function's domain; a
+    # window that ends there runs by the loop, which warns and raises
+    with np.errstate(all="ignore"):
+        for _ in range(len(dt) + 1):
+            x = X[:-1]
+            try:
+                k1 = f(times[0], x, u0)
+                k2 = f(times[1], x + hc * k1, uh)
+                k3 = f(times[1], x + hc * k2, uh)
+                k4 = f(times[2], x + dtc * k3, u1)
+            except LieSysError:
+                return None
+            incr = sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            new = np.add.accumulate(np.concatenate([X[:1], incr]))
+            if (new == X).all():
+                return new if np.isfinite(new).all() else None
+            update = np.max(np.abs(new - X))
+            if not (update <= _ROUNDOFF * max(1.0, np.max(np.abs(new))) or update < last):
+                return None              # also catches NaN
+            X, last = new, update
+    return None
+
+
+def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
+    """Classical fixed-step RK4 sampled at the grid nodes, by windowed
+    Picard sweeps (see the module docstring); the result is `integrate_rk4`
+    on f one state at a time, to the last bit.
+
+    f(t, x, u) takes (m,) times, (m, d) states and the (m, ...) rows of
+    `table` at those times and returns the (m, d) derivatives; `table`
+    holds the inputs sampled at `rk4_stage_times(grid)`."""
+    nodes = grid.nodes
+    n = len(nodes) - 1
+    if len(table) != 2 * n + 1:
+        raise NumericsError(f"stage table needs {2 * n + 1} rows, got {len(table)}")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    states = np.empty((n + 1, len(x)))
+    states[0] = x
+    dt = np.diff(nodes)
+
+    def one(t, x, u):       # f on one state, for the step-by-step loop
+        return f(np.array([t]), x[None], u[None])[0]
+
+    for a in range(0, n, _WINDOW):
+        e = min(a + _WINDOW, n)
+        rows = table[2 * a:2 * e + 1]
+        window = _rk4_window(f, states[a], nodes[a:e], dt[a:e], rows)
+        if window is None:
+            window = integrate_rk4(one, states[a], TimeGrid.from_nodes(nodes[a:e + 1]),
+                                   table=rows).states
+        states[a + 1:e + 1] = window[1:]
+    return Trajectory(grid, states, meta)
+
+
+def batch_guard(fn, what, dims, avoid=()):
+    """Call fn once on a batch of distinct rows, one (B, d) argument per
+    size d in `dims` (None gives a (B,) argument), and return the result.
+    It must equal the B single-row calls stacked, in shape and to
+    `_BATCH_RTOL` in value, or LieSysError names `what`.  B is the smallest
+    size from 2 that is in neither `dims` nor `avoid`, so a result that
+    ignores the batch axis cannot pass by broadcasting."""
+    sizes = set(dims) | set(avoid)
+    B = next(b for b in range(2, len(sizes) + 3) if b not in sizes)
+    level = 0.1 * np.arange(1, B + 1)
+    args = [level if d is None else level[:, None] + 0.01 * np.arange(d) for d in dims]
+    out = fn(*args)
+    batch = np.asarray(out, dtype=float)
+    rows = np.asarray([fn(*(a[k] for a in args)) for k in range(B)], dtype=float)
+    if batch.shape != rows.shape:
+        raise LieSysError(f"{what}: a batch of {B} states gives {batch.shape}, not the "
+                          f"single calls stacked {rows.shape}")
+    gap = float(np.max(np.abs(batch - rows), initial=0.0))
+    if not gap <= _BATCH_RTOL * max(1.0, float(np.max(np.abs(rows), initial=0.0))):
+        raise LieSysError(f"{what}: a batch of {B} states differs from the single calls "
+                          f"by {gap:.3g}")
+    return out
 
 
 def quadrature(f, grid: TimeGrid) -> np.ndarray:

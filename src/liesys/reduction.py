@@ -38,10 +38,11 @@ from .groups import (  # left_log_derivative stays importable from here
 from .numerics import (
     TimeGrid,
     Trajectory,
+    batch_guard,
     diff_samples4,
-    integrate_rk4,
     interp_columns,
     rk4_stage_times,
+    sweep_rk4,
 )
 from .weinorman import ControlSignal, GroupCurve
 
@@ -204,17 +205,25 @@ def run_catalog_reduction(case: "ReductionCase", b: ControlSignal,
 @dataclass
 class ReductionCase:
     """A cataloged reduction: homogeneous system, lift shape, span, and the
-    closed-form reduced coefficients used as test fixtures."""
+    closed-form reduced coefficients used as test fixtures.
+
+    `hom_rhs(t, y, b)` takes (...) times, (..., hom_dim) states and (..., r)
+    padded controls and returns (..., hom_dim) derivatives; it is checked
+    once at construction by `numerics.batch_guard`."""
 
     name: str
     chart: GroupChart
     span_indices: tuple              # 1-based algebra indices spanning h
     used_channels: tuple
     hom_dim: int
-    hom_rhs: object                  # (t, y, padded controls at t) -> dy/dt
+    hom_rhs: object                  # (t, y, padded controls at t) -> dy/dt, batched
     hom_x0: object
     lift_coords: object              # (..., hom_dim) states -> (..., d) chart coords
     expected_coeffs: object          # (..., r) controls, (...) times, states -> (..., s)
+
+    def __post_init__(self):
+        dims = (None, self.hom_dim, self.chart.algebra.dim)
+        batch_guard(self.hom_rhs, f"{self.name}: hom_rhs", dims)
 
     def span_vectors(self):
         r = self.chart.algebra.dim
@@ -230,8 +239,7 @@ class ReductionCase:
 
     def solve_homogeneous(self, b: ControlSignal, grid: TimeGrid) -> Trajectory:
         table = self.pad_controls(b)(rk4_stage_times(grid))
-        return integrate_rk4(self.hom_rhs, self.hom_x0, grid,
-                             meta=f"{self.name} homogeneous", table=table)
+        return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=f"{self.name} homogeneous")
 
     def make_lift(self, hom: Trajectory) -> GroupCurve:
         return GroupCurve(self.chart, hom.grid, self.lift_coords(hom.states))
@@ -272,6 +280,12 @@ def _componentwise(formula):
     return lambda b, t, y: np.array(formula(b.T, t, y.T)).T
 
 
+def _rhs(formula):
+    """hom_rhs from a formula on the components y.T, b.T of (..., hom_dim)
+    states and (..., r) controls that lists the derivative's components."""
+    return lambda t, y, b: np.array(formula(t, y.T, b.T)).T
+
+
 _RED: dict = {}
 
 
@@ -297,7 +311,7 @@ def _h3_case(which):
     if which == 1:
         return ReductionCase(
             "h3/a1", chart, (1,), (1, 2), 2,
-            hom_rhs=lambda t, y, b: np.array([-b[1], -b[0] * y[0]]),
+            hom_rhs=_rhs(lambda t, y, b: [-b[1], -b[0] * y[0]]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [1, 2]),
             expected_coeffs=_componentwise(lambda bv, t, y: [bv[0]]),
@@ -305,14 +319,14 @@ def _h3_case(which):
     if which == 2:
         return ReductionCase(
             "h3/a2", chart, (2,), (1, 2), 2,
-            hom_rhs=lambda t, y, b: np.array([-b[0], b[1] * y[0]]),
+            hom_rhs=_rhs(lambda t, y, b: [-b[0], b[1] * y[0]]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [0, 2]),
             expected_coeffs=_componentwise(lambda bv, t, y: [bv[1]]),
         )
     return ReductionCase(
         "h3/a3", chart, (3,), (1, 2), 2,
-        hom_rhs=lambda t, y, b: np.array([-b[0], -b[1]]),
+        hom_rhs=_rhs(lambda t, y, b: [-b[0], -b[1]]),
         hom_x0=np.zeros(2),
         lift_coords=_lift_into(np.zeros(3), [0, 1]),
         expected_coeffs=_componentwise(lambda bv, t, y: [0.5 * (bv[0] * y[1] - bv[1] * y[0])]),
@@ -331,7 +345,7 @@ def _se2_case(which):
     if which == "a1":
         return ReductionCase(
             "se2/a1", chart, (1,), (1, 2), 2,
-            hom_rhs=lambda t, z, b: np.array([-b[1] + b[0] * z[1], -b[0] * z[0]]),
+            hom_rhs=_rhs(lambda t, z, b: [-b[1] + b[0] * z[1], -b[0] * z[0]]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [1, 2]),
             expected_coeffs=_componentwise(lambda bv, t, z: [bv[0]]),
@@ -339,7 +353,7 @@ def _se2_case(which):
     if which == "a2":
         return ReductionCase(
             "se2/a2", chart, (2,), (1, 2), 2,
-            hom_rhs=lambda t, z, b: np.array([-b[0], b[1] * np.sin(z[0])]),
+            hom_rhs=_rhs(lambda t, z, b: [-b[0], b[1] * np.sin(z[0])]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [0, 2]),
             expected_coeffs=_componentwise(lambda bv, t, z: [bv[1] * np.cos(z[0])]),
@@ -347,14 +361,14 @@ def _se2_case(which):
     if which == "a3":
         return ReductionCase(
             "se2/a3", chart, (3,), (1, 2), 2,
-            hom_rhs=lambda t, z, b: np.array([-b[0], -b[1] * np.cos(z[0])]),
+            hom_rhs=_rhs(lambda t, z, b: [-b[0], -b[1] * np.cos(z[0])]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [0, 1]),
             expected_coeffs=_componentwise(lambda bv, t, z: [-bv[1] * np.sin(z[0])]),
         )
     return ReductionCase(
         "se2/a2a3", chart, (2, 3), (1, 2), 1,
-        hom_rhs=lambda t, z, b: np.array([-b[0]]),
+        hom_rhs=_rhs(lambda t, z, b: [-b[0]]),
         hom_x0=np.zeros(1),
         lift_coords=_lift_into(np.zeros(3), [0]),
         expected_coeffs=_componentwise(
@@ -374,7 +388,7 @@ def _sl2_case(which):
     if which == "a2a3":
         return ReductionCase(
             "sl2/a2a3", chart, (2, 3), (1, 2, 3), 1,
-            hom_rhs=lambda t, y, b: np.array([b[0] + b[1] * y[0] + b[2] * y[0] ** 2]),
+            hom_rhs=_rhs(lambda t, y, b: [b[0] + b[1] * y[0] + b[2] * y[0] ** 2]),
             hom_x0=np.zeros(1),
             lift_coords=_lift_into([1.0, 0.0, 0.0, 1.0], [1]),
             expected_coeffs=_componentwise(lambda bv, t, y: [bv[1] + 2.0 * bv[2] * y[0], bv[2]]),
@@ -382,7 +396,7 @@ def _sl2_case(which):
     # which == "a1a2": homogeneous coordinate w = 1/y with w(0) = 0
     return ReductionCase(
         "sl2/a1a2", chart, (1, 2), (1, 2, 3), 1,
-        hom_rhs=lambda t, w, b: np.array([-b[2] - b[1] * w[0] - b[0] * w[0] ** 2]),
+        hom_rhs=_rhs(lambda t, w, b: [-b[2] - b[1] * w[0] - b[0] * w[0] ** 2]),
         hom_x0=np.zeros(1),
         lift_coords=_lift_into([1.0, 0.0, 0.0, 1.0], [2]),
         expected_coeffs=_componentwise(lambda bv, t, w: [bv[0], bv[1] + 2.0 * bv[0] * w[0]]),
@@ -396,8 +410,7 @@ _register("sl2/a1a2", lambda: _sl2_case("a1a2"))
 # --- nilpotent towers: quotient by the center / Abelian ideals ---------------
 
 
-def _h3_hom_rhs(t, y, b):
-    return np.array([-b[0], -b[1], 0.5 * (b[1] * y[0] - b[0] * y[1])])
+_h3_hom_rhs = _rhs(lambda t, y, b: [-b[0], -b[1], 0.5 * (b[1] * y[0] - b[0] * y[1])])
 
 
 def _g5_center():
@@ -494,13 +507,14 @@ _register("gbar5/ideal", _gbar5_ideal)
 def _geps_case(eps):
     chart = get_chart("Geps", "quaternion", eps=eps)
 
+    @_rhs
     def hom_rhs(t, z, b):
         b1, b2, b3 = b[:3]
         z1, z2 = z
-        return np.array([
+        return [
             b1 * z2 - 0.5 * b2 * (1.0 + eps * (z1**2 - z2**2)) - b3 * eps * z1 * z2,
             -b1 * z1 - b2 * eps * z1 * z2 - 0.5 * b3 * (1.0 - eps * (z1**2 - z2**2)),
-        ])
+        ]
 
     def lift(z):
         z1, z2 = z.T
@@ -526,13 +540,14 @@ def _se3_so3():
     # H = SO(3); homogeneous space R^3 with the affine action
     chart = get_chart("SE3", "matrix")
 
+    @_rhs
     def hom_rhs(t, x, b):
         b1, b2, b3, b4, b5, b6 = b
-        return np.array([
+        return [
             b4 + b2 * x[2] - b1 * x[1],
             b5 + b1 * x[0] - b3 * x[2],
             b6 + b3 * x[1] - b2 * x[0],
-        ])
+        ]
 
     return ReductionCase(
         "se3/so3", chart, (1, 2, 3), (1, 2, 3, 4, 5, 6), 3,
@@ -552,8 +567,9 @@ def _se3_r3():
     so3rep = np.stack(get_chart("SO3", "matrix").algebra_rep).reshape(3, 9)
 
     def hom_rhs(t, a_flat, b):
-        xi = -(b[:3] @ so3rep).reshape(3, 3)
-        return (xi @ a_flat.reshape(3, 3)).reshape(-1)
+        lead = np.shape(a_flat)[:-1]
+        xi = -(b[..., :3] @ so3rep).reshape(lead + (3, 3))
+        return (xi @ np.reshape(a_flat, lead + (3, 3))).reshape(lead + (9,))
 
     def expected(b, t, a_flat):
         # the translation generators carry a sign in the matrix basis, so

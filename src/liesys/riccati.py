@@ -32,10 +32,10 @@ from .numerics import (
     cumulative_quadrature_samples,
     diff_samples,
     diff_samples4,
-    integrate_rk4,
     interp_columns,
     rk4_stage_times,
     second_diff_samples,
+    sweep_rk4,
 )
 from .systems import INFINITY, _homography, _pole_guard, cross_ratio, riccati_superposition
 from .weinorman import ControlSignal, _channel_on_times
@@ -90,10 +90,10 @@ class RiccatiCoeffs:
         return a2 * x * x + a1 * x + a0
 
     def solve(self, x0, grid: TimeGrid) -> Trajectory:
-        """RK4 from x(t0) = x0, with the triple sampled once at the RK4 stage
-        times rather than evaluated at every stage."""
-        return integrate_rk4(lambda t, x, u: u[2] * x * x + u[1] * x + u[0], x0, grid,
-                             meta="riccati", table=self(rk4_stage_times(grid)))
+        """RK4 from x(t0) = x0 by `sweep_rk4`, with the triple sampled once at
+        the RK4 stage times rather than evaluated at every stage."""
+        return sweep_rk4(lambda t, x, u: u[:, 2:] * x * x + u[:, 1:2] * x + u[:, :1], x0, grid,
+                         self(rk4_stage_times(grid)), meta="riccati")
 
     @classmethod
     def sampled(cls, grid: TimeGrid, a0, a1, a2):

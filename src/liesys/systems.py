@@ -11,7 +11,14 @@ import numpy as np
 from .algebra import LieAlgebra
 from .errors import CoincidenceError, DomainExitError, LieSysError
 from .groups import GroupChart, _on_chart, _same_chart
-from .numerics import TimeGrid, Trajectory, central_diff, integrate_rk4, rk4_stage_times
+from .numerics import (  # integrate_rk4 stays bound here: the span tests in perfbench patch it
+    TimeGrid,
+    Trajectory,
+    batch_guard,
+    integrate_rk4,
+    rk4_stage_times,
+    sweep_rk4,
+)
 from .weinorman import ControlSignal, GroupCurve
 
 INFINITY = float("inf")
@@ -23,30 +30,43 @@ class LieSystemRealization:
     an optional group action that integrates it by the one curve through
     the identity.
 
-    `fields(x)` returns the stacked field at one state x: the
-    (r, state_dim) array whose row a is X_a(x).  `action(g, x)` moves one
-    state x by (..., coord_dim) coordinates g of `action_chart` and returns
-    (..., state_dim) states, one per point of g, so a whole curve goes
-    through one call."""
+    `fields(x)` takes (..., state_dim) states and returns the stacked
+    fields, (..., r, state_dim), whose row a at each state is X_a(x);
+    `domain(x)` takes the same states and returns a (...) bool array.  Both
+    are checked once at construction by `numerics.batch_guard`: on a batch
+    of states they must give the single-state calls stacked.
+    `action(g, x)` moves one state x by (..., coord_dim) coordinates g of
+    `action_chart` and returns (..., state_dim) states, one per point of g,
+    so a whole curve goes through one call."""
 
     algebra: LieAlgebra
     state_dim: int
-    fields: Callable                          # x -> (r, state_dim)
+    fields: Callable                          # (..., state_dim) -> (..., r, state_dim)
     action: Callable | None = None            # ((..., d) coords, x) -> (..., state_dim)
     action_chart: GroupChart | None = None
-    domain: Callable | None = None            # x -> bool
+    domain: Callable | None = None            # (..., state_dim) -> (...) bool
     name: str = ""
     domain_note: str = ""
 
     def __post_init__(self):
-        shape = np.shape(self.fields(np.zeros(self.state_dim)))
-        if shape != (self.algebra.dim, self.state_dim):
-            raise LieSysError(f"{self.name}: fields give {shape}, need one row per basis "
-                              f"element: {(self.algebra.dim, self.state_dim)}")
+        dims = (self.algebra.dim, self.state_dim)
+        shape = np.shape(batch_guard(self.fields, f"{self.name}: fields", (self.state_dim,), dims))
+        if shape[1:] != dims:
+            raise LieSysError(f"{self.name}: fields give {shape[1:]}, need one row per basis "
+                              f"element: {dims}")
+        if self.domain is not None:
+            batch_guard(self.domain, f"{self.name}: domain", (self.state_dim,), dims)
 
     def check_domain(self, t, x):
-        if self.domain is not None and not self.domain(x):
-            raise DomainExitError(t, x, f"{self.name}: left the validity domain at t={t}")
+        """Raise DomainExitError at the first of the (..., state_dim) states
+        x outside the domain, naming that state and its time in t."""
+        if self.domain is None:
+            return
+        outside = ~np.asarray(self.domain(x), dtype=bool)
+        if outside.any():
+            k = np.unravel_index(np.argmax(outside), outside.shape)
+            t = float(np.broadcast_to(t, outside.shape)[k])
+            raise DomainExitError(t, x[k], f"{self.name}: left the validity domain at t={t}")
 
 
 def field_eval(sys: LieSystemRealization, b, t: float, x) -> np.ndarray:
@@ -58,16 +78,16 @@ def field_eval(sys: LieSystemRealization, b, t: float, x) -> np.ndarray:
 
 
 def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid) -> Trajectory:
-    """RK4 on the realization's vector field, with the controls sampled once
-    at the RK4 stage times.  Every stage state is checked against the
-    domain, as `field_eval` checks it."""
+    """RK4 on the realization's vector field by `sweep_rk4`, with the
+    controls sampled once at the RK4 stage times.  Every stage state is
+    checked against the domain, as `field_eval` checks it."""
     fields, check_domain = sys.fields, sys.check_domain
 
     def stage(t, x, u):
         check_domain(t, x)
-        return u @ fields(x)
+        return (u[:, None, :] @ fields(x))[:, 0]
 
-    return integrate_rk4(stage, x0, grid, meta=sys.name, table=b(rk4_stage_times(grid)))
+    return sweep_rk4(stage, x0, grid, b(rk4_stage_times(grid)), meta=sys.name)
 
 
 def solve_via_group(sys: LieSystemRealization, gcurve: GroupCurve, x0) -> Trajectory:
@@ -85,21 +105,22 @@ def solve_via_group(sys: LieSystemRealization, gcurve: GroupCurve, x0) -> Trajec
 def generator_bracket_residual(sys: LieSystemRealization, points, h=1e-5) -> float:
     """Consistency of vector-field brackets with the structure constants.
 
-    [X_a, X_b](x) = J_b X_a - J_a X_b, with the Jacobians J_a taken by one
-    central difference of the stacked field per state axis, must equal
-    sum_g c[a,b,g] X_g(x).  Accuracy is finite-difference limited.
+    [X_a, X_b](x) = J_b X_a - J_a X_b, with the Jacobians J_a taken by
+    central differences of the stacked field along each state axis, must
+    equal sum_g c[a,b,g] X_g(x).  The fields at every point and at its
+    2 state_dim offsets x +- h e_j come from one batched call.  Accuracy is
+    finite-difference limited.
     """
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        V = sys.fields(x)
-        # J[a, i, j] = d X_a^i / d x_j
-        J = np.stack([central_diff(lambda s: sys.fields(x + s * e), 0.0, h)
-                      for e in np.eye(sys.state_dim)], axis=-1)
-        lb = np.einsum("bij,aj->abi", J, V) - np.einsum("aij,bj->abi", J, V)
-        expect = np.einsum("abg,gi->abi", sys.algebra.structure, V)
-        worst = max(worst, float(np.max(np.abs(lb - expect))))
-    return worst
+    n = sys.state_dim
+    x = np.asarray(points, dtype=float).reshape(-1, 1, n)
+    step = h * np.eye(n)
+    F = sys.fields(np.concatenate([x, x + step, x - step], axis=1))
+    V = F[:, 0]
+    # J[p, a, i, j] = d X_a^i / d x_j at point p
+    J = np.moveaxis((F[:, 1:n + 1] - F[:, n + 1:]) / (2.0 * h), 1, -1)
+    lb = np.einsum("pbij,paj->pabi", J, V) - np.einsum("paij,pbj->pabi", J, V)
+    expect = np.einsum("abg,pgi->pabi", sys.algebra.structure, V)
+    return float(np.max(np.abs(lb - expect), initial=0.0))
 
 
 def action_property_residual(sys: LieSystemRealization, elements, points) -> float:

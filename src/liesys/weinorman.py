@@ -38,15 +38,18 @@ from .algebra import LieAlgebra, bracket_coords, wn_matrix
 from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
 from .groups import GroupChart, GroupElement, _on_chart, _trivialize, exp_algebra
 from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
+    _BATCH_RTOL,
+    _ROUNDOFF,
+    _WINDOW,
     TimeGrid,
     Trajectory,
     cumulative_quadrature_samples,
     diff_samples,
-    integrate_rk4,
     interp_columns,
     linsolve,
     rk4_stage_times,
     rk4_step,
+    sweep_rk4,
 )
 
 _BREAKDOWN_COND = 1e10
@@ -54,15 +57,12 @@ _BREAKDOWN_COND = 1e10
 # that counts as a dependency (rounding moves an independent rate ~1e-16)
 _PROBES = 3
 _PROBE_RTOL = 1e-8
-# an array result must agree with the scalar calls to this relative error
-_MATCH_RTOL = 1e-12
-# Picard sweeps on cyclic orderings: window widths in steps (Simpson needs
-# two; halving from 128 reaches 2), the sweeps a window may take, and the
-# update, relative to max(1, |v|), that counts as roundoff
-_WINDOW = 128
+# Picard sweeps on cyclic orderings: windows of at most numerics._WINDOW
+# steps halve down to two (Simpson needs two), a window may take at most
+# _MAX_SWEEPS sweeps, and an update below numerics._ROUNDOFF relative to
+# max(1, |v|) counts as roundoff
 _MIN_WINDOW = 2
 _MAX_SWEEPS = 40
-_ROUNDOFF = 64 * np.finfo(float).eps
 _METHODS = ("auto", "rk4")
 
 
@@ -82,7 +82,7 @@ def _channel_on_times(ch, t):
         out = np.broadcast_to(out, t.shape)
         ends = np.array([ch(t[0]), ch(t[-1])], dtype=float)
         if ends.shape == (2,) and np.all(
-                np.abs(out[[0, -1]] - ends) <= _MATCH_RTOL * np.max(np.abs(ends))):
+                np.abs(out[[0, -1]] - ends) <= _BATCH_RTOL * np.max(np.abs(ends))):
             return out
     return np.array([ch(s) for s in t], dtype=float)
 
@@ -327,8 +327,9 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     roundoff.  A window halves when its sweeps stop contracting (or run past
     a cap) or when the guard fails on an unconverged iterate, and the next
     window doubles back toward 128 steps.  On any other grid a cyclic
-    ordering runs RK4: the second-order trapezoid is the only quadrature
-    rule there.  'rk4' forces RK4.  Any other method raises LieSysError.
+    ordering runs RK4 (by `numerics.sweep_rk4`): the second-order trapezoid
+    is the only quadrature rule there.  'rk4' forces RK4.  Any other method
+    raises LieSysError.
 
     The controls are sampled once: at the nodes for quadrature, at the RK4
     stage times otherwise; non-finite samples, and non-finite exponents on
@@ -355,15 +356,16 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
             return _wn_solve_sweeps(problem, b)
 
     def f(t, v, b):
-        if not np.abs(v).max() <= 1e8:   # also catches NaN
-            raise WNBreakdownError(t, np.inf)
+        big = ~(np.abs(v).max(axis=-1) <= 1e8)   # also catches NaN
+        if big.any():
+            raise WNBreakdownError(t[np.argmax(big)], np.inf)
         try:
             return linsolve(wn_matrix(alg, problem.ordering, v), b, _BREAKDOWN_COND)
         except SingularMatrixError as exc:
-            raise WNBreakdownError(t, exc.cond)
+            raise WNBreakdownError(t[exc.index[0]], exc.cond)
 
     table = problem.controls(rk4_stage_times(grid))
-    return integrate_rk4(f, np.zeros(alg.dim), grid, "wei-norman", table)
+    return sweep_rk4(f, np.zeros(alg.dim), grid, table, "wei-norman")
 
 
 class GroupCurve:

@@ -140,8 +140,9 @@ def test_domain_exit_at_an_intermediate_stage_is_loud():
     # x' = 1 from x = 0 in steps of 0.1: no node lies in (0.54, 0.56), but
     # the step from t = 0.5 evaluates its midpoint stages at x = 0.55
     line = LieSystemRealization(LieAlgebra(1, np.zeros((1, 1, 1))), 1,
-                                lambda x: np.ones((1, 1)),
-                                domain=lambda x: not 0.54 < x[0] < 0.56, name="line")
+                                lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
+                                domain=lambda x: ~((0.54 < x[..., 0]) & (x[..., 0] < 0.56)),
+                                name="line")
     grid = TimeGrid.uniform(0, 1, 10)
     assert all(line.domain(x) for x in grid.nodes[:, None])
     with pytest.raises(DomainExitError) as exc:
