@@ -9,6 +9,7 @@ exactly in double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -34,9 +35,9 @@ class LieAlgebra:
     basis_labels: tuple = ()
     name: str = ""
     nilpotency_class: int | None = field(default=None, init=False, compare=False)
-    # exp(ad) power stacks per basis index, filled by _ad_power_stack; held on
+    # exp(s ad a_i) rules per basis index, filled by exp_ad_basis; held on
     # the instance so no other algebra can ever read them
-    _ad_stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ad_exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Wei-Norman dependency levels per factor ordering, filled by
     # weinorman._dependency_levels
     _wn_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -145,33 +146,19 @@ _SQUARING_BOUNDS = 0.5 * 2.0 ** np.arange(64)
 _SQUARING_SCALES = 2.0 ** -np.arange(65.0)
 
 
-def _power_stack(M: np.ndarray, kmax: int, stop_at_zero: bool):
-    """Powers M^k / k! for k = 0..kmax-1 as a (K, n*n) array, with the
-    exponents 0..K-1 and the largest entry of M; with `stop_at_zero` the
-    stack ends before the first power that is exactly zero."""
+def _power_stack(M: np.ndarray):
+    """Powers M^k / k! for k = 0..13 as a (K, n*n) array, with the
+    exponents 0..K-1, the largest entry of M and whether the stack is the
+    whole series: it ends before the first power that is exactly zero."""
     stack = [np.eye(len(M))]
     term = stack[0]
-    for j in range(1, kmax):
+    for j in range(1, _AD_STACK_TERMS):
         term = term @ M / j
-        if stop_at_zero and np.max(np.abs(term)) == 0.0:
+        if np.max(np.abs(term)) == 0.0:
             break
         stack.append(term)
     return (np.stack(stack).reshape(len(stack), -1), np.arange(float(len(stack))),
-            float(np.max(np.abs(M))))
-
-
-def _ad_power_stack(alg: LieAlgebra, index: int):
-    """Powers (ad a_index)^k / k! for k = 0..K as a (K+1, r*r) array, with
-    the exponents 0..K, the norm of ad a_index and whether the algebra is
-    nilpotent; cached on the algebra."""
-    hit = alg._ad_stacks.get(index)
-    if hit is not None:
-        return hit
-    nilpotent = alg.nilpotency_class is not None
-    M = ad_matrix(alg, alg.basis_vector(index))
-    out = _power_stack(M, alg.nilpotency_class or _AD_STACK_TERMS, not nilpotent) + (nilpotent,)
-    alg._ad_stacks[index] = out
-    return out
+            float(np.max(np.abs(M))), len(stack) < _AD_STACK_TERMS)
 
 
 def _square(out, squarings) -> np.ndarray:
@@ -224,12 +211,81 @@ def _exp_from_stack(stack, exponents, norm, exact, s, n) -> np.ndarray:
     return _square(series(np.asarray(s * _SQUARING_SCALES[squarings])), squarings)
 
 
-def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
-    """exp(s ad(a_index)) via the cached power stack (scaling and squaring).
+def _rotation(ws):
+    return np.sin(ws), np.square(np.sin(0.5 * ws))
 
-    An array of s gives one matrix per entry, each scaled and squared by
-    its own count."""
-    return _exp_from_stack(*_ad_power_stack(alg, index), s, alg.dim)
+
+def _hyperbolic(ws):
+    return np.exp(ws), np.exp(-ws)
+
+
+def _polynomial(s):
+    return s, s * s
+
+
+class ExpRule:
+    """exp(sX) for one fixed (n, n) matrix X over arrays of s: (..., n, n)
+    for an array of s of shape (...).  Each entry is computed on its own, so
+    a batch equals its stacked single calls.
+
+    With c = <X^3, X> / <X, X> (Frobenius products), X^3 = cX closes the
+    series on I, X and X^2 (Iserles, Munthe-Kaas, Norsett & Zanna, Acta
+    Numerica 9 (2000) 215):
+    - c = -w^2 < 0: exp(sX) = I + (sin ws / w) X + (2 sin^2(ws/2) / w^2) X^2,
+      the Euler-Rodrigues formula;
+    - c = w^2 > 0: exp(sX) = P0 + e^{ws} P+ + e^{-ws} P-, with the spectral
+      projectors P+- = (X^2 +- wX) / (2c) and P0 = I - X^2 / c;
+    - c = 0: exp(sX) = I + sX + (s^2 / 2) X^2.
+    `closed_form` says whether X^3 = cX holds exactly in floating point.
+    When it does not, the powers X^k / k! (`_power_stack`) are summed, as
+    the whole series when a power vanishes and otherwise with scaling and
+    squaring per entry (`_exp_from_stack`)."""
+
+    def __init__(self, X):
+        X = np.asarray(X, dtype=float)
+        n = len(X)
+        X2 = X @ X
+        X3 = X2 @ X
+        norm2 = float(np.vdot(X, X))
+        c = float(np.vdot(X3, X)) / norm2 if norm2 else 0.0
+        self.closed_form = bool(np.array_equal(X3, c * X))
+        self.n = n
+        if not self.closed_form:
+            self._stack = _power_stack(X)
+            return
+        self._stack = None
+        self._omega = math.sqrt(abs(c))
+        if c < 0.0:
+            self._coeffs = _rotation
+            self._terms = (np.eye(n), X / self._omega, -2.0 / c * X2)
+        elif c > 0.0:
+            self._coeffs = _hyperbolic
+            self._terms = (np.eye(n) - X2 / c, (X2 + self._omega * X) / (2.0 * c),
+                           (X2 - self._omega * X) / (2.0 * c))
+        else:
+            self._omega = 1.0
+            self._coeffs = _polynomial
+            self._terms = (np.eye(n), X, 0.5 * X2)
+
+    def __call__(self, s) -> np.ndarray:
+        if self._stack is not None:
+            return _exp_from_stack(*self._stack, s, self.n)
+        s = np.asarray(s, dtype=float)[..., None, None]
+        f1, f2 = self._coeffs(self._omega * s)
+        T0, T1, T2 = self._terms
+        return T0 + f1 * T1 + f2 * T2
+
+
+def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
+    """exp(s ad(a_index)) by the `ExpRule` of ad(a_index), cached on the
+    algebra: in closed form wherever (ad a_index)^3 = c ad a_index, which
+    holds for most catalog basis elements, and otherwise by the power stack.
+
+    An array of s gives one matrix per entry."""
+    rule = alg._ad_exps.get(index)
+    if rule is None:
+        rule = alg._ad_exps[index] = ExpRule(ad_matrix(alg, alg.basis_vector(index)))
+    return rule(s)
 
 
 def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:

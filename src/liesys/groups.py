@@ -23,9 +23,12 @@ a projector onto the algebra representation for matrix and quaternion
 charts, whose coordinates map to matrices linearly.
 
 One exponential map, `exp_algebra`, takes algebra vectors to chart
-coordinates, with one rule per chart kind; the one-parameter subgroups
-(`exp_chart`), the Wei-Norman reconstruction, the Magnus steps of the
-subgroup solve and off-node curve evaluation all go through it.
+coordinates, with one rule per chart kind; the Magnus steps of the subgroup
+solve and off-node curve evaluation go through it.  One-parameter factors
+exp(s a_i) of a basis element (`exp_basis`: `exp_chart`, the Wei-Norman
+reconstruction, `matrix_rep`) take, on a matrix representation, the
+closed-form exponential of the fixed matrix R_i (`algebra.ExpRule`), and
+`exp_algebra` otherwise.
 
 Every chart law (compose, inverse, constraint, wrap, to-matrix) and
 `exp_algebra`, `_adjoint`, `_trivialize` and `bch` take coordinates
@@ -43,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    ExpRule,
     LieAlgebra,
     _ad_series,
     catalog_algebra,
@@ -132,6 +136,9 @@ class GroupChart:
     # pseudo-inverse of the stacked algebra_rep: reads algebra coordinates off
     # a matrix in the span of the representation (matrix and quaternion charts)
     rep_projector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # exp(s R_i) rules per basis index of algebra_rep, filled by exp_rep; held
+    # on the instance so no other chart can ever read them
+    _exp_rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.chart_kind in ("matrix", "quaternion"):
@@ -192,6 +199,8 @@ def exp_algebra(chart: GroupChart, xi) -> np.ndarray:
       coordinates (C(theta), S(theta)/theta xi / 2), cos/sin when theta^2 >= 0
       and cosh/sinh of |theta| otherwise;
     - matrix: `expm` of sum xi_i a_i in the chart's representation.
+    A one-parameter factor exp(s a_i) of a fixed basis element goes through
+    `exp_basis` instead.
     """
     xi = np.asarray(xi, dtype=float)
     if chart.exp_closed_fn is not None:
@@ -210,11 +219,32 @@ def exp_algebra(chart: GroupChart, xi) -> np.ndarray:
     return expm(A).reshape(xi.shape[:-1] + (chart.coord_dim,))
 
 
+def exp_rep(chart: GroupChart, index: int, s) -> np.ndarray:
+    """exp(s R_index) for an array of s, (..., n, n), where R_index is the
+    chart's representation of a_index: the matrix's `ExpRule`, cached on the
+    chart, so closed form wherever R_index^3 = c R_index."""
+    rule = chart._exp_rules.get(index)
+    if rule is None:
+        rule = chart._exp_rules[index] = ExpRule(chart.algebra_rep[index])
+    return rule(s)
+
+
+def exp_basis(chart: GroupChart, index: int, s) -> np.ndarray:
+    """Chart coordinates of exp(s a_index) for an array of s, (..., d), one
+    point per entry (index is 0-based into the algebra basis): on a matrix
+    chart by `exp_rep`, on any other chart by `exp_algebra` of the one-hot
+    vectors."""
+    s = np.asarray(s, dtype=float)
+    if chart.chart_kind == "matrix":
+        return exp_rep(chart, index, s).reshape(s.shape + (chart.coord_dim,))
+    xi = np.zeros(s.shape + (chart.algebra.dim,))
+    xi[..., index] = s
+    return exp_algebra(chart, xi)
+
+
 def exp_chart(chart: GroupChart, index: int, s: float = 1.0) -> GroupElement:
     """exp(s a_index) in the chart (index is 0-based into the algebra basis)."""
-    xi = np.zeros(chart.algebra.dim)
-    xi[index] = s
-    return GroupElement(chart, exp_algebra(chart, xi))
+    return GroupElement(chart, exp_basis(chart, index, s))
 
 
 def group_adjoint(g: GroupElement) -> np.ndarray:
@@ -318,17 +348,16 @@ def matrix_rep(g: GroupElement) -> np.ndarray:
     """Faithful matrix representative of a canonical-chart element.
 
     Built as the product of matrix exponentials matching the chart's
-    definition (first kind: expm of the full vector)."""
+    definition: first kind, `expm` of the full vector; second kind, the
+    product of the one-parameter factors exp(g_i R_{s_i}) (`exp_rep`)."""
     chart = g.chart
     if chart.algebra_rep is None:
         raise ChartError(f"{chart.group_name}: no matrix representation cataloged")
-    rep = np.stack(chart.algebra_rep)
     if chart.chart_kind == "canonical_first":
-        return expm(np.tensordot(g.coords, rep, axes=1))
-    factors = expm(g.coords[:, None, None] * rep[[idx - 1 for idx in chart.ordering]])
-    out = factors[0]
-    for F in factors[1:]:
-        out = out @ F
+        return expm(np.tensordot(g.coords, np.stack(chart.algebra_rep), axes=1))
+    out = exp_rep(chart, chart.ordering[0] - 1, g.coords[0])
+    for pos, idx in enumerate(chart.ordering[1:], 1):
+        out = out @ exp_rep(chart, idx - 1, g.coords[pos])
     return out
 
 
@@ -570,8 +599,8 @@ def _build_se2():
     def from_matrix(c):
         M = c.reshape(3, 3)
         th = math.atan2(M[1, 0], M[0, 0])
-        # undo M = expm(th A1) expm(a A2) expm(b A3) = R(th) @ T(a, b)
-        T = expm(-th * A1) @ M
+        # undo M = exp(th A1) exp(a A2) exp(b A3) = R(th) @ T(a, b)
+        T = exp_rep(chart2, 0, -th) @ M
         return np.array([th, T[0, 2], T[1, 2]])
 
     register_conversion(("SE2", "canonical_second", (1, 2, 3)), ("SE2", "matrix", None),

@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, bracket_coords, wn_matrix
 from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
-from .groups import GroupChart, GroupElement, _on_chart, _trivialize, exp_algebra
+from .groups import GroupChart, GroupElement, _on_chart, _trivialize, exp_algebra, exp_basis
 from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
     _BATCH_RTOL,
     _ROUNDOFF,
@@ -424,23 +424,20 @@ class GroupCurve:
 def wn_reconstruct(v: Trajectory, ordering, chart: GroupChart) -> GroupCurve:
     """g(t) = prod_i exp(-v_i(t) a_{s_i}) in the given chart; g(t0) = identity.
 
-    The factors exp(-v_i(t) a_{s_i}) of every node come from one
-    `exp_algebra` call, they are multiplied with batched chart laws, and the
-    nodes are checked against the chart once; a failure names the node and
-    its time.  A second-kind chart with the same ordering has those
-    exponents as its coordinates by definition, so each node is -v(t) with
-    no composition.
+    Each factor exp(-v_i(t) a_{s_i}) comes from one `exp_basis` call over
+    all nodes (on a matrix chart the closed-form one-parameter exponential
+    of the representation matrix, where it has one), the factors are
+    multiplied with batched chart laws, and the nodes are checked against
+    the chart once; a failure names the node and its time.  A second-kind
+    chart with the same ordering has those exponents as its coordinates by
+    definition, so each node is -v(t) with no composition.
     """
     if chart.chart_kind == "canonical_second" and chart.ordering == tuple(ordering):
         coords = -v.states
     else:
-        r = len(ordering)
-        xi = np.zeros((r,) + v.states.shape)
-        xi[np.arange(r), :, np.asarray(ordering) - 1] = -v.states.T
-        factors = exp_algebra(chart, xi)
-        coords = factors[0]
-        for factor in factors[1:]:
-            coords = chart.compose_fn(coords, factor)
+        coords = exp_basis(chart, ordering[0] - 1, -v.states[:, 0])
+        for i, idx in enumerate(ordering[1:], 1):
+            coords = chart.compose_fn(coords, exp_basis(chart, idx - 1, -v.states[:, i]))
     coords = _on_chart(chart, coords, "reconstruction", v.grid.nodes)
     return GroupCurve(chart, v.grid, coords)
 

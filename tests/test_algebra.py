@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesys.algebra import (
+    ExpRule,
     LieAlgebra,
     ad_matrix,
     algebra_from_triples,
@@ -155,6 +156,67 @@ def test_ad_power_cache_never_serves_another_algebra():
     for alg in [algebra_from_triples(3, so3_like) for _ in range(100)]:
         ref = _taylor_exp(0.9 * ad_matrix(alg, alg.basis_vector(0)), 30)
         assert np.max(np.abs(exp_ad_basis(alg, 0, 0.9) - ref)) < 1e-12
+
+
+# every catalog algebra, with the g_eps members and the gbar sizes of the charts
+EXP_ALGEBRAS = ([catalog_algebra(name) for name in catalog_names() if name not in ("gbar", "g_eps")]
+                + [catalog_algebra("g_eps", eps=e) for e in (-1, 0, 1)]
+                + [catalog_algebra("gbar", n=n) for n in (5, 7)])
+# the 1-based basis indices whose (ad a_i)^3 is no multiple of ad a_i, so
+# that exp(s ad a_i) sums the power stack; every other one is in closed form
+STACK_FALLBACK = {"g7": (1, 2), "g8": (1, 2), "gbar5": (1,), "gbar7": (1,),
+                  "sl3": (2,), "hsp2": (2,), "r2sl2": (2,), "r2sl2yz": (2,)}
+
+
+def long_taylor(M):
+    """exp(M) by 30 Taylor terms in extended precision, scaled into 1-norm
+    <= 0.5 and squared back."""
+    M = np.asarray(M, dtype=np.longdouble)
+    squarings = max(0, int(np.ceil(np.log2(max(float(np.abs(M).sum(axis=0).max()), 1e-300) / 0.5))))
+    M = M / 2 ** squarings
+    out = term = np.eye(len(M), dtype=np.longdouble)
+    for k in range(1, 30):
+        term = term @ M / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("alg", EXP_ALGEBRAS, ids=lambda alg: alg.name)
+def test_exp_ad_basis_matches_long_taylor_on_every_basis_element(alg):
+    s = np.linspace(-6.0, 6.0, 37)
+    for i in range(alg.dim):
+        got = exp_ad_basis(alg, i, s)
+        for x, g in zip(s, got):
+            ref = long_taylor(x * ad_matrix(alg, alg.basis_vector(i)))
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert float(np.max(np.abs(g - ref))) <= 1e-14 * scale, (i, x)
+
+
+def test_closed_form_covers_the_catalog_but_the_pinned_indices():
+    for alg in EXP_ALGEBRAS:
+        for i in range(alg.dim):
+            exp_ad_basis(alg, i, 0.0)
+        stack = tuple(i + 1 for i in range(alg.dim) if not alg._ad_exps[i].closed_form)
+        assert stack == STACK_FALLBACK.get(alg.name, ()), alg.name
+
+
+@pytest.mark.parametrize("X", [
+    np.array([[0.0, -2.0], [2.0, 0.0]]),                # c = -4: rotation
+    np.array([[0.0, 3.0], [0.0, 0.0]]),                 # c = 0, X^2 = 0
+    np.diag([0.5, -0.5, 0.0]),                          # c = 1/4: projectors
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),   # X^3 = 0
+    np.diag([1.0, 2.0]),                                # stack
+], ids=["rotation", "square-zero", "projectors", "cube-zero", "stack"])
+def test_exp_rule_batch_equals_stacked_single_calls(X):
+    rule = ExpRule(X)
+    s = np.linspace(-3.0, 3.0, 39).reshape(3, 1, 13)
+    batch = rule(s)
+    assert batch.shape == (3, 1, 13) + X.shape
+    assert np.array_equal(batch, np.stack([rule(x) for x in s.ravel()]).reshape(batch.shape))
+    for x, g in zip(s.ravel(), batch.reshape((-1,) + X.shape)):
+        assert np.max(np.abs(g - long_taylor(x * X))) <= 1e-14 * max(1.0, np.max(np.abs(g)))
 
 
 def test_lower_central_class():

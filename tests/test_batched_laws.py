@@ -81,11 +81,11 @@ def test_single_point_keeps_its_shape(key):
         assert np.ndim(chart.constraint_fn(g)) == 0
 
 
-@pytest.mark.parametrize("name", ["so3", "se2", "sl3", "g5", "h3", "aff"])
+@pytest.mark.parametrize("name", ["so3", "se2", "sl3", "g5", "h3", "aff", "sl2", "se3", "g_eps-1"])
 @examples
 @given(v=st.lists(st.floats(-6.0, 6.0), min_size=BATCH * 8, max_size=BATCH * 8).map(np.array))
 def test_exp_ad_basis_and_wn_matrix_batched(name, v):
-    alg = catalog_algebra(name)
+    alg = catalog_algebra("g_eps", eps=-1) if name == "g_eps-1" else catalog_algebra(name)
     r = alg.dim
     v = v[:BATCH * r].reshape(BATCH, r)
     ordering = tuple(range(r, 0, -1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import liesys.groups as G
-from liesys.algebra import exp_ad
+from liesys.algebra import catalog_algebra, exp_ad
 from liesys.errors import ChartError
 from hand_laws import ADJOINTS
 
@@ -149,6 +149,25 @@ def test_so3_exponential_rotation():
     assert np.max(np.abs(got - _taylor_expm(s * ch.algebra_rep[0]))) < 1e-13
     # rotation in the (x1, x2) plane
     assert abs(got[0, 0] - math.cos(s)) < 1e-12 and abs(got[2, 2] - 1.0) < 1e-12
+
+
+def test_exp_rule_cache_never_serves_another_chart():
+    # a freed chart's address goes to the next chart built (its arguments
+    # are built beforehand, so nothing else takes it first); the cached
+    # exp(s R_i) rule must still belong to the chart asked about
+    rotation, hyperbolic = catalog_algebra("g_eps", eps=1), catalog_algebra("g_eps", eps=-1)
+    rep_rotation, rep_hyperbolic = G._geps_rep3(1), G._geps_rep3(-1)
+    ref = _taylor_expm(0.9 * rep_hyperbolic[1])
+    reused = 0
+    for _ in range(100):
+        old = G.GroupChart("old", "matrix", 9, rotation, algebra_rep=rep_rotation)
+        G.exp_rep(old, 1, 0.9)
+        address = id(old)
+        del old
+        new = G.GroupChart("new", "matrix", 9, hyperbolic, algebra_rep=rep_hyperbolic)
+        reused += id(new) == address
+        assert np.max(np.abs(G.exp_rep(new, 1, 0.9) - ref)) < 1e-14
+    assert reused, "no address was reused, so the test checked nothing"
 
 
 def test_geps_uniparametric_subgroups():

@@ -290,6 +290,47 @@ def _reconstruct_by_composition(v, ordering, chart):
     return np.array(rows)
 
 
+def _reconstruct_by_expm(v, ordering, chart):
+    """The batched reconstruction with each factor from `exp_algebra` of
+    one-hot vectors, which on a matrix chart is `expm` of the representation."""
+    coords = None
+    for i, idx in enumerate(ordering):
+        xi = np.zeros(v.states.shape)
+        xi[:, idx - 1] = -v.states[:, i]
+        factor = G.exp_algebra(chart, xi)
+        coords = factor if coords is None else chart.compose_fn(coords, factor)
+    return coords
+
+
+@pytest.mark.parametrize("name,kw,amp", [
+    ("elastic_euler", {"eps": 1}, 1.0), ("elastic_euler", {"eps": 0}, 1.0),
+    ("elastic_euler", {"eps": -1}, 0.8), ("so3_kinematics", {}, 1.0)])
+def test_matrix_chart_reconstruction_matches_the_expm_route(name, kw, amp, unit_grid):
+    # every factor is in closed form: rotations, and for eps = -1 also the
+    # projector form of a2 and a3
+    entry = get_system(name, **kw)
+    label = name + "".join(f"[{k}={v}]" for k, v in kw.items())
+    b = entry.pad_controls(_lie_oracle_controls(1, label, 3, amp))
+    v = wn_solve(WNProblem(entry.algebra, b, unit_grid, entry.ordering()))
+    chart = entry.realization.action_chart
+    assert chart.chart_kind == "matrix"
+    got = wn_reconstruct(v, entry.ordering(), chart).coords
+    assert all(chart._exp_rules[i].closed_form for i in range(3))
+    assert np.max(np.abs(got - _reconstruct_by_expm(v, entry.ordering(), chart))) <= 1e-14
+
+
+def test_non_cubic_representation_falls_back_and_matches_the_expm_route():
+    # SL(3)'s a4 = diag(-1, -1, 2) / 6 has three eigenvalues of different size
+    chart = G.get_chart("SL3", "matrix")
+    grid = TimeGrid.uniform(0.0, 1.0, 40)
+    v = Trajectory(grid, np.random.default_rng(8).uniform(-1.5, 1.5, (41, 8)))
+    ordering = tuple(range(1, 9))
+    got = wn_reconstruct(v, ordering, chart).coords
+    assert [i + 1 for i in range(8) if not chart._exp_rules[i].closed_form] == [4]
+    ref = _reconstruct_by_expm(v, ordering, chart)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("key", [
     ("SE2", "canonical_second", (1, 2, 3)), ("H3", "canonical_second", (1, 2, 3)),
     ("G4", "canonical_second", (1, 2, 3, 4)), ("Gbar5", "canonical_second", (1, 2, 3, 4, 5)),
