@@ -10,16 +10,24 @@ midpoints.  `integrate_rk4` hands step k the rows 2k, 2k+1 and 2k+2 (the
 stage times t_k, t_k + dt_k/2 and t_{k+1}), so the right-hand side never
 evaluates its inputs itself.
 
-`sweep_rk4` runs the library's RK4 solves by Picard sweeps over windows
-of at most `_WINDOW` steps (waveform relaxation: Lelarasmee, Ruehli &
-Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  A sweep evaluates the
-four stages once over the whole window and rebuilds it as one running sum
-of the step increments, the loop's float operations in its order; a window
-is accepted when a sweep leaves it bitwise unchanged.  After k sweeps the
-first k steps are exact, so one sweep more than the window's steps always
-suffices.  A window whose updates stop shrinking above roundoff, or one of
-whose stages raises, runs by `integrate_rk4` one state at a time, which
-names any failure as the loop does.  The right-hand side takes batches, so
+`picard_windows` solves by Picard sweeps over windows of nodes (waveform
+relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1 (1982)
+131).  Windows start at `_WINDOW` steps, and a remainder of fewer than two
+steps joins the window before it.  A window fails when a sweep raises
+LieSysError, when its updates stop shrinking while above roundoff (`_ROUNDOFF`
+times the window's largest entry, so the rule does not change with the
+state's scale), when `_MAX_SWEEPS` sweeps do not converge, or when the fixed
+point is not finite.  A failed window halves down to the caller's smallest
+width, and the next window doubles back; at that width the caller's `stuck`
+solves the window or raises.  An exact caller accepts a window once a sweep
+leaves it bitwise unchanged, any other once an update falls to roundoff.
+
+`sweep_rk4` runs the library's RK4 solves on that driver.  A sweep evaluates
+the four stages once over the whole window and rebuilds it as one running
+sum of the step increments, the loop's float operations in its order, so
+the bitwise fixed point is the loop's result.  Its windows never halve: a
+failed window runs by `integrate_rk4` one state at a time, which names any
+failure as the loop does.  The right-hand side takes batches, so
 realizations give batched `fields` and `domain`, and reductions a batched
 `hom_rhs`; `batch_guard` checks them at construction.
 """
@@ -36,9 +44,11 @@ from .errors import LieSysError, NumericsError, SingularMatrixError
 # Default resolution: 2000 uniform steps per unit time. All quoted
 # tolerances in the tests assume this.
 STEPS_PER_UNIT_TIME = 2000
-# Picard sweeps (here and in the Wei-Norman engine): the widest window in
-# steps, and the update, relative to max(1, |x|), that counts as roundoff
+# Picard sweeps: the widest window in steps, the most sweeps a window may
+# take, and the update, relative to the window's largest |x|, that counts as
+# roundoff
 _WINDOW = 128
+_MAX_SWEEPS = 40
 _ROUNDOFF = 64 * np.finfo(float).eps
 # a batched call must agree with the single-row calls to this relative error
 _BATCH_RTOL = 1e-12
@@ -220,38 +230,50 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
     return Trajectory(grid, states, meta)
 
 
-def _rk4_window(f, xa, t, dt, rows):
-    """Picard sweeps of the RK4 recurrence from state xa over the steps of
-    widths dt starting at times t, with stage-table rows `rows`: the window's
-    states once a sweep leaves them bitwise unchanged, or None when the
-    largest update stops shrinking above roundoff, a stage raises
-    LieSysError or the fixed point is not finite."""
-    h = 0.5 * dt
-    times = (t, t + h, t + dt)
-    u0, uh, u1 = rows[:-1:2], rows[1::2], rows[2::2]
-    hc, dtc, sixth = h[:, None], dt[:, None], (dt / 6.0)[:, None]
-    X, last = np.broadcast_to(xa, (len(dt) + 1, len(xa))), np.inf
-    # unconverged iterates may overflow or leave a function's domain; a
-    # window that ends there runs by the loop, which warns and raises
+def _picard_window(first, sweep, exact):
+    """Picard sweeps X <- sweep(X) from the iterate `first`: the accepted
+    iterate, or None when the window fails (see the module docstring)."""
+    X, last = first, np.inf
+    # unconverged iterates may overflow or leave a function's domain
     with np.errstate(all="ignore"):
-        for _ in range(len(dt) + 1):
-            x = X[:-1]
+        for _ in range(_MAX_SWEEPS):
             try:
-                k1 = f(times[0], x, u0)
-                k2 = f(times[1], x + hc * k1, uh)
-                k3 = f(times[1], x + hc * k2, uh)
-                k4 = f(times[2], x + dtc * k3, u1)
+                new = sweep(X)
             except LieSysError:
                 return None
-            incr = sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            new = np.add.accumulate(np.concatenate([X[:1], incr]))
-            if (new == X).all():
+            # ufunc reductions skip np.max's Python wrapper; two finite floats
+            # differ by 0 only when equal, so update == 0 changed no value
+            update = np.maximum.reduce(np.abs(new - X), axis=None)
+            small = update <= _ROUNDOFF * np.maximum.reduce(np.abs(new), axis=None)
+            if (update == 0 if exact else small):
                 return new if np.isfinite(new).all() else None
-            update = np.max(np.abs(new - X))
-            if not (update <= _ROUNDOFF * max(1.0, np.max(np.abs(new))) or update < last):
-                return None              # also catches NaN
+            if not (small or update < last):     # also catches NaN
+                return None
             X, last = new, update
     return None
+
+
+def picard_windows(window, x0, n, exact, min_window, stuck) -> np.ndarray:
+    """The (n + 1, d) states of a solve from x0 over n steps by windowed
+    Picard sweeps (see the module docstring).
+
+    window(a, e, x_a) builds the constants of the window of nodes a..e once
+    and returns its first iterate, broadcastable to (e - a + 1, d), and its
+    sweep, a map from one iterate to the next.  stuck(a, e, x_a) returns the
+    window's states, or raises, when a window of at most `min_window` steps
+    fails."""
+    states = np.empty((n + 1, np.size(x0)))
+    states[0] = x0
+    a, width = 0, _WINDOW
+    while a < n:
+        e = n if n - a - width < 2 else a + width
+        X = _picard_window(*window(a, e, states[a]), exact)
+        if X is None and width > min_window:
+            width //= 2
+            continue
+        states[a + 1:e + 1] = (stuck(a, e, states[a]) if X is None else X)[1:]
+        a, width = e, min(2 * width, _WINDOW)
+    return states
 
 
 def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
@@ -266,23 +288,32 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
     n = len(nodes) - 1
     if len(table) != 2 * n + 1:
         raise NumericsError(f"stage table needs {2 * n + 1} rows, got {len(table)}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    states = np.empty((n + 1, len(x)))
-    states[0] = x
     dt = np.diff(nodes)
+
+    def window(a, e, xa):
+        t, w, rows = nodes[a:e], dt[a:e], table[2 * a:2 * e + 1]
+        th, t1, u0, uh, u1 = t + 0.5 * w, t + w, rows[:-1:2], rows[1::2], rows[2::2]
+        hc, wc, sixth = 0.5 * w[:, None], w[:, None], (w / 6.0)[:, None]
+
+        def sweep(X):
+            x = X[:-1]
+            k1 = f(t, x, u0)
+            k2 = f(th, x + hc * k1, uh)
+            k3 = f(th, x + hc * k2, uh)
+            k4 = f(t1, x + wc * k3, u1)
+            incr = sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            return np.add.accumulate(np.concatenate([X[:1], incr]))
+
+        return np.broadcast_to(xa, (e - a + 1, len(xa))), sweep
 
     def one(t, x, u):       # f on one state, for the step-by-step loop
         return f(np.array([t]), x[None], u[None])[0]
 
-    for a in range(0, n, _WINDOW):
-        e = min(a + _WINDOW, n)
-        rows = table[2 * a:2 * e + 1]
-        window = _rk4_window(f, states[a], nodes[a:e], dt[a:e], rows)
-        if window is None:
-            window = integrate_rk4(one, states[a], TimeGrid.from_nodes(nodes[a:e + 1]),
-                                   table=rows).states
-        states[a + 1:e + 1] = window[1:]
-    return Trajectory(grid, states, meta)
+    def stuck(a, e, xa):
+        return integrate_rk4(one, xa, TimeGrid.from_nodes(nodes[a:e + 1]),
+                             table=table[2 * a:2 * e + 1]).states
+
+    return Trajectory(grid, picard_windows(window, x0, n, True, _WINDOW, stuck), meta)
 
 
 def batch_guard(fn, what, dims, avoid=()):

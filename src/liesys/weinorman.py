@@ -17,15 +17,12 @@ ordering: Wei & Norman, J. Math. Phys. 4 (1963) 575; Proc. AMS 15 (1964)
 reproduces the closed forms of the cataloged systems: the nilpotent
 triangular orderings and SE(2), whose angle comes first.
 
-An ordering with a dependency cycle takes Picard sweeps over windows of
-nodes, v <- v(t_a) + int_{t_a}^t f(v) (waveform relaxation: Lelarasmee,
-Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  A window is
-accepted once a sweep's update falls to roundoff.  Windows start at 128
-steps; one halves when its sweeps stop contracting or when the condition
-guard fails on an iterate that has not converged, and the next window
-doubles back toward 128 steps.  A two-step window that still fails is a
-chart breakdown.  The sweeps need Simpson's rule, so on a non-uniform grid
-a cyclic ordering integrates by RK4.
+An ordering with a dependency cycle takes Picard sweeps
+v <- v(t_a) + int_{t_a}^t f(v) over windows of nodes, walked by
+`numerics.picard_windows` (the `numerics` docstring gives the window and
+roundoff rules).  A two-step window that still fails is a chart breakdown.
+The sweeps need Simpson's rule, so on a non-uniform grid a cyclic ordering
+integrates by RK4.
 """
 
 from __future__ import annotations
@@ -39,14 +36,13 @@ from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdown
 from .groups import GroupChart, GroupElement, _on_chart, _trivialize, exp_algebra, exp_basis
 from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
     _BATCH_RTOL,
-    _ROUNDOFF,
-    _WINDOW,
     TimeGrid,
     Trajectory,
     cumulative_quadrature_samples,
     diff_samples,
     interp_columns,
     linsolve,
+    picard_windows,
     rk4_stage_times,
     rk4_step,
     sweep_rk4,
@@ -57,12 +53,8 @@ _BREAKDOWN_COND = 1e10
 # that counts as a dependency (rounding moves an independent rate ~1e-16)
 _PROBES = 3
 _PROBE_RTOL = 1e-8
-# Picard sweeps on cyclic orderings: windows of at most numerics._WINDOW
-# steps halve down to two (Simpson needs two), a window may take at most
-# _MAX_SWEEPS sweeps, and an update below numerics._ROUNDOFF relative to
-# max(1, |v|) counts as roundoff
+# the sweeps' windows halve down to two steps, the fewest Simpson needs
 _MIN_WINDOW = 2
-_MAX_SWEEPS = 40
 _METHODS = ("auto", "rk4")
 
 
@@ -273,45 +265,20 @@ def _wn_solve_levels(problem: WNProblem, b, levels) -> Trajectory:
     return Trajectory(grid, v, meta="wei-norman")
 
 
-def _picard(alg: LieAlgebra, ordering, v0, b, window: TimeGrid):
-    """Picard sweeps v <- v0 + int f(v) over `window`, from the constant
-    iterate v0: the first iterate whose update falls to roundoff, or None
-    once the sweeps stop contracting, run past _MAX_SWEEPS or fail the
-    guard."""
-    w, last = v0, np.inf
-    for _ in range(_MAX_SWEEPS):
-        try:
-            new = v0 + _sweep(alg, ordering, w, b, window, slice(None))
-        except SingularMatrixError:
-            return None
-        update = np.max(np.abs(new - w))
-        if update <= _ROUNDOFF * max(1.0, np.max(np.abs(new))):
-            return new
-        if not update < last:      # also catches NaN
-            return None
-        w, last = new, update
-    return None
-
-
 def _wn_solve_sweeps(problem: WNProblem, b) -> Trajectory:
-    # windows of nodes a..e; fewer than _MIN_WINDOW steps left join the window
-    alg, ordering, grid = problem.algebra, problem.ordering, problem.grid
-    nodes, n = grid.nodes, len(grid.nodes) - 1
-    v = np.zeros(b.shape)
-    a, width = 0, _WINDOW
-    while a < n:
-        e = n if n - a - width < _MIN_WINDOW else a + width
-        w = _picard(alg, ordering, v[a], b[a:e + 1], TimeGrid.uniform(nodes[a], nodes[e], e - a))
-        if w is not None:
-            v[a + 1:e + 1] = w[1:]
-            a, width = e, min(2 * width, _WINDOW)
-        elif width > _MIN_WINDOW:
-            width //= 2
-        else:
-            cond = float(np.linalg.cond(wn_matrix(alg, ordering, v[a]), 1))
-            raise WNBreakdownError(nodes[a], cond, node=a,
-                                   what="Wei-Norman sweeps did not converge")
-    return Trajectory(grid, v, meta="wei-norman")
+    alg, ordering, nodes = problem.algebra, problem.ordering, problem.grid.nodes
+
+    def window(a, e, va):
+        # the first iterate is the constant v(t_a): the first sweep builds one M(v)
+        bw, gw = b[a:e + 1], TimeGrid.uniform(nodes[a], nodes[e], e - a)
+        return va, lambda w: va + _sweep(alg, ordering, w, bw, gw, slice(None))
+
+    def stuck(a, e, va):
+        cond = float(np.linalg.cond(wn_matrix(alg, ordering, va), 1))
+        raise WNBreakdownError(nodes[a], cond, node=a, what="Wei-Norman sweeps did not converge")
+
+    v = picard_windows(window, np.zeros(alg.dim), len(nodes) - 1, False, _MIN_WINDOW, stuck)
+    return Trajectory(problem.grid, v, meta="wei-norman")
 
 
 def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
@@ -322,14 +289,11 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     the rates of the ordering have dependency levels (probed once per
     algebra and ordering), one sweep per level solves them.  An ordering
     with a dependency cycle on a uniform grid of two steps or more takes
-    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b over windows of at
-    most 128 steps; a window is accepted once a sweep's update falls to
-    roundoff.  A window halves when its sweeps stop contracting (or run past
-    a cap) or when the guard fails on an unconverged iterate, and the next
-    window doubles back toward 128 steps.  On any other grid a cyclic
-    ordering runs RK4 (by `numerics.sweep_rk4`): the second-order trapezoid
-    is the only quadrature rule there.  'rk4' forces RK4.  Any other method
-    raises LieSysError.
+    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b over windows of
+    nodes (`numerics.picard_windows`, down to two steps).  On any other
+    grid a cyclic ordering runs RK4 (by `numerics.sweep_rk4`): the
+    second-order trapezoid is the only quadrature rule there.  'rk4' forces
+    RK4.  Any other method raises LieSysError.
 
     The controls are sampled once: at the nodes for quadrature, at the RK4
     stage times otherwise; non-finite samples, and non-finite exponents on

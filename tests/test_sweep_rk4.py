@@ -83,11 +83,18 @@ def test_homogeneous_solve_equals_the_single_state_loop(name):
     assert np.max(np.abs(got - ref)) <= (1e-13 if name in SQUARING else 0.0)
 
 
-def test_riccati_solve_equals_the_single_state_loop():
+# window edges: a remainder of fewer than two steps joins the window before it
+EDGE_GRIDS = [TimeGrid.uniform(0.0, n / 2000, n) for n in (1, 2, 127, 128, 129, 130, 257, 2000)]
+EDGE_GRIDS.append(TimeGrid.from_nodes(np.linspace(0.0, 0.2, 301) ** 1.5))
+
+
+@pytest.mark.parametrize("grid", EDGE_GRIDS,
+                         ids=[f"n{g.n_steps}" for g in EDGE_GRIDS[:-1]] + ["nonuniform"])
+def test_riccati_solve_equals_the_single_state_loop(grid):
     c = RiccatiCoeffs(lambda t: np.sin(3 * t), lambda t: np.cos(t), lambda t: 0.8)
-    got = c.solve([0.3], GRID).states
-    ref = integrate_rk4(lambda t, x, u: u[2] * x * x + u[1] * x + u[0], [0.3], GRID,
-                        table=c(rk4_stage_times(GRID))).states
+    got = c.solve([0.3], grid).states
+    ref = integrate_rk4(lambda t, x, u: u[2] * x * x + u[1] * x + u[0], [0.3], grid,
+                        table=c(rk4_stage_times(grid))).states
     assert np.array_equal(got, ref)
 
 
@@ -107,17 +114,55 @@ def _relax(t, x, u):
     return u[..., 1:] - u[..., :1] * x
 
 
-def test_a_stiff_window_falls_back_and_equals_the_loop(monkeypatch):
+def batched_starts(f):
+    """f, and the first time of each of its batched calls (the step-by-step
+    loop calls it on one state)."""
+    starts = []
+
+    def counted(t, x, u):
+        if len(t) > 1:
+            starts.append(t[0])
+        return f(t, x, u)
+
+    return counted, starts
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-70], ids=["1", "2^-70"])
+def test_a_stiff_window_falls_back_and_equals_the_loop(scale, monkeypatch):
     # k dt = 1 is inside RK4's stability interval, but k = 2000 over a
-    # window of 128 steps makes every window's sweeps diverge
+    # window of 128 steps makes every window's sweeps diverge.  The roundoff
+    # floor is relative to the window's scale, so a forcing of 2^-70 takes
+    # the same sweeps: the second update of each of the 16 windows grows
     k, grid = 2000.0, TimeGrid.uniform(0.0, 1.0, 2000)
     s = rk4_stage_times(grid)
-    table = np.stack([np.full_like(s, k), k * np.cos(s)], axis=-1)
+    table = np.stack([np.full_like(s, k), scale * k * np.cos(s)], axis=-1)
     ref = integrate_rk4(_relax, [0.0], grid, table=table).states
+    f, batched = batched_starts(_relax)
     starts = counting_loop(monkeypatch)
-    got = sweep_rk4(_relax, [0.0], grid, table).states
+    got = sweep_rk4(f, [0.0], grid, table).states
     assert starts == grid.nodes[:-1].tolist()
     assert np.array_equal(got, ref)
+    assert len(batched) == 16 * 2 * 4
+
+
+def test_a_decayed_state_stops_sweeping_within_a_few_sweeps():
+    # x' = -2000 x from 1: the sweeps of the first windows diverge and fall
+    # back, the later windows hold a state decayed far below 1 (and then 0),
+    # and the relative floor stops each window within three sweeps
+    grid = TimeGrid.uniform(0.0, 1.0, 2000)
+    table = np.full((4001, 1), 2000.0)
+
+    def decay(t, x, u):
+        return -u * x
+
+    ref = integrate_rk4(decay, [1.0], grid, table=table).states
+    f, batched = batched_starts(decay)
+    got = sweep_rk4(f, [1.0], grid, table).states
+    assert np.array_equal(got, ref)
+    # each sweep makes four stage calls, all at times inside its window
+    window = np.searchsorted(grid.nodes[::128], batched, side="right") - 1
+    sweeps = np.bincount(window) / 4
+    assert len(sweeps) == 16 and sweeps.max() <= 3
 
 
 def test_a_non_finite_stage_mid_window_raises_as_the_loop_does():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import zlib
 
@@ -186,6 +187,18 @@ def test_sweeps_match_rk4_on_cyclic_criterion_1_systems(name, kw, amp, unit_grid
     b = entry.pad_controls(_lie_oracle_controls(1, label, 3, amp))
     prob = WNProblem(entry.algebra, b, unit_grid, entry.ordering())
     assert _sweeps_against_rk4(prob, monkeypatch) < 1e-10
+
+
+@pytest.mark.parametrize("n,windows", [(129, [129]), (130, [128, 2]), (257, [128, 129])])
+def test_sweep_windows_at_the_grid_end(n, windows, monkeypatch):
+    # a remainder of fewer than two steps joins the window before it
+    prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3),
+                     TimeGrid.uniform(0.0, n / 2000, n))
+    rk4 = wn_solve(prob, method="rk4").states
+    widths = _widths(monkeypatch)
+    got = wn_solve(prob).states
+    assert [w for w, _ in itertools.groupby(widths)] == windows
+    assert np.max(np.abs(got - rk4)) < 1e-10
 
 
 def test_sweep_windows_halve_and_grow_back(monkeypatch):
