@@ -10,26 +10,45 @@ midpoints.  `integrate_rk4` hands step k the rows 2k, 2k+1 and 2k+2 (the
 stage times t_k, t_k + dt_k/2 and t_{k+1}), so the right-hand side never
 evaluates its inputs itself.
 
-`picard_windows` solves by Picard sweeps over windows of nodes (waveform
-relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1 (1982)
-131).  Windows start at `_WINDOW` steps, and a remainder of fewer than two
-steps joins the window before it.  A window fails when a sweep raises
-LieSysError, when its updates stop shrinking while above roundoff (`_ROUNDOFF`
-times the window's largest entry, so the rule does not change with the
-state's scale), when `_MAX_SWEEPS` sweeps do not converge, or when the fixed
-point is not finite.  A failed window halves down to the caller's smallest
-width, and the next window doubles back; at that width the caller's `stuck`
-solves the window or raises.  An exact caller accepts a window once a sweep
-leaves it bitwise unchanged, any other once an update falls to roundoff.
+`picard_windows` solves by Picard sweeps behind a sliding frontier
+(waveform relaxation with a moving window: Lelarasmee, Ruehli &
+Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  Each sweep covers
+`_WINDOW` steps from the frontier, the last settled node; a remainder of
+fewer than two steps joins the window.  Its first iterate is what the last
+sweep left beyond the frontier, padded with its last row, or the constant
+frontier state after a restart.  Rows near the frontier settle first, as
+Picard's error at a distance t behind a settled start falls like
+(Lt)^k / k! (Miekkala & Nevanlinna, SIAM J. Sci. Stat. Comput. 8 (1987)
+459), so a sweep commits its settled prefix and the frontier slides on:
 
-`sweep_rk4` runs the library's RK4 solves on that driver.  A sweep evaluates
-the four stages once over the whole window and rebuilds it as one running
-sum of the step increments, the loop's float operations in its order, so
-the bitwise fixed point is the loop's result.  Its windows never halve: a
-failed window runs by `integrate_rk4` one state at a time, which names any
-failure as the loop does.  The right-hand side takes batches, so
-realizations give batched `fields` and `domain`, and reductions a batched
-`hom_rhs`; `batch_guard` checks them at construction.
+- an exact caller, whose row j depends only on rows < j of the iterate,
+  commits up to the first row the sweep changed, that row included: the
+  rows before it are unchanged, so it is the fixed point's to the last bit,
+  and every sweep settles at least one step;
+- any other caller commits up to the last even row before the first update
+  above roundoff (`_ROUNDOFF` times the window's largest |x|, so the rule
+  does not change with the state's scale), and never stops one step short
+  of the grid end.  Windows thus start on even nodes, where a cumulative
+  Simpson sum depends on no later sample: each window's Simpson pairs are
+  the grid's, and the result is one global pass to roundoff.
+
+A window fails when a sweep raises LieSysError, when a committed row is not
+finite, when the largest update over the rows carried from the last sweep
+does not shrink against those rows' updates there while above roundoff, or
+when `_MAX_SWEEPS` sweeps pass without the frontier moving.  A failed
+window halves down to the caller's smallest width and restarts from the
+frontier; once the frontier has advanced a full width at a reduced width,
+the width doubles back.  A failed window of the smallest width goes to
+the caller's `stuck`, which solves it or raises.
+
+`sweep_rk4` runs the library's RK4 solves on that driver as an exact
+caller.  A sweep evaluates the four stages once over the whole window and
+rebuilds it as one running sum of the step increments, the loop's float
+operations in its order, so every committed row is the loop's result.  Its
+windows never halve: a failed window runs by `integrate_rk4` one state at a
+time, which names any failure as the loop does.  The right-hand side takes
+batches, so realizations give batched `fields` and `domain`, and reductions
+a batched `hom_rhs`; `batch_guard` checks them at construction.
 """
 
 from __future__ import annotations
@@ -44,12 +63,14 @@ from .errors import LieSysError, NumericsError, SingularMatrixError
 # Default resolution: 2000 uniform steps per unit time. All quoted
 # tolerances in the tests assume this.
 STEPS_PER_UNIT_TIME = 2000
-# Picard sweeps: the widest window in steps, the most sweeps a window may
-# take, and the update, relative to the window's largest |x|, that counts as
-# roundoff
-_WINDOW = 128
+# Picard sweeps: the widest window in steps, the most sweeps that may pass
+# without the frontier moving, and the update, relative to the window's
+# largest |x|, that counts as roundoff
+_WINDOW = 512
 _MAX_SWEEPS = 40
 _ROUNDOFF = 64 * np.finfo(float).eps
+# the last update of a frontier row that no sweep has carried yet
+_UNSWEPT = np.array([np.inf])
 # a batched call must agree with the single-row calls to this relative error
 _BATCH_RTOL = 1e-12
 
@@ -230,49 +251,71 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
     return Trajectory(grid, states, meta)
 
 
-def _picard_window(first, sweep, exact):
-    """Picard sweeps X <- sweep(X) from the iterate `first`: the accepted
-    iterate, or None when the window fails (see the module docstring)."""
-    X, last = first, np.inf
+def _sweep_once(sweep, a, e, X, last, exact):
+    """One sweep of the carried iterate X over the nodes a..e: the new
+    iterate, its largest update per row and the rows it settles (see the
+    module docstring), or None when the sweep fails."""
     # unconverged iterates may overflow or leave a function's domain
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_SWEEPS):
-            try:
-                new = sweep(X)
-            except LieSysError:
-                return None
-            # ufunc reductions skip np.max's Python wrapper; two finite floats
-            # differ by 0 only when equal, so update == 0 changed no value
-            update = np.maximum.reduce(np.abs(new - X), axis=None)
-            small = update <= _ROUNDOFF * np.maximum.reduce(np.abs(new), axis=None)
-            if (update == 0 if exact else small):
-                return new if np.isfinite(new).all() else None
-            if not (small or update < last):     # also catches NaN
-                return None
-            X, last = new, update
-    return None
+        try:
+            new = sweep(a, e, X)
+        except LieSysError:
+            return None
+        # ufunc reductions skip np.max's Python wrapper
+        update = np.maximum.reduce(np.abs(new - X), axis=1)
+        tol = _ROUNDOFF * np.maximum.reduce(np.abs(new), axis=None)
+        carried = np.maximum.reduce(update[:len(last)])
+        if not (carried <= tol or carried < np.maximum.reduce(last)):    # also catches NaN
+            return None
+        # two finite floats differ by 0 only when equal; NaN counts as moved
+        moved = ~(update[1:] <= (0.0 if exact else tol))
+        j = int(np.argmax(moved))       # row j + 1 is the first that moved
+        if not moved[j]:
+            p = len(X) - 1
+        else:
+            p = j + 1 if exact else j // 2 * 2
+        if not np.isfinite(new[:p + 1]).all():
+            return None
+    return new, update, p
 
 
-def picard_windows(window, x0, n, exact, min_window, stuck) -> np.ndarray:
-    """The (n + 1, d) states of a solve from x0 over n steps by windowed
-    Picard sweeps (see the module docstring).
+def picard_windows(sweep, x0, n, exact, min_window, stuck) -> np.ndarray:
+    """The (n + 1, d) states of a solve from x0 over n steps by Picard
+    sweeps behind a sliding frontier (see the module docstring).
 
-    window(a, e, x_a) builds the constants of the window of nodes a..e once
-    and returns its first iterate, broadcastable to (e - a + 1, d), and its
-    sweep, a map from one iterate to the next.  stuck(a, e, x_a) returns the
-    window's states, or raises, when a window of at most `min_window` steps
-    fails."""
+    sweep(a, e, X) maps an iterate X over the nodes a..e, (e - a + 1, d)
+    with X[0] the state at node a, to the next one, which starts at X[0];
+    with `exact`, its row j depends on the rows < j of X only.
+    stuck(a, e, x_a) returns the states over the nodes a..e, or raises, when
+    a sweep of at most `min_window` steps fails."""
     states = np.empty((n + 1, np.size(x0)))
     states[0] = x0
-    a, width = 0, _WINDOW
+    a, width, advanced, idle = 0, _WINDOW, 0, 0
+    # the carried iterate from node a and its rows' last updates; the
+    # frontier row alone has none
+    X, last = states[:1], _UNSWEPT
     while a < n:
         e = n if n - a - width < 2 else a + width
-        X = _picard_window(*window(a, e, states[a]), exact)
-        if X is None and width > min_window:
-            width //= 2
+        X = np.concatenate([X, np.repeat(X[-1:], e - a + 1 - len(X), axis=0)])
+        out = _sweep_once(sweep, a, e, X, last, exact)
+        if out is not None:
+            new, update, p = out
+            if not exact and a + p == n - 1:
+                p -= 2      # Simpson needs two steps after the frontier
+            idle = 0 if p else idle + 1
+        if out is None or idle == _MAX_SWEEPS:
+            if width > min_window:
+                width, advanced = width // 2, 0
+            else:
+                states[a + 1:e + 1] = stuck(a, e, states[a])[1:]
+                a = e
+            X, last, idle = states[a:a + 1], _UNSWEPT, 0
             continue
-        states[a + 1:e + 1] = (stuck(a, e, states[a]) if X is None else X)[1:]
-        a, width = e, min(2 * width, _WINDOW)
+        states[a + 1:a + p + 1] = new[1:p + 1]
+        X, last = new[p:], update[p:]
+        a, advanced = a + p, advanced + p
+        if width < _WINDOW and advanced >= width:
+            width, advanced = 2 * width, 0
     return states
 
 
@@ -288,23 +331,20 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
     n = len(nodes) - 1
     if len(table) != 2 * n + 1:
         raise NumericsError(f"stage table needs {2 * n + 1} rows, got {len(table)}")
+    # the per-step constants, built once and sliced by each sweep
     dt = np.diff(nodes)
+    t = nodes[:-1]
+    th, t1, u0, uh, u1 = t + 0.5 * dt, t + dt, table[:-1:2], table[1::2], table[2::2]
+    hc, wc, sixth = 0.5 * dt[:, None], dt[:, None], (dt / 6.0)[:, None]
 
-    def window(a, e, xa):
-        t, w, rows = nodes[a:e], dt[a:e], table[2 * a:2 * e + 1]
-        th, t1, u0, uh, u1 = t + 0.5 * w, t + w, rows[:-1:2], rows[1::2], rows[2::2]
-        hc, wc, sixth = 0.5 * w[:, None], w[:, None], (w / 6.0)[:, None]
-
-        def sweep(X):
-            x = X[:-1]
-            k1 = f(t, x, u0)
-            k2 = f(th, x + hc * k1, uh)
-            k3 = f(th, x + hc * k2, uh)
-            k4 = f(t1, x + wc * k3, u1)
-            incr = sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            return np.add.accumulate(np.concatenate([X[:1], incr]))
-
-        return np.broadcast_to(xa, (e - a + 1, len(xa))), sweep
+    def sweep(a, e, X):
+        x, s = X[:-1], slice(a, e)
+        k1 = f(t[s], x, u0[s])
+        k2 = f(th[s], x + hc[s] * k1, uh[s])
+        k3 = f(th[s], x + hc[s] * k2, uh[s])
+        k4 = f(t1[s], x + wc[s] * k3, u1[s])
+        incr = sixth[s] * (k1 + 2.0 * (k2 + k3) + k4)
+        return np.add.accumulate(np.concatenate([X[:1], incr]))
 
     def one(t, x, u):       # f on one state, for the step-by-step loop
         return f(np.array([t]), x[None], u[None])[0]
@@ -313,7 +353,7 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
         return integrate_rk4(one, xa, TimeGrid.from_nodes(nodes[a:e + 1]),
                              table=table[2 * a:2 * e + 1]).states
 
-    return Trajectory(grid, picard_windows(window, x0, n, True, _WINDOW, stuck), meta)
+    return Trajectory(grid, picard_windows(sweep, x0, n, True, _WINDOW, stuck), meta)
 
 
 def batch_guard(fn, what, dims, avoid=()):

@@ -18,11 +18,12 @@ reproduces the closed forms of the cataloged systems: the nilpotent
 triangular orderings and SE(2), whose angle comes first.
 
 An ordering with a dependency cycle takes Picard sweeps
-v <- v(t_a) + int_{t_a}^t f(v) over windows of nodes, walked by
-`numerics.picard_windows` (the `numerics` docstring gives the window and
-roundoff rules).  A two-step window that still fails is a chart breakdown.
-The sweeps need Simpson's rule, so on a non-uniform grid a cyclic ordering
-integrates by RK4.
+v <- v(t_a) + int_{t_a}^t f(v) behind a sliding frontier t_a, by
+`numerics.picard_windows` (the `numerics` docstring gives the settled
+prefix, the even-step rule, the failure rule and the grow-back).  A
+two-step window that still fails is a chart breakdown.  The sweeps need
+Simpson's rule, so on a non-uniform grid a cyclic ordering integrates by
+RK4.
 """
 
 from __future__ import annotations
@@ -268,16 +269,15 @@ def _wn_solve_levels(problem: WNProblem, b, levels) -> Trajectory:
 def _wn_solve_sweeps(problem: WNProblem, b) -> Trajectory:
     alg, ordering, nodes = problem.algebra, problem.ordering, problem.grid.nodes
 
-    def window(a, e, va):
-        # the first iterate is the constant v(t_a): the first sweep builds one M(v)
-        bw, gw = b[a:e + 1], TimeGrid.uniform(nodes[a], nodes[e], e - a)
-        return va, lambda w: va + _sweep(alg, ordering, w, bw, gw, slice(None))
+    def sweep(a, e, w):
+        gw = TimeGrid.uniform(nodes[a], nodes[e], e - a)
+        return w[0] + _sweep(alg, ordering, w, b[a:e + 1], gw, slice(None))
 
     def stuck(a, e, va):
         cond = float(np.linalg.cond(wn_matrix(alg, ordering, va), 1))
         raise WNBreakdownError(nodes[a], cond, node=a, what="Wei-Norman sweeps did not converge")
 
-    v = picard_windows(window, np.zeros(alg.dim), len(nodes) - 1, False, _MIN_WINDOW, stuck)
+    v = picard_windows(sweep, np.zeros(alg.dim), len(nodes) - 1, False, _MIN_WINDOW, stuck)
     return Trajectory(problem.grid, v, meta="wei-norman")
 
 
@@ -289,11 +289,12 @@ def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
     the rates of the ordering have dependency levels (probed once per
     algebra and ordering), one sweep per level solves them.  An ordering
     with a dependency cycle on a uniform grid of two steps or more takes
-    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b over windows of
-    nodes (`numerics.picard_windows`, down to two steps).  On any other
-    grid a cyclic ordering runs RK4 (by `numerics.sweep_rk4`): the
-    second-order trapezoid is the only quadrature rule there.  'rk4' forces
-    RK4.  Any other method raises LieSysError.
+    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b behind a sliding
+    frontier t_a (`numerics.picard_windows` gives the rules; windows halve
+    down to two steps).  On any other grid a cyclic ordering runs RK4 (by
+    `numerics.sweep_rk4`): the second-order trapezoid is the only
+    quadrature rule there.  'rk4' forces RK4.  Any other method raises
+    LieSysError.
 
     The controls are sampled once: at the nodes for quadrature, at the RK4
     stage times otherwise; non-finite samples, and non-finite exponents on

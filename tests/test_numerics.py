@@ -180,6 +180,42 @@ def test_cumulative_trapezoid_on_a_non_uniform_grid():
     assert np.max(np.abs(cumulative_quadrature_samples(y, grid) - ref)) <= 1e-14
 
 
+def test_a_roundoff_frontier_never_stops_one_step_before_the_grid_end():
+    # every row settles in the first sweep but the grid's last, which moves
+    # towards 1 by a factor 1e-3 a sweep; committing up to the last even row
+    # would leave one step, where Simpson has no pair
+    n, spans = 7, []
+
+    def sweep(a, e, X):
+        spans.append((a, e))
+        new = np.zeros_like(X)
+        if e == n:
+            new[-1] = 1.0 - 1e-3 * (1.0 - X[-1])
+        return new
+
+    states = N.picard_windows(sweep, [0.0], n, False, 2, None)
+    assert spans[:2] == [(0, 7), (4, 7)] and all(e - a >= 2 for a, e in spans)
+    assert not states[:-1].any() and abs(states[-1, 0] - 1.0) <= 1e-12
+
+
+def test_a_frontier_that_stays_in_place_fails_the_window():
+    # the rows after the frontier contract by 0.9 a sweep and stay above
+    # roundoff for about 300 sweeps: each width fails after _MAX_SWEEPS
+    # sweeps and halves, and the two-step window goes to `stuck`
+    spans = []
+
+    def sweep(a, e, X):
+        spans.append((a, e))
+        return np.concatenate([X[:1], 1.0 - 0.9 * (1.0 - X[1:])])
+
+    def stuck(a, e, xa):
+        raise RuntimeError(f"stuck at {a}..{e}")
+
+    with pytest.raises(RuntimeError, match=r"^stuck at 0\.\.2$"):
+        N.picard_windows(sweep, [0.0], 4, False, 2, stuck)
+    assert len(spans) == 9 * N._MAX_SWEEPS and set(spans) == {(0, 4), (0, 2)}
+
+
 def test_import_leaves_scipy_unloaded():
     import liesys
 

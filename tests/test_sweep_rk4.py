@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import liesys.numerics as N
+import liesys.reduction as R
+import liesys.systems as S
 from liesys.algebra import LieAlgebra, wn_matrix
 from liesys.catalog import get_system, list_systems
 from liesys.errors import LieSysError, NumericsError
@@ -83,8 +85,9 @@ def test_homogeneous_solve_equals_the_single_state_loop(name):
     assert np.max(np.abs(got - ref)) <= (1e-13 if name in SQUARING else 0.0)
 
 
-# window edges: a remainder of fewer than two steps joins the window before it
-EDGE_GRIDS = [TimeGrid.uniform(0.0, n / 2000, n) for n in (1, 2, 127, 128, 129, 130, 257, 2000)]
+# window edges: a remainder of fewer than two steps joins the window
+EDGE_GRIDS = [TimeGrid.uniform(0.0, n / 2000, n) for n in (1, 2, 127, 128, 129, 130, 257, 511,
+                                                            512, 513, 514, 1023, 1024, 1025, 2000)]
 EDGE_GRIDS.append(TimeGrid.from_nodes(np.linspace(0.0, 0.2, 301) ** 1.5))
 
 
@@ -130,9 +133,11 @@ def batched_starts(f):
 @pytest.mark.parametrize("scale", [1.0, 2.0**-70], ids=["1", "2^-70"])
 def test_a_stiff_window_falls_back_and_equals_the_loop(scale, monkeypatch):
     # k dt = 1 is inside RK4's stability interval, but k = 2000 over a
-    # window of 128 steps makes every window's sweeps diverge.  The roundoff
-    # floor is relative to the window's scale, so a forcing of 2^-70 takes
-    # the same sweeps: the second update of each of the 16 windows grows
+    # window of 512 steps makes the sweeps diverge.  In each of the four
+    # windows the first sweep, from the constant state, settles one step,
+    # the second one's update grows, and the loop runs the window's other
+    # steps.  The roundoff floor is relative to the window's scale, so a
+    # forcing of 2^-70 takes the same sweeps
     k, grid = 2000.0, TimeGrid.uniform(0.0, 1.0, 2000)
     s = rk4_stage_times(grid)
     table = np.stack([np.full_like(s, k), scale * k * np.cos(s)], axis=-1)
@@ -140,15 +145,15 @@ def test_a_stiff_window_falls_back_and_equals_the_loop(scale, monkeypatch):
     f, batched = batched_starts(_relax)
     starts = counting_loop(monkeypatch)
     got = sweep_rk4(f, [0.0], grid, table).states
-    assert starts == grid.nodes[:-1].tolist()
+    assert starts == np.delete(grid.nodes[:-1], [0, 513, 1026, 1539]).tolist()
     assert np.array_equal(got, ref)
-    assert len(batched) == 16 * 2 * 4
+    assert len(batched) == 4 * 2 * 4
 
 
 def test_a_decayed_state_stops_sweeping_within_a_few_sweeps():
-    # x' = -2000 x from 1: the sweeps of the first windows diverge and fall
-    # back, the later windows hold a state decayed far below 1 (and then 0),
-    # and the relative floor stops each window within three sweeps
+    # x' = -2000 x from 1: the sweeps of the first two windows diverge and
+    # fall back, the later windows hold a state decayed far below 1 (and
+    # then 0), and the relative floor stops each window within two sweeps
     grid = TimeGrid.uniform(0.0, 1.0, 2000)
     table = np.full((4001, 1), 2000.0)
 
@@ -159,10 +164,31 @@ def test_a_decayed_state_stops_sweeping_within_a_few_sweeps():
     f, batched = batched_starts(decay)
     got = sweep_rk4(f, [1.0], grid, table).states
     assert np.array_equal(got, ref)
-    # each sweep makes four stage calls, all at times inside its window
-    window = np.searchsorted(grid.nodes[::128], batched, side="right") - 1
-    sweeps = np.bincount(window) / 4
-    assert len(sweeps) == 16 and sweeps.max() <= 3
+    # each sweep makes four stage calls; 2000 steps take four windows
+    assert len(batched) / 4 <= 4 * 2
+
+
+def stage_calls(module, monkeypatch):
+    """Record the batch size of every stage call of the `sweep_rk4` solves
+    that `module` runs."""
+    calls, sweep = [], module.sweep_rk4
+    monkeypatch.setattr(module, "sweep_rk4", lambda f, *a, **kw: sweep(
+        lambda t, x, u: calls.append(len(t)) or f(t, x, u), *a, **kw))
+    return calls
+
+
+def test_sweeps_commit_their_settled_rows(monkeypatch):
+    # each sweep commits the rows it leaves unchanged and slides on; sweeping
+    # every window until all of its rows settle took 648 and 548 stage calls
+    starts = counting_loop(monkeypatch)
+    direct, homogeneous = stage_calls(S, monkeypatch), stage_calls(R, monkeypatch)
+    entry = get_system("so3_kinematics")
+    solve_direct(entry.realization, entry.pad_controls(controls("so3_kinematics", 3, 1.0)),
+                 np.full(3, 0.1), GRID)
+    case = catalog_reduction("su2/a1")
+    case.solve_homogeneous(controls("su2/a1", len(case.used_channels), 1.0), GRID)
+    assert starts == []
+    assert len(direct) <= 164 and len(homogeneous) <= 140
 
 
 def test_a_non_finite_stage_mid_window_raises_as_the_loop_does():
@@ -179,6 +205,23 @@ def test_a_non_finite_stage_mid_window_raises_as_the_loop_does():
     assert str(sweep.value) == str(loop.value) == "non-finite RK4 step from t=0.49"
     assert sweep.value.t == loop.value.t == grid.nodes[49]
     assert np.array_equal(sweep.value.state, loop.value.state)
+
+
+def test_a_non_finite_first_step_raises_as_the_loop_does():
+    # the first sweep's first changed row is its only committed one, and it
+    # is not finite: the loop runs from the start and names step 0
+    grid = TimeGrid.uniform(0, 1, 100)
+    table = rk4_stage_times(grid)[:, None]
+
+    def f(t, x, u):
+        return np.where(u >= 0.0, np.inf, 1.0)
+
+    with pytest.raises(NumericsError) as loop:
+        integrate_rk4(f, [0.0], grid, table=table)
+    with pytest.raises(NumericsError) as sweep:
+        sweep_rk4(f, [0.0], grid, table)
+    assert str(sweep.value) == str(loop.value) == "non-finite RK4 step from t=0"
+    assert sweep.value.t == loop.value.t == 0.0
 
 
 def test_an_unconverged_iterate_outside_the_domain_is_not_an_exit(monkeypatch):
@@ -205,7 +248,9 @@ def test_an_unconverged_iterate_outside_the_domain_is_not_an_exit(monkeypatch):
     seen_outside.clear()
     starts = counting_loop(monkeypatch)
     got = solve_direct(decay, b, [1.0], grid).states
-    assert any(seen_outside) and len(starts) == 128
+    # the first sweep settles step 0, the second leaves the domain, and the
+    # loop runs the other 127 steps
+    assert any(seen_outside) and starts == grid.nodes[1:-1].tolist()
     assert np.array_equal(got, ref)
     assert got.min() > 0.2
 

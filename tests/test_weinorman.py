@@ -1,4 +1,3 @@
-import itertools
 import math
 import zlib
 
@@ -149,22 +148,22 @@ def test_wn_solve_rejects_an_unknown_method():
         wn_solve(prob, method="quadrature")
 
 
-def _widths(monkeypatch):
-    """Patch the sweep and the RK4 step: the widths, in steps, of the windows
-    swept, in order; an RK4 step fails the test."""
-    widths = []
+def _windows(monkeypatch):
+    """Patch the sweep and the RK4 step: the grids of the windows swept, in
+    order; an RK4 step fails the test."""
+    windows = []
     sweep = W._sweep
-    monkeypatch.setattr(W, "_sweep", lambda *a: widths.append(len(a[3]) - 1) or sweep(*a))
+    monkeypatch.setattr(W, "_sweep", lambda *a: windows.append(a[4]) or sweep(*a))
     monkeypatch.setattr(N, "rk4_step", lambda *a: pytest.fail("rk4_step ran"))
-    return widths
+    return windows
 
 
 def _sweeps_against_rk4(prob, monkeypatch):
     rk4 = wn_solve(prob, method="rk4").states
     with monkeypatch.context() as patch:
-        widths = _widths(patch)
+        windows = _windows(patch)
         got = wn_solve(prob).states
-    assert widths
+    assert windows
     return float(np.max(np.abs(got - rk4)))
 
 
@@ -189,30 +188,39 @@ def test_sweeps_match_rk4_on_cyclic_criterion_1_systems(name, kw, amp, unit_grid
     assert _sweeps_against_rk4(prob, monkeypatch) < 1e-10
 
 
-@pytest.mark.parametrize("n,windows", [(129, [129]), (130, [128, 2]), (257, [128, 129])])
-def test_sweep_windows_at_the_grid_end(n, windows, monkeypatch):
-    # a remainder of fewer than two steps joins the window before it
-    prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3),
-                     TimeGrid.uniform(0.0, n / 2000, n))
+@pytest.mark.parametrize("n", [129, 130, 257, 513, 514, 1999, 2000])
+def test_sweep_windows_at_the_grid_end(n, monkeypatch):
+    # each sweep covers _WINDOW steps from the frontier, and a remainder of
+    # fewer than two steps joins the window; every commit but the one that
+    # reaches the grid end covers an even number of steps, so each window
+    # starts on an even node and Simpson's pairs stay on the grid's
+    grid = TimeGrid.uniform(0.0, n / 2000, n)
+    prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3), grid)
     rk4 = wn_solve(prob, method="rk4").states
-    widths = _widths(monkeypatch)
+    windows = _windows(monkeypatch)
     got = wn_solve(prob).states
-    assert [w for w, _ in itertools.groupby(widths)] == windows
+    spans = [(np.searchsorted(grid.nodes, w.t0), np.searchsorted(grid.nodes, w.t1))
+             for w in windows]
+    assert spans[0] == (0, n if n <= N._WINDOW + 1 else N._WINDOW)
+    assert all(a % 2 == 0 for a, _ in spans)
+    assert all(e == n or (e - a == N._WINDOW and n - e >= 2) for a, e in spans)
     assert np.max(np.abs(got - rk4)) < 1e-10
 
 
 def test_sweep_windows_halve_and_grow_back(monkeypatch):
-    # v1' = 3 cos t (1 - v1^2) on [0, 6]: the first 128-step window does not
-    # contract, a 64-step one does, and the next window is 128 steps again.
-    # Both rules are fourth order at dt = 0.003; against RK4 on 16000 steps
-    # the sweeps are off by 1.3e-9 and RK4 on this grid by 1.5e-10
+    # v1' = 3 cos t (1 - v1^2) on [0, 6]: windows of 512, 256 and 128 steps
+    # do not contract, a 64-step one does, and the width doubles back to 512
+    # as the frontier advances.  Both rules are fourth order at dt = 0.003;
+    # against RK4 on 16000 steps the sweeps are off by 1.3e-9 and RK4 on
+    # this grid by 1.5e-10
     grid = TimeGrid.uniform(0.0, 6.0, 2000)
     b = ControlSignal([lambda t: 3 * np.cos(t), lambda t: 0 * t, lambda t: -3 * np.cos(t)])
     rk4 = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid), method="rk4").states
-    widths = _widths(monkeypatch)
+    windows = _windows(monkeypatch)
     got = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid)).states
-    assert widths[0] == 128 and 64 in widths
-    assert 128 in widths[widths.index(64):]
+    widths = [w.n_steps for w in windows]
+    assert widths[0] == N._WINDOW and 64 in widths
+    assert N._WINDOW in widths[widths.index(64):]
     assert np.max(np.abs(got - rk4)) < 1e-8
 
 
@@ -474,12 +482,12 @@ def test_breakdown_on_the_sweep_path_names_the_node(monkeypatch):
     # the RK4 scan crosses the bound at t = 0.3945
     sl2 = catalog_algebra("sl2")
     grid = TimeGrid.uniform(0, 6.0, 2000)
-    widths = _widths(monkeypatch)
+    windows = _windows(monkeypatch)
     with pytest.raises(WNBreakdownError) as exc:
         wn_solve(WNProblem(sl2, ControlSignal.constant([4.0, 0.0, 4.0]), grid))
     k, t = exc.value.node, exc.value.t
     assert t == grid.nodes[k] and 0.3795 <= t <= 0.3945
-    assert widths[-1] == 2
+    assert windows[-1].n_steps == 2
     assert f"sweeps did not converge at node {k} near t={t}" in str(exc.value)
     # the condition of M(v) at that node: the sweeps' v there differs from
     # the closed form by their error near the blow-up (|v| ~ 29)
