@@ -40,7 +40,6 @@ from .numerics import (
     Trajectory,
     batch_guard,
     diff_samples4,
-    interp_columns,
     rk4_stage_times,
     sweep_rk4,
 )
@@ -74,9 +73,11 @@ class ReductionSetup:
 def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
     """Reduced coefficients c_mu(t) on the grid nodes.
 
-    The lift's coordinate velocity is the fourth-order difference of its
-    node coordinates (one-sided five-point stencils at the two nodes next to
-    each end); Ad(g1^{-1}) and the left trivialization then apply nodewise.
+    The lift's coordinate velocity is `GroupCurve.coordinate_velocity` by
+    fourth-order differences (one-sided five-point stencils at the two nodes
+    next to each end), which needs a uniform grid and follows a wrapped
+    angle across its cut; Ad(g1^{-1}) and the left trivialization then apply
+    nodewise.
     Every lift node and its inverse is checked against the chart constraint,
     and every node's right-hand side must lie in span(h); the off-span
     tolerance scales with the control magnitude.  A failure names the stage,
@@ -85,13 +86,10 @@ def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
     """
     chart = setup.chart
     nodes = setup.grid.nodes
-    dt = setup.grid.uniform_dt
-    if dt is None:
-        raise NumericsError("reduction: the lift's log-derivative needs a uniform grid")
     S = setup.span_matrix
     Spinv = np.linalg.pinv(S)
     b = setup.controls(nodes)
-    dg1 = diff_samples4(setup.lift.coords, dt)
+    dg1 = setup.lift.coordinate_velocity(diff_samples4)
     coeffs = np.empty((len(nodes), S.shape[1]))
     resid = np.empty(len(nodes))
     for start in range(0, len(nodes), _BLOCK):
@@ -114,15 +112,17 @@ def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
 def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     """Integrate R_{h^{-1}*h}(dh/dt) = -sum_mu c_mu(t) h_mu with h(t0) = e.
 
-    Fourth-order Magnus on the stage table: with A(t) = -sum_mu c_mu(t) h_mu
-    at the step's ends and midpoint, step k is h_{k+1} = exp(Omega_k) h_k with
+    Fourth-order Magnus: with A(t) = -sum_mu c_mu(t) h_mu at the step's ends
+    and midpoint, step k is h_{k+1} = exp(Omega_k) h_k with
     Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
-    the structure constants.  The exp(Omega_k) come from one `exp_algebra`
-    call per `_BLOCK` steps, which bounds its temporaries.  The reduced
-    coefficients are given at the grid nodes and the midpoint values
-    interpolate them linearly, so the scheme is fourth order in those
-    values, not in the c_mu(t) they sample.
+    the structure constants.  The reduced coefficients are known only at the
+    nodes of a uniform grid, so A_{k+1/2} comes from the cubic through the
+    four nearest nodes, (-1, 9, 9, -1)/16 inside and (5, 15, -5, 1)/16
+    one-sided at each end: its O(dt^4) error keeps the step fourth order in
+    the sampled c_mu(t), where a linear midpoint would make it second order.
+    The exp(Omega_k) come from one `exp_algebra` call per `_BLOCK` steps,
+    which bounds its temporaries.
 
     The products h_{k+1} = exp(Omega_k) ... exp(Omega_0) are a prefix
     product, taken in log depth (Hillis & Steele, Commun. ACM 29 (1986)
@@ -131,13 +131,18 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     is still the previous level's value; the product tree depends on the
     node index alone, so the result does not depend on `_BLOCK`.
     """
-    chart, nodes = setup.chart, setup.grid.nodes
-    A = -(interp_columns(rk4_stage_times(setup.grid), nodes, coeffs) @ setup.span_matrix.T)
-    a0, half, a1 = A[:-1:2], A[1::2], A[2::2]
-    dt = np.diff(nodes)[:, None]
-    omega = (dt / 6.0 * (a0 + 4.0 * half + a1)
-             + dt ** 2 / 12.0 * bracket_coords(chart.algebra, a1, a0))
-    n = len(nodes)
+    chart, n, dt = setup.chart, len(setup.grid.nodes), setup.grid.uniform_dt
+    if n < 4:
+        raise NumericsError(f"the subgroup solve's cubic midpoints need 4 nodes, got {n}")
+    if dt is None:
+        raise NumericsError("the subgroup solve's cubic midpoints need a uniform grid")
+    A = -(np.asarray(coeffs, dtype=float) @ setup.span_matrix.T)
+    half = np.empty_like(A[1:])
+    half[1:-1] = (9.0 * (A[1:-2] + A[2:-1]) - (A[:-3] + A[3:])) / 16.0
+    end = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+    half[0], half[-1] = end @ A[:4], end @ A[:-5:-1]
+    omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
+             + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[1:], A[:-1]))
     h = np.empty((n, chart.coord_dim))
     h[0] = chart.identity_coords
     for start in range(0, n - 1, _BLOCK):
@@ -175,26 +180,12 @@ def run_reduction(setup: ReductionSetup):
             "reconstruction": g, **report}
 
 
-def run_catalog_reduction(case: "ReductionCase", b: ControlSignal,
-                          grid: TimeGrid, refine: int = 2):
-    """Drive a cataloged reduction end to end.
-
-    The homogeneous solve and reduction run on a `refine`-times finer grid
-    (an accuracy tier for the finite-difference log-derivatives); homogeneous
-    solution, coefficients, subgroup curve and reconstruction are reported
-    restricted to the requested grid.
-    """
-    fine = TimeGrid.uniform(grid.t0, grid.t1, grid.n_steps * refine)
-    setup, hom_fine = case.setup(b, fine)
-    out = run_reduction(setup)
-    step = refine
-    coarse_hom = Trajectory(grid, hom_fine.states[::step], meta=hom_fine.meta)
-    coeffs = out["coefficients"][::step]
-    h = GroupCurve(case.chart, grid, out["subgroup_curve"].coords[::step])
-    g = GroupCurve(case.chart, grid, out["reconstruction"].coords[::step])
-    return {"homogeneous": coarse_hom, "coefficients": coeffs,
-            "subgroup_curve": h, "reconstruction": g,
-            "off_span_residual": out["off_span_residual"]}
+def run_catalog_reduction(case: "ReductionCase", b: ControlSignal, grid: TimeGrid):
+    """Drive a cataloged reduction end to end on `grid`: the homogeneous
+    solve, then `run_reduction`; the result also carries the homogeneous
+    solution."""
+    setup, hom = case.setup(b, grid)
+    return {"homogeneous": hom, **run_reduction(setup)}
 
 
 # ---------------------------------------------------------------------------

@@ -366,21 +366,24 @@ class GroupCurve:
         step = exp_algebra(self.chart, (t - nodes[j]) * self._log_derivatives[j])
         return GroupElement(self.chart, self.chart.compose_fn(step, self.coords[j]))
 
-    def node_log_derivatives(self, diff) -> np.ndarray:
-        """The right log-derivative (dg/dt) g^{-1} at every node, (n, r).
-
-        dg/dt is `diff` (`diff_samples` or `diff_samples4`) of the node
-        coordinates, each coordinate step taken through the chart's wrap so
-        that a wrapped angle moves continuously; `_trivialize` maps it to
-        the algebra, all nodes in one pass."""
+    def coordinate_velocity(self, diff) -> np.ndarray:
+        """dg/dt in chart coordinates at every node, (n, d): `diff`
+        (`diff_samples` or `diff_samples4`) of the node coordinates on the
+        curve's uniform grid, each coordinate step taken through the chart's
+        wrap so that a wrapped angle moves continuously."""
         dt = self.grid.uniform_dt
         if dt is None:
-            raise NumericsError("a curve's log-derivatives at its nodes need a uniform grid")
+            raise NumericsError("a curve's coordinate velocity at its nodes needs a uniform grid")
         steps = np.diff(self.coords, axis=0)
         if self.chart.wrap_fn is not None:
             steps = self.chart.wrap_fn(steps)
-        unwrapped = np.concatenate([self.coords[:1], self.coords[0] + np.cumsum(steps, axis=0)])
-        return _trivialize(self.chart, self.coords, diff(unwrapped, dt), left=False)
+        return diff(np.concatenate([self.coords[:1], self.coords[0] + np.cumsum(steps, axis=0)]), dt)
+
+    def node_log_derivatives(self, diff) -> np.ndarray:
+        """The right log-derivative (dg/dt) g^{-1} at every node, (n, r):
+        `coordinate_velocity(diff)` mapped to the algebra by `_trivialize`,
+        all nodes in one pass."""
+        return _trivialize(self.chart, self.coords, self.coordinate_velocity(diff), left=False)
 
     def at_node(self, k: int) -> GroupElement:
         return GroupElement(self.chart, self.coords[k])

@@ -118,8 +118,17 @@ def subgroup_gap(case, b, grid):
     S, nodes = setup.span_matrix, grid.nodes
 
     def f(t, hc):
-        # midpoint stages interpolate the node coefficients linearly
-        c = np.array([np.interp(t, nodes, coeffs[:, j]) for j in range(coeffs.shape[1])])
+        # a stage at a node takes that node's coefficients; a midpoint stage
+        # takes the Lagrange cubic through the four nearest nodes (the three
+        # on one side and one on the other next to either end)
+        k = int(np.searchsorted(nodes, t))
+        if nodes[k] == t:
+            c = coeffs[k]
+        else:
+            lo = min(max(k - 2, 0), len(nodes) - 4)
+            near = range(lo, lo + 4)
+            c = sum(coeffs[i] * np.prod([(t - nodes[j]) / (nodes[i] - nodes[j])
+                                         for j in near if j != i]) for i in near)
         return right_invariant_derivative(setup.chart, -(S @ c), hc)
 
     ref = rk4_per_call(f, setup.chart.identity_coords, nodes)

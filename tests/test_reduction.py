@@ -5,7 +5,7 @@ import pytest
 
 import liesys.groups as G
 import liesys.reduction as R
-from liesys.errors import ChartError, LieSysError
+from liesys.errors import ChartError, LieSysError, NumericsError
 from liesys.numerics import TimeGrid
 from liesys.reduction import (
     ReductionSetup,
@@ -370,3 +370,60 @@ def test_off_span_failure_names_node_and_time():
     assert f"(t={grid.nodes[k]:.6g})" in msg
     # the residual grows with t, so the worst node is the last
     assert k == len(grid.nodes) - 1
+
+
+@pytest.mark.parametrize("name", ["se3/so3", "sl2/a2a3"])
+def test_reconstruction_is_fourth_order_in_the_step(name):
+    # halving the step must cut the gap about 16x; linear midpoints in the
+    # subgroup solve cut it 4x, the mark of a second-order reduction
+    # (at amplitude 1, so the gap at 2000 steps stays clear of roundoff)
+    case = catalog_reduction(name)
+    b = smooth_controls(len(case.used_channels), seed=zlib.crc32(name.encode()) % 991)
+    gaps = [case.reconstruction_gap(b, run_catalog_reduction(
+        case, b, TimeGrid.uniform(0.0, 1.0, n))["reconstruction"]) for n in (1000, 2000)]
+    assert gaps[0] >= 12.0 * gaps[1]
+
+
+def test_wrapped_lift_reduces_like_the_raw_lift():
+    # the angle of se2 turns through 5 rad, so the wrapped lift jumps by
+    # -2 pi at its cut; the reduction must follow it across as the curve's
+    # own log-derivatives do
+    case = catalog_reduction("se2/a2a3")
+    b = ControlSignal([lambda t: -5.0, lambda t: 0.7 + 0.3 * np.sin(3.0 * t)])
+    setup, _ = case.setup(b, TimeGrid.uniform(0.0, 1.0, 4000))
+    raw, _ = reduce_to_subgroup(setup)
+    lift = setup.lift
+    wrapped_coords = case.chart.wrap_fn(lift.coords)
+    assert np.max(np.abs(wrapped_coords - lift.coords)) > 6.0
+    setup.lift = GroupCurve(case.chart, lift.grid, wrapped_coords)
+    wrapped, _ = reduce_to_subgroup(setup)
+    assert np.max(np.abs(wrapped - raw)) <= 1e-12
+
+
+def test_explicit_node_grid_reduces_like_the_uniform_grid():
+    # a grid read back from a CSV carries its nodes and no step count
+    case = catalog_reduction("se2/a2a3")
+    b = controls_for(case, "se2/a2a3", {})
+    got = run_catalog_reduction(case, b, TimeGrid.from_nodes(np.linspace(0.0, 1.0, 2001)))
+    ref = run_catalog_reduction(case, b, TimeGrid.uniform(0.0, 1.0, 2000))
+    assert np.max(np.abs(got["coefficients"] - ref["coefficients"])) <= 1e-12
+    assert np.max(np.abs(got["reconstruction"].coords - ref["reconstruction"].coords)) <= 1e-12
+
+
+def _constant_setup(grid):
+    case = catalog_reduction("h3/a3")
+    b = ControlSignal.constant([0.8, -0.4])
+    lift = case.make_lift(case.solve_homogeneous(b, grid))
+    return ReductionSetup(case.chart, case.span_vectors(), lift, case.pad_controls(b), grid)
+
+
+def test_subgroup_solve_needs_four_nodes():
+    setup = _constant_setup(TimeGrid.uniform(0.0, 1.0, 2))
+    with pytest.raises(NumericsError, match="need 4 nodes, got 3"):
+        solve_on_subgroup(setup, np.zeros((3, 1)))
+
+
+def test_subgroup_solve_needs_a_uniform_grid():
+    setup = _constant_setup(TimeGrid.from_nodes([0.0, 0.1, 0.3, 0.6, 1.0]))
+    with pytest.raises(NumericsError, match="uniform grid"):
+        solve_on_subgroup(setup, np.zeros((5, 1)))
