@@ -339,18 +339,12 @@ def span_is_subalgebra(alg: LieAlgebra, span) -> dict:
         raise LieSysError("span vectors are linearly dependent")
     proj = S @ np.linalg.pinv(S)
 
-    def _off_span(w):
-        return float(np.max(np.abs(w - proj @ w))) if np.max(np.abs(w)) else 0.0
+    def _off_span(w):   # the largest distance to the span over a stack of brackets
+        return float(np.max(np.abs(w - w @ proj.T)))
 
-    sub_res = 0.0
-    for i in range(len(vecs)):
-        for j in range(len(vecs)):
-            sub_res = max(sub_res, _off_span(bracket_coords(alg, vecs[i], vecs[j])))
-    ideal_res = sub_res
-    basis = np.eye(alg.dim)
-    for v in vecs:
-        for b in basis:
-            ideal_res = max(ideal_res, _off_span(bracket_coords(alg, b, v)))
+    V = S.T
+    sub_res = _off_span(bracket_coords(alg, V[:, None], V[None]))
+    ideal_res = max(sub_res, _off_span(bracket_coords(alg, np.eye(alg.dim)[:, None], V[None])))
     return {
         "subalgebra": sub_res <= 1e-10,
         "ideal": ideal_res <= 1e-10,

@@ -74,20 +74,16 @@ def _entry_params(args):
 def cmd_list_systems(args):
     rows = []
     for name in list_systems():
-        try:
-            entry = get_system(name)
-        except Exception:
-            entry = get_system(name, eps=1) if name == "elastic_euler" else None
+        entry = get_system(name)
         feats = []
-        if entry is not None:
-            if entry.realization.action is not None:
-                feats.append("action")
-            if entry.wn_closed_form is not None:
-                feats.append("wn-closed-form")
-            if entry.closed_form is not None:
-                feats.append("closed-form")
-            alg = entry.algebra.name or "?"
-            rows.append(f"{name:34s} {alg:10s} {','.join(feats)}")
+        if entry.realization.action is not None:
+            feats.append("action")
+        if entry.wn_closed_form is not None:
+            feats.append("wn-closed-form")
+        if entry.closed_form is not None:
+            feats.append("closed-form")
+        alg = entry.algebra.name or "?"
+        rows.append(f"{name:34s} {alg:10s} {','.join(feats)}")
     print("\n".join(rows))
     print("\nreductions:", " ".join(list_reductions()))
     return 0
@@ -230,15 +226,21 @@ def _parse_xgrid(spec):
     return np.linspace(float(a), float(b), int(n))
 
 
+def _quantum_family(args):
+    """The superpotential family, x grid and parameter m of `quantum family`
+    and `quantum check-si`; a comma in --m makes m a tuple."""
+    fam = quantum.SuperpotentialFamily(
+        args.kind, a=args.a, b=args.b, A=args.A, B=args.B, D=args.D, q=args.q,
+        cs=tuple(float(v) for v in args.cs.split(",")) if args.cs else (),
+        c0=args.c0)
+    x = _parse_xgrid(args.xgrid)
+    m = tuple(float(v) for v in args.m.split(",")) if "," in args.m else float(args.m)
+    return fam, x, m
+
+
 def cmd_quantum(args):
     if args.q_cmd == "family":
-        fam = quantum.SuperpotentialFamily(
-            args.kind, a=args.a, b=args.b, A=args.A, B=args.B, D=args.D, q=args.q,
-            cs=tuple(float(v) for v in args.cs.split(",")) if args.cs else (),
-            c0=args.c0)
-        x = _parse_xgrid(args.xgrid)
-        m = (tuple(float(v) for v in args.m.split(","))
-             if "," in args.m else float(args.m))
+        fam, x, m = _quantum_family(args)
         W, R = quantum.eval_superpotential(fam, m, x)
         V, Vt = quantum.family_potentials(fam, m, x)
         rows = np.column_stack([x, W, V, Vt])
@@ -248,13 +250,7 @@ def cmd_quantum(args):
         print(json.dumps({"R": R}))
         return 0
     if args.q_cmd == "check-si":
-        fam = quantum.SuperpotentialFamily(
-            args.kind, a=args.a, b=args.b, A=args.A, B=args.B, D=args.D, q=args.q,
-            cs=tuple(float(v) for v in args.cs.split(",")) if args.cs else (),
-            c0=args.c0)
-        x = _parse_xgrid(args.xgrid)
-        m = (tuple(float(v) for v in args.m.split(","))
-             if "," in args.m else float(args.m))
+        fam, x, m = _quantum_family(args)
         res = quantum.shape_invariance_residual(fam, m, x)
         print(json.dumps({"shape_invariance_residual": res, "passes_1e-9": res <= 1e-9}))
         return 0

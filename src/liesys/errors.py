@@ -52,12 +52,12 @@ class WNBreakdownError(LieSysError):
     the caller may re-order the factorization and restart.
     """
 
-    def __init__(self, t, cond, node=None, what="Wei-Norman matrix singular"):
+    def __init__(self, t, cond, node=None):
         self.t = t
         self.cond = cond
         self.node = node
         where = "" if node is None else f" at node {node}"
-        super().__init__(f"{what}{where} near t={t} (cond~{cond:.3g})")
+        super().__init__(f"Wei-Norman matrix singular{where} near t={t} (cond~{cond:.3g})")
 
 
 class CoincidenceError(LieSysError):

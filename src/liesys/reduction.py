@@ -20,6 +20,7 @@ so no group product runs node by node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -403,93 +404,41 @@ _register("sl2/a1a2", lambda: _sl2_case("a1a2"))
 
 _h3_hom_rhs = _rhs(lambda t, y, b: [-b[0], -b[1], 0.5 * (b[1] * y[0] - b[0] * y[1])])
 
+# The towers' reduced coefficients in closed form: rows in the controls b and
+# the H(3) homogeneous state y, shared between the towers.
+_TOWER_ROWS = {
+    "A": lambda b, y: -(0.5 * b[0] * (y[0] * y[1] / 6.0 - y[2]) - b[1] * y[0] ** 2 / 12.0),
+    "B": lambda b, y: -(b[0] * y[1] ** 2 / 12.0 - 0.5 * b[1] * (y[0] * y[1] / 6.0 + y[2])),
+    "C": lambda b, y: y[0] * (b[0] * (y[0] * y[1] - 8.0 * y[2]) - b[1] * y[0] ** 2) / 24.0,
+    "D": lambda b, y: y[1] * (b[0] * y[1] ** 2 - b[1] * (y[0] * y[1] + 8.0 * y[2])) / 24.0,
+    "E": lambda b, y: (b[0] * y[1] * (y[0] * y[1] - 4.0 * y[2])
+                       - b[1] * y[0] * (y[0] * y[1] + 4.0 * y[2])) / 12.0,
+}
 
-def _g5_center():
-    chart = get_chart("G5", "canonical_first")
+# name: (group, span indices, fixture rows).  Each tower is driven on its
+# channels 1 and 2 from the identity of a first-kind chart, and its lift puts
+# the homogeneous state in the coordinate slots 0-2.
+_TOWERS = {
+    "g5/center": ("G5", (4, 5), "AB"),
+    "g7/ideal": ("G7", (4, 5, 6, 7), "ABCD"),
+    "g8/ideal": ("G8", (4, 5, 6, 7, 8), "ABCED"),
+    "gbar4/center": ("Gbar4", (4,), "A"),
+    "gbar5/ideal": ("Gbar5", (4, 5), "AC"),
+}
+
+
+def _tower(name, group, span, rows):
+    chart = get_chart(group, "canonical_first")
     return ReductionCase(
-        "g5/center", chart, (4, 5), (1, 2), 3,
+        name, chart, span, (1, 2), 3,
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=_lift_into(np.zeros(5), [0, 1, 2]),
-        expected_coeffs=_componentwise(lambda bv, t, y: [
-            -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
-            -(bv[0] * y[1] ** 2 / 12.0
-              - 0.5 * bv[1] * (y[0] * y[1] / 6.0 + y[2])),
-        ]),
+        lift_coords=_lift_into(np.zeros(chart.algebra.dim), [0, 1, 2]),
+        expected_coeffs=_componentwise(lambda bv, t, y: [_TOWER_ROWS[k](bv, y) for k in rows]),
     )
 
 
-_register("g5/center", _g5_center)
-
-
-def _g7_ideal():
-    chart = get_chart("G7", "canonical_first")
-    return ReductionCase(
-        "g7/ideal", chart, (4, 5, 6, 7), (1, 2), 3,
-        hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=_lift_into(np.zeros(7), [0, 1, 2]),
-        expected_coeffs=_componentwise(lambda bv, t, y: [
-            -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
-            -(bv[0] * y[1] ** 2 / 12.0
-              - 0.5 * bv[1] * (y[0] * y[1] / 6.0 + y[2])),
-            y[0] * (bv[0] * (y[0] * y[1] - 8.0 * y[2]) - bv[1] * y[0] ** 2) / 24.0,
-            y[1] * (bv[0] * y[1] ** 2 - bv[1] * (y[0] * y[1] + 8.0 * y[2])) / 24.0,
-        ]),
-    )
-
-
-_register("g7/ideal", _g7_ideal)
-
-
-def _g8_ideal():
-    chart = get_chart("G8", "canonical_first")
-    return ReductionCase(
-        "g8/ideal", chart, (4, 5, 6, 7, 8), (1, 2), 3,
-        hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=_lift_into(np.zeros(8), [0, 1, 2]),
-        expected_coeffs=_componentwise(lambda bv, t, y: [
-            -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
-            -(bv[0] * y[1] ** 2 / 12.0
-              - 0.5 * bv[1] * (y[0] * y[1] / 6.0 + y[2])),
-            y[0] * (bv[0] * (y[0] * y[1] - 8.0 * y[2]) - bv[1] * y[0] ** 2) / 24.0,
-            (bv[0] * y[1] * (y[0] * y[1] - 4.0 * y[2])
-             - bv[1] * y[0] * (y[0] * y[1] + 4.0 * y[2])) / 12.0,
-            y[1] * (bv[0] * y[1] ** 2 - bv[1] * (y[0] * y[1] + 8.0 * y[2])) / 24.0,
-        ]),
-    )
-
-
-_register("g8/ideal", _g8_ideal)
-
-
-def _gbar4_center():
-    chart = get_chart("Gbar4", "canonical_first")
-    return ReductionCase(
-        "gbar4/center", chart, (4,), (1, 2), 3,
-        hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=_lift_into(np.zeros(4), [0, 1, 2]),
-        expected_coeffs=_componentwise(lambda bv, t, y: [
-            -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0)]),
-    )
-
-
-_register("gbar4/center", _gbar4_center)
-
-
-def _gbar5_ideal():
-    chart = get_chart("Gbar5", "canonical_first")
-    return ReductionCase(
-        "gbar5/ideal", chart, (4, 5), (1, 2), 3,
-        hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
-        lift_coords=_lift_into(np.zeros(5), [0, 1, 2]),
-        expected_coeffs=_componentwise(lambda bv, t, y: [
-            -(0.5 * bv[0] * (y[0] * y[1] / 6.0 - y[2]) - bv[1] * y[0] ** 2 / 12.0),
-            -(bv[0] * y[0] * (8.0 * y[2] - y[0] * y[1]) / 24.0
-              + bv[1] * y[0] ** 3 / 24.0),
-        ]),
-    )
-
-
-_register("gbar5/ideal", _gbar5_ideal)
+for _name, _spec in _TOWERS.items():
+    _register(_name, partial(_tower, _name, *_spec))
 
 
 # --- the epsilon family: reduction by the compact generator ------------------

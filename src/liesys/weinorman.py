@@ -21,9 +21,11 @@ An ordering with a dependency cycle takes Picard sweeps
 v <- v(t_a) + int_{t_a}^t f(v) behind a sliding frontier t_a, by
 `numerics.picard_windows` (the `numerics` docstring gives the settled
 prefix, the even-step rule, the failure rule and the grow-back).  A
-two-step window that still fails is a chart breakdown.  The sweeps need
-Simpson's rule, so on a non-uniform grid a cyclic ordering integrates by
-RK4.
+two-step window that still fails runs by RK4 over its own nodes.  The
+sweeps need Simpson's rule, so on a non-uniform grid a cyclic ordering
+integrates by RK4 throughout.  A chart breakdown is one rule on every
+route: an M(v) solve that fails the condition guard of `linsolve` (on RK4
+also an exponent past 1e8).
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ _PROBES = 3
 _PROBE_RTOL = 1e-8
 # the sweeps' windows halve down to two steps, the fewest Simpson needs
 _MIN_WINDOW = 2
-_METHODS = ("auto", "rk4")
 
 
 def _channel_on_times(ch, t):
@@ -274,63 +275,66 @@ def _wn_solve_sweeps(problem: WNProblem, b) -> Trajectory:
         return w[0] + _sweep(alg, ordering, w, b[a:e + 1], gw, slice(None))
 
     def stuck(a, e, va):
-        cond = float(np.linalg.cond(wn_matrix(alg, ordering, va), 1))
-        raise WNBreakdownError(nodes[a], cond, node=a, what="Wei-Norman sweeps did not converge")
+        return _wn_solve_rk4(problem, va, TimeGrid.from_nodes(nodes[a:e + 1])).states
 
     v = picard_windows(sweep, np.zeros(alg.dim), len(nodes) - 1, False, _MIN_WINDOW, stuck)
     return Trajectory(problem.grid, v, meta="wei-norman")
 
 
-def wn_solve(problem: WNProblem, method: str = "auto") -> Trajectory:
-    """Integrate the Wei-Norman system with v(t0) = 0.
-
-    method: 'auto' integrates by quadrature sweeps, each one batched M(v)
-    over the nodes, one guarded solve and one cumulative quadrature.  When
-    the rates of the ordering have dependency levels (probed once per
-    algebra and ordering), one sweep per level solves them.  An ordering
-    with a dependency cycle on a uniform grid of two steps or more takes
-    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b behind a sliding
-    frontier t_a (`numerics.picard_windows` gives the rules; windows halve
-    down to two steps).  On any other grid a cyclic ordering runs RK4 (by
-    `numerics.sweep_rk4`): the second-order trapezoid is the only
-    quadrature rule there.  'rk4' forces RK4.  Any other method raises
-    LieSysError.
-
-    The controls are sampled once: at the nodes for quadrature, at the RK4
-    stage times otherwise; non-finite samples, and non-finite exponents on
-    the levelled path, raise NumericsError naming the node.  The condition
-    guard of `linsolve` checks every M(v) solve.  On levels and RK4 its
-    failure raises WNBreakdownError carrying the time (for levels also the
-    node) and the condition number; the caller may re-order the
-    factorization and restart.  On the cyclic sweeps, a two-step window
-    that still fails raises WNBreakdownError at its first node, the last
-    one solved, stating that the sweeps did not converge and carrying the
-    1-norm condition of M(v) there.
-    """
-    if method not in _METHODS:
-        raise LieSysError(f"unknown Wei-Norman method {method!r}; use one of "
-                          f"{', '.join(map(repr, _METHODS))}")
-    alg, grid = problem.algebra, problem.grid
-    if method == "auto":
-        levels = _dependency_levels(alg, problem.ordering)
-        if levels is not None or (grid.uniform_dt is not None and len(grid.nodes) > _MIN_WINDOW):
-            b = problem.controls(grid.nodes)
-            _reject_non_finite(b, "control sample", grid.nodes)
-            if levels is not None:
-                return _wn_solve_levels(problem, b, levels)
-            return _wn_solve_sweeps(problem, b)
+def _wn_solve_rk4(problem: WNProblem, v0, grid: TimeGrid) -> Trajectory:
+    """The exponents from v0 over `grid` by RK4 (`numerics.sweep_rk4`), the
+    controls sampled once at `rk4_stage_times(grid)`.  An M(v) solve that
+    fails the condition guard, or an exponent past 1e8, raises
+    WNBreakdownError carrying the stage's time and the condition number."""
+    alg, ordering = problem.algebra, problem.ordering
 
     def f(t, v, b):
         big = ~(np.abs(v).max(axis=-1) <= 1e8)   # also catches NaN
         if big.any():
             raise WNBreakdownError(t[np.argmax(big)], np.inf)
         try:
-            return linsolve(wn_matrix(alg, problem.ordering, v), b, _BREAKDOWN_COND)
+            return linsolve(wn_matrix(alg, ordering, v), b, _BREAKDOWN_COND)
         except SingularMatrixError as exc:
             raise WNBreakdownError(t[exc.index[0]], exc.cond)
 
     table = problem.controls(rk4_stage_times(grid))
-    return sweep_rk4(f, np.zeros(alg.dim), grid, table, "wei-norman")
+    return sweep_rk4(f, v0, grid, table, "wei-norman")
+
+
+def wn_solve(problem: WNProblem) -> Trajectory:
+    """Integrate the Wei-Norman system with v(t0) = 0.
+
+    The exponents integrate by quadrature sweeps, each one batched M(v)
+    over the nodes, one guarded solve and one cumulative quadrature.  When
+    the rates of the ordering have dependency levels (probed once per
+    algebra and ordering), one sweep per level solves them.  An ordering
+    with a dependency cycle on a uniform grid of two steps or more takes
+    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b behind a sliding
+    frontier t_a (`numerics.picard_windows` gives the rules; windows halve
+    down to two steps, and a two-step window that still fails runs by RK4
+    over its own nodes).  On any other grid a cyclic ordering runs RK4 (by
+    `numerics.sweep_rk4`): the second-order trapezoid is the only
+    quadrature rule there.
+
+    The controls are sampled once: at the nodes for quadrature, at the RK4
+    stage times otherwise; non-finite samples, and non-finite exponents on
+    the levelled path, raise NumericsError naming the node.  The condition
+    guard of `linsolve` checks every M(v) solve, and its failure raises
+    WNBreakdownError carrying the time (on the levels also the node) and
+    the condition number it measured; the caller may re-order the
+    factorization and restart.  A window of sweeps that stalls is no
+    breakdown by itself: the RK4 that takes it over raises only where the
+    guard does.
+    """
+    alg, grid = problem.algebra, problem.grid
+    levels = _dependency_levels(alg, problem.ordering)
+    if levels is None and (grid.uniform_dt is None or len(grid.nodes) <= _MIN_WINDOW):
+        return _wn_solve_rk4(problem, np.zeros(alg.dim), grid)
+    b = problem.controls(grid.nodes)
+    _reject_non_finite(b, "control sample", grid.nodes)
+    if levels is not None:
+        return _wn_solve_levels(problem, b, levels)
+    return _wn_solve_sweeps(problem, b)
 
 
 class GroupCurve:

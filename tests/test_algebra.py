@@ -290,6 +290,28 @@ def test_span_dependent_rejected():
         span_is_subalgebra(h3, [h3.basis_vector(0), h3.basis_vector(0)])
 
 
+@pytest.mark.parametrize("name", ["h3", "se2", "sl2", "so3", "g5", "g8", "se3", "sl3"])
+def test_span_residuals_match_the_per_pair_loop(name):
+    # reference: one bracket per pair, each projected onto the span on its own
+    alg = catalog_algebra(name)
+    rng = np.random.default_rng(len(name))
+    for k in range(1, alg.dim + 1):
+        for span in (rng.standard_normal((k, alg.dim)),
+                     np.eye(alg.dim)[rng.choice(alg.dim, k, replace=False)]):
+            proj = span.T @ np.linalg.pinv(span.T)
+
+            def off(pairs):
+                return max(float(np.max(np.abs(w - proj @ w)))
+                           for w in (bracket_coords(alg, x, y) for x, y in pairs))
+
+            sub = off([(x, y) for x in span for y in span])
+            ideal = max(sub, off([(e, v) for v in span for e in np.eye(alg.dim)]))
+            flags = span_is_subalgebra(alg, list(span))
+            assert flags["subalgebra"] == (sub <= 1e-10) and flags["ideal"] == (ideal <= 1e-10)
+            assert flags["subalgebra_residual"] == pytest.approx(sub, rel=1e-12, abs=1e-14)
+            assert flags["ideal_residual"] == pytest.approx(ideal, rel=1e-12, abs=1e-14)
+
+
 def test_load_algebra_file_roundtrip(tmp_path):
     text = "# comment\nname demo\ndim 3\n1 2 3 1\n"
     path = tmp_path / "demo.alg"

@@ -24,8 +24,8 @@ from liesys.weinorman import (
     WNProblem,
     _dependency_levels,
     _wn_solve_levels,
+    _wn_solve_rk4,
     wn_reconstruct,
-    wn_solve,
 )
 from conftest import smooth_controls
 from hand_laws import _expm_taylor, right_invariant_derivative
@@ -80,7 +80,7 @@ def test_wn_rk4_stage_table_matches_per_call_rk4(name, kw, nch, amp):
     entry = get_system(name, **kw)
     prob = WNProblem(entry.algebra, entry.pad_controls(controls(name, nch, amp)), GRID,
                      entry.ordering())
-    got = wn_solve(prob, method="rk4").states
+    got = _wn_solve_rk4(prob, np.zeros(prob.algebra.dim), GRID).states
     ref = rk4_per_call(
         lambda t, v: np.linalg.solve(wn_matrix(prob.algebra, prob.ordering, v), prob.controls(t)),
         np.zeros(prob.algebra.dim), GRID.nodes)

@@ -24,7 +24,7 @@ from liesys.numerics import TimeGrid, integrate_rk4, linsolve, rk4_stage_times, 
 from liesys.reduction import ReductionCase, catalog_reduction, list_reductions
 from liesys.riccati import RiccatiCoeffs
 from liesys.systems import LieSystemRealization, generator_bracket_residual, solve_direct
-from liesys.weinorman import ControlSignal, WNProblem, wn_solve
+from liesys.weinorman import ControlSignal, WNProblem, _wn_solve_rk4
 from conftest import smooth_controls
 
 GRID = TimeGrid.uniform(0.0, 1.0, 2000)
@@ -105,7 +105,7 @@ def test_wei_norman_rk4_equals_the_single_state_loop():
     entry = get_system("so3_kinematics")
     prob = WNProblem(entry.algebra, entry.pad_controls(controls("so3", 3, 1.0)), GRID,
                      entry.ordering())
-    got = wn_solve(prob, method="rk4").states
+    got = _wn_solve_rk4(prob, np.zeros(prob.algebra.dim), GRID).states
     ref = integrate_rk4(
         lambda t, v, u: linsolve(wn_matrix(prob.algebra, prob.ordering, v), u, 1e10),
         np.zeros(3), GRID, table=prob.controls(rk4_stage_times(GRID))).states

@@ -9,7 +9,7 @@ import liesys.numerics as N
 import liesys.weinorman as W
 from liesys.algebra import LieAlgebra, catalog_algebra
 from liesys.catalog import _se2_wn_closed, get_system
-from liesys.errors import LieSysError, NumericsError, WNBreakdownError
+from liesys.errors import NumericsError, WNBreakdownError
 from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import (
     ControlSignal,
@@ -76,7 +76,7 @@ def test_fast_path_matches_rk4(unit_grid, monkeypatch):
         alg = catalog_algebra(name, **kw)
         b = smooth_controls(alg.dim, seed=alg.dim)
         prob = WNProblem(alg, b, unit_grid, ordering)
-        rk4 = wn_solve(prob, method="rk4")
+        rk4 = _rk4(prob)
         with monkeypatch.context() as patch:
             patch.setattr(N, "rk4_step", lambda *a: pytest.fail("rk4_step ran"))
             quad = wn_solve(prob)
@@ -141,11 +141,9 @@ def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
             assert len(probes) == len(orderings), (name, copy)
 
 
-def test_wn_solve_rejects_an_unknown_method():
-    grid = TimeGrid.uniform(0.0, 1.0, 20)
-    prob = WNProblem(catalog_algebra("h3"), smooth_controls(3, seed=3), grid)
-    with pytest.raises(LieSysError, match="'quadrature'; use one of 'auto', 'rk4'"):
-        wn_solve(prob, method="quadrature")
+def _rk4(prob):
+    """The RK4 route over the problem's grid from v = 0, the sweeps' reference."""
+    return W._wn_solve_rk4(prob, np.zeros(prob.algebra.dim), prob.grid)
 
 
 def _windows(monkeypatch):
@@ -159,7 +157,7 @@ def _windows(monkeypatch):
 
 
 def _sweeps_against_rk4(prob, monkeypatch):
-    rk4 = wn_solve(prob, method="rk4").states
+    rk4 = _rk4(prob).states
     with monkeypatch.context() as patch:
         windows = _windows(patch)
         got = wn_solve(prob).states
@@ -196,7 +194,7 @@ def test_sweep_windows_at_the_grid_end(n, monkeypatch):
     # starts on an even node and Simpson's pairs stay on the grid's
     grid = TimeGrid.uniform(0.0, n / 2000, n)
     prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3), grid)
-    rk4 = wn_solve(prob, method="rk4").states
+    rk4 = _rk4(prob).states
     windows = _windows(monkeypatch)
     got = wn_solve(prob).states
     spans = [(np.searchsorted(grid.nodes, w.t0), np.searchsorted(grid.nodes, w.t1))
@@ -215,7 +213,7 @@ def test_sweep_windows_halve_and_grow_back(monkeypatch):
     # this grid by 1.5e-10
     grid = TimeGrid.uniform(0.0, 6.0, 2000)
     b = ControlSignal([lambda t: 3 * np.cos(t), lambda t: 0 * t, lambda t: -3 * np.cos(t)])
-    rk4 = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid), method="rk4").states
+    rk4 = _rk4(WNProblem(catalog_algebra("sl2"), b, grid)).states
     windows = _windows(monkeypatch)
     got = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid)).states
     widths = [w.n_steps for w in windows]
@@ -227,7 +225,7 @@ def test_sweep_windows_halve_and_grow_back(monkeypatch):
 def test_cyclic_ordering_on_a_non_uniform_grid_runs_rk4():
     nodes = np.linspace(0.0, 1.0, 201) ** 1.5
     prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3), TimeGrid.from_nodes(nodes))
-    assert np.array_equal(wn_solve(prob).states, wn_solve(prob, method="rk4").states)
+    assert np.array_equal(wn_solve(prob).states, _rk4(prob).states)
 
 
 def _lie_oracle_controls(seed, label, n_channels, amp):
@@ -401,7 +399,7 @@ def test_ordering_independence_of_group_solution(unit_grid):
     b = smooth_controls(3, amp=0.8, seed=5)
     curves = []
     for ordering in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        sol = wn_solve(WNProblem(se2, b, unit_grid, ordering), method="rk4")
+        sol = _rk4(WNProblem(se2, b, unit_grid, ordering))
         curves.append(wn_reconstruct(sol, ordering, chart))
     for k in range(0, 2001, 100):
         for other in curves[1:]:
@@ -439,7 +437,7 @@ def test_breakdown_is_loud():
     grid = TimeGrid.uniform(0, 6.0, 2000)
     b = ControlSignal.constant([4.0, 0.0, 4.0])
     with pytest.raises(WNBreakdownError) as exc:
-        wn_solve(WNProblem(sl2, b, grid), method="rk4")
+        _rk4(WNProblem(sl2, b, grid))
     assert 0 < exc.value.t <= 6.0
 
 
@@ -450,7 +448,7 @@ def test_breakdown_is_caught_at_the_stage_where_it_happens():
     grid = TimeGrid.uniform(0, 6.0, 2000)
     b = np.array([4.0, 0.0, 4.0])
     with pytest.raises(WNBreakdownError) as exc:
-        wn_solve(WNProblem(sl2, ControlSignal.constant(b), grid), method="rk4")
+        _rk4(WNProblem(sl2, ControlSignal.constant(b), grid))
     first = []
 
     def f(t, v):
@@ -476,25 +474,57 @@ def test_breakdown_is_caught_at_the_stage_where_it_happens():
     assert f"t={exc.value.t}" in str(exc.value)
 
 
-def test_breakdown_on_the_sweep_path_names_the_node(monkeypatch):
+def test_breakdown_on_the_sweep_path_is_caught_by_the_guard(monkeypatch):
     # the sl2 problem above: v(t) = (tan 4t, -2 ln cos 4t, tan 4t) blows up
-    # at t = pi/8 = 0.3927, so the sweeps stop converging a few steps before
-    # the RK4 scan crosses the bound at t = 0.3945
+    # at t = pi/8 = 0.3927.  The sweeps' two-step windows stop converging a
+    # few steps before it and RK4 takes each over; its condition guard
+    # fires where the RK4 route alone does
     sl2 = catalog_algebra("sl2")
     grid = TimeGrid.uniform(0, 6.0, 2000)
-    windows = _windows(monkeypatch)
+    prob = WNProblem(sl2, ControlSignal.constant([4.0, 0.0, 4.0]), grid)
+    with pytest.raises(WNBreakdownError) as alone:
+        _rk4(prob)
+    windows, taken_over = [], []
+    sweep, rk4 = W._sweep, W._wn_solve_rk4
+    monkeypatch.setattr(W, "_sweep", lambda *a: windows.append(a[4]) or sweep(*a))
+    monkeypatch.setattr(W, "_wn_solve_rk4",
+                        lambda p, v0, g: taken_over.append(g) or rk4(p, v0, g))
     with pytest.raises(WNBreakdownError) as exc:
-        wn_solve(WNProblem(sl2, ControlSignal.constant([4.0, 0.0, 4.0]), grid))
-    k, t = exc.value.node, exc.value.t
-    assert t == grid.nodes[k] and 0.3795 <= t <= 0.3945
+        wn_solve(prob)
+    t, cond = exc.value.t, exc.value.cond
+    assert 0.3795 <= t <= 0.3945
+    assert abs(t - alone.value.t) <= grid.uniform_dt
     assert windows[-1].n_steps == 2
-    assert f"sweeps did not converge at node {k} near t={t}" in str(exc.value)
-    # the condition of M(v) at that node: the sweeps' v there differs from
-    # the closed form by their error near the blow-up (|v| ~ 29)
-    v = np.array([math.tan(4 * t), -2 * math.log(math.cos(4 * t)), math.tan(4 * t)])
-    assert math.isfinite(exc.value.cond)
-    assert exc.value.cond == pytest.approx(np.linalg.cond(wn_matrix(sl2, (1, 2, 3), v), 1),
-                                           rel=0.02)
+    assert taken_over and all(len(g.nodes) == 3 for g in taken_over)
+    assert taken_over[-1].t0 <= t <= taken_over[-1].t1
+    # the guard reports the condition it measured, not a stand-in
+    assert math.isfinite(cond) and cond > 1e10
+    assert f"near t={t}" in str(exc.value)
+
+
+@pytest.mark.parametrize("name,kw,amp,n", [("so3_kinematics", {}, 1.0, 2000),
+                                           ("so3_kinematics", {}, 1.0, 999),
+                                           ("elastic_euler", {"eps": 1}, 1.0, 2000),
+                                           ("elastic_euler", {"eps": -1}, 0.8, 2000)])
+def test_stalled_sweep_windows_run_by_rk4(name, kw, amp, n, monkeypatch):
+    # every sweep fails, so the windows halve to two steps (three at the end
+    # of an odd grid) and RK4 takes each over from the last node solved: the
+    # steps are the grid's, so the result is the RK4 route's to the last bit
+    entry = get_system(name, **kw)
+    label = name + "".join(f"[{k}={v}]" for k, v in kw.items())
+    b = entry.pad_controls(_lie_oracle_controls(1, label, 3, amp))
+    prob = WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, n / 2000, n), entry.ordering())
+    ref = _rk4(prob).states
+    failed = []
+
+    def fail(*a):
+        failed.append(a[4])
+        raise NumericsError("forced sweep failure")
+
+    monkeypatch.setattr(W, "_sweep", fail)
+    assert np.array_equal(wn_solve(prob).states, ref)
+    assert len(failed) >= n // 2
+    assert {w.n_steps for w in failed} >= {N._WINDOW, 2}
 
 
 def test_breakdown_on_the_levelled_path_names_the_node(monkeypatch):
