@@ -23,7 +23,7 @@ _SPAN_SVD_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """dim, structure tensor and basis labels; immutable after construction.
+    """dim, structure tensor and name; immutable after construction.
 
     `nilpotency_class` is the length of the lower central series
     (`lower_central_class`), None when the algebra is not nilpotent; every
@@ -32,7 +32,6 @@ class LieAlgebra:
 
     dim: int
     structure: np.ndarray
-    basis_labels: tuple = ()
     name: str = ""
     nilpotency_class: int | None = field(default=None, init=False, compare=False)
     # exp(s ad a_i) rules per basis index, filled by exp_ad_basis; held on
@@ -49,10 +48,6 @@ class LieAlgebra:
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) != 0.0:
             raise LieSysError("structure constants must be exactly antisymmetric")
         object.__setattr__(self, "structure", c)
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"a{i+1}" for i in range(self.dim))
-            )
         res = jacobi_residual(self)
         if res > _JACOBI_TOL:
             raise LieSysError(f"Jacobi identity violated (residual {res:.3g})")
@@ -88,7 +83,8 @@ class AlgebraVector:
         return AlgebraVector(self.algebra, float(s) * self.coeffs)
 
     def _check(self, other):
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
+        a, b = self.algebra, other.algebra
+        if a is not b and not (a.dim == b.dim and np.array_equal(a.structure, b.structure)):
             raise DimensionError("vectors reference different algebras")
 
 
@@ -357,14 +353,14 @@ def span_is_subalgebra(alg: LieAlgebra, span) -> dict:
 # catalog
 # ---------------------------------------------------------------------------
 
-def algebra_from_triples(dim, triples, name="", labels=()):
+def algebra_from_triples(dim, triples, name=""):
     """Build an algebra from nonzero (alpha, beta, gamma, value) with 1-based
     indices; the antisymmetric counterpart is filled in automatically."""
     c = np.zeros((dim, dim, dim))
     for a, b, g, val in triples:
         c[a - 1, b - 1, g - 1] = val
         c[b - 1, a - 1, g - 1] = -val
-    return LieAlgebra(dim, c, tuple(labels), name)
+    return LieAlgebra(dim, c, name)
 
 
 def load_algebra_file(path_or_text) -> LieAlgebra:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import catalog_algebra, eps_parameter
 from .errors import UnknownNameError
-from .groups import _mk_matrix_chart, _square, get_chart
+from .groups import _square, get_chart
 from .numerics import TimeGrid, Trajectory, cumulative_quadrature_samples
 from .systems import LieSystemRealization, _homography
 from .weinorman import ControlSignal, GroupCurve, WNProblem, wn_reconstruct, wn_solve
@@ -630,59 +630,18 @@ def _se3_kin():
 # ---------------------------------------------------------------------------
 
 
-def _affine_rep_from_fields(mats, trans):
-    """Algebra rep for an affine action: A_i = -(linear | translation)."""
-    out = []
-    for M, t in zip(mats, trans):
-        A = np.zeros((3, 3))
-        A[:2, :2] = -np.asarray(M)
-        A[:2, 2] = -np.asarray(t)
-        out.append(A)
-    return out
-
-
-_quadh_chart = None
-
-
-def _get_quadh_chart():
-    global _quadh_chart
-    if _quadh_chart is None:
-        alg = catalog_algebra("r2sl2")
-        mats = [np.array([[0.0, 1.0], [0.0, 0.0]]),
-                np.array([[0.5, 0.0], [0.0, -0.5]]),
-                np.array([[0.0, 0.0], [-1.0, 0.0]]),
-                np.zeros((2, 2)), np.zeros((2, 2))]
-        trans = [np.zeros(2), np.zeros(2), np.zeros(2),
-                 np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-        _quadh_chart = _mk_matrix_chart("QuadH", alg, _affine_rep_from_fields(mats, trans))
-    return _quadh_chart
-
-
 @register("quadratic_hamiltonian_classical")
 def _quadh():
-    sys = _affine_system(_get_quadh_chart(), "quadratic_hamiltonian_classical")
+    sys = _affine_system(get_chart("QuadH", "matrix"), "quadratic_hamiltonian_classical")
     return CatalogEntry("quadratic_hamiltonian_classical", sys, (1, 2, 3, 4, 5),
                         wn_ordering=(4, 5, 1, 2, 3),
                         notes="b = (alpha, beta, gamma, -delta, epsilon) from the "
                               "quadratic Hamiltonian")
 
 
-_tdlin_chart = None
-
-
-def _get_tdlin_chart():
-    global _tdlin_chart
-    if _tdlin_chart is None:
-        alg = catalog_algebra("h3c")
-        mats = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.zeros((2, 2))]
-        trans = [np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        _tdlin_chart = _mk_matrix_chart("TdLin", alg, _affine_rep_from_fields(mats, trans))
-    return _tdlin_chart
-
-
 @register("td_linear_potential_classical")
 def _tdlin(m: float = 1.0):
-    sys = _affine_system(_get_tdlin_chart(), "td_linear_potential_classical")
+    sys = _affine_system(get_chart("TdLin", "matrix"), "td_linear_potential_classical")
 
     def closed_form(b, grid, x0):
         # controls are b = (1/m, -f, 0); closed flow by two quadratures

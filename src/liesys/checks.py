@@ -18,6 +18,7 @@ from .algebra import (
     jacobi_residual,
 )
 from .catalog import get_system, list_systems
+from .errors import UnknownNameError
 from .groups import _CHARTS, compose, exp_chart, group_adjoint
 from .numerics import TimeGrid
 from .reduction import catalog_reduction, run_catalog_reduction
@@ -163,6 +164,8 @@ _SUITES = {
 
 
 def run_suite(which="all"):
+    if which != "all" and which not in _SUITES:
+        raise UnknownNameError(f"unknown suite {which!r}; known: all, {', '.join(_SUITES)}")
     out = {}
     names = list(_SUITES) if which == "all" else [which]
     for n in names:

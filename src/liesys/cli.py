@@ -1,7 +1,7 @@
 """Batch command-line surface.
 
 Exit codes: 0 success, 2 parse/config errors, 3 domain or numeric errors.
-Failures print a JSON error body {code, message, t?, node?, detail} on
+Failures print a JSON error body {code, message, t?, node?, cond?} on
 stderr.  Data files carry no timestamps; a sidecar .meta.json records the
 resolved configuration.
 """
@@ -49,13 +49,11 @@ def _write_meta(path, config):
         json.dump({"config": clean}, fh, indent=1, sort_keys=True)
 
 
-def _fail(code, exc, detail=None):
+def _fail(code, exc):
     body = {"code": code, "message": str(exc)}
     for attr in ("t", "node", "cond"):
         if getattr(exc, attr, None) is not None:
             body[attr] = float(getattr(exc, attr)) if attr != "node" else int(exc.node)
-    if detail:
-        body["detail"] = detail
     print(json.dumps(body), file=sys.stderr)
     return 3 if code != "parse" else 2
 
@@ -228,13 +226,17 @@ def _parse_xgrid(spec):
 
 def _quantum_family(args):
     """The superpotential family, x grid and parameter m of `quantum family`
-    and `quantum check-si`; a comma in --m makes m a tuple."""
+    and `quantum check-si`; --m holds the family's `n` comma-separated
+    parameters, a tuple for an nparam_linear family and a number otherwise."""
     fam = quantum.SuperpotentialFamily(
         args.kind, a=args.a, b=args.b, A=args.A, B=args.B, D=args.D, q=args.q,
         cs=tuple(float(v) for v in args.cs.split(",")) if args.cs else (),
         c0=args.c0)
     x = _parse_xgrid(args.xgrid)
-    m = tuple(float(v) for v in args.m.split(",")) if "," in args.m else float(args.m)
+    ms = [float(v) for v in args.m.split(",")]
+    if len(ms) != fam.n:
+        raise ValueError(f"--m: a {fam.kind} family takes {fam.n} parameter(s), got {len(ms)}")
+    m = tuple(ms) if fam.kind == "nparam_linear" else ms[0]
     return fam, x, m
 
 

@@ -744,6 +744,35 @@ def _build_affine():
     _mk_matrix_chart("Aff", alg, (A1, A2))
 
 
+# --- affine actions on the phase plane -----------------------------------------
+
+def _affine_rep_from_fields(mats, trans):
+    """Algebra rep for an affine action x -> M x + t: A_i = -(M_i | t_i)."""
+    out = []
+    for M, t in zip(mats, trans):
+        A = np.zeros((3, 3))
+        A[:2, :2] = -np.asarray(M)
+        A[:2, 2] = -np.asarray(t)
+        out.append(A)
+    return out
+
+
+def _build_phase_plane():
+    """The matrix charts of the affine actions on (q, p) of the classical
+    quadratic Hamiltonian flows (QuadH) and of the time-dependent linear
+    potential (TdLin)."""
+    mats = [np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[0.5, 0.0], [0.0, -0.5]]),
+            np.array([[0.0, 0.0], [-1.0, 0.0]]),
+            np.zeros((2, 2)), np.zeros((2, 2))]
+    trans = [np.zeros(2), np.zeros(2), np.zeros(2),
+             np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
+    _mk_matrix_chart("QuadH", catalog_algebra("r2sl2"), _affine_rep_from_fields(mats, trans))
+    mats = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.zeros((2, 2))]
+    trans = [np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+    _mk_matrix_chart("TdLin", catalog_algebra("h3c"), _affine_rep_from_fields(mats, trans))
+
+
 # H(3) in its 3x3 unipotent representation A1 = E12, A2 = E23, A3 = E13
 _E = np.eye(3)
 _build_nilpotent("H3", catalog_algebra("h3"), (1, 2, 3),
@@ -761,3 +790,4 @@ _mk_matrix_chart("SE3", catalog_algebra("se3"), _se3_rep(), _rigid)
 _mk_matrix_chart("SL2", catalog_algebra("sl2"), sl2_basis(), _unimodular)
 _mk_matrix_chart("SL3", catalog_algebra("sl3"), sl3_basis(), _unimodular)
 _build_affine()
+_build_phase_plane()

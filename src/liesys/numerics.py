@@ -35,20 +35,21 @@ Picard's error at a distance t behind a settled start falls like
 A window fails when a sweep raises LieSysError, when a committed row is not
 finite, when the largest update over the rows carried from the last sweep
 does not shrink against those rows' updates there while above roundoff, or
-when `_MAX_SWEEPS` sweeps pass without the frontier moving.  A failed
-window halves down to the caller's smallest width and restarts from the
-frontier; once the frontier has advanced a full width at a reduced width,
-the width doubles back.  A failed window of the smallest width goes to
-the caller's `stuck`, which solves it or raises.
+when `_MAX_SWEEPS` sweeps pass without the frontier moving.  An exact
+caller's windows never halve.  Any other caller's failed window halves,
+down to the two steps Simpson needs, and restarts from the frontier; once
+the frontier has advanced a full width at a reduced width, the width
+doubles back.  A failed window that does not halve goes to the caller's
+`stuck`, which solves it or raises.
 
 `sweep_rk4` runs the library's RK4 solves on that driver as an exact
 caller.  A sweep evaluates the four stages once over the whole window and
 rebuilds it as one running sum of the step increments, the loop's float
-operations in its order, so every committed row is the loop's result.  Its
-windows never halve: a failed window runs by `integrate_rk4` one state at a
-time, which names any failure as the loop does.  The right-hand side takes
-batches, so realizations give batched `fields` and `domain`, and reductions
-a batched `hom_rhs`; `batch_guard` checks them at construction.
+operations in its order, so every committed row is the loop's result.  A
+failed window runs by `integrate_rk4` one state at a time, which names any
+failure as the loop does.  The right-hand side takes batches, so
+realizations give batched `fields` and `domain`, and reductions a batched
+`hom_rhs`; `batch_guard` checks them at construction.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def rk4_step(f, t, x, dt, rows=None):
     return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
+def integrate_rk4(f, x0, grid: TimeGrid, table=None) -> Trajectory:
     """Classical fixed-step RK4 sampled at the grid nodes.
 
     f(t, x) gives the derivative.  When the right-hand side depends on
@@ -248,7 +249,7 @@ def integrate_rk4(f, x0, grid: TimeGrid, meta="", table=None) -> Trajectory:
         if not np.isfinite(step).all():
             raise NumericsError(f"non-finite RK4 step from t={t:.6g}", t=t, state=x)
         states[k + 1] = x = step
-    return Trajectory(grid, states, meta)
+    return Trajectory(grid, states, "")
 
 
 def _sweep_once(sweep, a, e, X, last, exact):
@@ -279,15 +280,16 @@ def _sweep_once(sweep, a, e, X, last, exact):
     return new, update, p
 
 
-def picard_windows(sweep, x0, n, exact, min_window, stuck) -> np.ndarray:
+def picard_windows(sweep, x0, n, exact, stuck) -> np.ndarray:
     """The (n + 1, d) states of a solve from x0 over n steps by Picard
     sweeps behind a sliding frontier (see the module docstring).
 
     sweep(a, e, X) maps an iterate X over the nodes a..e, (e - a + 1, d)
     with X[0] the state at node a, to the next one, which starts at X[0];
     with `exact`, its row j depends on the rows < j of X only.
-    stuck(a, e, x_a) returns the states over the nodes a..e, or raises, when
-    a sweep of at most `min_window` steps fails."""
+    A failed window halves only without `exact`, and only while it is
+    wider than two steps; stuck(a, e, x_a) returns the states over the
+    nodes a..e of a failed window that does not halve, or raises."""
     states = np.empty((n + 1, np.size(x0)))
     states[0] = x0
     a, width, advanced, idle = 0, _WINDOW, 0, 0
@@ -304,7 +306,7 @@ def picard_windows(sweep, x0, n, exact, min_window, stuck) -> np.ndarray:
                 p -= 2      # Simpson needs two steps after the frontier
             idle = 0 if p else idle + 1
         if out is None or idle == _MAX_SWEEPS:
-            if width > min_window:
+            if not exact and width > 2:
                 width, advanced = width // 2, 0
             else:
                 states[a + 1:e + 1] = stuck(a, e, states[a])[1:]
@@ -353,7 +355,7 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
         return integrate_rk4(one, xa, TimeGrid.from_nodes(nodes[a:e + 1]),
                              table=table[2 * a:2 * e + 1]).states
 
-    return Trajectory(grid, picard_windows(sweep, x0, n, True, _WINDOW, stuck), meta)
+    return Trajectory(grid, picard_windows(sweep, x0, n, True, stuck), meta)
 
 
 def batch_guard(fn, what, dims, avoid=()):

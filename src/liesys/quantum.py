@@ -14,7 +14,7 @@ in L is fixed to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class SuperpotentialFamily:
     q: float = 1.0
     cs: tuple = ()          # n-param: (c1, ..., cn)
     c0: float = 0.0
-    n: int = 1
+    n: int = field(init=False, default=1)
 
     def __post_init__(self):
         if self.kind not in ("linear_in_m", "inverse_m", "nparam_linear"):
@@ -265,11 +265,11 @@ def family_potentials(fam: SuperpotentialFamily, m, xgrid, eps=0.0):
     return W**2 - Wp + eps, W**2 + Wp + eps
 
 
-def shape_invariance_residual(fam: SuperpotentialFamily, m, xgrid, eps=0.0) -> float:
+def shape_invariance_residual(fam: SuperpotentialFamily, m, xgrid) -> float:
     """max |Vtilde(x, m) - V(x, m-1) - R(m-1)| over the grid."""
-    _, Vt_m = family_potentials(fam, m, xgrid, eps)
+    _, Vt_m = family_potentials(fam, m, xgrid)
     m1 = fam.shift(m, -1.0)
-    V_m1, _ = family_potentials(fam, m1, xgrid, eps)
+    V_m1, _ = family_potentials(fam, m1, xgrid)
     res = Vt_m - V_m1 - fam.R(m1)
     if not np.all(np.isfinite(res)):
         raise LieSysError("singular node in shape-invariance residual")
@@ -349,21 +349,21 @@ def eigenfunction_fixture(family: str, k: int, l: float, coupling: float,
     raise UnknownNameError(f"unknown eigenfunction family {family!r}")
 
 
-def eigen_residual(fix: EigenFixture, interior=0.8) -> float:
-    """Relative residual of -psi'' + (V - E) psi = 0 on the grid interior."""
+def eigen_residual(fix: EigenFixture) -> float:
+    """Relative residual of -psi'' + (V - E) psi = 0 on the central 80% of the grid."""
     dx = fix.xgrid[1] - fix.xgrid[0]
     d2 = second_diff_samples(fix.psi, dx)
     res = -d2 + (fix.V - fix.energy) * fix.psi
     n = len(fix.psi)
-    lo = max(1, int(n * (1.0 - interior) / 2.0))
+    lo = max(1, int(n * (1.0 - 0.8) / 2.0))
     return float(np.max(np.abs(res[lo:n - lo])) / np.max(np.abs(fix.psi)))
 
 
-def incomplete_gamma_upper(alpha: float, x: float, n=400000) -> float:
+def incomplete_gamma_upper(alpha: float, x: float) -> float:
     """Gamma(alpha, x) = int_x^inf e^-t t^(alpha-1) dt by quadrature."""
     # substitute t = x + u and integrate to a generous cutoff
     hi = x + 60.0 + 10.0 * abs(alpha)
-    t = np.linspace(x, hi, n)
+    t = np.linspace(x, hi, 400000)
     vals = np.exp(-t) * t ** (alpha - 1.0)
     return float(np.trapezoid(vals, t))
 

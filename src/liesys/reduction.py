@@ -71,7 +71,7 @@ class ReductionSetup:
             [np.asarray(v, dtype=float) for v in self.span])
 
 
-def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
+def reduce_to_subgroup(setup: ReductionSetup):
     """Reduced coefficients c_mu(t) on the grid nodes.
 
     The lift's coordinate velocity is `GroupCurve.coordinate_velocity` by
@@ -102,7 +102,7 @@ def reduce_to_subgroup(setup: ReductionSetup, tol: float = 1e-5):
         resid[sl] = np.max(np.abs(xi + c @ S.T), axis=-1)
         coeffs[sl] = c
     k = int(np.argmax(resid))
-    bound = tol * max(1.0, float(np.max(np.abs(b))))
+    bound = 1e-5 * max(1.0, float(np.max(np.abs(b))))
     if not resid[k] <= bound:
         raise LieSysError(
             f"reduction: lift does not project to a solution: off-span residual "

@@ -103,22 +103,18 @@ class RiccatiCoeffs:
 class SL2Curve:
     """A determinant-one 2x2 matrix curve with derivative access.
 
-    Entries are callables of time (a number is a constant); derivatives are
-    optional callables, defaulting to central differences.  A GL(2) curve
+    Entries are callables of time (a number is a constant).  A GL(2) curve
     with positive determinant is rescaled to determinant one; negative
-    determinants are rejected.  `matrix` and `dots` take a time or a 1-D
-    array of times and return (..., 2, 2) arrays.
+    determinants are rejected.  Derivatives are central differences of the
+    determinant-one curve.  `matrix` and `dots` take a time or a 1-D array
+    of times and return (..., 2, 2) arrays.
     """
 
-    def __init__(self, alpha, beta, gamma, delta, dots=None, normalize=True):
+    def __init__(self, alpha, beta, gamma, delta):
         entries = ControlSignal([_as_callable(v) for v in (alpha, beta, gamma, delta)])
         self._raw = lambda t: _square(entries(t))
-        self._raw_dots = None
-        if dots is not None and all(d is not None for d in dots):
-            rates = ControlSignal([_as_callable(d) for d in dots])
-            self._raw_dots = lambda t: _square(rates(t))
         det0 = _det(self._raw(0.0))
-        self._rescaled = normalize and abs(det0 - 1.0) > _DET_TOL
+        self._rescaled = abs(det0 - 1.0) > _DET_TOL
         if self._rescaled and det0 <= 0:
             raise LieSysError("negative-determinant transformation curve rejected")
 
@@ -126,7 +122,7 @@ class SL2Curve:
     def _of(cls, raw):
         """The curve t -> raw(t) of determinant-one (..., 2, 2) matrices."""
         curve = cls.__new__(cls)
-        curve._raw, curve._raw_dots, curve._rescaled = raw, None, False
+        curve._raw, curve._rescaled = raw, False
         return curve
 
     def matrix(self, t):
@@ -138,10 +134,8 @@ class SL2Curve:
             M = M / np.sqrt(det)[..., None, None]
         return M
 
-    def dots(self, t, h=1e-6):
-        if not self._rescaled and self._raw_dots is not None:
-            return self._raw_dots(t)
-        return central_diff(self.matrix, t, h)
+    def dots(self, t):
+        return central_diff(self.matrix, t, 1e-6)
 
     def __matmul__(self, other: "SL2Curve") -> "SL2Curve":
         return SL2Curve._of(lambda t: self.matrix(t) @ other.matrix(t))
@@ -219,10 +213,10 @@ class ReducedRiccati:
     constant_of: object | None = None
 
 
-def _check_solutions(c, known, tol=1e-4):
+def _check_solutions(c, known):
     for i, traj in enumerate(known):
         res = riccati_residual(traj, c, relative=True)
-        if res > tol:
+        if res > 1e-4:
             raise LieSysError(f"trajectory {i} is not a solution (residual {res:.3g})")
     for i in range(len(known)):
         for j in range(i + 1, len(known)):
@@ -320,8 +314,7 @@ def backlund_fd(w_k: Trajectory, w_l: Trajectory, eps_k: float, eps_l: float) ->
     return Trajectory(w_k.grid, out[:, None], meta="backlund")
 
 
-def darboux_riccati(w: Trajectory, v: Trajectory, gamma, cconst: float = 1.0,
-                    gamma_prime=None) -> Trajectory:
+def darboux_riccati(w: Trajectory, v: Trajectory, gamma, cconst: float = 1.0) -> Trajectory:
     """Generalized Darboux step at the Riccati level.
 
     With w solving w' + w^2 = V - eps and v solving v' + v^2 = V + c/gamma^2
@@ -336,10 +329,7 @@ def darboux_riccati(w: Trajectory, v: Trajectory, gamma, cconst: float = 1.0,
     gam = _as_callable(gamma)
     gvals = _channel_on_times(gam, nodes)
     _pole_guard(gvals, _POLE_TOL, 1.0, "gamma")
-    if gamma_prime is not None:
-        gp = _channel_on_times(gamma_prime, nodes)
-    else:
-        gp = central_diff(lambda s: _channel_on_times(gam, s), nodes)
+    gp = central_diff(lambda s: _channel_on_times(gam, s), nodes)
     diff = wv - vv
     _pole_guard(diff, _POLE_TOL, 1.0 + np.max(np.abs(wv)), "w - v")
     out = -vv - (cconst / gvals**2) / diff + gp / gvals

@@ -230,6 +230,9 @@ def superpose(rule: SuperpositionRule, particulars, constants):
     parts = [np.asarray(p.states if on_grid else p, dtype=float) for p in particulars]
     if len(parts) != rule.arity:
         raise LieSysError(f"{rule.kind} rule needs {rule.arity} particular solutions")
+    if len(constants) != rule.constant_dim:
+        raise LieSysError(f"{rule.kind} rule takes {rule.constant_dim} constants, "
+                          f"got {len(constants)}")
     if rule.kind == "linear":
         out = sum(k * p for k, p in zip(constants, parts))
     elif rule.kind == "affine":

@@ -21,7 +21,7 @@ from liesys.algebra import (
     lower_central_class,
     span_is_subalgebra,
 )
-from liesys.errors import LieSysError, UnknownNameError
+from liesys.errors import DimensionError, LieSysError, UnknownNameError
 
 
 def all_catalog_algebras():
@@ -66,6 +66,20 @@ def test_jacobi_does_not_pin_constants():
     # doubling c^3_12 in h(3) stays Jacobi-consistent
     doubled = algebra_from_triples(3, [(1, 2, 3, 2.0)], "h3-doubled")
     assert jacobi_residual(doubled) == 0.0
+
+
+def test_vectors_of_equal_algebra_objects_bracket():
+    # two objects with the same structure constants are one algebra; a
+    # different structure is a DimensionError, not numpy's ambiguous truth
+    a, b = (algebra_from_triples(3, [(1, 2, 3, 1.0)]) for _ in range(2))
+    assert a is not b
+    z = bracket(a.basis_vector(0), b.basis_vector(1))
+    assert np.array_equal(z.coeffs, [0.0, 0.0, 1.0])
+    other = algebra_from_triples(3, [(1, 2, 3, 2.0)])
+    with pytest.raises(DimensionError):
+        bracket(a.basis_vector(0), other.basis_vector(1))
+    with pytest.raises(DimensionError):
+        a.basis_vector(0) + catalog_algebra("so3").basis_vector(1)
 
 
 def test_antisymmetry_enforced():

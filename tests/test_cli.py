@@ -148,6 +148,39 @@ def test_wrong_channel_count_exit_2(capsys):
         assert f"({driven})" in body["message"] and f"({r})" in body["message"]
 
 
+def test_bad_quantum_parameters_and_unknown_suite_exit_2(capsys):
+    xgrid = "--xgrid=-1,1,50"
+    for argv, words in (
+            (["quantum", "family", "--kind", "linear_in_m", "--a", "1", "--m", "1.5,2", xgrid],
+             ("linear_in_m", "takes 1 parameter", "got 2")),
+            (["quantum", "check-si", "--kind", "inverse_m", "--a", "1", "--m", "1,2,3", xgrid],
+             ("inverse_m", "takes 1 parameter", "got 3")),
+            (["quantum", "check-si", "--kind", "nparam_linear", "--cs", "0.5,0.5", "--m", "2",
+              xgrid], ("nparam_linear", "takes 2 parameter", "got 1")),
+            (["check", "--suite", "nosuch"], ("unknown suite 'nosuch'", "reduction"))):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2 and stdout == "", argv
+        body = json.loads(stderr)
+        assert body["code"] == "parse"
+        assert all(w in body["message"] for w in words), body["message"]
+
+
+def test_superpose_command_rejects_a_wrong_constant_count(tmp_path, capsys):
+    from liesys.numerics import TimeGrid, Trajectory
+
+    grid = TimeGrid.uniform(0, 1, 10)
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"x{i}.csv"))
+        Trajectory(grid, grid.nodes[:, None] + i).to_csv(paths[-1])
+    out = tmp_path / "sup.csv"
+    code, stdout, stderr = run_cli(capsys, "superpose", "--kind", "linear", "--inputs",
+                                   ",".join(paths), "--constants", "1,2", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "takes 3 constants, got 2" in json.loads(stderr)["message"]
+    assert not out.exists()
+
+
 def test_check_command_reduction(capsys):
     code, stdout, _ = run_cli(capsys, "check", "--suite", "reduction")
     assert code == 0

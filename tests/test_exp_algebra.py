@@ -27,8 +27,8 @@ def gap(got, ref):
 
 
 def test_every_chart_is_covered():
-    assert len(ALL_KEYS) == 32
-    assert len(REP_KEYS) == 20
+    assert len(ALL_KEYS) == 34
+    assert len(REP_KEYS) == 22
 
 
 @pytest.mark.parametrize("key", ALL_KEYS, ids=str)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -273,6 +276,34 @@ def test_conversion_commutes_with_composition(rng):
         lhs = G.chart_convert(G.compose(g, h), mat).matrix()
         rhs = G.chart_convert(g, mat).matrix() @ G.chart_convert(h, mat).matrix()
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_every_chart_is_registered_at_import():
+    # the chart-law suites collect their ids from _CHARTS, so building a
+    # catalog system must register no further chart
+    import liesys
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liesys.__file__)))
+    code = ("import liesys.groups as G; from liesys.catalog import get_system, list_systems; "
+            "n = len(G._CHARTS); [get_system(s) for s in list_systems()]; "
+            "print(n, len(G._CHARTS))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    at_import, after = out.stdout.split()
+    assert at_import == after == str(len(ALL_KEYS))
+
+
+@pytest.mark.parametrize("pair", sorted(G._CONVERSIONS), ids=lambda p: "->".join(map(str, p)))
+def test_conversion_round_trip(pair, rng):
+    src, dst = (G._CHARTS[key] for key in pair)
+    g = random_element(src, rng)
+    h = G.chart_convert(g, dst)
+    assert h.chart is dst
+    if dst.chart_kind == "matrix":
+        assert np.max(np.abs(h.matrix() - g.matrix())) <= 1e-12
+    if pair[::-1] in G._CONVERSIONS:
+        back = G.chart_convert(h, src)
+        assert np.max(np.abs(back.coords - g.coords)) <= 1e-12
 
 
 @pytest.mark.parametrize("key", ALL_KEYS, ids=str)

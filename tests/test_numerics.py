@@ -193,7 +193,7 @@ def test_a_roundoff_frontier_never_stops_one_step_before_the_grid_end():
             new[-1] = 1.0 - 1e-3 * (1.0 - X[-1])
         return new
 
-    states = N.picard_windows(sweep, [0.0], n, False, 2, None)
+    states = N.picard_windows(sweep, [0.0], n, False, None)
     assert spans[:2] == [(0, 7), (4, 7)] and all(e - a >= 2 for a, e in spans)
     assert not states[:-1].any() and abs(states[-1, 0] - 1.0) <= 1e-12
 
@@ -212,7 +212,7 @@ def test_a_frontier_that_stays_in_place_fails_the_window():
         raise RuntimeError(f"stuck at {a}..{e}")
 
     with pytest.raises(RuntimeError, match=r"^stuck at 0\.\.2$"):
-        N.picard_windows(sweep, [0.0], 4, False, 2, stuck)
+        N.picard_windows(sweep, [0.0], 4, False, stuck)
     assert len(spans) == 9 * N._MAX_SWEEPS and set(spans) == {(0, 4), (0, 2)}
 
 

@@ -257,6 +257,15 @@ def test_superpose_on_trajectories_equals_per_node_calls(unit_grid):
         assert np.max(np.abs(whole.states - per_node)) <= 1e-15, rule.kind
 
 
+def test_superpose_rejects_a_wrong_constant_count(unit_grid):
+    for rule, states, consts in _superposition_cases(unit_grid):
+        for wrong in (consts[:-1], consts + [0.5]):
+            with pytest.raises(LieSysError) as exc:
+                superpose(rule, [st[0] for st in states], wrong)
+            msg = str(exc.value)
+            assert f"takes {rule.constant_dim} constants, got {len(wrong)}" in msg, rule.kind
+
+
 @pytest.mark.parametrize("kind", ["riccati", "sl2_complex"])
 def test_superpose_coincidence_names_its_node(unit_grid, kind):
     rule, states, consts = next(c for c in _superposition_cases(unit_grid) if c[0].kind == kind)

@@ -134,7 +134,7 @@ def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
                             ("se2", [(1, 2, 3), (2, 1, 3)])):
         base = catalog_algebra(name)
         for copy in range(2):
-            alg = LieAlgebra(base.dim, base.structure, base.basis_labels, base.name)
+            alg = LieAlgebra(base.dim, base.structure, base.name)
             probes.clear()
             for ordering in orderings * 3:
                 wn_solve(WNProblem(alg, smooth_controls(alg.dim, seed=3), grid, ordering))
@@ -226,6 +226,18 @@ def test_cyclic_ordering_on_a_non_uniform_grid_runs_rk4():
     nodes = np.linspace(0.0, 1.0, 201) ** 1.5
     prob = WNProblem(catalog_algebra("so3"), smooth_controls(3, seed=3), TimeGrid.from_nodes(nodes))
     assert np.array_equal(wn_solve(prob).states, _rk4(prob).states)
+
+
+def test_a_fast_rotation_is_no_breakdown_on_either_route():
+    # v1 = 1e9 t about a1 keeps M(v) a rotation however large v1 grows; the
+    # non-uniform grid runs the RK4 route, the uniform one the sweeps
+    entry = get_system("so3_kinematics")
+    b = ControlSignal.constant([1e9, 0.0, 0.0])
+    for grid in (TimeGrid.from_nodes(np.linspace(0.0, 1.0, 2001) ** 1.5),
+                 TimeGrid.uniform(0.0, 1.0, 2000)):
+        v = wn_solve(WNProblem(entry.algebra, b, grid, entry.ordering())).states
+        assert np.max(np.abs(v[:, 0] - 1e9 * grid.nodes)) <= 16 * np.finfo(float).eps * 1e9
+        assert not v[:, 1:].any()
 
 
 def _lie_oracle_controls(seed, label, n_channels, amp):
