@@ -1,6 +1,6 @@
-"""Steer the unicycle with sinusoidal controls and compare three routes to
-the same trajectory: direct RK4, the group-action solution through the
-Wei-Norman curve, and the closed-form quadrature solution.
+"""Steer the unicycle with sinusoidal controls and compare two routes to
+the same trajectory: direct RK4 and the group-action solution through the
+Wei-Norman curve.
 
 Usage: python scripts/run_unicycle_steering.py [out.csv]
 """
@@ -21,13 +21,10 @@ x0 = np.array([0.0, 0.0, 0.0])
 
 direct = solve_direct(entry.realization, b, x0, grid)
 via_group = solve_via_group(entry.realization, entry.wn_group_curve(b, grid), x0)
-closed = entry.closed_form(b, grid, x0)
 
 print("final pose (direct):      ", direct.states[-1])
 print("final pose (group action):", via_group.states[-1])
-print("final pose (closed form): ", closed.states[-1])
 print("direct vs group action:", np.max(np.abs(direct.states - via_group.states)))
-print("direct vs closed form: ", np.max(np.abs(direct.states - closed.states)))
 
 if len(sys.argv) > 1:
     direct.to_csv(sys.argv[1])

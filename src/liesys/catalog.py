@@ -1,6 +1,8 @@
 """Registry of the concrete Lie systems in the catalog: realization,
-algebra, group action (when available), closed-form Wei-Norman solutions
-(when available), and domain notes.
+algebra, group action (when available), the channels the controls drive,
+and the Wei-Norman ordering.  The catalog holds systems, not solutions:
+`wn_solve` derives each system's exponents, by one quadrature per
+dependency level wherever its ordering splits into levels.
 
 Each realization gives its fields stacked and batched: `fields(x)` takes
 (..., state_dim) states and returns the (..., r, state_dim) array whose row
@@ -19,8 +21,7 @@ matrices, so a whole curve moves x in one call.
 Actions are written in the same convention as the group charts: the
 curve through the identity reconstructed from Wei-Norman exponents v
 acts with coordinates -v; for a realization with action this makes
-solve_via_group(wn_reconstruct(wn_solve(...))) reproduce solve_direct,
-and a closed flow is the action of the closed-form exponents, -v, on x0.
+solve_via_group(wn_reconstruct(wn_solve(...))) reproduce solve_direct.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .algebra import catalog_algebra, eps_parameter
 from .errors import UnknownNameError
 from .groups import _square, get_chart
-from .numerics import TimeGrid, Trajectory, cumulative_quadrature_samples
+from .numerics import TimeGrid
 from .systems import LieSystemRealization, _homography
 from .weinorman import ControlSignal, GroupCurve, WNProblem, wn_reconstruct, wn_solve
 
@@ -44,9 +45,6 @@ class CatalogEntry:
     realization: LieSystemRealization
     used_channels: tuple            # 1-based algebra indices driven by controls
     wn_ordering: tuple | None = None
-    wn_closed_form: object = None   # (controls, grid) -> states array
-    closed_form: object = None      # (controls, grid, x0) -> Trajectory
-    notes: str = ""
 
     @property
     def algebra(self):
@@ -89,14 +87,6 @@ def get_system(name: str, **params) -> CatalogEntry:
 
 def list_systems():
     return sorted(_REGISTRY)
-
-
-def _cum(samples, grid):
-    return cumulative_quadrature_samples(np.asarray(samples), grid)
-
-
-def _bsamp(b, grid, i):
-    return b(grid.nodes)[:, i]
 
 
 def _coords(x):
@@ -161,13 +151,6 @@ def _affine_system(chart, name):
 # ---------------------------------------------------------------------------
 
 
-def _h3_wn_closed(b, grid):
-    b1 = _bsamp(b, grid, 0)
-    b2 = _bsamp(b, grid, 1)
-    B1 = _cum(b1, grid)
-    return np.column_stack([B1, _cum(b2, grid), _cum(b2 * B1, grid)])
-
-
 @register("brockett")
 def _brockett():
     alg = catalog_algebra("h3")
@@ -183,12 +166,7 @@ def _brockett():
                          x[2] + a * x[1] - b * x[0] - a * b - 2.0 * c]).T
 
     sys = LieSystemRealization(alg, 3, fields, action, chart, name="brockett")
-
-    def closed_form(b, grid, x0):
-        return Trajectory(grid, action(-_h3_wn_closed(b, grid), x0), meta="brockett closed form")
-
-    return CatalogEntry("brockett", sys, (1, 2), wn_closed_form=_h3_wn_closed,
-                        closed_form=closed_form)
+    return CatalogEntry("brockett", sys, (1, 2))
 
 
 @register("brockett_variant")
@@ -205,9 +183,10 @@ def _brockett_variant():
         return np.array([x[0] - a, x[1] - b, x[2] + a * x[1] - a * b - c]).T
 
     sys = LieSystemRealization(alg, 3, fields, action, chart, name="brockett_variant")
-    return CatalogEntry("brockett_variant", sys, (1, 2), wn_closed_form=_h3_wn_closed)
+    return CatalogEntry("brockett_variant", sys, (1, 2))
 
 
+# Taylor approximation linear in the leg extension
 @register("hopping_robot_lin")
 def _hopping(m_l: float = 1.0):
     alg = catalog_algebra("h3")
@@ -225,10 +204,10 @@ def _hopping(m_l: float = 1.0):
                          x[2] + k2 * (a * x[1] - c - a * b) + a * k1]).T
 
     sys = LieSystemRealization(alg, 3, fields, action, chart, name="hopping_robot_lin")
-    return CatalogEntry("hopping_robot_lin", sys, (1, 2), wn_closed_form=_h3_wn_closed,
-                        notes="Taylor approximation linear in the leg extension")
+    return CatalogEntry("hopping_robot_lin", sys, (1, 2))
 
 
+# steering angle restricted to (-pi/2, pi/2)
 @register("unicycle_feedback")
 def _unicycle_feedback():
     alg = catalog_algebra("h3")
@@ -247,9 +226,8 @@ def _unicycle_feedback():
     sys = LieSystemRealization(
         alg, 3, fields, action, chart,
         domain=lambda x: np.abs(_coords(x)[2]) < math.pi / 2 - 1e-9,
-        name="unicycle_feedback",
-        domain_note="steering angle restricted to (-pi/2, pi/2)")
-    return CatalogEntry("unicycle_feedback", sys, (1, 2), wn_closed_form=_h3_wn_closed)
+        name="unicycle_feedback")
+    return CatalogEntry("unicycle_feedback", sys, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +253,7 @@ def _rb_two():
             - 2.0 * c * x[0] + a * b * b - 2.0 * d]).T
 
     sys = LieSystemRealization(alg, 3, fields, action, chart, name="rb_two_oscillators")
-
-    def wn_closed(b, grid):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B1, B2 = _cum(b1, grid), _cum(b2, grid)
-        return np.column_stack([
-            B1, B2, _cum(b2 * B1, grid),
-            _cum(b2 * (0.5 * B1**2 + B1 * B2), grid)])
-
-    return CatalogEntry("rb_two_oscillators", sys, (1, 2), wn_closed_form=wn_closed)
+    return CatalogEntry("rb_two_oscillators", sys, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +261,7 @@ def _rb_two():
 # ---------------------------------------------------------------------------
 
 
+# plate-ball kinematics to second degree
 @register("brockett_deg2")
 def _brockett_deg2():
     alg = catalog_algebra("g5")
@@ -315,16 +286,7 @@ def _brockett_deg2():
             x[4] - a * x[1] ** 2 + 2.0 * (a * b + c) * x[1] + 2.0 * e - a * b * b]).T
 
     sys = LieSystemRealization(alg, 5, fields, action, chart, name="brockett_deg2")
-
-    def wn_closed(b, grid):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B1, B2 = _cum(b1, grid), _cum(b2, grid)
-        return np.column_stack([
-            B1, B2, _cum(b2 * B1, grid),
-            0.5 * _cum(b2 * B1**2, grid), _cum(b2 * B1 * B2, grid)])
-
-    return CatalogEntry("brockett_deg2", sys, (1, 2), wn_closed_form=wn_closed,
-                        notes="plate-ball kinematics to second degree")
+    return CatalogEntry("brockett_deg2", sys, (1, 2))
 
 
 @register("nikolaev_deg2")
@@ -345,6 +307,7 @@ def _nikolaev2():
     return CatalogEntry("nikolaev_deg2", sys, (1, 2))
 
 
+# controllable orbit-wise only; no cataloged action
 @register("brockett_deg3")
 def _brockett_deg3():
     alg = catalog_algebra("g7")
@@ -362,10 +325,10 @@ def _brockett_deg3():
         ])
 
     sys = LieSystemRealization(alg, 8, fields, name="brockett_deg3")
-    return CatalogEntry("brockett_deg3", sys, (1, 2),
-                        notes="controllable orbit-wise only; no cataloged action")
+    return CatalogEntry("brockett_deg3", sys, (1, 2))
 
 
+# not steerable by simple sinusoids
 @register("murray_nonsinusoid")
 def _murray():
     alg = catalog_algebra("g8")
@@ -384,17 +347,7 @@ def _murray():
         ])
 
     sys = LieSystemRealization(alg, 8, fields, name="murray_nonsinusoid")
-
-    def wn_closed(b, grid):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B1, B2 = _cum(b1, grid), _cum(b2, grid)
-        return np.column_stack([
-            B1, B2, _cum(b2 * B1, grid), 0.5 * _cum(b2 * B1**2, grid),
-            _cum(b2 * B1 * B2, grid), _cum(b2 * B1**3, grid) / 6.0,
-            0.5 * _cum(b2 * B1**2 * B2, grid), 0.5 * _cum(b2 * B1 * B2**2, grid)])
-
-    return CatalogEntry("murray_nonsinusoid", sys, (1, 2), wn_closed_form=wn_closed,
-                        notes="not steerable by simple sinusoids")
+    return CatalogEntry("murray_nonsinusoid", sys, (1, 2))
 
 
 @register("nikolaev_deg8")
@@ -424,13 +377,6 @@ def _nikolaev8():
 # ---------------------------------------------------------------------------
 
 
-def _se2_wn_closed(b, grid):
-    b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-    B1 = _cum(b1, grid)
-    return np.column_stack([
-        B1, _cum(b2 * np.cos(B1), grid), _cum(b2 * np.sin(B1), grid)])
-
-
 @register("unicycle")
 def _unicycle():
     alg = catalog_algebra("se2")
@@ -447,12 +393,7 @@ def _unicycle():
         return np.array([x[0] - b * c - a * s, x[1] + b * s - a * c, x[2] - th]).T
 
     sys = LieSystemRealization(alg, 3, fields, action, chart, name="unicycle")
-
-    def closed_form(b, grid, x0):
-        return Trajectory(grid, action(-_se2_wn_closed(b, grid), x0), meta="unicycle closed form")
-
-    return CatalogEntry("unicycle", sys, (1, 2), wn_closed_form=_se2_wn_closed,
-                        closed_form=closed_form)
+    return CatalogEntry("unicycle", sys, (1, 2))
 
 
 @register("unicycle_y")
@@ -473,7 +414,7 @@ def _unicycle_y():
             x[1] * st + x[2] * ct - a * st - b * ct]).T
 
     sys = LieSystemRealization(alg, 3, fields, action, chart, name="unicycle_y")
-    return CatalogEntry("unicycle_y", sys, (1, 2), wn_closed_form=_se2_wn_closed)
+    return CatalogEntry("unicycle_y", sys, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +422,7 @@ def _unicycle_y():
 # ---------------------------------------------------------------------------
 
 
+# front-wheel car after feedback nilpotentization
 @register("kinematic_car_chained")
 def _kinematic_car():
     alg = catalog_algebra("gbar", n=4)
@@ -499,17 +441,10 @@ def _kinematic_car():
             x[3] - a * x[2] + 0.5 * a * a * x[1] - 0.5 * a * a * b - a * c - d]).T
 
     sys = LieSystemRealization(alg, 4, fields, action, chart, name="kinematic_car_chained")
-
-    def wn_closed(b, grid):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B1, B2 = _cum(b1, grid), _cum(b2, grid)
-        return np.column_stack([
-            B1, B2, _cum(b2 * B1, grid), 0.5 * _cum(b2 * B1**2, grid)])
-
-    return CatalogEntry("kinematic_car_chained", sys, (1, 2), wn_closed_form=wn_closed,
-                        notes="front-wheel car after feedback nilpotentization")
+    return CatalogEntry("kinematic_car_chained", sys, (1, 2))
 
 
+# abnormal-extremal test bed
 @register("martinet")
 def _martinet():
     alg = catalog_algebra("gbar", n=4)
@@ -528,7 +463,7 @@ def _martinet():
             x[3] - d - c * x[1] - 0.5 * b * x[1] ** 2]).T
 
     sys = LieSystemRealization(alg, 4, fields, action, chart, name="martinet")
-    return CatalogEntry("martinet", sys, (1, 2), notes="abnormal-extremal test bed")
+    return CatalogEntry("martinet", sys, (1, 2))
 
 
 def _power_fields(n):
@@ -546,6 +481,8 @@ def _power_fields(n):
     return fields
 
 
+# car-trailer after two feedback transformations; the original trailer
+# realization has no simple action
 @register("trailer_power5")
 def _trailer():
     alg = catalog_algebra("gbar", n=5)
@@ -560,17 +497,7 @@ def _trailer():
             x[4] - b * x[0] ** 3 / 6.0 - 0.5 * c * x[0] ** 2 - d * x[0] - e]).T
 
     sys = LieSystemRealization(alg, 5, _power_fields(5), action, chart, name="trailer_power5")
-
-    def wn_closed(b, grid):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B1, B2 = _cum(b1, grid), _cum(b2, grid)
-        return np.column_stack([
-            B1, B2, _cum(b2 * B1, grid), 0.5 * _cum(b2 * B1**2, grid),
-            _cum(b2 * B1**3, grid) / 6.0])
-
-    return CatalogEntry("trailer_power5", sys, (1, 2), wn_closed_form=wn_closed,
-                        notes="car-trailer after two feedback transformations; the "
-                              "original trailer realization has no simple action")
+    return CatalogEntry("trailer_power5", sys, (1, 2))
 
 
 @register("chained_n")
@@ -605,12 +532,12 @@ def _power(n: int = 4):
 # ---------------------------------------------------------------------------
 
 
+# generalized elastic problem; eps in {-1, 0, 1}
 @register("elastic_euler")
 def _elastic(eps: int = 1):
     eps = eps_parameter(eps)
     sys = _linear_system(get_chart("Geps", "matrix", eps=eps), f"elastic_euler(eps={eps:+d})")
-    return CatalogEntry("elastic_euler", sys, (1, 2, 3),
-                        notes="generalized elastic problem; eps in {-1, 0, 1}")
+    return CatalogEntry("elastic_euler", sys, (1, 2, 3))
 
 
 @register("so3_kinematics")
@@ -630,35 +557,23 @@ def _se3_kin():
 # ---------------------------------------------------------------------------
 
 
+# b = (alpha, beta, gamma, -delta, epsilon) from the quadratic Hamiltonian
 @register("quadratic_hamiltonian_classical")
 def _quadh():
     sys = _affine_system(get_chart("QuadH", "matrix"), "quadratic_hamiltonian_classical")
     return CatalogEntry("quadratic_hamiltonian_classical", sys, (1, 2, 3, 4, 5),
-                        wn_ordering=(4, 5, 1, 2, 3),
-                        notes="b = (alpha, beta, gamma, -delta, epsilon) from the "
-                              "quadratic Hamiltonian")
+                        wn_ordering=(4, 5, 1, 2, 3))
 
 
+# controls (1/m, -f(t)); flow by two quadratures
 @register("td_linear_potential_classical")
 def _tdlin(m: float = 1.0):
     sys = _affine_system(get_chart("TdLin", "matrix"), "td_linear_potential_classical")
-
-    def closed_form(b, grid, x0):
-        # controls are b = (1/m, -f, 0); closed flow by two quadratures
-        f_vals = -_bsamp(b, grid, 1)
-        mi = _bsamp(b, grid, 0)
-        F1 = _cum(f_vals, grid)
-        F2 = _cum(F1 * mi, grid)
-        q0, p0 = float(x0[0]), float(x0[1])
-        q = q0 + p0 * _cum(mi, grid) - F2
-        p = p0 - F1
-        return Trajectory(grid, np.column_stack([q, p]), meta="linear-potential flow")
-
-    return CatalogEntry("td_linear_potential_classical", sys, (1, 2),
-                        closed_form=closed_form,
-                        notes="controls (1/m, -f(t)); flow by two quadratures")
+    return CatalogEntry("td_linear_potential_classical", sys, (1, 2))
 
 
+# controls (omega(t), f(t)); the central channel acts trivially on the
+# classical phase space
 @register("driven_oscillator")
 def _driven_osc():
     alg = catalog_algebra("oscq")
@@ -667,28 +582,8 @@ def _driven_osc():
         x0, x1 = _coords(x)
         return _stacked(x, [[x1, -x0], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
 
-    def wn_closed(b, grid):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B1 = _cum(b1, grid)
-        v2 = _cum(b2 * np.cos(B1), grid)
-        v3 = _cum(b2 * np.sin(B1), grid)
-        v4 = _cum(v2 * b2 * np.sin(B1), grid)
-        return np.column_stack([B1, v2, v3, v4])
-
-    def closed_form(b, grid, x0):
-        v = wn_closed(b, grid)
-        q0, p0 = float(x0[0]), float(x0[1])
-        qi = q0 + v[:, 2]
-        pi = p0 - v[:, 1]
-        c, s = np.cos(v[:, 0]), np.sin(v[:, 0])
-        return Trajectory(grid, np.column_stack([qi * c + pi * s, -qi * s + pi * c]),
-                          meta="driven oscillator flow")
-
     sys = LieSystemRealization(alg, 2, fields, name="driven_oscillator")
-    return CatalogEntry("driven_oscillator", sys, (1, 2), wn_closed_form=wn_closed,
-                        closed_form=closed_form,
-                        notes="controls (omega(t), f(t)); central channel acts trivially "
-                              "on the classical phase space")
+    return CatalogEntry("driven_oscillator", sys, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +614,7 @@ def _sl2_linear():
     return CatalogEntry("sl2_linear", sys, (1, 2, 3))
 
 
+# real/imaginary split of the complex Riccati equation
 @register("sl2_complex")
 def _sl2_complex():
     alg = catalog_algebra("sl2")
@@ -733,8 +629,7 @@ def _sl2_complex():
 
     sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL2", "matrix"),
                                name="sl2_complex")
-    return CatalogEntry("sl2_complex", sys, (1, 2, 3),
-                        notes="real/imaginary split of the complex Riccati equation")
+    return CatalogEntry("sl2_complex", sys, (1, 2, 3))
 
 
 @register("sl2_mixed_1")
@@ -775,6 +670,7 @@ def _sl2_mixed2():
     return CatalogEntry("sl2_mixed_2", sys, (1, 2, 3))
 
 
+# projective action on the plane; matrix Riccati equation
 @register("sl3_matrix_riccati")
 def _sl3_riccati():
     alg = catalog_algebra("sl3")
@@ -793,8 +689,7 @@ def _sl3_riccati():
 
     sys = LieSystemRealization(alg, 2, fields, action, get_chart("SL3", "matrix"),
                                name="sl3_matrix_riccati")
-    return CatalogEntry("sl3_matrix_riccati", sys, tuple(range(1, 9)),
-                        notes="projective action on the plane; matrix Riccati equation")
+    return CatalogEntry("sl3_matrix_riccati", sys, tuple(range(1, 9)))
 
 
 @register("sl3_linear")
@@ -808,6 +703,7 @@ def _sl3_linear():
 # ---------------------------------------------------------------------------
 
 
+# dy/dt = b2 y + b1
 @register("affine_scalar")
 def _affine_scalar():
     alg = catalog_algebra("aff")
@@ -819,18 +715,10 @@ def _affine_scalar():
 
     sys = LieSystemRealization(alg, 1, lambda x: _stacked(x, [[1.0], _coords(x)]), action,
                                chart, name="affine_scalar")
-
-    def closed_form(b, grid, x0):
-        b1, b2 = _bsamp(b, grid, 0), _bsamp(b, grid, 1)
-        B2 = _cum(b2, grid)
-        inner = _cum(b1 * np.exp(-B2), grid)
-        y = np.exp(B2) * (float(x0[0]) + inner)
-        return Trajectory(grid, y[:, None], meta="affine closed form")
-
-    return CatalogEntry("affine_scalar", sys, (1, 2), closed_form=closed_form,
-                        notes="dy/dt = b2 y + b1")
+    return CatalogEntry("affine_scalar", sys, (1, 2))
 
 
+# y' + y^2 = a, z' + yz = b is b = (a, 0, -1, b, 0)
 @register("yz_physics")
 def _yz():
     alg = catalog_algebra("r2sl2yz")
@@ -841,5 +729,4 @@ def _yz():
                             [0.0, 1.0], [0.0, x0]])
 
     sys = LieSystemRealization(alg, 2, fields, name="yz_physics")
-    return CatalogEntry("yz_physics", sys, (1, 2, 3, 4, 5),
-                        notes="y' + y^2 = a, z' + yz = b is b = (a, 0, -1, b, 0)")
+    return CatalogEntry("yz_physics", sys, (1, 2, 3, 4, 5))

@@ -73,15 +73,9 @@ def cmd_list_systems(args):
     rows = []
     for name in list_systems():
         entry = get_system(name)
-        feats = []
-        if entry.realization.action is not None:
-            feats.append("action")
-        if entry.wn_closed_form is not None:
-            feats.append("wn-closed-form")
-        if entry.closed_form is not None:
-            feats.append("closed-form")
+        label = "" if entry.realization.action is None else "action"
         alg = entry.algebra.name or "?"
-        rows.append(f"{name:34s} {alg:10s} {','.join(feats)}")
+        rows.append(f"{name:34s} {alg:10s} {label}")
     print("\n".join(rows))
     print("\nreductions:", " ".join(list_reductions()))
     return 0

@@ -68,5 +68,5 @@ class CoincidenceError(LieSysError):
         super().__init__(msg or f"coincident particular solutions at node {node}")
 
 
-class UnknownNameError(LieSysError, KeyError):
+class UnknownNameError(LieSysError):
     """Name not present in a registry."""

@@ -259,10 +259,10 @@ def partner_potentials(W_vals, eps, xgrid, W_prime=None):
     return W_vals**2 - W_prime + eps, W_vals**2 + W_prime + eps
 
 
-def family_potentials(fam: SuperpotentialFamily, m, xgrid, eps=0.0):
+def family_potentials(fam: SuperpotentialFamily, m, xgrid):
     x = np.asarray(xgrid, dtype=float)
     W, Wp = fam.W(m, x)
-    return W**2 - Wp + eps, W**2 + Wp + eps
+    return partner_potentials(W, 0.0, x, W_prime=Wp)
 
 
 def shape_invariance_residual(fam: SuperpotentialFamily, m, xgrid) -> float:

@@ -46,7 +46,6 @@ class LieSystemRealization:
     action_chart: GroupChart | None = None
     domain: Callable | None = None            # (..., state_dim) -> (...) bool
     name: str = ""
-    domain_note: str = ""
 
     def __post_init__(self):
         dims = (self.algebra.dim, self.state_dim)

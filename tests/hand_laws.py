@@ -7,6 +7,13 @@ The hand-written field rows of the linear and affine catalog realizations
 (`FIELDS`, keyed by system name and eps) are kept as the reference for the
 fields `liesys.catalog` reads off each chart's representation.
 
+The closed-form Wei-Norman exponents of twelve catalog systems (`WN_CLOSED`,
+nested quadratures of the controls) are kept as the reference for the
+dependency levels of `liesys.weinorman.wn_solve`, and the closed flows of
+five (`CLOSED_FLOWS`: brockett and unicycle act on x0 with their exponents,
+the other three are quadrature formulas) as the reference for
+`liesys.systems.solve_direct`.  Both are keyed by system name.
+
 The hand-expanded Riccati gauge law (`riccati_gauge`) is kept as the
 reference for `liesys.riccati.transform_coeffs`, which derives it from the
 matrix product A M A^-1 + dA/dt A^-1.
@@ -31,6 +38,8 @@ import math
 import numpy as np
 
 from liesys.algebra import _ad_series, wn_matrix
+from liesys.catalog import get_system
+from liesys.numerics import cumulative_quadrature_samples
 
 
 def _h3_compose1(g, h):
@@ -452,3 +461,127 @@ def riccati_gauge(entries, dots, coeffs):
            + de * dal - al * dde + be * dga - ga * dbe)
     na0 = be**2 * a2 - al * be * a1 + al**2 * a0 + al * dbe - be * dal
     return na0, na1, na2
+
+
+# --- closed-form Wei-Norman exponents and closed flows of catalog systems ---
+
+
+def _cum(samples, grid):
+    return cumulative_quadrature_samples(np.asarray(samples), grid)
+
+
+def _h3_wn_closed(b, grid):
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B1 = _cum(b1, grid)
+    return np.column_stack([B1, _cum(b2, grid), _cum(b2 * B1, grid)])
+
+
+def _se2_wn_closed(b, grid):
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B1 = _cum(b1, grid)
+    return np.column_stack([B1, _cum(b2 * np.cos(B1), grid), _cum(b2 * np.sin(B1), grid)])
+
+
+def _g4_wn_closed(b, grid):
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B1, B2 = _cum(b1, grid), _cum(b2, grid)
+    return np.column_stack([
+        B1, B2, _cum(b2 * B1, grid), _cum(b2 * (0.5 * B1**2 + B1 * B2), grid)])
+
+
+def _g5_wn_closed(b, grid):
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B1, B2 = _cum(b1, grid), _cum(b2, grid)
+    return np.column_stack([
+        B1, B2, _cum(b2 * B1, grid), 0.5 * _cum(b2 * B1**2, grid), _cum(b2 * B1 * B2, grid)])
+
+
+def _g8_wn_closed(b, grid):
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B1, B2 = _cum(b1, grid), _cum(b2, grid)
+    return np.column_stack([
+        B1, B2, _cum(b2 * B1, grid), 0.5 * _cum(b2 * B1**2, grid),
+        _cum(b2 * B1 * B2, grid), _cum(b2 * B1**3, grid) / 6.0,
+        0.5 * _cum(b2 * B1**2 * B2, grid), 0.5 * _cum(b2 * B1 * B2**2, grid)])
+
+
+def _gbar_wn_closed(n):
+    """Gbar_n driven on a1, a2: v_1 = B1 and v_k = int b2 B1^(k-2) / (k-2)!."""
+    def wn_closed(b, grid):
+        b1, b2 = b(grid.nodes)[:, :2].T
+        B1 = _cum(b1, grid)
+        return np.column_stack(
+            [B1] + [_cum(b2 * B1**j, grid) / math.factorial(j) for j in range(n - 1)])
+    return wn_closed
+
+
+def _oscq_wn_closed(b, grid):
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B1 = _cum(b1, grid)
+    v2 = _cum(b2 * np.cos(B1), grid)
+    v3 = _cum(b2 * np.sin(B1), grid)
+    return np.column_stack([B1, v2, v3, _cum(v2 * b2 * np.sin(B1), grid)])
+
+
+# WN_CLOSED maps a catalog system to its Wei-Norman exponents in its own
+# ordering, (controls, grid) -> (n, r) samples, by nested quadratures of the
+# two driven channels b1, b2.
+WN_CLOSED = {
+    "brockett": _h3_wn_closed,
+    "brockett_variant": _h3_wn_closed,
+    "hopping_robot_lin": _h3_wn_closed,
+    "unicycle_feedback": _h3_wn_closed,
+    "rb_two_oscillators": _g4_wn_closed,
+    "brockett_deg2": _g5_wn_closed,
+    "murray_nonsinusoid": _g8_wn_closed,
+    "unicycle": _se2_wn_closed,
+    "unicycle_y": _se2_wn_closed,
+    "kinematic_car_chained": _gbar_wn_closed(4),
+    "trailer_power5": _gbar_wn_closed(5),
+    "driven_oscillator": _oscq_wn_closed,
+}
+
+
+def _acted(name):
+    """The flow x0 -> action(-v, x0) of the closed-form exponents v."""
+    def flow(b, grid, x0):
+        return get_system(name).realization.action(-WN_CLOSED[name](b, grid), x0)
+    return flow
+
+
+def _td_linear_flow(b, grid, x0):
+    # controls are b = (1/m, -f, 0); closed flow by two quadratures
+    bs = b(grid.nodes)
+    f_vals, mi = -bs[:, 1], bs[:, 0]
+    F1 = _cum(f_vals, grid)
+    F2 = _cum(F1 * mi, grid)
+    q0, p0 = float(x0[0]), float(x0[1])
+    return np.column_stack([q0 + p0 * _cum(mi, grid) - F2, p0 - F1])
+
+
+def _driven_oscillator_flow(b, grid, x0):
+    # the affine action of the exponents: rotate the shifted initial point by v1
+    v = _oscq_wn_closed(b, grid)
+    qi = float(x0[0]) + v[:, 2]
+    pi = float(x0[1]) - v[:, 1]
+    c, s = np.cos(v[:, 0]), np.sin(v[:, 0])
+    return np.column_stack([qi * c + pi * s, -qi * s + pi * c])
+
+
+def _affine_scalar_flow(b, grid, x0):
+    # dy/dt = b2 y + b1 by variation of constants
+    b1, b2 = b(grid.nodes)[:, :2].T
+    B2 = _cum(b2, grid)
+    y = np.exp(B2) * (float(x0[0]) + _cum(b1 * np.exp(-B2), grid))
+    return y[:, None]
+
+
+# CLOSED_FLOWS maps a catalog system to its flow by quadratures,
+# (controls, grid, x0) -> (n, state_dim) states.
+CLOSED_FLOWS = {
+    "brockett": _acted("brockett"),
+    "unicycle": _acted("unicycle"),
+    "driven_oscillator": _driven_oscillator_flow,
+    "td_linear_potential_classical": _td_linear_flow,
+    "affine_scalar": _affine_scalar_flow,
+}

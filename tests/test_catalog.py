@@ -14,7 +14,7 @@ from liesys.systems import (
 )
 from liesys.weinorman import ControlSignal, WNProblem, wn_matrix, wn_solve
 from conftest import smooth_controls
-from hand_laws import FIELDS
+from hand_laws import CLOSED_FLOWS, FIELDS, WN_CLOSED
 
 GRID = TimeGrid.uniform(0.0, 1.0, 2000)
 
@@ -104,46 +104,42 @@ def test_unicycle_feedback_equivalence(rng):
         assert np.max(np.abs(fb.fields(x)[1] - uni.fields(x)[1] / c)) < 1e-10
 
 
-def test_wn_closed_forms_match_solver():
-    for name in ("brockett", "rb_two_oscillators", "brockett_deg2",
-                 "murray_nonsinusoid", "kinematic_car_chained", "trailer_power5",
-                 "unicycle", "driven_oscillator"):
-        entry = get_system(name)
-        b = smooth_controls(2, seed=len(name))
-        bp = entry.pad_controls(b)
-        prob = WNProblem(entry.algebra, bp, GRID, entry.ordering())
-        v = wn_solve(prob)
-        closed = entry.wn_closed_form(bp, GRID)
-        assert np.max(np.abs(v.states - closed)) < 1e-8, name
+@pytest.mark.parametrize("name", sorted(WN_CLOSED))
+def test_wn_closed_forms_match_solver(name):
+    entry = get_system(name)
+    bp = entry.pad_controls(smooth_controls(2, seed=len(name)))
+    v = wn_solve(WNProblem(entry.algebra, bp, GRID, entry.ordering()))
+    assert np.max(np.abs(v.states - WN_CLOSED[name](bp, GRID))) < 1e-12
 
 
-def test_closed_form_solutions():
-    for name, x0 in (("unicycle", [0.2, -0.1, 0.3]), ("brockett", [0.1, 0.2, -0.3]),
-                     ("affine_scalar", [0.7]), ("driven_oscillator", [0.4, -0.2]),
-                     ("td_linear_potential_classical", [0.3, 0.8])):
-        entry = get_system(name)
-        b = smooth_controls(2, seed=3 * len(name))
-        bp = entry.pad_controls(b)
-        direct = solve_direct(entry.realization, bp, x0, GRID)
-        closed = entry.closed_form(bp, GRID, x0)
-        assert np.max(np.abs(direct.states - closed.states)) < 1e-6, name
+CLOSED_FLOW_X0 = {"unicycle": [0.2, -0.1, 0.3], "brockett": [0.1, 0.2, -0.3],
+                  "affine_scalar": [0.7], "driven_oscillator": [0.4, -0.2],
+                  "td_linear_potential_classical": [0.3, 0.8]}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FLOWS))
+def test_closed_form_solutions(name):
+    entry = get_system(name)
+    x0 = CLOSED_FLOW_X0[name]
+    bp = entry.pad_controls(smooth_controls(2, seed=3 * len(name)))
+    direct = solve_direct(entry.realization, bp, x0, GRID)
+    assert np.max(np.abs(direct.states - CLOSED_FLOWS[name](bp, GRID, x0))) < 1e-6
 
 
 def test_closed_form_zero_controls():
-    entry = get_system("unicycle")
-    b = entry.pad_controls(ControlSignal.constant([0.0, 0.0]))
-    closed = entry.closed_form(b, GRID, [0.4, 0.5, -0.2])
-    assert np.max(np.abs(closed.states - [0.4, 0.5, -0.2])) < 1e-12
+    b = get_system("unicycle").pad_controls(ControlSignal.constant([0.0, 0.0]))
+    closed = CLOSED_FLOWS["unicycle"](b, GRID, [0.4, 0.5, -0.2])
+    assert np.max(np.abs(closed - [0.4, 0.5, -0.2])) < 1e-12
 
 
 def test_td_linear_potential_fixture():
     # f = 1, m = 1: p = p0 - t, q = q0 + p0 t - t^2/2
-    entry = get_system("td_linear_potential_classical")
-    b = ControlSignal.constant([1.0, -1.0])
-    closed = entry.closed_form(entry.pad_controls(b), GRID, [0.5, 0.25])
+    name = "td_linear_potential_classical"
+    b = get_system(name).pad_controls(ControlSignal.constant([1.0, -1.0]))
+    closed = CLOSED_FLOWS[name](b, GRID, [0.5, 0.25])
     t = GRID.nodes
-    assert np.max(np.abs(closed.states[:, 1] - (0.25 - t))) < 1e-10
-    assert np.max(np.abs(closed.states[:, 0] - (0.5 + 0.25 * t - t**2 / 2))) < 1e-10
+    assert np.max(np.abs(closed[:, 1] - (0.25 - t))) < 1e-10
+    assert np.max(np.abs(closed[:, 0] - (0.5 + 0.25 * t - t**2 / 2))) < 1e-10
 
 
 def test_controllability_smoke(rng):

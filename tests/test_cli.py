@@ -30,6 +30,11 @@ def test_list_systems(capsys):
     assert code == 0
     assert "unicycle" in stdout
     assert "so3_kinematics" in stdout
+    rows = {line.split()[0]: line.split()[1:] for line in stdout.split("\n\n")[0].splitlines()}
+    # the label column names a group action only
+    assert rows["brockett"] == ["h3", "action"]
+    assert rows["murray_nonsinusoid"] == ["g8"]
+    assert "closed-form" not in stdout
 
 
 def test_quantum_check_si(capsys):
@@ -157,12 +162,17 @@ def test_bad_quantum_parameters_and_unknown_suite_exit_2(capsys):
              ("inverse_m", "takes 1 parameter", "got 3")),
             (["quantum", "check-si", "--kind", "nparam_linear", "--cs", "0.5,0.5", "--m", "2",
               xgrid], ("nparam_linear", "takes 2 parameter", "got 1")),
-            (["check", "--suite", "nosuch"], ("unknown suite 'nosuch'", "reduction"))):
+            (["check", "--suite", "nosuch"], ("unknown suite 'nosuch'", "reduction")),
+            (["simulate", "--system", "nope", "--controls", "const:1", "--grid", "0,1,10",
+              "--x0", "0"], ("unknown system 'nope'",))):
         code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 2 and stdout == "", argv
         body = json.loads(stderr)
         assert body["code"] == "parse"
         assert all(w in body["message"] for w in words), body["message"]
+        # an unknown name is reported unquoted, the message first
+        if words[0].startswith("unknown"):
+            assert body["message"].startswith(words[0]), body["message"]
 
 
 def test_superpose_command_rejects_a_wrong_constant_count(tmp_path, capsys):

@@ -22,6 +22,7 @@ from liesys.systems import (
 )
 from liesys.weinorman import ControlSignal, GroupCurve
 from conftest import smooth_controls
+from hand_laws import CLOSED_FLOWS
 
 
 def test_field_eval_zero_controls():
@@ -64,8 +65,8 @@ def test_unicycle_closed_form_matches_direct(unit_grid):
     entry = get_system("unicycle")
     b = smooth_controls(2, seed=3)
     direct = solve_direct(entry.realization, entry.pad_controls(b), [0.2, -0.1, 0.3], unit_grid)
-    closed = entry.closed_form(entry.pad_controls(b), unit_grid, [0.2, -0.1, 0.3])
-    assert np.max(np.abs(direct.states - closed.states)) < 1e-6
+    closed = CLOSED_FLOWS["unicycle"](entry.pad_controls(b), unit_grid, [0.2, -0.1, 0.3])
+    assert np.max(np.abs(direct.states - closed)) < 1e-6
 
 
 def test_solve_via_group_identity_curve(unit_grid):

@@ -8,7 +8,7 @@ import liesys.groups as G
 import liesys.numerics as N
 import liesys.weinorman as W
 from liesys.algebra import LieAlgebra, catalog_algebra
-from liesys.catalog import _se2_wn_closed, get_system
+from liesys.catalog import get_system
 from liesys.errors import NumericsError, WNBreakdownError
 from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import (
@@ -20,6 +20,7 @@ from liesys.weinorman import (
     wn_solve,
 )
 from conftest import smooth_controls
+from hand_laws import WN_CLOSED
 
 
 def test_wn_matrix_identity_at_zero():
@@ -87,7 +88,7 @@ def test_levelled_unicycle_matches_its_closed_form(unit_grid):
     entry = get_system("unicycle")
     b = entry.pad_controls(smooth_controls(2, seed=7))
     v = wn_solve(WNProblem(entry.algebra, b, unit_grid, entry.ordering()))
-    assert np.max(np.abs(v.states - _se2_wn_closed(b, unit_grid))) <= 1e-15
+    assert np.max(np.abs(v.states - WN_CLOSED["unicycle"](b, unit_grid))) <= 1e-15
 
 
 @pytest.mark.parametrize("name,kw,ordering,levels,cycle", [
