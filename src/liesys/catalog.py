@@ -12,8 +12,10 @@ array arithmetic and give the same bits; a domain is a (...) bool array of
 the same components.  A matrix group acting linearly
 or by affine maps needs no hand-written rows: its fields are read off the
 chart's representation, X_a(x) = -A_a x (`_linear_system`) or
-X_a(x) = -(L_a x + c_a) for A_a = [[L_a, c_a], [0, 0]] (`_affine_system`).
-Each action takes
+X_a(x) = -(L_a x + c_a) for A_a = [[L_a, c_a], [0, 0]] (`_affine_system`),
+and over a batch of states they are one GEMM (`_matrix_field`): the states
+times the r matrices stacked as r d rows, transposed, whose one-state
+result has the bits of its row in a batch.  Each action takes
 (..., coord_dim) chart coordinates g and one state x: canonical charts
 unpack g with `g.T`, as the chart laws do, and matrix charts reshape it into
 matrices, so a whole curve moves x in one call.
@@ -108,12 +110,12 @@ def _stacked(x, rows):
 
 def _matrix_field(mats):
     """x -> (..., r, d) rows A_a x of the (r, d, d) matrices `mats`: one
-    stack of matrix-vector products over the states."""
-    flat = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1])
+    GEMM of the states against the r d x d matrices stacked as r d rows."""
+    flat_t = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1]).T
 
     def field(x):
         x = np.asarray(x, dtype=float)
-        return (flat @ x[..., None])[..., 0].reshape(x.shape[:-1] + mats.shape[:2])
+        return (x @ flat_t).reshape(x.shape[:-1] + mats.shape[:2])
 
     return field
 

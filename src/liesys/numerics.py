@@ -445,7 +445,10 @@ def linsolve(M, b, cond_limit=1e12):
     from it at the cost of two column sums.  A singular matrix, or a
     condition above `cond_limit` or not finite, raises SingularMatrixError
     carrying the condition and, for a stack, the index of the first failing
-    matrix; the Wei-Norman solver interprets that as a chart breakdown.
+    matrix; the Wei-Norman solver interprets that as a chart breakdown.  Its
+    levels and RK4 stages solve through this guard; its cyclic sweeps solve
+    unguarded, a singular stack failing only its window, and the guard
+    then checks each node's M(v) once, at the solved exponents.
     """
     M = np.asarray(M, dtype=float)
     try:

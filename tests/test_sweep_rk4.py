@@ -39,6 +39,14 @@ LIE_SYSTEMS = [
     ("elastic_euler", {"eps": 0}, 3, 1.0), ("elastic_euler", {"eps": -1}, 3, 0.8),
     ("so3_kinematics", {}, 3, 1.0),
 ]
+# the other realizations whose fields are one GEMM (`catalog._matrix_field`):
+# a one-state GEMM must give the bits of its row in a 512-state one
+MATRIX_FIELD_SYSTEMS = [
+    ("se3_kinematics", {}, 6, 1.0), ("quadratic_hamiltonian_classical", {}, 5, 1.0),
+    ("td_linear_potential_classical", {}, 2, 1.0), ("sl2_linear", {}, 3, 1.0),
+    ("sl3_linear", {}, 8, 1.0),
+]
+DIRECT_SYSTEMS = LIE_SYSTEMS + MATRIX_FIELD_SYSTEMS
 ALL_ENTRIES = [(n, {"eps": 1} if n == "elastic_euler" else {}) for n in list_systems()]
 # reductions whose hom_rhs squares a component: on one state y.T[0] is a
 # numpy scalar, whose ** calls pow, while a batch squares by multiplication
@@ -56,9 +64,9 @@ def counting_loop(monkeypatch):
     return starts
 
 
-@pytest.mark.parametrize("name,kw,nch,amp", LIE_SYSTEMS,
+@pytest.mark.parametrize("name,kw,nch,amp", DIRECT_SYSTEMS,
                          ids=[n + "".join(f"{v:+d}" for v in kw.values())
-                              for n, kw, _, _ in LIE_SYSTEMS])
+                              for n, kw, _, _ in DIRECT_SYSTEMS])
 def test_solve_direct_equals_the_single_state_loop(name, kw, nch, amp, monkeypatch):
     entry = get_system(name, **kw)
     sysr, b = entry.realization, entry.pad_controls(controls(name, nch, amp))

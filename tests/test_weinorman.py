@@ -125,21 +125,23 @@ def test_dependency_levels(name, kw, ordering, levels, cycle):
 
 
 def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
-    # the probe is the only np.linalg.solve caller on these paths; fresh
-    # algebra instances start with an empty cache and share it with no other
+    # the probe is the np.linalg.solve call on a (_PROBES, r + 1, r, r)
+    # stack (the cyclic sweeps solve (m, r, r) stacks); fresh algebra
+    # instances start with an empty cache and share it with no other
     grid = TimeGrid.uniform(0.0, 1.0, 40)
     probes = []
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *a: probes.append(a) or solve(*a))
+    monkeypatch.setattr(np.linalg, "solve", lambda M, b: probes.append(M.shape) or solve(M, b))
     for name, orderings in (("h3", [(1, 2, 3)]), ("so3", [(1, 2, 3)]),
                             ("se2", [(1, 2, 3), (2, 1, 3)])):
         base = catalog_algebra(name)
+        r = base.dim
         for copy in range(2):
             alg = LieAlgebra(base.dim, base.structure, base.name)
             probes.clear()
             for ordering in orderings * 3:
                 wn_solve(WNProblem(alg, smooth_controls(alg.dim, seed=3), grid, ordering))
-            assert len(probes) == len(orderings), (name, copy)
+            assert probes.count((W._PROBES, r + 1, r, r)) == len(orderings), (name, copy)
 
 
 def _rk4(prob):
@@ -554,6 +556,26 @@ def test_breakdown_on_the_levelled_path_names_the_node(monkeypatch):
     assert exc.value.cond == pytest.approx(1.01e10, rel=3e-3)
     assert "at node 1843 near t=0.9215 (cond~1.01e+10)" in str(exc.value)
     assert not steps
+
+
+def test_sweep_path_guards_each_node_once_at_the_solved_exponents(monkeypatch):
+    # the cyclic sweeps solve unguarded, so a lower bound leaves the solution
+    # as it is, and the guard over it names the first node past the bound
+    entry = get_system("so3_kinematics")
+    b = entry.pad_controls(_lie_oracle_controls(2101, "so3_kinematics", 3, 1.0))
+    grid = TimeGrid.uniform(0.0, 1.0, 2000)
+    prob = WNProblem(entry.algebra, b, grid, entry.ordering())
+    v = wn_solve(prob).states
+    cond = np.linalg.cond(wn_matrix(entry.algebra, entry.ordering(), v), 1)
+    bound = cond[1000]
+    k = int(np.argmax(cond > bound))
+    assert cond[k] > bound
+    monkeypatch.setattr(W, "_BREAKDOWN_COND", bound)
+    monkeypatch.setattr(N, "rk4_step", lambda *a: pytest.fail("rk4_step ran"))
+    with pytest.raises(WNBreakdownError) as exc:
+        wn_solve(prob)
+    assert exc.value.node == k and exc.value.t == grid.nodes[k]
+    assert exc.value.cond == cond[k]
 
 
 def test_levelled_path_names_a_non_finite_node():
