@@ -30,7 +30,7 @@ from .groups import (
     left_log_derivative,
     right_log_derivative,
 )
-from .numerics import TimeGrid, Trajectory, integrate_rk4, linsolve, quadrature
+from .numerics import TimeGrid, Trajectory, integrate_rk4, linsolve
 from .reduction import (
     ReductionSetup,
     catalog_reduction,

@@ -1,10 +1,10 @@
 """Structure-constant Lie algebras and the catalog of every algebra used
 by the control and quantum families in this package.
 
-A LieAlgebra is its dimension plus the rank-3 tensor c[a, b, g] with
-[e_a, e_b] = sum_g c[a, b, g] e_g.  All catalog entries carry small
-integer or half-integer constants, so antisymmetry and Jacobi hold
-exactly in double precision.
+A LieAlgebra is its rank-3 tensor c[a, b, g] with
+[e_a, e_b] = sum_g c[a, b, g] e_g, which also fixes its dimension.  All
+catalog entries carry small integer or half-integer constants, so
+antisymmetry and Jacobi hold exactly in double precision.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ _SPAN_SVD_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """dim, structure tensor and name; immutable after construction.
+    """Structure tensor and name, immutable after construction; the
+    dimension is read off the (r, r, r) tensor.
 
     `nilpotency_class` is the length of the lower central series
     (`lower_central_class`), None when the algebra is not nilpotent; every
     power (ad x)^k with k at or above it vanishes, so the exp(ad) and dexp
     series stop there."""
 
-    dim: int
     structure: np.ndarray
     name: str = ""
+    dim: int = field(init=False)
     nilpotency_class: int | None = field(default=None, init=False, compare=False)
     # exp(s ad a_i) rules per basis index, filled by exp_ad_basis; held on
     # the instance so no other algebra can ever read them
@@ -43,8 +44,9 @@ class LieAlgebra:
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
-        if c.shape != (self.dim, self.dim, self.dim):
+        if c.ndim != 3 or c.shape != (len(c),) * 3:
             raise DimensionError("structure tensor must be (r, r, r)")
+        object.__setattr__(self, "dim", len(c))
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) != 0.0:
             raise LieSysError("structure constants must be exactly antisymmetric")
         object.__setattr__(self, "structure", c)
@@ -84,7 +86,7 @@ class AlgebraVector:
 
     def _check(self, other):
         a, b = self.algebra, other.algebra
-        if a is not b and not (a.dim == b.dim and np.array_equal(a.structure, b.structure)):
+        if a is not b and not np.array_equal(a.structure, b.structure):
             raise DimensionError("vectors reference different algebras")
 
 
@@ -360,7 +362,7 @@ def algebra_from_triples(dim, triples, name=""):
     for a, b, g, val in triples:
         c[a - 1, b - 1, g - 1] = val
         c[b - 1, a - 1, g - 1] = -val
-    return LieAlgebra(dim, c, name)
+    return LieAlgebra(c, name)
 
 
 def load_algebra_file(path_or_text) -> LieAlgebra:

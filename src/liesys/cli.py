@@ -158,16 +158,15 @@ def cmd_superpose(args):
 
 
 def _load_coeffs(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    grid = TimeGrid.from_nodes(data[:, 0])
-    return riccati.RiccatiCoeffs.sampled(grid, data[:, 1], data[:, 2], data[:, 3]), grid
+    data = Trajectory.from_csv(path)
+    return riccati.RiccatiCoeffs.sampled(data.grid, *data.states.T[:3]), data.grid
 
 
 def cmd_riccati(args):
     if args.ric_cmd == "transform":
         c, grid = _load_coeffs(args.coeffs)
-        data = np.loadtxt(args.curve, delimiter=",", skiprows=1, ndmin=2)
-        entries = ControlSignal.sampled(TimeGrid.from_nodes(data[:, 0]), data[:, 1:5])
+        curve = Trajectory.from_csv(args.curve)
+        entries = ControlSignal.sampled(curve.grid, curve.states[:, :4])
         out = riccati.transform_coeffs(riccati.SL2Curve(*entries.channels), c)
         rows = np.column_stack([grid.nodes, out(grid.nodes)])
         np.savetxt(args.out, rows, delimiter=",", header="t,a0,a1,a2", comments="")

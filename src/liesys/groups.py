@@ -3,9 +3,12 @@ one-parameter subgroups, chart conversions and log-derivatives.
 
 A chart is either a matrix chart (coords = row-major matrix entries,
 composition = matrix product) or a canonical chart of first/second kind
-in which exp(s a_i) is the coordinate line s e_i.  Second-kind charts
-carry their ordering as part of the chart identity; mixing orderings is
-a chart mismatch.
+in which exp(s a_i) is the coordinate line s e_i.  A chart's `key`,
+(group_name, chart_kind, ordering), is its identity: `register_chart` files
+the chart under it in `_CHARTS`, and composition, conversion and
+`element_from_dict` match charts by it, so mixing the orderings of
+second-kind charts is a chart mismatch.  Its coordinate dimension is the
+length of its identity coordinates.
 
 The canonical charts of the nilpotent groups H3, G4, G5, G7, G8, Gbar4
 and Gbar5 are derived from the structure constants: first-kind composition
@@ -121,13 +124,13 @@ def _on_chart(chart, coords, stage=None, times=None, first=0):
 class GroupChart:
     group_name: str
     chart_kind: str                       # 'matrix' | 'canonical_first' | 'canonical_second' | 'quaternion'
-    coord_dim: int
+    coord_dim: int = field(init=False)    # the length of identity_coords
     algebra: LieAlgebra
+    identity_coords: np.ndarray = field(repr=False)
     ordering: tuple | None = None         # for canonical_second, 1-based
     algebra_rep: tuple | None = field(default=None, repr=False)   # matrices per basis element
     compose_fn: Callable = field(default=None, repr=False)
     inverse_fn: Callable = field(default=None, repr=False)
-    identity_coords: np.ndarray = field(default=None, repr=False)
     constraint_fn: Callable | None = field(default=None, repr=False)
     wrap_fn: Callable | None = field(default=None, repr=False)
     # closed-form exponential, (..., r) algebra vectors -> coords (second kind)
@@ -141,6 +144,7 @@ class GroupChart:
     _exp_rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coord_dim", len(self.identity_coords))
         if self.chart_kind in ("matrix", "quaternion"):
             B = np.stack([M.reshape(-1) for M in self.algebra_rep], axis=1)
             object.__setattr__(self, "rep_projector", np.linalg.pinv(B))
@@ -150,6 +154,11 @@ class GroupChart:
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, self.identity_coords.copy())
+
+    @property
+    def key(self) -> tuple:
+        """The chart's identity and its `_CHARTS` key: group, kind, ordering."""
+        return self.group_name, self.chart_kind, self.ordering
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ class GroupElement:
 
 def _same_chart(cg: GroupChart, ch: GroupChart):
     """Charts are the same when group, kind and ordering agree."""
-    if (cg.group_name, cg.chart_kind, cg.ordering) != (ch.group_name, ch.chart_kind, ch.ordering):
+    if cg.key != ch.key:
         raise ChartError(f"chart mismatch: {cg.group_name}/{cg.chart_kind} vs {ch.group_name}/{ch.chart_kind}")
 
 
@@ -375,8 +384,8 @@ _CHARTS: dict = {}
 _CONVERSIONS: dict = {}
 
 
-def register_chart(key, chart):
-    _CHARTS[key] = chart
+def register_chart(chart):
+    _CHARTS[chart.key] = chart
 
 
 def get_chart(group_name: str, chart_kind: str = "canonical_second",
@@ -393,18 +402,15 @@ def get_chart(group_name: str, chart_kind: str = "canonical_second",
     raise UnknownNameError(f"no chart registered for {key}")
 
 
-def register_conversion(src_key, dst_key, fn):
-    _CONVERSIONS[(src_key, dst_key)] = fn
+def register_conversion(src: GroupChart, dst: GroupChart, fn):
+    _CONVERSIONS[(src.key, dst.key)] = fn
 
 
 def chart_convert(g: GroupElement, target: GroupChart) -> GroupElement:
     src = g.chart
     if src is target:
         return g
-    key = (
-        (src.group_name, src.chart_kind, src.ordering),
-        (target.group_name, target.chart_kind, target.ordering),
-    )
+    key = src.key, target.key
     fn = _CONVERSIONS.get(key)
     if fn is None:
         raise ChartError(f"no conversion registered: {key[0]} -> {key[1]}")
@@ -447,7 +453,6 @@ def _mk_matrix_chart(group, alg, rep, constraint=None):
     chart = GroupChart(
         group_name=group,
         chart_kind="matrix",
-        coord_dim=n * n,
         algebra=alg,
         algebra_rep=tuple(np.asarray(M, dtype=float) for M in rep),
         compose_fn=compose,
@@ -456,7 +461,7 @@ def _mk_matrix_chart(group, alg, rep, constraint=None):
         constraint_fn=constraint,
         to_matrix_fn=to_matrix,
     )
-    register_chart((group, "matrix", None), chart)
+    register_chart(chart)
     return chart
 
 
@@ -533,22 +538,20 @@ def _build_nilpotent(group: str, alg: LieAlgebra, ordering: tuple, rep=None):
                 x = bch(alg, -g[..., pos:pos + 1] * basis[pos], x)
         return g
 
-    k1, k2 = (group, "canonical_first", None), (group, "canonical_second", tuple(ordering))
-    register_chart(k1, GroupChart(
-        group, "canonical_first", r, alg, algebra_rep=rep,
-        compose_fn=lambda g, h: bch(alg, g, h), inverse_fn=lambda g: -g,
-        identity_coords=np.zeros(r)))
+    chart1 = GroupChart(
+        group, "canonical_first", alg, np.zeros(r), algebra_rep=rep,
+        compose_fn=lambda g, h: bch(alg, g, h), inverse_fn=lambda g: -g)
     chart2 = GroupChart(
-        group, "canonical_second", r, alg, ordering=tuple(ordering), algebra_rep=rep,
+        group, "canonical_second", alg, np.zeros(r), ordering=tuple(ordering), algebra_rep=rep,
         compose_fn=lambda g, h: conv12(bch(alg, conv21(g), conv21(h))),
-        inverse_fn=lambda g: conv12(-conv21(g)), identity_coords=np.zeros(r),
-        exp_closed_fn=conv12)
-    register_chart(k2, chart2)
-    register_conversion(k2, k1, conv21)
-    register_conversion(k1, k2, conv12)
+        inverse_fn=lambda g: conv12(-conv21(g)), exp_closed_fn=conv12)
+    register_chart(chart1)
+    register_chart(chart2)
+    register_conversion(chart2, chart1, conv21)
+    register_conversion(chart1, chart2, conv12)
     if rep is not None:
-        _mk_matrix_chart(group, alg, rep)
-        register_conversion(k2, (group, "matrix", None), _to_matrix_coords(chart2))
+        matrix = _mk_matrix_chart(group, alg, rep)
+        register_conversion(chart2, matrix, _to_matrix_coords(chart2))
 
 
 # --- Euclidean group SE(2) ---------------------------------------------------
@@ -588,13 +591,12 @@ def _build_se2():
         return np.array([w, sinc * u + versc * v, sinc * v - versc * u]).T
 
     chart2 = GroupChart(
-        "SE2", "canonical_second", 3, alg, ordering=(1, 2, 3), algebra_rep=rep,
-        compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(3),
-        wrap_fn=wrap, exp_closed_fn=exp2,
+        "SE2", "canonical_second", alg, np.zeros(3), ordering=(1, 2, 3), algebra_rep=rep,
+        compose_fn=compose2, inverse_fn=inverse2, wrap_fn=wrap, exp_closed_fn=exp2,
     )
-    register_chart(("SE2", "canonical_second", (1, 2, 3)), chart2)
+    register_chart(chart2)
 
-    _mk_matrix_chart("SE2", alg, rep, _rigid)
+    matrix = _mk_matrix_chart("SE2", alg, rep, _rigid)
 
     def from_matrix(c):
         M = c.reshape(3, 3)
@@ -603,9 +605,8 @@ def _build_se2():
         T = exp_rep(chart2, 0, -th) @ M
         return np.array([th, T[0, 2], T[1, 2]])
 
-    register_conversion(("SE2", "canonical_second", (1, 2, 3)), ("SE2", "matrix", None),
-                        _to_matrix_coords(chart2))
-    register_conversion(("SE2", "matrix", None), ("SE2", "canonical_second", (1, 2, 3)), from_matrix)
+    register_conversion(chart2, matrix, _to_matrix_coords(chart2))
+    register_conversion(matrix, chart2, from_matrix)
 
 
 # --- the epsilon family: quaternion-like chart and linear 3x3 chart ----------
@@ -658,24 +659,19 @@ def _build_geps(eps):
         ])
 
     chart_q = GroupChart(
-        name, "quaternion", 4, alg,
+        name, "quaternion", alg, np.array([1.0, 0.0, 0.0, 0.0]),
         algebra_rep=_geps_rep4(eps),
         compose_fn=compose_q, inverse_fn=inverse_q,
-        identity_coords=np.array([1.0, 0.0, 0.0, 0.0]),
         constraint_fn=constraint_q,
         to_matrix_fn=q_to_mat4,
     )
-    register_chart((name, "quaternion", None), chart_q)
+    register_chart(chart_q)
 
     _mk_matrix_chart(name, alg, _geps_rep3(eps))
-    _mk_matrix_chart(name + "-cover", alg, _geps_rep4(eps), constraint=None)
+    cover = _mk_matrix_chart(name + "-cover", alg, _geps_rep4(eps), constraint=None)
 
-    register_conversion(
-        (name, "quaternion", None), (name + "-cover", "matrix", None),
-        lambda g: q_to_mat4(g).reshape(-1))
-    register_conversion(
-        (name + "-cover", "matrix", None), (name, "quaternion", None),
-        lambda cds: cds.reshape(4, 4)[:, 0].copy())
+    register_conversion(chart_q, cover, lambda g: q_to_mat4(g).reshape(-1))
+    register_conversion(cover, chart_q, lambda cds: cds.reshape(4, 4)[:, 0].copy())
 
 
 # --- SE(3) -------------------------------------------------------------------
@@ -736,11 +732,10 @@ def _build_affine():
         return np.array([u * ratio, v]).T
 
     chart = GroupChart(
-        "Aff", "canonical_second", 2, alg, ordering=(1, 2), algebra_rep=(A1, A2),
-        compose_fn=compose2, inverse_fn=inverse2, identity_coords=np.zeros(2),
-        exp_closed_fn=exp2,
+        "Aff", "canonical_second", alg, np.zeros(2), ordering=(1, 2), algebra_rep=(A1, A2),
+        compose_fn=compose2, inverse_fn=inverse2, exp_closed_fn=exp2,
     )
-    register_chart(("Aff", "canonical_second", (1, 2)), chart)
+    register_chart(chart)
     _mk_matrix_chart("Aff", alg, (A1, A2))
 
 

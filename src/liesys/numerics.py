@@ -2,7 +2,9 @@
 differences and a dense small linear solve.
 
 Everything here is deliberately plain: uniform grids keep trajectory
-comparisons node-exact, which is what the test suite relies on.
+comparisons node-exact, which is what the test suite relies on.  A
+`TimeGrid` is its nodes: t0, t1 and n_steps are read off them, and its
+uniform step is fixed when it is built.
 
 Time-dependent inputs of an RK4 solve are sampled once, as a stage table:
 rows at `rk4_stage_times(grid)`, the nodes interleaved with the step
@@ -55,7 +57,7 @@ realizations give batched `fields` and `domain`, and reductions a batched
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,42 +78,44 @@ _UNSWEPT = np.array([np.inf])
 _BATCH_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
 class TimeGrid:
-    """Integration grid, either uniform (t0, t1, n_steps) or explicit nodes."""
+    """Integration grid: its nodes, strictly increasing and read-only, from
+    which t0, t1 and n_steps are read.  `uniform_dt`, the step of a uniform
+    grid or None, is fixed when the grid is built: (t1 - t0) / n_steps by
+    `uniform`, and the first step by `TimeGrid(nodes)` (`from_nodes`) when
+    every step is within 1e-12 of it.  Grids compare and hash by their
+    nodes."""
 
-    t0: float
-    t1: float
-    n_steps: int | None = None
-    nodes_: np.ndarray | None = field(default=None, repr=False)
-    # the node array, built once and read-only so no caller can change it
-    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("_nodes", "_dt")
 
-    def __post_init__(self):
-        if self.nodes_ is not None:
-            nodes = np.array(self.nodes_, dtype=float)
-            if nodes.ndim != 1 or len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
-                raise NumericsError("grid nodes must be strictly increasing")
-            object.__setattr__(self, "nodes_", nodes)
-        else:
-            if not (self.t1 > self.t0):
-                raise NumericsError("need t0 < t1")
-            if self.n_steps is None or self.n_steps < 1:
-                raise NumericsError("n_steps must be a positive integer")
-            nodes = np.linspace(self.t0, self.t1, self.n_steps + 1)
+    def __init__(self, nodes):
+        nodes = np.array(nodes, dtype=float)
+        steps = np.diff(nodes) if nodes.ndim == 1 else np.empty(0)
+        if len(steps) == 0 or not (steps > 0).all():
+            raise NumericsError("grid nodes must be strictly increasing")
+        uniform = np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15)
+        self._fix(nodes, float(steps[0]) if uniform else None)
+
+    def _fix(self, nodes, dt):
         nodes.flags.writeable = False
-        object.__setattr__(self, "_nodes", nodes)
+        self._nodes, self._dt = nodes, dt
 
     @classmethod
     def uniform(cls, t0, t1, n_steps=None):
         if n_steps is None:
             n_steps = max(1, int(round(STEPS_PER_UNIT_TIME * (t1 - t0))))
-        return cls(float(t0), float(t1), int(n_steps))
+        t0, t1, n = float(t0), float(t1), int(n_steps)
+        if not (t1 > t0):
+            raise NumericsError("need t0 < t1")
+        if n < 1:
+            raise NumericsError("n_steps must be a positive integer")
+        grid = cls.__new__(cls)
+        grid._fix(np.linspace(t0, t1, n + 1), (t1 - t0) / n)
+        return grid
 
     @classmethod
     def from_nodes(cls, nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        return cls(float(nodes[0]), float(nodes[-1]), None, nodes)
+        return cls(nodes)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -119,12 +123,26 @@ class TimeGrid:
 
     @property
     def uniform_dt(self) -> float | None:
-        if self.nodes_ is None:
-            return (self.t1 - self.t0) / self.n_steps
-        dts = np.diff(self.nodes_)
-        if np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
-            return float(dts[0])
-        return None
+        return self._dt
+
+    def uniform_step(self, what) -> float:
+        """`uniform_dt`, or NumericsError when the grid is not uniform."""
+        if self._dt is None:
+            raise NumericsError(f"{what} needs a uniform grid")
+        return self._dt
+
+    t0 = property(lambda self: float(self._nodes[0]))
+    t1 = property(lambda self: float(self._nodes[-1]))
+    n_steps = property(lambda self: len(self._nodes) - 1)
+
+    def __eq__(self, other):
+        return isinstance(other, TimeGrid) and np.array_equal(self._nodes, other._nodes)
+
+    def __hash__(self):
+        return hash((len(self._nodes), self.t0, self.t1))
+
+    def __repr__(self):
+        return f"TimeGrid(t0={self.t0}, t1={self.t1}, n_steps={self.n_steps})"
 
 
 @dataclass
@@ -143,13 +161,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def component(self, i: int) -> np.ndarray:
-        return self.states[:, i]
-
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation between nodes."""
-        return interp_columns(t, self.grid.nodes, self.states)
 
     def to_csv(self, path):
         header = "t," + ",".join(f"x{i+1}" for i in range(self.dim))
@@ -380,18 +391,6 @@ def batch_guard(fn, what, dims, avoid=()):
         raise LieSysError(f"{what}: a batch of {B} states differs from the single calls "
                           f"by {gap:.3g}")
     return out
-
-
-def quadrature(f, grid: TimeGrid) -> np.ndarray:
-    """Cumulative integral B(t) = int_{t0}^t f, sampled on the grid nodes.
-
-    Composite Simpson on uniform grids, trapezoid fallback otherwise.
-    """
-    nodes = grid.nodes
-    samples = np.asarray([f(t) for t in nodes], dtype=float)
-    if not np.all(np.isfinite(samples)):
-        raise NumericsError("non-finite integrand sample")
-    return cumulative_quadrature_samples(samples, grid)
 
 
 def _cumulative_simpson(y, dx):

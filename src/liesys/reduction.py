@@ -7,7 +7,9 @@ coefficients
 
 The right-hand side must lie in the subalgebra; its span coordinates are
 the reduced coefficients c_mu(t), written so that the reduced equation is
-R(dh/dt) = -sum_mu c_mu(t) h_mu.
+R(dh/dt) = -sum_mu c_mu(t) h_mu.  The inputs are
+`ReductionSetup(span, lift, controls)`; the chart and the grid are the
+lift's.
 
 The reduction and the reconstruction are nodewise formulas; both run over
 the node coordinate arrays in blocks of `_BLOCK` nodes, which bounds the
@@ -54,14 +56,21 @@ class ReductionSetup:
     """Inputs of the reduction algorithm.
 
     span holds algebra vectors spanning the subalgebra h; lift is the
-    chart-tagged curve g1(t) projecting onto the homogeneous solution.
+    chart-tagged curve g1(t) projecting onto the homogeneous solution, and
+    its chart and grid are the reduction's.
     """
 
-    chart: GroupChart
     span: list
     lift: GroupCurve
     controls: ControlSignal
-    grid: TimeGrid
+
+    @property
+    def chart(self) -> GroupChart:
+        return self.lift.chart
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.lift.grid
 
     def __post_init__(self):
         flags = span_is_subalgebra(self.chart.algebra, self.span)
@@ -132,11 +141,10 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     is still the previous level's value; the product tree depends on the
     node index alone, so the result does not depend on `_BLOCK`.
     """
-    chart, n, dt = setup.chart, len(setup.grid.nodes), setup.grid.uniform_dt
+    chart, n = setup.chart, len(setup.grid.nodes)
     if n < 4:
         raise NumericsError(f"the subgroup solve's cubic midpoints need 4 nodes, got {n}")
-    if dt is None:
-        raise NumericsError("the subgroup solve's cubic midpoints need a uniform grid")
+    dt = setup.grid.uniform_step("the subgroup solve's cubic midpoint rule")
     A = -(np.asarray(coeffs, dtype=float) @ setup.span_matrix.T)
     half = np.empty_like(A[1:])
     half[1:-1] = (9.0 * (A[1:-2] + A[2:-1]) - (A[:-3] + A[3:])) / 16.0
@@ -200,21 +208,21 @@ class ReductionCase:
     closed-form reduced coefficients used as test fixtures.
 
     `hom_rhs(t, y, b)` takes (...) times, (..., hom_dim) states and (..., r)
-    padded controls and returns (..., hom_dim) derivatives; it is checked
-    once at construction by `numerics.batch_guard`."""
+    padded controls and returns (..., hom_dim) derivatives, where hom_dim is
+    the length of `hom_x0`; it is checked once at construction by
+    `numerics.batch_guard`."""
 
     name: str
     chart: GroupChart
     span_indices: tuple              # 1-based algebra indices spanning h
     used_channels: tuple
-    hom_dim: int
     hom_rhs: object                  # (t, y, padded controls at t) -> dy/dt, batched
     hom_x0: object
     lift_coords: object              # (..., hom_dim) states -> (..., d) chart coords
     expected_coeffs: object          # (..., r) controls, (...) times, states -> (..., s)
 
     def __post_init__(self):
-        dims = (None, self.hom_dim, self.chart.algebra.dim)
+        dims = (None, np.size(self.hom_x0), self.chart.algebra.dim)
         batch_guard(self.hom_rhs, f"{self.name}: hom_rhs", dims)
 
     def span_vectors(self):
@@ -238,8 +246,7 @@ class ReductionCase:
 
     def setup(self, b: ControlSignal, grid: TimeGrid) -> ReductionSetup:
         hom = self.solve_homogeneous(b, grid)
-        return ReductionSetup(self.chart, self.span_vectors(),
-                              self.make_lift(hom), self.pad_controls(b), grid), hom
+        return ReductionSetup(self.span_vectors(), self.make_lift(hom), self.pad_controls(b)), hom
 
     def fixture_coeffs(self, b: ControlSignal, hom: Trajectory) -> np.ndarray:
         nodes = hom.grid.nodes
@@ -302,7 +309,7 @@ def _h3_case(which):
     chart = get_chart("H3", "canonical_first")
     if which == 1:
         return ReductionCase(
-            "h3/a1", chart, (1,), (1, 2), 2,
+            "h3/a1", chart, (1,), (1, 2),
             hom_rhs=_rhs(lambda t, y, b: [-b[1], -b[0] * y[0]]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [1, 2]),
@@ -310,14 +317,14 @@ def _h3_case(which):
         )
     if which == 2:
         return ReductionCase(
-            "h3/a2", chart, (2,), (1, 2), 2,
+            "h3/a2", chart, (2,), (1, 2),
             hom_rhs=_rhs(lambda t, y, b: [-b[0], b[1] * y[0]]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [0, 2]),
             expected_coeffs=_componentwise(lambda bv, t, y: [bv[1]]),
         )
     return ReductionCase(
-        "h3/a3", chart, (3,), (1, 2), 2,
+        "h3/a3", chart, (3,), (1, 2),
         hom_rhs=_rhs(lambda t, y, b: [-b[0], -b[1]]),
         hom_x0=np.zeros(2),
         lift_coords=_lift_into(np.zeros(3), [0, 1]),
@@ -336,7 +343,7 @@ def _se2_case(which):
     chart = get_chart("SE2", "canonical_second", (1, 2, 3))
     if which == "a1":
         return ReductionCase(
-            "se2/a1", chart, (1,), (1, 2), 2,
+            "se2/a1", chart, (1,), (1, 2),
             hom_rhs=_rhs(lambda t, z, b: [-b[1] + b[0] * z[1], -b[0] * z[0]]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [1, 2]),
@@ -344,7 +351,7 @@ def _se2_case(which):
         )
     if which == "a2":
         return ReductionCase(
-            "se2/a2", chart, (2,), (1, 2), 2,
+            "se2/a2", chart, (2,), (1, 2),
             hom_rhs=_rhs(lambda t, z, b: [-b[0], b[1] * np.sin(z[0])]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [0, 2]),
@@ -352,14 +359,14 @@ def _se2_case(which):
         )
     if which == "a3":
         return ReductionCase(
-            "se2/a3", chart, (3,), (1, 2), 2,
+            "se2/a3", chart, (3,), (1, 2),
             hom_rhs=_rhs(lambda t, z, b: [-b[0], -b[1] * np.cos(z[0])]),
             hom_x0=np.zeros(2),
             lift_coords=_lift_into(np.zeros(3), [0, 1]),
             expected_coeffs=_componentwise(lambda bv, t, z: [-bv[1] * np.sin(z[0])]),
         )
     return ReductionCase(
-        "se2/a2a3", chart, (2, 3), (1, 2), 1,
+        "se2/a2a3", chart, (2, 3), (1, 2),
         hom_rhs=_rhs(lambda t, z, b: [-b[0]]),
         hom_x0=np.zeros(1),
         lift_coords=_lift_into(np.zeros(3), [0]),
@@ -379,7 +386,7 @@ def _sl2_case(which):
     chart = get_chart("SL2", "matrix")
     if which == "a2a3":
         return ReductionCase(
-            "sl2/a2a3", chart, (2, 3), (1, 2, 3), 1,
+            "sl2/a2a3", chart, (2, 3), (1, 2, 3),
             hom_rhs=_rhs(lambda t, y, b: [b[0] + b[1] * y[0] + b[2] * y[0] ** 2]),
             hom_x0=np.zeros(1),
             lift_coords=_lift_into([1.0, 0.0, 0.0, 1.0], [1]),
@@ -387,7 +394,7 @@ def _sl2_case(which):
         )
     # which == "a1a2": homogeneous coordinate w = 1/y with w(0) = 0
     return ReductionCase(
-        "sl2/a1a2", chart, (1, 2), (1, 2, 3), 1,
+        "sl2/a1a2", chart, (1, 2), (1, 2, 3),
         hom_rhs=_rhs(lambda t, w, b: [-b[2] - b[1] * w[0] - b[0] * w[0] ** 2]),
         hom_x0=np.zeros(1),
         lift_coords=_lift_into([1.0, 0.0, 0.0, 1.0], [2]),
@@ -430,7 +437,7 @@ _TOWERS = {
 def _tower(name, group, span, rows):
     chart = get_chart(group, "canonical_first")
     return ReductionCase(
-        name, chart, span, (1, 2), 3,
+        name, chart, span, (1, 2),
         hom_rhs=_h3_hom_rhs, hom_x0=np.zeros(3),
         lift_coords=_lift_into(np.zeros(chart.algebra.dim), [0, 1, 2]),
         expected_coeffs=_componentwise(lambda bv, t, y: [_TOWER_ROWS[k](bv, y) for k in rows]),
@@ -462,7 +469,7 @@ def _geps_case(eps):
         return np.array([n, 0.0 * n, n * z1, n * z2]).T
 
     return ReductionCase(
-        f"geps/a1", chart, (1,), (1, 2, 3), 2,
+        f"geps/a1", chart, (1,), (1, 2, 3),
         hom_rhs=hom_rhs, hom_x0=np.zeros(2), lift_coords=lift,
         expected_coeffs=_componentwise(
             lambda bv, t, z: [bv[0] - eps * (bv[2] * z[0] - bv[1] * z[1])]),
@@ -490,7 +497,7 @@ def _se3_so3():
         ]
 
     return ReductionCase(
-        "se3/so3", chart, (1, 2, 3), (1, 2, 3, 4, 5, 6), 3,
+        "se3/so3", chart, (1, 2, 3), (1, 2, 3, 4, 5, 6),
         hom_rhs=hom_rhs, hom_x0=np.zeros(3),
         lift_coords=_lift_into(np.eye(4).reshape(-1), [3, 7, 11]),  # the translation column
         expected_coeffs=_componentwise(lambda bv, t, x: [bv[0], bv[1], bv[2]]),
@@ -518,7 +525,7 @@ def _se3_r3():
         return _matvec(np.swapaxes(A, -1, -2), b[..., 3:])
 
     return ReductionCase(
-        "se3/r3", chart, (4, 5, 6), (1, 2, 3, 4, 5, 6), 9,
+        "se3/r3", chart, (4, 5, 6), (1, 2, 3, 4, 5, 6),
         hom_rhs=hom_rhs, hom_x0=np.eye(3).reshape(-1),
         lift_coords=_lift_into(np.eye(4).reshape(-1), [0, 1, 2, 4, 5, 6, 8, 9, 10]),
         expected_coeffs=expected,

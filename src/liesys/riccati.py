@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidenceError, LieSysError, NumericsError
+from .errors import CoincidenceError, LieSysError
 from .groups import _square
 from .numerics import (
     TimeGrid,
@@ -187,9 +187,7 @@ def riccati_residual(x: Trajectory, c: RiccatiCoeffs, relative=False,
     With relative=True the residual is scaled by 1 + max|dx/dt|, which is
     what the solution preconditions use (steep solutions otherwise trip
     the finite-difference floor); order=4 uses five-point stencils."""
-    dt = x.grid.uniform_dt
-    if dt is None:
-        raise NumericsError("residual check needs a uniform grid")
+    dt = x.grid.uniform_step("residual check")
     vals = x.states[:, 0]
     dx = diff_samples4(vals, dt) if order == 4 else diff_samples(vals, dt)
     out = float(np.max(np.abs(dx - c.rhs(x.grid.nodes, vals))[1:-1]))
@@ -343,9 +341,7 @@ def darboux_wavefunction(psi_w, psi_v, gamma, grid: TimeGrid) -> np.ndarray:
     """
     pw = np.asarray(psi_w, dtype=float)
     pv = np.asarray(psi_v, dtype=float)
-    dx = grid.uniform_dt
-    if dx is None:
-        raise NumericsError("darboux_wavefunction needs a uniform grid")
+    dx = grid.uniform_step("darboux_wavefunction")
     # a node is a sign change or an exact zero; exponentially small tails
     # are legitimate
     crossing = np.append(pv[:-1] * pv[1:] < 0.0, False) | (pv == 0.0)
@@ -368,7 +364,7 @@ def schrodinger_residual(psi, V_vals, eps, grid: TimeGrid, interior=0.8) -> floa
     one-sided stencil pollution near open-interval endpoints.
     """
     psi = np.asarray(psi, dtype=float)
-    dx = grid.uniform_dt
+    dx = grid.uniform_step("schrodinger_residual")
     d2 = second_diff_samples(psi, dx)
     res = -d2 + (np.asarray(V_vals) - eps) * psi
     n = len(psi)
@@ -380,7 +376,7 @@ def schrodinger_residual(psi, V_vals, eps, grid: TimeGrid, interior=0.8) -> floa
 def superpotential_residual(W: Trajectory, V_vals, eps: float) -> float:
     """max |W' - W^2 + (V - eps)| for the superpotential convention
     V = W^2 - W' + eps, finite-difference W'."""
-    dt = W.grid.uniform_dt
+    dt = W.grid.uniform_step("superpotential_residual")
     vals = W.states[:, 0]
     dW = diff_samples(vals, dt)
     res = np.abs(dW - vals**2 + (np.asarray(V_vals, dtype=float) - eps))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, bracket_coords, wn_matrix
-from .errors import LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
+from .errors import DimensionError, LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
 from .groups import GroupChart, GroupElement, _on_chart, _trivialize, exp_algebra, exp_basis
 from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
     _BATCH_RTOL,
@@ -154,8 +154,8 @@ class ControlSignal:
         vector, or file:<path> with columns t,b1,...,bn (sampled, linear
         between rows)."""
         if spec.startswith("file:"):
-            data = np.loadtxt(spec[5:], delimiter=",", skiprows=1, ndmin=2)
-            return cls.sampled(TimeGrid.from_nodes(data[:, 0]), data[:, 1:])
+            data = Trajectory.from_csv(spec[5:])
+            return cls.sampled(data.grid, data.states)
         return cls([ch for part in spec.split(";") for ch in _spec_channels(part.strip())])
 
     @property
@@ -380,6 +380,9 @@ class GroupCurve:
         self.chart = chart
         self.grid = grid
         self.coords = np.asarray(coords, dtype=float)
+        if self.coords.shape != (len(grid.nodes), chart.coord_dim):
+            raise DimensionError(f"curve coordinates have shape {self.coords.shape}, not "
+                                 f"{(len(grid.nodes), chart.coord_dim)} (nodes, coord_dim)")
         self._log_derivatives = None
 
     def __call__(self, t: float) -> GroupElement:
@@ -399,9 +402,7 @@ class GroupCurve:
         (`diff_samples` or `diff_samples4`) of the node coordinates on the
         curve's uniform grid, each coordinate step taken through the chart's
         wrap so that a wrapped angle moves continuously."""
-        dt = self.grid.uniform_dt
-        if dt is None:
-            raise NumericsError("a curve's coordinate velocity at its nodes needs a uniform grid")
+        dt = self.grid.uniform_step("a curve's coordinate velocity at its nodes")
         steps = np.diff(self.coords, axis=0)
         if self.chart.wrap_fn is not None:
             steps = self.chart.wrap_fn(steps)

@@ -86,7 +86,14 @@ def test_antisymmetry_enforced():
     c = np.zeros((2, 2, 2))
     c[0, 1, 0] = 1.0  # missing the antisymmetric counterpart
     with pytest.raises(LieSysError):
-        LieAlgebra(2, c)
+        LieAlgebra(c)
+
+
+def test_dimension_is_read_off_the_structure_tensor():
+    c = catalog_algebra("sl2").structure
+    assert LieAlgebra(c).dim == len(c) == 3
+    with pytest.raises(DimensionError, match=r"\(r, r, r\)"):
+        LieAlgebra(np.zeros((2, 2, 3)))
 
 
 def test_ad_matrix_sl2_fixture():

@@ -5,7 +5,7 @@ import liesys.groups as G
 from liesys.algebra import catalog_algebra
 from liesys.catalog import get_system, list_systems
 from liesys.errors import UnknownNameError
-from liesys.numerics import TimeGrid, integrate_rk4
+from liesys.numerics import TimeGrid, integrate_rk4, interp_columns
 from liesys.systems import (
     action_property_residual,
     generator_bracket_residual,
@@ -265,7 +265,7 @@ def test_sl3_matrix_riccati_reduction_chain():
                          [-bv[2], 0.5 * (bv[3] - bv[1])]])
 
     def M1fun(t):
-        y = Y1.at(t)
+        y = interp_columns(t, nodes, Y1.states)
         C = np.array([b(t)[6], b(t)[7]])
         return Mfun(t) + float(y @ C) * np.eye(2) + np.outer(y, C)
 
@@ -297,7 +297,7 @@ def test_sl3_matrix_riccati_reduction_chain():
 
     def reduced_rhs(t, y):
         bv = b(t)
-        y11, y12 = Y1.at(t)
+        y11, y12 = interp_columns(t, nodes, Y1.states)
         b1p = bv[0] + bv[7] * y11
         b2p = bv[1] + bv[6] * y11 - bv[7] * y12
         b3p = bv[2] - bv[6] * y12

@@ -154,6 +154,13 @@ def test_so3_exponential_rotation():
     assert abs(got[0, 0] - math.cos(s)) < 1e-12 and abs(got[2, 2] - 1.0) < 1e-12
 
 
+def test_charts_are_filed_under_their_own_key():
+    assert G._CHARTS
+    for key, chart in G._CHARTS.items():
+        assert key == (chart.group_name, chart.chart_kind, chart.ordering) == chart.key
+        assert chart.coord_dim == len(chart.identity_coords)
+
+
 def test_exp_rule_cache_never_serves_another_chart():
     # a freed chart's address goes to the next chart built (its arguments
     # are built beforehand, so nothing else takes it first); the cached
@@ -163,11 +170,13 @@ def test_exp_rule_cache_never_serves_another_chart():
     ref = _taylor_expm(0.9 * rep_hyperbolic[1])
     reused = 0
     for _ in range(100):
-        old = G.GroupChart("old", "matrix", 9, rotation, algebra_rep=rep_rotation)
+        old = G.GroupChart("old", "matrix", rotation, np.eye(3).reshape(-1),
+                           algebra_rep=rep_rotation)
         G.exp_rep(old, 1, 0.9)
         address = id(old)
         del old
-        new = G.GroupChart("new", "matrix", 9, hyperbolic, algebra_rep=rep_hyperbolic)
+        new = G.GroupChart("new", "matrix", hyperbolic, np.eye(3).reshape(-1),
+                           algebra_rep=rep_hyperbolic)
         reused += id(new) == address
         assert np.max(np.abs(G.exp_rep(new, 1, 0.9) - ref)) < 1e-14
     assert reused, "no address was reused, so the test checked nothing"

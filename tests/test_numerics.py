@@ -19,7 +19,6 @@ from liesys.numerics import (
     integrate_rk4,
     interp_columns,
     linsolve,
-    quadrature,
     rk4_stage_times,
 )
 
@@ -129,26 +128,26 @@ def test_rk4_nonfinite_raises():
 
 def test_quadrature_zero():
     grid = TimeGrid.uniform(0, 1, 100)
-    assert np.all(quadrature(lambda t: 0.0, grid) == 0.0)
+    assert np.all(cumulative_quadrature_samples(np.zeros(101), grid) == 0.0)
 
 
 def test_quadrature_cosine():
     grid = TimeGrid.uniform(0, math.pi / 2, 1000)
-    B = quadrature(math.cos, grid)
+    B = cumulative_quadrature_samples(np.cos(grid.nodes), grid)
     assert abs(B[-1] - 1.0) < 1e-10
 
 
 def test_quadrature_nested():
     grid = TimeGrid.uniform(0, 1, 1000)
-    inner = quadrature(lambda t: 1.0, grid)
-    nodes = grid.nodes
-    outer = quadrature(lambda t: np.interp(t, nodes, inner), grid)
+    inner = cumulative_quadrature_samples(np.ones(1001), grid)
+    outer = cumulative_quadrature_samples(inner, grid)
     assert abs(outer[-1] - 0.5) < 1e-10
 
 
 def test_quadrature_cubic_exact():
     grid = TimeGrid.uniform(0, 2, 50)
-    B = quadrature(lambda t: t**3 - 2 * t**2 + t, grid)
+    t = grid.nodes
+    B = cumulative_quadrature_samples(t**3 - 2 * t**2 + t, grid)
     exact = 2**4 / 4 - 2 * 2**3 / 3 + 2**2 / 2
     assert abs(B[-1] - exact) < 1e-13
 
@@ -318,6 +317,24 @@ def test_explicit_grid_nodes_are_a_read_only_copy():
     assert grid.nodes[1] == 0.1
     with pytest.raises(ValueError):
         grid.nodes[1] = 0.3
+
+
+def test_grids_compare_and_hash_by_their_nodes():
+    a = TimeGrid.from_nodes([0.0, 0.1, 0.5, 1.0])
+    b = TimeGrid.from_nodes(np.array([-0.0, 0.1, 0.5, 1.0]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != TimeGrid.from_nodes([0.0, 0.2, 0.5, 1.0]) and a != a.nodes
+    assert (a.t0, a.t1, a.n_steps, a.uniform_dt) == (0.0, 1.0, 3, None)
+    u = TimeGrid.uniform(-0.3, 2.7, 7)
+    assert u == TimeGrid.uniform(-0.3, 2.7, 7) and hash(u) == hash(TimeGrid.uniform(-0.3, 2.7, 7))
+    assert (u.t0, u.t1, u.n_steps, u.uniform_dt) == (-0.3, 2.7, 7, (2.7 - -0.3) / 7)
+    # a node-built grid takes its first step as its uniform step
+    assert TimeGrid.from_nodes(u.nodes).uniform_dt == u.nodes[1] - u.nodes[0]
+    with pytest.raises(AttributeError):
+        u.t0 = 0.0
+    for nodes in ([0.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [[0.0, 1.0]]):
+        with pytest.raises(NumericsError, match="strictly increasing"):
+            TimeGrid.from_nodes(nodes)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import liesys.groups as G
 import liesys.reduction as R
-from liesys.errors import ChartError, LieSysError, NumericsError
+from liesys.errors import ChartError, DimensionError, LieSysError, NumericsError
 from liesys.numerics import TimeGrid
 from liesys.reduction import (
     ReductionSetup,
@@ -175,7 +176,7 @@ def test_trivial_subgroup_reduces_to_original():
     coords = np.zeros((len(GRID.nodes), 3))
     lift = GroupCurve(chart, GRID, coords)
     span = [v for v in np.eye(3)]
-    setup = ReductionSetup(chart, span, lift, b, GRID)
+    setup = ReductionSetup(span, lift, b)
     coeffs, report = reduce_to_subgroup(setup)
     expected = np.array([b(t) for t in GRID.nodes])
     assert np.max(np.abs(coeffs - expected)) < 1e-9
@@ -215,7 +216,7 @@ def test_normal_subgroup_lift_independence():
         G.compose(setup1.lift.at_node(k), shift).coords
         for k in range(len(fine.nodes))])
     lift2 = GroupCurve(setup1.chart, fine, coords2)
-    setup2 = ReductionSetup(setup1.chart, setup1.span, lift2, setup1.controls, fine)
+    setup2 = ReductionSetup(setup1.span, lift2, setup1.controls)
     out2 = run_reduction(setup2)
     factors = []
     for k in range(0, 4001, 500):
@@ -234,8 +235,7 @@ def test_bad_lift_is_loud():
     hom = case.solve_homogeneous(b, grid)
     hom.states[:, 0] += 0.3 * grid.nodes**2
     lift = case.make_lift(hom)
-    setup = ReductionSetup(case.chart, case.span_vectors(), lift,
-                           case.pad_controls(b), grid)
+    setup = ReductionSetup(case.span_vectors(), lift, case.pad_controls(b))
     with pytest.raises(LieSysError, match="does not project"):
         reduce_to_subgroup(setup)
 
@@ -244,8 +244,8 @@ def test_non_subalgebra_span_rejected():
     chart = G.get_chart("SL2", "matrix")
     lift = GroupCurve(chart, GRID, np.tile(np.eye(2).reshape(-1), (len(GRID.nodes), 1)))
     with pytest.raises(LieSysError):
-        ReductionSetup(chart, [np.array([1.0, 0, 0]), np.array([0, 0, 1.0])],
-                       lift, ControlSignal.constant([0, 0, 0]), GRID)
+        ReductionSetup([np.array([1.0, 0, 0]), np.array([0, 0, 1.0])],
+                       lift, ControlSignal.constant([0, 0, 0]))
 
 
 def test_list_reductions_contains_catalog():
@@ -360,8 +360,7 @@ def test_off_span_failure_names_node_and_time():
     grid = TimeGrid.uniform(0, 1, 500)
     hom = case.solve_homogeneous(b, grid)
     hom.states[:, 0] += 0.3 * grid.nodes**2
-    setup = ReductionSetup(case.chart, case.span_vectors(), case.make_lift(hom),
-                           case.pad_controls(b), grid)
+    setup = ReductionSetup(case.span_vectors(), case.make_lift(hom), case.pad_controls(b))
     with pytest.raises(LieSysError) as err:
         reduce_to_subgroup(setup)
     msg = str(err.value)
@@ -414,7 +413,23 @@ def _constant_setup(grid):
     case = catalog_reduction("h3/a3")
     b = ControlSignal.constant([0.8, -0.4])
     lift = case.make_lift(case.solve_homogeneous(b, grid))
-    return ReductionSetup(case.chart, case.span_vectors(), lift, case.pad_controls(b), grid)
+    return ReductionSetup(case.span_vectors(), lift, case.pad_controls(b))
+
+
+def test_setup_takes_its_chart_and_grid_from_the_lift():
+    setup = _constant_setup(TimeGrid.uniform(0.0, 1.0, 20))
+    assert setup.chart is setup.lift.chart and setup.grid is setup.lift.grid
+    assert setup.chart is catalog_reduction("h3/a3").chart
+
+
+def test_curve_coordinates_must_match_the_grid_and_the_chart():
+    # a mis-shaped curve fails where it is built, naming both shapes, and
+    # not later in reduce_to_subgroup on a numpy broadcast
+    chart, grid = G.get_chart("H3", "canonical_first"), TimeGrid.uniform(0.0, 1.0, 10)
+    GroupCurve(chart, grid, np.zeros((11, 3)))
+    for shape in ((10, 3), (11, 4), (33,)):
+        with pytest.raises(DimensionError, match=re.escape(f"shape {shape}, not (11, 3)")):
+            GroupCurve(chart, grid, np.zeros(shape))
 
 
 def test_subgroup_solve_needs_four_nodes():

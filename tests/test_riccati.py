@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liesys.errors import CoincidenceError, LieSysError
+from liesys.errors import CoincidenceError, LieSysError, NumericsError
 from liesys.numerics import (
     TimeGrid,
     Trajectory,
@@ -409,6 +409,16 @@ def test_darboux_wavefunction_classical_corollary():
     # image equation: V - 2 v' - eps = x^2 - 1 with v = psi_v'/psi_v
     res = schrodinger_residual(psi, x**2 + 2.0, 3.0, grid, interior=0.6)
     assert res < 1e-3
+
+
+def test_residuals_need_a_uniform_grid():
+    # a NumericsError naming the requirement, not a TypeError on a None step
+    x = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+    grid = TimeGrid.from_nodes(x)
+    with pytest.raises(NumericsError, match="^schrodinger_residual needs a uniform grid"):
+        schrodinger_residual(np.exp(-x**2), x**2, 1.0, grid)
+    with pytest.raises(NumericsError, match="^superpotential_residual needs a uniform grid"):
+        superpotential_residual(Trajectory(grid, x[:, None]), x**2, 1.0)
 
 
 def test_darboux_wavefunction_names_the_node_of_psi_v():

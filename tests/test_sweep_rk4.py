@@ -242,7 +242,7 @@ def test_an_unconverged_iterate_outside_the_domain_is_not_an_exit(monkeypatch):
         seen_outside.append(not inside.all())
         return inside
 
-    decay = LieSystemRealization(LieAlgebra(1, np.zeros((1, 1, 1))), 1,
+    decay = LieSystemRealization(LieAlgebra(np.zeros((1, 1, 1))), 1,
                                  lambda x: -np.asarray(x)[..., None, :], domain=domain,
                                  name="decay")
     grid, b = TimeGrid.uniform(0.0, 1.0, 128), ControlSignal.constant([1.5])
@@ -280,7 +280,7 @@ def test_batched_fields_equal_the_single_state_calls(name, kw):
 def _line(**kw):
     spec = dict(fields=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)), name="line")
     spec.update(kw)
-    return LieSystemRealization(LieAlgebra(1, np.zeros((1, 1, 1))), 1, **spec)
+    return LieSystemRealization(LieAlgebra(np.zeros((1, 1, 1))), 1, **spec)
 
 
 def test_single_state_fields_and_domains_are_refused():
@@ -299,7 +299,7 @@ def test_a_single_state_hom_rhs_is_refused():
         return np.array([-b[0], -b[1]])
 
     with pytest.raises(LieSysError, match=r"^h3/single: hom_rhs: a batch of 4 states"):
-        ReductionCase("h3/single", get_chart("H3", "canonical_first"), (3,), (1, 2), 2,
+        ReductionCase("h3/single", get_chart("H3", "canonical_first"), (3,), (1, 2),
                       single, np.zeros(2), None, None)
 
 

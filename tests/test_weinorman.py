@@ -137,7 +137,7 @@ def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
         base = catalog_algebra(name)
         r = base.dim
         for copy in range(2):
-            alg = LieAlgebra(base.dim, base.structure, base.name)
+            alg = LieAlgebra(base.structure, base.name)
             probes.clear()
             for ordering in orderings * 3:
                 wn_solve(WNProblem(alg, smooth_controls(alg.dim, seed=3), grid, ordering))
