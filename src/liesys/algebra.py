@@ -21,10 +21,11 @@ _JACOBI_TOL = 1e-12
 _SPAN_SVD_RATIO = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Structure tensor and name, immutable after construction; the
-    dimension is read off the (r, r, r) tensor.
+    dimension is read off the (r, r, r) tensor.  An algebra equals and
+    hashes as itself only, as a chart does.
 
     `nilpotency_class` is the length of the lower central series
     (`lower_central_class`), None when the algebra is not nilpotent; every
@@ -34,13 +35,13 @@ class LieAlgebra:
     structure: np.ndarray
     name: str = ""
     dim: int = field(init=False)
-    nilpotency_class: int | None = field(default=None, init=False, compare=False)
+    nilpotency_class: int | None = field(default=None, init=False)
     # exp(s ad a_i) rules per basis index, filled by exp_ad_basis; held on
     # the instance so no other algebra can ever read them
-    _ad_exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ad_exps: dict = field(default_factory=dict, init=False, repr=False)
     # Wei-Norman dependency levels per factor ordering, filled by
     # weinorman._dependency_levels
-    _wn_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _wn_levels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -98,9 +99,12 @@ def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
 
 
 def bracket_coords(alg: LieAlgebra, x, y) -> np.ndarray:
-    """[x, y] for (..., r) coefficient arrays, one bracket per vector pair."""
-    return np.einsum("...a,...b,abg->...g", np.asarray(x, float), np.asarray(y, float),
-                     alg.structure)
+    """[x, y] for (..., r) coefficient arrays, one bracket per vector pair,
+    the leading axes broadcast: two GEMMs, T = ad_x^T = x c (one (r, r)
+    matrix per x) and then y T."""
+    x, y, r = np.asarray(x, float), np.asarray(y, float), alg.dim
+    T = (x @ alg.structure.reshape(r, r * r)).reshape(x.shape[:-1] + (r, r))
+    return (y[..., None, :] @ T)[..., 0, :]
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:
@@ -176,7 +180,8 @@ def expm(A) -> np.ndarray:
     """exp of (..., n, n) matrices: each one is scaled by 2^-k into 1-norm
     (largest column sum of |entries|) <= 0.5, its Taylor series summed to
     degree 13, and the sum squared k times, k counted per matrix.  The
-    1-norm bounds every power, so the dropped tail is below 0.5^14 / 14!."""
+    1-norm bounds every power, so the dropped tail is below 0.5^14 / 14!.
+    It stops at the first power that is zero in every matrix (nilpotent)."""
     A = np.asarray(A, dtype=float)
     squarings = _SQUARING_BOUNDS.searchsorted(np.abs(A).sum(axis=-2).max(axis=-1))
     A = A * _SQUARING_SCALES[squarings][..., None, None]
@@ -184,6 +189,8 @@ def expm(A) -> np.ndarray:
     term = A
     for k in range(2, _AD_STACK_TERMS):
         term = term @ A
+        if not term.any():
+            break
         term /= k
         out += term
     return _square(out, squarings)

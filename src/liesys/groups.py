@@ -23,7 +23,8 @@ Adjoints and log-derivatives follow from the chart kind alone (`_adjoint`,
 `_trivialize`): products of exp(ad) factors and the Wei-Norman matrix for
 second-kind charts, the exp(ad) and dexp series for first-kind charts, and
 a projector onto the algebra representation for matrix and quaternion
-charts, whose coordinates map to matrices linearly.
+charts, whose coordinates map to matrices linearly; on these the
+reduction's Ad(g^{-1}) b + g^{-1} dg (`_pull_back`) is one conjugation.
 
 One exponential map, `exp_algebra`, takes algebra vectors to chart
 coordinates, with one rule per chart kind; the Magnus steps of the subgroup
@@ -33,11 +34,11 @@ reconstruction, `matrix_rep`) take, on a matrix representation, the
 closed-form exponential of the fixed matrix R_i (`algebra.ExpRule`), and
 `exp_algebra` otherwise.
 
-Every chart law (compose, inverse, constraint, wrap, to-matrix) and
-`exp_algebra`, `_adjoint`, `_trivialize` and `bch` take coordinates
-with leading batch axes, (..., d), so a whole grid of nodes goes through one
-call; a single point is the batch with no leading axis.  Chart conversions
-take single points.
+Every chart law (compose, inverse, constraint, wrap, to-matrix),
+`exp_algebra`, `_adjoint`, `_trivialize`, `_pull_back` and `bch` take
+coordinates with leading batch axes, (..., d), so a whole grid of nodes goes
+through one call; a single point is the batch with no leading axis.  Chart
+conversions take single points.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _on_chart(chart, coords, stage=None, times=None, first=0):
     return coords
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # equal and hashed as itself only
 class GroupChart:
     group_name: str
     chart_kind: str                       # 'matrix' | 'canonical_first' | 'canonical_second' | 'quaternion'
@@ -138,10 +139,10 @@ class GroupChart:
     to_matrix_fn: Callable | None = field(default=None, repr=False)  # linear coords -> matrix
     # pseudo-inverse of the stacked algebra_rep: reads algebra coordinates off
     # a matrix in the span of the representation (matrix and quaternion charts)
-    rep_projector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    rep_projector: np.ndarray | None = field(default=None, init=False, repr=False)
     # exp(s R_i) rules per basis index of algebra_rep, filled by exp_rep; held
     # on the instance so no other chart can ever read them
-    _exp_rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _exp_rules: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coord_dim", len(self.identity_coords))
@@ -312,6 +313,20 @@ def _trivialize(chart: GroupChart, g, dg, left: bool) -> np.ndarray:
     dG = chart.to_matrix_fn(dg)
     Gi = chart.to_matrix_fn(chart.inverse_fn(g))
     X = Gi @ dG if left else dG @ Gi
+    return _matvec(chart.rep_projector, X.reshape(X.shape[:-2] + (-1,)))
+
+
+def _pull_back(chart: GroupChart, g, g_inv, b, dg) -> np.ndarray:
+    """Ad(g^{-1}) b + g^{-1} dg for chart points g, their inverses g_inv,
+    (..., r) algebra vectors b and coordinate velocities dg: on matrix and
+    quaternion charts the projector's reading of G^{-1} (B G + dG), with
+    B = sum_a b_a A_a, one conjugation per point; on canonical charts
+    `_adjoint` of g_inv and the left `_trivialize`."""
+    if chart.rep_projector is None:
+        return _matvec(_adjoint(chart, g_inv), b) + _trivialize(chart, g, dg, left=True)
+    G = chart.to_matrix_fn(g)
+    B = (b @ np.stack(chart.algebra_rep).reshape(chart.algebra.dim, -1)).reshape(G.shape)
+    X = chart.to_matrix_fn(g_inv) @ (B @ G + chart.to_matrix_fn(dg))
     return _matvec(chart.rep_projector, X.reshape(X.shape[:-2] + (-1,)))
 
 

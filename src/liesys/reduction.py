@@ -13,10 +13,11 @@ lift's.
 
 The reduction and the reconstruction are nodewise formulas; both run over
 the node coordinate arrays in blocks of `_BLOCK` nodes, which bounds the
-memory their temporaries take.  The subgroup solve takes its step
-exponentials in the same blocks and multiplies them together as a
-log-depth prefix product, one batched composition per block and level,
-so no group product runs node by node.
+memory their temporaries take; on matrix and quaternion charts the
+reduction takes one inverse and one conjugation per node.  The subgroup
+solve takes its step exponentials in the same blocks and multiplies them
+together as a log-depth prefix product, one batched composition per block
+and level, so no group product runs node by node.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .algebra import bracket_coords, span_is_subalgebra
 from .errors import LieSysError, NumericsError, UnknownNameError
 from .groups import (  # left_log_derivative stays importable from here
     GroupChart,
-    _adjoint,
     _matvec,
     _on_chart,
-    _trivialize,
+    _pull_back,
     exp_algebra,
     get_chart,
     left_log_derivative,
@@ -86,8 +86,8 @@ def reduce_to_subgroup(setup: ReductionSetup):
     The lift's coordinate velocity is `GroupCurve.coordinate_velocity` by
     fourth-order differences (one-sided five-point stencils at the two nodes
     next to each end), which needs a uniform grid and follows a wrapped
-    angle across its cut; Ad(g1^{-1}) and the left trivialization then apply
-    nodewise.
+    angle across its cut; `_pull_back` then applies nodewise, on matrix and
+    quaternion charts by the checked lift inverse and one conjugation.
     Every lift node and its inverse is checked against the chart constraint,
     and every node's right-hand side must lie in span(h); the off-span
     tolerance scales with the control magnitude.  A failure names the stage,
@@ -106,7 +106,7 @@ def reduce_to_subgroup(setup: ReductionSetup):
         sl = slice(start, start + _BLOCK)
         g1 = _on_chart(chart, setup.lift.coords[sl], "lift", nodes[sl], start)
         g1_inv = _on_chart(chart, chart.inverse_fn(g1), "lift inverse", nodes[sl], start)
-        xi = -_matvec(_adjoint(chart, g1_inv), b[sl]) - _trivialize(chart, g1, dg1[sl], left=True)
+        xi = -_pull_back(chart, g1, g1_inv, b[sl], dg1[sl])
         c = -(xi @ Spinv.T)
         resid[sl] = np.max(np.abs(xi + c @ S.T), axis=-1)
         coeffs[sl] = c

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liesys import algebra
 from liesys.algebra import (
     ExpRule,
     LieAlgebra,
@@ -16,6 +17,7 @@ from liesys.algebra import (
     catalog_names,
     exp_ad,
     exp_ad_basis,
+    expm,
     jacobi_residual,
     load_algebra_file,
     lower_central_class,
@@ -340,3 +342,56 @@ def test_load_algebra_file_roundtrip(tmp_path):
     alg = load_algebra_file(str(path))
     assert alg.dim == 3
     assert np.array_equal(alg.structure, catalog_algebra("h3").structure)
+
+
+def test_algebras_equal_and_hash_as_themselves_only():
+    # a rebuilt copy is another object: == is identity, not numpy's
+    # ambiguous truth value of the structure tensors
+    h3 = catalog_algebra("h3")
+    copy = LieAlgebra(h3.structure.copy(), "h3")
+    assert h3 == h3 and h3 != copy and not (h3 == copy)
+    assert len({h3, copy, h3}) == 2 and hash(h3) == hash(catalog_algebra("h3"))
+
+
+@pytest.mark.parametrize("alg", all_catalog_algebras(), ids=lambda alg: alg.name)
+def test_bracket_coords_equals_the_einsum_contraction(alg):
+    # one pair, (n, r) stacks, a pair against a stack, and the V[:, None],
+    # V[None] broadcast of span_is_subalgebra
+    rng = np.random.default_rng(alg.dim)
+    x, y = rng.uniform(-3.0, 3.0, (2, 9, alg.dim))
+    for a, b in ((x[0], y[0]), (x, y), (x[0], y), (x, y[0]), (x[:, None], y[None])):
+        ref = np.einsum("...a,...b,abg->...g", a, b, alg.structure)
+        got = bracket_coords(alg, a, b)
+        assert got.shape == ref.shape
+        scale = np.einsum("...a,...b,abg->...g", abs(a), abs(b), abs(alg.structure))
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, scale))
+
+
+def _expm_every_term(A):
+    """`expm` with all 13 Taylor terms summed, whatever their values."""
+    squarings = algebra._SQUARING_BOUNDS.searchsorted(np.abs(A).sum(axis=-2).max(axis=-1))
+    A = A * algebra._SQUARING_SCALES[squarings][..., None, None]
+    out = A + np.eye(A.shape[-1])
+    term = A
+    for k in range(2, 14):
+        term = term @ A
+        term /= k
+        out += term
+    return algebra._square(out, squarings)
+
+
+def _expm_stacks():
+    rng = np.random.default_rng(11)
+    se3 = np.zeros((40, 4, 4))
+    se3[:, :3, 3] = rng.uniform(-4.0, 4.0, (40, 3))          # the translations
+    upper = np.triu(rng.uniform(-3.0, 3.0, (40, 5, 5)), 1)    # strictly upper, nilpotent
+    dense = rng.uniform(-2.0, 2.0, (40, 4, 4))
+    return {"se3-translations": se3, "upper-5x5": upper, "dense": dense,
+            "dense-small": 1e-3 * dense}
+
+
+@pytest.mark.parametrize("name", sorted(_expm_stacks()))
+def test_expm_equals_the_full_series_bit_for_bit(name):
+    A = _expm_stacks()[name]
+    assert expm(A).tobytes() == _expm_every_term(A).tobytes()
+    assert expm(A[3]).tobytes() == _expm_every_term(A[3]).tobytes()

@@ -50,12 +50,15 @@ def test_batched_laws_equal_stacked_single_calls(key, exponents):
     h = points(chart, exponents[BATCH:])
     # a velocity with no relation to g: the trivializations are linear in it
     dg = exponents[BATCH:, :chart.coord_dim] - exponents[:BATCH, :chart.coord_dim]
+    b = exponents[BATCH:, ::-1][:, :chart.algebra.dim]
     laws = {
         "compose": (chart.compose_fn, (g, h)),
         "inverse": (chart.inverse_fn, (g,)),
         "adjoint": (lambda x: G._adjoint(chart, x), (g,)),
         "right": (lambda x, v: G._trivialize(chart, x, v, left=False), (g, dg)),
         "left": (lambda x, v: G._trivialize(chart, x, v, left=True), (g, dg)),
+        "pull_back": (lambda x, x_inv, c, v: G._pull_back(chart, x, x_inv, c, v),
+                      (g, chart.inverse_fn(g), b, dg)),
     }
     for name in ("constraint_fn", "wrap_fn", "to_matrix_fn"):
         fn = getattr(chart, name)
@@ -77,6 +80,7 @@ def test_single_point_keeps_its_shape(key):
     assert chart.inverse_fn(g).shape == (chart.coord_dim,)
     assert G._adjoint(chart, g).shape == (r, r)
     assert G._trivialize(chart, g, g, left=True).shape == (r,)
+    assert G._pull_back(chart, g, chart.inverse_fn(g), np.ones(r), g).shape == (r,)
     if chart.constraint_fn is not None:
         assert np.ndim(chart.constraint_fn(g)) == 0
 

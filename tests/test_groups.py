@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -371,3 +372,12 @@ def test_non_finite_coordinates_are_rejected():
         G.get_chart("SE3", "matrix").element(se3.reshape(-1))
     with pytest.raises(ChartError):
         G.get_chart("H3", "canonical_first").element(np.array([0.0, np.nan, 0.0]))
+
+
+def test_charts_equal_and_hash_as_themselves_only():
+    # a chart rebuilt from the same fields is another chart object, which
+    # == tells apart without comparing ndarray fields
+    chart = G.get_chart("H3", "canonical_first")
+    copy = dataclasses.replace(chart)
+    assert copy.key == chart.key and copy is not chart
+    assert chart == chart and chart != copy and len({chart, copy, chart}) == 2

@@ -7,7 +7,7 @@ import pytest
 import liesys.groups as G
 import liesys.reduction as R
 from liesys.errors import ChartError, DimensionError, LieSysError, NumericsError
-from liesys.numerics import TimeGrid
+from liesys.numerics import TimeGrid, diff_samples4
 from liesys.reduction import (
     ReductionSetup,
     catalog_reduction,
@@ -442,3 +442,34 @@ def test_subgroup_solve_needs_a_uniform_grid():
     setup = _constant_setup(TimeGrid.from_nodes([0.0, 0.1, 0.3, 0.6, 1.0]))
     with pytest.raises(NumericsError, match="uniform grid"):
         solve_on_subgroup(setup, np.zeros((5, 1)))
+
+
+# the reductions on charts with a representation: matrix and quaternion
+REPRESENTED = [("sl2/a2a3", {}), ("sl2/a1a2", {}), ("su2/a1", {}), ("geps/a1", {"eps": 0}),
+               ("geps/a1", {"eps": -1}), ("se3/so3", {}), ("se3/r3", {})]
+
+
+@pytest.mark.parametrize("name,kw", REPRESENTED, ids=[f"{n}{k or ''}" for n, k in REPRESENTED])
+def test_pull_back_equals_adjoint_and_left_trivialization(name, kw):
+    # one conjugation G^{-1} (B G + dG) against Ad(g^{-1}) b + g^{-1} dg
+    # from the chart-kind rules, on the lift's nodes
+    case = catalog_reduction(name, **kw)
+    setup, _ = case.setup(controls_for(case, name, kw), GRID)
+    chart, g = setup.chart, setup.lift.coords
+    assert chart.rep_projector is not None
+    g_inv = chart.inverse_fn(g)
+    b, dg = setup.controls(GRID.nodes), setup.lift.coordinate_velocity(diff_samples4)
+    ref = G._matvec(G._adjoint(chart, g_inv), b) + G._trivialize(chart, g, dg, left=True)
+    gap = np.max(np.abs(G._pull_back(chart, g, g_inv, b, dg) - ref))
+    assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(b))))
+
+
+def test_represented_reduction_inverts_each_block_once(monkeypatch):
+    # 2001 nodes are four blocks of at most _BLOCK = 512, and each block's
+    # lift inverse is the one matrix inverse it takes
+    case = catalog_reduction("se3/r3")
+    setup, _ = case.setup(controls_for(case, "se3/r3", {}), GRID)
+    shapes, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+    reduce_to_subgroup(setup)
+    assert shapes == [(512, 4, 4)] * 3 + [(465, 4, 4)]
