@@ -65,7 +65,7 @@ class LieAlgebra:
         return AlgebraVector(self, np.asarray(coeffs, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # equal and hashed as itself only
 class AlgebraVector:
     """Element of a LieAlgebra in the ambient basis."""
 
@@ -142,25 +142,10 @@ def lower_central_class(alg: LieAlgebra) -> int | None:
     return None
 
 
-_AD_STACK_TERMS = 14
-# |s| * norm in (0.5 * 2**(k-1), 0.5 * 2**k] takes k squarings of exp(2**-k s ad)
+_EXPM_TERMS = 14
+# a 1-norm in (0.5 * 2**(k-1), 0.5 * 2**k] takes k squarings of exp(2**-k A)
 _SQUARING_BOUNDS = 0.5 * 2.0 ** np.arange(64)
 _SQUARING_SCALES = 2.0 ** -np.arange(65.0)
-
-
-def _power_stack(M: np.ndarray):
-    """Powers M^k / k! for k = 0..13 as a (K, n*n) array, with the
-    exponents 0..K-1, the largest entry of M and whether the stack is the
-    whole series: it ends before the first power that is exactly zero."""
-    stack = [np.eye(len(M))]
-    term = stack[0]
-    for j in range(1, _AD_STACK_TERMS):
-        term = term @ M / j
-        if np.max(np.abs(term)) == 0.0:
-            break
-        stack.append(term)
-    return (np.stack(stack).reshape(len(stack), -1), np.arange(float(len(stack))),
-            float(np.max(np.abs(M))), len(stack) < _AD_STACK_TERMS)
 
 
 def _square(out, squarings) -> np.ndarray:
@@ -187,33 +172,13 @@ def expm(A) -> np.ndarray:
     A = A * _SQUARING_SCALES[squarings][..., None, None]
     out = A + np.eye(A.shape[-1])
     term = A
-    for k in range(2, _AD_STACK_TERMS):
+    for k in range(2, _EXPM_TERMS):
         term = term @ A
         if not term.any():
             break
         term /= k
         out += term
     return _square(out, squarings)
-
-
-def _exp_from_stack(stack, exponents, norm, exact, s, n) -> np.ndarray:
-    """exp(s M) for an array of s, (..., n, n), from the power stack of M
-    (`_power_stack`).  When `exact` the stack is the whole series (M is
-    nilpotent); otherwise each entry is scaled by 2^-k into |s| norm <= 0.5,
-    summed, and squared k times, k counted per entry."""
-    s = np.asarray(s, dtype=float)
-    shape = s.shape + (n, n)
-
-    def series(x):
-        # each entry's powers are a (1, K) row, so a batch runs the same
-        # row-times-matrix product as a single s
-        return (x[..., None, None] ** exponents @ stack).reshape(shape)
-
-    size = abs(s) * norm
-    if exact or not np.count_nonzero(size > _SQUARING_BOUNDS[0]):
-        return series(s)
-    squarings = _SQUARING_BOUNDS.searchsorted(size)
-    return _square(series(np.asarray(s * _SQUARING_SCALES[squarings])), squarings)
 
 
 def _rotation(ws):
@@ -242,9 +207,7 @@ class ExpRule:
       projectors P+- = (X^2 +- wX) / (2c) and P0 = I - X^2 / c;
     - c = 0: exp(sX) = I + sX + (s^2 / 2) X^2.
     `closed_form` says whether X^3 = cX holds exactly in floating point.
-    When it does not, the powers X^k / k! (`_power_stack`) are summed, as
-    the whole series when a power vanishes and otherwise with scaling and
-    squaring per entry (`_exp_from_stack`)."""
+    When it does not, exp(sX) is `expm(sX)`, one matrix per entry of s."""
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
@@ -254,11 +217,9 @@ class ExpRule:
         norm2 = float(np.vdot(X, X))
         c = float(np.vdot(X3, X)) / norm2 if norm2 else 0.0
         self.closed_form = bool(np.array_equal(X3, c * X))
-        self.n = n
         if not self.closed_form:
-            self._stack = _power_stack(X)
+            self._X = X
             return
-        self._stack = None
         self._omega = math.sqrt(abs(c))
         if c < 0.0:
             self._coeffs = _rotation
@@ -273,9 +234,9 @@ class ExpRule:
             self._terms = (np.eye(n), X, 0.5 * X2)
 
     def __call__(self, s) -> np.ndarray:
-        if self._stack is not None:
-            return _exp_from_stack(*self._stack, s, self.n)
         s = np.asarray(s, dtype=float)[..., None, None]
+        if not self.closed_form:
+            return expm(s * self._X)
         f1, f2 = self._coeffs(self._omega * s)
         T0, T1, T2 = self._terms
         return T0 + f1 * T1 + f2 * T2
@@ -284,7 +245,7 @@ class ExpRule:
 def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
     """exp(s ad(a_index)) by the `ExpRule` of ad(a_index), cached on the
     algebra: in closed form wherever (ad a_index)^3 = c ad a_index, which
-    holds for most catalog basis elements, and otherwise by the power stack.
+    holds for most catalog basis elements, and otherwise by `expm`.
 
     An array of s gives one matrix per entry."""
     rule = alg._ad_exps.get(index)
@@ -306,14 +267,8 @@ def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:
 
 
 def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
-    """exp(s ad(a)); exact truncation for nilpotent algebras."""
-    coeffs = a.coeffs if isinstance(a, AlgebraVector) else np.asarray(a, dtype=float)
-    nz = np.flatnonzero(coeffs)
-    if len(nz) == 1:
-        return exp_ad_basis(alg, int(nz[0]), s * float(coeffs[nz[0]]))
-    if alg.nilpotency_class is not None:
-        return _ad_series(alg, s * coeffs, 0)
-    return expm(s * ad_matrix(alg, coeffs))
+    """exp(s ad(a)) by `expm`."""
+    return expm(s * ad_matrix(alg, a))
 
 
 def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:

@@ -61,11 +61,17 @@ def _fail(code, exc):
 def _entry_params(args):
     params = {}
     for item in args.params or []:
-        k, v = item.split("=", 1)
+        k, sep, v = item.partition("=")
         try:
-            params[k] = int(v)
+            if not (k and sep):
+                raise ValueError
+            try:
+                params[k] = int(v)
+            except ValueError:
+                params[k] = float(v)
         except ValueError:
-            params[k] = float(v)
+            raise ValueError(
+                f"--params expects key=value with a numeric value, got {item!r}") from None
     return params
 
 

@@ -162,7 +162,7 @@ class GroupChart:
         return self.group_name, self.chart_kind, self.ordering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # equal and hashed as itself only
 class GroupElement:
     chart: GroupChart
     coords: np.ndarray

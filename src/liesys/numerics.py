@@ -145,7 +145,7 @@ class TimeGrid:
         return f"TimeGrid(t0={self.t0}, t1={self.t1}, n_steps={self.n_steps})"
 
 
-@dataclass
+@dataclass(eq=False)   # equal and hashed as itself only
 class Trajectory:
     """Sampled states on a grid; states has shape (n_nodes, dim)."""
 

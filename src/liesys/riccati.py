@@ -40,7 +40,6 @@ from .numerics import (
 from .systems import INFINITY, _homography, _pole_guard, cross_ratio, riccati_superposition
 from .weinorman import ControlSignal, _channel_on_times
 
-_DET_TOL = 1e-10
 _POLE_TOL = 1e-12
 
 
@@ -103,36 +102,36 @@ class RiccatiCoeffs:
 class SL2Curve:
     """A determinant-one 2x2 matrix curve with derivative access.
 
-    Entries are callables of time (a number is a constant).  A GL(2) curve
-    with positive determinant is rescaled to determinant one; negative
-    determinants are rejected.  Derivatives are central differences of the
-    determinant-one curve.  `matrix` and `dots` take a time or a 1-D array
-    of times and return (..., 2, 2) arrays.
+    Entries are callables of time (a number is a constant).  Each
+    evaluation divides the matrix by the square root of its determinant, so
+    a GL(2) curve with positive determinant is rescaled to determinant one
+    at every time; a determinant <= 0 at any time evaluated is rejected.
+    Derivatives are central differences of the determinant-one curve.
+    `matrix` and `dots` take a time or a 1-D array of times and return
+    (..., 2, 2) arrays.
     """
 
     def __init__(self, alpha, beta, gamma, delta):
         entries = ControlSignal([_as_callable(v) for v in (alpha, beta, gamma, delta)])
         self._raw = lambda t: _square(entries(t))
-        det0 = _det(self._raw(0.0))
-        self._rescaled = abs(det0 - 1.0) > _DET_TOL
-        if self._rescaled and det0 <= 0:
-            raise LieSysError("negative-determinant transformation curve rejected")
+        self.matrix(0.0)
 
     @classmethod
     def _of(cls, raw):
-        """The curve t -> raw(t) of determinant-one (..., 2, 2) matrices."""
+        """The curve t -> raw(t) of (..., 2, 2) matrices, normalized as above."""
         curve = cls.__new__(cls)
-        curve._raw, curve._rescaled = raw, False
+        curve._raw = raw
         return curve
 
     def matrix(self, t):
         M = self._raw(t)
-        if self._rescaled:
-            det = _det(M)
-            if np.any(det <= 0):
-                raise LieSysError("negative-determinant transformation curve rejected")
-            M = M / np.sqrt(det)[..., None, None]
-        return M
+        det = _det(M)
+        bad = np.flatnonzero(det <= 0)
+        if bad.size:
+            t = np.broadcast_to(np.asarray(t, dtype=float), det.shape).ravel()
+            raise LieSysError(f"transformation curve rejected: determinant "
+                              f"{det.ravel()[bad[0]]:.3g} <= 0 at t = {t[bad[0]]:.6g}")
+        return M / np.sqrt(det)[..., None, None]
 
     def dots(self, t):
         return central_diff(self.matrix, t, 1e-6)

@@ -186,8 +186,8 @@ EXP_ALGEBRAS = ([catalog_algebra(name) for name in catalog_names() if name not i
                 + [catalog_algebra("g_eps", eps=e) for e in (-1, 0, 1)]
                 + [catalog_algebra("gbar", n=n) for n in (5, 7)])
 # the 1-based basis indices whose (ad a_i)^3 is no multiple of ad a_i, so
-# that exp(s ad a_i) sums the power stack; every other one is in closed form
-STACK_FALLBACK = {"g7": (1, 2), "g8": (1, 2), "gbar5": (1,), "gbar7": (1,),
+# that exp(s ad a_i) goes through `expm`; every other one is in closed form
+EXPM_FALLBACK = {"g7": (1, 2), "g8": (1, 2), "gbar5": (1,), "gbar7": (1,),
                   "sl3": (2,), "hsp2": (2,), "r2sl2": (2,), "r2sl2yz": (2,)}
 
 
@@ -222,7 +222,7 @@ def test_closed_form_covers_the_catalog_but_the_pinned_indices():
         for i in range(alg.dim):
             exp_ad_basis(alg, i, 0.0)
         stack = tuple(i + 1 for i in range(alg.dim) if not alg._ad_exps[i].closed_form)
-        assert stack == STACK_FALLBACK.get(alg.name, ()), alg.name
+        assert stack == EXPM_FALLBACK.get(alg.name, ()), alg.name
 
 
 @pytest.mark.parametrize("X", [
@@ -230,8 +230,11 @@ def test_closed_form_covers_the_catalog_but_the_pinned_indices():
     np.array([[0.0, 3.0], [0.0, 0.0]]),                 # c = 0, X^2 = 0
     np.diag([0.5, -0.5, 0.0]),                          # c = 1/4: projectors
     np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),   # X^3 = 0
-    np.diag([1.0, 2.0]),                                # stack
-], ids=["rotation", "square-zero", "projectors", "cube-zero", "stack"])
+    np.diag([1.0, 2.0]),                                # expm
+    # expm, with a 1-norm about 8 times its largest entry: a scaling sized
+    # by the largest entry instead of a norm is 5e-6 off at s = 3
+    (np.ones((8, 8)) + 0.01 * np.random.default_rng(8).standard_normal((8, 8))) / 8,
+], ids=["rotation", "square-zero", "projectors", "cube-zero", "diagonal", "dense"])
 def test_exp_rule_batch_equals_stacked_single_calls(X):
     rule = ExpRule(X)
     s = np.linspace(-3.0, 3.0, 39).reshape(3, 1, 13)
@@ -351,6 +354,13 @@ def test_algebras_equal_and_hash_as_themselves_only():
     copy = LieAlgebra(h3.structure.copy(), "h3")
     assert h3 == h3 and h3 != copy and not (h3 == copy)
     assert len({h3, copy, h3}) == 2 and hash(h3) == hash(catalog_algebra("h3"))
+
+
+def test_algebra_vectors_equal_and_hash_as_themselves_only():
+    so3 = catalog_algebra("so3")
+    x, y = so3.basis_vector(0), so3.basis_vector(0)
+    assert x == x and x != y and x in [y, x] and y not in [x]
+    assert len({x, y, x}) == 2
 
 
 @pytest.mark.parametrize("alg", all_catalog_algebras(), ids=lambda alg: alg.name)

@@ -175,6 +175,17 @@ def test_bad_quantum_parameters_and_unknown_suite_exit_2(capsys):
             assert body["message"].startswith(words[0]), body["message"]
 
 
+def test_malformed_params_exit_2(capsys):
+    for item in ("eps", "=1", "eps=one"):
+        code, stdout, stderr = run_cli(capsys, "simulate", "--system", "elastic_euler",
+                                       "--params", item, "--controls", "const:1",
+                                       "--grid", "0,1,10", "--x0", "0,0,0")
+        assert code == 2 and stdout == ""
+        body = json.loads(stderr)
+        assert body["code"] == "parse"
+        assert body["message"] == f"--params expects key=value with a numeric value, got {item!r}"
+
+
 def test_superpose_command_rejects_a_wrong_constant_count(tmp_path, capsys):
     from liesys.numerics import TimeGrid, Trajectory
 

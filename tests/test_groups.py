@@ -162,6 +162,13 @@ def test_charts_are_filed_under_their_own_key():
         assert chart.coord_dim == len(chart.identity_coords)
 
 
+def test_group_elements_equal_and_hash_as_themselves_only():
+    chart = G.get_chart("SO3", "matrix")
+    g, h = chart.identity(), chart.identity()
+    assert g == g and g != h and g in [h, g] and h not in [g]
+    assert len({g, h, g}) == 2
+
+
 def test_exp_rule_cache_never_serves_another_chart():
     # a freed chart's address goes to the next chart built (its arguments
     # are built beforehand, so nothing else takes it first); the cached

@@ -319,6 +319,13 @@ def test_explicit_grid_nodes_are_a_read_only_copy():
         grid.nodes[1] = 0.3
 
 
+def test_trajectories_equal_and_hash_as_themselves_only():
+    grid = TimeGrid.uniform(0.0, 1.0, 4)
+    x, y = Trajectory(grid, np.zeros((5, 2))), Trajectory(grid, np.zeros((5, 2)))
+    assert x == x and x != y and x in [y, x] and y not in [x]
+    assert len({x, y, x}) == 2
+
+
 def test_grids_compare_and_hash_by_their_nodes():
     a = TimeGrid.from_nodes([0.0, 0.1, 0.5, 1.0])
     b = TimeGrid.from_nodes(np.array([-0.0, 0.1, 0.5, 1.0]))

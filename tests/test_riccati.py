@@ -159,6 +159,22 @@ def test_negative_determinant_rejected():
         SL2Curve(-1.0, 0.0, 0.0, 1.0)
 
 
+def test_curve_normalized_at_every_time(unit_grid):
+    # det = 1 + t: one at t = 0 only, so a rescale decided there is wrong later
+    c = sample_coeffs()
+    A = SL2Curve(1.0, lambda t: 0.3 * t, 0.0, lambda t: 1.0 + t)
+    assert np.allclose(np.linalg.det(A.matrix(unit_grid.nodes)), 1.0, atol=1e-14)
+    y = transform_solution(A, c.solve(0.1, unit_grid))
+    assert riccati_residual(y, transform_coeffs(A, c), order=4) < 1e-5
+
+
+def test_determinant_rejected_where_it_turns_nonpositive():
+    A = SL2Curve(1.0, 0.0, 0.0, lambda t: 1.0 - t)      # det 1 - t
+    A.matrix(0.5)
+    with pytest.raises(LieSysError, match="t = 1"):
+        A.matrix(np.linspace(0.0, 1.0, 11))
+
+
 def test_transform_coeffs_matches_hand_expanded_law():
     c = sample_coeffs()
     t = np.linspace(0.0, 1.0, 401)
