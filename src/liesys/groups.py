@@ -454,6 +454,10 @@ def _unimodular(c):
 
 
 def _mk_matrix_chart(group, alg, rep, constraint=None):
+    """Register the matrix chart of `rep`; its inverse follows the
+    constraint: the transpose of an orthogonal matrix, [[R^T, -R^T p],
+    [0, 1]] of a rigid one [[R, p], [0, 1]], and `np.linalg.inv` of any
+    other."""
     n = rep[0].shape[0]
     ident = np.eye(n).reshape(-1)
     square, flat = (n, n), (n * n,)
@@ -465,13 +469,27 @@ def _mk_matrix_chart(group, alg, rep, constraint=None):
         out = a.reshape(a.shape[:-1] + square) @ b.reshape(b.shape[:-1] + square)
         return out.reshape(out.shape[:-2] + flat)
 
+    def inverse(a):
+        M = to_matrix(a)
+        if constraint is _orthogonal:
+            out = M.swapaxes(-1, -2)
+        elif constraint is _rigid:
+            Rt = M[..., :-1, :-1].swapaxes(-1, -2)
+            out = np.zeros_like(M)
+            out[..., :-1, :-1] = Rt
+            out[..., :-1, -1] = -_matvec(Rt, M[..., :-1, -1])
+            out[..., -1, -1] = 1.0
+        else:
+            out = np.linalg.inv(M)
+        return out.reshape(a.shape)
+
     chart = GroupChart(
         group_name=group,
         chart_kind="matrix",
         algebra=alg,
         algebra_rep=tuple(np.asarray(M, dtype=float) for M in rep),
         compose_fn=compose,
-        inverse_fn=lambda a: np.linalg.inv(to_matrix(a)).reshape(a.shape),
+        inverse_fn=inverse,
         identity_coords=ident,
         constraint_fn=constraint,
         to_matrix_fn=to_matrix,

@@ -14,10 +14,16 @@ lift's.
 The reduction and the reconstruction are nodewise formulas; both run over
 the node coordinate arrays in blocks of `_BLOCK` nodes, which bounds the
 memory their temporaries take; on matrix and quaternion charts the
-reduction takes one inverse and one conjugation per node.  The subgroup
-solve takes its step exponentials in the same blocks and multiplies them
-together as a log-depth prefix product, one batched composition per block
-and level, so no group product runs node by node.
+reduction takes one inverse and one conjugation per node.
+
+Right-invariant curves, dh/dt h^{-1} = A(t) with h(t0) = e, are solved by
+one fourth-order Magnus scan, `magnus_scan`: the step exponentials in the
+same blocks, multiplied together as a log-depth prefix product, one batched
+composition per block and level, so no group product runs node by node.
+Two solves take it: the subgroup solve, and the homogeneous solve of a
+cataloged reduction whose quotient G/H is itself a cataloged group (its
+`hom_chart`; se3/r3, where G/H = SO(3)).  Every other homogeneous solve
+is RK4 by `sweep_rk4` on the case's `hom_rhs`.
 """
 
 from __future__ import annotations
@@ -119,20 +125,16 @@ def reduce_to_subgroup(setup: ReductionSetup):
     return coeffs, {"off_span_residual": float(resid[k]), "at": nodes[k]}
 
 
-def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
-    """Integrate R_{h^{-1}*h}(dh/dt) = -sum_mu c_mu(t) h_mu with h(t0) = e.
+def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
+    """Node coordinates of R_{h^{-1}*h}(dh/dt) = A(t) with h(t0) = e, from
+    (n, r) algebra vectors A_k at the nodes, (n - 1, r) A_{k+1/2} at the
+    step midpoints, and the step dt (a scalar, or (n - 1, 1) steps).
 
-    Fourth-order Magnus: with A(t) = -sum_mu c_mu(t) h_mu at the step's ends
-    and midpoint, step k is h_{k+1} = exp(Omega_k) h_k with
+    Fourth-order Magnus: step k is h_{k+1} = exp(Omega_k) h_k with
     Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
-    the structure constants.  The reduced coefficients are known only at the
-    nodes of a uniform grid, so A_{k+1/2} comes from the cubic through the
-    four nearest nodes, (-1, 9, 9, -1)/16 inside and (5, 15, -5, 1)/16
-    one-sided at each end: its O(dt^4) error keeps the step fourth order in
-    the sampled c_mu(t), where a linear midpoint would make it second order.
-    The exp(Omega_k) come from one `exp_algebra` call per `_BLOCK` steps,
-    which bounds its temporaries.
+    the structure constants.  The exp(Omega_k) come from one `exp_algebra`
+    call per `_BLOCK` steps, which bounds its temporaries.
 
     The products h_{k+1} = exp(Omega_k) ... exp(Omega_0) are a prefix
     product, taken in log depth (Hillis & Steele, Commun. ACM 29 (1986)
@@ -141,15 +143,7 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     is still the previous level's value; the product tree depends on the
     node index alone, so the result does not depend on `_BLOCK`.
     """
-    chart, n = setup.chart, len(setup.grid.nodes)
-    if n < 4:
-        raise NumericsError(f"the subgroup solve's cubic midpoints need 4 nodes, got {n}")
-    dt = setup.grid.uniform_step("the subgroup solve's cubic midpoint rule")
-    A = -(np.asarray(coeffs, dtype=float) @ setup.span_matrix.T)
-    half = np.empty_like(A[1:])
-    half[1:-1] = (9.0 * (A[1:-2] + A[2:-1]) - (A[:-3] + A[3:])) / 16.0
-    end = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-    half[0], half[-1] = end @ A[:4], end @ A[:-5:-1]
+    n = len(A)
     omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
              + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[1:], A[:-1]))
     h = np.empty((n, chart.coord_dim))
@@ -162,21 +156,48 @@ def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
             start = max(shift, stop - _BLOCK)
             h[start:stop] = chart.compose_fn(h[start:stop], h[start - shift:stop - shift])
         shift *= 2
-    return GroupCurve(chart, setup.grid, h)
+    return h
+
+
+def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
+    """Integrate R_{h^{-1}*h}(dh/dt) = -sum_mu c_mu(t) h_mu with h(t0) = e
+    by `magnus_scan`, with A(t) = -sum_mu c_mu(t) h_mu.
+
+    The reduced coefficients are known only at the nodes of a uniform grid,
+    so A_{k+1/2} comes from the cubic through the four nearest nodes,
+    (-1, 9, 9, -1)/16 inside and (5, 15, -5, 1)/16 one-sided at each end:
+    its O(dt^4) error keeps the step fourth order in the sampled c_mu(t),
+    where a linear midpoint would make it second order.
+    """
+    chart, n = setup.chart, len(setup.grid.nodes)
+    if n < 4:
+        raise NumericsError(f"the subgroup solve's cubic midpoints need 4 nodes, got {n}")
+    dt = setup.grid.uniform_step("the subgroup solve's cubic midpoint rule")
+    A = -(np.asarray(coeffs, dtype=float) @ setup.span_matrix.T)
+    half = np.empty_like(A[1:])
+    half[1:-1] = (9.0 * (A[1:-2] + A[2:-1]) - (A[:-3] + A[3:])) / 16.0
+    end = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+    half[0], half[-1] = end @ A[:4], end @ A[:-5:-1]
+    return GroupCurve(chart, setup.grid, magnus_scan(chart, A, half, dt))
 
 
 def reconstruct_full(g1: GroupCurve, h: GroupCurve) -> GroupCurve:
-    """Nodewise product g(t) = g1(t) h(t); both factors and the product are
-    checked against the chart constraint at every node."""
+    """Nodewise product g(t) = g1(t) h(t); the subgroup curve and the
+    product are checked against the chart constraint at every node.  The
+    lift is not checked again: `reduce_to_subgroup` checks every lift node,
+    and a lift node off the chart takes its product off it too, since the
+    chart constraints (orthogonal, rigid, unit determinant, unit quaternion
+    norm) are multiplicative and a non-finite factor gives a non-finite
+    product."""
     if g1.chart is not h.chart:
         raise LieSysError("lift and subgroup curves must share a chart")
     chart, nodes = g1.chart, g1.grid.nodes
     coords = np.empty_like(g1.coords)
     for start in range(0, len(coords), _BLOCK):
         sl = slice(start, start + _BLOCK)
-        a = _on_chart(chart, g1.coords[sl], "lift", nodes[sl], start)
         b = _on_chart(chart, h.coords[sl], "subgroup curve", nodes[sl], start)
-        coords[sl] = _on_chart(chart, chart.compose_fn(a, b), "reconstruction", nodes[sl], start)
+        coords[sl] = _on_chart(chart, chart.compose_fn(g1.coords[sl], b), "reconstruction",
+                               nodes[sl], start)
     return GroupCurve(chart, g1.grid, coords)
 
 
@@ -207,23 +228,45 @@ class ReductionCase:
     """A cataloged reduction: homogeneous system, lift shape, span, and the
     closed-form reduced coefficients used as test fixtures.
 
-    `hom_rhs(t, y, b)` takes (...) times, (..., hom_dim) states and (..., r)
-    padded controls and returns (..., hom_dim) derivatives, where hom_dim is
-    the length of `hom_x0`; it is checked once at construction by
-    `numerics.batch_guard`."""
+    The homogeneous system is given one of two ways, and its solve follows:
+    - `hom_rhs(t, y, b)` and `hom_x0`: RK4 by `sweep_rk4`.  hom_rhs takes
+      (...) times, (..., hom_dim) states and (..., r) padded controls and
+      returns (..., hom_dim) derivatives, where hom_dim is the length of
+      `hom_x0`; it is checked once at construction by
+      `numerics.batch_guard`;
+    - `hom_chart`, when G/H is itself a cataloged group: the homogeneous
+      solution is the right-invariant curve on that chart driven by the
+      controls outside the span, dy/dt y^{-1} = -sum_i b_i a_i, from the
+      identity, by `magnus_scan`; its states are the chart coordinates.  At
+      construction its structure constants must equal the full algebra's
+      on those indices."""
 
     name: str
     chart: GroupChart
     span_indices: tuple              # 1-based algebra indices spanning h
     used_channels: tuple
-    hom_rhs: object                  # (t, y, padded controls at t) -> dy/dt, batched
-    hom_x0: object
     lift_coords: object              # (..., hom_dim) states -> (..., d) chart coords
     expected_coeffs: object          # (..., r) controls, (...) times, states -> (..., s)
+    hom_rhs: object = None           # (t, y, padded controls at t) -> dy/dt, batched
+    hom_x0: object = None
+    hom_chart: GroupChart | None = None
 
     def __post_init__(self):
-        dims = (None, np.size(self.hom_x0), self.chart.algebra.dim)
-        batch_guard(self.hom_rhs, f"{self.name}: hom_rhs", dims)
+        if self.hom_chart is None:
+            dims = (None, np.size(self.hom_x0), self.chart.algebra.dim)
+            batch_guard(self.hom_rhs, f"{self.name}: hom_rhs", dims)
+            return
+        q = self.quotient_indices
+        if not np.array_equal(self.hom_chart.algebra.structure,
+                              self.chart.algebra.structure[np.ix_(q, q, q)]):
+            raise LieSysError(
+                f"{self.name}: the brackets of hom_chart {self.hom_chart.group_name} differ "
+                f"from those of the algebra indices {[i + 1 for i in q]}")
+
+    @property
+    def quotient_indices(self) -> list:
+        """The 0-based algebra indices outside the span."""
+        return [i for i in range(self.chart.algebra.dim) if i + 1 not in self.span_indices]
 
     def span_vectors(self):
         r = self.chart.algebra.dim
@@ -238,8 +281,16 @@ class ReductionCase:
         return b.pad(self.chart.algebra.dim, [i - 1 for i in self.used_channels])
 
     def solve_homogeneous(self, b: ControlSignal, grid: TimeGrid) -> Trajectory:
+        """The homogeneous solution on the grid's nodes, from the padded
+        controls at `rk4_stage_times`; on a `hom_chart` case the table's
+        rows ::2 and 1::2 are the scan's node and midpoint values."""
         table = self.pad_controls(b)(rk4_stage_times(grid))
-        return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=f"{self.name} homogeneous")
+        meta = f"{self.name} homogeneous"
+        if self.hom_chart is None:
+            return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=meta)
+        A = -table[:, self.quotient_indices]
+        y = magnus_scan(self.hom_chart, A[::2], A[1::2], np.diff(grid.nodes)[:, None])
+        return Trajectory(grid, y, meta)
 
     def make_lift(self, hom: Trajectory) -> GroupCurve:
         return GroupCurve(self.chart, hom.grid, self.lift_coords(hom.states))
@@ -508,15 +559,9 @@ _register("se3/so3", _se3_so3)
 
 
 def _se3_r3():
-    # H = R^3 normal subgroup; homogeneous "solution" is the rotation curve,
-    # integrated as a matrix ODE dA/dt = xi_hat A
+    # H = R^3 normal subgroup; G/H = SO(3), so the homogeneous solution is
+    # the rotation curve, a right-invariant curve on SO(3)
     chart = get_chart("SE3", "matrix")
-    so3rep = np.stack(get_chart("SO3", "matrix").algebra_rep).reshape(3, 9)
-
-    def hom_rhs(t, a_flat, b):
-        lead = np.shape(a_flat)[:-1]
-        xi = -(b[..., :3] @ so3rep).reshape(lead + (3, 3))
-        return (xi @ np.reshape(a_flat, lead + (3, 3))).reshape(lead + (9,))
 
     def expected(b, t, a_flat):
         # the translation generators carry a sign in the matrix basis, so
@@ -526,7 +571,7 @@ def _se3_r3():
 
     return ReductionCase(
         "se3/r3", chart, (4, 5, 6), (1, 2, 3, 4, 5, 6),
-        hom_rhs=hom_rhs, hom_x0=np.eye(3).reshape(-1),
+        hom_chart=get_chart("SO3", "matrix"),
         lift_coords=_lift_into(np.eye(4).reshape(-1), [0, 1, 2, 4, 5, 6, 8, 9, 10]),
         expected_coeffs=expected,
     )

@@ -20,9 +20,11 @@ matrix product A M A^-1 + dA/dt A^-1.
 
 Also kept here as independent references: the tangent map of a
 right-invariant system (`right_invariant_derivative`), which drives the RK4
-subgroup loop the Magnus solve is checked against, a single-matrix Taylor
-exponential (`_expm_taylor`), and the signature functions Ceps, Seps of the
-epsilon family.
+subgroup loop the Magnus solve is checked against, the step-by-step
+fourth-order Magnus loop (`magnus_loop`), which the log-depth scan of
+`liesys.reduction.magnus_scan` reorders, a single-matrix Taylor exponential
+(`_expm_taylor`), and the signature functions Ceps, Seps of the epsilon
+family.
 
 Coordinates are (a, b, c, ...) in the algebra basis order; second-kind
 coordinates use the ordering (1, ..., r).  LAWS maps a group name to the
@@ -37,8 +39,9 @@ import math
 
 import numpy as np
 
-from liesys.algebra import _ad_series, wn_matrix
+from liesys.algebra import _ad_series, bracket_coords, wn_matrix
 from liesys.catalog import get_system
+from liesys.groups import exp_algebra
 from liesys.numerics import cumulative_quadrature_samples
 
 
@@ -404,6 +407,19 @@ def right_invariant_derivative(chart, xi, hcoords):
     if chart.chart_kind == "canonical_first":
         return np.linalg.solve(_ad_series(alg, hcoords, 1), xi)
     return chart.compose_fn(_tangent_coords(chart, xi), hcoords)
+
+
+def magnus_loop(chart, A, half, nodes):
+    """Node coordinates of dh/dt h^{-1} = A(t), h(t0) = e, one step at a
+    time: h_{k+1} = exp(Omega_k) h_k with Omega_k = dt/6 (A_k + 4 A_{k+1/2}
+    + A_{k+1}) + dt^2/12 [A_{k+1}, A_k], from A at the nodes and `half` at
+    the step midpoints."""
+    h = [chart.identity_coords]
+    for k, dt in enumerate(np.diff(nodes)):
+        omega = (dt / 6.0 * (A[k] + 4.0 * half[k] + A[k + 1])
+                 + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[k + 1], A[k]))
+        h.append(chart.compose_fn(exp_algebra(chart, omega), h[-1]))
+    return np.array(h)
 
 
 def _rotation_rows(x, eps=1):

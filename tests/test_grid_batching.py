@@ -28,7 +28,7 @@ from liesys.weinorman import (
     wn_reconstruct,
 )
 from conftest import smooth_controls
-from hand_laws import _expm_taylor, right_invariant_derivative
+from hand_laws import _expm_taylor, magnus_loop, right_invariant_derivative
 
 GRID = TimeGrid.uniform(0.0, 1.0, 800)
 
@@ -93,9 +93,40 @@ def test_subgroup_and_homogeneous_stage_tables_match_per_call_rk4(name):
     b = controls(name, len(case.used_channels), 1.0)
     bp = case.pad_controls(b)
     hom = case.solve_homogeneous(b, GRID)
-    ref = rk4_per_call(lambda t, y: case.hom_rhs(t, y, bp(t)), case.hom_x0, GRID.nodes)
+    if case.hom_chart is None:
+        ref = rk4_per_call(lambda t, y: case.hom_rhs(t, y, bp(t)), case.hom_x0, GRID.nodes)
+    else:
+        # the Magnus scan's reference loop, calling the controls at each
+        # node and midpoint (its per-call RK4 gap is the test below)
+        nodes, idx = GRID.nodes, list(case.quotient_indices)
+        A = np.array([-bp(t)[idx] for t in nodes])
+        half = np.array([-bp(t)[idx] for t in 0.5 * (nodes[:-1] + nodes[1:])])
+        ref = magnus_loop(case.hom_chart, A, half, nodes)
     assert np.max(np.abs(hom.states - ref)) <= 1e-13
 
+    assert subgroup_gap(case, b, GRID) <= 1e-13
+
+
+# the suite's three control draws for se3/r3: here and in test_sweep_rk4,
+# in test_reduction, and in the acceptance tests
+SE3_R3_SEEDS = [zlib.crc32(key.encode()) % m
+                for key, m in (("se3/r3", 997), ("se3/r3{}", 997), ("se3/r3", 991))]
+
+
+@pytest.mark.parametrize("seed", SE3_R3_SEEDS)
+def test_se3_r3_homogeneous_scan_matches_per_call_rk4(seed):
+    # the homogeneous solution of se3/r3 is the rotation curve on SO(3), by
+    # the Magnus scan on stage-table samples; the reference is per-call RK4
+    # of the matrix ODE dA/dt = xi_hat A with xi = -(b1, b2, b3)
+    case = catalog_reduction("se3/r3")
+    b = smooth_controls(len(case.used_channels), seed=seed)
+    bp, so3, grid = case.pad_controls(b), case.hom_chart, TimeGrid.uniform(0.0, 1.0, 2000)
+    hom = case.solve_homogeneous(b, grid).states
+    ref = rk4_per_call(lambda t, a: right_invariant_derivative(so3, -bp(t)[:3], a),
+                       so3.identity_coords, grid.nodes)
+    assert np.max(np.abs(hom - ref)) <= 1e-12
+    A = hom.reshape(-1, 3, 3)
+    assert np.max(np.abs(A.swapaxes(1, 2) @ A - np.eye(3))) <= 1e-13
     assert subgroup_gap(case, b, GRID) <= 1e-13
 
 
