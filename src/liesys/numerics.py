@@ -56,6 +56,7 @@ realizations give batched `fields` and `domain`, and reductions a batched
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -76,6 +77,11 @@ _ROUNDOFF = 64 * np.finfo(float).eps
 _UNSWEPT = np.array([np.inf])
 # a batched call must agree with the single-row calls to this relative error
 _BATCH_RTOL = 1e-12
+# the largest max|M|^2 / max|adj M| at which a 3x3 inverse keeps its
+# adjugate (see `_adjugate`): on random stacks up to cond 1e8, the adjugate
+# stayed within 1.1 eps cond(M) of LAPACK's inverse up to 16, and reached
+# 6 eps cond(M) at 64; the M(v) of the criterion-1 systems stay below 6
+_CANCEL = 16.0
 
 
 class TimeGrid:
@@ -422,10 +428,70 @@ def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _norm1(M):
-    # largest absolute column sum of each matrix; the ufunc reductions skip
-    # ndarray.sum's Python wrapper, which is most of the cost on a 3x3 matrix
-    return np.maximum.reduce(np.add.reduce(np.abs(M), -2), -1)
+# The small-stack kernels below work on a (r, r, ...) copy of a (..., r, r)
+# stack, entry (i, j) of every matrix one contiguous array: each step is then
+# one vectorized pass, where numpy's reductions over a 3-long last axis are
+# several times slower.  Forward substitution and the adjugate go entry by
+# entry, with no BLAS call, and LAPACK inverts or solves each matrix on its
+# own, so a batch gives its stacked single-matrix results bit for bit.
+
+def _entries(M):
+    n = M.ndim
+    return M.transpose((n - 2, n - 1, *range(n - 2))).copy()
+
+
+def _norm1(S):
+    # the largest absolute column sum of each matrix
+    return np.maximum.reduce(np.add.reduce(np.abs(S), 0), 0)
+
+
+_CYCLIC = np.array([0, 1, 2, 0, 1])
+
+
+@functools.cache
+def _upper(r):
+    # the (rows, columns) above the diagonal of an r x r matrix
+    return np.triu_indices(r, 1)
+
+
+def _unit_lower(S):
+    """Whether every matrix is exactly 0 above its diagonal and exactly 1 on
+    it; a NaN anywhere there makes it not."""
+    r = len(S)
+    rows, cols = _upper(r)
+    return not S[rows, cols].any() and (S[range(r), range(r)] == 1.0).all()
+
+
+def _adjugate(S):
+    """The adjugate and the determinant of each 3x3 matrix, entry by entry,
+    and where the adjugate is accurate.
+
+    Cofactor C_ij is the 2x2 minor of the rows and columns after i and j,
+    taken cyclically, and adj[j, i] = C_ij.  Each cofactor is the
+    difference of two products of size at most max|M|^2, so its rounding
+    error is about eps max|M|^2, and the inverse's error relative to its
+    norm about eps cond(M) max|M|^2 / max|adj M|.  That ratio is 1 to 2 on a
+    well-scaled matrix and large only when the cofactors cancel, as with
+    two small singular values; the adjugate counts as accurate where it is
+    at most `_CANCEL`."""
+    E = S[_CYCLIC][:, _CYCLIC]      # entry (k, l) of E is entry (k % 3, l % 3)
+    C = E[1:4, 1:4] * E[2:5, 2:5] - E[1:4, 2:5] * E[2:5, 1:4]
+    t = S[0] * C[0]
+    det = t[0] + t[1] + t[2]
+    size = np.maximum.reduce(np.abs(S), (0, 1))
+    fine = size * size <= _CANCEL * np.maximum.reduce(np.abs(C), (0, 1))
+    return np.swapaxes(C, 0, 1), det, fine
+
+
+def _apply(X, b):
+    # x_i = sum_j X_ij b_j for each matrix of X, its stack broadcasting
+    # against b's (..., r), one elementwise pass per j
+    n = X.ndim
+    t = X.transpose((*range(2, n), 0, 1)) * b[..., None, :]
+    x = t[..., 0]
+    for j in range(1, t.shape[-1]):
+        x = x + t[..., j]
+    return x
 
 
 def _inverse_or_nan(M):
@@ -435,35 +501,102 @@ def _inverse_or_nan(M):
         return np.full_like(M, np.nan)
 
 
-def linsolve(M, b, cond_limit=1e12):
-    """Solve Mx = b with a condition guard taken from the same factorization.
-
-    M is one (r, r) matrix or a (..., r, r) stack, b broadcasts against
-    the stack as (..., r) right-hand sides.  Each inverse comes from one LU
-    factorization; the 1-norm condition number ||M||_1 ||M^-1||_1 follows
-    from it at the cost of two column sums.  A singular matrix, or a
-    condition above `cond_limit` or not finite, raises SingularMatrixError
-    carrying the condition and, for a stack, the index of the first failing
-    matrix; the Wei-Norman solver interprets that as a chart breakdown.  Its
-    levels and RK4 stages solve through this guard; its cyclic sweeps solve
-    unguarded, a singular stack failing only its window, and the guard
-    then checks each node's M(v) once, at the solved exponents.
-    """
-    M = np.asarray(M, dtype=float)
+def _lapack_inverse(M):
     try:
-        Minv = np.linalg.inv(M)
+        return _entries(np.linalg.inv(M))
     except np.linalg.LinAlgError:
         # one singular matrix fails the whole stack: invert each on its own
-        Minv = np.reshape([_inverse_or_nan(m) for m in M.reshape((-1,) + M.shape[-2:])],
-                          M.shape)
-    cond = _norm1(M) * _norm1(Minv)
+        each = [_inverse_or_nan(m) for m in M.reshape((-1,) + M.shape[-2:])]
+        return _entries(np.reshape(each, M.shape))
+
+
+def _lapack_solve(M, b):
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return _apply(_lapack_inverse(M), b)
+
+
+def _inverse(M, S):
+    """The inverse of each matrix of a (..., r, r) stack M, given M and its
+    entries S (`_entries`) and laid out as S, by the route the stack's
+    structure allows:
+
+    - a unit lower-triangular stack (exactly 0 above the diagonal and
+      exactly 1 on it) by forward substitution: row i of the inverse is e_i
+      minus M_ij times row j for each j < i;
+    - any other 3x3 stack by its adjugate over its determinant, entry by
+      entry, but for the matrices whose cofactors cancel (`_adjugate`);
+    - those matrices and any other stack by `np.linalg.inv`.
+
+    A singular matrix gives non-finite entries, not an error.  The adjugate
+    is exact algebra but not backward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, 14.6); on the
+    matrices it keeps, it stays within a few eps cond(M) of LU's inverse.
+    On a unit lower-triangular 3x3 matrix it is forward substitution's
+    inverse, entry for entry, so a stack that mixes such matrices with
+    others still gives each its single-matrix result."""
+    r = len(S)
+    if _unit_lower(S):
+        X = np.zeros_like(S)
+        X[range(r), range(r)] = 1.0
+        with np.errstate(all="ignore"):
+            for i in range(1, r):
+                for j in range(i):
+                    X[i, :j + 1] -= S[i, j] * X[j, :j + 1]
+        return X
+    if r != 3:
+        return _lapack_inverse(M)
+    with np.errstate(all="ignore"):
+        adj, det, fine = _adjugate(S)
+        X = adj / det
+    if not fine.all():
+        X[:, :, ~fine] = _lapack_inverse(M[~fine])
+    return X
+
+
+def stack_solve(M, b):
+    """x = M^-1 b for each matrix of a (..., r, r) stack and its (..., r)
+    right-hand side, with no condition guard: `_inverse` applied to b on a
+    unit lower-triangular or a 3x3 stack, `np.linalg.solve` on any other.
+    A batch gives the stacked single-matrix results bit for bit, and a
+    singular matrix non-finite rows, not an error."""
+    M = np.asarray(M, dtype=float)
+    S = _entries(M)
+    if len(S) != 3 and not _unit_lower(S):
+        return _lapack_solve(M, np.asarray(b, dtype=float))
+    return _apply(_inverse(M, S), np.asarray(b, dtype=float))
+
+
+def linsolve(M, b, cond_limit=1e12):
+    """Solve Mx = b with a condition guard taken from the same inverse.
+
+    M is one (r, r) matrix or a (..., r, r) stack, b broadcasts against
+    the stack as (..., r) right-hand sides.  The inverse is `_inverse`'s:
+    forward substitution on a unit lower-triangular stack, the adjugate on
+    any other 3x3 matrix whose cofactors do not cancel, LAPACK's LU
+    otherwise.  The 1-norm condition number ||M||_1 ||M^-1||_1 follows from
+    it at the cost of two column sums.  A singular matrix, or a condition
+    above `cond_limit` or not finite, raises SingularMatrixError carrying
+    the condition and, for a stack, the index of the first failing matrix;
+    the Wei-Norman solver interprets that as a chart breakdown.  Its levels
+    and RK4 stages solve through this guard; its cyclic sweeps solve
+    unguarded by `stack_solve`, a singular stack failing only its window,
+    and the guard then checks each node's M(v) once, at the solved
+    exponents.
+    """
+    M = np.asarray(M, dtype=float)
+    S = _entries(M)
+    Minv = _inverse(M, S)
+    with np.errstate(all="ignore"):
+        cond = _norm1(S) * _norm1(Minv)
     ok = cond <= cond_limit
     # one matrix skips .all(), which costs a fifth of a 3x3 solve
     if not (ok.all() if ok.ndim else ok):
         index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
         bad = float(cond[index])
         raise SingularMatrixError(np.inf if np.isnan(bad) else bad, index=index or None)
-    return (Minv @ np.asarray(b, dtype=float)[..., None])[..., 0]
+    return _apply(Minv, np.asarray(b, dtype=float))
 
 
 def central_diff(f, t, h=1e-5, order=2):

@@ -25,10 +25,14 @@ two-step window that still fails runs by RK4 over its own nodes.  The
 sweeps need Simpson's rule, so on a non-uniform grid a cyclic ordering
 integrates by RK4 throughout.  A chart breakdown is one rule on every
 route: an M(v) that fails the condition guard of `linsolve`.  The levels and
-the RK4 stages guard every solve.  The cyclic sweeps solve unguarded, as
-only the rows a sweep commits enter the answer: a singular matrix in the
-stack fails only its window, and after the sweeps the guard checks each
-node's M(v) once, at the solved exponents.
+the RK4 stages guard every solve.  The cyclic sweeps solve unguarded, by
+`stack_solve`, as only the rows a sweep commits enter the answer: a
+singular matrix in the stack gives non-finite rates from its node on, which
+fail only its window, and after the sweeps the guard checks each node's
+M(v) once, at the solved exponents.  Both solves pick their route from the
+stack (`numerics.linsolve`): M(v) of a nilpotent triangular ordering is
+unit lower-triangular and solves by forward substitution, an r = 3 M(v) by
+its adjugate unless its cofactors cancel, and any other by LAPACK.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .numerics import (  # rk4_step stays bound here: the span tests in perfbenc
     picard_windows,
     rk4_stage_times,
     rk4_step,
+    stack_solve,
     sweep_rk4,
 )
 
@@ -248,15 +253,10 @@ def _sweep(alg: LieAlgebra, ordering, v, b, grid: TimeGrid, cols, guarded):
     `cols`, 0 at the first node: one batched M(v), one stacked solve and one
     cumulative quadrature.  v is one exponent vector or one per node of the
     grid; b has one row per node.  A guarded solve is `linsolve`'s; an
-    unguarded one raises SingularMatrixError only on a singular matrix."""
+    unguarded one is `stack_solve`'s, where a singular matrix gives
+    non-finite rates from its node on instead of an error."""
     M = wn_matrix(alg, ordering, v)
-    if guarded:
-        f = linsolve(M, b, _BREAKDOWN_COND)
-    else:
-        try:
-            f = np.linalg.solve(M, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(np.inf) from None
+    f = linsolve(M, b, _BREAKDOWN_COND) if guarded else stack_solve(M, b)
     return cumulative_quadrature_samples(f[:, cols], grid)
 
 
@@ -343,12 +343,12 @@ def wn_solve(problem: WNProblem) -> Trajectory:
     guard of `linsolve` checks every M(v) solve of the levels and of the
     RK4 stages, and each node's M(v) once at the exponents the cyclic sweeps
     solved; the sweeps themselves solve unguarded, and a singular matrix
-    in a sweep's stack fails only its window.  A guard failure raises
-    WNBreakdownError carrying the time (on the levels and after the sweeps
-    also the node) and the condition number it measured; the caller may
-    re-order the factorization and restart.  A window of sweeps that stalls
-    is no breakdown by itself: the RK4 that takes it over raises only where
-    the guard does.
+    in a sweep's stack gives non-finite rates, which fail only its window.
+    A guard failure raises WNBreakdownError carrying the time (on the
+    levels and after the sweeps also the node) and the condition number it
+    measured; the caller may re-order the factorization and restart.  A
+    window of sweeps that stalls is no breakdown by itself: the RK4 that
+    takes it over raises only where the guard does.
     """
     alg, grid = problem.algebra, problem.grid
     levels = _dependency_levels(alg, problem.ordering)

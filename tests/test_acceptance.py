@@ -27,7 +27,7 @@ from liesys.riccati import (
 )
 from liesys.systems import cross_ratio, riccati_superposition, solve_direct, solve_via_group
 from liesys.weinorman import ControlSignal, flatness_residual, wn_matrix
-from conftest import smooth_controls
+from conftest import LIE_SYSTEMS, smooth_controls
 from hand_laws import CLOSED_FLOWS
 
 GRID = TimeGrid.uniform(0.0, 1.0, 2000)
@@ -40,17 +40,8 @@ def report(criterion, value, tol, extra=""):
 
 
 def test_criterion_1_lie_theorem_oracle():
-    cases = [("brockett", {}, 2, 1.0), ("brockett_variant", {}, 2, 1.0),
-             ("hopping_robot_lin", {}, 2, 1.0), ("rb_two_oscillators", {}, 2, 1.0),
-             ("brockett_deg2", {}, 2, 1.0), ("unicycle", {}, 2, 1.0),
-             ("unicycle_feedback", {}, 2, 0.45), ("kinematic_car_chained", {}, 2, 1.0),
-             ("martinet", {}, 2, 1.0),
-             ("elastic_euler", {"eps": 1}, 3, 1.0),
-             ("elastic_euler", {"eps": 0}, 3, 1.0),
-             ("elastic_euler", {"eps": -1}, 3, 0.8),
-             ("so3_kinematics", {}, 3, 1.0)]
     worst = 0.0
-    for name, kw, nch, amp in cases:
+    for name, kw, nch, amp in LIE_SYSTEMS:
         entry = get_system(name, **kw)
         for draw in range(3):
             b = smooth_controls(nch, amp=amp, seed=1000 * draw + zlib.crc32(name.encode()) % 997)

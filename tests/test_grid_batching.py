@@ -27,21 +27,10 @@ from liesys.weinorman import (
     _wn_solve_rk4,
     wn_reconstruct,
 )
-from conftest import smooth_controls
+from conftest import LIE_SYSTEMS, smooth_controls
 from hand_laws import _expm_taylor, magnus_loop, right_invariant_derivative
 
 GRID = TimeGrid.uniform(0.0, 1.0, 800)
-
-# acceptance criterion 1: (system, parameters, control channels, amplitude)
-LIE_SYSTEMS = [
-    ("brockett", {}, 2, 1.0), ("brockett_variant", {}, 2, 1.0),
-    ("hopping_robot_lin", {}, 2, 1.0), ("rb_two_oscillators", {}, 2, 1.0),
-    ("brockett_deg2", {}, 2, 1.0), ("unicycle", {}, 2, 1.0),
-    ("unicycle_feedback", {}, 2, 0.45), ("kinematic_car_chained", {}, 2, 1.0),
-    ("martinet", {}, 2, 1.0), ("elastic_euler", {"eps": 1}, 3, 1.0),
-    ("elastic_euler", {"eps": 0}, 3, 1.0), ("elastic_euler", {"eps": -1}, 3, 0.8),
-    ("so3_kinematics", {}, 3, 1.0),
-]
 
 
 def controls(name, nch, amp):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesys.numerics as N
+from liesys.algebra import wn_matrix
+from liesys.catalog import get_system
 from liesys.errors import NumericsError, SingularMatrixError
 from liesys.numerics import (
     TimeGrid,
@@ -267,6 +269,118 @@ def test_linsolve_on_a_stack_guards_each_matrix(rng):
     with pytest.raises(SingularMatrixError) as exc:
         linsolve(M, b)
     assert exc.value.index == (1, 4) and exc.value.cond == np.inf
+
+
+def _conditioned_stack(rng, n, log_cond):
+    """n random 3x3 matrices U diag(1, s2, s3) V^T, times a random scale:
+    s3 = 10^-e with e uniform up to log_cond, and s2 between s3 and 1, so
+    that many have two small singular values."""
+    U, V = (np.linalg.qr(rng.standard_normal((n, 3, 3)))[0] for _ in range(2))
+    e = rng.uniform(0.0, log_cond, n)
+    s = np.stack([np.ones(n), 10.0 ** -(e * rng.uniform(0.0, 1.0, n)), 10.0 ** -e], axis=-1)
+    return (U * s[:, None, :]) @ V.swapaxes(-1, -2) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+
+
+def _inverse(M):
+    # the guard's inverse of a (..., r, r) stack, as a stack
+    return np.moveaxis(N._inverse(M, N._entries(M)), (0, 1), (-2, -1))
+
+
+def _relative_gap(x, ref, axes):
+    return np.max(np.abs(x - ref), axis=axes) / np.max(np.abs(ref), axis=axes)
+
+
+def test_3x3_kernels_stay_within_the_condition_number_of_lapack(rng):
+    # the adjugate where its cofactors do not cancel, LAPACK where they do:
+    # both within cond * 1e-15 of np.linalg.inv up to cond 1e8.  The
+    # adjugate alone is not: on matrices with two small singular values its
+    # cofactors cancel, and it loses digits that the condition number does
+    # not account for
+    n = 4000
+    M, b = _conditioned_stack(rng, n, 8.0), rng.standard_normal((n, 3))
+    cond = np.linalg.cond(M, 1)
+    assert cond.max() > 1e7
+    ref = np.linalg.inv(M)
+    ref_x = (ref @ b[..., None])[..., 0]
+    assert (_relative_gap(_inverse(M), ref, (-2, -1)) <= cond * 1e-15).all()
+    assert (_relative_gap(N.stack_solve(M, b), ref_x, -1) <= cond * 1e-15).all()
+    assert (_relative_gap(linsolve(M, b, np.inf), ref_x, -1) <= cond * 1e-15).all()
+    adj, det, fine = N._adjugate(N._entries(M))
+    assert 0.3 < fine.mean() < 0.9
+    adjugate_alone = np.moveaxis(adj / det, (0, 1), (-2, -1))
+    assert not (_relative_gap(adjugate_alone, ref, (-2, -1)) <= cond * 1e-15).all()
+
+
+@pytest.mark.parametrize("name,algebra", [("brockett", "h3"), ("rb_two_oscillators", "g4"),
+                                          ("brockett_deg2", "g5"),
+                                          ("kinematic_car_chained", "gbar4")])
+def test_nilpotent_wn_matrices_invert_by_forward_substitution(name, algebra, rng, monkeypatch):
+    # in their catalog orderings M(v) is exactly unit lower-triangular
+    entry = get_system(name)
+    assert entry.algebra.name == algebra
+    r = entry.algebra.dim
+    M = wn_matrix(entry.algebra, entry.ordering(), rng.standard_normal((500, r)))
+    b = rng.standard_normal((500, r))
+    ref = np.linalg.inv(M)
+    ref_x = np.linalg.solve(M, b[..., None])[..., 0]
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: pytest.fail("np.linalg.inv ran"))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: pytest.fail("np.linalg.solve ran"))
+    monkeypatch.setattr(N, "_adjugate", lambda *a: pytest.fail("the adjugate ran"))
+    assert np.max(np.abs(_inverse(M) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(N.stack_solve(M, b) - ref_x)) <= 1e-14 * np.max(np.abs(ref_x))
+
+
+@pytest.mark.parametrize("r,kind", [(3, "general"), (3, "unit lower"), (3, "mixed"),
+                                    (4, "unit lower"), (5, "general"), (2, "general")])
+def test_small_stack_kernels_give_a_batch_its_single_results_bit_for_bit(r, kind, rng):
+    # each route works on every matrix alike, so sweep_rk4's batched stages
+    # are the step loop's one-state solves to the last bit.  A unit
+    # lower-triangular 3x3 matrix in a stack of others takes the adjugate,
+    # whose inverse is forward substitution's, entry for entry
+    n = 7
+    M = rng.standard_normal((n, r, r)) + r * np.eye(r)
+    if kind == "unit lower":
+        M = np.tril(M, -1) + np.eye(r)
+    elif kind == "mixed":
+        M[::2] = np.tril(M[::2], -1) + np.eye(r)
+    elif r == 3:
+        # cofactors that cancel: this one goes by LAPACK inside the batch
+        M[4] = np.diag([1.0, 1e-4, 1e-4]) @ np.linalg.qr(M[4])[0]
+        assert list(N._adjugate(N._entries(M))[2]) == [True] * 4 + [False] + [True] * 2
+    b = rng.standard_normal((n, r))
+    X, x, y = _inverse(M), N.stack_solve(M, b), linsolve(M, b)
+    for k in range(n):
+        assert np.array_equal(X[k], _inverse(M[k]))
+        assert np.array_equal(x[k], N.stack_solve(M[k], b[k]))
+        assert np.array_equal(y[k], linsolve(M[k], b[k]))
+        assert np.array_equal(y[k], linsolve(M[k:k + 1], b[k:k + 1])[0])
+
+
+@pytest.mark.parametrize("singular", [
+    lambda m: np.stack([m[0], m[1], m[1]]),                     # two equal rows
+    lambda m: np.outer([1.0, 2.0, -3.0], [0.5, 1.0, 2.0]),     # rank one: the adjugate is 0
+    lambda m: np.zeros((3, 3))])
+def test_guard_names_an_exactly_singular_3x3_in_a_stack(singular, rng):
+    M = rng.standard_normal((50, 3, 3)) + 3.0 * np.eye(3)
+    k = 17
+    M[k] = singular(M[k])
+    M[k + 5] = singular(M[k + 5])
+    with pytest.raises(SingularMatrixError) as exc:
+        linsolve(M, rng.standard_normal((50, 3)))
+    assert exc.value.index == (k,) and exc.value.cond == np.inf
+    # unguarded, the singular matrix gives non-finite rows and no error
+    x = N.stack_solve(M, rng.standard_normal((50, 3)))
+    assert not np.isfinite(x[k]).any() and np.isfinite(np.delete(x, [k, k + 5], axis=0)).all()
+
+
+def test_guard_refuses_cond_1e11_with_the_condition_lapack_measures(rng):
+    U, V = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    M = (U * [1.0, 0.3, 1e-11]) @ V.T
+    assert N._adjugate(N._entries(M))[2]          # by the adjugate
+    with pytest.raises(SingularMatrixError) as exc:
+        linsolve(M, np.ones(3), cond_limit=1e10)
+    assert 1e10 < exc.value.cond < 1e12
+    assert exc.value.cond == pytest.approx(np.linalg.cond(M, 1), rel=0.01)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -25,21 +25,11 @@ from liesys.reduction import ReductionCase, catalog_reduction, list_reductions
 from liesys.riccati import RiccatiCoeffs
 from liesys.systems import LieSystemRealization, generator_bracket_residual, solve_direct
 from liesys.weinorman import ControlSignal, WNProblem, _wn_solve_rk4
-from conftest import smooth_controls
+from conftest import LIE_SYSTEMS, smooth_controls
 from hand_laws import magnus_loop
 
 GRID = TimeGrid.uniform(0.0, 1.0, 2000)
 
-# acceptance criterion 1: (system, parameters, control channels, amplitude)
-LIE_SYSTEMS = [
-    ("brockett", {}, 2, 1.0), ("brockett_variant", {}, 2, 1.0),
-    ("hopping_robot_lin", {}, 2, 1.0), ("rb_two_oscillators", {}, 2, 1.0),
-    ("brockett_deg2", {}, 2, 1.0), ("unicycle", {}, 2, 1.0),
-    ("unicycle_feedback", {}, 2, 0.45), ("kinematic_car_chained", {}, 2, 1.0),
-    ("martinet", {}, 2, 1.0), ("elastic_euler", {"eps": 1}, 3, 1.0),
-    ("elastic_euler", {"eps": 0}, 3, 1.0), ("elastic_euler", {"eps": -1}, 3, 0.8),
-    ("so3_kinematics", {}, 3, 1.0),
-]
 # the other realizations whose fields are one GEMM (`catalog._matrix_field`):
 # a one-state GEMM must give the bits of its row in a 512-state one
 MATRIX_FIELD_SYSTEMS = [

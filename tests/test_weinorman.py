@@ -19,7 +19,7 @@ from liesys.weinorman import (
     wn_reconstruct,
     wn_solve,
 )
-from conftest import smooth_controls
+from conftest import LIE_SYSTEMS, smooth_controls
 from hand_laws import WN_CLOSED
 
 
@@ -576,6 +576,80 @@ def test_sweep_path_guards_each_node_once_at_the_solved_exponents(monkeypatch):
         wn_solve(prob)
     assert exc.value.node == k and exc.value.t == grid.nodes[k]
     assert exc.value.cond == cond[k]
+
+
+def test_a_singular_matrix_in_a_sweep_fails_only_its_window(monkeypatch):
+    # the third sweep's M(v) gets two equal rows at node 300: its solve
+    # gives non-finite rates from there on instead of raising, that sweep's
+    # window fails and halves, and the solve goes on to the same exponents
+    entry = get_system("so3_kinematics")
+    b = entry.pad_controls(_lie_oracle_controls(1, "so3_kinematics", 3, 1.0))
+    prob = WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 1.0, 2000), entry.ordering())
+    ref = wn_solve(prob).states
+    wn, sweep = W.wn_matrix, W._sweep
+    stacks, windows, swept = [], [], []
+
+    def singular(alg, ordering, v):
+        M = wn(alg, ordering, v)
+        stacks.append(M)
+        if len(stacks) == 3:
+            M[300, 2] = M[300, 1]
+        return M
+
+    def record(*a):
+        windows.append((a[4].t0, a[4].n_steps))
+        swept.append(sweep(*a))
+        return swept[-1]
+
+    monkeypatch.setattr(W, "wn_matrix", singular)
+    monkeypatch.setattr(W, "_sweep", record)
+    monkeypatch.setattr(N, "rk4_step", lambda *a: pytest.fail("rk4_step ran"))
+    got = wn_solve(prob).states
+    finite = np.isfinite(swept[2]).all(axis=1)
+    assert finite[:299].all() and not finite[300:].any()
+    assert windows[:4] == [(0.0, N._WINDOW)] * 3 + [(0.0, N._WINDOW // 2)]
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def test_lie_oracle_solves_call_no_lapack(monkeypatch):
+    # the 13 criterion-1 systems solve every M(v) stack by forward
+    # substitution (h3, g4, g5, gbar4) or the adjugate (r = 3); only the
+    # dependency probe, cached per algebra and ordering, calls LAPACK
+    problems = []
+    for name, kw, nch, amp in LIE_SYSTEMS:
+        entry = get_system(name, **kw)
+        label = name + "".join(f"[{k}={v}]" for k, v in kw.items())
+        b = entry.pad_controls(_lie_oracle_controls(2101, label, nch, amp))
+        problems.append(WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 1.0, 2000),
+                                  entry.ordering()))
+        W._dependency_levels(entry.algebra, entry.ordering())
+    calls = []
+    inv, solve = np.linalg.inv, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append("inv") or inv(*a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
+    for prob in problems:
+        wn_solve(prob)
+    assert len(problems) == 13 and calls == []
+
+
+def test_se3_wn_matrices_still_reach_lapack(rng, monkeypatch):
+    # r = 6 and not unit lower-triangular: the guard inverts by LAPACK, and
+    # the unguarded sweep solves by it
+    alg = catalog_algebra("se3")
+    ordering = tuple(range(1, 7))
+    v, b = 0.3 * rng.standard_normal((9, 6)), rng.standard_normal((9, 6))
+    M = wn_matrix(alg, ordering, v)
+    assert not N._unit_lower(N._entries(M))
+    calls = []
+    inv, solve = np.linalg.inv, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(("inv", a.shape)) or inv(a))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, x: calls.append(("solve", a.shape)) or solve(a, x))
+    x = N.linsolve(M, b, W._BREAKDOWN_COND)
+    assert calls == [("inv", (9, 6, 6))]
+    W._sweep(alg, ordering, v, b, TimeGrid.uniform(0.0, 1.0, 8), slice(None), False)
+    assert calls[1:] == [("solve", (9, 6, 6))]
+    assert np.max(np.abs(x - solve(M, b[..., None])[..., 0])) <= 1e-12
 
 
 def test_levelled_path_names_a_non_finite_node():
