@@ -9,6 +9,7 @@ antisymmetry and Jacobi hold exactly in double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -42,6 +43,8 @@ class LieAlgebra:
     # Wei-Norman dependency levels per factor ordering, filled by
     # weinorman._dependency_levels
     _wn_levels: dict = field(default_factory=dict, init=False, repr=False)
+    # Wei-Norman M(v) plans per factor ordering, filled by _wn_plan
+    _wn_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -189,8 +192,11 @@ def _hyperbolic(ws):
     return np.exp(ws), np.exp(-ws)
 
 
-def _polynomial(s):
-    return s, s * s
+def _powers(s, degree):
+    out = [s]
+    for _ in range(1, degree):
+        out.append(out[-1] * s)
+    return tuple(out)
 
 
 class ExpRule:
@@ -198,60 +204,82 @@ class ExpRule:
     for an array of s of shape (...).  Each entry is computed on its own, so
     a batch equals its stacked single calls.
 
-    With c = <X^3, X> / <X, X> (Frobenius products), X^3 = cX closes the
-    series on I, X and X^2 (Iserles, Munthe-Kaas, Norsett & Zanna, Acta
-    Numerica 9 (2000) 215):
-    - c = -w^2 < 0: exp(sX) = I + (sin ws / w) X + (2 sin^2(ws/2) / w^2) X^2,
-      the Euler-Rodrigues formula;
-    - c = w^2 > 0: exp(sX) = P0 + e^{ws} P+ + e^{-ws} P-, with the spectral
-      projectors P+- = (X^2 +- wX) / (2c) and P0 = I - X^2 / c;
-    - c = 0: exp(sX) = I + sX + (s^2 / 2) X^2.
-    `closed_form` says whether X^3 = cX holds exactly in floating point.
-    When it does not, exp(sX) is `expm(sX)`, one matrix per entry of s."""
+    In closed form, exp(sX) = T_0 + f_1(s) T_1 + f_2(s) T_2 + ... with
+    constant matrices `terms` = (T_0, T_1, ...) and the coefficient arrays
+    `coefficients(s)` = (f_1(s), f_2(s), ...):
+    - X^p = 0 for some p <= n: the finite series, T_k = X^k / k! and
+      f_k = s^k for k < p;
+    - otherwise, with c = <X^3, X> / <X, X> (Frobenius products), X^3 = cX
+      closes the series on I, X and X^2 (Iserles, Munthe-Kaas, Norsett &
+      Zanna, Acta Numerica 9 (2000) 215).  For c = -w^2 < 0,
+      exp(sX) = I + (sin ws / w) X + (2 sin^2(ws/2) / w^2) X^2, the
+      Euler-Rodrigues formula; for c = w^2 > 0,
+      exp(sX) = P0 + e^{ws} P+ + e^{-ws} P-, with the spectral projectors
+      P+- = (X^2 +- wX) / (2c) and P0 = I - X^2 / c.
+    `closed_form` says whether one of these holds exactly in floating point.
+    When none does, exp(sX) is `expm(sX)`, one matrix per entry of s."""
 
     def __init__(self, X):
         X = np.asarray(X, dtype=float)
         n = len(X)
+        powers = [np.eye(n), X]
+        while powers[-1].any() and len(powers) <= n:
+            powers.append(powers[-1] @ X)
+        if not powers[-1].any():
+            # X^p = 0; X = 0 keeps its term X, so that exp(sX) takes s's shape
+            degree = max(len(powers) - 2, 1)
+            self.closed_form = True
+            self._omega = 1.0
+            self._coeffs = functools.partial(_powers, degree=degree)
+            self.terms = tuple(P / math.factorial(k) for k, P in enumerate(powers[:degree + 1]))
+            return
         X2 = X @ X
         X3 = X2 @ X
-        norm2 = float(np.vdot(X, X))
-        c = float(np.vdot(X3, X)) / norm2 if norm2 else 0.0
-        self.closed_form = bool(np.array_equal(X3, c * X))
+        c = float(np.vdot(X3, X)) / float(np.vdot(X, X))
+        self.closed_form = bool(np.array_equal(X3, c * X))   # c != 0, as X^3 != 0
         if not self.closed_form:
             self._X = X
             return
         self._omega = math.sqrt(abs(c))
         if c < 0.0:
             self._coeffs = _rotation
-            self._terms = (np.eye(n), X / self._omega, -2.0 / c * X2)
-        elif c > 0.0:
-            self._coeffs = _hyperbolic
-            self._terms = (np.eye(n) - X2 / c, (X2 + self._omega * X) / (2.0 * c),
-                           (X2 - self._omega * X) / (2.0 * c))
+            self.terms = (np.eye(n), X / self._omega, -2.0 / c * X2)
         else:
-            self._omega = 1.0
-            self._coeffs = _polynomial
-            self._terms = (np.eye(n), X, 0.5 * X2)
+            self._coeffs = _hyperbolic
+            self.terms = (np.eye(n) - X2 / c, (X2 + self._omega * X) / (2.0 * c),
+                          (X2 - self._omega * X) / (2.0 * c))
+
+    def coefficients(self, s) -> tuple:
+        """(f_1(s), f_2(s), ...) for an array of s, each of s's shape."""
+        return self._coeffs(self._omega * s)
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)[..., None, None]
         if not self.closed_form:
             return expm(s * self._X)
-        f1, f2 = self._coeffs(self._omega * s)
-        T0, T1, T2 = self._terms
-        return T0 + f1 * T1 + f2 * T2
+        out = self.terms[0]
+        for f, T in zip(self.coefficients(s), self.terms[1:]):
+            out = out + f * T
+        return out
+
+
+def _ad_rule(alg: LieAlgebra, index: int) -> ExpRule:
+    # the ExpRule of ad(a_index), cached on the algebra
+    rule = alg._ad_exps.get(index)
+    if rule is None:
+        rule = alg._ad_exps[index] = ExpRule(ad_matrix(alg, alg.basis_vector(index)))
+    return rule
 
 
 def exp_ad_basis(alg: LieAlgebra, index: int, s) -> np.ndarray:
     """exp(s ad(a_index)) by the `ExpRule` of ad(a_index), cached on the
-    algebra: in closed form wherever (ad a_index)^3 = c ad a_index, which
-    holds for most catalog basis elements, and otherwise by `expm`.
+    algebra: in closed form wherever ad a_index is nilpotent or
+    (ad a_index)^3 = c ad a_index, which holds for every catalog basis
+    element but element 2 of sl3, r2sl2, r2sl2yz and hsp2, and otherwise by
+    `expm`.
 
     An array of s gives one matrix per entry."""
-    rule = alg._ad_exps.get(index)
-    if rule is None:
-        rule = alg._ad_exps[index] = ExpRule(ad_matrix(alg, alg.basis_vector(index)))
-    return rule(s)
+    return _ad_rule(alg, index)(s)
 
 
 def _ad_series(alg: LieAlgebra, x, shift: int) -> np.ndarray:
@@ -271,19 +299,97 @@ def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
     return expm(s * ad_matrix(alg, a))
 
 
+def _wn_plan(alg: LieAlgebra, ordering: tuple) -> tuple:
+    """For each factor exp(s ad a_{s_j}) of M(v) but the last, its `ExpRule`
+    and its structurally nonzero entries, row by row: (p, q, ((k, T_k[p, q]),
+    ...)) over the closed form's terms T_k that are nonzero there.  A factor
+    with no closed form lists every entry, with no terms.  Cached on the
+    algebra per ordering."""
+    plan = alg._wn_plans.get(ordering)
+    if plan is not None:
+        return plan
+    r, plan = alg.dim, []
+    for idx in ordering[:-1]:
+        rule = _ad_rule(alg, idx - 1)
+        if not rule.closed_form:
+            plan.append((rule, tuple((p, q, ()) for p in range(r) for q in range(r))))
+            continue
+        entries = []
+        for p in range(r):
+            for q in range(r):
+                terms = tuple((k, float(T[p, q])) for k, T in enumerate(rule.terms) if T[p, q])
+                if terms:
+                    entries.append((p, q, terms))
+        plan.append((rule, tuple(entries)))
+    plan = alg._wn_plans[ordering] = tuple(plan)
+    return plan
+
+
+def _times(a, b):
+    # a b, where either may be an exact number; a factor 1 costs no pass
+    if type(a) is float and a == 1.0:
+        return b
+    if type(b) is float and b == 1.0:
+        return a
+    return a * b
+
+
+def _plus(a, b):
+    # a + b, where a may be None for an empty sum
+    return b if a is None else a + b
+
+
+def _factor(rule, entries, s) -> dict:
+    """The planned entries {(p, q): number or array over s} of exp(sX): the
+    closed form T_0 + f_1(s) T_1 + ... summed in the order `ExpRule` sums
+    it, or `expm`'s matrix where the rule has none."""
+    if not rule.closed_form:
+        F = rule(s)
+        return {(p, q): F[..., p, q] for p, q, _ in entries}
+    f = (1.0,) + rule.coefficients(s)
+    out = {}
+    for p, q, terms in entries:
+        e = None
+        for k, t in terms:
+            e = _plus(e, _times(t, f[k]))
+        out[p, q] = e
+    return out
+
+
 def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
     """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i};
-    a (..., r) array of v gives one matrix per vector."""
+    a (..., r) array of v gives one matrix per vector.
+
+    Each factor F_j = exp(-v_j ad a_{s_j}) is the closed form of its
+    `ExpRule`, T_0 + f_1 T_1 + ..., whose constant terms have few nonzero
+    entries (at most 8 on the catalog algebras), or `expm`'s matrix where
+    there is none.  The first call per ordering plans those entries
+    (`_wn_plan`, cached on the algebra).  Each factor's entries are formed
+    once, and column i right to left, F_1(F_2(... F_{i-1} a_{s_i})), over the
+    nonzeros only.  Every step is an elementwise pass over the vectors, so a
+    batch equals its single-vector calls bit for bit.  The matrices are
+    written entries first, (r, r, ...), and returned as a writable
+    (..., r, r) view of that buffer, which `numerics.linsolve` reads as it
+    is."""
     r = alg.dim
+    ordering = tuple(int(i) for i in ordering)
+    plan = _wn_plan(alg, ordering)
     minus_v = -np.asarray(v, dtype=float)
-    M = np.empty(minus_v.shape[:-1] + (r, r))
-    P = np.eye(r)
+    out = np.zeros((r, r) + minus_v.shape[:-1])
+    factors = []
     for i, idx in enumerate(ordering):
-        M[..., i] = P[..., idx - 1]
+        x = {idx - 1: 1.0}
+        for j in range(i - 1, -1, -1):
+            F, y = factors[j], {}
+            for p, q, _ in plan[j][1]:
+                if q in x:
+                    y[p] = _plus(y.get(p), _times(F[p, q], x[q]))
+            x = y
+        for p, e in x.items():
+            out[p, i] = e
         if i < r - 1:
-            F = exp_ad_basis(alg, idx - 1, minus_v[..., i])
-            P = F if i == 0 else P @ F
-    return M
+            factors.append(_factor(*plan[i], minus_v[..., i]))
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def span_is_subalgebra(alg: LieAlgebra, span) -> dict:

@@ -100,11 +100,15 @@ def _coords(x):
 
 def _stacked(x, rows):
     """The (..., r, d) stacked field at the (..., d) states x, from its r rows
-    of d entries, each a number or a (...) array over the states."""
+    of d entries, each a number or a (...) array over the states: the
+    numbers are written in one pass as an (r, d) template, and then each
+    array over its entry."""
     out = np.empty(np.shape(x)[:-1] + (len(rows), len(rows[0])))
+    out[...] = [[e if type(e) is float else 0.0 for e in row] for row in rows]
     for a, row in enumerate(rows):
         for i, entry in enumerate(row):
-            out[..., a, i] = entry
+            if type(entry) is not float:
+                out[..., a, i] = entry
     return out
 
 

@@ -232,7 +232,8 @@ def exp_algebra(chart: GroupChart, xi) -> np.ndarray:
 def exp_rep(chart: GroupChart, index: int, s) -> np.ndarray:
     """exp(s R_index) for an array of s, (..., n, n), where R_index is the
     chart's representation of a_index: the matrix's `ExpRule`, cached on the
-    chart, so closed form wherever R_index^3 = c R_index."""
+    chart, so closed form wherever R_index is nilpotent or
+    R_index^3 = c R_index."""
     rule = chart._exp_rules.get(index)
     if rule is None:
         rule = chart._exp_rules[index] = ExpRule(chart.algebra_rep[index])

@@ -428,16 +428,19 @@ def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-# The small-stack kernels below work on a (r, r, ...) copy of a (..., r, r)
+# The small-stack kernels below work on a (r, r, ...) layout of a (..., r, r)
 # stack, entry (i, j) of every matrix one contiguous array: each step is then
 # one vectorized pass, where numpy's reductions over a 3-long last axis are
 # several times slower.  Forward substitution and the adjugate go entry by
 # entry, with no BLAS call, and LAPACK inverts or solves each matrix on its
-# own, so a batch gives its stacked single-matrix results bit for bit.
+# own, so a batch gives its stacked single-matrix results bit for bit.  The
+# kernels only read that layout, so a stack already held entries first (as
+# `algebra.wn_matrix` returns M(v)) is used as it is, not copied.
 
 def _entries(M):
     n = M.ndim
-    return M.transpose((n - 2, n - 1, *range(n - 2))).copy()
+    S = M.transpose((n - 2, n - 1, *range(n - 2)))
+    return S if S.flags.c_contiguous else S.copy()
 
 
 def _norm1(S):

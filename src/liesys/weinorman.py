@@ -7,13 +7,15 @@ exponents satisfy  M(v) dv/dt = b(t)  with  v(0) = 0, where column i of
 M(v) is (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i}.
 
 The exponents integrate by quadrature sweeps.  A sweep takes the integral
-of the rates dv/dt = f(v) = M(v)^-1 b at given exponents: one batched M(v)
-over the nodes, one stacked solve and one cumulative Simpson.  The rates
-often depend on few exponents.  When they fall into dependency levels, the
-first depending on no exponent and each later one only on earlier levels,
-one sweep per level solves the system (a solvable algebra with a suitable
-ordering: Wei & Norman, J. Math. Phys. 4 (1963) 575; Proc. AMS 15 (1964)
-327).  The levels are probed once per algebra and ordering.  This
+of the rates dv/dt = f(v) = M(v)^-1 b at given exponents: one M(v) per node
+from one `wn_matrix` call (elementwise over the nodes, from the nonzero
+entries of the factors' closed forms), one stacked solve and one
+cumulative Simpson.  The rates often depend on few exponents.  When they
+fall into dependency levels, the first depending on no exponent and each
+later one only on earlier levels, one sweep per level solves the system
+(a solvable algebra with a suitable ordering: Wei & Norman, J. Math. Phys.
+4 (1963) 575; Proc. AMS 15 (1964) 327).  The levels are probed once per
+algebra and ordering.  This
 reproduces the closed forms of the cataloged systems: the nilpotent
 triangular orderings and SE(2), whose angle comes first.
 
@@ -250,11 +252,11 @@ def _reject_non_finite(x, what, nodes):
 
 def _sweep(alg: LieAlgebra, ordering, v, b, grid: TimeGrid, cols, guarded):
     """The integral over `grid` of the rates M(v)^-1 b of the exponents
-    `cols`, 0 at the first node: one batched M(v), one stacked solve and one
-    cumulative quadrature.  v is one exponent vector or one per node of the
-    grid; b has one row per node.  A guarded solve is `linsolve`'s; an
-    unguarded one is `stack_solve`'s, where a singular matrix gives
-    non-finite rates from its node on instead of an error."""
+    `cols`, 0 at the first node: one `wn_matrix` call over the nodes, one
+    stacked solve and one cumulative quadrature.  v is one exponent vector
+    or one per node of the grid; b has one row per node.  A guarded solve
+    is `linsolve`'s; an unguarded one is `stack_solve`'s, where a singular
+    matrix gives non-finite rates from its node on instead of an error."""
     M = wn_matrix(alg, ordering, v)
     f = linsolve(M, b, _BREAKDOWN_COND) if guarded else stack_solve(M, b)
     return cumulative_quadrature_samples(f[:, cols], grid)
@@ -321,9 +323,9 @@ def _wn_solve_rk4(problem: WNProblem, v0, grid: TimeGrid) -> Trajectory:
 def wn_solve(problem: WNProblem) -> Trajectory:
     """Integrate the Wei-Norman system with v(t0) = 0.
 
-    The exponents integrate by quadrature sweeps, each one batched M(v)
-    over the nodes, one stacked solve and one cumulative quadrature.  When
-    the rates of the ordering have dependency levels (probed once per
+    The exponents integrate by quadrature sweeps, each one `wn_matrix`
+    call over the nodes, one stacked solve and one cumulative quadrature.
+    When the rates of the ordering have dependency levels (probed once per
     algebra and ordering), one sweep per level solves them.  An ordering
     with a dependency cycle on a uniform grid of two steps or more takes
     Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b behind a sliding

@@ -185,10 +185,10 @@ def test_ad_power_cache_never_serves_another_algebra():
 EXP_ALGEBRAS = ([catalog_algebra(name) for name in catalog_names() if name not in ("gbar", "g_eps")]
                 + [catalog_algebra("g_eps", eps=e) for e in (-1, 0, 1)]
                 + [catalog_algebra("gbar", n=n) for n in (5, 7)])
-# the 1-based basis indices whose (ad a_i)^3 is no multiple of ad a_i, so
-# that exp(s ad a_i) goes through `expm`; every other one is in closed form
-EXPM_FALLBACK = {"g7": (1, 2), "g8": (1, 2), "gbar5": (1,), "gbar7": (1,),
-                  "sl3": (2,), "hsp2": (2,), "r2sl2": (2,), "r2sl2yz": (2,)}
+# the 1-based basis indices whose ad a_i is neither nilpotent nor has
+# (ad a_i)^3 a multiple of ad a_i, so that exp(s ad a_i) goes through
+# `expm`; every other one is in closed form
+EXPM_FALLBACK = {"sl3": (2,), "hsp2": (2,), "r2sl2": (2,), "r2sl2yz": (2,)}
 
 
 def long_taylor(M):
@@ -230,11 +230,13 @@ def test_closed_form_covers_the_catalog_but_the_pinned_indices():
     np.array([[0.0, 3.0], [0.0, 0.0]]),                 # c = 0, X^2 = 0
     np.diag([0.5, -0.5, 0.0]),                          # c = 1/4: projectors
     np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),   # X^3 = 0
+    np.diag([1.0, -2.0, 0.5], 1),                       # X^4 = 0, X^3 != 0
     np.diag([1.0, 2.0]),                                # expm
     # expm, with a 1-norm about 8 times its largest entry: a scaling sized
     # by the largest entry instead of a norm is 5e-6 off at s = 3
     (np.ones((8, 8)) + 0.01 * np.random.default_rng(8).standard_normal((8, 8))) / 8,
-], ids=["rotation", "square-zero", "projectors", "cube-zero", "diagonal", "dense"])
+], ids=["rotation", "square-zero", "projectors", "cube-zero", "fourth-power-zero", "diagonal",
+         "dense"])
 def test_exp_rule_batch_equals_stacked_single_calls(X):
     rule = ExpRule(X)
     s = np.linspace(-3.0, 3.0, 39).reshape(3, 1, 13)
@@ -243,6 +245,24 @@ def test_exp_rule_batch_equals_stacked_single_calls(X):
     assert np.array_equal(batch, np.stack([rule(x) for x in s.ravel()]).reshape(batch.shape))
     for x, g in zip(s.ravel(), batch.reshape((-1,) + X.shape)):
         assert np.max(np.abs(g - long_taylor(x * X))) <= 1e-14 * max(1.0, np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("name, n, indices", [
+    ("g7", None, (1, 2)), ("g8", None, (1, 2)), ("gbar", 5, (1,)), ("gbar", 10, (1,))])
+def test_nilpotent_series_matches_expm(name, n, indices):
+    # ad a_i with (ad a_i)^3 no multiple of ad a_i but (ad a_i)^p = 0: the
+    # finite series I + sX + ... + s^{p-1} X^{p-1} / (p-1)!, no expm
+    alg = catalog_algebra(name, n=n)
+    s = np.linspace(-4.0, 4.0, 33)
+    for i in indices:
+        X = ad_matrix(alg, alg.basis_vector(i - 1))
+        got = exp_ad_basis(alg, i - 1, s)
+        rule = alg._ad_exps[i - 1]
+        assert rule.closed_form and len(rule.terms) > 3
+        ref = expm(s[:, None, None] * X)
+        scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(got - ref) <= 4 * np.finfo(float).eps * scale).all()
+        assert np.array_equal(got, np.stack([exp_ad_basis(alg, i - 1, x) for x in s]))
 
 
 def test_lower_central_class():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -7,8 +10,8 @@ import pytest
 import liesys.groups as G
 import liesys.numerics as N
 import liesys.weinorman as W
-from liesys.algebra import LieAlgebra, catalog_algebra
-from liesys.catalog import get_system
+from liesys.algebra import LieAlgebra, catalog_algebra, catalog_names, exp_ad_basis
+from liesys.catalog import get_system, list_systems
 from liesys.errors import NumericsError, WNBreakdownError
 from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import (
@@ -45,6 +48,87 @@ def test_wn_matrix_se2_table_row_one():
     b = np.array([0.5, 1.1, 0.0])
     rhs = np.linalg.solve(wn_matrix(se2, (1, 2, 3), v), b)
     assert np.allclose(rhs, [0.5, 1.1 * math.cos(0.9), 1.1 * math.sin(0.9)])
+
+
+def _dense_wn_matrix(alg, ordering, v):
+    """The reference M(v): each factor's full matrix from `exp_ad_basis`,
+    their prefix products formed left to right, and column i read off the
+    product of the factors before it."""
+    r = alg.dim
+    minus_v = -np.asarray(v, dtype=float)
+    M = np.empty(minus_v.shape[:-1] + (r, r))
+    P = np.eye(r)
+    for i, idx in enumerate(ordering):
+        M[..., i] = P[..., idx - 1]
+        if i < r - 1:
+            F = exp_ad_basis(alg, idx - 1, minus_v[..., i])
+            P = F if i == 0 else P @ F
+    return M
+
+
+def _catalog_orderings():
+    """(algebra, ordering) pairs: every catalog algebra in each ordering a
+    catalog system solves it in (its natural ordering where none does), and
+    each of those reversed."""
+    entries = ([get_system(name) for name in list_systems()]
+               + [get_system("elastic_euler", eps=e) for e in (-1, 0)]
+               + [get_system(f, n=n) for f in ("chained_n", "power_n") for n in range(3, 11)])
+    algebras = ([catalog_algebra(name) for name in catalog_names() if name not in ("gbar", "g_eps")]
+                + [catalog_algebra("g_eps", eps=e) for e in (-1, 0, 1)]
+                + [catalog_algebra("gbar", n=n) for n in range(2, 11)])
+    cases = []
+    for alg in algebras:
+        natural = (tuple(range(1, alg.dim + 1)),)
+        orderings = sorted({e.ordering() for e in entries if e.algebra is alg}) or natural
+        cases += [(alg, o) for ordering in orderings for o in (ordering, ordering[::-1])]
+    return cases
+
+
+@pytest.mark.parametrize("alg, ordering", _catalog_orderings(), ids=lambda x: (
+    x.name if isinstance(x, LieAlgebra) else ",".join(map(str, x))))
+def test_wn_matrix_matches_the_dense_product(alg, ordering):
+    # every leading shape of the callers: one vector, a grid of them and the
+    # dependency probe's (3, r + 1); each matrix within 4 eps of its largest
+    # entry, a batch its single calls bit for bit, and the result writable
+    r = alg.dim
+    rng = np.random.default_rng(zlib.crc32(f"{alg.name}{ordering}".encode()))
+    for shape in ((), (40,), (3, r + 1)):
+        v = rng.standard_normal(shape + (r,))
+        M = wn_matrix(alg, ordering, v)
+        ref = _dense_wn_matrix(alg, ordering, v)
+        assert M.shape == shape + (r, r) and M.flags.writeable
+        scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(M - ref) <= 4 * np.finfo(float).eps * scale).all()
+        single = [wn_matrix(alg, ordering, x) for x in v.reshape(-1, r)]
+        assert np.array_equal(M, np.reshape(single, M.shape))
+
+
+def test_no_wn_plan_is_built_at_import():
+    # the benchmark times import and catalog set-up, so plans wait for the
+    # first wn_matrix call
+    import liesys
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liesys.__file__)))
+    code = ("from liesys.algebra import _cache; "
+            "from liesys.catalog import get_system, list_systems; "
+            "[get_system(s) for s in list_systems()]; "
+            "print(len(_cache), sum(len(a._wn_plans) for a in _cache.values()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    algebras, plans = out.stdout.split()
+    assert int(algebras) > 10 and plans == "0"
+
+
+def test_wn_matrix_plans_once_per_ordering():
+    alg = LieAlgebra(catalog_algebra("so3").structure, "so3-copy")
+    assert alg._wn_plans == {}
+    wn_matrix(alg, (1, 2, 3), np.zeros(3))
+    plan = alg._wn_plans[(1, 2, 3)]
+    wn_matrix(alg, [1, 2, 3], np.ones((4, 3)))
+    assert alg._wn_plans == {(1, 2, 3): plan}
+    # the factors but the last, each with its 5 nonzero entries: the
+    # rotation's fixed 1 and the four of its plane
+    assert [len(entries) for _, entries in plan] == [5, 5]
 
 
 def test_wn_solve_zero_controls(unit_grid):
@@ -470,7 +554,9 @@ def test_breakdown_is_caught_at_the_stage_where_it_happens():
         M = wn_matrix(sl2, (1, 2, 3), v)
         if not first and not np.linalg.cond(M, 1) <= 1e10:
             first.append(t)
-        return np.linalg.solve(M, b)
+        # past the bound M(v) can be exactly singular (an entry e^{-v_2}
+        # underflows to 0), and the scan stops after this step anyway
+        return np.zeros(3) if first else np.linalg.solve(M, b)
 
     nodes, v = grid.nodes, np.zeros(3)
     with np.errstate(all="ignore"):
@@ -566,7 +652,10 @@ def test_sweep_path_guards_each_node_once_at_the_solved_exponents(monkeypatch):
     grid = TimeGrid.uniform(0.0, 1.0, 2000)
     prob = WNProblem(entry.algebra, b, grid, entry.ordering())
     v = wn_solve(prob).states
-    cond = np.linalg.cond(wn_matrix(entry.algebra, entry.ordering(), v), 1)
+    # the guard's own condition, ||M||_1 ||M^-1||_1 from the inverse it solves by
+    M = wn_matrix(entry.algebra, entry.ordering(), v)
+    S = N._entries(M)
+    cond = N._norm1(S) * N._norm1(N._inverse(M, S))
     bound = cond[1000]
     k = int(np.argmax(cond > bound))
     assert cond[k] > bound
