@@ -13,9 +13,11 @@ the same components.  A matrix group acting linearly
 or by affine maps needs no hand-written rows: its fields are read off the
 chart's representation, X_a(x) = -A_a x (`_linear_system`) or
 X_a(x) = -(L_a x + c_a) for A_a = [[L_a, c_a], [0, 0]] (`_affine_system`),
-and over a batch of states they are one GEMM (`_matrix_field`): the states
-times the r matrices stacked as r d rows, transposed, whose one-state
-result has the bits of its row in a batch.  Each action takes
+a `systems.MatrixField` that keeps the matrices -A_a: over a batch of
+states its fields are one GEMM, whose one-state result has the bits of its
+row in a batch, and `solve_direct` seeds its Picard sweeps with the
+prefix product of the RK4 step matrices they give, in homogeneous
+coordinates (x, 1) for an affine action.  Each action takes
 (..., coord_dim) chart coordinates g and one state x: canonical charts
 unpack g with `g.T`, as the chart laws do, and matrix charts reshape it into
 matrices, so a whole curve moves x in one call.
@@ -37,7 +39,7 @@ from .algebra import catalog_algebra, eps_parameter
 from .errors import UnknownNameError
 from .groups import _square, get_chart
 from .numerics import TimeGrid
-from .systems import LieSystemRealization, _homography
+from .systems import LieSystemRealization, MatrixField, _homography
 from .weinorman import ControlSignal, GroupCurve, WNProblem, wn_reconstruct, wn_solve
 
 
@@ -112,18 +114,6 @@ def _stacked(x, rows):
     return out
 
 
-def _matrix_field(mats):
-    """x -> (..., r, d) rows A_a x of the (r, d, d) matrices `mats`: one
-    GEMM of the states against the r d x d matrices stacked as r d rows."""
-    flat_t = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1]).T
-
-    def field(x):
-        x = np.asarray(x, dtype=float)
-        return (x @ flat_t).reshape(x.shape[:-1] + mats.shape[:2])
-
-    return field
-
-
 def _linear_action(g, x):
     """x -> G x: a matrix group on its defining space."""
     return _square(g) @ np.asarray(x, dtype=float)
@@ -139,7 +129,7 @@ def _linear_system(chart, name):
     """The matrix group of `chart` acting linearly on its defining space:
     the fields X_a(x) = -A_a x of its representation A_a."""
     rep = np.stack(chart.algebra_rep)
-    return LieSystemRealization(chart.algebra, rep.shape[-1], _matrix_field(-rep),
+    return LieSystemRealization(chart.algebra, rep.shape[-1], MatrixField(-rep),
                                 _linear_action, chart, name=name)
 
 
@@ -147,8 +137,7 @@ def _affine_system(chart, name):
     """The matrix group of `chart`, with representation A_a = [[L_a, c_a],
     [0, 0]], acting by affine maps: the fields X_a(x) = -(L_a x + c_a)."""
     rep = np.stack(chart.algebra_rep)
-    field, c = _matrix_field(-rep[:, :-1, :-1]), -rep[:, :-1, -1]
-    return LieSystemRealization(chart.algebra, c.shape[-1], lambda x: field(x) + c,
+    return LieSystemRealization(chart.algebra, rep.shape[-1] - 1, MatrixField(-rep, affine=True),
                                 _affine_action, chart, name=name)
 
 

@@ -17,8 +17,10 @@ evaluates its inputs itself.
 Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  Each sweep covers
 `_WINDOW` steps from the frontier, the last settled node; a remainder of
 fewer than two steps joins the window.  Its first iterate is what the last
-sweep left beyond the frontier, padded with its last row, or the constant
-frontier state after a restart.  Rows near the frontier settle first, as
+sweep left beyond the frontier, or the frontier state after a restart, and
+the window's rows beyond that come from the caller's first iterate over the
+whole grid where it has one and it is finite there, or repeat the last row
+otherwise.  Rows near the frontier settle first, as
 Picard's error at a distance t behind a settled start falls like
 (Lt)^k / k! (Miekkala & Nevanlinna, SIAM J. Sci. Stat. Comput. 8 (1987)
 459), so a sweep commits its settled prefix and the frontier slides on:
@@ -49,7 +51,12 @@ caller.  A sweep evaluates the four stages once over the whole window and
 rebuilds it as one running sum of the step increments, the loop's float
 operations in its order, so every committed row is the loop's result.  A
 failed window runs by `integrate_rk4` one state at a time, which names any
-failure as the loop does.  The right-hand side takes batches, so
+failure as the loop does.  A right-hand side linear in the state,
+x' = B(t) x, has RK4 steps that are matrices, x_{k+1} = R_k x_k, and
+`linear_rk4_states` takes their prefix product for a first iterate within
+roundoff of the loop's states: as the exact commit rule alone decides each
+committed row, the iterate changes the number of sweeps, never a bit of the
+result.  The right-hand side takes batches, so
 realizations give batched `fields` and `domain`, and reductions a batched
 `hom_rhs`; `batch_guard` checks them at construction.
 """
@@ -73,6 +80,8 @@ STEPS_PER_UNIT_TIME = 2000
 _WINDOW = 512
 _MAX_SWEEPS = 40
 _ROUNDOFF = 64 * np.finfo(float).eps
+# the steps per block of the step matrices' prefix product
+_SCAN_BLOCK = 16
 # the last update of a frontier row that no sweep has carried yet
 _UNSWEPT = np.array([np.inf])
 # a batched call must agree with the single-row calls to this relative error
@@ -297,7 +306,7 @@ def _sweep_once(sweep, a, e, X, last, exact):
     return new, update, p
 
 
-def picard_windows(sweep, x0, n, exact, stuck) -> np.ndarray:
+def picard_windows(sweep, x0, n, exact, stuck, first=None) -> np.ndarray:
     """The (n + 1, d) states of a solve from x0 over n steps by Picard
     sweeps behind a sliding frontier (see the module docstring).
 
@@ -306,7 +315,10 @@ def picard_windows(sweep, x0, n, exact, stuck) -> np.ndarray:
     with `exact`, its row j depends on the rows < j of X only.
     A failed window halves only without `exact`, and only while it is
     wider than two steps; stuck(a, e, x_a) returns the states over the
-    nodes a..e of a failed window that does not halve, or raises."""
+    nodes a..e of a failed window that does not halve, or raises.
+    `first`, (n + 1, d) states over all nodes, gives a window the rows
+    beyond its carried iterate where they are all finite; without it, or
+    where they are not, the carried iterate's last row is repeated."""
     states = np.empty((n + 1, np.size(x0)))
     states[0] = x0
     a, width, advanced, idle = 0, _WINDOW, 0, 0
@@ -315,7 +327,10 @@ def picard_windows(sweep, x0, n, exact, stuck) -> np.ndarray:
     X, last = states[:1], _UNSWEPT
     while a < n:
         e = n if n - a - width < 2 else a + width
-        X = np.concatenate([X, np.repeat(X[-1:], e - a + 1 - len(X), axis=0)])
+        fresh = None if first is None else first[a + len(X):e + 1]
+        if fresh is None or not np.isfinite(fresh).all():
+            fresh = np.repeat(X[-1:], e - a + 1 - len(X), axis=0)
+        X = np.concatenate([X, fresh])
         out = _sweep_once(sweep, a, e, X, last, exact)
         if out is not None:
             new, update, p = out
@@ -338,14 +353,17 @@ def picard_windows(sweep, x0, n, exact, stuck) -> np.ndarray:
     return states
 
 
-def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
+def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None) -> Trajectory:
     """Classical fixed-step RK4 sampled at the grid nodes, by windowed
     Picard sweeps (see the module docstring); the result is `integrate_rk4`
     on f one state at a time, to the last bit.
 
     f(t, x, u) takes (m,) times, (m, d) states and the (m, ...) rows of
     `table` at those times and returns the (m, d) derivatives; `table`
-    holds the inputs sampled at `rk4_stage_times(grid)`."""
+    holds the inputs sampled at `rk4_stage_times(grid)`.  `first`, an
+    (n + 1, d) approximation of the states such as `linear_rk4_states`
+    gives, seeds the windows' iterates (`picard_windows`): the closer it
+    is, the fewer sweeps, and any first iterate gives the same bits."""
     nodes = grid.nodes
     n = len(nodes) - 1
     if len(table) != 2 * n + 1:
@@ -372,7 +390,51 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="") -> Trajectory:
         return integrate_rk4(one, xa, TimeGrid.from_nodes(nodes[a:e + 1]),
                              table=table[2 * a:2 * e + 1]).states
 
-    return Trajectory(grid, picard_windows(sweep, x0, n, True, stuck), meta)
+    return Trajectory(grid, picard_windows(sweep, x0, n, True, stuck, first), meta)
+
+
+def linear_rk4_states(a0, ah, a1, x0) -> np.ndarray:
+    """The (n + 1, d) states of RK4 on x' = B(t) x from x0, given the
+    (n, d, d) matrices dt_k B at the stage times t_k, t_k + dt_k/2 and
+    t_{k+1} of each step.
+
+    Step k is x_{k+1} = R_k x_k with R_k = I + (D1 + 2 D2 + 2 D3 + D4) / 6,
+    D1 = dt_k B(t_k), D2 = dt_k B(t_k + dt_k/2) (I + D1 / 2),
+    D3 = dt_k B(t_k + dt_k/2) (I + D2 / 2), D4 = dt_k B(t_{k+1}) (I + D3).
+    The products R_k ... R_0 are a prefix product in log depth (Hillis &
+    Steele, Commun. ACM 29 (1986) 1170), as in `reduction.magnus_scan`:
+    within blocks of `_SCAN_BLOCK` steps, then over the blocks' totals,
+    whose products carry each block's first state.  The states round
+    otherwise than the loop's, within a few eps of them on the catalog's
+    systems; a product that overflows gives non-finite rows, not an
+    error."""
+    n, d = a0.shape[:2]
+    blocks = -(-n // _SCAN_BLOCK)
+    with np.errstate(all="ignore"):
+        d2 = ah + 0.5 * (ah @ a0)
+        d3 = ah + 0.5 * (ah @ d2)
+        d4 = a1 + a1 @ d3
+        P = np.zeros((blocks * _SCAN_BLOCK, d, d))
+        P[:n] = (a0 + 2.0 * (d2 + d3) + d4) / 6.0
+        P.reshape(len(P), -1)[:, ::d + 1] += 1.0      # the identity
+        P = P.reshape(blocks, _SCAN_BLOCK, d, d)
+        shift = 1
+        while shift < _SCAN_BLOCK:
+            P[:, shift:] = P[:, shift:] @ P[:, :-shift]
+            shift *= 2
+        total = P[:, -1].copy()
+        shift = 1
+        while shift < blocks:
+            total[shift:] = total[shift:] @ total[:-shift]
+            shift *= 2
+        starts = np.empty((blocks, d))
+        starts[0] = x0
+        starts[1:] = total[:-1] @ x0
+        states = np.empty((n + 1, d))
+        states[0] = x0
+        # a block's products stacked as one (_SCAN_BLOCK d, d) matrix
+        states[1:] = (P.reshape(blocks, -1, d) @ starts[:, :, None]).reshape(-1, d)[:n]
+    return states
 
 
 def batch_guard(fn, what, dims, avoid=()):

@@ -30,7 +30,7 @@ from hand_laws import magnus_loop
 
 GRID = TimeGrid.uniform(0.0, 1.0, 2000)
 
-# the other realizations whose fields are one GEMM (`catalog._matrix_field`):
+# the other realizations whose fields are one GEMM (`systems.MatrixField`):
 # a one-state GEMM must give the bits of its row in a 512-state one
 MATRIX_FIELD_SYSTEMS = [
     ("se3_kinematics", {}, 6, 1.0), ("quadratic_hamiltonian_classical", {}, 5, 1.0),
@@ -55,6 +55,22 @@ def counting_loop(monkeypatch):
     return starts
 
 
+def counting_sweeps(monkeypatch):
+    """Record the first node of the window of every Picard sweep."""
+    starts, once = [], N._sweep_once
+    monkeypatch.setattr(N, "_sweep_once", lambda *a: starts.append(a[1]) or once(*a))
+    return starts
+
+
+def loop_states(sysr, b, x0, grid):
+    """`solve_direct`'s result as the step-by-step loop computes it."""
+    def stage(t, x, u):
+        sysr.check_domain(t, x)
+        return u @ sysr.fields(x)
+
+    return integrate_rk4(stage, x0, grid, table=b(rk4_stage_times(grid))).states
+
+
 @pytest.mark.parametrize("name,kw,nch,amp", DIRECT_SYSTEMS,
                          ids=[n + "".join(f"{v:+d}" for v in kw.values())
                               for n, kw, _, _ in DIRECT_SYSTEMS])
@@ -72,6 +88,74 @@ def test_solve_direct_equals_the_single_state_loop(name, kw, nch, amp, monkeypat
     got = solve_direct(sysr, b, x0, GRID).states
     assert starts == []            # no window fell back to the loop
     assert np.array_equal(got, ref)
+
+
+# without a first iterate these took 41, 42, 42, 34 and 40 sweeps
+SEEDED = [("so3_kinematics", {}, 3, 1.0), ("elastic_euler", {"eps": 1}, 3, 1.0),
+          ("elastic_euler", {"eps": -1}, 3, 0.8), ("sl2_linear", {}, 3, 1.0),
+          ("se3_kinematics", {}, 6, 1.0)]
+
+
+def sweep_count(name, kw, nch, amp, monkeypatch):
+    entry = get_system(name, **kw)
+    sysr, b = entry.realization, entry.pad_controls(controls(name, nch, amp))
+    sweeps = counting_sweeps(monkeypatch)
+    solve_direct(sysr, b, np.full(sysr.state_dim, 0.1), GRID)
+    return len(sweeps)
+
+
+@pytest.mark.parametrize("name,kw,nch,amp", SEEDED,
+                         ids=[n + "".join(f"{v:+d}" for v in kw.values())
+                              for n, kw, _, _ in SEEDED])
+def test_matrix_fields_seed_the_sweeps_with_their_step_matrices(name, kw, nch, amp,
+                                                                  monkeypatch):
+    assert sweep_count(name, kw, nch, amp, monkeypatch) <= 16
+
+
+def test_hand_written_fields_start_their_windows_flat(monkeypatch):
+    assert sweep_count("brockett", {}, 2, 1.0, monkeypatch) == 12
+
+
+@pytest.mark.parametrize("wrong", ["shifted", "zero", "nan"])
+def test_the_first_iterate_changes_only_the_sweep_count(wrong, monkeypatch):
+    entry = get_system("so3_kinematics")
+    sysr, b = entry.realization, entry.pad_controls(controls("so3_kinematics", 3, 1.0))
+    table, x0 = b(rk4_stage_times(GRID)), np.full(3, 0.1)
+    first = sysr.fields.rk4_states(table, x0, GRID)
+    first = {"shifted": first + 1e-3, "zero": np.zeros_like(first),
+             "nan": np.full_like(first, np.nan)}[wrong]
+
+    def stage(t, x, u):
+        return (u[:, None, :] @ sysr.fields(x))[:, 0]
+
+    ref = loop_states(sysr, b, x0, GRID)
+    sweeps = counting_sweeps(monkeypatch)
+    flat = sweep_rk4(stage, x0, GRID, table).states
+    flat_sweeps = len(sweeps)
+    sweeps.clear()
+    starts = counting_loop(monkeypatch)
+    got = sweep_rk4(stage, x0, GRID, table, first=first).states
+    assert np.array_equal(got, ref) and np.array_equal(flat, ref)
+    if wrong == "nan":
+        # a non-finite first iterate falls back to the flat windows
+        assert starts == [] and len(sweeps) == flat_sweeps
+
+
+def test_an_overflowing_solve_raises_where_the_loop_does():
+    # at eps = -1 the control on a2 drives a hyperbolic flow: the states pass
+    # 1e308 near t = 1.76, where the step matrices' products overflow too
+    sysr = get_system("elastic_euler", eps=-1).realization
+    b, grid = ControlSignal.constant([0.0, 400.0, 0.0]), TimeGrid.uniform(0, 2, 4000)
+    x0 = [0.1, 0.2, 0.3]
+    first = sysr.fields.rk4_states(b(rk4_stage_times(grid)), x0, grid)
+    assert not np.isfinite(first[-1]).all()
+    with pytest.raises(NumericsError) as loop, np.errstate(over="ignore", invalid="ignore"):
+        loop_states(sysr, b, x0, grid)
+    with pytest.raises(NumericsError) as sweep, np.errstate(over="ignore", invalid="ignore"):
+        solve_direct(sysr, b, x0, grid)
+    assert str(sweep.value) == str(loop.value) == "non-finite RK4 step from t=1.759"
+    assert sweep.value.t == loop.value.t
+    assert np.array_equal(sweep.value.state, loop.value.state)
 
 
 @pytest.mark.parametrize("name", list_reductions())
@@ -97,8 +181,25 @@ EDGE_GRIDS = [TimeGrid.uniform(0.0, n / 2000, n) for n in (1, 2, 127, 128, 129, 
 EDGE_GRIDS.append(TimeGrid.from_nodes(np.linspace(0.0, 0.2, 301) ** 1.5))
 
 
-@pytest.mark.parametrize("grid", EDGE_GRIDS,
-                         ids=[f"n{g.n_steps}" for g in EDGE_GRIDS[:-1]] + ["nonuniform"])
+EDGE_IDS = [f"n{g.n_steps}" for g in EDGE_GRIDS[:-1]] + ["nonuniform"]
+
+
+@pytest.mark.parametrize("name", ["so3_kinematics", "se3_kinematics"])
+@pytest.mark.parametrize("grid", EDGE_GRIDS, ids=EDGE_IDS)
+def test_seeded_solves_equal_the_single_state_loop_on_every_edge_grid(grid, name, monkeypatch):
+    # the step matrices take each grid's own steps, and a last block of the
+    # prefix product shorter than the others pads with the identity
+    entry = get_system(name)
+    sysr = entry.realization
+    b = entry.pad_controls(controls(name, 6 if name == "se3_kinematics" else 3, 1.0))
+    x0 = np.full(sysr.state_dim, 0.1)
+    ref = loop_states(sysr, b, x0, grid)
+    starts = counting_loop(monkeypatch)
+    assert np.array_equal(solve_direct(sysr, b, x0, grid).states, ref)
+    assert starts == []
+
+
+@pytest.mark.parametrize("grid", EDGE_GRIDS, ids=EDGE_IDS)
 def test_riccati_solve_equals_the_single_state_loop(grid):
     c = RiccatiCoeffs(lambda t: np.sin(3 * t), lambda t: np.cos(t), lambda t: 0.8)
     got = c.solve([0.3], grid).states
