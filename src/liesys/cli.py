@@ -92,6 +92,8 @@ def cmd_simulate(args):
     grid = _parse_grid(args.grid)
     b = ControlSignal.from_spec(args.controls)
     x0 = np.array([float(v) for v in args.x0.split(",")])
+    if len(x0) != (dim := entry.realization.state_dim):
+        raise ValueError(f"--x0: {args.system} has {dim} states, got {len(x0)} values")
     traj = solve_direct(entry.realization, entry.pad_controls(b), x0, grid)
     report = {"system": args.system, "final_state": traj.states[-1].tolist()}
     if entry.realization.action is not None:

@@ -53,7 +53,8 @@ operations in its order, so every committed row is the loop's result.  A
 failed window runs by `integrate_rk4` one state at a time, which names any
 failure as the loop does.  A right-hand side linear in the state,
 x' = B(t) x, has RK4 steps that are matrices, x_{k+1} = R_k x_k, and
-`linear_rk4_states` takes their prefix product for a first iterate within
+`linear_rk4_states` multiplies them by `prefix_product`, as the Magnus
+scan of `reduction` does its group steps, for a first iterate within
 roundoff of the loop's states: as the exact commit rule alone decides each
 committed row, the iterate changes the number of sweeps, never a bit of the
 result.  The right-hand side takes batches, so
@@ -80,7 +81,7 @@ STEPS_PER_UNIT_TIME = 2000
 _WINDOW = 512
 _MAX_SWEEPS = 40
 _ROUNDOFF = 64 * np.finfo(float).eps
-# the steps per block of the step matrices' prefix product
+# the rows per block of `prefix_product`
 _SCAN_BLOCK = 16
 # the last update of a frontier row that no sweep has carried yet
 _UNSWEPT = np.array([np.inf])
@@ -224,24 +225,16 @@ def rk4_stage_times(grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def rk4_step(f, t, x, dt, rows=None):
-    """One classical RK4 step from t to t + dt.
-
-    Without `rows`, f is called as f(t, x).  With rows = (u_0, u_half, u_1),
-    the stage-table rows at t, t + dt/2 and t + dt, each stage passes its row
-    as f(t, x, u)."""
+def rk4_step(f, t, x, dt, rows):
+    """One classical RK4 step from t to t + dt.  rows = (u_0, u_half, u_1)
+    are the stage-table rows at t, t + dt/2 and t + dt, and each stage
+    passes its row as f(t, x, u)."""
     h = 0.5 * dt
-    if rows is None:
-        k1 = np.asarray(f(t, x), dtype=float)
-        k2 = np.asarray(f(t + h, x + h * k1), dtype=float)
-        k3 = np.asarray(f(t + h, x + h * k2), dtype=float)
-        k4 = np.asarray(f(t + dt, x + dt * k3), dtype=float)
-    else:
-        u0, uh, u1 = rows
-        k1 = np.asarray(f(t, x, u0), dtype=float)
-        k2 = np.asarray(f(t + h, x + h * k1, uh), dtype=float)
-        k3 = np.asarray(f(t + h, x + h * k2, uh), dtype=float)
-        k4 = np.asarray(f(t + dt, x + dt * k3, u1), dtype=float)
+    u0, uh, u1 = rows
+    k1 = np.asarray(f(t, x, u0), dtype=float)
+    k2 = np.asarray(f(t + h, x + h * k1, uh), dtype=float)
+    k3 = np.asarray(f(t + h, x + h * k2, uh), dtype=float)
+    k4 = np.asarray(f(t + dt, x + dt * k3, u1), dtype=float)
     return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -265,13 +258,14 @@ def integrate_rk4(f, x0, grid: TimeGrid, table=None) -> Trajectory:
     # a memoryview indexes to Python floats, whose arithmetic is several
     # times faster than numpy scalars', and copies no node
     times = memoryview(nodes)
-    rows = None
+    # without a table, every stage passes f a row of None that it drops
+    g, rows = (f, None) if table is not None else ((lambda t, x, u: f(t, x)), (None,) * 3)
     for k in range(len(nodes) - 1):
         t = times[k]
         dt = times[k + 1] - t
         if table is not None:
             rows = (table[2 * k], table[2 * k + 1], table[2 * k + 2])
-        step = rk4_step(f, t, x, dt, rows)
+        step = rk4_step(g, t, x, dt, rows)
         if not np.isfinite(step).all():
             raise NumericsError(f"non-finite RK4 step from t={t:.6g}", t=t, state=x)
         states[k + 1] = x = step
@@ -393,6 +387,36 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None) -> Trajectory:
     return Trajectory(grid, picard_windows(sweep, x0, n, True, stuck, first), meta)
 
 
+def prefix_product(h, compose, identity):
+    """Set h[k] = h[k] h[k-1] ... h[0] in place along the first axis, for
+    any point shape: (n, d) chart coordinates with a chart's `compose_fn`,
+    or (n, d, d) matrices with `np.matmul`.  compose(a, b) is the product
+    a b over matching leading axes, and `identity` one point.
+
+    Work-efficient and in log depth (Hillis & Steele, Commun. ACM 29 (1986)
+    1170): a scan within blocks of `_SCAN_BLOCK` rows, the last padded with
+    the identity so that the law sees only group points, then the prefix
+    product of the blocks' totals, by which each next block is multiplied.
+    A row's product tree depends on its index alone, so a prefix of h gives
+    the same rows to the last bit."""
+    n, point = len(h), h.shape[1:]
+    blocks = -(-n // _SCAN_BLOCK)
+    P = np.empty((blocks * _SCAN_BLOCK,) + point)
+    P[:n] = h
+    P[n:] = identity
+    P = P.reshape((blocks, _SCAN_BLOCK) + point)
+    shift = 1
+    while shift < _SCAN_BLOCK:
+        P[:, shift:] = compose(P[:, shift:], P[:, :-shift])
+        shift *= 2
+    if blocks > 1:
+        total = P[:-1, -1].copy()
+        prefix_product(total, compose, identity)
+        # the laws take matching batch axes, so the totals are broadcast
+        P[1:] = compose(P[1:], np.broadcast_to(total[:, None], P[1:].shape))
+    h[:] = P.reshape((-1,) + point)[:n]
+
+
 def linear_rk4_states(a0, ah, a1, x0) -> np.ndarray:
     """The (n + 1, d) states of RK4 on x' = B(t) x from x0, given the
     (n, d, d) matrices dt_k B at the stage times t_k, t_k + dt_k/2 and
@@ -401,39 +425,21 @@ def linear_rk4_states(a0, ah, a1, x0) -> np.ndarray:
     Step k is x_{k+1} = R_k x_k with R_k = I + (D1 + 2 D2 + 2 D3 + D4) / 6,
     D1 = dt_k B(t_k), D2 = dt_k B(t_k + dt_k/2) (I + D1 / 2),
     D3 = dt_k B(t_k + dt_k/2) (I + D2 / 2), D4 = dt_k B(t_{k+1}) (I + D3).
-    The products R_k ... R_0 are a prefix product in log depth (Hillis &
-    Steele, Commun. ACM 29 (1986) 1170), as in `reduction.magnus_scan`:
-    within blocks of `_SCAN_BLOCK` steps, then over the blocks' totals,
-    whose products carry each block's first state.  The states round
-    otherwise than the loop's, within a few eps of them on the catalog's
-    systems; a product that overflows gives non-finite rows, not an
-    error."""
+    The products R_k ... R_0 come from `prefix_product` and are applied to
+    x0 as one product.  The states round otherwise than the loop's, within
+    a few eps of them on the catalog's systems; a product that overflows
+    gives non-finite rows, not an error."""
     n, d = a0.shape[:2]
-    blocks = -(-n // _SCAN_BLOCK)
     with np.errstate(all="ignore"):
         d2 = ah + 0.5 * (ah @ a0)
         d3 = ah + 0.5 * (ah @ d2)
         d4 = a1 + a1 @ d3
-        P = np.zeros((blocks * _SCAN_BLOCK, d, d))
-        P[:n] = (a0 + 2.0 * (d2 + d3) + d4) / 6.0
-        P.reshape(len(P), -1)[:, ::d + 1] += 1.0      # the identity
-        P = P.reshape(blocks, _SCAN_BLOCK, d, d)
-        shift = 1
-        while shift < _SCAN_BLOCK:
-            P[:, shift:] = P[:, shift:] @ P[:, :-shift]
-            shift *= 2
-        total = P[:, -1].copy()
-        shift = 1
-        while shift < blocks:
-            total[shift:] = total[shift:] @ total[:-shift]
-            shift *= 2
-        starts = np.empty((blocks, d))
-        starts[0] = x0
-        starts[1:] = total[:-1] @ x0
+        R = (a0 + 2.0 * (d2 + d3) + d4) / 6.0
+        R.reshape(n, -1)[:, ::d + 1] += 1.0      # the identity
+        prefix_product(R, np.matmul, np.eye(d))
         states = np.empty((n + 1, d))
         states[0] = x0
-        # a block's products stacked as one (_SCAN_BLOCK d, d) matrix
-        states[1:] = (P.reshape(blocks, -1, d) @ starts[:, :, None]).reshape(-1, d)[:n]
+        states[1:] = (R.reshape(n * d, d) @ x0).reshape(n, d)
     return states
 
 

@@ -18,8 +18,8 @@ reduction takes one inverse and one conjugation per node.
 
 Right-invariant curves, dh/dt h^{-1} = A(t) with h(t0) = e, are solved by
 one fourth-order Magnus scan, `magnus_scan`: the step exponentials in the
-same blocks, multiplied together as a log-depth prefix product, one batched
-composition per block and level, so no group product runs node by node.
+same blocks, multiplied together by `numerics.prefix_product` in log depth,
+so no group product runs node by node.
 Two solves take it: the subgroup solve, and the homogeneous solve of a
 cataloged reduction whose quotient G/H is itself a cataloged group (its
 `hom_chart`; se3/r3, where G/H = SO(3)).  Every other homogeneous solve
@@ -49,6 +49,7 @@ from .numerics import (
     Trajectory,
     batch_guard,
     diff_samples4,
+    prefix_product,
     rk4_stage_times,
     sweep_rk4,
 )
@@ -134,14 +135,8 @@ def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
     Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
     the structure constants.  The exp(Omega_k) come from one `exp_algebra`
-    call per `_BLOCK` steps, which bounds its temporaries.
-
-    The products h_{k+1} = exp(Omega_k) ... exp(Omega_0) are a prefix
-    product, taken in log depth (Hillis & Steele, Commun. ACM 29 (1986)
-    1170): at shift = 1, 2, 4, ... node k becomes h_k h_{k-shift}.  Each
-    level runs over `_BLOCK`-node slices from the top down, so every read
-    is still the previous level's value; the product tree depends on the
-    node index alone, so the result does not depend on `_BLOCK`.
+    call per `_BLOCK` steps, which bounds its temporaries, and their
+    products h_{k+1} = exp(Omega_k) ... exp(Omega_0) from `prefix_product`.
     """
     n = len(A)
     omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
@@ -150,12 +145,7 @@ def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
     h[0] = chart.identity_coords
     for start in range(0, n - 1, _BLOCK):
         h[start + 1:start + 1 + _BLOCK] = exp_algebra(chart, omega[start:start + _BLOCK])
-    shift = 1
-    while shift < n:
-        for stop in range(n, shift, -_BLOCK):
-            start = max(shift, stop - _BLOCK)
-            h[start:stop] = chart.compose_fn(h[start:stop], h[start - shift:stop - shift])
-        shift *= 2
+    prefix_product(h[1:], chart.compose_fn, chart.identity_coords)
     return h
 
 

@@ -21,8 +21,9 @@ matrix product A M A^-1 + dA/dt A^-1.
 Also kept here as independent references: the tangent map of a
 right-invariant system (`right_invariant_derivative`), which drives the RK4
 subgroup loop the Magnus solve is checked against, the step-by-step
-fourth-order Magnus loop (`magnus_loop`), which the log-depth scan of
-`liesys.reduction.magnus_scan` reorders, a single-matrix Taylor exponential
+fourth-order Magnus loop (`magnus_loop`), whose products
+`liesys.reduction.magnus_scan` reorders into the log-depth
+`liesys.numerics.prefix_product`, a single-matrix Taylor exponential
 (`_expm_taylor`), and the signature functions Ceps, Seps of the epsilon
 family.
 

@@ -153,6 +153,17 @@ def test_wrong_channel_count_exit_2(capsys):
         assert f"({driven})" in body["message"] and f"({r})" in body["message"]
 
 
+def test_wrong_x0_length_exit_2(capsys):
+    for x0 in ("0.1,0.2", "0.1,0.2,0.3,0.4"):
+        code, stdout, stderr = run_cli(capsys, "simulate", "--system", "so3_kinematics",
+                                       "--controls", "const:1", "--grid", "0,1,10", "--x0", x0)
+        assert code == 2 and stdout == ""
+        body = json.loads(stderr)
+        assert body["code"] == "parse"
+        assert body["message"] == (f"--x0: so3_kinematics has 3 states, "
+                                   f"got {x0.count(',') + 1} values")
+
+
 def test_bad_quantum_parameters_and_unknown_suite_exit_2(capsys):
     xgrid = "--xgrid=-1,1,50"
     for argv, words in (

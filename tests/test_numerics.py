@@ -12,6 +12,7 @@ import liesys.numerics as N
 from liesys.algebra import wn_matrix
 from liesys.catalog import get_system
 from liesys.errors import NumericsError, SingularMatrixError
+from liesys.groups import exp_algebra, get_chart
 from liesys.numerics import (
     TimeGrid,
     Trajectory,
@@ -489,3 +490,53 @@ def test_diff_samples_needs_three_samples():
     assert diff_samples(np.zeros((3, 2)), 0.1).shape == (3, 2)
     with pytest.raises(NumericsError, match="3 samples"):
         diff_samples(np.zeros((2, 2)), 0.1)
+
+
+# the charts of every compose law kind (matrix, quaternion, BCH, SE(2)'s
+# closed form) and raw matrices: (label, compose, identity, sample(rng, n))
+def _chart_law(group, kind):
+    chart = get_chart(group, kind)
+    return (f"{group}/{kind}", chart.compose_fn, chart.identity_coords,
+            lambda rng, n: exp_algebra(chart, 0.1 * rng.standard_normal((n, chart.algebra.dim))))
+
+
+PRODUCT_LAWS = [
+    _chart_law("SO3", "matrix"),
+    _chart_law("SE3", "matrix"),
+    _chart_law("Geps(+1)", "quaternion"),
+    _chart_law("H3", "canonical_first"),
+    _chart_law("SE2", "canonical_second"),
+    ("matmul 3x3", np.matmul, np.eye(3),
+     lambda rng, n: np.eye(3) + 0.01 * rng.standard_normal((n, 3, 3))),
+]
+PRODUCT_SIZES = [1, 2, 15, 16, 17, 31, 33, 2001]
+
+
+@pytest.fixture(scope="module", params=PRODUCT_LAWS, ids=[law[0] for law in PRODUCT_LAWS])
+def product_law(request):
+    """A law, 2001 points and their sequential products h_k (h_{k-1} (...))."""
+    _, compose, identity, sample = request.param
+    h = sample(np.random.default_rng(30), max(PRODUCT_SIZES))
+    seq = h.copy()
+    for k in range(1, len(h)):
+        seq[k] = compose(h[k], seq[k - 1])
+    return compose, identity, h, seq
+
+
+@pytest.mark.parametrize("n", PRODUCT_SIZES)
+def test_prefix_product_is_the_sequential_product(product_law, n):
+    compose, identity, h, seq = product_law
+    got = h[:n].copy()
+    N.prefix_product(got, compose, identity)
+    scale = max(1.0, float(np.max(np.abs(seq[:n]))))
+    assert np.max(np.abs(got - seq[:n])) <= 1e-13 * scale
+
+
+def test_a_prefix_of_the_points_gives_the_same_rows_bit_for_bit(product_law):
+    compose, identity, h, _ = product_law
+    full = h.copy()
+    N.prefix_product(full, compose, identity)
+    for m in (1, 2, 15, 16, 17, 31, 33, 272, 500, 2000):
+        part = h[:m].copy()
+        N.prefix_product(part, compose, identity)
+        assert part.tobytes() == full[:m].tobytes(), m
