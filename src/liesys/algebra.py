@@ -37,13 +37,13 @@ class LieAlgebra:
     name: str = ""
     dim: int = field(init=False)
     nilpotency_class: int | None = field(default=None, init=False)
-    # exp(s ad a_i) rules per basis index, filled by exp_ad_basis; held on
-    # the instance so no other algebra can ever read them
+    # exp(s ad a_i) rules per basis index, filled by _ad_rule; held on the
+    # instance so no other algebra can ever read them
     _ad_exps: dict = field(default_factory=dict, init=False, repr=False)
     # Wei-Norman dependency levels per factor ordering, filled by
     # weinorman._dependency_levels
     _wn_levels: dict = field(default_factory=dict, init=False, repr=False)
-    # Wei-Norman M(v) plans per factor ordering, filled by _wn_plan
+    # exp(ad) factor-chain plans per ordering, filled by _wn_plan
     _wn_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -300,16 +300,16 @@ def exp_ad(alg: LieAlgebra, a, s: float = 1.0) -> np.ndarray:
 
 
 def _wn_plan(alg: LieAlgebra, ordering: tuple) -> tuple:
-    """For each factor exp(s ad a_{s_j}) of M(v) but the last, its `ExpRule`
-    and its structurally nonzero entries, row by row: (p, q, ((k, T_k[p, q]),
+    """For each factor exp(s ad a_{s_j}) of the ordering, its `ExpRule` and
+    its structurally nonzero entries, row by row: (p, q, ((k, T_k[p, q]),
     ...)) over the closed form's terms T_k that are nonzero there.  A factor
-    with no closed form lists every entry, with no terms.  Cached on the
-    algebra per ordering."""
+    with no closed form lists every entry, with no terms.  Built on the first
+    `_exp_ad_chain` call per ordering and cached on the algebra."""
     plan = alg._wn_plans.get(ordering)
     if plan is not None:
         return plan
     r, plan = alg.dim, []
-    for idx in ordering[:-1]:
+    for idx in ordering:
         rule = _ad_rule(alg, idx - 1)
         if not rule.closed_form:
             plan.append((rule, tuple((p, q, ()) for p in range(r) for q in range(r))))
@@ -356,40 +356,46 @@ def _factor(rule, entries, s) -> dict:
     return out
 
 
-def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
-    """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i};
-    a (..., r) array of v gives one matrix per vector.
+def _exp_ad_chain(alg: LieAlgebra, ordering: tuple, s, columns) -> np.ndarray:
+    """The vectors F_1(F_2(... F_n a_k)) for the (k, n) pairs of `columns`
+    (k a 0-based basis index, n a count of leading factors), with
+    F_j = exp(s_j ad a_{ordering_j}), as the columns of (..., r, len(columns))
+    matrices; a (..., r) array of s gives one matrix per vector.
 
-    Each factor F_j = exp(-v_j ad a_{s_j}) is the closed form of its
-    `ExpRule`, T_0 + f_1 T_1 + ..., whose constant terms have few nonzero
-    entries (at most 8 on the catalog algebras), or `expm`'s matrix where
-    there is none.  The first call per ordering plans those entries
-    (`_wn_plan`, cached on the algebra).  Each factor's entries are formed
-    once, and column i right to left, F_1(F_2(... F_{i-1} a_{s_i})), over the
-    nonzeros only.  Every step is an elementwise pass over the vectors, so a
-    batch equals its single-vector calls bit for bit.  The matrices are
-    written entries first, (r, r, ...), and returned as a writable
-    (..., r, r) view of that buffer, which `numerics.linsolve` reads as it
-    is."""
-    r = alg.dim
-    ordering = tuple(int(i) for i in ordering)
+    Each factor is the closed form of its `ExpRule`, T_0 + f_1 T_1 + ...,
+    whose constant terms have few nonzero entries (at most 8 on the catalog
+    algebras), or `expm`'s matrix where there is none.  The first call per
+    ordering plans those entries (`_wn_plan`).  Each factor's entries are
+    formed once, and every column is applied right to left over the nonzeros
+    only.  Every step is an elementwise pass over the vectors, so a batch
+    equals its single-vector calls bit for bit.  The matrices are written
+    entries first, (r, len(columns), ...), and returned as a writable
+    (..., r, len(columns)) view of that buffer, which `numerics.linsolve`
+    reads as it is."""
     plan = _wn_plan(alg, ordering)
-    minus_v = -np.asarray(v, dtype=float)
-    out = np.zeros((r, r) + minus_v.shape[:-1])
-    factors = []
-    for i, idx in enumerate(ordering):
-        x = {idx - 1: 1.0}
-        for j in range(i - 1, -1, -1):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros((alg.dim, len(columns)) + s.shape[:-1])
+    factors = [_factor(*plan[j], s[..., j]) for j in range(max(n for _, n in columns))]
+    for c, (k, n) in enumerate(columns):
+        x = {k: 1.0}
+        for j in range(n - 1, -1, -1):
             F, y = factors[j], {}
             for p, q, _ in plan[j][1]:
                 if q in x:
                     y[p] = _plus(y.get(p), _times(F[p, q], x[q]))
             x = y
         for p, e in x.items():
-            out[p, i] = e
-        if i < r - 1:
-            factors.append(_factor(*plan[i], minus_v[..., i]))
+            out[p, c] = e
     return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def wn_matrix(alg: LieAlgebra, ordering, v) -> np.ndarray:
+    """Matrix M(v) with column i = (prod_{j<i} exp(-v_j ad a_{s_j})) a_{s_i};
+    a (..., r) array of v gives one matrix per vector, by `_exp_ad_chain` at
+    s = -v."""
+    ordering = tuple(int(i) for i in ordering)
+    return _exp_ad_chain(alg, ordering, -np.asarray(v, dtype=float),
+                         [(idx - 1, i) for i, idx in enumerate(ordering)])
 
 
 def span_is_subalgebra(alg: LieAlgebra, span) -> dict:

@@ -20,11 +20,13 @@ against one constraint per kind of matrix group: orthogonal (SO3), rigid
 motion (SE2, SE3) or unimodular (SL2, SL3).
 
 Adjoints and log-derivatives follow from the chart kind alone (`_adjoint`,
-`_trivialize`): products of exp(ad) factors and the Wei-Norman matrix for
-second-kind charts, the exp(ad) and dexp series for first-kind charts, and
-a projector onto the algebra representation for matrix and quaternion
-charts, whose coordinates map to matrices linearly; on these the
-reduction's Ad(g^{-1}) b + g^{-1} dg (`_pull_back`) is one conjugation.
+`_trivialize`): one chain of exp(ad) factors for second-kind charts
+(`algebra._exp_ad_chain`: all r factors on each basis vector for Ad, the
+Wei-Norman matrix for the log-derivatives), the exp(ad) and dexp series for
+first-kind charts, and a projector onto the algebra representation for
+matrix and quaternion charts, whose coordinates map to matrices linearly;
+on these the reduction's Ad(g^{-1}) b + g^{-1} dg (`_pull_back`) is one
+conjugation.
 
 One exponential map, `exp_algebra`, takes algebra vectors to chart
 coordinates, with one rule per chart kind; the Magnus steps of the subgroup
@@ -53,9 +55,9 @@ from .algebra import (
     ExpRule,
     LieAlgebra,
     _ad_series,
+    _exp_ad_chain,
     catalog_algebra,
     eps_parameter,
-    exp_ad_basis,
     expm,
     wn_matrix,
 )
@@ -268,7 +270,8 @@ def _adjoint(chart: GroupChart, g) -> np.ndarray:
     per chart kind, as `_trivialize` has.
 
     canonical_second: g = prod_i exp(g_i a_{s_i}), so Ad(g) is the product
-    of the factors exp(g_i ad a_{s_i}).
+    of the factors exp(g_i ad a_{s_i}), column k the chain of all r factors
+    applied to a_k (`algebra._exp_ad_chain`, as the Wei-Norman matrix is).
     canonical_first: g = exp(x), so Ad(g) = exp(ad_x), a finite sum on the
     nilpotent algebras these charts live on.
     matrix, quaternion: column i holds the algebra coordinates of
@@ -276,10 +279,7 @@ def _adjoint(chart: GroupChart, g) -> np.ndarray:
     """
     alg = chart.algebra
     if chart.chart_kind == "canonical_second":
-        out = np.eye(alg.dim)
-        for pos, idx in enumerate(chart.ordering):
-            out = out @ exp_ad_basis(alg, idx - 1, g[..., pos])
-        return out
+        return _exp_ad_chain(alg, chart.ordering, g, [(k, alg.dim) for k in range(alg.dim)])
     if chart.chart_kind == "canonical_first":
         return _ad_series(alg, g, 0)
     G = chart.to_matrix_fn(g)[..., None, :, :]

@@ -65,7 +65,6 @@ realizations give batched `fields` and `domain`, and reductions a batched
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +181,6 @@ class Trajectory:
         header = "t," + ",".join(f"x{i+1}" for i in range(self.dim))
         data = np.column_stack([self.grid.nodes, self.states])
         np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-    def to_json(self, path):
-        payload = {
-            "t": self.grid.nodes.tolist(),
-            "states": self.states.tolist(),
-            "meta": self.meta,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
 
     @classmethod
     def from_csv(cls, path):

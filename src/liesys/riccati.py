@@ -143,12 +143,6 @@ class SL2Curve:
     def identity(cls):
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    @classmethod
-    def shift_by_solution(cls, x1):
-        """A = ((1, -x1), (0, 1)): subtracting a known solution kills a0."""
-        x1 = _as_callable(x1)
-        return cls(1.0, lambda t: -x1(t), 0.0, 1.0)
-
 
 def transform_coeffs(A: SL2Curve, c: RiccatiCoeffs) -> RiccatiCoeffs:
     """The gauge law M -> A M A^-1 + dA/dt A^-1 on the sl(2) matrix

@@ -111,8 +111,8 @@ class ControlSignal:
     Called on a scalar time it returns the (r,) vector b(t).  Called on a
     1-D array of m times it returns the (m, r) array whose row j is b(t[j]),
     calling each channel once on the whole array; the channels the
-    constructors here build (constant, sampled, piecewise constant, parsed
-    specs, padding zeros) all take arrays.  Each array result is checked
+    constructors here build (constant, sampled, parsed specs, padding
+    zeros) all take arrays.  Each array result is checked
     against scalar calls at the first and last time (`_channel_on_times`),
     and a channel whose array result is not the per-time one, such as a
     scalar-only callable, is called once per time instead.
@@ -126,11 +126,6 @@ class ControlSignal:
         return cls([(lambda t, v=float(v): v) for v in values])
 
     @classmethod
-    def from_callable(cls, fn, r):
-        """Wrap a single callable t -> vector of length r."""
-        return cls([(lambda t, i=i: np.asarray(fn(t), dtype=float)[i]) for i in range(r)])
-
-    @classmethod
     def sampled(cls, grid: TimeGrid, values):
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] != len(grid.nodes):
@@ -140,17 +135,6 @@ class ControlSignal:
         def make(i):
             col = values[:, i:i + 1]
             return lambda t: interp_columns(t, nodes, col)[..., 0]
-
-        return cls([make(i) for i in range(values.shape[1])])
-
-    @classmethod
-    def piecewise_constant(cls, breakpoints, values):
-        bp = np.asarray(breakpoints, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-
-        def make(i):
-            col = values[:, i]
-            return lambda t: col[np.minimum(np.searchsorted(bp, t, side="right"), len(col) - 1)]
 
         return cls([make(i) for i in range(values.shape[1])])
 

@@ -43,16 +43,6 @@ def test_sampled_at_nodes_between_and_beyond_both_ends():
                            rtol=0, atol=1e-15)
 
 
-def test_piecewise_constant_at_and_between_breakpoints():
-    bp = np.array([0.2, 0.5, 0.9])
-    values = np.array([[1.0, -1.0], [2.0, -2.0], [3.0, -3.0], [4.0, -4.0]])
-    b = ControlSignal.piecewise_constant(bp, values)
-    times = np.concatenate([bp, bp - 1e-12, bp + 1e-12, [-1.0, 0.0, 0.7, 2.0]])
-    assert_rows_match(b, times)
-    # a breakpoint opens the next piece
-    assert np.all(b(bp)[:, 0] == [2.0, 3.0, 4.0])
-
-
 def test_array_callables_are_called_once_on_the_array():
     b = smooth_controls(3, seed=4)
     assert_rows_match(b, TIMES, tol=1e-15)
@@ -96,12 +86,6 @@ def test_wrong_array_result_never_passes():
     assert_rows_match(wrong, TIMES)
     # one value per call instead of one per time
     assert_rows_match(ControlSignal([lambda t: np.mean(t)]), TIMES)
-
-
-def test_from_callable_takes_arrays():
-    fn = lambda t: np.array([np.sin(t), 2.0 * t, np.ones_like(t)])  # noqa: E731
-    b = ControlSignal.from_callable(fn, 3)
-    assert_rows_match(b, TIMES)
 
 
 @pytest.mark.parametrize("make", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import liesys.groups as G
-from liesys.algebra import catalog_algebra, exp_ad
+from liesys.algebra import catalog_algebra, exp_ad, exp_ad_basis
 from liesys.errors import ChartError
 from hand_laws import ADJOINTS
 
@@ -125,6 +125,30 @@ def test_adjoint_matches_closed_form_fixture(key):
     expected = ADJOINTS[key](g)
     gap = np.abs(G._adjoint(ch, g) - expected).max(axis=(-2, -1))
     assert np.max(gap / np.abs(expected).max(axis=(-2, -1))) <= 1e-11
+
+
+def _dense_adjoint(chart, g):
+    """The reference Ad(g) on a second-kind chart: the full factor matrices
+    exp(g_i ad a_{s_i}) from `exp_ad_basis`, multiplied left to right."""
+    out = np.eye(chart.algebra.dim)
+    for pos, idx in enumerate(chart.ordering):
+        out = out @ exp_ad_basis(chart.algebra, idx - 1, g[..., pos])
+    return out
+
+
+@pytest.mark.parametrize("key", [k for k in ALL_KEYS if k[1] == "canonical_second"], ids=str)
+def test_second_kind_adjoint_matches_the_dense_product(key):
+    # one point and a batch of 400 points exp(xi) with |xi_i| <= 3: each
+    # matrix within 4 eps of its largest entry, the batch its single calls
+    # bit for bit
+    ch = G._CHARTS[key]
+    rng = np.random.default_rng(zlib.crc32(str(key).encode()))
+    g = G.exp_algebra(ch, rng.uniform(-3, 3, (400, ch.algebra.dim)))
+    for points in (g[0], g):
+        ad, ref = G._adjoint(ch, points), _dense_adjoint(ch, points)
+        scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(ad - ref) <= 4 * np.finfo(float).eps * scale).all()
+    assert np.array_equal(G._adjoint(ch, g), [G._adjoint(ch, x) for x in g])
 
 
 # --- exponentials ---------------------------------------------------------------

@@ -402,19 +402,6 @@ def test_diff_samples_quadratic_exact():
     assert np.max(np.abs(d - 2 * t)) < 1e-12
 
 
-def test_trajectory_json_roundtrip(tmp_path):
-    import json
-
-    grid = TimeGrid.uniform(0, 1, 5)
-    traj = Trajectory(grid, np.column_stack([grid.nodes, -grid.nodes]), meta="demo")
-    path = tmp_path / "t.json"
-    traj.to_json(path)
-    payload = json.loads(path.read_text())
-    assert payload["meta"] == "demo"
-    assert np.allclose(payload["t"], grid.nodes)
-    assert np.allclose(payload["states"], traj.states)
-
-
 @pytest.mark.parametrize("t0,t1,n", [(0.0, 1.0, 2000), (0.0, 1.0, 4000), (-0.3, 2.7, 7)])
 def test_grid_nodes_are_linspace_and_read_only(t0, t1, n):
     grid = TimeGrid.uniform(t0, t1, n)

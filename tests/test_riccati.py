@@ -132,7 +132,8 @@ def test_shift_by_solution_kills_a0(unit_grid):
     x = c.solve(0.1, unit_grid)
     nodes = unit_grid.nodes
     x1 = lambda t: float(np.interp(t, nodes, x.states[:, 0]))
-    out = transform_coeffs(SL2Curve.shift_by_solution(x1), c)
+    # A = ((1, -x1), (0, 1)): subtracting a known solution kills a0
+    out = transform_coeffs(SL2Curve(1.0, lambda t: -x1(t), 0.0, 1.0), c)
     assert max(abs(out.a0(t)) for t in np.linspace(0.05, 0.95, 9)) < 1e-5
     # and a1 becomes 2 x1 a2 + a1
     for t in (0.3, 0.6):

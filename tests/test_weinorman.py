@@ -126,9 +126,9 @@ def test_wn_matrix_plans_once_per_ordering():
     plan = alg._wn_plans[(1, 2, 3)]
     wn_matrix(alg, [1, 2, 3], np.ones((4, 3)))
     assert alg._wn_plans == {(1, 2, 3): plan}
-    # the factors but the last, each with its 5 nonzero entries: the
-    # rotation's fixed 1 and the four of its plane
-    assert [len(entries) for _, entries in plan] == [5, 5]
+    # every factor, each with its 5 nonzero entries: the rotation's fixed 1
+    # and the four of its plane
+    assert [len(entries) for _, entries in plan] == [5, 5, 5]
 
 
 def test_wn_solve_zero_controls(unit_grid):
