@@ -10,6 +10,7 @@ antisymmetry and Jacobi hold exactly in double precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -261,6 +262,80 @@ class ExpRule:
         for f, T in zip(self.coefficients(s), self.terms[1:]):
             out = out + f * T
         return out
+
+
+def _sinhc(x):
+    """sinh(x) / x, 1 at x = 0."""
+    zero = x == 0.0
+    return np.where(zero, 1.0, np.sinh(x) / np.where(zero, 1.0, x))
+
+
+def _cubic_coefficients(q) -> tuple:
+    """(f_1, f_2) with exp X = I + f_1 X + f_2 X^2 wherever X^3 = qX, for an
+    array of q: f_1 = sin theta / theta and f_2 = 2 sin^2(theta/2) / theta^2
+    at q = -theta^2 <= 0, and the sinh forms at q = theta^2 > 0.  `np.sinc`
+    and `_sinhc` keep both stable near theta = 0, where f_1 = 1, f_2 = 1/2."""
+    theta = np.sqrt(np.abs(q))
+    hyp = q > 0.0
+    rot, h = np.where(hyp, 0.0, theta / np.pi), np.where(hyp, theta, 0.0)
+    half = np.where(hyp, _sinhc(0.5 * h), np.sinc(0.5 * rot))
+    # the square is a product: a numpy scalar's ** 2 can round 1 ulp away
+    # from the array square, and a batch must equal single calls
+    return np.where(hyp, _sinhc(h), np.sinc(rot)), 0.5 * (half * half)
+
+
+class SpanExpRule:
+    """exp X(xi) for X(xi) = sum_i xi_i R_i in the span of fixed (n, n)
+    matrices R_i, over (..., r) arrays of xi: (..., n, n), each entry
+    computed on its own, so a batch equals its stacked single calls.
+
+    Where one quadratic form q(xi) = sum_ij Q_ij xi_i xi_j closes the cube on
+    the whole span, X(xi)^3 = q(xi) X(xi), the series closes on I, X and
+    X^2: exp X = I + f_1(q) X + f_2(q) X^2 (`_cubic_coefficients`).  Q is
+    read off the representation: Q_ii from R_i^3 = Q_ii R_i, as `ExpRule`
+    reads its c, and Q_ij from the terms in xi_i^2 xi_j,
+    R_i R_i R_j + R_i R_j R_i + R_j R_i R_i = Q_ii R_j + 2 Q_ij R_i.
+    `closed_form` says whether the identity then holds exactly in floating
+    point on the symmetrized cubic: for all i, j, k the sum over the
+    orderings of (i, j, k) of R_i R_j R_k equals that of Q_ij R_k.  When it
+    does not, exp X is `expm(X)`."""
+
+    def __init__(self, rep):
+        R = self._R = np.stack([np.asarray(M, dtype=float) for M in rep])
+        r = len(R)
+        norms = [float(np.vdot(M, M)) for M in R]
+        Q = np.empty((r, r))
+        for i in range(r):
+            Q[i, i] = float(np.vdot(R[i] @ R[i] @ R[i], R[i])) / norms[i]
+            for j in range(i + 1, r):
+                S = R[i] @ R[i] @ R[j] + R[i] @ R[j] @ R[i] + R[j] @ R[i] @ R[i]
+                Q[i, j] = Q[j, i] = float(np.vdot(S - Q[i, i] * R[j], R[i])) / (2.0 * norms[i])
+
+        def sym(T):     # the sum over the orderings of the first three axes
+            return sum(T.transpose(p + (3, 4)) for p in itertools.permutations(range(3)))
+
+        self.closed_form = bool(np.array_equal(sym(np.einsum("iab,jbc,kcd->ijkad", R, R, R)),
+                                               sym(np.einsum("ij,kad->ijkad", Q, R))))
+        self._form = [(i, j, Q[i, j] if i == j else 2.0 * Q[i, j])
+                      for i in range(r) for j in range(i, r) if Q[i, j] != 0.0]
+
+    def __call__(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        X = np.tensordot(xi, self._R, axes=1)
+        if not self.closed_form:
+            return expm(X)
+        q = np.zeros(xi.shape[:-1])
+        for i, j, c in self._form:
+            q = q + c * xi[..., i] * xi[..., j]
+        # I + f_1 X + f_2 X^2 sums terms of order e^theta at a hyperbolic
+        # theta, where exp X can be of order 1 (e^-v on Aff for v > 0): X is
+        # scaled by 2^-k into theta <= 1 and the result squared k times
+        squarings = _SQUARING_BOUNDS.searchsorted(0.5 * np.sqrt(np.maximum(q, 0.0)))
+        scale = _SQUARING_SCALES[squarings]
+        X = X * scale[..., None, None]
+        f1, f2 = _cubic_coefficients(q * scale * scale)
+        out = np.eye(X.shape[-1]) + f1[..., None, None] * X + f2[..., None, None] * (X @ X)
+        return _square(out, squarings)
 
 
 def _ad_rule(alg: LieAlgebra, index: int) -> ExpRule:

@@ -30,11 +30,11 @@ conjugation.
 
 One exponential map, `exp_algebra`, takes algebra vectors to chart
 coordinates, with one rule per chart kind; the Magnus steps of the subgroup
-solve and off-node curve evaluation go through it.  One-parameter factors
-exp(s a_i) of a basis element (`exp_basis`: `exp_chart`, the Wei-Norman
-reconstruction, `matrix_rep`) take, on a matrix representation, the
-closed-form exponential of the fixed matrix R_i (`algebra.ExpRule`), and
-`exp_algebra` otherwise.
+and homogeneous solves and off-node curve evaluation go through it.
+One-parameter factors exp(s a_i) of a basis element (`exp_basis`:
+`exp_chart`, the Wei-Norman reconstruction, `matrix_rep`) take, on a matrix
+representation, the closed-form exponential of the fixed matrix R_i
+(`algebra.ExpRule`), and `exp_algebra` otherwise.
 
 Every chart law (compose, inverse, constraint, wrap, to-matrix),
 `exp_algebra`, `_adjoint`, `_trivialize`, `_pull_back` and `bch` take
@@ -54,6 +54,7 @@ import numpy as np
 from .algebra import (
     ExpRule,
     LieAlgebra,
+    SpanExpRule,
     _ad_series,
     _exp_ad_chain,
     catalog_algebra,
@@ -142,8 +143,9 @@ class GroupChart:
     # pseudo-inverse of the stacked algebra_rep: reads algebra coordinates off
     # a matrix in the span of the representation (matrix and quaternion charts)
     rep_projector: np.ndarray | None = field(default=None, init=False, repr=False)
-    # exp(s R_i) rules per basis index of algebra_rep, filled by exp_rep; held
-    # on the instance so no other chart can ever read them
+    # exp(s R_i) rules per basis index of algebra_rep, filled by exp_rep, and
+    # under None the SpanExpRule of exp_algebra; held on the instance so no
+    # other chart can ever read them
     _exp_rules: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -210,7 +212,11 @@ def exp_algebra(chart: GroupChart, xi) -> np.ndarray:
       theta^2 = (xi_1^2 + eps (xi_2^2 + xi_3^2)) / 4, so exp(X) has
       coordinates (C(theta), S(theta)/theta xi / 2), cos/sin when theta^2 >= 0
       and cosh/sinh of |theta| otherwise;
-    - matrix: `expm` of sum xi_i a_i in the chart's representation.
+    - matrix: exp of X = sum xi_i R_i in the chart's representation by its
+      `SpanExpRule`, built on the first call and cached on the chart:
+      I + f1(q) X + f2(q) X^2 where a quadratic form q closes the cube,
+      X^3 = q X, on the whole span (all matrix charts but SE3 and SL3),
+      and `expm` otherwise.
     A one-parameter factor exp(s a_i) of a fixed basis element goes through
     `exp_basis` instead.
     """
@@ -227,8 +233,10 @@ def exp_algebra(chart: GroupChart, xi) -> np.ndarray:
         s = np.where(sq >= 0.0, np.sin(theta), np.sinh(theta))
         ratio = np.where(theta > 0.0, s / np.where(theta > 0.0, theta, 1.0), 1.0)
         return np.concatenate([c[..., None], 0.5 * ratio[..., None] * xi], axis=-1)
-    A = np.tensordot(xi, np.stack(chart.algebra_rep), axes=1)
-    return expm(A).reshape(xi.shape[:-1] + (chart.coord_dim,))
+    rule = chart._exp_rules.get(None)
+    if rule is None:
+        rule = chart._exp_rules[None] = SpanExpRule(chart.algebra_rep)
+    return rule(xi).reshape(xi.shape[:-1] + (chart.coord_dim,))
 
 
 def exp_rep(chart: GroupChart, index: int, s) -> np.ndarray:
@@ -452,6 +460,14 @@ def _rigid(c):
 def _unimodular(c):
     """|det M - 1| of (..., n*n) matrix-chart coordinates."""
     return np.abs(np.linalg.det(_square(c)) - 1.0)
+
+
+def _inverse_stays_on_chart(chart) -> bool:
+    """Whether the chart's inverse of a point that meets its constraint
+    meets it too, with nothing to wrap: the conjugate on a quaternion chart
+    and the transpose on an orthogonal or rigid matrix chart.  Any other
+    matrix chart inverts by `np.linalg.inv`."""
+    return chart.chart_kind == "quaternion" or chart.constraint_fn in (_orthogonal, _rigid)
 
 
 def _mk_matrix_chart(group, alg, rep, constraint=None):

@@ -345,9 +345,10 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None) -> Trajectory:
     f(t, x, u) takes (m,) times, (m, d) states and the (m, ...) rows of
     `table` at those times and returns the (m, d) derivatives; `table`
     holds the inputs sampled at `rk4_stage_times(grid)`.  `first`, an
-    (n + 1, d) approximation of the states such as `linear_rk4_states`
-    gives, seeds the windows' iterates (`picard_windows`): the closer it
-    is, the fewer sweeps, and any first iterate gives the same bits."""
+    (n + 1, d) approximation of the states such as `linear_rk4_states` or
+    a reduction's projected group curve gives, seeds the windows' iterates
+    (`picard_windows`): the closer it is, the fewer sweeps, and any first
+    iterate gives the same bits."""
     nodes = grid.nodes
     n = len(nodes) - 1
     if len(table) != 2 * n + 1:

@@ -23,7 +23,13 @@ so no group product runs node by node.
 Two solves take it: the subgroup solve, and the homogeneous solve of a
 cataloged reduction whose quotient G/H is itself a cataloged group (its
 `hom_chart`; se3/r3, where G/H = SO(3)).  Every other homogeneous solve
-is RK4 by `sweep_rk4` on the case's `hom_rhs`.
+is RK4 by `sweep_rk4` on the case's `hom_rhs`.  Where the case has a
+quotient map `project` (the Geps family), the scan also seeds those sweeps
+from the group: by the Lie theorem the homogeneous solution is the full
+curve g(t) acting on the initial state, so it is the projection of
+g(t) lift(z0) (Carinena, Grabowski & Marmo, Rep. Math. Phys. 60 (2007)
+237).  The sweeps' exact commit rule decides every row, so the seed
+changes only the sweep count.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .errors import LieSysError, NumericsError, UnknownNameError
 from .groups import (  # left_log_derivative stays importable from here
     GroupChart,
     _matvec,
+    _inverse_stays_on_chart,
     _on_chart,
     _pull_back,
     exp_algebra,
@@ -95,11 +102,12 @@ def reduce_to_subgroup(setup: ReductionSetup):
     next to each end), which needs a uniform grid and follows a wrapped
     angle across its cut; `_pull_back` then applies nodewise, on matrix and
     quaternion charts by the checked lift inverse and one conjugation.
-    Every lift node and its inverse is checked against the chart constraint,
-    and every node's right-hand side must lie in span(h); the off-span
-    tolerance scales with the control magnitude.  A failure names the stage,
-    the node, its time and the measured error.  Returns (coefficients,
-    report).
+    Every lift node is checked against the chart constraint, and so is its
+    inverse where `np.linalg.inv` computes it (a transpose or conjugate of a
+    checked node is on the chart already); every node's right-hand side
+    must lie in span(h); the off-span tolerance scales with the control
+    magnitude.  A failure names the stage, the node, its time and the
+    measured error.  Returns (coefficients, report).
     """
     chart = setup.chart
     nodes = setup.grid.nodes
@@ -109,10 +117,13 @@ def reduce_to_subgroup(setup: ReductionSetup):
     dg1 = setup.lift.coordinate_velocity(diff_samples4)
     coeffs = np.empty((len(nodes), S.shape[1]))
     resid = np.empty(len(nodes))
+    inverse_on_chart = _inverse_stays_on_chart(chart)
     for start in range(0, len(nodes), _BLOCK):
         sl = slice(start, start + _BLOCK)
         g1 = _on_chart(chart, setup.lift.coords[sl], "lift", nodes[sl], start)
-        g1_inv = _on_chart(chart, chart.inverse_fn(g1), "lift inverse", nodes[sl], start)
+        g1_inv = chart.inverse_fn(g1)
+        if not inverse_on_chart:
+            g1_inv = _on_chart(chart, g1_inv, "lift inverse", nodes[sl], start)
         xi = -_pull_back(chart, g1, g1_inv, b[sl], dg1[sl])
         c = -(xi @ Spinv.T)
         resid[sl] = np.max(np.abs(xi + c @ S.T), axis=-1)
@@ -218,12 +229,19 @@ class ReductionCase:
     """A cataloged reduction: homogeneous system, lift shape, span, and the
     closed-form reduced coefficients used as test fixtures.
 
-    The homogeneous system is given one of two ways, and its solve follows:
+    The homogeneous system is given one of two ways, and its solve takes
+    one of three:
     - `hom_rhs(t, y, b)` and `hom_x0`: RK4 by `sweep_rk4`.  hom_rhs takes
       (...) times, (..., hom_dim) states and (..., r) padded controls and
       returns (..., hom_dim) derivatives, where hom_dim is the length of
       `hom_x0`; it is checked once at construction by
-      `numerics.batch_guard`;
+      `numerics.batch_guard`.  The sweeps start each window flat, or,
+      where the case has `project`, from the group: `project` maps
+      (..., d) chart coordinates to (..., hom_dim) states and is the left
+      inverse of `lift_coords` modulo H, project(lift(z) h) = z, so the
+      projection of g(t) lift(hom_x0), with g(t) the full right-invariant
+      curve by `magnus_scan`, is the homogeneous solution to the scan's
+      order.  It changes the sweep count, never the states' bits;
     - `hom_chart`, when G/H is itself a cataloged group: the homogeneous
       solution is the right-invariant curve on that chart driven by the
       controls outside the span, dy/dt y^{-1} = -sum_i b_i a_i, from the
@@ -240,6 +258,7 @@ class ReductionCase:
     hom_rhs: object = None           # (t, y, padded controls at t) -> dy/dt, batched
     hom_x0: object = None
     hom_chart: GroupChart | None = None
+    project: object = None           # (..., d) chart coords -> (..., hom_dim) states
 
     def __post_init__(self):
         if self.hom_chart is None:
@@ -268,19 +287,36 @@ class ReductionCase:
         return out
 
     def pad_controls(self, b: ControlSignal) -> ControlSignal:
+        """The controls on every basis element from one channel per driven
+        index: the closed-form fixtures read those channels only, so any
+        other channel count is refused with ValueError."""
+        if b.dim != len(self.used_channels):
+            raise ValueError(
+                f"controls give {b.dim} channels; {self.name} is driven on channels "
+                f"{list(self.used_channels)} and takes one per driven index "
+                f"({len(self.used_channels)})")
         return b.pad(self.chart.algebra.dim, [i - 1 for i in self.used_channels])
 
     def solve_homogeneous(self, b: ControlSignal, grid: TimeGrid) -> Trajectory:
         """The homogeneous solution on the grid's nodes, from the padded
         controls at `rk4_stage_times`; on a `hom_chart` case the table's
-        rows ::2 and 1::2 are the scan's node and midpoint values."""
+        rows ::2 and 1::2 are the scan's node and midpoint values.  A case
+        with `project` runs the same scan on the full chart, and the
+        projection of its curve times lift(hom_x0) is the first iterate of
+        the RK4 sweeps (see the class docstring)."""
         table = self.pad_controls(b)(rk4_stage_times(grid))
-        meta = f"{self.name} homogeneous"
-        if self.hom_chart is None:
-            return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=meta)
-        A = -table[:, self.quotient_indices]
-        y = magnus_scan(self.hom_chart, A[::2], A[1::2], np.diff(grid.nodes)[:, None])
-        return Trajectory(grid, y, meta)
+        meta, dt = f"{self.name} homogeneous", np.diff(grid.nodes)[:, None]
+        if self.hom_chart is not None:
+            A = -table[:, self.quotient_indices]
+            return Trajectory(grid, magnus_scan(self.hom_chart, A[::2], A[1::2], dt), meta)
+        first = None
+        if self.project is not None:
+            # a hyperbolic drive can take the group curve past overflow while
+            # the states stay bounded; the sweeps skip a non-finite seed row
+            with np.errstate(all="ignore"):
+                g = magnus_scan(self.chart, -table[::2], -table[1::2], dt)
+                first = self.project(self.chart.compose_fn(g, self.lift_coords(self.hom_x0)))
+        return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=meta, first=first)
 
     def make_lift(self, hom: Trajectory) -> GroupCurve:
         return GroupCurve(self.chart, hom.grid, self.lift_coords(hom.states))
@@ -509,9 +545,16 @@ def _geps_case(eps):
         n = 1.0 / np.sqrt(1.0 + eps * (z1 * z1 + z2 * z2))
         return np.array([n, 0.0 * n, n * z1, n * z2]).T
 
+    def project(q):
+        # compose(lift(z), (C, S, 0, 0)) = n (C, S, z1 C + z2 S, z2 C - z1 S)
+        # for every eps, so z1 + i z2 = (q2 + i q3)(q0 + i q1) / (q0^2 + q1^2)
+        q0, q1, q2, q3 = q.T
+        r = q0 * q0 + q1 * q1
+        return np.array([(q2 * q0 - q3 * q1) / r, (q2 * q1 + q3 * q0) / r]).T
+
     return ReductionCase(
         f"geps/a1", chart, (1,), (1, 2, 3),
-        hom_rhs=hom_rhs, hom_x0=np.zeros(2), lift_coords=lift,
+        hom_rhs=hom_rhs, hom_x0=np.zeros(2), lift_coords=lift, project=project,
         expected_coeffs=_componentwise(
             lambda bv, t, z: [bv[0] - eps * (bv[2] * z[0] - bv[1] * z[1])]),
     )

@@ -153,6 +153,18 @@ def test_wrong_channel_count_exit_2(capsys):
         assert f"({driven})" in body["message"] and f"({r})" in body["message"]
 
 
+def test_reduce_refuses_controls_outside_the_driven_channels(capsys):
+    # h3/a3 is driven on a1 and a2; its fixture would read a third channel
+    # as if it were not there
+    code, stdout, stderr = run_cli(capsys, "reduce", "--reduction", "h3/a3", "--controls",
+                                   "sin:1,1,0;const:0.5;sin:0.7,2,1", "--grid", "0,1,2000")
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {
+        "code": "parse",
+        "message": "controls give 3 channels; h3/a3 is driven on channels [1, 2] and takes "
+                   "one per driven index (2)"}
+
+
 def test_wrong_x0_length_exit_2(capsys):
     for x0 in ("0.1,0.2", "0.1,0.2,0.3,0.4"):
         code, stdout, stderr = run_cli(capsys, "simulate", "--system", "so3_kinematics",

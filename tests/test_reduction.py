@@ -515,3 +515,47 @@ def test_hom_chart_with_other_brackets_is_refused():
         R.ReductionCase("se3/h3", G.get_chart("SE3", "matrix"), (4, 5, 6), (1, 2, 3, 4, 5, 6),
                         lift_coords=None, expected_coeffs=None,
                         hom_chart=G.get_chart("H3", "canonical_first"))
+
+
+@pytest.mark.parametrize("eps", [1, 0, -1])
+def test_geps_projection_inverts_the_lift_modulo_the_compact_generator(eps):
+    # project(lift(z) exp(theta a1)) = z on the lift's domain, |z| < 1 at
+    # eps = -1, and a batch equals its single calls bit for bit
+    case = catalog_reduction("geps/a1", eps=eps)
+    rng = np.random.default_rng(zlib.crc32(f"project{eps}".encode()))
+    radius = np.sqrt(rng.uniform(0.0, 0.99, 200)) * (1.0 if eps == -1 else 3.0)
+    angle = rng.uniform(-np.pi, np.pi, 200)
+    z = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    lifted = case.lift_coords(z)
+    turned = case.chart.compose_fn(lifted, G.exp_basis(case.chart, 0, rng.uniform(-7, 7, 200)))
+    for g in (lifted, turned):
+        got = case.project(g)
+        assert np.max(np.abs(got - z)) <= 1e-14
+        assert np.array_equal(got, np.stack([case.project(p) for p in g]))
+
+
+def test_lift_inverse_is_checked_only_where_it_is_inverted_numerically(monkeypatch):
+    # 2001 nodes are four blocks; SE(3)'s rigid transpose and the quaternion
+    # conjugate of a checked lift node are on the chart, SL(2)'s inverse
+    # comes from np.linalg.inv and is checked
+    stages, on_chart = [], R._on_chart
+    monkeypatch.setattr(R, "_on_chart", lambda chart, coords, stage=None, *a: (
+        stages.append(stage) or on_chart(chart, coords, stage, *a)))
+    for name, expected in (("se3/r3", ["lift"] * 4), ("su2/a1", ["lift"] * 4),
+                           ("sl2/a2a3", ["lift", "lift inverse"] * 4)):
+        case = catalog_reduction(name)
+        setup, _ = case.setup(controls_for(case, name, {}), GRID)
+        stages.clear()
+        reduce_to_subgroup(setup)
+        assert stages == expected, name
+
+
+@pytest.mark.parametrize("name", ["h3/a3", "se2/a2a3", "g7/ideal"])
+def test_controls_outside_the_driven_channels_are_refused(name):
+    # the closed-form fixtures read the driven channels only
+    case = catalog_reduction(name)
+    b = smooth_controls(case.chart.algebra.dim, seed=3)
+    with pytest.raises(ValueError, match=rf"^controls give {case.chart.algebra.dim} channels; "
+                                         rf"{name} is driven on channels \[1, 2\] and takes "
+                                         rf"one per driven index \(2\)$"):
+        case.pad_controls(b)

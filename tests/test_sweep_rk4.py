@@ -175,6 +175,52 @@ def test_homogeneous_solve_equals_the_single_state_loop(name):
     assert np.max(np.abs(got - ref)) <= (0.0 if exact else 1e-13)
 
 
+# the Geps family's homogeneous solves, seeded with the projection of the
+# group's Magnus curve: 41, 42, 36 and 37 sweeps flat, 19, 19, 17 and 15
+# seeded
+GEPS_CASES = [("su2/a1", {}), ("geps/a1", {"eps": 1}), ("geps/a1", {"eps": 0}),
+              ("geps/a1", {"eps": -1})]
+
+
+def geps_flat_solve(name, kw, monkeypatch):
+    """The case, its controls, its homogeneous states from flat windows,
+    and the list that records each sweep's first node, holding the flat
+    solve's sweeps."""
+    case = catalog_reduction(name, **kw)
+    b = controls(name + str(kw), 3, 0.8 if kw.get("eps") == -1 else 1.0)
+    sweeps = counting_sweeps(monkeypatch)
+    flat = sweep_rk4(case.hom_rhs, case.hom_x0, GRID,
+                     case.pad_controls(b)(rk4_stage_times(GRID))).states
+    return case, b, flat, sweeps
+
+
+@pytest.mark.parametrize("name,kw", GEPS_CASES, ids=["su2/a1", "geps+1", "geps+0", "geps-1"])
+def test_geps_homogeneous_solves_are_seeded_from_the_group(name, kw, monkeypatch):
+    case, b, flat, sweeps = geps_flat_solve(name, kw, monkeypatch)
+    flat_sweeps = len(sweeps)
+    sweeps.clear()
+    assert np.array_equal(case.solve_homogeneous(b, GRID).states, flat)
+    assert flat_sweeps >= 35 and len(sweeps) <= 20
+
+
+@pytest.mark.parametrize("wrong", ["shifted", "nan"])
+def test_a_wrong_group_seed_changes_only_the_sweep_count(wrong, monkeypatch):
+    case, b, flat, _ = geps_flat_solve("su2/a1", {}, monkeypatch)
+    project = case.project
+
+    def corrupt(q):
+        out = project(q)
+        if wrong == "shifted":
+            return out + 1e-3
+        out[700:900] = np.nan
+        return out
+
+    case.project = corrupt
+    starts = counting_loop(monkeypatch)
+    assert np.array_equal(case.solve_homogeneous(b, GRID).states, flat)
+    assert starts == []
+
+
 # window edges: a remainder of fewer than two steps joins the window
 EDGE_GRIDS = [TimeGrid.uniform(0.0, n / 2000, n) for n in (1, 2, 127, 128, 129, 130, 257, 511,
                                                             512, 513, 514, 1023, 1024, 1025, 2000)]
