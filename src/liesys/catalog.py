@@ -61,8 +61,11 @@ class CatalogEntry:
         return self.wn_ordering or tuple(range(1, self.algebra.dim + 1))
 
     def wn_group_curve(self, b: ControlSignal, grid: TimeGrid) -> GroupCurve:
+        """The Wei-Norman curve on the action chart, which also seeds the
+        cyclic sweeps (`wn_solve`)."""
+        chart = self.realization.action_chart
         prob = WNProblem(self.algebra, self.pad_controls(b), grid, self.ordering())
-        return wn_reconstruct(wn_solve(prob), self.ordering(), self.realization.action_chart)
+        return wn_reconstruct(wn_solve(prob, chart), self.ordering(), chart)
 
 
 _REGISTRY: dict = {}

@@ -29,8 +29,13 @@ on these the reduction's Ad(g^{-1}) b + g^{-1} dg (`_pull_back`) is one
 conjugation.
 
 One exponential map, `exp_algebra`, takes algebra vectors to chart
-coordinates, with one rule per chart kind; the Magnus steps of the subgroup
-and homogeneous solves and off-node curve evaluation go through it.
+coordinates, with one rule per chart kind; the steps of the Magnus scan
+(`magnus_scan`: the reduction's subgroup and homogeneous solves and the
+first iterate of the cyclic Wei-Norman sweeps) and off-node curve
+evaluation go through it.  Where a matrix chart's points map to
+second-kind coordinates in closed form, the map is filed next to the chart
+(`register_second_kind`: the Geps(+1), Geps(-1), SO3 and SL2 charts in the
+ordering (1, 2, 3)); it takes a Magnus curve to Wei-Norman exponents.
 One-parameter factors exp(s a_i) of a basis element (`exp_basis`:
 `exp_chart`, the Wei-Norman reconstruction, `matrix_rep`) take, on a matrix
 representation, the closed-form exponential of the fixed matrix R_i
@@ -57,16 +62,19 @@ from .algebra import (
     SpanExpRule,
     _ad_series,
     _exp_ad_chain,
+    bracket_coords,
     catalog_algebra,
     eps_parameter,
     expm,
     wn_matrix,
 )
 from .errors import ChartError, UnknownNameError
-from .numerics import central_diff
+from .numerics import central_diff, prefix_product
 
 DEFAULT_FD_STEP = 1e-5
 _CONSTRAINT_TOL = 1e-8
+# the nodes per block of a nodewise pass, which bounds its temporaries
+_BLOCK = 512
 
 
 def _wrap_angle(t):
@@ -263,6 +271,34 @@ def exp_basis(chart: GroupChart, index: int, s) -> np.ndarray:
     return exp_algebra(chart, xi)
 
 
+def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
+    """Node coordinates of R_{h^{-1}*h}(dh/dt) = A(t) with h(t0) = e, from
+    (n, r) algebra vectors A_k at the nodes, (n - 1, r) A_{k+1/2} at the
+    step midpoints, and the step dt (a scalar, or (n - 1, 1) steps).
+
+    Fourth-order Magnus: step k is h_{k+1} = exp(Omega_k) h_k with
+    Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
+    the structure constants.  The exp(Omega_k) come from one `exp_algebra`
+    call per `_BLOCK` steps, which bounds its temporaries, and their
+    products h_{k+1} = exp(Omega_k) ... exp(Omega_0) from `prefix_product`.
+
+    Two callers take it: `reduction` for its subgroup and homogeneous
+    solves and the seeds of its homogeneous RK4 sweeps, and `weinorman`
+    for the first iterate of the cyclic Wei-Norman sweeps, A = -b on the
+    action chart mapped to exponents by `second_kind_map`.
+    """
+    n = len(A)
+    omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
+             + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[1:], A[:-1]))
+    h = np.empty((n, chart.coord_dim))
+    h[0] = chart.identity_coords
+    for start in range(0, n - 1, _BLOCK):
+        h[start + 1:start + 1 + _BLOCK] = exp_algebra(chart, omega[start:start + _BLOCK])
+    prefix_product(h[1:], chart.compose_fn, chart.identity_coords)
+    return h
+
+
 def exp_chart(chart: GroupChart, index: int, s: float = 1.0) -> GroupElement:
     """exp(s a_index) in the chart (index is 0-based into the algebra basis)."""
     return GroupElement(chart, exp_basis(chart, index, s))
@@ -406,6 +442,7 @@ def _to_matrix_coords(chart):
 
 _CHARTS: dict = {}
 _CONVERSIONS: dict = {}
+_SECOND_KIND: dict = {}
 
 
 def register_chart(chart):
@@ -441,20 +478,51 @@ def chart_convert(g: GroupElement, target: GroupChart) -> GroupElement:
     return GroupElement(target, fn(g.coords))
 
 
+def register_second_kind(chart: GroupChart, ordering, fn):
+    """File fn, which takes (..., d) coordinates of `chart` to the (..., r)
+    second-kind coordinates x of the same points for `ordering`,
+    g = prod_i exp(x_i a_{s_i}), with angles unwrapped along the first axis."""
+    _SECOND_KIND[(chart.key, tuple(ordering))] = fn
+
+
+def second_kind_map(chart: GroupChart, ordering):
+    """The registered map from the chart's coordinates to second-kind
+    coordinates for `ordering` (`register_second_kind`), or None.  A
+    second-kind chart of that ordering needs none: its coordinates are
+    those."""
+    if chart.chart_kind == "canonical_second" and chart.ordering == tuple(ordering):
+        return lambda g: g
+    return _SECOND_KIND.get((chart.key, tuple(ordering)))
+
+
+def _unwrap_nodes(angle):
+    """An angle made continuous along the nodes, the first axis; a single
+    point has none."""
+    return np.unwrap(angle, axis=0) if np.ndim(angle) else angle
+
+
+def _gram_error(c, n, m):
+    """max |R^T R - I| of the leading m x m block R of (..., n*n) matrix-chart
+    coordinates: column j of R is the slice c[..., j:m*n:n], and each of the
+    m(m+1)/2 unique Gram entries is one dot product of two such slices."""
+    cols = [c[..., j:m * n:n] for j in range(m)]
+    return np.maximum.reduce([np.abs(np.einsum("...k,...k->...", cols[i], cols[j]) - (i == j))
+                              for i in range(m) for j in range(i, m)])
+
+
 def _orthogonal(c):
     """max |M^T M - I| of (..., n*n) matrix-chart coordinates."""
-    M = _square(c)
-    return np.abs(M.swapaxes(-1, -2) @ M - np.eye(M.shape[-1])).max(axis=(-2, -1))
+    n = math.isqrt(c.shape[-1])
+    return _gram_error(c, n, n)
 
 
 def _rigid(c):
     """The error of M = [[R, t], [0, 1]] with R orthogonal, for (..., n*n)
     matrix-chart coordinates: the larger of R's orthogonality error and the
     last row's distance from e_n."""
-    M = _square(c)
-    R = M[..., :-1, :-1]
-    return np.maximum(_orthogonal(R.reshape(R.shape[:-2] + (-1,))),
-                      np.abs(M[..., -1, :] - np.eye(M.shape[-1])[-1]).max(axis=-1))
+    n = math.isqrt(c.shape[-1])
+    return np.maximum(_gram_error(c, n, n - 1),
+                      np.abs(c[..., n * (n - 1):] - np.eye(n)[-1]).max(axis=-1))
 
 
 def _unimodular(c):
@@ -678,6 +746,26 @@ def _geps_rep3(eps):
     return a1, a2, a3
 
 
+def _geps_second_kind(eps):
+    """Second-kind coordinates (1, 2, 3) of the `_geps_rep3(eps)` matrix
+    chart at eps = +1 or -1: G = exp(x1 R1) exp(x2 R2) exp(x3 R3) has
+    G00 = cos x1 C(x2), G10 = -sin x1 C(x2) and, at eps = +1,
+    (G20, G21, G22) = (sin x2, -cos x2 sin x3, cos x2 cos x3); at eps = -1,
+    C = cosh, G20 = -sinh x2 and G21 = cosh x2 sinh x3."""
+    def second_kind(c):
+        G = _square(c)
+        x1 = _unwrap_nodes(np.arctan2(-G[..., 1, 0], G[..., 0, 0]))
+        if eps > 0:
+            x2 = np.arcsin(G[..., 2, 0])
+            x3 = _unwrap_nodes(np.arctan2(-G[..., 2, 1], G[..., 2, 2]))
+        else:
+            x2 = np.arcsinh(-G[..., 2, 0])
+            x3 = np.arcsinh(G[..., 2, 1] / np.cosh(x2))
+        return np.stack([x1, x2, x3], axis=-1)
+
+    return second_kind
+
+
 def _build_geps(eps):
     alg = catalog_algebra("g_eps", eps=eps)
     name = f"Geps({eps:+d})"
@@ -717,7 +805,9 @@ def _build_geps(eps):
     )
     register_chart(chart_q)
 
-    _mk_matrix_chart(name, alg, _geps_rep3(eps))
+    matrix = _mk_matrix_chart(name, alg, _geps_rep3(eps))
+    if eps:
+        register_second_kind(matrix, (1, 2, 3), _geps_second_kind(eps))
     cover = _mk_matrix_chart(name + "-cover", alg, _geps_rep4(eps), constraint=None)
 
     register_conversion(chart_q, cover, lambda g: q_to_mat4(g).reshape(-1))
@@ -744,6 +834,16 @@ def sl2_basis():
     a2 = 0.5 * np.array([[-1.0, 0.0], [0.0, 1.0]])
     a3 = np.array([[0.0, 0.0], [1.0, 0.0]])
     return a1, a2, a3
+
+
+def _sl2_second_kind(c):
+    """Second-kind coordinates (1, 2, 3) of the `sl2_basis` matrix chart:
+    exp(x1 a1) exp(x2 a2) exp(x3 a3) = [[d^-1 - x1 x3 d, -x1 d], [x3 d, d]]
+    with d = e^{x2/2}, so x1 = -G01/G11, x2 = 2 log G11 and x3 = G10/G11.
+    A point with G11 <= 0 has no such coordinates and maps to NaN."""
+    G = _square(c)
+    d = np.where(G[..., 1, 1] > 0.0, G[..., 1, 1], np.nan)
+    return np.stack([-G[..., 0, 1] / d, 2.0 * np.log(d), G[..., 1, 0] / d], axis=-1)
 
 
 def sl3_basis():
@@ -830,9 +930,11 @@ for _group, _alg in (("G4", catalog_algebra("g4")), ("G5", catalog_algebra("g5")
 _build_se2()
 for _e in (-1, 0, 1):
     _build_geps(_e)
-_mk_matrix_chart("SO3", catalog_algebra("so3"), _geps_rep3(1), _orthogonal)
+register_second_kind(_mk_matrix_chart("SO3", catalog_algebra("so3"), _geps_rep3(1), _orthogonal),
+                     (1, 2, 3), _geps_second_kind(1))
 _mk_matrix_chart("SE3", catalog_algebra("se3"), _se3_rep(), _rigid)
-_mk_matrix_chart("SL2", catalog_algebra("sl2"), sl2_basis(), _unimodular)
+register_second_kind(_mk_matrix_chart("SL2", catalog_algebra("sl2"), sl2_basis(), _unimodular),
+                     (1, 2, 3), _sl2_second_kind)
 _mk_matrix_chart("SL3", catalog_algebra("sl3"), sl3_basis(), _unimodular)
 _build_affine()
 _build_phase_plane()

@@ -17,16 +17,16 @@ memory their temporaries take; on matrix and quaternion charts the
 reduction takes one inverse and one conjugation per node.
 
 Right-invariant curves, dh/dt h^{-1} = A(t) with h(t0) = e, are solved by
-one fourth-order Magnus scan, `magnus_scan`: the step exponentials in the
-same blocks, multiplied together by `numerics.prefix_product` in log depth,
-so no group product runs node by node.
-Two solves take it: the subgroup solve, and the homogeneous solve of a
-cataloged reduction whose quotient G/H is itself a cataloged group (its
-`hom_chart`; se3/r3, where G/H = SO(3)).  Every other homogeneous solve
-is RK4 by `sweep_rk4` on the case's `hom_rhs`.  Where the case has a
-quotient map `project` (the Geps family), the scan also seeds those sweeps
-from the group: by the Lie theorem the homogeneous solution is the full
-curve g(t) acting on the initial state, so it is the projection of
+one fourth-order Magnus scan, `groups.magnus_scan` (importable from here
+too): the step exponentials in the same blocks, multiplied together by
+`numerics.prefix_product` in log depth, so no group product runs node by
+node.  Two solves here take it: the subgroup solve, and the homogeneous
+solve of a cataloged reduction whose quotient G/H is itself a cataloged
+group (its `hom_chart`; se3/r3, where G/H = SO(3)).  Every other
+homogeneous solve is RK4 by `sweep_rk4` on the case's `hom_rhs`.  Where the
+case has a quotient map `project` (the Geps family), the scan also seeds
+those sweeps from the group: by the Lie theorem the homogeneous solution is
+the full curve g(t) acting on the initial state, so it is the projection of
 g(t) lift(z0) (Carinena, Grabowski & Marmo, Rep. Math. Phys. 60 (2007)
 237).  The sweeps' exact commit rule decides every row, so the seed
 changes only the sweep count.
@@ -39,30 +39,29 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import bracket_coords, span_is_subalgebra
+from .algebra import span_is_subalgebra
 from .errors import LieSysError, NumericsError, UnknownNameError
-from .groups import (  # left_log_derivative stays importable from here
+from .groups import (  # left_log_derivative and magnus_scan stay importable from here
+    _BLOCK,
     GroupChart,
-    _matvec,
     _inverse_stays_on_chart,
+    _matvec,
     _on_chart,
     _pull_back,
-    exp_algebra,
     get_chart,
     left_log_derivative,
+    magnus_scan,
 )
 from .numerics import (
     TimeGrid,
     Trajectory,
     batch_guard,
+    cubic_midpoints,
     diff_samples4,
-    prefix_product,
     rk4_stage_times,
     sweep_rk4,
 )
 from .weinorman import ControlSignal, GroupCurve
-
-_BLOCK = 512
 
 
 @dataclass
@@ -137,49 +136,21 @@ def reduce_to_subgroup(setup: ReductionSetup):
     return coeffs, {"off_span_residual": float(resid[k]), "at": nodes[k]}
 
 
-def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
-    """Node coordinates of R_{h^{-1}*h}(dh/dt) = A(t) with h(t0) = e, from
-    (n, r) algebra vectors A_k at the nodes, (n - 1, r) A_{k+1/2} at the
-    step midpoints, and the step dt (a scalar, or (n - 1, 1) steps).
-
-    Fourth-order Magnus: step k is h_{k+1} = exp(Omega_k) h_k with
-    Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
-    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
-    the structure constants.  The exp(Omega_k) come from one `exp_algebra`
-    call per `_BLOCK` steps, which bounds its temporaries, and their
-    products h_{k+1} = exp(Omega_k) ... exp(Omega_0) from `prefix_product`.
-    """
-    n = len(A)
-    omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
-             + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[1:], A[:-1]))
-    h = np.empty((n, chart.coord_dim))
-    h[0] = chart.identity_coords
-    for start in range(0, n - 1, _BLOCK):
-        h[start + 1:start + 1 + _BLOCK] = exp_algebra(chart, omega[start:start + _BLOCK])
-    prefix_product(h[1:], chart.compose_fn, chart.identity_coords)
-    return h
-
-
 def solve_on_subgroup(setup: ReductionSetup, coeffs: np.ndarray) -> GroupCurve:
     """Integrate R_{h^{-1}*h}(dh/dt) = -sum_mu c_mu(t) h_mu with h(t0) = e
     by `magnus_scan`, with A(t) = -sum_mu c_mu(t) h_mu.
 
     The reduced coefficients are known only at the nodes of a uniform grid,
-    so A_{k+1/2} comes from the cubic through the four nearest nodes,
-    (-1, 9, 9, -1)/16 inside and (5, 15, -5, 1)/16 one-sided at each end:
-    its O(dt^4) error keeps the step fourth order in the sampled c_mu(t),
-    where a linear midpoint would make it second order.
+    so A_{k+1/2} comes from the cubic through the four nearest nodes
+    (`numerics.cubic_midpoints`), which keeps the step fourth order in the
+    sampled c_mu(t).
     """
     chart, n = setup.chart, len(setup.grid.nodes)
     if n < 4:
         raise NumericsError(f"the subgroup solve's cubic midpoints need 4 nodes, got {n}")
     dt = setup.grid.uniform_step("the subgroup solve's cubic midpoint rule")
     A = -(np.asarray(coeffs, dtype=float) @ setup.span_matrix.T)
-    half = np.empty_like(A[1:])
-    half[1:-1] = (9.0 * (A[1:-2] + A[2:-1]) - (A[:-3] + A[3:])) / 16.0
-    end = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-    half[0], half[-1] = end @ A[:4], end @ A[:-5:-1]
-    return GroupCurve(chart, setup.grid, magnus_scan(chart, A, half, dt))
+    return GroupCurve(chart, setup.grid, magnus_scan(chart, A, cubic_midpoints(A), dt))
 
 
 def reconstruct_full(g1: GroupCurve, h: GroupCurve) -> GroupCurve:

@@ -12,6 +12,8 @@ import pytest
 import liesys.groups as G
 from liesys.algebra import catalog_algebra, exp_ad, exp_ad_basis
 from liesys.errors import ChartError
+from liesys.numerics import TimeGrid, Trajectory
+from liesys.weinorman import wn_reconstruct
 from hand_laws import ADJOINTS
 
 ALL_KEYS = sorted(G._CHARTS)
@@ -369,6 +371,76 @@ def test_matrix_chart_constraints():
     q = G.get_chart("Geps", "quaternion", eps=1)
     with pytest.raises(ChartError):
         q.element([1.0, 0.5, 0.0, 0.0])     # norm != 1
+
+
+def _dense_orthogonality(R):
+    """max |R^T R - I| by a batched matrix product, the reference for the
+    constraint functions' dot products of column slices."""
+    return np.abs(R.swapaxes(-1, -2) @ R - np.eye(R.shape[-1])).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0])
+def test_orthogonal_and_rigid_errors_equal_the_dense_gram_matrix(scale, rng):
+    # near-rotations with noise of the given size, and 4x4 rigid motions
+    # whose last row is off e_4 by noise as large: the unique Gram entries
+    # round differently from the full product, but stay within 4 eps
+    R = np.linalg.qr(rng.standard_normal((2001, 3, 3)))[0]
+    R = R + scale * rng.standard_normal(R.shape)
+    M = np.zeros((2001, 4, 4))
+    M[:, :3, :3], M[:, :3, 3], M[:, 3, 3] = R, rng.standard_normal((2001, 3)), 1.0
+    M[:, 3] += scale * rng.standard_normal((2001, 4))
+    eps = np.finfo(float).eps
+    ref = _dense_orthogonality(R)
+    got = G._orthogonal(R.reshape(-1, 9))
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.maximum(1.0, ref))
+    ref = np.maximum(ref, np.abs(M[:, 3] - np.eye(4)[3]).max(axis=-1))
+    got = G._rigid(M.reshape(-1, 16))
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.maximum(1.0, ref))
+    # one point is the batch with no leading axis
+    assert G._orthogonal(R[7].reshape(-1)) == G._orthogonal(R.reshape(-1, 9))[7]
+    assert G._rigid(M[7].reshape(-1)) == G._rigid(M.reshape(-1, 16))[7]
+
+
+# --- second-kind maps -------------------------------------------------------------
+
+
+SECOND_KIND = [("Geps(+1)", "matrix", None), ("Geps(-1)", "matrix", None), ("SO3", "matrix", None),
+               ("SL2", "matrix", None), ("Aff", "canonical_second", (1, 2))]
+
+
+@pytest.mark.parametrize("key", SECOND_KIND, ids=str)
+def test_second_kind_map_inverts_the_wei_norman_reconstruction(key, rng):
+    # the reconstruction of exponents v is prod_i exp(-v_i a_{s_i}), so the
+    # map gives -v back; the first exponent runs past pi, where the angle's
+    # unwrapping along the nodes keeps it continuous
+    chart = G._CHARTS[key]
+    ordering = chart.ordering or (1, 2, 3)
+    grid = TimeGrid.uniform(0.0, 1.0, 400)
+    t = grid.nodes[:, None]
+    v = np.sin(t * rng.uniform(1.0, 3.0, len(ordering)) + rng.uniform(-1.0, 1.0, len(ordering)))
+    v = v - v[0]
+    v[:, 0] += 4.0 * grid.nodes
+    to_second = G.second_kind_map(chart, ordering)
+    coords = wn_reconstruct(Trajectory(grid, v), ordering, chart).coords
+    x = to_second(coords)
+    assert np.max(np.abs(x + v) / np.maximum(1.0, np.abs(v))) <= 1e-14
+    # batch = single on the nodes where no angle needed unwrapping
+    for k in np.flatnonzero(np.abs(v[:, 0]) < 3.0)[::37]:
+        assert np.array_equal(to_second(coords[k]), x[k])
+
+
+def test_second_kind_maps_are_registered_on_the_cyclic_charts_only():
+    # the reconstruction seeds the cyclic Wei-Norman sweeps where the map is
+    # known in closed form; a second-kind chart of the same ordering is its
+    # own map, and every other chart and ordering has none
+    mapped = {k for k in ALL_KEYS if G.second_kind_map(G._CHARTS[k], k[2] or (1, 2, 3))}
+    assert {k for k in mapped if k[1] == "matrix"} == {
+        ("Geps(+1)", "matrix", None), ("Geps(-1)", "matrix", None), ("SO3", "matrix", None),
+        ("SL2", "matrix", None)}
+    assert all(k[1] == "canonical_second" for k in mapped if k[1] != "matrix")
+    assert G.second_kind_map(G.get_chart("SO3", "matrix"), (3, 2, 1)) is None
+    sl2 = G.second_kind_map(G.get_chart("SL2", "matrix"), (1, 2, 3))
+    assert np.isnan(sl2(-np.eye(2).reshape(-1))).all()
 
 
 def test_se2_angle_wrapped():

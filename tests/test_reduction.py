@@ -45,20 +45,20 @@ def test_blocked_subgroup_exponentials_equal_one_call(monkeypatch):
     setup, _ = case.setup(controls_for(case, "se3/r3", {}), TimeGrid.uniform(0.0, 1.0, 4000))
     coeffs, _ = reduce_to_subgroup(setup)
     blocked = solve_on_subgroup(setup, coeffs).coords
-    monkeypatch.setattr(R, "_BLOCK", 10 ** 9)
+    monkeypatch.setattr(G, "_BLOCK", 10 ** 9)
     assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
 
 
 def _subgroup_solve(name, n_steps, monkeypatch):
     """solve_on_subgroup on a catalog case, and the step exponentials it
-    took, recorded through the module's exp_algebra."""
+    took, recorded through the exp_algebra of `groups`, whose magnus_scan
+    takes them."""
     case = catalog_reduction(name)
     setup, _ = case.setup(controls_for(case, name, {}), TimeGrid.uniform(0.0, 1.0, n_steps))
     coeffs, _ = reduce_to_subgroup(setup)
-    steps = []
-    monkeypatch.setattr(R, "exp_algebra",
-                        lambda chart, omega: steps.append(G.exp_algebra(chart, omega))
-                        or steps[-1])
+    steps, exp = [], G.exp_algebra
+    monkeypatch.setattr(G, "exp_algebra",
+                        lambda chart, omega: steps.append(exp(chart, omega)) or steps[-1])
     return setup, coeffs, solve_on_subgroup(setup, coeffs).coords, steps
 
 
@@ -85,7 +85,7 @@ def test_subgroup_product_does_not_depend_on_the_block(name, block, monkeypatch)
     # block that is not a power of two nor one block for the whole grid
     # moves a bit
     setup, coeffs, blocked, _ = _subgroup_solve(name, 2000, monkeypatch)
-    monkeypatch.setattr(R, "_BLOCK", block)
+    monkeypatch.setattr(G, "_BLOCK", block)
     assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
 
 

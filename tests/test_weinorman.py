@@ -700,6 +700,85 @@ def test_a_singular_matrix_in_a_sweep_fails_only_its_window(monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+# the cyclic orderings whose action charts map to Wei-Norman exponents in
+# closed form: the three cyclic lie_oracle systems, the sl2 entries and
+# affine_scalar (a second-kind chart of its own ordering)
+CYCLIC_ORACLE = [(n, kw, nch, amp) for n, kw, nch, amp in LIE_SYSTEMS
+                 if n == "so3_kinematics" or kw.get("eps") in (1, -1)]
+SEEDED_WN = CYCLIC_ORACLE + [(n, {}, 3, 1.0) for n in ("sl2_linear", "sl2_riccati_pair",
+                                                       "sl2_complex", "sl2_mixed_1", "sl2_mixed_2")]
+SEEDED_WN.append(("affine_scalar", {}, 2, 1.0))
+
+
+def _cyclic_problem(name, kw, nch, amp, seed):
+    entry = get_system(name, **kw)
+    label = name + "".join(f"[{k}={v}]" for k, v in kw.items())
+    b = entry.pad_controls(_lie_oracle_controls(seed, label, nch, amp))
+    return entry, b, WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 1.0, 2000), entry.ordering())
+
+
+def _counting_sweeps(monkeypatch):
+    sweeps, once = [], N._sweep_once
+    monkeypatch.setattr(N, "_sweep_once", lambda *a: sweeps.append(a[1]) or once(*a))
+    return sweeps
+
+
+def _relative_gap(got, ref):
+    return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("seed", [2101, 7777])
+@pytest.mark.parametrize("name,kw,nch,amp", SEEDED_WN,
+                         ids=[n + "".join(f"{v:+d}" for v in kw.values())
+                              for n, kw, _, _ in SEEDED_WN])
+def test_cyclic_sweeps_are_seeded_from_the_group(name, kw, nch, amp, seed, monkeypatch):
+    # the Magnus curve on the action chart, mapped to exponents, is about
+    # 1e-12 from the answer: the sweeps fall from 27-37 to 10-16, and as the
+    # commit rule still waits for roundoff the exponents move only in their
+    # last bits
+    entry, b, prob = _cyclic_problem(name, kw, nch, amp, seed)
+    sweeps = _counting_sweeps(monkeypatch)
+    flat = wn_solve(prob).states
+    flat_sweeps = len(sweeps)
+    sweeps.clear()
+    seeded = wn_solve(prob, entry.realization.action_chart).states
+    seeded_sweeps = len(sweeps)
+    sweeps.clear()
+    entry.wn_group_curve(b, prob.grid)
+    assert flat_sweeps >= 27 and seeded_sweeps <= 16 and len(sweeps) == seeded_sweeps
+    assert _relative_gap(seeded, flat) <= 1e-14
+
+
+@pytest.mark.parametrize("wrong", ["shifted", "nan"])
+def test_a_wrong_wei_norman_seed_converges_to_the_same_exponents(wrong, monkeypatch):
+    # a first iterate only sets where the sweeps start: one 1e-3 off, or with
+    # non-finite rows whose windows start flat, ends at the same exponents,
+    # and no window stalls into RK4
+    entry, b, prob = _cyclic_problem("so3_kinematics", {}, 3, 1.0, 2101)
+    flat = wn_solve(prob).states
+    seed = W._group_first_iterate
+
+    def corrupt(*a):
+        out = seed(*a)
+        if wrong == "shifted":
+            return out + 1e-3
+        out[700:900] = np.nan
+        return out
+
+    monkeypatch.setattr(W, "_group_first_iterate", corrupt)
+    monkeypatch.setattr(W, "_wn_solve_rk4", lambda *a: pytest.fail("a window ran by RK4"))
+    assert _relative_gap(wn_solve(prob, entry.realization.action_chart).states, flat) <= 1e-14
+
+
+def test_a_grid_too_short_for_the_cubic_midpoints_starts_flat():
+    # two steps give three nodes, one short of the cubic midpoint rule
+    entry, b, _ = _cyclic_problem("so3_kinematics", {}, 3, 1.0, 2101)
+    prob = WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 0.001, 2), entry.ordering())
+    assert W._group_first_iterate(prob, b(prob.grid.nodes), entry.realization.action_chart) is None
+    assert np.array_equal(wn_solve(prob, entry.realization.action_chart).states,
+                          wn_solve(prob).states)
+
+
 def test_lie_oracle_solves_call_no_lapack(monkeypatch):
     # the 13 criterion-1 systems solve every M(v) stack by forward
     # substitution (h3, g4, g5, gbar4) or the adjugate (r = 3); only the
