@@ -36,11 +36,23 @@ from .systems import (
 from .weinorman import ControlSignal, WNProblem, wn_solve
 
 
-def _parse_grid(spec: str) -> TimeGrid:
+def _parse_range(flag, spec, least):
+    """(a, b, n) from the `--flag a,b,n` spec: finite bounds a < b and an
+    integer n >= least, or ValueError naming the flag."""
     parts = spec.split(",")
     if len(parts) != 3:
-        raise ValueError("grid must be t0,t1,n")
-    return TimeGrid.uniform(float(parts[0]), float(parts[1]), int(parts[2]))
+        raise ValueError(f"--{flag} must be a,b,n, got {spec!r}")
+    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (np.isfinite([a, b]).all() and a < b):
+        raise ValueError(f"--{flag} needs finite bounds a < b, got {spec!r}")
+    if n < least:
+        raise ValueError(f"--{flag} needs n >= {least}, got {spec!r}")
+    return a, b, n
+
+
+def _parse_grid(spec: str) -> TimeGrid:
+    """`--grid t0,t1,n`: n uniform steps from t0 to t1."""
+    return TimeGrid.uniform(*_parse_range("grid", spec, 1))
 
 
 def _write_meta(path, config):
@@ -113,6 +125,9 @@ def cmd_wei_norman(args):
     b = ControlSignal.from_spec(args.controls)
     ordering = (tuple(int(i) for i in args.ordering.split(","))
                 if args.ordering else entry.ordering())
+    r = entry.algebra.dim
+    if sorted(ordering) != list(range(1, r + 1)):
+        raise ValueError(f"--ordering must be a permutation of 1..{r}, got {args.ordering!r}")
     prob = WNProblem(entry.algebra, entry.pad_controls(b), grid, ordering)
     v = wn_solve(prob)
     if args.out:
@@ -221,8 +236,9 @@ def cmd_riccati(args):
 
 
 def _parse_xgrid(spec):
-    a, b, n = spec.split(",")
-    return np.linspace(float(a), float(b), int(n))
+    """`--xgrid a,b,n`: n points from a to b, at least the 3 that second
+    differences take."""
+    return np.linspace(*_parse_range("xgrid", spec, 3))
 
 
 def _quantum_family(args):

@@ -31,11 +31,12 @@ conjugation.
 One exponential map, `exp_algebra`, takes algebra vectors to chart
 coordinates, with one rule per chart kind; the steps of the Magnus scan
 (`magnus_scan`: the reduction's subgroup and homogeneous solves and the
-first iterate of the cyclic Wei-Norman sweeps) and off-node curve
-evaluation go through it.  Where a matrix chart's points map to
-second-kind coordinates in closed form, the map is filed next to the chart
-(`register_second_kind`: the Geps(+1), Geps(-1), SO3 and SL2 charts in the
-ordering (1, 2, 3)); it takes a Magnus curve to Wei-Norman exponents.
+first iterate of the cyclic Wei-Norman sweeps), all in one call, and
+off-node curve evaluation go through it.  Where a matrix chart's points
+map to second-kind coordinates in closed form, the map is filed next to the
+chart (`register_second_kind`: the Geps(+1), Geps(-1), SO3 and SL2 charts
+in the ordering (1, 2, 3)); it takes a Magnus curve to Wei-Norman
+exponents.
 One-parameter factors exp(s a_i) of a basis element (`exp_basis`:
 `exp_chart`, the Wei-Norman reconstruction, `matrix_rep`) take, on a matrix
 representation, the closed-form exponential of the fixed matrix R_i
@@ -73,8 +74,6 @@ from .numerics import central_diff, prefix_product
 
 DEFAULT_FD_STEP = 1e-5
 _CONSTRAINT_TOL = 1e-8
-# the nodes per block of a nodewise pass, which bounds its temporaries
-_BLOCK = 512
 
 
 def _wrap_angle(t):
@@ -106,12 +105,11 @@ def _vecmat(v, M):
     return (v[..., None, :] @ M)[..., 0, :]
 
 
-def _on_chart(chart, coords, stage=None, times=None, first=0):
+def _on_chart(chart, coords, stage=None, times=None):
     """Wrap (..., d) chart coordinates and check them against the chart
-    constraint; non-finite coordinates always fail.  For a block of grid
-    nodes, `stage` names what they are, `times` their times and `first` the
-    index of the first one; a violation reports the first offending node,
-    its time and its error."""
+    constraint; non-finite coordinates always fail.  For the nodes of a
+    grid, `stage` names what they are and `times` their times; a violation
+    reports the first offending node, its time and its error."""
     if chart.wrap_fn is not None:
         coords = chart.wrap_fn(coords)
     finite = np.isfinite(coords).all()
@@ -128,7 +126,7 @@ def _on_chart(chart, coords, stage=None, times=None, first=0):
         k = int(np.argmax(bad))
         raise ChartError(
             f"{chart.group_name}: {stage} violates the chart constraint at node "
-            f"{first + k} (t={times[k]:.6g}): error {err[k]:.3g} > {_CONSTRAINT_TOL:g}")
+            f"{k} (t={times[k]:.6g}): error {err[k]:.3g} > {_CONSTRAINT_TOL:g}")
     return coords
 
 
@@ -280,21 +278,17 @@ def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
     Omega_k = dt/6 (A_k + 4 A_{k+1/2} + A_{k+1}) + dt^2/12 [A_{k+1}, A_k]
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), the bracket from
     the structure constants.  The exp(Omega_k) come from one `exp_algebra`
-    call per `_BLOCK` steps, which bounds its temporaries, and their
-    products h_{k+1} = exp(Omega_k) ... exp(Omega_0) from `prefix_product`.
+    call over all steps, and their products
+    h_{k+1} = exp(Omega_k) ... exp(Omega_0) from `prefix_product`.
 
     Two callers take it: `reduction` for its subgroup and homogeneous
     solves and the seeds of its homogeneous RK4 sweeps, and `weinorman`
     for the first iterate of the cyclic Wei-Norman sweeps, A = -b on the
     action chart mapped to exponents by `second_kind_map`.
     """
-    n = len(A)
     omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
              + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[1:], A[:-1]))
-    h = np.empty((n, chart.coord_dim))
-    h[0] = chart.identity_coords
-    for start in range(0, n - 1, _BLOCK):
-        h[start + 1:start + 1 + _BLOCK] = exp_algebra(chart, omega[start:start + _BLOCK])
+    h = np.concatenate([chart.identity_coords[None], exp_algebra(chart, omega)])
     prefix_product(h[1:], chart.compose_fn, chart.identity_coords)
     return h
 

@@ -505,8 +505,8 @@ def cumulative_quadrature_samples(samples, grid: TimeGrid) -> np.ndarray:
 # stack, entry (i, j) of every matrix one contiguous array: each step is then
 # one vectorized pass, where numpy's reductions over a 3-long last axis are
 # several times slower.  Forward substitution and the adjugate go entry by
-# entry, with no BLAS call, and LAPACK inverts or solves each matrix on its
-# own, so a batch gives its stacked single-matrix results bit for bit.  The
+# entry, with no BLAS call, and LAPACK inverts each matrix on its own, so a
+# batch gives its stacked single-matrix results bit for bit.  The
 # kernels only read that layout, so a stack already held entries first (as
 # `algebra.wn_matrix` returns M(v)) is used as it is, not copied.
 
@@ -586,13 +586,6 @@ def _lapack_inverse(M):
         return _entries(np.reshape(each, M.shape))
 
 
-def _lapack_solve(M, b):
-    try:
-        return np.linalg.solve(M, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return _apply(_lapack_inverse(M), b)
-
-
 def _inverse(M, S):
     """The inverse of each matrix of a (..., r, r) stack M, given M and its
     entries S (`_entries`) and laid out as S, by the route the stack's
@@ -633,15 +626,12 @@ def _inverse(M, S):
 
 def stack_solve(M, b):
     """x = M^-1 b for each matrix of a (..., r, r) stack and its (..., r)
-    right-hand side, with no condition guard: `_inverse` applied to b on a
-    unit lower-triangular or a 3x3 stack, `np.linalg.solve` on any other.
-    A batch gives the stacked single-matrix results bit for bit, and a
-    singular matrix non-finite rows, not an error."""
+    right-hand side, with no condition guard: `_inverse` applied to b, so
+    `linsolve` without its guard, bit for bit.  A batch gives the stacked
+    single-matrix results bit for bit, and a singular matrix non-finite
+    rows, not an error."""
     M = np.asarray(M, dtype=float)
-    S = _entries(M)
-    if len(S) != 3 and not _unit_lower(S):
-        return _lapack_solve(M, np.asarray(b, dtype=float))
-    return _apply(_inverse(M, S), np.asarray(b, dtype=float))
+    return _apply(_inverse(M, _entries(M)), np.asarray(b, dtype=float))
 
 
 def linsolve(M, b, cond_limit=1e12):

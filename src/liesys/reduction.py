@@ -11,14 +11,13 @@ R(dh/dt) = -sum_mu c_mu(t) h_mu.  The inputs are
 `ReductionSetup(span, lift, controls)`; the chart and the grid are the
 lift's.
 
-The reduction and the reconstruction are nodewise formulas; both run over
-the node coordinate arrays in blocks of `_BLOCK` nodes, which bounds the
-memory their temporaries take; on matrix and quaternion charts the
+The reduction and the reconstruction are nodewise formulas, each one pass
+over all nodes' coordinate arrays; on matrix and quaternion charts the
 reduction takes one inverse and one conjugation per node.
 
 Right-invariant curves, dh/dt h^{-1} = A(t) with h(t0) = e, are solved by
 one fourth-order Magnus scan, `groups.magnus_scan` (importable from here
-too): the step exponentials in the same blocks, multiplied together by
+too): the step exponentials from one call, multiplied together by
 `numerics.prefix_product` in log depth, so no group product runs node by
 node.  Two solves here take it: the subgroup solve, and the homogeneous
 solve of a cataloged reduction whose quotient G/H is itself a cataloged
@@ -42,7 +41,6 @@ import numpy as np
 from .algebra import span_is_subalgebra
 from .errors import LieSysError, NumericsError, UnknownNameError
 from .groups import (  # left_log_derivative and magnus_scan stay importable from here
-    _BLOCK,
     GroupChart,
     _inverse_stays_on_chart,
     _matvec,
@@ -99,34 +97,28 @@ def reduce_to_subgroup(setup: ReductionSetup):
     The lift's coordinate velocity is `GroupCurve.coordinate_velocity` by
     fourth-order differences (one-sided five-point stencils at the two nodes
     next to each end), which needs a uniform grid and follows a wrapped
-    angle across its cut; `_pull_back` then applies nodewise, on matrix and
-    quaternion charts by the checked lift inverse and one conjugation.
-    Every lift node is checked against the chart constraint, and so is its
-    inverse where `np.linalg.inv` computes it (a transpose or conjugate of a
-    checked node is on the chart already); every node's right-hand side
-    must lie in span(h); the off-span tolerance scales with the control
-    magnitude.  A failure names the stage, the node, its time and the
-    measured error.  Returns (coefficients, report).
+    angle across its cut; `_pull_back` then applies over all nodes at once,
+    on matrix and quaternion charts by the checked lift inverse and one
+    conjugation per node.  Every lift node is checked against the chart
+    constraint, and so is its inverse where `np.linalg.inv` computes it (a
+    transpose or conjugate of a checked node is on the chart already);
+    every node's right-hand side must lie in span(h); the off-span
+    tolerance scales with the control magnitude.  A failure names the
+    stage, the node, its time and the measured error.  Returns
+    (coefficients, report).
     """
     chart = setup.chart
     nodes = setup.grid.nodes
     S = setup.span_matrix
-    Spinv = np.linalg.pinv(S)
     b = setup.controls(nodes)
     dg1 = setup.lift.coordinate_velocity(diff_samples4)
-    coeffs = np.empty((len(nodes), S.shape[1]))
-    resid = np.empty(len(nodes))
-    inverse_on_chart = _inverse_stays_on_chart(chart)
-    for start in range(0, len(nodes), _BLOCK):
-        sl = slice(start, start + _BLOCK)
-        g1 = _on_chart(chart, setup.lift.coords[sl], "lift", nodes[sl], start)
-        g1_inv = chart.inverse_fn(g1)
-        if not inverse_on_chart:
-            g1_inv = _on_chart(chart, g1_inv, "lift inverse", nodes[sl], start)
-        xi = -_pull_back(chart, g1, g1_inv, b[sl], dg1[sl])
-        c = -(xi @ Spinv.T)
-        resid[sl] = np.max(np.abs(xi + c @ S.T), axis=-1)
-        coeffs[sl] = c
+    g1 = _on_chart(chart, setup.lift.coords, "lift", nodes)
+    g1_inv = chart.inverse_fn(g1)
+    if not _inverse_stays_on_chart(chart):
+        g1_inv = _on_chart(chart, g1_inv, "lift inverse", nodes)
+    xi = -_pull_back(chart, g1, g1_inv, b, dg1)
+    coeffs = -(xi @ np.linalg.pinv(S).T)
+    resid = np.max(np.abs(xi + coeffs @ S.T), axis=-1)
     k = int(np.argmax(resid))
     bound = 1e-5 * max(1.0, float(np.max(np.abs(b))))
     if not resid[k] <= bound:
@@ -164,13 +156,9 @@ def reconstruct_full(g1: GroupCurve, h: GroupCurve) -> GroupCurve:
     if g1.chart is not h.chart:
         raise LieSysError("lift and subgroup curves must share a chart")
     chart, nodes = g1.chart, g1.grid.nodes
-    coords = np.empty_like(g1.coords)
-    for start in range(0, len(coords), _BLOCK):
-        sl = slice(start, start + _BLOCK)
-        b = _on_chart(chart, h.coords[sl], "subgroup curve", nodes[sl], start)
-        coords[sl] = _on_chart(chart, chart.compose_fn(g1.coords[sl], b), "reconstruction",
-                               nodes[sl], start)
-    return GroupCurve(chart, g1.grid, coords)
+    b = _on_chart(chart, h.coords, "subgroup curve", nodes)
+    return GroupCurve(chart, g1.grid,
+                      _on_chart(chart, chart.compose_fn(g1.coords, b), "reconstruction", nodes))
 
 
 def run_reduction(setup: ReductionSetup):

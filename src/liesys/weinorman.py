@@ -107,16 +107,22 @@ def _channel_on_times(ch, t):
 
 
 def _spec_channels(part):
-    """The channels of one ';'-separated control spec part; each takes a
-    scalar or an array of times."""
-    if part.startswith("const:"):
-        return [(lambda t, v=float(v): v) for v in part[6:].split(",")]
-    if part.startswith("sin:"):
-        nums = [float(v) for v in part[4:].split(",")]
-        amp, freq = nums[0], nums[1]
-        phase = nums[2] if len(nums) > 2 else 0.0
+    """The channels of one ';'-separated control spec part, const:v1[,v2...]
+    or sin:amp,freq[,phase]; each takes a scalar or an array of times.  Any
+    other part, or a number that does not parse, is a ValueError naming the
+    part and both forms."""
+    kind, _, text = part.partition(":")
+    try:
+        nums = [float(v) for v in text.split(",")]
+    except ValueError:
+        nums = []
+    if kind == "const" and nums:
+        return [(lambda t, v=v: v) for v in nums]
+    if kind == "sin" and len(nums) in (2, 3):
+        amp, freq, phase = (nums + [0.0])[:3]
         return [lambda t, a=amp, f=freq, p=phase: a * np.sin(2 * np.pi * f * t + p)]
-    raise ValueError(f"cannot parse control spec {part!r}")
+    raise ValueError(f"cannot parse control spec {part!r}: "
+                     "expected const:v1[,v2...] or sin:amp,freq[,phase]")
 
 
 class ControlSignal:

@@ -1,6 +1,8 @@
 import json
+import warnings
 
 import numpy as np
+import pytest
 
 from liesys.cli import main
 
@@ -207,6 +209,34 @@ def test_malformed_params_exit_2(capsys):
         body = json.loads(stderr)
         assert body["code"] == "parse"
         assert body["message"] == f"--params expects key=value with a numeric value, got {item!r}"
+
+
+_SIMULATE = ["simulate", "--system", "brockett", "--x0", "0,0,0"]
+_SPEC_FORMS = "expected const:v1[,v2...] or sin:amp,freq[,phase]"
+
+
+@pytest.mark.parametrize("argv,message", [
+    *((_SIMULATE + ["--controls", spec, "--grid", "0,1,10"],
+       f"cannot parse control spec {spec!r}: {_SPEC_FORMS}")
+      for spec in ("sin:1", "sin:1,2,3,4", "sin:1,x", "const:1,")),
+    (_SIMULATE + ["--controls", "sin:1,1", "--grid", "0,1,0"], "--grid needs n >= 1, got '0,1,0'"),
+    (_SIMULATE + ["--controls", "sin:1,1", "--grid", "1,0,10"],
+     "--grid needs finite bounds a < b, got '1,0,10'"),
+    (_SIMULATE + ["--controls", "sin:1,1", "--grid", "0,inf,10"],
+     "--grid needs finite bounds a < b, got '0,inf,10'"),
+    (["quantum", "example", "--id", "5.1", "--l", "-1.2", "--coupling", "1",
+      "--xgrid=0.02,10,1"], "--xgrid needs n >= 3, got '0.02,10,1'"),
+    (["wei-norman", "--system", "so3_kinematics", "--controls", "const:1,1,1", "--grid",
+      "0,1,10", "--ordering", "1,2"], "--ordering must be a permutation of 1..3, got '1,2'"),
+], ids=["sin-one-number", "sin-four-numbers", "sin-not-a-number", "const-empty-value",
+        "grid-no-steps", "grid-reversed", "grid-inf", "xgrid-one-point", "ordering-short"])
+def test_malformed_problem_arguments_exit_2(argv, message, capsys):
+    # each is refused before any numerics run, so none warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {"code": "parse", "message": message}
 
 
 def test_superpose_command_rejects_a_wrong_constant_count(tmp_path, capsys):

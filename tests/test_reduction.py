@@ -38,17 +38,6 @@ def controls_for(case, name, kw):
                            seed=zlib.crc32((name + str(kw)).encode()) % 997)
 
 
-def test_blocked_subgroup_exponentials_equal_one_call(monkeypatch):
-    # expm scales each matrix by its own 1-norm, so a block gives each step
-    # the bits it gets in one call over all 4000 steps
-    case = catalog_reduction("se3/r3")
-    setup, _ = case.setup(controls_for(case, "se3/r3", {}), TimeGrid.uniform(0.0, 1.0, 4000))
-    coeffs, _ = reduce_to_subgroup(setup)
-    blocked = solve_on_subgroup(setup, coeffs).coords
-    monkeypatch.setattr(G, "_BLOCK", 10 ** 9)
-    assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
-
-
 def _subgroup_solve(name, n_steps, monkeypatch):
     """solve_on_subgroup on a catalog case, and the step exponentials it
     took, recorded through the exp_algebra of `groups`, whose magnus_scan
@@ -59,7 +48,7 @@ def _subgroup_solve(name, n_steps, monkeypatch):
     steps, exp = [], G.exp_algebra
     monkeypatch.setattr(G, "exp_algebra",
                         lambda chart, omega: steps.append(exp(chart, omega)) or steps[-1])
-    return setup, coeffs, solve_on_subgroup(setup, coeffs).coords, steps
+    return setup, solve_on_subgroup(setup, coeffs).coords, steps
 
 
 @pytest.mark.parametrize("name", ["h3/a3", "se2/a2a3", "su2/a1", "se3/r3", "gbar5/ideal",
@@ -68,25 +57,16 @@ def test_subgroup_prefix_product_equals_sequential_product(name, monkeypatch):
     # the reference multiplies the same step exponentials node by node,
     # h_{k+1} = exp(Omega_k) h_k, as the solve did before it took the
     # products as a log-depth scan; SO(3) and the affine subgroup of SL(2)
-    # are not abelian, so they also fix the order of each product
-    setup, _, got, steps = _subgroup_solve(name, 4000, monkeypatch)
+    # are not abelian, so they also fix the order of each product; all
+    # 4000 step exponentials come from one exp_algebra call
+    setup, got, steps = _subgroup_solve(name, 4000, monkeypatch)
+    assert [len(step) for step in steps] == [4000]
     chart = setup.chart
     ref = [chart.identity_coords]
-    for step in np.concatenate(steps):
+    for step in steps[0]:
         ref.append(chart.compose_fn(step, ref[-1]))
     assert len(ref) == len(got)
     assert np.max(np.abs(got - np.array(ref))) <= 1e-13
-
-
-@pytest.mark.parametrize("name", ["su2/a1", "gbar5/ideal", "h3/a3"])
-@pytest.mark.parametrize("block", [7, 10 ** 9])
-def test_subgroup_product_does_not_depend_on_the_block(name, block, monkeypatch):
-    # the scan's product tree depends on the node index alone, so neither a
-    # block that is not a power of two nor one block for the whole grid
-    # moves a bit
-    setup, coeffs, blocked, _ = _subgroup_solve(name, 2000, monkeypatch)
-    monkeypatch.setattr(G, "_BLOCK", block)
-    assert np.array_equal(blocked, solve_on_subgroup(setup, coeffs).coords)
 
 
 @pytest.mark.parametrize("name,kw", ALL_CASES, ids=[f"{n}{k or ''}" for n, k in ALL_CASES])
@@ -464,13 +444,13 @@ def test_pull_back_equals_adjoint_and_left_trivialization(name, kw):
     assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(b))))
 
 
-def test_represented_reduction_inverts_each_block_once(monkeypatch):
-    # 2001 nodes are four blocks of at most _BLOCK = 512, and each block's
-    # lift inverse is the one matrix inverse it takes; the rigid matrices of
-    # SE(3) invert in closed form, with no matrix inverse at all
+def test_represented_reduction_inverts_the_lift_in_one_call(monkeypatch):
+    # the lift inverse over all 2001 nodes is the one matrix inverse the
+    # reduction takes; the rigid matrices of SE(3) invert in closed form,
+    # with no matrix inverse at all
     shapes, inv = [], np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
-    for name, expected in (("sl2/a2a3", [(512, 2, 2)] * 3 + [(465, 2, 2)]), ("se3/r3", [])):
+    for name, expected in (("sl2/a2a3", [(2001, 2, 2)]), ("se3/r3", [])):
         case = catalog_reduction(name)
         setup, _ = case.setup(controls_for(case, name, {}), GRID)
         shapes.clear()
@@ -534,20 +514,37 @@ def test_geps_projection_inverts_the_lift_modulo_the_compact_generator(eps):
         assert np.array_equal(got, np.stack([case.project(p) for p in g]))
 
 
-def test_lift_inverse_is_checked_only_where_it_is_inverted_numerically(monkeypatch):
-    # 2001 nodes are four blocks; SE(3)'s rigid transpose and the quaternion
-    # conjugate of a checked lift node are on the chart, SL(2)'s inverse
-    # comes from np.linalg.inv and is checked
+def _checked_stages(monkeypatch):
+    """The stages `reduction` checks against the chart, one entry per
+    `_on_chart` call, recorded with the number of nodes it checked."""
     stages, on_chart = [], R._on_chart
     monkeypatch.setattr(R, "_on_chart", lambda chart, coords, stage=None, *a: (
-        stages.append(stage) or on_chart(chart, coords, stage, *a)))
-    for name, expected in (("se3/r3", ["lift"] * 4), ("su2/a1", ["lift"] * 4),
-                           ("sl2/a2a3", ["lift", "lift inverse"] * 4)):
+        stages.append((stage, len(coords))) or on_chart(chart, coords, stage, *a)))
+    return stages
+
+
+def test_lift_inverse_is_checked_only_where_it_is_inverted_numerically(monkeypatch):
+    # SE(3)'s rigid transpose and the quaternion conjugate of a checked lift
+    # node are on the chart, SL(2)'s inverse comes from np.linalg.inv and is
+    # checked; each check takes all 2001 nodes at once
+    stages = _checked_stages(monkeypatch)
+    for name, expected in (("se3/r3", ["lift"]), ("su2/a1", ["lift"]),
+                           ("sl2/a2a3", ["lift", "lift inverse"])):
         case = catalog_reduction(name)
         setup, _ = case.setup(controls_for(case, name, {}), GRID)
         stages.clear()
         reduce_to_subgroup(setup)
-        assert stages == expected, name
+        assert stages == [(stage, 2001) for stage in expected], name
+
+
+@pytest.mark.parametrize("name", ["se3/r3", "su2/a1", "h3/a3"])
+def test_reconstruction_checks_each_stage_once_over_all_nodes(name, monkeypatch):
+    case = catalog_reduction(name)
+    setup, _ = case.setup(controls_for(case, name, {}), GRID)
+    h = solve_on_subgroup(setup, reduce_to_subgroup(setup)[0])
+    stages = _checked_stages(monkeypatch)
+    reconstruct_full(setup.lift, h)
+    assert stages == [("subgroup curve", 2001), ("reconstruction", 2001)]
 
 
 @pytest.mark.parametrize("name", ["h3/a3", "se2/a2a3", "g7/ideal"])

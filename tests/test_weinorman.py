@@ -801,8 +801,8 @@ def test_lie_oracle_solves_call_no_lapack(monkeypatch):
 
 
 def test_se3_wn_matrices_still_reach_lapack(rng, monkeypatch):
-    # r = 6 and not unit lower-triangular: the guard inverts by LAPACK, and
-    # the unguarded sweep solves by it
+    # r = 6 and not unit lower-triangular: the guard and the unguarded
+    # sweep solve each invert the whole stack by one LAPACK call
     alg = catalog_algebra("se3")
     ordering = tuple(range(1, 7))
     v, b = 0.3 * rng.standard_normal((9, 6)), rng.standard_normal((9, 6))
@@ -816,7 +816,8 @@ def test_se3_wn_matrices_still_reach_lapack(rng, monkeypatch):
     x = N.linsolve(M, b, W._BREAKDOWN_COND)
     assert calls == [("inv", (9, 6, 6))]
     W._sweep(alg, ordering, v, b, TimeGrid.uniform(0.0, 1.0, 8), slice(None), False)
-    assert calls[1:] == [("solve", (9, 6, 6))]
+    assert calls[1:] == [("inv", (9, 6, 6))]
+    assert np.array_equal(N.stack_solve(M, b), x)
     assert np.max(np.abs(x - solve(M, b[..., None])[..., 0])) <= 1e-12
 
 
