@@ -13,13 +13,13 @@ from liesys import ControlSignal, TimeGrid, get_system, solve_direct, solve_via_
 
 entry = get_system("unicycle")
 grid = TimeGrid.uniform(0.0, 2.0, 4000)
-b = entry.pad_controls(ControlSignal([
+b = ControlSignal([
     lambda t: np.sin(2 * np.pi * t),
     lambda t: 0.8 + 0.4 * np.cos(np.pi * t),
-]))
+])
 x0 = np.array([0.0, 0.0, 0.0])
 
-direct = solve_direct(entry.realization, b, x0, grid)
+direct = solve_direct(entry.realization, entry.pad_controls(b), x0, grid)
 via_group = solve_via_group(entry.realization, entry.wn_group_curve(b, grid), x0)
 
 print("final pose (direct):      ", direct.states[-1])

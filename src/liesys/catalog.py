@@ -2,7 +2,9 @@
 algebra, group action (when available), the channels the controls drive,
 and the Wei-Norman ordering.  The catalog holds systems, not solutions:
 `wn_solve` derives each system's exponents, by one quadrature per
-dependency level wherever its ordering splits into levels.
+dependency level wherever its ordering splits into levels.  A control list
+gives one channel per driven index (`pad_controls`).  `build` binds a
+family's parameters, such as elastic_euler's eps, to its builder.
 
 Each realization gives its fields stacked and batched: `fields(x)` takes
 (..., state_dim) states and returns the (..., r, state_dim) array whose row
@@ -30,6 +32,7 @@ solve_via_group(wn_reconstruct(wn_solve(...))) reproduce solve_direct.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -61,11 +64,9 @@ class CatalogEntry:
         return self.wn_ordering or tuple(range(1, self.algebra.dim + 1))
 
     def wn_group_curve(self, b: ControlSignal, grid: TimeGrid) -> GroupCurve:
-        """The Wei-Norman curve on the action chart, which also seeds the
-        cyclic sweeps (`wn_solve`)."""
-        chart = self.realization.action_chart
+        """The Wei-Norman curve on the action chart."""
         prob = WNProblem(self.algebra, self.pad_controls(b), grid, self.ordering())
-        return wn_reconstruct(wn_solve(prob, chart), self.ordering(), chart)
+        return wn_reconstruct(wn_solve(prob), self.ordering(), self.realization.action_chart)
 
 
 _REGISTRY: dict = {}
@@ -81,15 +82,24 @@ def register(name):
 _cache: dict = {}
 
 
+def build(kind: str, registry: dict, name: str, params):
+    """registry[name](**params); an unknown name, or a parameter that is not
+    in the builder's signature, is an UnknownNameError naming both."""
+    if name not in registry:
+        raise UnknownNameError(f"unknown {kind} {name!r}")
+    takes = inspect.signature(registry[name]).parameters
+    for key in params:
+        if key not in takes:
+            raise UnknownNameError(f"{kind} {name!r} has no parameter {key!r}; "
+                                   f"it takes {', '.join(takes) or 'none'}")
+    return registry[name](**params)
+
+
 def get_system(name: str, **params) -> CatalogEntry:
     key = (name, tuple(sorted(params.items())))
-    if key in _cache:
-        return _cache[key]
-    if name not in _REGISTRY:
-        raise UnknownNameError(f"unknown system {name!r}")
-    entry = _REGISTRY[name](**params)
-    _cache[key] = entry
-    return entry
+    if key not in _cache:
+        _cache[key] = build("system", _REGISTRY, name, params)
+    return _cache[key]
 
 
 def list_systems():
@@ -498,10 +508,16 @@ def _trailer():
     return CatalogEntry("trailer_power5", sys, (1, 2))
 
 
+def _form_size(name, n) -> int:
+    """n as an int; like eps in `eps_parameter`, 4.0 names the same form."""
+    if n not in range(3, 11):
+        raise UnknownNameError(f"{name} supports integral 3 <= n <= 10, got {n!r}")
+    return int(n)
+
+
 @register("chained_n")
 def _chained(n: int = 4):
-    if not 3 <= n <= 10:
-        raise UnknownNameError("chained_n supports 3 <= n <= 10")
+    n = _form_size("chained_n", n)
     alg = catalog_algebra("gbar", n=n)
     # X_1 = d/dx1 + sum_{k>=3} x_{k-1} d/dx_k, X_2 = d/dx2, X_k = (-1)^k d/dx_k
     base = np.diag([1.0, 1.0] + [(-1.0) ** (i + 1) for i in range(2, n)])
@@ -518,8 +534,7 @@ def _chained(n: int = 4):
 
 @register("power_n")
 def _power(n: int = 4):
-    if not 3 <= n <= 10:
-        raise UnknownNameError("power_n supports 3 <= n <= 10")
+    n = _form_size("power_n", n)
     alg = catalog_algebra("gbar", n=n)
     sys = LieSystemRealization(alg, n, _power_fields(n), name=f"power_{n}")
     return CatalogEntry("power_n", sys, (1, 2))
@@ -565,7 +580,7 @@ def _quadh():
 
 # controls (1/m, -f(t)); flow by two quadratures
 @register("td_linear_potential_classical")
-def _tdlin(m: float = 1.0):
+def _tdlin():
     sys = _affine_system(get_chart("TdLin", "matrix"), "td_linear_potential_classical")
     return CatalogEntry("td_linear_potential_classical", sys, (1, 2))
 

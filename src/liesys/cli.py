@@ -125,9 +125,6 @@ def cmd_wei_norman(args):
     b = ControlSignal.from_spec(args.controls)
     ordering = (tuple(int(i) for i in args.ordering.split(","))
                 if args.ordering else entry.ordering())
-    r = entry.algebra.dim
-    if sorted(ordering) != list(range(1, r + 1)):
-        raise ValueError(f"--ordering must be a permutation of 1..{r}, got {args.ordering!r}")
     prob = WNProblem(entry.algebra, entry.pad_controls(b), grid, ordering)
     v = wn_solve(prob)
     if args.out:

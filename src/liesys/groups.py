@@ -32,11 +32,11 @@ One exponential map, `exp_algebra`, takes algebra vectors to chart
 coordinates, with one rule per chart kind; the steps of the Magnus scan
 (`magnus_scan`: the reduction's subgroup and homogeneous solves and the
 first iterate of the cyclic Wei-Norman sweeps), all in one call, and
-off-node curve evaluation go through it.  Where a matrix chart's points
-map to second-kind coordinates in closed form, the map is filed next to the
-chart (`register_second_kind`: the Geps(+1), Geps(-1), SO3 and SL2 charts
-in the ordering (1, 2, 3)); it takes a Magnus curve to Wei-Norman
-exponents.
+off-node curve evaluation go through it.  A chart whose points map to
+second-kind coordinates in closed form is filed with the map under its
+algebra and ordering (`second_kind_chart`: every second-kind chart, and the
+Geps(+1), Geps(-1), SO3 and SL2 matrix charts in the ordering (1, 2, 3));
+the map takes a Magnus curve to Wei-Norman exponents.
 One-parameter factors exp(s a_i) of a basis element (`exp_basis`:
 `exp_chart`, the Wei-Norman reconstruction, `matrix_rep`) take, on a matrix
 representation, the closed-form exponential of the fixed matrix R_i
@@ -284,7 +284,7 @@ def magnus_scan(chart: GroupChart, A, half, dt) -> np.ndarray:
     Two callers take it: `reduction` for its subgroup and homogeneous
     solves and the seeds of its homogeneous RK4 sweeps, and `weinorman`
     for the first iterate of the cyclic Wei-Norman sweeps, A = -b on the
-    action chart mapped to exponents by `second_kind_map`.
+    chart and mapped by the map that `second_kind_chart` files.
     """
     omega = (dt / 6.0 * (A[:-1] + 4.0 * half + A[1:])
              + dt ** 2 / 12.0 * bracket_coords(chart.algebra, A[1:], A[:-1]))
@@ -440,7 +440,10 @@ _SECOND_KIND: dict = {}
 
 
 def register_chart(chart):
+    """File the chart; a second-kind chart is also its own second-kind map."""
     _CHARTS[chart.key] = chart
+    if chart.chart_kind == "canonical_second":
+        register_second_kind(chart, chart.ordering, lambda g: g)
 
 
 def get_chart(group_name: str, chart_kind: str = "canonical_second",
@@ -473,20 +476,17 @@ def chart_convert(g: GroupElement, target: GroupChart) -> GroupElement:
 
 
 def register_second_kind(chart: GroupChart, ordering, fn):
-    """File fn, which takes (..., d) coordinates of `chart` to the (..., r)
-    second-kind coordinates x of the same points for `ordering`,
-    g = prod_i exp(x_i a_{s_i}), with angles unwrapped along the first axis."""
-    _SECOND_KIND[(chart.key, tuple(ordering))] = fn
+    """File `chart` and fn for the chart's algebra and `ordering`: fn takes
+    (..., d) coordinates of `chart` to the (..., r) second-kind coordinates
+    x of the same points, g = prod_i exp(x_i a_{s_i}), with angles unwrapped
+    along the first axis."""
+    _SECOND_KIND[(chart.algebra, tuple(ordering))] = (chart, fn)
 
 
-def second_kind_map(chart: GroupChart, ordering):
-    """The registered map from the chart's coordinates to second-kind
-    coordinates for `ordering` (`register_second_kind`), or None.  A
-    second-kind chart of that ordering needs none: its coordinates are
-    those."""
-    if chart.chart_kind == "canonical_second" and chart.ordering == tuple(ordering):
-        return lambda g: g
-    return _SECOND_KIND.get((chart.key, tuple(ordering)))
+def second_kind_chart(alg, ordering):
+    """The chart and map filed for the algebra and `ordering`
+    (`register_second_kind`), or None where none is."""
+    return _SECOND_KIND.get((alg, tuple(ordering)))
 
 
 def _unwrap_nodes(angle):

@@ -91,6 +91,8 @@ _BATCH_RTOL = 1e-12
 # stayed within 1.1 eps cond(M) of LAPACK's inverse up to 16, and reached
 # 6 eps cond(M) at 64; the M(v) of the criterion-1 systems stay below 6
 _CANCEL = 16.0
+# the largest 1-norm condition `linsolve` accepts (above it: a chart breakdown)
+_BREAKDOWN_COND = 1e10
 
 
 class TimeGrid:
@@ -634,7 +636,7 @@ def stack_solve(M, b):
     return _apply(_inverse(M, _entries(M)), np.asarray(b, dtype=float))
 
 
-def linsolve(M, b, cond_limit=1e12):
+def linsolve(M, b):
     """Solve Mx = b with a condition guard taken from the same inverse.
 
     M is one (r, r) matrix or a (..., r, r) stack, b broadcasts against
@@ -643,7 +645,7 @@ def linsolve(M, b, cond_limit=1e12):
     any other 3x3 matrix whose cofactors do not cancel, LAPACK's LU
     otherwise.  The 1-norm condition number ||M||_1 ||M^-1||_1 follows from
     it at the cost of two column sums.  A singular matrix, or a condition
-    above `cond_limit` or not finite, raises SingularMatrixError carrying
+    above `_BREAKDOWN_COND` or not finite, raises SingularMatrixError carrying
     the condition and, for a stack, the index of the first failing matrix;
     the Wei-Norman solver interprets that as a chart breakdown.  Its levels
     and RK4 stages solve through this guard; its cyclic sweeps solve
@@ -656,7 +658,7 @@ def linsolve(M, b, cond_limit=1e12):
     Minv = _inverse(M, S)
     with np.errstate(all="ignore"):
         cond = _norm1(S) * _norm1(Minv)
-    ok = cond <= cond_limit
+    ok = cond <= _BREAKDOWN_COND
     # one matrix skips .all(), which costs a fifth of a 3x3 solve
     if not (ok.all() if ok.ndim else ok):
         index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))

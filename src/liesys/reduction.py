@@ -39,7 +39,8 @@ from functools import partial
 import numpy as np
 
 from .algebra import span_is_subalgebra
-from .errors import LieSysError, NumericsError, UnknownNameError
+from .catalog import build
+from .errors import LieSysError, NumericsError
 from .groups import (  # left_log_derivative and magnus_scan stay importable from here
     GroupChart,
     _inverse_stays_on_chart,
@@ -246,14 +247,6 @@ class ReductionCase:
         return out
 
     def pad_controls(self, b: ControlSignal) -> ControlSignal:
-        """The controls on every basis element from one channel per driven
-        index: the closed-form fixtures read those channels only, so any
-        other channel count is refused with ValueError."""
-        if b.dim != len(self.used_channels):
-            raise ValueError(
-                f"controls give {b.dim} channels; {self.name} is driven on channels "
-                f"{list(self.used_channels)} and takes one per driven index "
-                f"({len(self.used_channels)})")
         return b.pad(self.chart.algebra.dim, [i - 1 for i in self.used_channels])
 
     def solve_homogeneous(self, b: ControlSignal, grid: TimeGrid) -> Trajectory:
@@ -321,17 +314,11 @@ def _rhs(formula):
     return lambda t, y, b: np.array(formula(t, y.T, b.T)).T
 
 
-_RED: dict = {}
-
-
-def _register(name, builder):
-    _RED[name] = builder
+_RED: dict = {}   # name: the builder of its ReductionCase
 
 
 def catalog_reduction(name: str, **params) -> ReductionCase:
-    if name not in _RED:
-        raise UnknownNameError(f"unknown reduction {name!r}")
-    return _RED[name](**params)
+    return build("reduction", _RED, name, params)
 
 
 def list_reductions():
@@ -369,7 +356,7 @@ def _h3_case(which):
 
 
 for _i in (1, 2, 3):
-    _register(f"h3/a{_i}", lambda which=_i: _h3_case(which))
+    _RED[f"h3/a{_i}"] = partial(_h3_case, _i)
 
 
 # --- SE(2): four subgroup choices --------------------------------------------
@@ -412,7 +399,7 @@ def _se2_case(which):
 
 
 for _w in ("a1", "a2", "a3", "a2a3"):
-    _register(f"se2/{_w}", lambda which=_w: _se2_case(which))
+    _RED[f"se2/{_w}"] = partial(_se2_case, _w)
 
 
 # --- SL(2,R): the two affine subgroups ---------------------------------------
@@ -438,8 +425,8 @@ def _sl2_case(which):
     )
 
 
-_register("sl2/a2a3", lambda: _sl2_case("a2a3"))
-_register("sl2/a1a2", lambda: _sl2_case("a1a2"))
+_RED["sl2/a2a3"] = partial(_sl2_case, "a2a3")
+_RED["sl2/a1a2"] = partial(_sl2_case, "a1a2")
 
 
 # --- nilpotent towers: quotient by the center / Abelian ideals ---------------
@@ -481,13 +468,13 @@ def _tower(name, group, span, rows):
 
 
 for _name, _spec in _TOWERS.items():
-    _register(_name, partial(_tower, _name, *_spec))
+    _RED[_name] = partial(_tower, _name, *_spec)
 
 
 # --- the epsilon family: reduction by the compact generator ------------------
 
 
-def _geps_case(eps):
+def _geps_case(eps=1):
     chart = get_chart("Geps", "quaternion", eps=eps)
 
     @_rhs
@@ -519,8 +506,8 @@ def _geps_case(eps):
     )
 
 
-_register("su2/a1", lambda: _geps_case(1))
-_register("geps/a1", lambda eps=1: _geps_case(eps))
+_RED["su2/a1"] = partial(_geps_case, 1)
+_RED["geps/a1"] = _geps_case
 
 
 # --- SE(3): both semidirect factors ------------------------------------------
@@ -547,7 +534,7 @@ def _se3_so3():
     )
 
 
-_register("se3/so3", _se3_so3)
+_RED["se3/so3"] = _se3_so3
 
 
 def _se3_r3():
@@ -569,4 +556,4 @@ def _se3_r3():
     )
 
 
-_register("se3/r3", _se3_r3)
+_RED["se3/r3"] = _se3_r3

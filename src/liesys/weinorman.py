@@ -23,16 +23,16 @@ An ordering with a dependency cycle takes Picard sweeps
 v <- v(t_a) + int_{t_a}^t f(v) behind a sliding frontier t_a, by
 `numerics.picard_windows` (the `numerics` docstring gives the settled
 prefix, the even-step rule, the failure rule and the grow-back).  A
-two-step window that still fails runs by RK4 over its own nodes.  Given
-the action chart, the windows start from a first iterate taken from the
-group: the fourth-order Magnus curve of A = -b on that chart
-(`groups.magnus_scan`), mapped to exponents where the chart has a
-closed-form map for the ordering (`groups.second_kind_map`).  It lies
-about 1e-12 from the answer and cuts the sweeps from about 30 to 10-16;
-as the commit rule still waits for roundoff, it changes only the sweep
-count and the exponents' last bits.  Without a chart the windows start
-flat.  The sweeps need Simpson's rule, so on a non-uniform grid a cyclic
-ordering integrates by RK4 throughout.  A chart breakdown is one rule on every
+two-step window that still fails runs by RK4 over its own nodes.  Where
+a chart with a closed-form map to second-kind coordinates is filed for the
+algebra and the ordering (`groups.second_kind_chart`), the windows start
+from a first iterate taken from the group: the fourth-order Magnus curve
+of A = -b on that chart (`groups.magnus_scan`), mapped to exponents.  It
+lies about 1e-12 from the answer and cuts the sweeps from about 30 to
+10-16; as the commit rule still waits for roundoff, it changes only the
+sweep count and the exponents' last bits.  Any other algebra and ordering
+start flat.  The sweeps need Simpson's rule, so on a non-uniform grid a
+cyclic ordering integrates by RK4 throughout.  A chart breakdown is one rule on every
 route: an M(v) that fails the condition guard of `linsolve`.  The levels and
 the RK4 stages guard every solve.  The cyclic sweeps solve unguarded, by
 `stack_solve`, as only the rows a sweep commits enter the answer: a
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, bracket_coords, wn_matrix
-from .errors import DimensionError, LieSysError, NumericsError, SingularMatrixError, WNBreakdownError
+from .errors import DimensionError, NumericsError, SingularMatrixError, WNBreakdownError
 from .groups import (
     GroupChart,
     GroupElement,
@@ -60,7 +60,7 @@ from .groups import (
     exp_algebra,
     exp_basis,
     magnus_scan,
-    second_kind_map,
+    second_kind_chart,
 )
 from .numerics import (  # rk4_step stays bound here: the span tests in perfbench patch it
     _BATCH_RTOL,
@@ -78,7 +78,6 @@ from .numerics import (  # rk4_step stays bound here: the span tests in perfbenc
     sweep_rk4,
 )
 
-_BREAKDOWN_COND = 1e10
 # the dependency probe: random points, and the relative change of a rate
 # that counts as a dependency (rounding moves an independent rate ~1e-16)
 _PROBES = 3
@@ -183,15 +182,13 @@ class ControlSignal:
         return np.stack([_channel_on_times(ch, t) for ch in self.channels], axis=-1)
 
     def pad(self, r, used):
-        """Embed into r channels; `used` gives the target index per channel.
-        A signal that already has r channels is returned as it is; any other
-        signal must have one channel per index of `used`, or ValueError
-        names both counts."""
-        if self.dim == r:
-            return self
+        """Embed into r channels; `used` gives the 0-based target index of
+        each channel, and every other channel is zero.  Any count but one
+        channel per index of `used` is a ValueError naming the driven
+        channels: the closed-form fixtures read only those."""
         if self.dim != len(used):
             raise ValueError(f"controls give {self.dim} channels; need one per driven index "
-                             f"({len(used)}) or one per basis element ({r})")
+                             f"({len(used)}): channels {[i + 1 for i in used]} of {r}")
         chans = [lambda t: 0.0] * r
         for i, target in enumerate(used):
             chans[target] = self.channels[i]
@@ -212,9 +209,10 @@ class WNProblem:
         if self.ordering is None:
             self.ordering = tuple(range(1, r + 1))
         if sorted(self.ordering) != list(range(1, r + 1)):
-            raise LieSysError("ordering must be a permutation of 1..r")
+            raise ValueError(f"ordering must be a permutation of 1..{r}, got {self.ordering}")
         if self.controls.dim != r:
-            raise LieSysError("controls must provide one channel per basis element")
+            raise ValueError(f"controls give {self.controls.dim} channels; need one per basis "
+                             f"element ({r})")
 
 
 def _dependency_levels(alg: LieAlgebra, ordering):
@@ -265,7 +263,7 @@ def _sweep(alg: LieAlgebra, ordering, v, b, grid: TimeGrid, cols, guarded):
     is `linsolve`'s; an unguarded one is `stack_solve`'s, where a singular
     matrix gives non-finite rates from its node on instead of an error."""
     M = wn_matrix(alg, ordering, v)
-    f = linsolve(M, b, _BREAKDOWN_COND) if guarded else stack_solve(M, b)
+    f = linsolve(M, b) if guarded else stack_solve(M, b)
     return cumulative_quadrature_samples(f[:, cols], grid)
 
 
@@ -290,25 +288,26 @@ def _wn_solve_levels(problem: WNProblem, b, levels) -> Trajectory:
     return Trajectory(grid, v, meta="wei-norman")
 
 
-def _group_first_iterate(problem: WNProblem, b, chart: GroupChart | None):
-    """The exponents of the group's Magnus curve on `chart`, over the
-    problem's uniform grid, or None where the chart has no second-kind map
-    for the ordering or the grid has fewer than four nodes.
+def _group_first_iterate(problem: WNProblem, b):
+    """The exponents of the group's Magnus curve over the problem's uniform
+    grid, or None where no chart is filed for the algebra and the ordering
+    (`second_kind_chart`) or the grid has fewer than four nodes.
 
-    The curve is `magnus_scan` of A = -b, its midpoints from the node
-    samples by `cubic_midpoints`, and `second_kind_map` takes it to the
-    second-kind coordinates x of the ordering, which are -v
+    The curve is `magnus_scan` of A = -b on the filed chart, its midpoints
+    from the node samples by `cubic_midpoints`, and the chart's map takes
+    it to the second-kind coordinates x of the ordering, which are -v
     (`wn_reconstruct`).  A hyperbolic drive can take the curve past
     overflow, and a point can leave the map's domain: such rows are not
     finite, and their windows start flat."""
-    to_second = None if chart is None else second_kind_map(chart, problem.ordering)
-    if to_second is None or len(b) < 4:
+    filed = second_kind_chart(problem.algebra, problem.ordering)
+    if filed is None or len(b) < 4:
         return None
+    chart, to_second = filed
     with np.errstate(all="ignore"):
         return -to_second(magnus_scan(chart, -b, cubic_midpoints(-b), problem.grid.uniform_dt))
 
 
-def _wn_solve_sweeps(problem: WNProblem, b, chart: GroupChart | None) -> Trajectory:
+def _wn_solve_sweeps(problem: WNProblem, b) -> Trajectory:
     # the sweeps solve unguarded, as only committed rows enter the answer;
     # the guard then checks each node's M(v) once, at the solved exponents
     alg, ordering, nodes = problem.algebra, problem.ordering, problem.grid.nodes
@@ -320,10 +319,10 @@ def _wn_solve_sweeps(problem: WNProblem, b, chart: GroupChart | None) -> Traject
     def stuck(a, e, va):
         return _wn_solve_rk4(problem, va, TimeGrid.from_nodes(nodes[a:e + 1])).states
 
-    first = _group_first_iterate(problem, b, chart)
+    first = _group_first_iterate(problem, b)
     v = picard_windows(sweep, np.zeros(alg.dim), len(nodes) - 1, False, stuck, first)
     try:
-        linsolve(wn_matrix(alg, ordering, v), b, _BREAKDOWN_COND)
+        linsolve(wn_matrix(alg, ordering, v), b)
     except SingularMatrixError as exc:
         raise _node_breakdown(exc, nodes) from None
     return Trajectory(problem.grid, v, meta="wei-norman")
@@ -338,7 +337,7 @@ def _wn_solve_rk4(problem: WNProblem, v0, grid: TimeGrid) -> Trajectory:
 
     def f(t, v, b):
         try:
-            return linsolve(wn_matrix(alg, ordering, v), b, _BREAKDOWN_COND)
+            return linsolve(wn_matrix(alg, ordering, v), b)
         except SingularMatrixError as exc:
             raise WNBreakdownError(t[exc.index[0]], exc.cond)
 
@@ -346,7 +345,7 @@ def _wn_solve_rk4(problem: WNProblem, v0, grid: TimeGrid) -> Trajectory:
     return sweep_rk4(f, v0, grid, table, "wei-norman")
 
 
-def wn_solve(problem: WNProblem, chart: GroupChart | None = None) -> Trajectory:
+def wn_solve(problem: WNProblem) -> Trajectory:
     """Integrate the Wei-Norman system with v(t0) = 0.
 
     The exponents integrate by quadrature sweeps, each one `wn_matrix`
@@ -357,13 +356,11 @@ def wn_solve(problem: WNProblem, chart: GroupChart | None = None) -> Trajectory:
     Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b behind a sliding
     frontier t_a (`numerics.picard_windows` gives the rules; windows halve
     down to two steps, and a two-step window that still fails runs by RK4
-    over its own nodes).  `chart`, the curve's action chart, seeds those
-    windows with the group's Magnus curve mapped to exponents
-    (`_group_first_iterate`) where the chart has a closed-form map for the
-    ordering: the Geps(+1), Geps(-1), SO3 and SL2 matrix charts, and a
-    second-kind chart of the ordering itself.  The seed changes only the
-    sweep count and the exponents' last bits; without it the windows start
-    flat.  On any other grid a cyclic ordering runs RK4 (by
+    over its own nodes).  Where `groups.second_kind_chart` files a chart
+    for the algebra and the ordering, the windows start from the group's
+    Magnus curve on it mapped to exponents (`_group_first_iterate`), which
+    changes only the sweep count and the exponents' last bits; any other
+    windows start flat.  On any other grid a cyclic ordering runs RK4 (by
     `numerics.sweep_rk4`): the second-order trapezoid is the only
     quadrature rule there.  On a coarse grid the quadrature trails RK4:
     on sl2 with b = (3 cos t, 0, -3 cos t) over [0, 6] at dt = 0.003, the
@@ -392,7 +389,7 @@ def wn_solve(problem: WNProblem, chart: GroupChart | None = None) -> Trajectory:
     _reject_non_finite(b, "control sample", grid.nodes)
     if levels is not None:
         return _wn_solve_levels(problem, b, levels)
-    return _wn_solve_sweeps(problem, b, chart)
+    return _wn_solve_sweeps(problem, b)
 
 
 class GroupCurve:

@@ -141,9 +141,12 @@ def test_unknown_system_exit_2(capsys):
 
 
 def test_wrong_channel_count_exit_2(capsys):
+    # a control list has one channel per driven index: brockett is driven on
+    # 2 of its 3 basis elements, and 3 channels are refused as 1 and 4 are
     for argv, given, driven, r in (
             (["reduce", "--reduction", "se3/so3"], 1, 6, 6),
             (["simulate", "--system", "brockett", "--x0", "0,0,0"], 1, 2, 3),
+            (["simulate", "--system", "brockett", "--x0", "0,0,0"], 3, 2, 3),
             (["simulate", "--system", "brockett", "--x0", "0,0,0"], 4, 2, 3)):
         controls = ";".join(["const:1"] * given)
         code, stdout, stderr = run_cli(capsys, *argv, "--controls", controls,
@@ -152,7 +155,7 @@ def test_wrong_channel_count_exit_2(capsys):
         body = json.loads(stderr)
         assert body["code"] == "parse"
         assert f"give {given} channels" in body["message"]
-        assert f"({driven})" in body["message"] and f"({r})" in body["message"]
+        assert f"({driven})" in body["message"] and body["message"].endswith(f" of {r}")
 
 
 def test_reduce_refuses_controls_outside_the_driven_channels(capsys):
@@ -163,8 +166,8 @@ def test_reduce_refuses_controls_outside_the_driven_channels(capsys):
     assert code == 2 and stdout == ""
     assert json.loads(stderr) == {
         "code": "parse",
-        "message": "controls give 3 channels; h3/a3 is driven on channels [1, 2] and takes "
-                   "one per driven index (2)"}
+        "message": "controls give 3 channels; need one per driven index (2): channels [1, 2] "
+                   "of 3"}
 
 
 def test_wrong_x0_length_exit_2(capsys):
@@ -211,6 +214,44 @@ def test_malformed_params_exit_2(capsys):
         assert body["message"] == f"--params expects key=value with a numeric value, got {item!r}"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--system", "brockett", "--params", "foo=1", "--x0", "0,0,0"],
+     "system 'brockett' has no parameter 'foo'; it takes none"),
+    (["simulate", "--system", "td_linear_potential_classical", "--params", "m=2",
+      "--x0", "0,0"], "system 'td_linear_potential_classical' has no parameter 'm'; it takes none"),
+    (["simulate", "--system", "elastic_euler", "--params", "eps=1", "m=2", "--x0", "0,0,0"],
+     "system 'elastic_euler' has no parameter 'm'; it takes eps"),
+    (["simulate", "--system", "chained_n", "--params", "n=5.5", "--x0", "0,0,0,0,0"],
+     "chained_n supports integral 3 <= n <= 10, got 5.5"),
+    (["simulate", "--system", "power_n", "--params", "n=4.5", "--x0", "0,0,0,0"],
+     "power_n supports integral 3 <= n <= 10, got 4.5"),
+    (["reduce", "--reduction", "se2/a2a3", "--params", "foo=1"],
+     "reduction 'se2/a2a3' has no parameter 'foo'; it takes none"),
+    # the registration loops once leaked their case as a parameter: h3/a1
+    # with which=3 ran h3/a3, and se2/a1 with which=1 ran se2/a2a3
+    (["reduce", "--reduction", "h3/a1", "--params", "which=3"],
+     "reduction 'h3/a1' has no parameter 'which'; it takes none"),
+    (["reduce", "--reduction", "se2/a1", "--params", "which=1"],
+     "reduction 'se2/a1' has no parameter 'which'; it takes none"),
+], ids=["brockett-foo", "tdlin-m", "elastic-m", "chained-5.5", "power-4.5", "se2-foo",
+        "h3-which", "se2-which"])
+def test_unknown_or_malformed_catalog_parameters_exit_2(argv, message, capsys):
+    code, stdout, stderr = run_cli(capsys, *argv, "--controls", "const:1,1", "--grid", "0,1,10")
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {"code": "parse", "message": message}
+
+
+def test_an_integral_float_names_the_same_form(capsys):
+    # as eps=1.0 names elastic_euler at eps = +1, n=4.0 names power_4
+    reports = []
+    for n in ("4", "4.0"):
+        code, stdout, _ = run_cli(capsys, "simulate", "--system", "power_n", "--params", f"n={n}",
+                                  "--controls", "const:1,1", "--grid", "0,1,10", "--x0", "0,0,0,0")
+        assert code == 0
+        reports.append(json.loads(stdout))
+    assert reports[0] == reports[1]
+
+
 _SIMULATE = ["simulate", "--system", "brockett", "--x0", "0,0,0"]
 _SPEC_FORMS = "expected const:v1[,v2...] or sin:amp,freq[,phase]"
 
@@ -227,7 +268,7 @@ _SPEC_FORMS = "expected const:v1[,v2...] or sin:amp,freq[,phase]"
     (["quantum", "example", "--id", "5.1", "--l", "-1.2", "--coupling", "1",
       "--xgrid=0.02,10,1"], "--xgrid needs n >= 3, got '0.02,10,1'"),
     (["wei-norman", "--system", "so3_kinematics", "--controls", "const:1,1,1", "--grid",
-      "0,1,10", "--ordering", "1,2"], "--ordering must be a permutation of 1..3, got '1,2'"),
+      "0,1,10", "--ordering", "1,2"], "ordering must be a permutation of 1..3, got (1, 2)"),
 ], ids=["sin-one-number", "sin-four-numbers", "sin-not-a-number", "const-empty-value",
         "grid-no-steps", "grid-reversed", "grid-inf", "xgrid-one-point", "ordering-short"])
 def test_malformed_problem_arguments_exit_2(argv, message, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import liesys.groups as G
-from liesys.algebra import catalog_algebra, exp_ad, exp_ad_basis
+from liesys.algebra import LieAlgebra, catalog_algebra, exp_ad, exp_ad_basis
 from liesys.errors import ChartError
 from liesys.numerics import TimeGrid, Trajectory
 from liesys.weinorman import wn_reconstruct
@@ -415,12 +415,13 @@ def test_second_kind_map_inverts_the_wei_norman_reconstruction(key, rng):
     # unwrapping along the nodes keeps it continuous
     chart = G._CHARTS[key]
     ordering = chart.ordering or (1, 2, 3)
+    filed, to_second = G.second_kind_chart(chart.algebra, ordering)
+    assert filed is chart
     grid = TimeGrid.uniform(0.0, 1.0, 400)
     t = grid.nodes[:, None]
     v = np.sin(t * rng.uniform(1.0, 3.0, len(ordering)) + rng.uniform(-1.0, 1.0, len(ordering)))
     v = v - v[0]
     v[:, 0] += 4.0 * grid.nodes
-    to_second = G.second_kind_map(chart, ordering)
     coords = wn_reconstruct(Trajectory(grid, v), ordering, chart).coords
     x = to_second(coords)
     assert np.max(np.abs(x + v) / np.maximum(1.0, np.abs(v))) <= 1e-14
@@ -430,16 +431,22 @@ def test_second_kind_map_inverts_the_wei_norman_reconstruction(key, rng):
 
 
 def test_second_kind_maps_are_registered_on_the_cyclic_charts_only():
-    # the reconstruction seeds the cyclic Wei-Norman sweeps where the map is
-    # known in closed form; a second-kind chart of the same ordering is its
-    # own map, and every other chart and ordering has none
-    mapped = {k for k in ALL_KEYS if G.second_kind_map(G._CHARTS[k], k[2] or (1, 2, 3))}
-    assert {k for k in mapped if k[1] == "matrix"} == {
+    # the Magnus curve seeds the cyclic Wei-Norman sweeps where a chart's
+    # map to second-kind coordinates is known in closed form: one chart per
+    # algebra and ordering, every second-kind chart filed as its own map,
+    # and no other algebra or ordering filed
+    filed = {(alg, ordering): chart for (alg, ordering), (chart, _) in G._SECOND_KIND.items()}
+    assert all(chart.algebra is alg for (alg, _), chart in filed.items())
+    assert {c.key for c in filed.values() if c.chart_kind == "matrix"} == {
         ("Geps(+1)", "matrix", None), ("Geps(-1)", "matrix", None), ("SO3", "matrix", None),
         ("SL2", "matrix", None)}
-    assert all(k[1] == "canonical_second" for k in mapped if k[1] != "matrix")
-    assert G.second_kind_map(G.get_chart("SO3", "matrix"), (3, 2, 1)) is None
-    sl2 = G.second_kind_map(G.get_chart("SL2", "matrix"), (1, 2, 3))
+    second = [G._CHARTS[k] for k in ALL_KEYS if k[1] == "canonical_second"]
+    assert {c.key for c in filed.values() if c.chart_kind != "matrix"} == {c.key for c in second}
+    assert all(filed[(c.algebra, c.ordering)] is c for c in second)
+    so3 = catalog_algebra("so3")
+    assert G.second_kind_chart(so3, (3, 2, 1)) is None
+    assert G.second_kind_chart(LieAlgebra(so3.structure, so3.name), (1, 2, 3)) is None
+    _, sl2 = G.second_kind_chart(catalog_algebra("sl2"), (1, 2, 3))
     assert np.isnan(sl2(-np.eye(2).reshape(-1))).all()
 
 

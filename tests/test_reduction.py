@@ -552,7 +552,7 @@ def test_controls_outside_the_driven_channels_are_refused(name):
     # the closed-form fixtures read the driven channels only
     case = catalog_reduction(name)
     b = smooth_controls(case.chart.algebra.dim, seed=3)
-    with pytest.raises(ValueError, match=rf"^controls give {case.chart.algebra.dim} channels; "
-                                         rf"{name} is driven on channels \[1, 2\] and takes "
-                                         rf"one per driven index \(2\)$"):
+    r = case.chart.algebra.dim
+    with pytest.raises(ValueError, match=rf"^controls give {r} channels; need one per driven "
+                                         rf"index \(2\): channels \[1, 2\] of {r}$"):
         case.pad_controls(b)

@@ -260,7 +260,7 @@ def test_wei_norman_rk4_equals_the_single_state_loop():
                      entry.ordering())
     got = _wn_solve_rk4(prob, np.zeros(prob.algebra.dim), GRID).states
     ref = integrate_rk4(
-        lambda t, v, u: linsolve(wn_matrix(prob.algebra, prob.ordering, v), u, 1e10),
+        lambda t, v, u: linsolve(wn_matrix(prob.algebra, prob.ordering, v), u),
         np.zeros(3), GRID, table=prob.controls(rk4_stage_times(GRID))).states
     assert np.max(np.abs(got - ref)) <= 1e-13
 

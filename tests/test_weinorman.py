@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -131,6 +132,17 @@ def test_wn_matrix_plans_once_per_ordering():
     assert [len(entries) for _, entries in plan] == [5, 5, 5]
 
 
+def test_a_problem_refuses_a_bad_ordering_or_channel_count(unit_grid):
+    # malformed input, so ValueError (the CLI's parse error), naming r
+    so3 = catalog_algebra("so3")
+    with pytest.raises(ValueError, match=r"^ordering must be a permutation of 1\.\.3, "
+                                         r"got \(1, 2\)$"):
+        WNProblem(so3, ControlSignal.constant([1, 1, 1]), unit_grid, (1, 2))
+    with pytest.raises(ValueError, match=r"^controls give 2 channels; need one per basis "
+                                         r"element \(3\)$"):
+        WNProblem(so3, ControlSignal.constant([1, 1]), unit_grid)
+
+
 def test_wn_solve_zero_controls(unit_grid):
     h3 = catalog_algebra("h3")
     sol = wn_solve(WNProblem(h3, ControlSignal.constant([0, 0, 0]), unit_grid))
@@ -233,6 +245,13 @@ def _rk4(prob):
     return W._wn_solve_rk4(prob, np.zeros(prob.algebra.dim), prob.grid)
 
 
+def _unregistered(prob):
+    """The problem on a copy of its algebra, for which no chart is filed
+    (`groups.second_kind_chart`), so that its cyclic sweeps start flat."""
+    alg = LieAlgebra(prob.algebra.structure, prob.algebra.name)
+    return WNProblem(alg, prob.controls, prob.grid, prob.ordering)
+
+
 def _windows(monkeypatch):
     """Patch the sweep and the RK4 step: the grids of the windows swept, in
     order; an RK4 step fails the test."""
@@ -300,9 +319,10 @@ def test_sweep_windows_halve_and_grow_back(monkeypatch):
     # this grid by 1.5e-10
     grid = TimeGrid.uniform(0.0, 6.0, 2000)
     b = ControlSignal([lambda t: 3 * np.cos(t), lambda t: 0 * t, lambda t: -3 * np.cos(t)])
-    rk4 = _rk4(WNProblem(catalog_algebra("sl2"), b, grid)).states
+    prob = _unregistered(WNProblem(catalog_algebra("sl2"), b, grid))
+    rk4 = _rk4(prob).states
     windows = _windows(monkeypatch)
-    got = wn_solve(WNProblem(catalog_algebra("sl2"), b, grid)).states
+    got = wn_solve(prob).states
     widths = [w.n_steps for w in windows]
     assert widths[0] == N._WINDOW and 64 in widths
     assert N._WINDOW in widths[widths.index(64):]
@@ -659,7 +679,7 @@ def test_sweep_path_guards_each_node_once_at_the_solved_exponents(monkeypatch):
     bound = cond[1000]
     k = int(np.argmax(cond > bound))
     assert cond[k] > bound
-    monkeypatch.setattr(W, "_BREAKDOWN_COND", bound)
+    monkeypatch.setattr(N, "_BREAKDOWN_COND", bound)
     monkeypatch.setattr(N, "rk4_step", lambda *a: pytest.fail("rk4_step ran"))
     with pytest.raises(WNBreakdownError) as exc:
         wn_solve(prob)
@@ -673,7 +693,8 @@ def test_a_singular_matrix_in_a_sweep_fails_only_its_window(monkeypatch):
     # window fails and halves, and the solve goes on to the same exponents
     entry = get_system("so3_kinematics")
     b = entry.pad_controls(_lie_oracle_controls(1, "so3_kinematics", 3, 1.0))
-    prob = WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 1.0, 2000), entry.ordering())
+    prob = _unregistered(WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 1.0, 2000),
+                                   entry.ordering()))
     ref = wn_solve(prob).states
     wn, sweep = W.wn_matrix, W._sweep
     stacks, windows, swept = [], [], []
@@ -732,21 +753,33 @@ def _relative_gap(got, ref):
                          ids=[n + "".join(f"{v:+d}" for v in kw.values())
                               for n, kw, _, _ in SEEDED_WN])
 def test_cyclic_sweeps_are_seeded_from_the_group(name, kw, nch, amp, seed, monkeypatch):
-    # the Magnus curve on the action chart, mapped to exponents, is about
-    # 1e-12 from the answer: the sweeps fall from 27-37 to 10-16, and as the
+    # the Magnus curve on the chart filed for the algebra and ordering,
+    # mapped to exponents, is about 1e-12 from the answer: the sweeps fall
+    # from 27-37 on an unregistered copy of the algebra to 10-16, and as the
     # commit rule still waits for roundoff the exponents move only in their
     # last bits
     entry, b, prob = _cyclic_problem(name, kw, nch, amp, seed)
     sweeps = _counting_sweeps(monkeypatch)
-    flat = wn_solve(prob).states
+    flat = wn_solve(_unregistered(prob)).states
     flat_sweeps = len(sweeps)
     sweeps.clear()
-    seeded = wn_solve(prob, entry.realization.action_chart).states
+    seeded = wn_solve(prob).states
     seeded_sweeps = len(sweeps)
     sweeps.clear()
     entry.wn_group_curve(b, prob.grid)
     assert flat_sweeps >= 27 and seeded_sweeps <= 16 and len(sweeps) == seeded_sweeps
     assert _relative_gap(seeded, flat) <= 1e-14
+
+
+def test_the_wei_norman_command_is_seeded_from_the_group(monkeypatch, capsys):
+    # the command passes the solver no chart: wn_solve finds so3's itself
+    from liesys.cli import main
+
+    sweeps = _counting_sweeps(monkeypatch)
+    assert main(["wei-norman", "--system", "so3_kinematics", "--controls",
+                 "sin:1,1,0;const:0.5;sin:0.7,2,1", "--grid", "0,1,2000"]) == 0
+    assert json.loads(capsys.readouterr().out)["system"] == "so3_kinematics"
+    assert 0 < len(sweeps) <= 16
 
 
 @pytest.mark.parametrize("wrong", ["shifted", "nan"])
@@ -755,7 +788,7 @@ def test_a_wrong_wei_norman_seed_converges_to_the_same_exponents(wrong, monkeypa
     # non-finite rows whose windows start flat, ends at the same exponents,
     # and no window stalls into RK4
     entry, b, prob = _cyclic_problem("so3_kinematics", {}, 3, 1.0, 2101)
-    flat = wn_solve(prob).states
+    flat = wn_solve(_unregistered(prob)).states
     seed = W._group_first_iterate
 
     def corrupt(*a):
@@ -767,16 +800,15 @@ def test_a_wrong_wei_norman_seed_converges_to_the_same_exponents(wrong, monkeypa
 
     monkeypatch.setattr(W, "_group_first_iterate", corrupt)
     monkeypatch.setattr(W, "_wn_solve_rk4", lambda *a: pytest.fail("a window ran by RK4"))
-    assert _relative_gap(wn_solve(prob, entry.realization.action_chart).states, flat) <= 1e-14
+    assert _relative_gap(wn_solve(prob).states, flat) <= 1e-14
 
 
 def test_a_grid_too_short_for_the_cubic_midpoints_starts_flat():
     # two steps give three nodes, one short of the cubic midpoint rule
     entry, b, _ = _cyclic_problem("so3_kinematics", {}, 3, 1.0, 2101)
     prob = WNProblem(entry.algebra, b, TimeGrid.uniform(0.0, 0.001, 2), entry.ordering())
-    assert W._group_first_iterate(prob, b(prob.grid.nodes), entry.realization.action_chart) is None
-    assert np.array_equal(wn_solve(prob, entry.realization.action_chart).states,
-                          wn_solve(prob).states)
+    assert W._group_first_iterate(prob, b(prob.grid.nodes)) is None
+    assert np.array_equal(wn_solve(prob).states, wn_solve(_unregistered(prob)).states)
 
 
 def test_lie_oracle_solves_call_no_lapack(monkeypatch):
@@ -813,7 +845,7 @@ def test_se3_wn_matrices_still_reach_lapack(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(("inv", a.shape)) or inv(a))
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, x: calls.append(("solve", a.shape)) or solve(a, x))
-    x = N.linsolve(M, b, W._BREAKDOWN_COND)
+    x = N.linsolve(M, b)
     assert calls == [("inv", (9, 6, 6))]
     W._sweep(alg, ordering, v, b, TimeGrid.uniform(0.0, 1.0, 8), slice(None), False)
     assert calls[1:] == [("inv", (9, 6, 6))]
