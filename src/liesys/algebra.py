@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -543,29 +544,35 @@ def load_algebra_file(path_or_text) -> LieAlgebra:
     return algebra_from_triples(dim, triples, name)
 
 
-def _from_data(fname) -> LieAlgebra:
-    ref = resources.files("liesys").joinpath("algebra_data", fname)
-    return load_algebra_file(ref.read_text())
+def _from_data(name) -> LieAlgebra:
+    """The file-backed catalog algebra `name`, named so."""
+    ref = resources.files("liesys").joinpath("algebra_data", _FILE_BACKED[name])
+    alg = load_algebra_file(ref.read_text())
+    object.__setattr__(alg, "name", name)
+    return alg
+
+
+def family_parameter(value, lo, hi, requirement) -> int:
+    """A catalog family's parameter as an int, by one rule for every family
+    (gbar's n, g_eps's eps, chained_n's and power_n's n): an integral float
+    such as 4.0 names the same member as 4, and a value that is not an
+    integer from lo to hi is an UnknownNameError stating `requirement`."""
+    if not (isinstance(value, numbers.Real) and lo <= value <= hi and float(value).is_integer()):
+        raise UnknownNameError(f"{requirement}, got {value!r}")
+    return int(value)
+
+
+# the g_eps family's bounds and requirement for `family_parameter`
+G_EPS = (-1, 1, "g_eps requires eps in {-1, 0, 1}")
 
 
 def _gbar(n: int) -> LieAlgebra:
     # [a1, ak] = a_{k+1}, k = 2..n-1; gbar_2 is the Abelian plane.
-    if n < 2:
-        raise UnknownNameError("gbar requires n >= 2")
     triples = [(1, k, k + 1, 1.0) for k in range(2, n)]
     return algebra_from_triples(n, triples, f"gbar{n}")
 
 
-def eps_parameter(eps) -> int:
-    """The g_eps family parameter as an int; an integral float such as 1.0
-    names the same member, and anything outside {-1, 0, 1} is rejected."""
-    if eps not in (-1, 0, 1):
-        raise UnknownNameError(f"g_eps requires eps in {{-1, 0, 1}}, got {eps!r}")
-    return int(eps)
-
-
-def _geps(eps: float) -> LieAlgebra:
-    eps = eps_parameter(eps)
+def _geps(eps: int) -> LieAlgebra:
     return algebra_from_triples(
         3, [(1, 2, 3, 1.0), (1, 3, 2, -1.0), (2, 3, 1, float(eps))], f"geps({eps:+d})"
     )
@@ -597,26 +604,23 @@ _cache: dict = {}
 def catalog_algebra(name: str, n: int | None = None, eps: float | None = None) -> LieAlgebra:
     """Look up a catalog algebra by name.
 
-    Parametrized families: 'gbar' needs n >= 2, 'g_eps' needs eps in {-1,0,1}.
+    Parametrized families: 'gbar' needs an integral n >= 2, 'g_eps' eps in
+    {-1, 0, 1}.  `family_parameter` normalises the parameter before the
+    cache key is formed, so n = 6.0 and n = 6 name the same algebra; a name
+    outside the families ignores n and eps.
     """
-    key = (name, n, eps)
-    if key in _cache:
-        return _cache[key]
     if name == "gbar":
-        if n is None:
-            raise UnknownNameError("gbar requires the family parameter n")
-        alg = _gbar(n)
+        make, arg = _gbar, family_parameter(n, 2, math.inf, "gbar requires an integral n >= 2")
     elif name == "g_eps":
-        if eps is None:
-            raise UnknownNameError("g_eps requires the family parameter eps")
-        alg = _geps(eps)
+        make, arg = _geps, family_parameter(eps, *G_EPS)
     elif name in _FILE_BACKED:
-        alg = _from_data(_FILE_BACKED[name])
-        object.__setattr__(alg, "name", name)
+        make, arg = _from_data, name
     else:
         raise UnknownNameError(f"unknown algebra {name!r}")
-    _cache[key] = alg
-    return alg
+    key = (name, arg)
+    if key not in _cache:
+        _cache[key] = make(arg)
+    return _cache[key]
 
 
 def catalog_names():

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import catalog_algebra, eps_parameter
+from .algebra import G_EPS, catalog_algebra, family_parameter
 from .errors import UnknownNameError
 from .groups import _square, get_chart
 from .numerics import TimeGrid
@@ -82,23 +82,29 @@ def register(name):
 _cache: dict = {}
 
 
-def build(kind: str, registry: dict, name: str, params):
-    """registry[name](**params); an unknown name, or a parameter that is not
-    in the builder's signature, is an UnknownNameError naming both."""
+def arguments(kind: str, registry: dict, name: str, params) -> dict:
+    """The arguments of registry[name] for `params`, defaults applied; an
+    unknown name, or a parameter that is not in the builder's signature, is
+    an UnknownNameError naming both."""
     if name not in registry:
         raise UnknownNameError(f"unknown {kind} {name!r}")
-    takes = inspect.signature(registry[name]).parameters
+    signature = inspect.signature(registry[name])
     for key in params:
-        if key not in takes:
+        if key not in signature.parameters:
             raise UnknownNameError(f"{kind} {name!r} has no parameter {key!r}; "
-                                   f"it takes {', '.join(takes) or 'none'}")
-    return registry[name](**params)
+                                   f"it takes {', '.join(signature.parameters) or 'none'}")
+    bound = signature.bind(**params)
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def get_system(name: str, **params) -> CatalogEntry:
-    key = (name, tuple(sorted(params.items())))
+    """The catalog entry, built once per builder arguments after defaults,
+    so that get_system("chained_n") is get_system("chained_n", n=4)."""
+    args = arguments("system", _REGISTRY, name, params)
+    key = (name, tuple(args.items()))
     if key not in _cache:
-        _cache[key] = build("system", _REGISTRY, name, params)
+        _cache[key] = _REGISTRY[name](**args)
     return _cache[key]
 
 
@@ -508,16 +514,9 @@ def _trailer():
     return CatalogEntry("trailer_power5", sys, (1, 2))
 
 
-def _form_size(name, n) -> int:
-    """n as an int; like eps in `eps_parameter`, 4.0 names the same form."""
-    if n not in range(3, 11):
-        raise UnknownNameError(f"{name} supports integral 3 <= n <= 10, got {n!r}")
-    return int(n)
-
-
 @register("chained_n")
 def _chained(n: int = 4):
-    n = _form_size("chained_n", n)
+    n = family_parameter(n, 3, 10, "chained_n supports integral 3 <= n <= 10")
     alg = catalog_algebra("gbar", n=n)
     # X_1 = d/dx1 + sum_{k>=3} x_{k-1} d/dx_k, X_2 = d/dx2, X_k = (-1)^k d/dx_k
     base = np.diag([1.0, 1.0] + [(-1.0) ** (i + 1) for i in range(2, n)])
@@ -534,7 +533,7 @@ def _chained(n: int = 4):
 
 @register("power_n")
 def _power(n: int = 4):
-    n = _form_size("power_n", n)
+    n = family_parameter(n, 3, 10, "power_n supports integral 3 <= n <= 10")
     alg = catalog_algebra("gbar", n=n)
     sys = LieSystemRealization(alg, n, _power_fields(n), name=f"power_{n}")
     return CatalogEntry("power_n", sys, (1, 2))
@@ -548,7 +547,7 @@ def _power(n: int = 4):
 # generalized elastic problem; eps in {-1, 0, 1}
 @register("elastic_euler")
 def _elastic(eps: int = 1):
-    eps = eps_parameter(eps)
+    eps = family_parameter(eps, *G_EPS)
     sys = _linear_system(get_chart("Geps", "matrix", eps=eps), f"elastic_euler(eps={eps:+d})")
     return CatalogEntry("elastic_euler", sys, (1, 2, 3))
 

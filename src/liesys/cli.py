@@ -55,10 +55,18 @@ def _parse_grid(spec: str) -> TimeGrid:
     return TimeGrid.uniform(*_parse_range("grid", spec, 1))
 
 
-def _write_meta(path, config):
-    clean = {k: v for k, v in config.items() if not callable(v)}
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump({"config": clean}, fh, indent=1, sort_keys=True)
+def _write_out(args, tables):
+    """Write each data table to args.out plus its suffix, a Trajectory as its
+    CSV and a (header, rows) pair by the same savetxt format, and then the
+    .meta.json sidecar with the resolved configuration."""
+    for suffix, table in tables.items():
+        if isinstance(table, Trajectory):
+            table.to_csv(args.out + suffix)
+        else:
+            np.savetxt(args.out + suffix, table[1], delimiter=",", header=table[0], comments="")
+    config = {k: v for k, v in vars(args).items() if not callable(v)}
+    with open(args.out + ".meta.json", "w") as fh:
+        json.dump({"config": config}, fh, indent=1, sort_keys=True)
 
 
 def _fail(code, exc):
@@ -113,8 +121,7 @@ def cmd_simulate(args):
         via = solve_via_group(entry.realization, curve, x0)
         report["group_action_max_gap"] = float(np.max(np.abs(via.states - traj.states)))
     if args.out:
-        traj.to_csv(args.out)
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": traj})
     print(json.dumps(report))
     return 0
 
@@ -128,8 +135,7 @@ def cmd_wei_norman(args):
     prob = WNProblem(entry.algebra, entry.pad_controls(b), grid, ordering)
     v = wn_solve(prob)
     if args.out:
-        v.to_csv(args.out)
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": v})
     print(json.dumps({"system": args.system, "ordering": list(ordering),
                       "final_exponents": v.states[-1].tolist()}))
     return 0
@@ -149,10 +155,10 @@ def cmd_reduce(args):
         "reconstruction_log_derivative_gap": case.reconstruction_gap(b, out["reconstruction"]),
     }
     if args.out:
-        out["homogeneous"].to_csv(args.out + ".homogeneous.csv")
-        Trajectory(grid, out["coefficients"]).to_csv(args.out + ".coefficients.csv")
-        Trajectory(grid, out["reconstruction"].coords).to_csv(args.out + ".reconstruction.csv")
-        _write_meta(args.out, vars(args))
+        _write_out(args, {
+            ".homogeneous.csv": out["homogeneous"],
+            ".coefficients.csv": Trajectory(grid, out["coefficients"]),
+            ".reconstruction.csv": Trajectory(grid, out["reconstruction"].coords)})
     print(json.dumps(report))
     return 0
 
@@ -171,8 +177,7 @@ def cmd_superpose(args):
         rule = SuperpositionRule.affine(len(trajs) - 1)
     out = superpose(rule, trajs, consts)
     if args.out:
-        out.to_csv(args.out)
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": out})
     print(json.dumps({"kind": args.kind, "final": out.states[-1].tolist()}))
     return 0
 
@@ -189,8 +194,7 @@ def cmd_riccati(args):
         entries = ControlSignal.sampled(curve.grid, curve.states[:, :4])
         out = riccati.transform_coeffs(riccati.SL2Curve(*entries.channels), c)
         rows = np.column_stack([grid.nodes, out(grid.nodes)])
-        np.savetxt(args.out, rows, delimiter=",", header="t,a0,a1,a2", comments="")
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": ("t,a0,a1,a2", rows)})
         print(json.dumps({"written": args.out}))
         return 0
     if args.ric_cmd == "reduce":
@@ -201,8 +205,7 @@ def cmd_riccati(args):
         if args.x0 is not None:
             traj = red.general_solution(float(args.x0))
             if args.out:
-                traj.to_csv(args.out)
-                _write_meta(args.out, vars(args))
+                _write_out(args, {"": traj})
             report["final"] = traj.states[-1].tolist()
         print(json.dumps(report))
         return 0
@@ -210,24 +213,21 @@ def cmd_riccati(args):
         wk = Trajectory.from_csv(args.wk)
         wl = Trajectory.from_csv(args.wl)
         out = riccati.backlund_fd(wk, wl, args.eps_k, args.eps_l)
-        out.to_csv(args.out)
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": out})
         print(json.dumps({"written": args.out}))
         return 0
     if args.ric_cmd == "darboux":
         w = Trajectory.from_csv(args.w)
         v = Trajectory.from_csv(args.v)
         out = riccati.darboux_riccati(w, v, args.gamma, args.c)
-        out.to_csv(args.out)
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": out})
         print(json.dumps({"written": args.out}))
         return 0
     # general
     wp = Trajectory.from_csv(args.wp)
     F = INFINITY if args.F in ("inf", "infinity") else float(args.F)
     out = riccati.general_from_particular(wp, F)
-    out.to_csv(args.out)
-    _write_meta(args.out, vars(args))
+    _write_out(args, {"": out})
     print(json.dumps({"written": args.out}))
     return 0
 
@@ -261,8 +261,7 @@ def cmd_quantum(args):
         V, Vt = quantum.family_potentials(fam, m, x)
         rows = np.column_stack([x, W, V, Vt])
         if args.out:
-            np.savetxt(args.out, rows, delimiter=",", header="x,W,V,Vtilde", comments="")
-            _write_meta(args.out, vars(args))
+            _write_out(args, {"": ("x,W,V,Vtilde", rows)})
         print(json.dumps({"R": R}))
         return 0
     if args.q_cmd == "check-si":
@@ -275,9 +274,7 @@ def cmd_quantum(args):
     fix = quantum.example_fixture(args.id, args.l, args.coupling, x)
     res = quantum.eigen_residual(fix)
     if args.out:
-        rows = np.column_stack([x, fix.V, fix.psi])
-        np.savetxt(args.out, rows, delimiter=",", header="x,V,psi", comments="")
-        _write_meta(args.out, vars(args))
+        _write_out(args, {"": ("x,V,psi", np.column_stack([x, fix.V, fix.psi]))})
     print(json.dumps({"example": args.id, "energy": fix.energy, "eigen_residual": res}))
     return 0
 

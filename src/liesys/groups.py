@@ -15,9 +15,12 @@ and Gbar5 are derived from the structure constants: first-kind composition
 is the Baker-Campbell-Hausdorff series (`bch`, exact for nilpotency class
 at most 4), and every second-kind law goes through the conversions to and
 from the first kind.  SE2, the signature family and the affine group keep
-closed-form composition laws.  Each matrix chart checks its coordinates
-against one constraint per kind of matrix group: orthogonal (SO3), rigid
-motion (SE2, SE3) or unimodular (SL2, SL3).
+closed-form composition laws.  Canonical coordinates are those of the
+simply connected group: SE2's angle runs over all of R, so a curve's
+coordinates stay continuous past pi, and a conversion from a matrix chart,
+which sees SE(2) itself, returns the principal angle.  Each matrix chart
+checks its coordinates against one constraint per kind of matrix group:
+orthogonal (SO3), rigid motion (SE2, SE3) or unimodular (SL2, SL3).
 
 Adjoints and log-derivatives follow from the chart kind alone (`_adjoint`,
 `_trivialize`): one chain of exp(ad) factors for second-kind charts
@@ -42,7 +45,7 @@ One-parameter factors exp(s a_i) of a basis element (`exp_basis`:
 representation, the closed-form exponential of the fixed matrix R_i
 (`algebra.ExpRule`), and `exp_algebra` otherwise.
 
-Every chart law (compose, inverse, constraint, wrap, to-matrix),
+Every chart law (compose, inverse, constraint, to-matrix),
 `exp_algebra`, `_adjoint`, `_trivialize`, `_pull_back` and `bch` take
 coordinates with leading batch axes, (..., d), so a whole grid of nodes goes
 through one call; a single point is the batch with no leading axis.  Chart
@@ -58,6 +61,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    G_EPS,
     ExpRule,
     LieAlgebra,
     SpanExpRule,
@@ -65,8 +69,8 @@ from .algebra import (
     _exp_ad_chain,
     bracket_coords,
     catalog_algebra,
-    eps_parameter,
     expm,
+    family_parameter,
     wn_matrix,
 )
 from .errors import ChartError, UnknownNameError
@@ -74,12 +78,6 @@ from .numerics import central_diff, prefix_product
 
 DEFAULT_FD_STEP = 1e-5
 _CONSTRAINT_TOL = 1e-8
-
-
-def _wrap_angle(t):
-    # wrap to (-pi, pi]
-    w = np.fmod(t + math.pi, 2.0 * math.pi)
-    return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
 
 
 def _mat(rows):
@@ -106,12 +104,10 @@ def _vecmat(v, M):
 
 
 def _on_chart(chart, coords, stage=None, times=None):
-    """Wrap (..., d) chart coordinates and check them against the chart
-    constraint; non-finite coordinates always fail.  For the nodes of a
-    grid, `stage` names what they are and `times` their times; a violation
-    reports the first offending node, its time and its error."""
-    if chart.wrap_fn is not None:
-        coords = chart.wrap_fn(coords)
+    """Check (..., d) chart coordinates against the chart constraint and
+    return them unchanged; non-finite coordinates always fail.  For the
+    nodes of a grid, `stage` names what they are and `times` their times; a
+    violation reports the first offending node, its time and its error."""
     finite = np.isfinite(coords).all()
     if chart.constraint_fn is None and finite:
         return coords
@@ -142,7 +138,6 @@ class GroupChart:
     compose_fn: Callable = field(default=None, repr=False)
     inverse_fn: Callable = field(default=None, repr=False)
     constraint_fn: Callable | None = field(default=None, repr=False)
-    wrap_fn: Callable | None = field(default=None, repr=False)
     # closed-form exponential, (..., r) algebra vectors -> coords (second kind)
     exp_closed_fn: Callable | None = field(default=None, repr=False)
     to_matrix_fn: Callable | None = field(default=None, repr=False)  # linear coords -> matrix
@@ -448,7 +443,7 @@ def register_chart(chart):
 
 def get_chart(group_name: str, chart_kind: str = "canonical_second",
               ordering=None, eps=None) -> GroupChart:
-    name = group_name if eps is None else f"{group_name}({eps_parameter(eps):+d})"
+    name = group_name if eps is None else f"{group_name}({family_parameter(eps, *G_EPS):+d})"
     key = (name, chart_kind, tuple(ordering) if ordering else None)
     if key in _CHARTS:
         return _CHARTS[key]
@@ -526,9 +521,9 @@ def _unimodular(c):
 
 def _inverse_stays_on_chart(chart) -> bool:
     """Whether the chart's inverse of a point that meets its constraint
-    meets it too, with nothing to wrap: the conjugate on a quaternion chart
-    and the transpose on an orthogonal or rigid matrix chart.  Any other
-    matrix chart inverts by `np.linalg.inv`."""
+    meets it too: the conjugate on a quaternion chart and the transpose on
+    an orthogonal or rigid matrix chart.  Any other matrix chart inverts by
+    `np.linalg.inv`."""
     return chart.chart_kind == "quaternion" or chart.constraint_fn in (_orthogonal, _rigid)
 
 
@@ -686,11 +681,6 @@ def _build_se2():
         ct, st = np.cos(th), np.sin(th)
         return np.array([-th, -(a * ct - b * st), -(a * st + b * ct)]).T
 
-    def wrap(c):
-        out = c.copy()
-        out[..., 0] = _wrap_angle(out[..., 0])
-        return out
-
     def exp2(x):
         # exp(w A1 + u A2 + v A3) = [[R(w), V(w) (u, v)]] and the chart point
         # is [[R(th), R(th) (a, b)]], so (a, b) = R(-w) V(w) (u, v)
@@ -704,7 +694,7 @@ def _build_se2():
 
     chart2 = GroupChart(
         "SE2", "canonical_second", alg, np.zeros(3), ordering=(1, 2, 3), algebra_rep=rep,
-        compose_fn=compose2, inverse_fn=inverse2, wrap_fn=wrap, exp_closed_fn=exp2,
+        compose_fn=compose2, inverse_fn=inverse2, exp_closed_fn=exp2,
     )
     register_chart(chart2)
 

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import span_is_subalgebra
-from .catalog import build
+from .catalog import arguments
 from .errors import LieSysError, NumericsError
 from .groups import (  # left_log_derivative and magnus_scan stay importable from here
     GroupChart,
@@ -97,8 +97,9 @@ def reduce_to_subgroup(setup: ReductionSetup):
 
     The lift's coordinate velocity is `GroupCurve.coordinate_velocity` by
     fourth-order differences (one-sided five-point stencils at the two nodes
-    next to each end), which needs a uniform grid and follows a wrapped
-    angle across its cut; `_pull_back` then applies over all nodes at once,
+    next to each end), which needs a uniform grid and continuous chart
+    coordinates, so a lift whose angle jumps by 2 pi between two nodes fails
+    the off-span check there; `_pull_back` then applies over all nodes at once,
     on matrix and quaternion charts by the checked lift inverse and one
     conjugation per node.  Every lift node is checked against the chart
     constraint, and so is its inverse where `np.linalg.inv` computes it (a
@@ -318,7 +319,7 @@ _RED: dict = {}   # name: the builder of its ReductionCase
 
 
 def catalog_reduction(name: str, **params) -> ReductionCase:
-    return build("reduction", _RED, name, params)
+    return _RED[name](**arguments("reduction", _RED, name, params))
 
 
 def list_reductions():

@@ -400,11 +400,13 @@ class GroupCurve:
     at equal distance) and xi_j = (dg/dt) g^{-1} is the curve's right
     log-derivative there.  The same rule extends the curve beyond either
     end.  xi_j comes from second-order differences of the node coordinates
-    (`diff_samples`, each coordinate step taken through the chart's wrap),
-    mapped to the algebra by `_trivialize`; all nodes go through one pass on
-    the first off-node call, and the result is kept on the curve.  Between
-    nodes the curve is second-order accurate, like linear interpolation,
-    and the two neighbours' rules agree at the midpoint to third order.
+    (`diff_samples`), mapped to the algebra by `_trivialize`; all nodes go
+    through one pass on the first off-node call, and the result is kept on
+    the curve.  Between nodes the curve is second-order accurate, like
+    linear interpolation, and the two neighbours' rules agree at the
+    midpoint to third order.  The differences need coordinates that move
+    continuously from node to node, as canonical coordinates on the simply
+    connected group do: an SE2 angle past pi keeps growing.
     """
 
     def __init__(self, chart: GroupChart, grid: TimeGrid, coords: np.ndarray):
@@ -431,13 +433,9 @@ class GroupCurve:
     def coordinate_velocity(self, diff) -> np.ndarray:
         """dg/dt in chart coordinates at every node, (n, d): `diff`
         (`diff_samples` or `diff_samples4`) of the node coordinates on the
-        curve's uniform grid, each coordinate step taken through the chart's
-        wrap so that a wrapped angle moves continuously."""
+        curve's uniform grid."""
         dt = self.grid.uniform_step("a curve's coordinate velocity at its nodes")
-        steps = np.diff(self.coords, axis=0)
-        if self.chart.wrap_fn is not None:
-            steps = self.chart.wrap_fn(steps)
-        return diff(np.concatenate([self.coords[:1], self.coords[0] + np.cumsum(steps, axis=0)]), dt)
+        return diff(self.coords, dt)
 
     def node_log_derivatives(self, diff) -> np.ndarray:
         """The right log-derivative (dg/dt) g^{-1} at every node, (n, r):

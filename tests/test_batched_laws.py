@@ -60,11 +60,10 @@ def test_batched_laws_equal_stacked_single_calls(key, exponents):
         "pull_back": (lambda x, x_inv, c, v: G._pull_back(chart, x, x_inv, c, v),
                       (g, chart.inverse_fn(g), b, dg)),
     }
-    for name in ("constraint_fn", "wrap_fn", "to_matrix_fn"):
+    for name in ("constraint_fn", "to_matrix_fn"):
         fn = getattr(chart, name)
         if fn is not None:
-            # wrap also sees unwrapped coordinates
-            laws[name] = (fn, (g + 7.0 * dg if name == "wrap_fn" else g,))
+            laws[name] = (fn, (g,))
     for name, (fn, args) in laws.items():
         batched = fn(*args)
         assert batched.shape[0] == BATCH, name

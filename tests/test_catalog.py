@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -319,6 +323,37 @@ def test_unknown_system():
 def test_family_parameter_cap():
     assert get_system("chained_n", n=10).algebra.dim == 10
     assert get_system("power_n", n=10).realization.state_dim == 10
+
+
+def test_a_float_family_parameter_names_the_integral_member_in_a_fresh_process():
+    # the caches are keyed after the one normalising rule: gbar's n = 6.0
+    # raised TypeError until n = 6 had been built and then returned gbar6,
+    # n = 5.5 raised TypeError, and chained_n's default n = 4 was cached
+    # apart from n = 4; a fresh process has built no gbar6 yet
+    import liesys
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liesys.__file__)))
+    code = """if True:
+        from liesys.algebra import catalog_algebra
+        from liesys.catalog import get_system
+        from liesys.errors import UnknownNameError
+        before = catalog_algebra("gbar", n=6.0)
+        assert before is catalog_algebra("gbar", n=6) is catalog_algebra("gbar", n=6.0)
+        assert before.name == "gbar6" and before.dim == 6
+        for bad in (5.5, 1, None, float("inf")):
+            try:
+                catalog_algebra("gbar", n=bad)
+                raise SystemExit(f"gbar n={bad!r} was accepted")
+            except UnknownNameError as exc:
+                assert str(exc) == f"gbar requires an integral n >= 2, got {bad!r}", exc
+        entry = get_system("chained_n")
+        assert entry is get_system("chained_n", n=4) is get_system("chained_n", n=4.0)
+        assert get_system("power_n", n=5.0) is get_system("power_n", n=5)
+        print("ok")
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout.split() == ["ok"], out.stderr
 
 
 def test_geps_family_takes_integral_floats():

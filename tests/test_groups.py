@@ -450,10 +450,15 @@ def test_second_kind_maps_are_registered_on_the_cyclic_charts_only():
     assert np.isnan(sl2(-np.eye(2).reshape(-1))).all()
 
 
-def test_se2_angle_wrapped():
+def test_se2_element_keeps_an_angle_of_3pi():
+    # canonical coordinates are the simply connected group's; the matrix
+    # chart sees SE(2) itself, so converting back gives the principal angle
     ch = G.get_chart("SE2", "canonical_second", (1, 2, 3))
-    g = ch.element([3 * math.pi, 0.0, 0.0])
-    assert -math.pi < g.coords[0] <= math.pi
+    g = ch.element([3 * math.pi, 0.5, -0.25])
+    assert g.coords[0] == 3 * math.pi
+    back = G.chart_convert(G.chart_convert(g, G.get_chart("SE2", "matrix")), ch)
+    assert abs(back.coords[0] - math.pi) <= 1e-12
+    assert np.max(np.abs(back.coords[1:] - g.coords[1:])) <= 1e-12
 
 
 def test_composition_matches_matrix_representation(rng):

@@ -363,20 +363,24 @@ def test_reconstruction_is_fourth_order_in_the_step(name):
     assert gaps[0] >= 12.0 * gaps[1]
 
 
-def test_wrapped_lift_reduces_like_the_raw_lift():
-    # the angle of se2 turns through 5 rad, so the wrapped lift jumps by
-    # -2 pi at its cut; the reduction must follow it across as the curve's
-    # own log-derivatives do
+def test_a_lift_whose_angle_jumps_by_2pi_is_refused():
+    # the angle of se2 turns through 5 rad; taken to (-pi, pi], the lift
+    # jumps by 2 pi between nodes k - 1 and k, its coordinate velocity spikes
+    # there, and the off-span check names the jump
     case = catalog_reduction("se2/a2a3")
     b = ControlSignal([lambda t: -5.0, lambda t: 0.7 + 0.3 * np.sin(3.0 * t)])
     setup, _ = case.setup(b, TimeGrid.uniform(0.0, 1.0, 4000))
-    raw, _ = reduce_to_subgroup(setup)
-    lift = setup.lift
-    wrapped_coords = case.chart.wrap_fn(lift.coords)
-    assert np.max(np.abs(wrapped_coords - lift.coords)) > 6.0
-    setup.lift = GroupCurve(case.chart, lift.grid, wrapped_coords)
-    wrapped, _ = reduce_to_subgroup(setup)
-    assert np.max(np.abs(wrapped - raw)) <= 1e-12
+    reduce_to_subgroup(setup)
+    coords = setup.lift.coords.copy()
+    k = int(np.argmax(np.abs(coords[:, 0]) > np.pi))
+    coords[:, 0] = np.angle(np.exp(1j * coords[:, 0]))
+    assert abs(coords[k, 0] - coords[k - 1, 0]) > 6.0
+    setup.lift = GroupCurve(case.chart, setup.grid, coords)
+    with pytest.raises(LieSysError, match="does not project") as err:
+        reduce_to_subgroup(setup)
+    node = int(str(err.value).split("at node ")[1].split()[0])
+    assert node in (k - 1, k)
+    assert f"(t={setup.grid.nodes[node]:.6g})" in str(err.value)
 
 
 def test_explicit_node_grid_reduces_like_the_uniform_grid():

@@ -15,6 +15,7 @@ from liesys.algebra import LieAlgebra, catalog_algebra, catalog_names, exp_ad_ba
 from liesys.catalog import get_system, list_systems
 from liesys.errors import NumericsError, WNBreakdownError
 from liesys.numerics import TimeGrid, Trajectory
+from liesys.systems import solve_direct, solve_via_group
 from liesys.weinorman import (
     ControlSignal,
     WNProblem,
@@ -372,13 +373,23 @@ def test_curve_stays_on_so3_between_nodes():
     assert np.max(np.abs(g - fine.coords[1])) <= 3e-7
 
 
-def test_curve_follows_a_wrapped_angle_between_nodes():
-    # theta turns at rate 5 and wraps from -pi to pi between nodes k and k + 1
-    coarse, fine = _curves("unicycle", ControlSignal.constant([5.0, 1.0]))
-    k = int(np.argmax(np.abs(np.diff(coarse.coords[:, 0])) > math.pi))
-    assert abs(coarse.coords[k + 1, 0] - coarse.coords[k, 0]) > math.pi
-    g = coarse(0.5 * (coarse.grid.nodes[k] + coarse.grid.nodes[k + 1])).coords
-    assert np.max(np.abs(coarse.chart.wrap_fn(g - fine.coords[2 * k + 1]))) <= 1e-8
+def test_unicycle_curve_is_continuous_past_pi():
+    # theta turns at rate 5, through 5 rad: the angle keeps growing past pi,
+    # off-node points follow the finer curve there, and the group route
+    # agrees with the direct solve on both unicycles
+    b = ControlSignal.constant([5.0, 1.0])
+    coarse, fine = _curves("unicycle", b)
+    theta = np.abs(coarse.coords[:, 0])
+    assert theta[-1] > 4.9 and np.max(np.abs(np.diff(coarse.coords[:, 0]))) <= 5.0 / 2000 + 1e-12
+    k = int(np.argmax(theta > math.pi))
+    for j in (k - 1, k, len(theta) - 2):
+        g = coarse(0.5 * (coarse.grid.nodes[j] + coarse.grid.nodes[j + 1])).coords
+        assert np.max(np.abs(g - fine.coords[2 * j + 1])) <= 1e-8, j
+    for name in ("unicycle", "unicycle_y"):
+        entry, x0 = get_system(name), np.array([0.1, 0.2, 0.3])
+        direct = solve_direct(entry.realization, entry.pad_controls(b), x0, coarse.grid)
+        via = solve_via_group(entry.realization, entry.wn_group_curve(b, coarse.grid), x0)
+        assert np.max(np.abs(via.states - direct.states)) <= 1e-10, name
 
 
 @pytest.mark.parametrize("key", [("SE2", "canonical_second", (1, 2, 3)), ("SL2", "matrix", None),
@@ -396,8 +407,6 @@ def test_curve_on_a_one_parameter_subgroup_off_nodes_and_beyond_the_ends(key):
     for t in (-0.013, 0.0049, 0.5051, 0.99, 1.02):
         got = curve(t).coords
         gap = got - exact(t)
-        if chart.wrap_fn is not None:
-            gap = chart.wrap_fn(gap)
         assert np.max(np.abs(gap)) <= 1e-4 * np.max(np.abs(got)), t
 
 
@@ -474,7 +483,7 @@ def test_non_cubic_representation_falls_back_and_matches_the_expm_route():
     ("G4", "canonical_second", (1, 2, 3, 4)), ("Gbar5", "canonical_second", (1, 2, 3, 4, 5)),
 ], ids=lambda key: key[0])
 def test_second_kind_reconstruct_matches_composition(key, rng):
-    # v_1 runs past pi, so the SE2 angle must wrap as the composition does
+    # v_1 runs past pi, and the SE2 angle follows it as the composition does
     chart = G._CHARTS[key]
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     v = Trajectory(grid, rng.uniform(-1.5, 1.5, (9, chart.coord_dim)))
@@ -483,8 +492,7 @@ def test_second_kind_reconstruct_matches_composition(key, rng):
     ref = _reconstruct_by_composition(v, key[2], chart)
     assert np.max(np.abs(curve.coords - ref)) < 1e-12
     if key[0] == "SE2":
-        assert np.all(np.abs(curve.coords[:, 0]) <= math.pi)
-        assert np.any(np.abs(curve.coords[:, 0] + v.states[:, 0]) > 1.0)
+        assert np.array_equal(curve.coords[:, 0], -v.states[:, 0])
 
 
 @pytest.mark.parametrize("case", [
