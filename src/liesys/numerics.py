@@ -14,9 +14,10 @@ evaluates its inputs itself.
 
 `picard_windows` solves by Picard sweeps behind a sliding frontier
 (waveform relaxation with a moving window: Lelarasmee, Ruehli &
-Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  Each sweep covers
-`_WINDOW` steps from the frontier, the last settled node; a remainder of
-fewer than two steps joins the window.  Its first iterate is what the last
+Sangiovanni-Vincentelli, IEEE TCAD 1 (1982) 131).  Each sweep covers a
+window from the frontier, the last settled node: `_WINDOW` steps, or the
+whole grid for a caller with dependency levels; a remainder of fewer than
+two steps joins the window.  Its first iterate is what the last
 sweep left beyond the frontier, or the frontier state after a restart, and
 the window's rows beyond that come from the caller's first iterate over the
 whole grid where it has one and it is finite there, or repeat the last row
@@ -39,8 +40,10 @@ Picard's error at a distance t behind a settled start falls like
 A window fails when a sweep raises LieSysError, when a committed row is not
 finite, when the largest update over the rows carried from the last sweep
 does not shrink against those rows' updates there while above roundoff, or
-when `_MAX_SWEEPS` sweeps pass without the frontier moving.  An exact
-caller's windows never halve.  Any other caller's failed window halves,
+when `_MAX_SWEEPS` sweeps pass without the frontier moving.  A failed
+window wider than `_WINDOW` restarts from the frontier at `_WINDOW` steps
+and stays there.  Otherwise an exact caller's windows never halve, and any
+other caller's failed window halves,
 down to the two steps Simpson needs, and restarts from the frontier; once
 the frontier has advanced a full width at a reduced width, the width
 doubles back.  A failed window that does not halve goes to the caller's
@@ -57,14 +60,26 @@ x' = B(t) x, has RK4 steps that are matrices, x_{k+1} = R_k x_k, and
 scan of `groups` does its group steps, for a first iterate within
 roundoff of the loop's states: as the exact commit rule alone decides each
 committed row, the iterate changes the number of sweeps, never a bit of the
-result.  The right-hand side takes batches, so
-realizations give batched `fields` and `domain`, and reductions a batched
-`hom_rhs`; `batch_guard` checks them at construction.
+result.
+
+A right-hand side whose state components fall into dependency levels, the
+first depending on no component and each later one only on earlier levels
+(`dependency_levels`), is triangular: L levels make Picard iteration exact
+after L sweeps over any span (Miekkala & Nevanlinna, above), so
+`sweep_rk4` given levels sweeps the whole grid as one window, settled in
+L + 1 sweeps where `_WINDOW`-step windows take L + 1 each.  Over a long
+span the updates of the first sweeps can grow, which fails the window and
+restarts it at `_WINDOW` steps.  The exact commit rule alone decides each
+committed row, so levels that are wrong change the sweep count, never a
+bit.  The right-hand side takes batches, so realizations give batched
+`fields` and `domain`, and reductions a batched `hom_rhs`; `batch_guard`
+checks them at construction, and `dependency_levels` probes them there.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +89,8 @@ from .errors import LieSysError, NumericsError, SingularMatrixError
 # Default resolution: 2000 uniform steps per unit time. All quoted
 # tolerances in the tests assume this.
 STEPS_PER_UNIT_TIME = 2000
-# Picard sweeps: the widest window in steps, the most sweeps that may pass
+# Picard sweeps: the window in steps of a caller without dependency levels,
+# and of any caller after a wider window failed, the most sweeps that may pass
 # without the frontier moving, and the update, relative to the window's
 # largest |x|, that counts as roundoff
 _WINDOW = 512
@@ -86,6 +102,10 @@ _SCAN_BLOCK = 16
 _UNSWEPT = np.array([np.inf])
 # a batched call must agree with the single-row calls to this relative error
 _BATCH_RTOL = 1e-12
+# the dependency probe: random points, and the relative change of an output
+# that counts as a dependency (rounding moves an independent one ~1e-16)
+_PROBES = 3
+_PROBE_RTOL = 1e-8
 # the largest max|M|^2 / max|adj M| at which a 3x3 inverse keeps its
 # adjugate (see `_adjugate`): on random stacks up to cond 1e8, the adjugate
 # stayed within 1.1 eps cond(M) of LAPACK's inverse up to 16, and reached
@@ -292,22 +312,26 @@ def _sweep_once(sweep, a, e, X, last, exact):
     return new, update, p
 
 
-def picard_windows(sweep, x0, n, exact, stuck, first=None) -> np.ndarray:
+def picard_windows(sweep, x0, n, exact, stuck, first=None, width=_WINDOW) -> np.ndarray:
     """The (n + 1, d) states of a solve from x0 over n steps by Picard
-    sweeps behind a sliding frontier (see the module docstring).
+    sweeps behind a sliding frontier (see the module docstring), whose
+    windows start `width` steps wide: n for a caller with dependency levels
+    (`sweep_rk4`), `_WINDOW` for every other.
 
     sweep(a, e, X) maps an iterate X over the nodes a..e, (e - a + 1, d)
     with X[0] the state at node a, to the next one, which starts at X[0];
     with `exact`, its row j depends on the rows < j of X only.
-    A failed window halves only without `exact`, and only while it is
-    wider than two steps; stuck(a, e, x_a) returns the states over the
-    nodes a..e of a failed window that does not halve, or raises.
+    A failed window wider than `_WINDOW` restarts at `_WINDOW` steps, and
+    the windows grow no wider after.  Any other failed window halves only
+    without `exact`, and only while it is wider than two steps, and grows
+    back up to the widest width left; stuck(a, e, x_a) returns the states
+    over the nodes a..e of a failed window that does not halve, or raises.
     `first`, (n + 1, d) states over all nodes, gives a window the rows
     beyond its carried iterate where they are all finite; without it, or
     where they are not, the carried iterate's last row is repeated."""
     states = np.empty((n + 1, np.size(x0)))
     states[0] = x0
-    a, width, advanced, idle = 0, _WINDOW, 0, 0
+    a, top, advanced, idle = 0, width, 0, 0
     # the carried iterate from node a and its rows' last updates; the
     # frontier row alone has none
     X, last = states[:1], _UNSWEPT
@@ -324,7 +348,11 @@ def picard_windows(sweep, x0, n, exact, stuck, first=None) -> np.ndarray:
                 p -= 2      # Simpson needs two steps after the frontier
             idle = 0 if p else idle + 1
         if out is None or idle == _MAX_SWEEPS:
-            if not exact and width > 2:
+            if width > _WINDOW:
+                # a levelled caller's whole grid: over a long span its
+                # updates can grow for a few sweeps before they settle
+                width = top = _WINDOW
+            elif not exact and width > 2:
                 width, advanced = width // 2, 0
             else:
                 states[a + 1:e + 1] = stuck(a, e, states[a])[1:]
@@ -334,12 +362,12 @@ def picard_windows(sweep, x0, n, exact, stuck, first=None) -> np.ndarray:
         states[a + 1:a + p + 1] = new[1:p + 1]
         X, last = new[p:], update[p:]
         a, advanced = a + p, advanced + p
-        if width < _WINDOW and advanced >= width:
+        if width < top and advanced >= width:
             width, advanced = 2 * width, 0
     return states
 
 
-def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None) -> Trajectory:
+def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None, levels=None) -> Trajectory:
     """Classical fixed-step RK4 sampled at the grid nodes, by windowed
     Picard sweeps (see the module docstring); the result is `integrate_rk4`
     on f one state at a time, to the last bit.
@@ -350,7 +378,10 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None) -> Trajectory:
     (n + 1, d) approximation of the states such as `linear_rk4_states` or
     a reduction's projected group curve gives, seeds the windows' iterates
     (`picard_windows`): the closer it is, the fewer sweeps, and any first
-    iterate gives the same bits."""
+    iterate gives the same bits.  `levels`, the `dependency_levels` of f's
+    states, sweeps the whole grid as one window, which L levels settle in
+    L + 1 sweeps; without them the windows are `_WINDOW` steps wide.  Wrong
+    levels, like a wrong first iterate, change only the sweep count."""
     nodes = grid.nodes
     n = len(nodes) - 1
     if len(table) != 2 * n + 1:
@@ -377,7 +408,8 @@ def sweep_rk4(f, x0, grid: TimeGrid, table, meta="", first=None) -> Trajectory:
         return integrate_rk4(one, xa, TimeGrid.from_nodes(nodes[a:e + 1]),
                              table=table[2 * a:2 * e + 1]).states
 
-    return Trajectory(grid, picard_windows(sweep, x0, n, True, stuck, first), meta)
+    width = _WINDOW if levels is None else n
+    return Trajectory(grid, picard_windows(sweep, x0, n, True, stuck, first, width), meta)
 
 
 def prefix_product(h, compose, identity):
@@ -472,6 +504,45 @@ def batch_guard(fn, what, dims, avoid=()):
         raise LieSysError(f"{what}: a batch of {B} states differs from the single calls "
                           f"by {gap:.3g}")
     return out
+
+
+def dependency_levels(g, d):
+    """The dependency levels of a map g of d state components, as tuples of
+    component indices: outputs of the first level depend on no component,
+    those of each later level only on earlier levels.  None when a component
+    depends on itself or lies on a cycle, when g raises LieSysError, or when
+    its outputs are not finite.
+
+    g maps (m, d) states to (m, ..., d) outputs, and output i depends on
+    component j where any of its entries along the middle axes moves with
+    x_j.  Each of three seeded random probes is one call of g on a random
+    state and the d states that move one component each to a fresh random
+    value; on an analytic g this finds every dependency but on a set of
+    measure zero.  The levels only pick `sweep_rk4`'s window width, so a
+    probe that errs changes the sweep count, never a bit.  The draws come
+    from the standard library's `random`: `numpy.random`, which numpy
+    imports lazily, would add about 15 ms to building the first realization."""
+    rng = random.Random(12345)
+    draws = np.array([[rng.uniform(-2.0, 2.0) for _ in range(2 * d)] for _ in range(_PROBES)])
+    x = np.repeat(draws[:, None, :d], d + 1, axis=1)
+    x[:, np.arange(1, d + 1), np.arange(d)] = draws[:, d:]
+    try:
+        with np.errstate(all="ignore"):
+            out = np.array([np.reshape(g(probe), (d + 1, -1, d)) for probe in x], dtype=float)
+    except LieSysError:
+        return None
+    if not np.isfinite(out).all():
+        return None
+    moved = np.abs(out[:, 1:] - out[:, :1]) > _PROBE_RTOL * np.maximum(1.0, np.abs(out[:, :1]))
+    depends = moved.any(axis=(0, 2)).T          # depends[i, j]: output i moves with x_j
+    levels, placed = [], np.zeros(d, dtype=bool)
+    while not placed.all():
+        ready = ~placed & ~depends[:, ~placed].any(axis=1)
+        if not ready.any():
+            return None
+        levels.append(tuple(np.flatnonzero(ready).tolist()))
+        placed |= ready
+    return tuple(levels)
 
 
 def _cumulative_simpson(y, dx):

@@ -33,6 +33,7 @@ changes only the sweep count.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,6 +57,7 @@ from .numerics import (
     Trajectory,
     batch_guard,
     cubic_midpoints,
+    dependency_levels,
     diff_samples4,
     rk4_stage_times,
     sweep_rk4,
@@ -196,7 +198,11 @@ class ReductionCase:
       (...) times, (..., hom_dim) states and (..., r) padded controls and
       returns (..., hom_dim) derivatives, where hom_dim is the length of
       `hom_x0`; it is checked once at construction by
-      `numerics.batch_guard`.  The sweeps start each window flat, or,
+      `numerics.batch_guard`, and probed there, at one random time and one
+      random control row per probe, for its `numerics.dependency_levels`,
+      stored as `levels` (None on a `hom_chart` case): with levels the
+      sweeps take the whole grid as one window, otherwise windows of
+      `numerics._WINDOW` steps.  The sweeps start each window flat, or,
       where the case has `project`, from the group: `project` maps
       (..., d) chart coordinates to (..., hom_dim) states and is the left
       inverse of `lift_coords` modulo H, project(lift(z) h) = z, so the
@@ -222,9 +228,17 @@ class ReductionCase:
     project: object = None           # (..., d) chart coords -> (..., hom_dim) states
 
     def __post_init__(self):
+        self.levels = None
         if self.hom_chart is None:
-            dims = (None, np.size(self.hom_x0), self.chart.algebra.dim)
-            batch_guard(self.hom_rhs, f"{self.name}: hom_rhs", dims)
+            d, r = np.size(self.hom_x0), self.chart.algebra.dim
+            batch_guard(self.hom_rhs, f"{self.name}: hom_rhs", (None, d, r))
+            rng = random.Random(54321)
+
+            def at_random_input(y):
+                t, *b = (rng.uniform(-2.0, 2.0) for _ in range(r + 1))
+                return self.hom_rhs(np.full(len(y), t), y, np.tile(b, (len(y), 1)))
+
+            self.levels = dependency_levels(at_random_input, d)
             return
         q = self.quotient_indices
         if not np.array_equal(self.hom_chart.algebra.structure,
@@ -269,7 +283,8 @@ class ReductionCase:
             with np.errstate(all="ignore"):
                 g = magnus_scan(self.chart, -table[::2], -table[1::2], dt)
                 first = self.project(self.chart.compose_fn(g, self.lift_coords(self.hom_x0)))
-        return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=meta, first=first)
+        return sweep_rk4(self.hom_rhs, self.hom_x0, grid, table, meta=meta, first=first,
+                         levels=self.levels)
 
     def make_lift(self, hom: Trajectory) -> GroupCurve:
         return GroupCurve(self.chart, hom.grid, self.lift_coords(hom.states))

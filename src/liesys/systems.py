@@ -9,12 +9,13 @@ from typing import Callable
 import numpy as np
 
 from .algebra import LieAlgebra
-from .errors import CoincidenceError, DomainExitError, LieSysError
+from .errors import CoincidenceError, DimensionError, DomainExitError, LieSysError
 from .groups import GroupChart, _on_chart, _same_chart
 from .numerics import (  # integrate_rk4 stays bound here: the span tests in perfbench patch it
     TimeGrid,
     Trajectory,
     batch_guard,
+    dependency_levels,
     integrate_rk4,
     linear_rk4_states,
     rk4_stage_times,
@@ -70,7 +71,10 @@ class LieSystemRealization:
     fields, (..., r, state_dim), whose row a at each state is X_a(x);
     `domain(x)` takes the same states and returns a (...) bool array.  Both
     are checked once at construction by `numerics.batch_guard`: on a batch
-    of states they must give the single-state calls stacked.
+    of states they must give the single-state calls stacked.  `levels`, set
+    there too, are the `numerics.dependency_levels` of `fields`, the r rows
+    together, or None: with levels, `solve_direct` sweeps its whole grid as
+    one Picard window.
     `action(g, x)` moves one state x by (..., coord_dim) coordinates g of
     `action_chart` and returns (..., state_dim) states, one per point of g,
     so a whole curve goes through one call."""
@@ -91,6 +95,7 @@ class LieSystemRealization:
                               f"element: {dims}")
         if self.domain is not None:
             batch_guard(self.domain, f"{self.name}: domain", (self.state_dim,), dims)
+        self.levels = dependency_levels(self.fields, self.state_dim)
 
     def check_domain(self, t, x):
         """Raise DomainExitError at the first of the (..., state_dim) states
@@ -102,6 +107,15 @@ class LieSystemRealization:
             k = np.unravel_index(np.argmax(outside), outside.shape)
             t = float(np.broadcast_to(t, outside.shape)[k])
             raise DomainExitError(t, x[k], f"{self.name}: left the validity domain at t={t}")
+
+
+def _initial_state(sys: LieSystemRealization, x0) -> np.ndarray:
+    """x0 as a float array, or DimensionError unless it has state_dim
+    components."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (sys.state_dim,):
+        raise DimensionError(f"{sys.name}: x0 needs {sys.state_dim} components, got {x0.size}")
+    return x0
 
 
 def field_eval(sys: LieSystemRealization, b, t: float, x) -> np.ndarray:
@@ -118,8 +132,12 @@ def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid
     checked against the domain, as `field_eval` checks it.  A `MatrixField`
     seeds the sweeps with the prefix product of its RK4 step matrices
     (`MatrixField.rk4_states`), which takes fewer sweeps to the same bits;
-    any other field starts each window from its frontier state."""
+    any other field starts each window from its frontier state.  A field
+    with dependency levels (`LieSystemRealization.levels`) sweeps the whole
+    grid as one window, any other `numerics._WINDOW` steps at a time.  An
+    x0 without `state_dim` components is a DimensionError."""
     fields, check_domain = sys.fields, sys.check_domain
+    x0 = _initial_state(sys, x0)
     table = b(rk4_stage_times(grid))
     first = fields.rk4_states(table, x0, grid) if isinstance(fields, MatrixField) else None
 
@@ -127,18 +145,20 @@ def solve_direct(sys: LieSystemRealization, b: ControlSignal, x0, grid: TimeGrid
         check_domain(t, x)
         return (u[:, None, :] @ fields(x))[:, 0]
 
-    return sweep_rk4(stage, x0, grid, table, meta=sys.name, first=first)
+    return sweep_rk4(stage, x0, grid, table, meta=sys.name, first=first, levels=sys.levels)
 
 
 def solve_via_group(sys: LieSystemRealization, gcurve: GroupCurve, x0) -> Trajectory:
     """x(t) = action(g(t), x0) at the curve's nodes, from one check of the
-    whole curve against its chart and one action call."""
+    whole curve against its chart and one action call.  An x0 without
+    `state_dim` components is a DimensionError."""
     if sys.action is None:
         raise LieSysError(f"{sys.name}: no group action cataloged")
+    x0 = _initial_state(sys, x0)
     if sys.action_chart is not None:
         _same_chart(gcurve.chart, sys.action_chart)
     coords = _on_chart(gcurve.chart, gcurve.coords, "group curve", gcurve.grid.nodes)
-    states = sys.action(coords, np.asarray(x0, dtype=float))
+    states = sys.action(coords, x0)
     return Trajectory(gcurve.grid, states, meta=f"{sys.name} (group action)")
 
 

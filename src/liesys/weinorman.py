@@ -15,7 +15,8 @@ fall into dependency levels, the first depending on no exponent and each
 later one only on earlier levels, one sweep per level solves the system
 (a solvable algebra with a suitable ordering: Wei & Norman, J. Math. Phys.
 4 (1963) 575; Proc. AMS 15 (1964) 327).  The levels are probed once per
-algebra and ordering.  This
+algebra and ordering, by the `numerics.dependency_levels` probe that also
+picks the Picard windows of direct and homogeneous RK4 solves.  This
 reproduces the closed forms of the cataloged systems: the nilpotent
 triangular orderings and SE(2), whose angle comes first.
 
@@ -46,6 +47,7 @@ its adjugate unless its cofactors cancel, and any other by LAPACK.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +70,7 @@ from .numerics import (  # rk4_step stays bound here: the span tests in perfbenc
     Trajectory,
     cubic_midpoints,
     cumulative_quadrature_samples,
+    dependency_levels,
     diff_samples,
     interp_columns,
     linsolve,
@@ -77,11 +80,6 @@ from .numerics import (  # rk4_step stays bound here: the span tests in perfbenc
     stack_solve,
     sweep_rk4,
 )
-
-# the dependency probe: random points, and the relative change of a rate
-# that counts as a dependency (rounding moves an independent rate ~1e-16)
-_PROBES = 3
-_PROBE_RTOL = 1e-8
 
 
 def _channel_on_times(ch, t):
@@ -222,29 +220,18 @@ def _dependency_levels(alg: LieAlgebra, ordering):
     a cycle leaves no levels, and the result is None.  Cached on the algebra
     per ordering.
 
-    The entries of M(v) are analytic in v, so three seeded random probes of
-    v and b, each moving every v_j to a fresh random value in turn, find
-    every dependency but on a set of measure zero; all the probe matrices
-    come from one `wn_matrix` call."""
+    The levels are `numerics.dependency_levels` of v -> M(v)^-1 b, each
+    probe at a fresh seeded random b; the entries of M(v) are analytic in
+    v, so the probes find every dependency but on a set of measure zero."""
     ordering = tuple(int(i) for i in ordering)
-    if ordering in alg._wn_levels:
-        return alg._wn_levels[ordering]
-    r = alg.dim
-    rng = np.random.default_rng(12345)
-    v = np.repeat(rng.standard_normal((_PROBES, 1, r)), r + 1, axis=1)
-    v[:, np.arange(1, r + 1), np.arange(r)] = rng.standard_normal((_PROBES, r))
-    b = rng.standard_normal((_PROBES, 1, r, 1))
-    f = np.linalg.solve(wn_matrix(alg, ordering, v), b)[..., 0]
-    moved = np.abs(f[:, 1:] - f[:, :1]) > _PROBE_RTOL * np.maximum(1.0, np.abs(f[:, :1]))
-    depends = moved.any(axis=0).T             # depends[i, j]: f_i moves with v_j
-    levels, placed = [], np.zeros(r, dtype=bool)
-    while not placed.all():
-        ready = ~placed & ~depends[:, ~placed].any(axis=1)
-        if not ready.any():
-            break
-        levels.append(tuple(np.flatnonzero(ready).tolist()))
-        placed |= ready
-    alg._wn_levels[ordering] = tuple(levels) if placed.all() else None
+    if ordering not in alg._wn_levels:
+        rng = random.Random(54321)
+
+        def rates(v):
+            b = np.array([[rng.uniform(-2.0, 2.0)] for _ in range(alg.dim)])
+            return np.linalg.solve(wn_matrix(alg, ordering, v), b)[..., 0]
+
+        alg._wn_levels[ordering] = dependency_levels(rates, alg.dim)
     return alg._wn_levels[ordering]
 
 
@@ -351,10 +338,11 @@ def wn_solve(problem: WNProblem) -> Trajectory:
     The exponents integrate by quadrature sweeps, each one `wn_matrix`
     call over the nodes, one stacked solve and one cumulative quadrature.
     When the rates of the ordering have dependency levels (probed once per
-    algebra and ordering), one sweep per level solves them.  An ordering
-    with a dependency cycle on a uniform grid of two steps or more takes
-    Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b behind a sliding
-    frontier t_a (`numerics.picard_windows` gives the rules; windows halve
+    algebra and ordering by `numerics.dependency_levels`, the probe that
+    also picks the RK4 solves' Picard windows), one sweep per level solves
+    them.  An ordering with a dependency cycle on a uniform grid of two
+    steps or more takes Picard sweeps v <- v(t_a) + int_{t_a}^t M(v)^-1 b
+    behind a sliding frontier t_a (`numerics.picard_windows` gives the rules; windows halve
     down to two steps, and a two-step window that still fails runs by RK4
     over its own nodes).  Where `groups.second_kind_chart` files a chart
     for the algebra and the ordering, the windows start from the group's

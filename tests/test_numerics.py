@@ -218,6 +218,40 @@ def test_a_frontier_that_stays_in_place_fails_the_window():
     assert len(spans) == 9 * N._MAX_SWEEPS and set(spans) == {(0, 4), (0, 2)}
 
 
+def _triangular(x):
+    # x0' = 1, x1' = x0, x2' = x0 x1, with a middle axis of two rows whose
+    # second row alone carries the x0 dependence of x1
+    x = np.asarray(x)
+    first = np.stack([np.ones(len(x)), np.zeros(len(x)), x[:, 0] * x[:, 1]], axis=-1)
+    second = np.stack([np.ones(len(x)), x[:, 0], np.zeros(len(x))], axis=-1)
+    return np.stack([first, second], axis=1)
+
+
+@pytest.mark.parametrize("g,levels", [
+    (_triangular, ((0,), (1,), (2,))),
+    (lambda x: np.zeros_like(x), ((0, 1, 2),)),
+    (lambda x: -np.asarray(x), None),                                   # x_i' = -x_i
+    (lambda x: np.stack([x[:, 1], x[:, 0], 0 * x[:, 2]], axis=-1), None),    # a 2-cycle
+    (lambda x: np.stack([0 * x[:, 0], np.sqrt(x[:, 0]), 0 * x[:, 2]], axis=-1), None),
+    (lambda x: np.stack([0 * x[:, 0], 0 * x[:, 1], np.where(x[:, 0] > 9, 1.0, np.nan)],
+                        axis=-1), None),
+], ids=["triangular", "constant", "self", "cycle", "sqrt-nan", "nan-everywhere"])
+def test_dependency_levels(g, levels):
+    # a non-finite output is no evidence of independence: where a NaN
+    # compared as not moved, the last two probed as ((0, 1, 2),), and the
+    # square root's dependence on x0 went unseen
+    assert N.dependency_levels(g, 3) == levels
+
+
+def test_a_probe_that_raises_has_no_levels():
+    def refuses(x):
+        raise NumericsError("outside the domain")
+
+    assert N.dependency_levels(refuses, 2) is None
+    with pytest.raises(ZeroDivisionError):
+        N.dependency_levels(lambda x: 1 / 0, 2)
+
+
 def test_import_leaves_scipy_unloaded():
     import liesys
 

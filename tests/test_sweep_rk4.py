@@ -112,8 +112,15 @@ def test_matrix_fields_seed_the_sweeps_with_their_step_matrices(name, kw, nch, a
     assert sweep_count(name, kw, nch, amp, monkeypatch) <= 16
 
 
-def test_hand_written_fields_start_their_windows_flat(monkeypatch):
-    assert sweep_count("brockett", {}, 2, 1.0, monkeypatch) == 12
+# L dependency levels settle in L + 1 sweeps: one window over the whole grid
+# for brockett (2 levels) and kinematic_car_chained (3), where 512-step
+# windows took 12 and 16; unicycle_feedback's angle feeds back on itself, so
+# it has no levels and keeps its 512-step windows
+@pytest.mark.parametrize("name,amp,sweeps", [("brockett", 1.0, 3),
+                                             ("kinematic_car_chained", 1.0, 4),
+                                             ("unicycle_feedback", 0.45, 29)])
+def test_levelled_fields_sweep_the_whole_grid_as_one_window(name, amp, sweeps, monkeypatch):
+    assert sweep_count(name, {}, 2, amp, monkeypatch) == sweeps
 
 
 @pytest.mark.parametrize("wrong", ["shifted", "zero", "nan"])
@@ -243,6 +250,107 @@ def test_seeded_solves_equal_the_single_state_loop_on_every_edge_grid(grid, name
     starts = counting_loop(monkeypatch)
     assert np.array_equal(solve_direct(sysr, b, x0, grid).states, ref)
     assert starts == []
+
+
+LEVELLED_GRIDS = EDGE_GRIDS + [TimeGrid.uniform(0.0, 1.0, 20000)]
+
+
+@pytest.mark.parametrize("name", ["brockett", "kinematic_car_chained"])
+@pytest.mark.parametrize("grid", LEVELLED_GRIDS, ids=EDGE_IDS + ["n20000"])
+def test_levelled_solves_equal_the_single_state_loop_on_every_edge_grid(grid, name,
+                                                                         monkeypatch):
+    entry = get_system(name)
+    sysr, b = entry.realization, entry.pad_controls(controls(name, 2, 1.0))
+    assert sysr.levels is not None
+    x0 = np.full(sysr.state_dim, 0.1)
+    ref = loop_states(sysr, b, x0, grid)
+    starts = counting_loop(monkeypatch)
+    assert np.array_equal(solve_direct(sysr, b, x0, grid).states, ref)
+    assert starts == []
+
+
+def test_a_long_levelled_window_that_fails_restarts_at_the_usual_width(monkeypatch):
+    # over ten time units the updates of kinematic_car_chained's first
+    # sweeps grow, which fails the whole-grid window at its third sweep; the
+    # solve goes on from that frontier in 512-step windows, as it would
+    # without levels (156 sweeps), and never runs the loop
+    entry = get_system("kinematic_car_chained")
+    sysr, b = entry.realization, entry.pad_controls(controls("kinematic_car_chained", 2, 1.0))
+    grid, x0 = TimeGrid.uniform(0.0, 10.0, 20000), np.full(4, 0.1)
+    ref = loop_states(sysr, b, x0, grid)
+    windows, once = [], N._sweep_once
+    monkeypatch.setattr(N, "_sweep_once", lambda *a: windows.append(a[1:3]) or once(*a))
+    starts = counting_loop(monkeypatch)
+    assert np.array_equal(solve_direct(sysr, b, x0, grid).states, ref)
+    assert starts == [] and windows[0] == (0, 20000)
+    wide = [w for w in windows if w[1] - w[0] > N._WINDOW]
+    assert len(wide) == 3 and windows[3][0] == wide[-1][0] and len(windows) == 159
+    assert all(e - a == N._WINDOW or e == 20000 for a, e in windows[len(wide):])
+
+
+# levels that the cyclic so3_kinematics and unicycle_feedback do not have:
+# all components in one level, and one level per component
+WRONG_LEVELS = [((0, 1, 2),), ((0,), (1,), (2,))]
+
+
+@pytest.mark.parametrize("name,nch,amp", [("so3_kinematics", 3, 1.0),
+                                          ("unicycle_feedback", 2, 0.45)])
+@pytest.mark.parametrize("levels", WRONG_LEVELS, ids=["one", "three"])
+def test_wrong_levels_change_only_the_sweep_count(name, nch, amp, levels, monkeypatch):
+    entry = get_system(name)
+    sysr, b = entry.realization, entry.pad_controls(controls(name, nch, amp))
+    assert sysr.levels is None
+    x0 = np.full(sysr.state_dim, 0.1)
+    ref = loop_states(sysr, b, x0, GRID)
+    monkeypatch.setattr(sysr, "levels", levels)
+    starts = counting_loop(monkeypatch)
+    assert np.array_equal(solve_direct(sysr, b, x0, GRID).states, ref)
+    assert starts == []
+
+
+def test_missed_levels_change_only_the_sweep_count(monkeypatch):
+    entry = get_system("brockett")
+    sysr, b = entry.realization, entry.pad_controls(controls("brockett", 2, 1.0))
+    x0 = np.full(3, 0.1)
+    levelled = solve_direct(sysr, b, x0, GRID).states
+    monkeypatch.setattr(sysr, "levels", None)
+    sweeps = counting_sweeps(monkeypatch)
+    assert np.array_equal(solve_direct(sysr, b, x0, GRID).states, levelled)
+    assert len(sweeps) == 12
+
+
+# the probe's levels of every catalog realization (elastic_euler at each
+# eps) and every catalog reduction; None keeps the 512-step windows
+REALIZATION_LEVELS = {
+    "brockett": ((0, 1), (2,)), "brockett_variant": ((0, 1), (2,)),
+    "brockett_deg2": ((0, 1), (2, 3, 4)), "brockett_deg3": ((0, 1), (2, 3, 4, 5, 6, 7)),
+    "chained_n": ((0, 1), (2,), (3,)), "hopping_robot_lin": ((0, 1), (2,)),
+    "kinematic_car_chained": ((0, 1), (2,), (3,)), "martinet": ((0, 1), (2, 3)),
+    "murray_nonsinusoid": ((0, 1), (2,), (3, 4), (5, 6, 7)),
+    "nikolaev_deg2": ((0, 1), (2, 3, 4)), "nikolaev_deg8": ((0, 1), (2, 3, 4, 5, 6)),
+    "power_n": ((0, 1), (2, 3)), "rb_two_oscillators": ((0, 1), (2,)),
+    "td_linear_potential_classical": ((1,), (0,)), "trailer_power5": ((0, 1), (2, 3, 4)),
+    "unicycle": ((2,), (0, 1)),
+}
+REDUCTION_LEVELS = {
+    "g5/center": ((0, 1), (2,)), "g7/ideal": ((0, 1), (2,)), "g8/ideal": ((0, 1), (2,)),
+    "gbar4/center": ((0, 1), (2,)), "gbar5/ideal": ((0, 1), (2,)), "h3/a1": ((0,), (1,)),
+    "h3/a2": ((0,), (1,)), "h3/a3": ((0, 1),), "se2/a2": ((0,), (1,)), "se2/a2a3": ((0,),),
+    "se2/a3": ((0,), (1,)),
+}
+
+
+@pytest.mark.parametrize("name,kw", ALL_ENTRIES + [("elastic_euler", {"eps": e}) for e in (0, -1)],
+                         ids=[n for n, _ in ALL_ENTRIES] + ["elastic_euler+0", "elastic_euler-1"])
+def test_the_probe_levels_of_every_catalog_realization(name, kw):
+    assert get_system(name, **kw).realization.levels == REALIZATION_LEVELS.get(name)
+
+
+@pytest.mark.parametrize("name,kw", [(n, {}) for n in list_reductions()]
+                         + [("geps/a1", {"eps": e}) for e in (0, -1)],
+                         ids=list_reductions() + ["geps+0", "geps-1"])
+def test_the_probe_levels_of_every_catalog_reduction(name, kw):
+    assert catalog_reduction(name, **kw).levels == REDUCTION_LEVELS.get(name)
 
 
 @pytest.mark.parametrize("grid", EDGE_GRIDS, ids=EDGE_IDS)

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from liesys.algebra import LieAlgebra
 from liesys.catalog import get_system
-from liesys.errors import ChartError, CoincidenceError, DomainExitError, LieSysError
+from liesys.errors import (
+    ChartError,
+    CoincidenceError,
+    DimensionError,
+    DomainExitError,
+    LieSysError,
+)
 from liesys.numerics import TimeGrid, Trajectory, diff_samples
 from liesys.riccati import RiccatiCoeffs
 from liesys.systems import (
@@ -84,6 +90,23 @@ def test_solve_via_group_missing_action(unit_grid):
     entry = get_system("nikolaev_deg2")
     with pytest.raises(LieSysError):
         solve_via_group(entry.realization, None, np.zeros(5))
+
+
+def test_solve_direct_refuses_an_x0_of_the_wrong_length(unit_grid):
+    # brockett's fields unpacked the two components and raised a bare
+    # ValueError ("not enough values to unpack")
+    entry = get_system("brockett")
+    b = entry.pad_controls(smooth_controls(2, seed=5))
+    with pytest.raises(DimensionError, match=r"^brockett: x0 needs 3 components, got 2$"):
+        solve_direct(entry.realization, b, [0.1, 0.2], unit_grid)
+
+
+def test_solve_via_group_refuses_an_x0_of_the_wrong_length(unit_grid):
+    entry = get_system("brockett")
+    curve = GroupCurve(entry.realization.action_chart, unit_grid,
+                       np.zeros((len(unit_grid.nodes), 3)))
+    with pytest.raises(DimensionError, match=r"^brockett: x0 needs 3 components, got 4$"):
+        solve_via_group(entry.realization, curve, [0.1, 0.2, 0.3, 0.4])
 
 
 def test_h3_action_display():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -221,10 +222,54 @@ def test_dependency_levels(name, kw, ordering, levels, cycle):
     assert depends[np.ix_(cycle, cycle)].any(axis=1).all()
 
 
+def _single_call_levels(alg, ordering):
+    """The levels as one probe call found them before the probe was shared:
+    three random points and their r moved copies, with one b per point,
+    through one np.linalg.solve, where a non-finite rate counted as not
+    moved."""
+    r = alg.dim
+    rng = np.random.default_rng(12345)
+    v = np.repeat(rng.standard_normal((3, 1, r)), r + 1, axis=1)
+    v[:, np.arange(1, r + 1), np.arange(r)] = rng.standard_normal((3, r))
+    b = rng.standard_normal((3, 1, r, 1))
+    f = np.linalg.solve(wn_matrix(alg, ordering, v), b)[..., 0]
+    depends = (np.abs(f[:, 1:] - f[:, :1]) > 1e-8 * np.maximum(1.0, np.abs(f[:, :1]))
+               ).any(axis=0).T
+    levels, placed = [], np.zeros(r, dtype=bool)
+    while not placed.all():
+        ready = ~placed & ~depends[:, ~placed].any(axis=1)
+        if not ready.any():
+            return None
+        levels.append(tuple(np.flatnonzero(ready).tolist()))
+        placed |= ready
+    return tuple(levels)
+
+
+def _wn_orderings():
+    """Every catalog entry's algebra and ordering, and every ordering of the
+    algebras of dimension 4 or less among them (`liesys wei-norman
+    --ordering` reaches any)."""
+    entries = [get_system(n) for n in list_systems()]
+    entries += [get_system("elastic_euler", eps=e) for e in (0, -1)]
+    out = {(e.algebra.name, e.ordering()): e.algebra for e in entries}
+    for alg in {e.algebra.name: e.algebra for e in entries if e.algebra.dim <= 4}.values():
+        out.update({(alg.name, p): alg for p in itertools.permutations(range(1, alg.dim + 1))})
+    return out
+
+
+def test_the_shared_probe_finds_the_levels_one_probe_call_found():
+    orderings = _wn_orderings()
+    assert len(orderings) == 131
+    for (name, ordering), alg in orderings.items():
+        fresh = LieAlgebra(alg.structure, alg.name)
+        assert W._dependency_levels(fresh, ordering) == _single_call_levels(alg, ordering), \
+            (name, ordering)
+
+
 def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
-    # the probe is the np.linalg.solve call on a (_PROBES, r + 1, r, r)
-    # stack (the cyclic sweeps solve (m, r, r) stacks); fresh algebra
-    # instances start with an empty cache and share it with no other
+    # the probe is N._PROBES np.linalg.solve calls on (r + 1, r, r) stacks
+    # (the sweeps and the guard never call it); fresh algebra instances
+    # start with an empty cache and share it with no other
     grid = TimeGrid.uniform(0.0, 1.0, 40)
     probes = []
     solve = np.linalg.solve
@@ -238,7 +283,7 @@ def test_auto_method_probes_dependency_levels_once_per_ordering(monkeypatch):
             probes.clear()
             for ordering in orderings * 3:
                 wn_solve(WNProblem(alg, smooth_controls(alg.dim, seed=3), grid, ordering))
-            assert probes.count((W._PROBES, r + 1, r, r)) == len(orderings), (name, copy)
+            assert probes == [(r + 1, r, r)] * (N._PROBES * len(orderings)), (name, copy)
 
 
 def _rk4(prob):
